@@ -611,12 +611,14 @@ def build_complex(spec: ComplexSpec) -> ChainComplex:
 # homology and reports
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GCH_THREADS", "1")
+def _worker_count(jobs: int) -> int:
+    """Processes for ``jobs`` ranks: ``GCH_THREADS``, capped at the CPU count
+    and at ``jobs``, since a fork pool starts every worker at once."""
     try:
-        return max(1, int(raw))
+        wanted = int(os.environ.get("GCH_THREADS", "1"))
     except ValueError:
-        return 1
+        wanted = 1
+    return max(1, min(wanted, os.cpu_count() or 1, jobs))
 
 
 def homology(complex_: ChainComplex) -> HomologyReport:
@@ -624,9 +626,9 @@ def homology(complex_: ChainComplex) -> HomologyReport:
     top = complex_.max_grade
     counts = {k: len(complex_.grades.get(k, [])) for k in range(top + 1)}
     jobs = {k: complex_.boundary(k) for k in range(1, top + 1)}
-    workers = _worker_count()
+    workers = _worker_count(len(jobs))
     ranks: dict[int, int] = {}
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,11 +1,32 @@
 """Exhaustive, duplicate-free enumeration of complex generators.
 
-Graphs are generated degree sequence by degree sequence: partitions of the
-half-edge count feed a recursive search over symmetric multiplicity
-matrices, and isomorphism classes are separated by certificate.  Weighted
-stable graphs reuse the same machinery with relaxed valences and all
-stability-compatible weight distributions.  Everything is deterministic;
-outputs come back sorted by certificate.
+Graphs are generated by moves on graphs, and isomorphism classes are told
+apart by certificate.  Three moves cover every family:
+
+* **Genus raising.**  The trivalent graphs of genus 2, tadpoles allowed,
+  are the theta and the dumbbell.  One genus up, join the midpoints of two
+  edges (possibly the same edge) by a new edge, or hang a tadpole on the
+  midpoint of an edge.  Every trivalent graph of genus g >= 3 arises so:
+  deleting a tadpole with its stem, or any non-bridge edge, and smoothing
+  the bivalent vertices left behind gives a connected trivalent graph of
+  genus g - 1 from which one of the two moves rebuilds it.
+* **Collapse closure.**  The moduli space of stable tropical curves of
+  genus g is pure of dimension 3g - 4 (Chan-Galatius-Payne), so every
+  stable weighted graph is a contraction of a trivalent weight-zero one:
+  a weight is undone by a tadpole, a vertex of valence >= 4 by splitting
+  it into two of valence >= 3.  Closing the trivalent graphs under every
+  contraction gives all stable weighted graphs; closing them under the
+  non-tadpole contractions keeps the weights at zero and gives every graph
+  of valence >= 3.
+* **Subdivision closure.**  Smoothing a bivalent vertex removes an edge and
+  keeps the genus, so every graph of valence >= 2 and genus >= 2 is a
+  subdivision of one of valence >= 3, and every cycle is a subdivision of
+  the one-edge loop.  Subdividing up to ``max_edges`` gives the bivalent
+  families.
+
+Loopless graphs can have contractions and smoothings with tadpoles, so the
+closures keep tadpoles and the tadpole and edge-count filters come last.
+Everything is deterministic; outputs come back sorted by certificate.
 """
 
 from __future__ import annotations
@@ -14,6 +35,7 @@ import itertools
 from dataclasses import dataclass
 
 from .canonical import CanonicalForm, automorphism_group, canonical_form, edge_action_closure
+from .families import cycle, dumbbell, theta
 from .graph import HalfEdgeGraph, SubgraphMask
 from .ribbon import RibbonStructure
 
@@ -42,103 +64,59 @@ class EnumSpec:
 _ENUM_CACHE: dict[EnumSpec, tuple] = {}
 
 
-def _partitions(total, parts, smallest, largest):
-    """Partitions of ``total`` into exactly ``parts`` parts, descending."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    lo = smallest
-    hi = min(largest, total - smallest * (parts - 1))
-    for first in range(hi, lo - 1, -1):
-        for rest in _partitions(total - first, parts - 1, smallest, first):
-            yield (first,) + rest
-
-
-def _multiplicity_matrices(degrees, allow_tadpoles):
-    """All symmetric multiplicity assignments realizing a degree sequence.
-
-    Yields dicts ``(u, v) -> multiplicity`` with ``u <= v``; a diagonal
-    entry consumes two from its vertex degree.
-    """
-    n = len(degrees)
-    pairs = []
-    for u in range(n):
-        if allow_tadpoles:
-            pairs.append((u, u))
-        for v in range(u + 1, n):
-            pairs.append((u, v))
-    rem = list(degrees)
-    chosen: dict[tuple[int, int], int] = {}
-    # first pair index of the row after u's: lets the search skip a row
-    # wholesale once its degree is exhausted
-    next_row = [len(pairs)] * n
-    for idx in range(len(pairs) - 1, -1, -1):
-        u = pairs[idx][0]
-        next_row[u] = idx
-    next_row.append(len(pairs))
-
-    def rec(idx):
-        if idx == len(pairs):
-            if all(r == 0 for r in rem):
-                yield dict(chosen)
-            return
-        u, v = pairs[idx]
-        if rem[u] == 0:
-            yield from rec(next_row[u + 1] if u + 1 < n else len(pairs))
-            return
-        top = rem[u] // 2 if u == v else min(rem[u], rem[v])
-        last_in_row = v == n - 1 or (u == v and u == n - 1)
-        for m in range(top, -1, -1):
-            if u == v:
-                rem[u] -= 2 * m
-            else:
-                rem[u] -= m
-                rem[v] -= m
-            if last_in_row:
-                dead = rem[u] != 0
-            else:
-                dead = rem[u] > sum(rem[w] for w in range(v + 1, n))
-            if not dead:
-                if m:
-                    chosen[(u, v)] = m
-                yield from rec(idx + 1)
-                chosen.pop((u, v), None)
-            if u == v:
-                rem[u] += 2 * m
-            else:
-                rem[u] += m
-                rem[v] += m
-
-    yield from rec(0)
-
-
-def _graph_from_multiplicities(n, mult, weights=None):
-    edges = []
-    for (u, v), m in sorted(mult.items()):
-        edges.extend([(u, v)] * m)
-    return HalfEdgeGraph.build(n, edges, weights)
-
-
-def _connected_multigraphs(vertex_count, edge_count, min_degree, allow_tadpoles, max_degree=None):
-    """Connected multigraphs up to isomorphism, as canonical forms."""
-    out: dict[str, CanonicalForm] = {}
-    total = 2 * edge_count
-    if vertex_count == 0 or total < min_degree * vertex_count:
-        return []
-    cap = max_degree if max_degree is not None else total
-    for degrees in _partitions(total, vertex_count, min_degree, cap):
-        for mult in _multiplicity_matrices(degrees, allow_tadpoles):
-            g = _graph_from_multiplicities(vertex_count, mult)
-            if not g.is_connected:
-                continue
+def _closure(graphs, moves) -> dict[str, CanonicalForm]:
+    """Classes of ``graphs`` and of everything ``moves`` reaches from them."""
+    found: dict[str, CanonicalForm] = {}
+    frontier = list(graphs)
+    while frontier:
+        reached = []
+        for g in frontier:
             form = canonical_form(g)
-            out.setdefault(form.certificate, form)
-    return [out[c] for c in sorted(out)]
+            if form.certificate not in found:
+                found[form.certificate] = form
+                reached.extend(moves(form.graph))
+        frontier = reached
+    return found
+
+
+def _subdivide(g: HalfEdgeGraph, e: int) -> HalfEdgeGraph:
+    """Weight-zero ``g`` with a new vertex on edge ``e``; the other half of
+    ``e`` becomes the last edge, so no edge index moves."""
+    u, v = g.edges[e]
+    a = g.vertex_count
+    edges = list(g.edges)
+    edges[e] = (u, a)
+    return HalfEdgeGraph.build(a + 1, edges + [(a, v)])
+
+
+def _raise_genus(g: HalfEdgeGraph):
+    """Trivalent graphs one genus above trivalent ``g``."""
+    n = g.vertex_count
+    for i in range(g.edge_count):
+        s = _subdivide(g, i)
+        yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1), (n + 1, n + 1)))
+        # j == i puts the second midpoint on the first half of edge i
+        for j in range(i, g.edge_count):
+            yield HalfEdgeGraph.build(n + 2, _subdivide(s, j).edges + ((n, n + 1),))
+
+
+def _trivalent(genus: int) -> list[HalfEdgeGraph]:
+    """Trivalent weight-zero classes of the genus, tadpoles allowed."""
+    graphs = [theta(), dumbbell()] if genus >= 2 else []
+    for _ in range(genus - 2):
+        raised = _closure([h for g in graphs for h in _raise_genus(g)], lambda g: ())
+        graphs = [f.graph for f in raised.values()]
+    return graphs
+
+
+def _select(found: dict[str, CanonicalForm], spec: EnumSpec, low: int, cap: int):
+    """The classes with ``low`` to ``cap`` edges that the spec admits, by certificate."""
+    return [found[c] for c in sorted(found)
+            if low <= found[c].graph.edge_count <= cap
+            and (spec.allow_tadpoles or not found[c].graph.has_tadpole)]
 
 
 def _weight_zero_graphs(spec: EnumSpec):
-    out: dict[str, CanonicalForm] = {}
     g = spec.genus
     if spec.min_valence >= 3:
         cap = 3 * g - 3
@@ -149,38 +127,17 @@ def _weight_zero_graphs(spec: EnumSpec):
             raise InfeasibleEnumeration(
                 "min_valence 2 admits arbitrarily long cycles; pass max_edges")
         cap = spec.max_edges
-    v = 1
-    while True:
-        e = v + g - 1
-        if e > cap:
-            break
-        if e >= max(spec.min_edges, 0) and e >= 1:
-            for form in _connected_multigraphs(v, e, spec.min_valence, spec.allow_tadpoles):
-                out.setdefault(form.certificate, form)
-        v += 1
-    return [out[c] for c in sorted(out)]
-
-
-def _stable_weight_assignments(graph: HalfEdgeGraph, total_weight: int):
-    """All weight tuples of the given total making the graph stable."""
-    minima = []
-    for v in range(graph.vertex_count):
-        val = graph.valences[v]
-        if val >= 3:
-            minima.append(0)
-        elif val >= 1:
-            minima.append(1)
-        else:
-            minima.append(2)
-    spare = total_weight - sum(minima)
-    if spare < 0:
-        return
-    n = graph.vertex_count
-    for extra in itertools.combinations_with_replacement(range(n), spare):
-        weights = list(minima)
-        for v in extra:
-            weights[v] += 1
-        yield tuple(weights)
+    low = max(spec.min_edges, 1)
+    # contractions below ``low`` edges are dropped, unless subdivisions follow
+    floor = 1 if spec.min_valence == 2 else low
+    found = _closure(_trivalent(g), lambda h: (
+        h.contract(e)[0] for e in range(h.edge_count)
+        if h.edge_count > floor and not h.is_tadpole(e)))
+    if spec.min_valence == 2:
+        seeds = [f.graph for f in found.values()] + ([cycle(1)] if g == 1 else [])
+        found = _closure(seeds, lambda h: (
+            _subdivide(h, e) for e in range(h.edge_count) if h.edge_count < cap))
+    return _select(found, spec, low, cap)
 
 
 def _weighted_graphs(spec: EnumSpec):
@@ -190,26 +147,9 @@ def _weighted_graphs(spec: EnumSpec):
     cap = 3 * g - 3
     if spec.max_edges is not None:
         cap = min(cap, spec.max_edges)
-    out: dict[str, CanonicalForm] = {}
-    if spec.min_edges <= 0:
-        point = HalfEdgeGraph.build(1, [], weights=(g,))
-        if point.is_stable:
-            form = canonical_form(point)
-            out.setdefault(form.certificate, form)
-    for total_weight in range(0, g + 1):
-        h = g - total_weight
-        for v in range(1, 2 * g - 1):
-            e = v + h - 1
-            if e < max(spec.min_edges, 1) or e > cap:
-                continue
-            for base in _connected_multigraphs(v, e, 1, True):
-                if not spec.allow_tadpoles and base.graph.has_tadpole:
-                    continue
-                for weights in _stable_weight_assignments(base.graph, total_weight):
-                    wg = HalfEdgeGraph(base.graph.vertex_count, weights, base.graph.edges)
-                    form = canonical_form(wg)
-                    out.setdefault(form.certificate, form)
-    return [out[c] for c in sorted(out)]
+    found = _closure(_trivalent(g), lambda h: (
+        h.contract(e)[0] for e in range(h.edge_count) if h.edge_count > spec.min_edges))
+    return _select(found, spec, spec.min_edges, cap)
 
 
 def enumerate_graphs(spec: EnumSpec) -> list[CanonicalForm]:

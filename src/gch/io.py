@@ -36,15 +36,20 @@ def graph_to_document(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -
     }
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not, though bool subclasses int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def document_to_graph(doc) -> tuple[HalfEdgeGraph, RibbonStructure | None]:
     if not isinstance(doc, dict):
         raise DocumentError("$", "expected a JSON object")
     n = doc.get("vertices")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise DocumentError("vertices", "expected a non-negative integer")
     weights = doc.get("weights", [0] * n)
     if (not isinstance(weights, list) or len(weights) != n
-            or any(not isinstance(w, int) or w < 0 for w in weights)):
+            or any(not _is_int(w) or w < 0 for w in weights)):
         raise DocumentError("weights", f"expected {n} non-negative integers")
     edges = doc.get("edges")
     if not isinstance(edges, list):
@@ -52,7 +57,7 @@ def document_to_graph(doc) -> tuple[HalfEdgeGraph, RibbonStructure | None]:
     pairs = []
     for k, e in enumerate(edges):
         if (not isinstance(e, list) or len(e) != 2
-                or any(not isinstance(x, int) for x in e)):
+                or any(not _is_int(x) for x in e)):
             raise DocumentError(f"edges[{k}]", "expected a pair of integers")
         u, v = e
         if not (0 <= u < n and 0 <= v < n):
@@ -67,7 +72,7 @@ def document_to_graph(doc) -> tuple[HalfEdgeGraph, RibbonStructure | None]:
     seen = set()
     cycles = []
     for v, cyc in enumerate(rib_doc):
-        if not isinstance(cyc, list) or any(not isinstance(h, int) for h in cyc):
+        if not isinstance(cyc, list) or any(not _is_int(h) for h in cyc):
             raise DocumentError(f"ribbon[{v}]", "expected a list of half-edge ids")
         for h in cyc:
             if not (0 <= h < g.half_edge_count):

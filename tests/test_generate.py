@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,11 @@ from gch.generate import (
 )
 from gch.graph import HalfEdgeGraph
 from gch.ribbon import surface_invariants
+
+# certificate lists of the degree-sequence enumerator that generation by
+# moves replaced; see the "about" field
+FIXTURE = json.loads(
+    (Path(__file__).parent / "fixtures" / "enumeration_certificates.json").read_text())
 
 
 def naive_pairing_classes(vertex_count, edge_count, min_valence, allow_tadpoles):
@@ -141,6 +148,13 @@ def test_enumeration_matches_naive_pairing_oracle(genus, min_val, tad):
         v += 1
 
 
+@pytest.mark.parametrize("case", FIXTURE["cases"], ids=lambda case: ",".join(
+    f"{k}={v}" for k, v in sorted(case["spec"].items())))
+def test_enumeration_reproduces_degree_sequence_certificates(case):
+    forms = enumerate_graphs(EnumSpec(**case["spec"]))
+    assert [f.certificate for f in forms] == case["certificates"]
+
+
 def test_outputs_satisfy_filters_and_are_unique():
     for spec in [
         EnumSpec(genus=3),
@@ -233,13 +247,14 @@ def test_ribbon_structures_single_edge_and_rose():
 
 
 def test_trivalent_loopless_class_counts():
-    """Connected loopless cubic multigraph counts on 2, 4, 6 vertices are
-    the classical 1, 2, 6."""
-    for genus, expected in ((2, 1), (3, 2), (4, 6)):
-        forms = enumerate_graphs(EnumSpec(genus=genus, min_valence=3, allow_tadpoles=False))
-        tri = [f for f in forms if f.graph.edge_count == 3 * genus - 3]
-        assert len(tri) == expected
-        assert all(set(f.graph.valences) == {3} for f in tri)
+    """Connected cubic multigraphs on 2, 4, 6, 8 vertices: 1, 2, 6, 20 without
+    loops (OEIS A000421), 2, 5, 17, 71 with loops allowed (OEIS A005967)."""
+    for tadpoles, counts in ((False, (1, 2, 6, 20)), (True, (2, 5, 17, 71))):
+        for genus, expected in zip((2, 3, 4, 5), counts):
+            forms = enumerate_graphs(EnumSpec(genus=genus, min_valence=3, allow_tadpoles=tadpoles,
+                                              min_edges=3 * genus - 3))
+            assert len(forms) == expected
+            assert all(set(f.graph.valences) == {3} for f in forms)
 
 
 def test_banana_counts_match_oracle():

@@ -62,6 +62,11 @@ def test_round_trip_whole_enumeration():
     ({"vertices": 1, "weights": [0], "edges": [[0]]}, "edges[0]"),
     ({"vertices": 1, "weights": [0], "edges": [[0, 0]], "ribbon": [[0, 0]]}, "ribbon[0]"),
     ({"vertices": 1, "weights": [0], "edges": [[0, 0]], "ribbon": [[0]]}, "ribbon"),
+    # JSON booleans are not integers, though Python's bool subclasses int
+    ({"vertices": True, "edges": []}, "vertices"),
+    ({"vertices": 1, "weights": [True], "edges": []}, "weights"),
+    ({"vertices": 2, "weights": [0, 0], "edges": [[0, True]]}, "edges[0]"),
+    ({"vertices": 1, "weights": [0], "edges": [[0, 0]], "ribbon": [[False, 1]]}, "ribbon[0]"),
 ])
 def test_document_errors(doc, field):
     with pytest.raises(DocumentError) as err:
@@ -72,6 +77,8 @@ def test_document_errors(doc, field):
 def test_parse_graph_json_rejects_bad_json():
     with pytest.raises(DocumentError):
         parse_graph_json("{nope")
+    with pytest.raises(DocumentError):
+        parse_graph_json('{"vertices": true, "edges": [[0, false]]}')
 
 
 def test_matrix_round_trip():
