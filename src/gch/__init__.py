@@ -37,7 +37,6 @@ from .generate import (
     enumerate_forests,
     enumerate_graphs,
     enumerate_ribbon_structures,
-    enumerate_subgraph_pairs,
 )
 from .complexes import (
     ChainComplex,

@@ -216,12 +216,7 @@ def _cmd_verify(args) -> int:
     results = run_suite(args.suite)
     failed = 0
     for r in results:
-        _emit({
-            "check": r.name,
-            "passed": r.passed,
-            "detail": r.detail,
-            "seconds": round(r.seconds, 2),
-        })
+        _emit({"check": r.name, "passed": r.passed, "detail": r.detail})
         if not r.passed:
             failed += 1
     _emit({"suite": args.suite, "checks": len(results), "failed": failed})

@@ -17,8 +17,21 @@ Supported kinds:
 
 Parity selects the orientation rule: ``even`` orients a generator by its
 edge order (subset order for pairs) only; ``odd`` additionally tensors the
-orientation of the rational cycle space of the graph.  Generators whose
-symmetries reverse the chosen orientation vanish and are filtered out.
+orientation of the rational cycle space of the graph.
+
+Every kind is built from the same three rules, all on
+:class:`GraphContext`, one context per canonical form (plain or ribbon):
+
+* **vanishing** (``GraphContext.witness``): a generator is zero when a
+  symmetry stabilizing its subset (all edges for the simplicial and ribbon
+  kinds) reverses its orientation;
+* **faces**: the face dropping the oriented edge at 0-based position p
+  has sign (-1)^(p+1), times the parity of the surviving edges in the
+  target order, times for odd parity the cycle transport (and, for pairs,
+  the sign of the symmetry that aligns the target subset);
+* **subset orbits** (``GraphContext.subset_orbits``): the cube kinds and
+  the cubical catalogs of :mod:`gch.moduli` take the same orbit
+  representatives of forests or proper subsets.
 
 For odd parity the cellular kinds drop tadpole-collapse terms: a sign rule
 for transporting a cycle-space orientation across a genus-dropping face
@@ -29,7 +42,7 @@ complex splits by total weight.
 
 from __future__ import annotations
 
-import os
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,11 +51,13 @@ from .canonical import (
     automorphism_group,
     canonical_form,
     edge_action_closure,
+    lift_vertex_perm,
     ribbon_automorphisms,
+    vertex_automorphisms,
 )
-from .generate import EnumSpec, enumerate_graphs, enumerate_ribbon_structures
+from .generate import EnumSpec, enumerate_forests, enumerate_graphs
 from .graph import HalfEdgeGraph
-from .linalg import SparseMatrix, multiply, rank
+from .linalg import SparseMatrix, boundary_ranks, multiply
 from .orientation import (
     h1_determinant_sign,
     perm_parity,
@@ -71,9 +86,21 @@ _SIMPLICIAL_FAMILIES = {
     "com_tad_geq2": dict(min_valence=2, allow_tadpoles=True, weighted=False),
     "cellular_MG": dict(weighted=True, allow_tadpoles=True, min_edges=1),
     "cellular_MG_relative": dict(min_valence=3, allow_tadpoles=True, weighted=False),
+    "ass": dict(min_valence=3, allow_tadpoles=False, weighted=False, ribbon=True),
 }
 
 _PAIR_GRAPH_FAMILY = dict(min_valence=3, allow_tadpoles=True, weighted=False)
+
+# why a generator vanishes, by the kind of symmetry that reverses it
+_WITNESS = {
+    ("swap", "even"): "parallel-edge swap acts by an odd edge permutation",
+    ("swap", "odd"): "parallel-edge swap off the subset reverses the cycle orientation",
+    ("flip", "odd"): "tadpole reversal reverses the cycle orientation",
+    ("lift", "even"): "vertex symmetry with odd edge permutation",
+    ("lift", "odd"): "symmetry with odd combined edge and cycle sign",
+    ("ribbon", "even"): "ribbon symmetry with odd edge permutation",
+    ("ribbon", "odd"): "ribbon symmetry with odd combined edge and cycle sign",
+}
 
 
 @dataclass(frozen=True)
@@ -158,7 +185,14 @@ class HomologyReport:
 
 
 class GraphContext:
-    """Symmetry and collapse data for one canonical graph, computed once."""
+    """Symmetry and collapse data for one canonical form, computed once.
+
+    The form decides everything that differs between graphs and ribbon
+    graphs: a ribbon form takes its symmetries from the ribbon
+    automorphisms and contracts by splicing cyclic orders; a plain form
+    takes parallel-edge swaps, tadpole flips and lifts of vertex
+    automorphisms, and contracts plainly.
+    """
 
     def __init__(self, form: CanonicalForm):
         self.form = form
@@ -166,9 +200,8 @@ class GraphContext:
         self.cert = form.certificate
         self._collapse: dict[int, tuple] = {}
         self._collapse_h1: dict[int, int] = {}
-        self._lift_h1: dict[int, int] = {}
-        self._closure_h1: dict[int, int] = {}
-        self._pair_vanish: dict[tuple, bool] = {}
+        self._aut_h1: dict[tuple, int] = {}
+        self._witness: dict[tuple, str] = {}
         self._subset_canon: dict[tuple[int, ...], tuple] = {}
 
     @cached_property
@@ -179,150 +212,89 @@ class GraphContext:
         return out
 
     @cached_property
-    def has_parallel_class(self):
-        return any(len(m) >= 2 for m in self.classes.values())
-
-    @cached_property
     def ref_orientation(self):
         return reference_orientation(self.graph)
 
     @cached_property
-    def vertex_lifts(self):
-        """(perm, lift, full edge parity) for each nontrivial vertex symmetry."""
-        from .canonical import lift_vertex_perm, vertex_automorphisms
+    def lifts(self):
+        """(automorphism, edge parity) for each nontrivial symmetry: the
+        ribbon automorphisms of a ribbon form, otherwise the canonical lifts
+        of the vertex automorphisms."""
+        g = self.graph
+        if self.form.ribbon is not None:
+            identity = tuple(range(g.half_edge_count))
+            auts = [m for m in ribbon_automorphisms(g, self.form.ribbon)
+                    if m.half_edge_map != identity]
+        else:
+            identity = tuple(range(g.vertex_count))
+            auts = [lift_vertex_perm(g, perm) for perm in vertex_automorphisms(g)
+                    if perm != identity]
+        return [(m, perm_parity(m.edge_action)) for m in auts]
 
-        out = []
-        identity = tuple(range(self.graph.vertex_count))
-        for perm in vertex_automorphisms(self.graph):
-            if perm == identity:
-                continue
-            lift = lift_vertex_perm(self.graph, perm)
-            out.append((perm, lift, perm_parity(lift.edge_action)))
-        return out
-
-    def lift_h1(self, idx: int) -> int:
-        h = self._lift_h1.get(idx)
+    def aut_h1(self, m) -> int:
+        """Sign of an automorphism on det H_1, cached by its half-edge map."""
+        h = self._aut_h1.get(m.half_edge_map)
         if h is None:
-            lift = self.vertex_lifts[idx][1]
-            h = h1_determinant_sign(lift, self.ref_orientation, self.ref_orientation)
-            self._lift_h1[idx] = h
+            h = h1_determinant_sign(m, self.ref_orientation, self.ref_orientation)
+            self._aut_h1[m.half_edge_map] = h
         return h
 
-    def vanishes(self, parity: str) -> bool:
-        """Whether the class of the bare graph is zero for this parity."""
-        if parity == "even":
-            if self.has_parallel_class:
-                return True
-            return any(par == -1 for _, _, par in self.vertex_lifts)
-        if self.graph.has_tadpole:
-            return True
-        return any(
-            par * self.lift_h1(i) == -1
-            for i, (_, _, par) in enumerate(self.vertex_lifts)
-        )
+    # -- vanishing --------------------------------------------------------
 
-    # -- collapses --------------------------------------------------------
+    def witness(self, parity: str, subset: tuple[int, ...] | None = None) -> str:
+        """Why the generator is zero for the parity, or "" when it survives.
 
-    def collapse(self, e: int):
-        """(target context, composite morphism onto its canonical graph)."""
-        hit = self._collapse.get(e)
+        The generator is the graph with a sorted edge subset (all edges when
+        ``subset`` is None), oriented by the subset order and, for odd
+        parity, by the cycle space.  It is zero when a symmetry stabilizing
+        the subset reverses that orientation: the parity of the symmetry on
+        the subset, times for odd parity its sign on H_1, is -1.
+        """
+        if subset is None:
+            subset = tuple(range(self.graph.edge_count))
+        key = (subset, parity)
+        hit = self._witness.get(key)
         if hit is None:
-            target, m = self.graph.contract(e)
-            form = canonical_form(target)
-            composite = form.iso.compose(m)
-            hit = (get_context(form), composite)
-            self._collapse[e] = hit
+            hit = next((_WITNESS[kind, parity]
+                        for kind, sign in self._symmetry_signs(subset, parity == "odd")
+                        if sign == -1), "")
+            self._witness[key] = hit
         return hit
 
-    def collapse_match_parity(self, e: int) -> int:
-        """Parity of the surviving edges against the target's canonical order."""
-        _, composite = self.collapse(e)
-        seq = [composite.edge_action[f] for f in range(self.graph.edge_count) if f != e]
-        return perm_parity(seq)
-
-    def collapse_h1(self, e: int) -> int:
-        """Cycle-orientation transport sign across the collapse of edge e."""
-        h = self._collapse_h1.get(e)
-        if h is None:
-            target_ctx, composite = self.collapse(e)
-            rebased, d1 = rebase_sign(self.ref_orientation, spanning_tree(self.graph, prefer=e))
-            d2 = h1_determinant_sign(composite, rebased, target_ctx.ref_orientation)
-            h = d1 * d2
-            self._collapse_h1[e] = h
-        return h
-
-    # -- subset orbit machinery (cube pairs) ------------------------------
-
-    @cached_property
-    def closure(self):
-        """All edge permutations of Aut, each with a witness morphism."""
-        return edge_action_closure(automorphism_group(self.graph))
-
-    def closure_h1(self, idx: int) -> int:
-        h = self._closure_h1.get(idx)
-        if h is None:
-            m = self.closure[idx][1]
-            h = h1_determinant_sign(m, self.ref_orientation, self.ref_orientation)
-            self._closure_h1[idx] = h
-        return h
-
-    def subset_canonical(self, subset) -> tuple[tuple[int, ...], int]:
-        """Orbit-minimal representative of an edge subset and the index of
-        a closure element carrying the subset onto it."""
-        skey = tuple(sorted(subset))
-        hit = self._subset_canon.get(skey)
-        if hit is not None:
-            return hit
-        best = None
-        best_idx = 0
-        for idx, (p, _) in enumerate(self.closure):
-            image = tuple(sorted(p[e] for e in skey))
-            if best is None or image < best:
-                best, best_idx = image, idx
-        result = ((best if best is not None else ()), best_idx)
-        self._subset_canon[skey] = result
-        return result
-
     def pair_vanishes(self, subset: tuple[int, ...], parity: str) -> bool:
-        """Whether the pair (graph, subset) has an orientation-reversing symmetry."""
-        key = (subset, parity)
-        hit = self._pair_vanish.get(key)
-        if hit is not None:
-            return hit
+        """Whether the pair (graph, subset) is zero: :meth:`witness` as a flag."""
+        return bool(self.witness(parity, subset))
+
+    def _symmetry_signs(self, subset, odd):
+        """(kind, orientation sign) of symmetries generating the stabilizer
+        of the subset.  A swap of two parallel edges or a tadpole flip acts
+        on H_1 by -1; a lift's H_1 sign is computed for odd parity only."""
+        if self.form.ribbon is not None:
+            for m, _ in self.lifts:
+                images = [m.edge_action[e] for e in subset]
+                if sorted(images) == list(subset):
+                    yield "ribbon", perm_parity(images) * (self.aut_h1(m) if odd else 1)
+            return
+        cycle_sign = -1 if odd else 1
         inside = frozenset(subset)
-        result = False
         for members in self.classes.values():
             cin = sum(1 for e in members if e in inside)
-            if parity == "even":
-                if cin >= 2:
-                    result = True
-                    break
-            else:
-                if len(members) - cin >= 2:
-                    result = True
-                    break
-        if not result and parity == "odd" and self.graph.has_tadpole:
-            result = True
-        if not result:
-            result = self._pair_vertex_symmetry_odd(subset, inside, parity)
-        self._pair_vanish[key] = result
-        return result
-
-    def _pair_vertex_symmetry_odd(self, subset, inside, parity) -> bool:
-        for idx, (perm, lift, lift_parity) in enumerate(self.vertex_lifts):
-            action = self._subset_aware_action(perm, inside)
+            if cin >= 2:
+                yield "swap", -cycle_sign
+            if len(members) - cin >= 2:
+                yield "swap", cycle_sign
+        if self.graph.has_tadpole:
+            yield "flip", cycle_sign
+        for lift, lift_parity in self.lifts:
+            action = self._subset_aware_action(lift.vertex_map, inside)
             if action is None:
                 continue
-            restricted = perm_parity([action[e] for e in subset]) if subset else 1
-            if parity == "even":
-                if restricted == -1:
-                    return True
-            else:
-                total = (restricted * self.lift_h1(idx) * lift_parity
-                         * perm_parity(action))
-                if total == -1:
-                    return True
-        return False
+            sign = perm_parity([action[e] for e in subset])
+            if odd:
+                # the subset-aware lift differs from the canonical lift by
+                # parallel swaps, each acting by -1 on both edges and H_1
+                sign *= self.aut_h1(lift) * lift_parity * perm_parity(action)
+            yield "lift", sign
 
     def _subset_aware_action(self, perm, inside):
         """Edge action of the subset-aware lift of a vertex permutation.
@@ -350,6 +322,82 @@ class GraphContext:
                 action[e] = f
         return action
 
+    # -- collapses --------------------------------------------------------
+
+    def collapse(self, e: int):
+        """(target context, composite morphism onto its canonical graph)."""
+        hit = self._collapse.get(e)
+        if hit is None:
+            if self.form.ribbon is None:
+                target, m = self.graph.contract(e)
+                ribbon = None
+            else:
+                target, ribbon, m = contract_ribbon(self.graph, self.form.ribbon, e)
+            form = canonical_form(target, ribbon=ribbon)
+            hit = (get_context(form), form.iso.compose(m))
+            self._collapse[e] = hit
+        return hit
+
+    def collapse_h1(self, e: int) -> int:
+        """Cycle-orientation transport sign across the collapse of edge e."""
+        h = self._collapse_h1.get(e)
+        if h is None:
+            target_ctx, composite = self.collapse(e)
+            rebased, d1 = rebase_sign(self.ref_orientation, spanning_tree(self.graph, prefer=e))
+            d2 = h1_determinant_sign(composite, rebased, target_ctx.ref_orientation)
+            h = d1 * d2
+            self._collapse_h1[e] = h
+        return h
+
+    # -- subset orbits (cube pairs) ---------------------------------------
+
+    @cached_property
+    def closure(self):
+        """All edge permutations of Aut, each with a witness morphism."""
+        return edge_action_closure(automorphism_group(self.graph))
+
+    def subset_canonical(self, subset) -> tuple[tuple[int, ...], int]:
+        """Orbit-minimal representative of an edge subset and the index of
+        a closure element carrying the subset onto it."""
+        skey = tuple(sorted(subset))
+        hit = self._subset_canon.get(skey)
+        if hit is not None:
+            return hit
+        best = None
+        best_idx = 0
+        for idx, (p, _) in enumerate(self.closure):
+            image = tuple(sorted(p[e] for e in skey))
+            if best is None or image < best:
+                best, best_idx = image, idx
+        result = ((best if best is not None else ()), best_idx)
+        self._subset_canon[skey] = result
+        return result
+
+    def subset_orbits(self, forests_only: bool) -> list[tuple[int, ...]]:
+        """Orbit representatives of the forests, or of the proper edge
+        subsets, in order of first appearance by size."""
+        e = self.graph.edge_count
+        if forests_only:
+            raw = [m.sorted_edges() for m in enumerate_forests(self.graph)]
+        else:
+            raw = itertools.chain.from_iterable(
+                itertools.combinations(range(e), size) for size in range(e))
+        return list(dict.fromkeys(self.subset_canonical(s)[0] for s in raw))
+
+    def subset_face(self, subset, e: int, collapse: bool):
+        """The face of the pair (graph, subset) that collapses, or deletes,
+        subset edge ``e``: (target context, orbit representative, images of
+        the other subset edges on the representative, the automorphism of
+        the target that aligns them)."""
+        rest = [f for f in subset if f != e]
+        target = self
+        if collapse:
+            target, composite = self.collapse(e)
+            rest = [composite.edge_action[f] for f in rest]
+        canon, aidx = target.subset_canonical(rest)
+        aperm, align = target.closure[aidx]
+        return target, canon, [aperm[f] for f in rest], align
+
 
 _CTX_REGISTRY: dict[str, GraphContext] = {}
 
@@ -371,104 +419,48 @@ def context_for_graph(g: HalfEdgeGraph) -> GraphContext:
 
 
 def _family_spec(spec: ComplexSpec) -> EnumSpec:
-    if spec.kind in _SIMPLICIAL_FAMILIES:
-        params = dict(_SIMPLICIAL_FAMILIES[spec.kind])
-    elif spec.kind in ("gf", "gp"):
-        params = dict(_PAIR_GRAPH_FAMILY)
-    elif spec.kind == "ass":
-        params = dict(min_valence=3, allow_tadpoles=False, weighted=False)
-    else:  # pragma: no cover
-        raise ValueError(spec.kind)
+    params = _SIMPLICIAL_FAMILIES.get(spec.kind, _PAIR_GRAPH_FAMILY)
     return EnumSpec(genus=spec.genus, max_edges=spec.max_edges, **params)
 
 
+def pair_key(cert: str, subset) -> str:
+    return f"{cert}|{','.join(map(str, subset))}"
+
+
 def _simplicial_generators(spec: ComplexSpec):
-    forms = enumerate_graphs(_family_spec(spec))
     gens = []
-    for form in forms:
+    for form in enumerate_graphs(_family_spec(spec)):
         ctx = get_context(form)
-        if ctx.vanishes(spec.parity):
+        if ctx.witness(spec.parity):
             continue
-        gens.append((ctx, Generator(key=ctx.cert, grade=ctx.graph.edge_count, graph=ctx.graph)))
+        ribbon = ctx.form.ribbon
+        gens.append((ctx, Generator(
+            key=ctx.cert,
+            grade=ctx.graph.edge_count,
+            graph=ctx.graph,
+            ribbon=ribbon,
+            surface=None if ribbon is None else surface_invariants(ctx.graph, ribbon),
+        )))
     return gens
 
 
 def _pair_generators(spec: ComplexSpec):
-    import itertools
-
-    from .generate import enumerate_forests
-
-    forms = enumerate_graphs(_family_spec(spec))
     gens = []
-    for form in forms:
+    for form in enumerate_graphs(_family_spec(spec)):
         ctx = get_context(form)
-        e = ctx.graph.edge_count
-        if spec.kind == "gf":
-            raw = [m.sorted_edges() for m in enumerate_forests(ctx.graph)]
-        else:
-            raw = []
-            for size in range(0, e):
-                raw.extend(itertools.combinations(range(e), size))
-        seen = set()
-        for subset in raw:
-            canon, _ = ctx.subset_canonical(subset)
-            if canon in seen:
+        for subset in ctx.subset_orbits(forests_only=spec.kind == "gf"):
+            if ctx.witness(spec.parity, subset):
                 continue
-            seen.add(canon)
-            if ctx.pair_vanishes(canon, spec.parity):
-                continue
-            key = f"{ctx.cert}|{','.join(map(str, canon))}"
-            gens.append((ctx, Generator(key=key, grade=len(canon), graph=ctx.graph, subset=canon)))
+            gens.append((ctx, Generator(key=pair_key(ctx.cert, subset), grade=len(subset),
+                                        graph=ctx.graph, subset=subset)))
     return gens
-
-
-def _ribbon_generators(spec: ComplexSpec):
-    forms = enumerate_graphs(_family_spec(spec))
-    gens = []
-    for form in forms:
-        ctx = get_context(form)
-        for rib in enumerate_ribbon_structures(ctx.graph):
-            rib_form = canonical_form(ctx.graph, ribbon=rib)
-            if _ribbon_vanishes(rib_form, spec.parity):
-                continue
-            surface = surface_invariants(rib_form.graph, rib_form.ribbon)
-            gens.append((ctx, Generator(
-                key=rib_form.certificate,
-                grade=ctx.graph.edge_count,
-                graph=rib_form.graph,
-                ribbon=rib_form.ribbon,
-                surface=surface,
-            )))
-    return gens
-
-
-_RIBBON_VANISH_CACHE: dict[tuple[str, str], bool] = {}
-
-
-def _ribbon_vanishes(rib_form: CanonicalForm, parity: str) -> bool:
-    key = (rib_form.certificate, parity)
-    hit = _RIBBON_VANISH_CACHE.get(key)
-    if hit is not None:
-        return hit
-    g = rib_form.graph
-    ref = reference_orientation(g)
-    result = False
-    for m in ribbon_automorphisms(g, rib_form.ribbon):
-        sign = perm_parity(m.edge_action)
-        if parity == "odd":
-            sign *= h1_determinant_sign(m, ref, ref)
-        if sign == -1:
-            result = True
-            break
-    _RIBBON_VANISH_CACHE[key] = result
-    return result
 
 
 # ---------------------------------------------------------------------------
 # boundary assembly
 
 
-def _assemble(spec, gens):
+def _assemble(gens):
     grades: dict[int, list[Generator]] = {}
     for _, gen in gens:
         grades.setdefault(gen.grade, []).append(gen)
@@ -480,123 +472,75 @@ def _assemble(spec, gens):
     return grades, index
 
 
-def _simplicial_boundary(spec: ComplexSpec, gens, grades, index):
+def _face_sign(pos: int, images, transport: int) -> int:
+    """Sign of the face that drops the oriented edge at 0-based ``pos``:
+    (-1)^(pos+1), times the parity of the surviving edges' images in the
+    target order, times the cycle transport (1 for even parity)."""
+    return (-1 if pos % 2 == 0 else 1) * perm_parity(images) * transport
+
+
+def _add(acc, k: int, row: int, col: int, sign: int):
+    cell = acc.setdefault(k, {})
+    cell[(row, col)] = cell.get((row, col), 0) + sign
+
+
+def _simplicial_boundary(spec: ComplexSpec, gens, index):
     acc: dict[int, dict[tuple[int, int], int]] = {}
+    odd = spec.parity == "odd"
     no_tadpole_targets = spec.kind in ("com", "com_geq2", "ass")
     for ctx, gen in gens:
         k = gen.grade
         col = index[gen.key][1]
         for e in range(k):
-            if ctx.graph.is_tadpole(e):
-                if spec.kind == "cellular_MG" and spec.parity == "even":
-                    pass  # weight-increment face
-                else:
-                    continue
-            target_ctx, composite = ctx.collapse(e)
-            tg = target_ctx.graph
-            if no_tadpole_targets and tg.has_tadpole:
+            # a tadpole collapse is the weight-increment face of even cellular_MG only
+            if ctx.graph.is_tadpole(e) and (odd or spec.kind != "cellular_MG"):
                 continue
-            if spec.kind == "cellular_MG_relative" and any(tg.weights):
+            # these kinds have no tadpoles, so only an edge parallel to e
+            # would become one
+            if no_tadpole_targets and len(ctx.classes[ctx.graph.edges[e]]) > 1:
                 continue
-            hit = index.get(target_ctx.cert)
+            target, composite = ctx.collapse(e)
+            if spec.kind == "cellular_MG_relative" and any(target.graph.weights):
+                continue
+            hit = index.get(target.cert)
             if hit is None or hit[0] != k - 1:
                 continue
-            sign = -1 if (e + 1) % 2 else 1
-            sign *= ctx.collapse_match_parity(e)
-            if spec.parity == "odd":
-                sign *= ctx.collapse_h1(e)
-            cell = acc.setdefault(k, {})
-            key = (hit[1], col)
-            cell[key] = cell.get(key, 0) + sign
+            images = [composite.edge_action[f] for f in range(k) if f != e]
+            _add(acc, k, hit[1], col, _face_sign(e, images, ctx.collapse_h1(e) if odd else 1))
     return acc
 
 
-def _pair_boundary(spec: ComplexSpec, gens, grades, index):
+def _pair_boundary(spec: ComplexSpec, gens, index):
+    """D = d - delta: collapse a subset edge (never a tadpole) minus delete it."""
     acc: dict[int, dict[tuple[int, int], int]] = {}
     odd = spec.parity == "odd"
     for ctx, gen in gens:
-        subset = gen.subset
-        k = gen.grade
         col = index[gen.key][1]
-        for pos, e in enumerate(subset):
-            base = -1 if (pos + 1) % 2 else 1
-            rest = [f for f in subset if f != e]
-            # collapse part: d
-            if not ctx.graph.is_tadpole(e):
-                target_ctx, composite = ctx.collapse(e)
-                image = [composite.edge_action[f] for f in rest]
-                canon, aidx = target_ctx.subset_canonical(image)
-                tkey = f"{target_ctx.cert}|{','.join(map(str, canon))}"
-                hit = index.get(tkey)
-                if hit is not None:
-                    aperm = target_ctx.closure[aidx][0]
-                    seq = [aperm[f] for f in image]
-                    sign = base * perm_parity(seq)
-                    if odd:
-                        sign *= ctx.collapse_h1(e) * target_ctx.closure_h1(aidx)
-                    cell = acc.setdefault(k, {})
-                    key = (hit[1], col)
-                    cell[key] = cell.get(key, 0) + sign
-            # deletion part: -delta
-            canon, aidx = ctx.subset_canonical(rest)
-            tkey = f"{ctx.cert}|{','.join(map(str, canon))}"
-            hit = index.get(tkey)
-            if hit is not None:
-                aperm = ctx.closure[aidx][0]
-                seq = [aperm[f] for f in rest]
-                sign = -base * perm_parity(seq)
+        for pos, e in enumerate(gen.subset):
+            for collapse, scale in ((True, 1), (False, -1)):
+                if collapse and ctx.graph.is_tadpole(e):
+                    continue
+                target, canon, images, align = ctx.subset_face(gen.subset, e, collapse)
+                hit = index.get(pair_key(target.cert, canon))
+                if hit is None:
+                    continue
+                transport = 1
                 if odd:
-                    sign *= ctx.closure_h1(aidx)
-                cell = acc.setdefault(k, {})
-                key = (hit[1], col)
-                cell[key] = cell.get(key, 0) + sign
-    return acc
-
-
-def _ribbon_boundary(spec: ComplexSpec, gens, grades, index):
-    acc: dict[int, dict[tuple[int, int], int]] = {}
-    for ctx, gen in gens:
-        g, rib = gen.graph, gen.ribbon
-        k = gen.grade
-        col = index[gen.key][1]
-        ref = reference_orientation(g)
-        for e in range(k):
-            if g.is_tadpole(e):
-                continue
-            target, new_rib, m = contract_ribbon(g, rib, e)
-            if target.has_tadpole:
-                continue
-            rib_form = canonical_form(target, ribbon=new_rib)
-            hit = index.get(rib_form.certificate)
-            if hit is None or hit[0] != k - 1:
-                continue
-            composite = rib_form.iso.compose(m)
-            sign = -1 if (e + 1) % 2 else 1
-            sign *= perm_parity([composite.edge_action[f] for f in range(k) if f != e])
-            if spec.parity == "odd":
-                rebased, d1 = rebase_sign(ref, spanning_tree(g, prefer=e))
-                d2 = h1_determinant_sign(
-                    composite, rebased, reference_orientation(rib_form.graph))
-                sign *= d1 * d2
-            cell = acc.setdefault(k, {})
-            key = (hit[1], col)
-            cell[key] = cell.get(key, 0) + sign
+                    transport = target.aut_h1(align) * (ctx.collapse_h1(e) if collapse else 1)
+                _add(acc, gen.grade, hit[1], col, scale * _face_sign(pos, images, transport))
     return acc
 
 
 def build_complex(spec: ComplexSpec) -> ChainComplex:
     """Assemble generators and exact boundary matrices for a complex spec."""
-    if spec.kind in _SIMPLICIAL_FAMILIES:
-        gens = _simplicial_generators(spec)
-        builder = _simplicial_boundary
-    elif spec.kind in ("gf", "gp"):
+    if spec.kind in ("gf", "gp"):
         gens = _pair_generators(spec)
         builder = _pair_boundary
     else:
-        gens = _ribbon_generators(spec)
-        builder = _ribbon_boundary
-    grades, index = _assemble(spec, gens)
-    acc = builder(spec, gens, grades, index)
+        gens = _simplicial_generators(spec)
+        builder = _simplicial_boundary
+    grades, index = _assemble(gens)
+    acc = builder(spec, gens, index)
     boundaries = {}
     top = max(grades, default=-1)
     for k in range(1, top + 1):
@@ -611,42 +555,20 @@ def build_complex(spec: ComplexSpec) -> ChainComplex:
 # homology and reports
 
 
-def _worker_count(jobs: int) -> int:
-    """Processes for ``jobs`` ranks: ``GCH_THREADS``, capped at the CPU count
-    and at ``jobs``, since a fork pool starts every worker at once."""
-    try:
-        wanted = int(os.environ.get("GCH_THREADS", "1"))
-    except ValueError:
-        wanted = 1
-    return max(1, min(wanted, os.cpu_count() or 1, jobs))
-
-
 def homology(complex_: ChainComplex) -> HomologyReport:
     """Rational homology dimensions per grade, with the Euler identity checked."""
     top = complex_.max_grade
-    counts = {k: len(complex_.grades.get(k, [])) for k in range(top + 1)}
-    jobs = {k: complex_.boundary(k) for k in range(1, top + 1)}
-    workers = _worker_count(len(jobs))
-    ranks: dict[int, int] = {}
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {k: pool.submit(rank, m) for k, m in jobs.items()}
-            ranks = {k: f.result() for k, f in futures.items()}
-    else:
-        ranks = {k: rank(m) for k, m in jobs.items()}
-    ranks[0] = 0
-    ranks[top + 1] = 0
-    dims = {k: counts[k] - ranks.get(k, 0) - ranks.get(k + 1, 0) for k in counts}
-    if any(v < 0 for v in dims.values()):
-        raise AssertionError("negative homology dimension; boundary matrices inconsistent")
-    euler_h = sum((-1) ** k * v for k, v in dims.items())
-    euler_c = sum((-1) ** k * v for k, v in counts.items())
+    counts = complex_.generator_counts()
+    ranks, dims = boundary_ranks(
+        [None] + [complex_.boundary(k) for k in range(1, top + 1)], counts)
+    euler_h = sum((-1) ** k * v for k, v in enumerate(dims))
+    euler_c = sum((-1) ** k * v for k, v in enumerate(counts))
     if euler_h != euler_c:
         raise AssertionError("Euler characteristic mismatch between chains and homology")
-    return HomologyReport(spec=complex_.spec, counts=counts,
-                          ranks={k: ranks.get(k, 0) for k in counts}, dims=dims)
+    return HomologyReport(spec=complex_.spec,
+                          counts=dict(enumerate(counts)),
+                          ranks=dict(enumerate(ranks[:top + 1])),
+                          dims=dict(enumerate(dims)))
 
 
 def degree_report(report: HomologyReport, n: int) -> dict[int, dict[str, int]]:
@@ -667,20 +589,8 @@ def degree_report(report: HomologyReport, n: int) -> dict[int, dict[str, int]]:
 
 def generator_vanishes(g: HalfEdgeGraph, parity: str) -> tuple[bool, str]:
     """Whether the bare graph is zero for the parity, with the witness kind."""
-    ctx = context_for_graph(g)
-    if parity == "even":
-        if ctx.has_parallel_class:
-            return True, "parallel-edge swap acts by an odd edge permutation"
-        for _, _, par in ctx.vertex_lifts:
-            if par == -1:
-                return True, "vertex symmetry with odd edge permutation"
-        return False, ""
-    if ctx.graph.has_tadpole:
-        return True, "tadpole reversal reverses the cycle orientation"
-    for i, (_, _, par) in enumerate(ctx.vertex_lifts):
-        if par * ctx.lift_h1(i) == -1:
-            return True, "symmetry with odd combined edge and cycle sign"
-    return False, ""
+    reason = context_for_graph(g).witness(parity)
+    return bool(reason), reason
 
 
 def split_by_surface(complex_: ChainComplex) -> dict[tuple[int, int], ChainComplex]:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .canonical import CanonicalForm, automorphism_group, canonical_form, edge_action_closure
+from .canonical import CanonicalForm, canonical_form
 from .families import cycle, dumbbell, theta
 from .graph import HalfEdgeGraph, SubgraphMask
 from .ribbon import RibbonStructure
@@ -201,26 +201,6 @@ def enumerate_forests(g: HalfEdgeGraph) -> list[SubgraphMask]:
     rec(0, {v: v for v in range(g.vertex_count)}, [])
     found.sort(key=lambda m: (len(m.edge_subset), m.sorted_edges()))
     return found
-
-
-def enumerate_subgraph_pairs(g: HalfEdgeGraph) -> list[list[SubgraphMask]]:
-    """Proper edge subsets, grouped into orbits of the automorphism action."""
-    if not g.is_connected:
-        raise ValueError("subset enumeration needs a connected graph")
-    closure = [p for p, _ in edge_action_closure(automorphism_group(g))]
-    all_edges = range(g.edge_count)
-    seen: set[tuple[int, ...]] = set()
-    orbits: list[list[SubgraphMask]] = []
-    subsets = []
-    for size in range(0, g.edge_count):
-        subsets.extend(itertools.combinations(all_edges, size))
-    for s in subsets:
-        if s in seen:
-            continue
-        orbit = sorted({tuple(sorted(p[e] for e in s)) for p in closure})
-        seen.update(orbit)
-        orbits.append([SubgraphMask(g, frozenset(t)) for t in orbit])
-    return orbits
 
 
 def enumerate_ribbon_structures(g: HalfEdgeGraph) -> list[RibbonStructure]:

@@ -160,12 +160,14 @@ def rank(m: SparseMatrix) -> int:
     return rk
 
 
-def homology_dims(boundaries: list[SparseMatrix | None], generator_counts: list[int]) -> list[int]:
-    """dim H_k = n_k - rank d_k - rank d_{k+1}.
+def boundary_ranks(boundaries: list[SparseMatrix | None],
+                   generator_counts: list[int]) -> tuple[list[int], list[int]]:
+    """Ranks of the boundaries and dim H_k = n_k - rank d_k - rank d_{k+1}.
 
     ``boundaries[k]`` maps grade k to grade k-1 (``None`` or missing means
     the zero map); ``boundaries[0]`` is ignored even if present, matching a
-    complex that ends at grade 0.
+    complex that ends at grade 0.  Returns ``(ranks, dims)`` with
+    ``ranks[k]`` the rank of d_k for k = 0..n (zero at both ends).
     """
     n = len(generator_counts)
     ranks = [0] * (n + 1)
@@ -177,9 +179,12 @@ def homology_dims(boundaries: list[SparseMatrix | None], generator_counts: list[
             raise ValueError(f"boundary {k} has shape {m.rows}x{m.cols}, "
                              f"expected {generator_counts[k - 1]}x{generator_counts[k]}")
         ranks[k] = rank(m)
-    dims = []
-    for k in range(n):
-        dims.append(generator_counts[k] - ranks[k] - ranks[k + 1])
-        if dims[-1] < 0:
-            raise AssertionError("negative homology dimension: boundaries are inconsistent")
-    return dims
+    dims = [generator_counts[k] - ranks[k] - ranks[k + 1] for k in range(n)]
+    if any(d < 0 for d in dims):
+        raise AssertionError("negative homology dimension: boundaries are inconsistent")
+    return ranks, dims
+
+
+def homology_dims(boundaries: list[SparseMatrix | None], generator_counts: list[int]) -> list[int]:
+    """dim H_k for each grade; see :func:`boundary_ranks`."""
+    return boundary_ranks(boundaries, generator_counts)[1]

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import get_context
-from .generate import EnumSpec, enumerate_forests, enumerate_graphs
+from .canonical import pair_automorphisms
+from .complexes import get_context, pair_key
+from .generate import EnumSpec, enumerate_graphs
 from .graph import HalfEdgeGraph, SubgraphMask
 
 
@@ -97,7 +98,7 @@ def build_cell_poset(genus: int) -> CellPoset:
             graph=ctx.graph,
             dimension=ctx.graph.edge_count - 1,
             weight_total=sum(ctx.graph.weights),
-            odd_symmetric=ctx.vanishes("even"),
+            odd_symmetric=bool(ctx.witness("even")),
         ))
     index = {n.certificate: i for i, n in enumerate(nodes)}
     covers = set()
@@ -111,53 +112,30 @@ def build_cell_poset(genus: int) -> CellPoset:
     return CellPoset(genus=genus, nodes=nodes, covers=frozenset(covers))
 
 
-def _pair_key(cert: str, subset) -> str:
-    return f"{cert}|{','.join(map(str, subset))}"
+def _facet(ctx, subset, e: int, collapse: bool) -> str:
+    target, canon, _, _ = ctx.subset_face(subset, e, collapse)
+    return pair_key(target.cert, canon)
 
 
 def build_cube_catalog(genus: int, forest_only: bool) -> CubeCatalog:
     """Orbit representatives of cubes (weight-zero graph, edge subset)."""
-    from .canonical import pair_automorphisms
-
     forms = enumerate_graphs(
         EnumSpec(genus=genus, min_valence=3, allow_tadpoles=True))
     entries = []
     for form in forms:
         ctx = get_context(form)
         g = ctx.graph
-        if forest_only:
-            raw = [m.sorted_edges() for m in enumerate_forests(g)]
-        else:
-            import itertools
-
-            raw = []
-            for size in range(0, g.edge_count):
-                raw.extend(itertools.combinations(range(g.edge_count), size))
-        seen = set()
-        for subset in raw:
-            canon, _ = ctx.subset_canonical(subset)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            collapse_facets = []
-            deletion_facets = []
-            for e in canon:
-                if not g.is_tadpole(e):
-                    target_ctx, composite = ctx.collapse(e)
-                    image = [composite.edge_action[f] for f in canon if f != e]
-                    tcanon, _ = target_ctx.subset_canonical(image)
-                    collapse_facets.append(_pair_key(target_ctx.cert, tcanon))
-                dcanon, _ = ctx.subset_canonical([f for f in canon if f != e])
-                deletion_facets.append(_pair_key(ctx.cert, dcanon))
+        for subset in ctx.subset_orbits(forests_only=forest_only):
             entries.append(CubeEntry(
-                key=_pair_key(ctx.cert, canon),
+                key=pair_key(ctx.cert, subset),
                 graph_certificate=ctx.cert,
-                subset=canon,
-                dimension=len(canon),
-                aut_order=pair_automorphisms(g, SubgraphMask(g, frozenset(canon))).order,
-                odd_symmetric=ctx.pair_vanishes(canon, "even"),
-                collapse_facets=tuple(collapse_facets),
-                deletion_facets=tuple(deletion_facets),
+                subset=subset,
+                dimension=len(subset),
+                aut_order=pair_automorphisms(g, SubgraphMask(g, frozenset(subset))).order,
+                odd_symmetric=bool(ctx.witness("even", subset)),
+                collapse_facets=tuple(_facet(ctx, subset, e, True)
+                                      for e in subset if not g.is_tadpole(e)),
+                deletion_facets=tuple(_facet(ctx, subset, e, False) for e in subset),
             ))
     entries.sort(key=lambda e: (e.dimension, e.key))
     return CubeCatalog(genus=genus, forest_only=forest_only, entries=entries)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,11 +44,9 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    seconds: float
 
 
 def _run(name, fn):
-    start = time.time()
     try:
         detail = fn()
         passed = True
@@ -58,7 +55,7 @@ def _run(name, fn):
     except AssertionError as exc:
         passed = False
         detail = str(exc) or "assertion failed"
-    return CheckResult(name=name, passed=passed, detail=detail, seconds=time.time() - start)
+    return CheckResult(name=name, passed=passed, detail=detail)
 
 
 def _variant_max_edges(kind):

@@ -1,12 +1,9 @@
-import os
-
 import pytest
 
 from gch.canonical import canonical_form
 from gch.complexes import (
     ChainComplex,
     ComplexSpec,
-    _worker_count,
     build_complex,
     degree_report,
     generator_vanishes,
@@ -299,19 +296,3 @@ def test_invalid_specs_rejected():
         ComplexSpec("cellular_MG", "even", 1)
     with pytest.raises(ValueError):
         split_by_surface(build_complex(ComplexSpec("com", "even", 2)))
-
-
-def test_worker_count_is_capped(monkeypatch):
-    # only the count is computed here: no pool, so no process is started
-    monkeypatch.setenv("GCH_THREADS", str(10**9))
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert _worker_count(100) == 4
-    assert _worker_count(3) == 3
-    assert _worker_count(0) == 1
-    monkeypatch.setenv("GCH_THREADS", "-5")
-    assert _worker_count(100) == 1
-    monkeypatch.setenv("GCH_THREADS", "many")
-    assert _worker_count(100) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    monkeypatch.setenv("GCH_THREADS", "8")
-    assert _worker_count(100) == 1

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from gch.canonical import canonical_form
+from gch.complexes import context_for_graph
 from gch.families import banana, cycle, dumbbell, rose, single_edge, theta, triangle_with_doubled_edge
 from gch.generate import (
     EnumSpec,
@@ -12,7 +13,6 @@ from gch.generate import (
     enumerate_forests,
     enumerate_graphs,
     enumerate_ribbon_structures,
-    enumerate_subgraph_pairs,
 )
 from gch.graph import HalfEdgeGraph
 from gch.ribbon import surface_invariants
@@ -194,17 +194,29 @@ def test_forests_of_rose_and_spanning_trees():
     assert len(spanning) == 5
 
 
+def _subset_orbit_sizes(g):
+    """Sizes of the orbits of proper edge subsets, by catalog representative."""
+    ctx = context_for_graph(g)
+    reps = ctx.subset_orbits(forests_only=False)
+    sizes = dict.fromkeys(reps, 0)
+    for size in range(ctx.graph.edge_count):
+        for subset in itertools.combinations(range(ctx.graph.edge_count), size):
+            sizes[ctx.subset_canonical(subset)[0]] += 1
+    assert len(sizes) == len(reps)
+    return sorted(sizes.values())
+
+
 def test_subgraph_pairs_theta():
-    orbits = enumerate_subgraph_pairs(theta())
-    assert sum(len(o) for o in orbits) == 7
-    assert len(orbits) == 3
+    sizes = _subset_orbit_sizes(theta())
+    assert sum(sizes) == 7
+    assert len(sizes) == 3
 
 
 def test_subgraph_pairs_small():
-    assert [len(o) for o in enumerate_subgraph_pairs(single_edge())] == [1]
-    orbits = enumerate_subgraph_pairs(rose(2))
-    assert sum(len(o) for o in orbits) == 3
-    assert len(orbits) == 2
+    assert _subset_orbit_sizes(single_edge()) == [1]
+    sizes = _subset_orbit_sizes(rose(2))
+    assert sum(sizes) == 3
+    assert len(sizes) == 2
 
 
 def test_ribbon_structures_theta():
