@@ -17,9 +17,7 @@ from .canonical import (
     CanonicalForm,
     automorphism_group,
     canonical_form,
-    edge_action,
     has_odd_symmetry,
-    pair_automorphisms,
 )
 from .orientation import (
     CycleMatrix,

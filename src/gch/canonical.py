@@ -1,16 +1,15 @@
 """Canonical forms, automorphism groups and symmetry signs.
 
 Canonicalization of weighted multigraphs runs an individualization plus
-partition-refinement search on vertices, with parallel-edge multiplicities,
-tadpole counts and optional edge colors folded into the vertex invariants.
-The certificate is the lexicographically smallest encoding over the search
-leaves, so it is deterministic and relabeling-invariant.  Edge colors carry
-edge-subset data (cube pairs); a ribbon structure switches to a traversal
-canonicalization on the half-edge level, where connectedness makes an
-automorphism determined by the image of a single half-edge.
+partition-refinement search on vertices, with parallel-edge multiplicities
+and tadpole counts folded into the vertex invariants.  The certificate is
+the lexicographically smallest encoding over the search leaves, so it is
+deterministic and relabeling-invariant.  A ribbon structure switches to a
+traversal canonicalization on the half-edge level, where connectedness
+makes an automorphism determined by the image of a single half-edge.
 
 Certificate format (stable within a major release):
-``v<n>;w<w0,...>;e<u-v[#color],...>`` in canonical edge order, with
+``v<n>;w<w0,...>;e<u-v,...>`` in canonical edge order, with
 ``;r(h,...)(...)`` appended for ribbon graphs.
 
 Automorphism groups are generated at half-edge level, so tadpole flips and
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import HalfEdgeGraph, Morphism, SubgraphMask, identity_morphism
+from .graph import HalfEdgeGraph, Morphism, identity_morphism
 from .ribbon import RibbonStructure, rotation_word, transport_ribbon
 
 
@@ -34,7 +33,6 @@ class CanonicalForm:
     graph: HalfEdgeGraph
     certificate: str
     iso: Morphism  # from the input graph onto the canonical graph
-    edge_colors: tuple[int, ...] | None = None
     ribbon: RibbonStructure | None = None
 
 
@@ -43,7 +41,6 @@ class AutGroup:
     graph: HalfEdgeGraph
     generators: tuple[Morphism, ...]
     order: int
-    vertex_auts: tuple[tuple[int, ...], ...]
 
 
 _CERT_CACHE: dict = {}
@@ -53,24 +50,21 @@ _CERT_CACHE: dict = {}
 # vertex-level refinement
 
 
-def _incidence_tables(g: HalfEdgeGraph, edge_colors):
-    colors = edge_colors if edge_colors is not None else (0,) * g.edge_count
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    tad: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for i, (u, v) in enumerate(g.edges):
+def _incidence_tables(g: HalfEdgeGraph):
+    inc: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    tad = [0] * g.vertex_count
+    for u, v in g.edges:
         if u == v:
-            tad[u].append(colors[i])
+            tad[u] += 1
         else:
-            inc[u].append((v, colors[i]))
-            inc[v].append((u, colors[i]))
+            inc[u].append(v)
+            inc[v].append(u)
     return inc, tad
 
 
-def _initial_colors(g: HalfEdgeGraph, edge_colors):
-    inc, tad = _incidence_tables(g, edge_colors)
-    sigs = []
-    for v in range(g.vertex_count):
-        sigs.append((g.weights[v], g.valences[v], tuple(sorted(tad[v]))))
+def _initial_colors(g: HalfEdgeGraph):
+    inc, tad = _incidence_tables(g)
+    sigs = [(g.weights[v], g.valences[v], tad[v]) for v in range(g.vertex_count)]
     ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
     return tuple(ranks[s] for s in sigs), inc
 
@@ -81,10 +75,9 @@ def _refine(g: HalfEdgeGraph, colors, inc):
     while True:
         sigs = []
         for v in range(n):
-            prof: dict[tuple[int, int], int] = {}
-            for u, c in inc[v]:
-                key = (colors[u], c)
-                prof[key] = prof.get(key, 0) + 1
+            prof: dict[int, int] = {}
+            for u in inc[v]:
+                prof[colors[u]] = prof.get(colors[u], 0) + 1
             sigs.append((colors[v], tuple(sorted(prof.items()))))
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = tuple(ranks[s] for s in sigs)
@@ -95,16 +88,15 @@ def _refine(g: HalfEdgeGraph, colors, inc):
         colors = new
 
 
-def _canonical_labeling(g: HalfEdgeGraph, edge_colors):
-    """Smallest (weights, edge triples) encoding and the permutation giving it.
+def _canonical_labeling(g: HalfEdgeGraph):
+    """Smallest (weights, edge pairs) encoding and the permutation giving it.
 
     Individualization-refinement search; equal encodings at two leaves
     reveal an automorphism, whose orbits prune sibling branches at the root
     of the search tree.
     """
-    ecolors = edge_colors if edge_colors is not None else (0,) * g.edge_count
     n = g.vertex_count
-    base, inc = _initial_colors(g, edge_colors)
+    base, inc = _initial_colors(g)
     best: list = [None, None]  # encoding, perm
     leaf_perms: dict = {}
     orbit = list(range(n))
@@ -119,11 +111,8 @@ def _canonical_labeling(g: HalfEdgeGraph, edge_colors):
         weights = [0] * n
         for v, w in enumerate(g.weights):
             weights[perm[v]] = w
-        triples = sorted(
-            (min(perm[u], perm[v]), max(perm[u], perm[v]), ecolors[i])
-            for i, (u, v) in enumerate(g.edges)
-        )
-        return (tuple(weights), tuple(triples))
+        pairs = sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges)
+        return (tuple(weights), tuple(pairs))
 
     def record_leaf(perm):
         enc = encode(perm)
@@ -168,14 +157,11 @@ def _canonical_labeling(g: HalfEdgeGraph, edge_colors):
     return best[0], best[1]
 
 
-def _iso_from_labeling(g: HalfEdgeGraph, perm, ecolors, encoding):
-    weights_enc, triples = encoding
-    canonical = HalfEdgeGraph(g.vertex_count, weights_enc, tuple((u, v) for u, v, _ in triples))
-    trip = [
-        (min(perm[u], perm[v]), max(perm[u], perm[v]), ecolors[i])
-        for i, (u, v) in enumerate(g.edges)
-    ]
-    order = sorted(range(g.edge_count), key=lambda i: (trip[i], i))
+def _iso_from_labeling(g: HalfEdgeGraph, perm, encoding):
+    weights_enc, pairs = encoding
+    canonical = HalfEdgeGraph(g.vertex_count, weights_enc, pairs)
+    images = [(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges]
+    order = sorted(range(g.edge_count), key=lambda i: (images[i], i))
     edge_to_canon = {src: j for j, src in enumerate(order)}
     half_edge_map: list[int] = [0] * g.half_edge_count
     for i, (u, v) in enumerate(g.edges):
@@ -191,44 +177,31 @@ def _iso_from_labeling(g: HalfEdgeGraph, perm, ecolors, encoding):
         vertex_map=tuple(perm),
         half_edge_map=tuple(half_edge_map),
     )
-    colors_enc = tuple(c for _, _, c in triples)
-    return canonical, m, colors_enc
+    return canonical, m
 
 
-def _certificate_string(graph: HalfEdgeGraph, colors, ribbon: RibbonStructure | None):
+def _certificate_string(graph: HalfEdgeGraph, ribbon: RibbonStructure | None):
     parts = [f"v{graph.vertex_count}"]
     parts.append("w" + ",".join(map(str, graph.weights)))
-    bits = []
-    for i, (u, v) in enumerate(graph.edges):
-        c = colors[i] if colors else 0
-        bits.append(f"{u}-{v}" + (f"#{c}" if c else ""))
-    parts.append("e" + ",".join(bits))
+    parts.append("e" + ",".join(f"{u}-{v}" for u, v in graph.edges))
     if ribbon is not None:
         parts.append("r" + rotation_word(ribbon))
     return ";".join(parts)
 
 
-def canonical_form(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None,
-                   edge_colors: tuple[int, ...] | None = None) -> CanonicalForm:
+def canonical_form(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> CanonicalForm:
     """Canonical representative plus an isomorphism of the input onto it."""
     if not g.is_connected:
         raise ValueError("canonical form is defined for connected graphs")
     if ribbon is not None:
-        return _canonical_ribbon(g, ribbon, edge_colors)
-    key = (g.vertex_count, g.weights, g.edges, edge_colors)
+        return _canonical_ribbon(g, ribbon)
+    key = (g.vertex_count, g.weights, g.edges)
     hit = _CERT_CACHE.get(key)
     if hit is not None:
         return hit
-    ecolors = edge_colors if edge_colors is not None else (0,) * g.edge_count
-    encoding, perm = _canonical_labeling(g, edge_colors)
-    canonical, iso, colors_enc = _iso_from_labeling(g, perm, ecolors, encoding)
-    cert = _certificate_string(canonical, colors_enc if edge_colors is not None else None, None)
-    form = CanonicalForm(
-        graph=canonical,
-        certificate=cert,
-        iso=iso,
-        edge_colors=colors_enc if edge_colors is not None else None,
-    )
+    encoding, perm = _canonical_labeling(g)
+    canonical, iso = _iso_from_labeling(g, perm, encoding)
+    form = CanonicalForm(graph=canonical, certificate=_certificate_string(canonical, None), iso=iso)
     _CERT_CACHE[key] = form
     return form
 
@@ -237,7 +210,7 @@ def canonical_form(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None,
 # ribbon canonicalization: traversal from every start half-edge
 
 
-def _ribbon_encoding(g: HalfEdgeGraph, nxt, ecolors, start):
+def _ribbon_encoding(g: HalfEdgeGraph, nxt, start):
     label = {start: 0}
     order = [start]
     i = 0
@@ -249,22 +222,21 @@ def _ribbon_encoding(g: HalfEdgeGraph, nxt, ecolors, start):
                 order.append(step)
         i += 1
     enc = tuple(
-        (label[nxt[h]], label[h ^ 1], g.weights[g.iota(h)], ecolors[h >> 1])
+        (label[nxt[h]], label[h ^ 1], g.weights[g.iota(h)])
         for h in order
     )
     return enc, order, label
 
 
-def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure, edge_colors):
-    key = (g.vertex_count, g.weights, g.edges, edge_colors, ribbon.cycles)
+def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
+    key = (g.vertex_count, g.weights, g.edges, ribbon.cycles)
     hit = _CERT_CACHE.get(key)
     if hit is not None:
         return hit
-    ecolors = edge_colors if edge_colors is not None else (0,) * g.edge_count
     nxt = ribbon.next_map
     best = None
     for start in range(g.half_edge_count):
-        enc, order, label = _ribbon_encoding(g, nxt, ecolors, start)
+        enc, order, label = _ribbon_encoding(g, nxt, start)
         if best is None or enc < best[0]:
             best = (enc, order, label)
     enc, order, label = best
@@ -281,7 +253,6 @@ def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure, edge_colors):
     edge_rank = sorted(range(g.edge_count), key=lambda e: min(label[2 * e], label[2 * e + 1]))
     hmap = [0] * g.half_edge_count
     new_edges = []
-    new_colors = []
     for j, e in enumerate(edge_rank):
         a, b = 2 * e, 2 * e + 1
         if label[a] > label[b]:
@@ -292,7 +263,6 @@ def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure, edge_colors):
         else:
             hmap[a], hmap[b] = 2 * j + 1, 2 * j
         new_edges.append((min(pa, pb), max(pa, pb)))
-        new_colors.append(ecolors[e])
     weights = [0] * g.vertex_count
     for v, w in enumerate(g.weights):
         weights[vperm[v]] = w
@@ -305,13 +275,10 @@ def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure, edge_colors):
         half_edge_map=tuple(hmap),
     )
     new_ribbon = transport_ribbon(ribbon, iso)
-    colors_out = tuple(new_colors) if edge_colors is not None else None
-    cert = _certificate_string(canonical, colors_out, new_ribbon)
     form = CanonicalForm(
         graph=canonical,
-        certificate=cert,
+        certificate=_certificate_string(canonical, new_ribbon),
         iso=iso,
-        edge_colors=colors_out,
         ribbon=new_ribbon,
     )
     _CERT_CACHE[key] = form
@@ -321,8 +288,7 @@ def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure, edge_colors):
 def ribbon_automorphisms(g: HalfEdgeGraph, ribbon: RibbonStructure) -> list[Morphism]:
     """All ribbon-preserving automorphisms; at most one per start half-edge."""
     nxt = ribbon.next_map
-    ecolors = (0,) * g.edge_count
-    runs = [_ribbon_encoding(g, nxt, ecolors, start) for start in range(g.half_edge_count)]
+    runs = [_ribbon_encoding(g, nxt, start) for start in range(g.half_edge_count)]
     base = min(runs, key=lambda r: r[0])
     enc0, order0, _ = base
     auts = []
@@ -346,24 +312,20 @@ def ribbon_automorphisms(g: HalfEdgeGraph, ribbon: RibbonStructure) -> list[Morp
 
 
 # ---------------------------------------------------------------------------
-# automorphism groups of plain and colored graphs
+# automorphism groups of plain graphs
 
 
-def vertex_automorphisms(g: HalfEdgeGraph, edge_colors=None) -> list[tuple[int, ...]]:
-    """All vertex permutations preserving weights and colored multiplicities."""
+def vertex_automorphisms(g: HalfEdgeGraph) -> list[tuple[int, ...]]:
+    """All vertex permutations preserving weights and edge multiplicities."""
     n = g.vertex_count
-    colors_map = edge_colors if edge_colors is not None else (0,) * g.edge_count
-    pair_profile: dict[tuple[int, int], dict[int, int]] = {}
-    for i, (u, v) in enumerate(g.edges):
-        d = pair_profile.setdefault((u, v), {})
-        d[colors_map[i]] = d.get(colors_map[i], 0) + 1
+    multiplicity: dict[tuple[int, int], int] = {}
+    for pair in g.edges:
+        multiplicity[pair] = multiplicity.get(pair, 0) + 1
 
     def profile(u, v):
-        key = (u, v) if u <= v else (v, u)
-        d = pair_profile.get(key)
-        return tuple(sorted(d.items())) if d else ()
+        return multiplicity.get((u, v) if u <= v else (v, u), 0)
 
-    base, inc = _initial_colors(g, edge_colors)
+    base, inc = _initial_colors(g)
     refined = _refine(g, base, inc)
     out = []
     assignment = [-1] * n
@@ -393,38 +355,25 @@ def vertex_automorphisms(g: HalfEdgeGraph, edge_colors=None) -> list[tuple[int, 
     return out
 
 
-def edge_classes(g: HalfEdgeGraph, edge_colors=None):
-    """Edges grouped by (endpoints, color), each group in index order."""
-    colors_map = edge_colors if edge_colors is not None else (0,) * g.edge_count
-    classes: dict[tuple[int, int, int], list[int]] = {}
-    for i, (u, v) in enumerate(g.edges):
-        classes.setdefault((u, v, colors_map[i]), []).append(i)
+def edge_classes(g: HalfEdgeGraph) -> dict[tuple[int, int], list[int]]:
+    """Edges grouped by endpoints (parallel classes), each in index order."""
+    classes: dict[tuple[int, int], list[int]] = {}
+    for i, pair in enumerate(g.edges):
+        classes.setdefault(pair, []).append(i)
     return classes
 
 
-def kernel_order(g: HalfEdgeGraph, edge_colors=None) -> int:
-    total = 1
-    for (u, v, _), members in edge_classes(g, edge_colors).items():
-        m = len(members)
-        total *= math.factorial(m)
-        if u == v:
-            total *= 2 ** m
-    return total
-
-
-def lift_vertex_perm(g: HalfEdgeGraph, perm, edge_colors=None) -> Morphism:
+def lift_vertex_perm(g: HalfEdgeGraph, perm) -> Morphism:
     """Canonical half-edge automorphism over a vertex permutation.
 
-    Within each (endpoints, color) class, edges map in index order and
-    tadpoles map without flipping, so the lift is deterministic.
+    Within each parallel class, edges map in index order and tadpoles map
+    without flipping, so the lift is deterministic.
     """
-    classes = edge_classes(g, edge_colors)
-    colors_map = edge_colors if edge_colors is not None else (0,) * g.edge_count
+    classes = edge_classes(g)
     hmap = [0] * g.half_edge_count
-    for (u, v, c), members in classes.items():
+    for (u, v), members in classes.items():
         tu, tv = perm[u], perm[v]
-        key = (tu, tv, c) if tu <= tv else (tv, tu, c)
-        targets = classes.get(key)
+        targets = classes.get((tu, tv) if tu <= tv else (tv, tu))
         if targets is None or len(targets) != len(members):
             raise ValueError("vertex permutation does not preserve the class structure")
         for e, f in zip(members, targets):
@@ -456,48 +405,28 @@ def _flip_tadpole_morphism(g: HalfEdgeGraph, e: int) -> Morphism:
     return Morphism("isomorphism", g, g, tuple(range(g.vertex_count)), tuple(hmap))
 
 
-def _group_from_vertex_auts(g, vertex_auts, edge_colors):
-    identity = tuple(range(g.vertex_count))
-    gens: list[Morphism] = []
-    for perm in vertex_auts:
-        if perm != identity:
-            gens.append(lift_vertex_perm(g, perm, edge_colors))
-    for (u, v, _), members in sorted(edge_classes(g, edge_colors).items()):
-        for a, b in zip(members, members[1:]):
-            gens.append(_swap_edges_morphism(g, a, b))
-        if u == v and members:
-            gens.append(_flip_tadpole_morphism(g, members[0]))
-    return AutGroup(
-        graph=g,
-        generators=tuple(gens),
-        order=len(vertex_auts) * kernel_order(g, edge_colors),
-        vertex_auts=tuple(vertex_auts),
-    )
-
-
 def automorphism_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> AutGroup:
+    """Aut(G), or the ribbon automorphisms for a ribbon structure.
+
+    A plain graph's generators are the canonical lifts of the nontrivial
+    vertex automorphisms, in search order, then the kernel: swaps of
+    consecutive parallel edges and one flip per tadpole class.
+    """
     if ribbon is not None:
         auts = ribbon_automorphisms(g, ribbon)
-        return AutGroup(
-            graph=g,
-            generators=tuple(auts),
-            order=len(auts),
-            vertex_auts=tuple(sorted({m.vertex_map for m in auts})),
-        )
-    return _group_from_vertex_auts(g, vertex_automorphisms(g), None)
-
-
-def pair_automorphisms(g: HalfEdgeGraph, mask: SubgraphMask) -> AutGroup:
-    """Subgroup of Aut(G) stabilizing the edge subset setwise."""
-    if mask.parent != g:
-        raise ValueError("mask does not belong to this graph")
-    colors = tuple(1 if e in mask.edge_subset else 0 for e in range(g.edge_count))
-    return _group_from_vertex_auts(g, vertex_automorphisms(g, colors), colors)
-
-
-def edge_action(m: Morphism):
-    """Induced (partial) permutation of edge indices."""
-    return m.edge_action
+        return AutGroup(graph=g, generators=tuple(auts), order=len(auts))
+    identity = tuple(range(g.vertex_count))
+    vertex_auts = vertex_automorphisms(g)
+    gens = [lift_vertex_perm(g, perm) for perm in vertex_auts if perm != identity]
+    kernel = 1
+    for (u, v), members in sorted(edge_classes(g).items()):
+        for a, b in zip(members, members[1:]):
+            gens.append(_swap_edges_morphism(g, a, b))
+        kernel *= math.factorial(len(members))
+        if u == v:
+            gens.append(_flip_tadpole_morphism(g, members[0]))
+            kernel *= 2 ** len(members)
+    return AutGroup(graph=g, generators=tuple(gens), order=len(vertex_auts) * kernel)
 
 
 def restricted_edge_sign(m: Morphism, domain) -> int:
@@ -519,25 +448,18 @@ def automorphism_h1_sign(m: Morphism) -> int:
 
 
 def has_odd_symmetry(g: HalfEdgeGraph, parity: str,
-                     forest: SubgraphMask | None = None,
                      ribbon: RibbonStructure | None = None) -> bool:
-    """Whether some (pair/ribbon) automorphism has total sign -1.
+    """Whether some (ribbon) automorphism has total sign -1.
 
-    Even parity looks at the sign of the edge permutation on the whole edge
-    set, or on the subset for pairs.  Odd parity multiplies in the sign of
-    the determinant of the induced action on the cycle space.  Both are
-    group homomorphisms to {+1,-1}, so checking generators suffices.
+    Even parity looks at the sign of the edge permutation.  Odd parity
+    multiplies in the sign of the determinant of the induced action on the
+    cycle space.  Both are group homomorphisms to {+1,-1}, so checking
+    generators suffices.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"unknown parity {parity!r}")
-    if ribbon is not None:
-        gens = ribbon_automorphisms(g, ribbon)
-    elif forest is not None:
-        gens = pair_automorphisms(g, forest).generators
-    else:
-        gens = automorphism_group(g).generators
-    domain = sorted(forest.edge_subset) if forest is not None else range(g.edge_count)
-    for m in gens:
+    domain = range(g.edge_count)
+    for m in automorphism_group(g, ribbon).generators:
         sign = restricted_edge_sign(m, domain)
         if parity == "odd":
             sign *= automorphism_h1_sign(m)

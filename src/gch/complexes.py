@@ -33,6 +33,11 @@ Every kind is built from the same three rules, all on
   the cubical catalogs of :mod:`gch.moduli` take the same orbit
   representatives of forests or proper subsets.
 
+A context computes its form's automorphism group once, and the same group
+gives the symmetries of the vanishing rule, the subset orbits and the
+cube stabilizer orders (``GraphContext.stabilizer_order``) of the
+catalogs.
+
 For odd parity the cellular kinds drop tadpole-collapse terms: a sign rule
 for transporting a cycle-space orientation across a genus-dropping face
 cannot satisfy d^2 = 0 (the two collapse orders of two tadpoles pick up
@@ -43,6 +48,7 @@ complex splits by total weight.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,9 +57,7 @@ from .canonical import (
     automorphism_group,
     canonical_form,
     edge_action_closure,
-    lift_vertex_perm,
-    ribbon_automorphisms,
-    vertex_automorphisms,
+    edge_classes,
 )
 from .generate import EnumSpec, enumerate_forests, enumerate_graphs
 from .graph import HalfEdgeGraph
@@ -120,6 +124,8 @@ class ComplexSpec:
             raise ValueError("complexes are graded by genus >= 1")
         if self.kind.startswith("cellular") and self.genus < 2:
             raise ValueError("moduli cells need genus >= 2")
+        if self.max_edges is not None and self.max_edges < 0:
+            raise ValueError("max_edges must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -191,7 +197,8 @@ class GraphContext:
     graphs: a ribbon form takes its symmetries from the ribbon
     automorphisms and contracts by splicing cyclic orders; a plain form
     takes parallel-edge swaps, tadpole flips and lifts of vertex
-    automorphisms, and contracts plainly.
+    automorphisms, and contracts plainly.  Both come from one
+    automorphism group per context.
     """
 
     def __init__(self, form: CanonicalForm):
@@ -206,29 +213,31 @@ class GraphContext:
 
     @cached_property
     def classes(self):
-        out: dict[tuple[int, int], list[int]] = {}
-        for i, (u, v) in enumerate(self.graph.edges):
-            out.setdefault((u, v), []).append(i)
-        return out
+        return edge_classes(self.graph)
 
     @cached_property
     def ref_orientation(self):
         return reference_orientation(self.graph)
 
     @cached_property
+    def group(self):
+        """The form's automorphism group: ribbon automorphisms for a ribbon
+        form, otherwise Aut of the graph."""
+        return automorphism_group(self.graph, self.form.ribbon)
+
+    @cached_property
     def lifts(self):
         """(automorphism, edge parity) for each nontrivial symmetry: the
         ribbon automorphisms of a ribbon form, otherwise the canonical lifts
-        of the vertex automorphisms."""
+        of the vertex automorphisms, which are the generators of Aut that
+        move a vertex."""
         g = self.graph
         if self.form.ribbon is not None:
             identity = tuple(range(g.half_edge_count))
-            auts = [m for m in ribbon_automorphisms(g, self.form.ribbon)
-                    if m.half_edge_map != identity]
+            auts = [m for m in self.group.generators if m.half_edge_map != identity]
         else:
             identity = tuple(range(g.vertex_count))
-            auts = [lift_vertex_perm(g, perm) for perm in vertex_automorphisms(g)
-                    if perm != identity]
+            auts = [m for m in self.group.generators if m.vertex_map != identity]
         return [(m, perm_parity(m.edge_action)) for m in auts]
 
     def aut_h1(self, m) -> int:
@@ -296,6 +305,21 @@ class GraphContext:
                 sign *= self.aut_h1(lift) * lift_parity * perm_parity(action)
             yield "lift", sign
 
+    def stabilizer_order(self, subset) -> int:
+        """Order of the automorphisms of a plain form that map the edge
+        subset onto itself: the vertex automorphisms with a subset-aware
+        lift, times the permutations of each parallel class that keep the
+        subset, times the flips of its tadpoles."""
+        inside = frozenset(subset)
+        order = 1 + sum(1 for lift, _ in self.lifts
+                        if self._subset_aware_action(lift.vertex_map, inside) is not None)
+        for (u, v), members in self.classes.items():
+            cin = sum(1 for e in members if e in inside)
+            order *= math.factorial(cin) * math.factorial(len(members) - cin)
+            if u == v:
+                order *= 2 ** len(members)
+        return order
+
     def _subset_aware_action(self, perm, inside):
         """Edge action of the subset-aware lift of a vertex permutation.
 
@@ -354,7 +378,7 @@ class GraphContext:
     @cached_property
     def closure(self):
         """All edge permutations of Aut, each with a witness morphism."""
-        return edge_action_closure(automorphism_group(self.graph))
+        return edge_action_closure(self.group)
 
     def subset_canonical(self, subset) -> tuple[tuple[int, ...], int]:
         """Orbit-minimal representative of an edge subset and the index of

@@ -38,15 +38,6 @@ class SparseMatrix:
     def identity(n: int) -> "SparseMatrix":
         return SparseMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
 
-    @staticmethod
-    def from_rows(rows_data, cols: int) -> "SparseMatrix":
-        entries = {}
-        for i, row in enumerate(rows_data):
-            for j, v in row.items():
-                if v:
-                    entries[(i, j)] = Fraction(v)
-        return SparseMatrix(len(rows_data), cols, entries)
-
     @property
     def nnz(self) -> int:
         return len(self.entries)

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canonical import pair_automorphisms
 from .complexes import get_context, pair_key
 from .generate import EnumSpec, enumerate_graphs
-from .graph import HalfEdgeGraph, SubgraphMask
+from .graph import HalfEdgeGraph
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def build_cube_catalog(genus: int, forest_only: bool) -> CubeCatalog:
                 graph_certificate=ctx.cert,
                 subset=subset,
                 dimension=len(subset),
-                aut_order=pair_automorphisms(g, SubgraphMask(g, frozenset(subset))).order,
+                aut_order=ctx.stabilizer_order(subset),
                 odd_symmetric=bool(ctx.witness("even", subset)),
                 collapse_facets=tuple(_facet(ctx, subset, e, True)
                                       for e in subset if not g.is_tadpole(e)),

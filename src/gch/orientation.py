@@ -23,7 +23,6 @@ data.  Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graph import HalfEdgeGraph, Morphism
 
@@ -107,34 +106,6 @@ class CycleMatrix:
 
     rows: tuple[tuple[tuple[int, int], ...], ...]  # per row: ((edge, coeff), ...)
     edge_count: int
-
-    def dense(self):
-        out = []
-        for row in self.rows:
-            v = [0] * self.edge_count
-            for e, c in row:
-                v[e] = c
-            out.append(v)
-        return out
-
-    @cached_property
-    def rank(self):
-        from fractions import Fraction
-
-        m = [[Fraction(x) for x in row] for row in self.dense()]
-        rank = 0
-        for col in range(self.edge_count):
-            piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            pv = m[rank][col]
-            for r in range(len(m)):
-                if r != rank and m[r][col]:
-                    f = m[r][col] / pv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-            rank += 1
-        return rank
 
 
 def spanning_tree(g: HalfEdgeGraph, prefer: int | None = None) -> frozenset[int]:

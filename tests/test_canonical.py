@@ -5,10 +5,8 @@ import pytest
 from gch.canonical import (
     automorphism_group,
     canonical_form,
-    edge_action,
     edge_action_closure,
     has_odd_symmetry,
-    pair_automorphisms,
 )
 from gch.families import (
     banana,
@@ -20,7 +18,7 @@ from gch.families import (
     triangle_with_doubled_edge,
     wheel,
 )
-from gch.graph import HalfEdgeGraph, SubgraphMask
+from gch.graph import HalfEdgeGraph
 
 
 def brute_force_automorphism_count(g):
@@ -149,30 +147,24 @@ def test_edge_action_examples():
 
     g = theta()
     group = automorphism_group(g)
-    assert edge_action(identity_morphism(g)) == (0, 1, 2)
+    assert identity_morphism(g).edge_action == (0, 1, 2)
     swap = next(
         m for m in group.generators
-        if m.vertex_map == (0, 1) and edge_action(m) == (0, 2, 1)
+        if m.vertex_map == (0, 1) and m.edge_action == (0, 2, 1)
     )
-    assert edge_action(swap) == (0, 2, 1)
+    assert swap.edge_action == (0, 2, 1)
     _, collapse = g.contract(0)
-    assert edge_action(collapse) == (None, 0, 1)
+    assert collapse.edge_action == (None, 0, 1)
 
 
-def test_pair_automorphisms_examples():
-    g = theta()
-    assert pair_automorphisms(g, SubgraphMask(g, frozenset({0}))).order == 4
-    full = automorphism_group(g).order
-    assert pair_automorphisms(g, SubgraphMask(g, frozenset())).order == full
-    assert pair_automorphisms(g, SubgraphMask(g, frozenset({0, 1, 2}))).order == full
+def test_stabilizer_order_examples():
+    from gch.complexes import context_for_graph
 
-
-def test_pair_automorphism_generators_stabilize():
-    g = dumbbell()
-    mask = SubgraphMask(g, frozenset({0, 1}))
-    group = pair_automorphisms(g, mask)
-    for m in group.generators:
-        assert {m.edge_action[e] for e in mask.edge_subset} == set(mask.edge_subset)
+    ctx = context_for_graph(theta())
+    assert ctx.stabilizer_order((0,)) == 4
+    full = automorphism_group(ctx.graph).order
+    assert ctx.stabilizer_order(()) == full
+    assert ctx.stabilizer_order((0, 1, 2)) == full
 
 
 @pytest.mark.parametrize(
@@ -192,12 +184,6 @@ def test_pair_automorphism_generators_stabilize():
 )
 def test_has_odd_symmetry(g, parity, expected):
     assert has_odd_symmetry(g, parity) is expected
-
-
-def test_pair_edge_sign_example():
-    # the swap of the two parallel edges outside the forest fixes it pointwise
-    g = theta()
-    assert has_odd_symmetry(g, "even", forest=SubgraphMask(g, frozenset({0}))) is False
 
 
 def test_odd_symmetry_oracle_equivalence():

@@ -33,6 +33,17 @@ def test_enumerate_infeasible_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--genus", "2", "--max-edges", "-1"],
+    ["complex", "--kind", "com", "--parity", "even", "--genus", "2", "--max-edges", "-3"],
+])
+def test_negative_max_edges_exit_code(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["homology", "--kind", "nonsense", "--parity", "even", "--genus", "2"])

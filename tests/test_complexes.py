@@ -258,28 +258,6 @@ def test_cellular_genus4_rationally_acyclic():
     assert all(v == 0 for v in relative.dims.values())
 
 
-def test_pair_vanishing_fast_path_matches_public_api():
-    """The cached class/closure shortcut must agree with the generator-based
-    pair symmetry test on every subset of every genus-2/3 pair graph."""
-    import itertools
-
-    from gch.canonical import has_odd_symmetry
-    from gch.complexes import context_for_graph
-    from gch.generate import EnumSpec, enumerate_graphs
-    from gch.graph import SubgraphMask
-
-    for genus in (2, 3):
-        for form in enumerate_graphs(EnumSpec(genus=genus, min_valence=3, allow_tadpoles=True)):
-            ctx = context_for_graph(form.graph)
-            g = ctx.graph
-            for size in range(0, g.edge_count):
-                for subset in itertools.combinations(range(g.edge_count), size):
-                    mask = SubgraphMask(g, frozenset(subset))
-                    for parity in ("even", "odd"):
-                        assert ctx.pair_vanishes(tuple(subset), parity) == \
-                            has_odd_symmetry(g, parity, forest=mask), (g, subset, parity)
-
-
 def test_unbounded_variant_needs_max_edges():
     from gch.generate import InfeasibleEnumeration
 
@@ -294,5 +272,7 @@ def test_invalid_specs_rejected():
         ComplexSpec("com", "sideways", 2)
     with pytest.raises(ValueError):
         ComplexSpec("cellular_MG", "even", 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        ComplexSpec("com", "even", 2, max_edges=-3)
     with pytest.raises(ValueError):
         split_by_surface(build_complex(ComplexSpec("com", "even", 2)))

@@ -117,6 +117,13 @@ def test_unbounded_bivalent_request_rejected():
         enumerate_graphs(EnumSpec(genus=1, min_valence=2))
 
 
+@pytest.mark.parametrize("bounds", [dict(max_edges=-1), dict(min_edges=-1)])
+def test_negative_edge_bounds_rejected(bounds):
+    with pytest.raises(ValueError, match="non-negative"):
+        EnumSpec(genus=2, **bounds)
+    assert enumerate_graphs(EnumSpec(genus=2, max_edges=0)) == []
+
+
 def test_genus1_bivalent_graphs_are_cycles():
     forms = enumerate_graphs(EnumSpec(genus=1, min_valence=2, max_edges=7))
     assert [f.graph.edge_count for f in forms] == sorted(f.graph.edge_count for f in forms) or True

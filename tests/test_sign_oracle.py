@@ -14,7 +14,10 @@ group with gch, and a generator vanishes exactly when some automorphism
 stabilizing S has sign -1.  The graphs are every graph and ribbon graph of
 genus 1 to 3 with at most six edges, bivalent vertices and tadpoles
 allowed, and the stable weighted graphs of genus 2 and 3 with at most six
-edges; the subsets are all of their edge subsets.
+edges; the subsets are all of their edge subsets.  On the graphs without
+ribbon structure the oracle also counts, for every subset S, the
+automorphisms that map S onto itself: the order of the stabilizer that a
+cube (G, S) of the moduli catalogs carries.
 """
 
 import itertools
@@ -125,6 +128,19 @@ def test_oracle_finds_known_automorphism_counts():
 def test_vanishing_rule_matches_oracle_on_graphs_and_subsets():
     forms = [f for spec in _families(ribbon=False) for f in enumerate_graphs(spec)]
     assert _check(forms, lambda ctx: None) > 1000
+
+
+def test_stabilizer_orders_match_oracle():
+    checked = 0
+    for form in (f for spec in _families(ribbon=False) for f in enumerate_graphs(spec)):
+        ctx = get_context(form)
+        autos = half_edge_automorphisms(ctx.graph)
+        for subset in _subsets(ctx.graph.edge_count):
+            expected = sum(1 for edges, _, _ in autos
+                           if sorted(edges[e] for e in subset) == list(subset))
+            assert ctx.stabilizer_order(subset) == expected, (ctx.cert, subset)
+            checked += 1
+    assert checked > 1000
 
 
 def test_vanishing_rule_matches_oracle_on_ribbon_graphs():
