@@ -113,17 +113,20 @@ def text_to_matrix(text: str) -> SparseMatrix:
     if len(head) != 3 or head[2] != "M":
         raise ValueError("matrix header must be 'rows cols M'")
     rows, cols = int(head[0]), int(head[1])
+    if lines[-1].split() != ["0", "0", "0"]:
+        raise ValueError("matrix document must end with the '0 0 0' terminator")
     entries: dict[tuple[int, int], Fraction] = {}
-    closed = False
-    for ln in lines[1:]:
+    for ln in lines[1:-1]:
         parts = ln.split()
         if len(parts) != 3:
             raise ValueError(f"malformed entry line {ln!r}")
         if parts == ["0", "0", "0"]:
-            closed = True
-            break
+            raise ValueError("lines after the '0 0 0' terminator")
         i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        entries[(i, j)] = Fraction(parts[2])
-    if not closed:
-        raise ValueError("matrix document missing the '0 0 0' terminator")
+        if (i, j) in entries:
+            raise ValueError(f"duplicate entry ({i + 1},{j + 1})")
+        try:
+            entries[(i, j)] = Fraction(parts[2])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in entry line {ln!r}") from None
     return SparseMatrix(rows, cols, entries)

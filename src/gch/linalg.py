@@ -1,15 +1,27 @@
 """Exact sparse rational matrices and rank computation.
 
-Matrices are coordinate dictionaries of Fractions (integers pass through
-unchanged).  Rank runs a fraction-free sparse elimination: rows are scaled
-to integers, pivots are chosen Markowitz-style (sparsest column, then
-sparsest row, unit pivots preferred) and rows are divided by their content
-after each update, which keeps entries small on the nearly-unimodular
-matrices that boundary operators produce.
+Matrices are coordinate dictionaries: integral values are stored as
+``int`` and the rest as ``Fraction``, so the boundary operators, which
+are sums of signs, carry no ``Fraction`` at all.  Every rank comes from
+one fraction-free sparse elimination, :func:`_eliminate`:
+
+* rows holding a non-integer are scaled to integers first;
+* the pivot column is the one with the fewest active rows, the lowest
+  index on a tie, taken from a lazy heap; the pivot row there is the
+  sparsest, preferring a unit value;
+* a unit pivot updates each target row in place, touching only the pivot
+  row's columns; any other pivot scales the target row and divides out
+  its content afterwards, which keeps entries small on the
+  nearly-unimodular matrices that boundary operators produce.
+
+Across grades, :func:`boundary_ranks` clears the rows of d_{k+1} at the
+pivot columns of d_k, as in the clearing of persistent homology
+(Bauer--Kerber--Reininghaus, *Clear and Compress*, 2014).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,15 +31,21 @@ from fractions import Fraction
 class SparseMatrix:
     rows: int
     cols: int
-    entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    entries: dict[tuple[int, int], int | Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError(f"negative shape {self.rows}x{self.cols}")
         clean = {}
         for (i, j), v in self.entries.items():
             if not (0 <= i < self.rows and 0 <= j < self.cols):
                 raise ValueError(f"entry ({i},{j}) out of range")
             if v:
-                clean[(i, j)] = Fraction(v)
+                if type(v) is not int:
+                    v = Fraction(v)
+                    if v.denominator == 1:
+                        v = v.numerator
+                clean[(i, j)] = v
         object.__setattr__(self, "entries", clean)
 
     @staticmethod
@@ -36,7 +54,7 @@ class SparseMatrix:
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
 
     @property
     def nnz(self) -> int:
@@ -49,16 +67,18 @@ class SparseMatrix:
         return SparseMatrix(self.cols, self.rows,
                             {(j, i): v for (i, j), v in self.entries.items()})
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
+    def row_dicts(self) -> list[dict[int, int | Fraction]]:
+        rows: list[dict[int, int | Fraction]] = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         return rows
 
     def dense(self) -> list[list[Fraction]]:
+        """Rows of ``Fraction``s, also for integer entries, so that dense
+        elimination on the result divides exactly."""
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
-            out[i][j] = v
+            out[i][j] = Fraction(v)
         return out
 
 
@@ -66,7 +86,7 @@ def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     if a.cols != b.rows:
         raise ValueError(f"inner dimensions differ: {a.cols} vs {b.rows}")
     b_rows = b.row_dicts()
-    acc: dict[tuple[int, int], Fraction] = {}
+    acc: dict[tuple[int, int], int | Fraction] = {}
     for (i, k), v in a.entries.items():
         row = b_rows[k]
         for j, w in row.items():
@@ -76,79 +96,93 @@ def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(a.rows, b.cols, {k: v for k, v in acc.items() if v})
 
 
-def _integer_rows(m: SparseMatrix) -> list[dict[int, int]]:
-    rows: list[dict[int, int]] = [dict() for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
+def _integer_rows(m: SparseMatrix, drop: frozenset[int] = frozenset()) -> list[dict[int, int]]:
+    """The nonzero rows of ``m`` outside ``drop``, in order, each scaled to
+    integers if it holds a non-integer."""
     out = []
-    for row in rows:
-        if not row:
+    for i, row in enumerate(m.row_dicts()):
+        if not row or i in drop:
             continue
-        scale = math.lcm(*(v.denominator for v in row.values()))
-        ints = {j: int(v * scale) for j, v in row.items()}
-        g = math.gcd(*(abs(x) for x in ints.values()))
-        if g > 1:
-            ints = {j: x // g for j, x in ints.items()}
-        out.append(ints)
+        if any(type(v) is not int for v in row.values()):
+            scale = math.lcm(*(v.denominator for v in row.values()))
+            row = {j: int(v * scale) for j, v in row.items()}
+        out.append(row)
     return out
+
+
+def _eliminate(rows: list[dict[int, int]]) -> list[int]:
+    """Pivot columns, in pivot order, of a sparse elimination of integer rows.
+
+    The rows are reduced in place.  The pivot columns are linearly
+    independent columns of the matrix, and there are rank-many of them.
+    """
+    active = dict(enumerate(rows))
+    col_rows: dict[int, set[int]] = {}
+    for i, row in active.items():
+        for j in row:
+            col_rows.setdefault(j, set()).add(i)
+    # lazy queue of (active rows, column): an entry is current while its
+    # count matches; every change of a count pushes a fresh entry
+    queue = [(len(s), j) for j, s in col_rows.items()]
+    heapq.heapify(queue)
+    pivots = []
+    while queue:
+        count, col = heapq.heappop(queue)
+        targets = col_rows.get(col)
+        if targets is None or len(targets) != count:
+            continue
+        prow_id = min(targets, key=lambda i: (abs(active[i][col]) != 1, len(active[i]), i))
+        pivot_row = active.pop(prow_id)
+        pivots.append(col)
+        del col_rows[col]
+        targets.discard(prow_id)
+        pval = pivot_row[col]
+        others = [(j, v) for j, v in pivot_row.items() if j != col]
+        for j, _ in others:
+            col_rows[j].discard(prow_id)
+        unit = abs(pval) == 1
+        for rid in targets:
+            row = active[rid]
+            f = row.pop(col)
+            if unit:
+                f *= pval
+            else:
+                g = math.gcd(pval, f)
+                scale, f = pval // g, f // g
+                for j in row:
+                    row[j] *= scale
+            # subtract f * pivot_row, on the pivot row's columns only
+            for j, v in others:
+                old = row.get(j)
+                if old is None:
+                    row[j] = -f * v
+                    col_rows[j].add(rid)
+                    continue
+                w = old - f * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+                    col_rows[j].discard(rid)
+            if not row:
+                del active[rid]
+            elif not unit:
+                g = math.gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+        for j, _ in others:
+            s = col_rows[j]
+            if s:
+                heapq.heappush(queue, (len(s), j))
+            else:
+                del col_rows[j]
+    return pivots
 
 
 def rank(m: SparseMatrix) -> int:
     """Exact rank over the rationals."""
-    rows = _integer_rows(m)
-    if not rows:
-        return 0
-    active: dict[int, dict[int, int]] = {i: r for i, r in enumerate(rows)}
-    col_index: dict[int, set[int]] = {}
-    for i, r in active.items():
-        for j in r:
-            col_index.setdefault(j, set()).add(i)
-    rk = 0
-    while active:
-        # pivot column: fewest active rows; pivot row there: fewest entries,
-        # preferring a unit value
-        col = min(col_index, key=lambda j: (len(col_index[j]), j))
-        candidates = col_index[col]
-        prow_id = min(
-            candidates,
-            key=lambda i: (abs(active[i][col]) != 1, len(active[i]), i),
-        )
-        pivot_row = active.pop(prow_id)
-        pval = pivot_row[col]
-        for j in pivot_row:
-            s = col_index[j]
-            s.discard(prow_id)
-            if not s:
-                del col_index[j]
-        rk += 1
-        targets = list(col_index.get(col, ()))
-        for rid in targets:
-            row = active[rid]
-            f = row[col]
-            for j in row:
-                col_index[j].discard(rid)
-            new = {}
-            for j, v in row.items():
-                new[j] = v * pval
-            for j, v in pivot_row.items():
-                w = new.get(j, 0) - f * v
-                if w:
-                    new[j] = w
-                else:
-                    new.pop(j, None)
-            if new:
-                g = math.gcd(*(abs(x) for x in new.values()))
-                if g > 1:
-                    new = {j: x // g for j, x in new.items()}
-                active[rid] = new
-                for j in new:
-                    col_index.setdefault(j, set()).add(rid)
-            else:
-                del active[rid]
-        for j in list(col_index):
-            if not col_index[j]:
-                del col_index[j]
-    return rk
+    return len(_eliminate(_integer_rows(m)))
 
 
 def boundary_ranks(boundaries: list[SparseMatrix | None],
@@ -159,23 +193,33 @@ def boundary_ranks(boundaries: list[SparseMatrix | None],
     the zero map); ``boundaries[0]`` is ignored even if present, matching a
     complex that ends at grade 0.  Returns ``(ranks, dims)`` with
     ``ranks[k]`` the rank of d_k for k = 0..n (zero at both ends).
+
+    The boundaries must form a chain complex, d_k d_{k+1} = 0: the rank of
+    d_{k+1} is taken with its rows at the pivot columns of d_k cleared.
+    Those columns are independent, so ker d_k meets their span in 0, and
+    im d_{k+1}, which lies in ker d_k, projects injectively off them.  The
+    precondition is not checked; without it the ranks of d_{k+1} can come
+    out too low (never the dimensions negative, since a cleared d_{k+1}
+    has n_k - rank d_k rows).
     """
     n = len(generator_counts)
     ranks = [0] * (n + 1)
+    cleared: frozenset[int] = frozenset()
     for k in range(1, n):
         m = boundaries[k] if k < len(boundaries) else None
         if m is None:
+            cleared = frozenset()
             continue
         if m.cols != generator_counts[k] or m.rows != generator_counts[k - 1]:
             raise ValueError(f"boundary {k} has shape {m.rows}x{m.cols}, "
                              f"expected {generator_counts[k - 1]}x{generator_counts[k]}")
-        ranks[k] = rank(m)
+        cleared = frozenset(_eliminate(_integer_rows(m, cleared)))
+        ranks[k] = len(cleared)
     dims = [generator_counts[k] - ranks[k] - ranks[k + 1] for k in range(n)]
-    if any(d < 0 for d in dims):
-        raise AssertionError("negative homology dimension: boundaries are inconsistent")
     return ranks, dims
 
 
 def homology_dims(boundaries: list[SparseMatrix | None], generator_counts: list[int]) -> list[int]:
-    """dim H_k for each grade; see :func:`boundary_ranks`."""
+    """dim H_k for each grade of a chain complex (d_k d_{k+1} = 0); see
+    :func:`boundary_ranks`."""
     return boundary_ranks(boundaries, generator_counts)[1]

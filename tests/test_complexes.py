@@ -42,6 +42,15 @@ def test_com_even_genus3_single_wheel_class():
     assert top[0].key == canonical_form(wheel(3)).certificate
 
 
+def test_com_even_genus5_is_grt1_in_weight5():
+    """At loop order 5 the even commutative complex has one class, at 10
+    edges, in degree 0 for N = 2: dim grt_1 in weight 5 is 1 (Willwacher,
+    arXiv:1009.1654, H^0(GC_2) = grt_1)."""
+    report = homology(build_complex(ComplexSpec("com", "even", 5)))
+    assert {k: v for k, v in report.dims.items() if v} == {10: 1}
+    assert degree_report(report, 2)[10]["degree"] == 0
+
+
 def test_com_odd_genus3_structure():
     """Hand check: grade 5 holds one class, grade 6 two (K4 and the ladder
     with doubled rungs).  K4 collapses onto the grade-5 graph along all six

@@ -100,3 +100,21 @@ def test_matrix_parse_errors():
         text_to_matrix("2 2\n0 0 0")
     with pytest.raises(ValueError):
         text_to_matrix("2 2 M\n1 1 1")
+    bad = [
+        "-2 3 M\n0 0 0",                       # negative shape
+        "2 -3 M\n0 0 0",
+        "2 2 M\n1 1 1\n1 1 2\n0 0 0",          # duplicate entry
+        "2 2 M\n1 1 1\n0 0 0\n2 2 1",          # entry after the terminator
+        "2 2 M\n1 1 1\n0 0 0\n2 2 1\n0 0 0",
+        "2 2 M\n1 1 1/0\n0 0 0",               # zero denominator
+        "2 2 M\n3 1 1\n0 0 0",                 # out of range
+    ]
+    for text in bad:
+        with pytest.raises(ValueError):
+            text_to_matrix(text)
+
+
+def test_sparse_matrix_rejects_negative_shape():
+    for shape in ((-1, 0), (0, -1), (-2, 3)):
+        with pytest.raises(ValueError):
+            SparseMatrix(*shape)

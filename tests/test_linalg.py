@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from gch.linalg import SparseMatrix, homology_dims, multiply, rank
+from gch.complexes import KINDS, ComplexSpec, build_complex
+from gch.linalg import SparseMatrix, boundary_ranks, homology_dims, multiply, rank
 
 
 def dense_rank_oracle(m: SparseMatrix) -> int:
@@ -139,3 +141,91 @@ def test_sms_sized_known_rank():
     assert rank(m) == 5
     entries = {(i, j): Fraction(1) for i in range(4) for j in range(4)}
     assert rank(SparseMatrix(4, 4, entries)) == 1
+
+
+def test_dense_oracle_is_exact_on_integer_entries():
+    """Integer entries stay ``int`` in the sparse matrix, but ``dense()``
+    hands out ``Fraction``s, so the dense oracle divides exactly."""
+    m = SparseMatrix(2, 3, {(0, 0): 3, (0, 2): Fraction(4, 2), (1, 1): -1})
+    assert all(type(v) is int for v in m.entries.values())
+    assert all(type(x) is Fraction for row in m.dense() for x in row)
+    rng = random.Random(30)
+    for trial in range(100):
+        rows, cols = rng.randint(1, 20), rng.randint(1, 20)
+        entries = {(i, j): rng.randint(-9, 9) for i in range(rows) for j in range(cols)
+                   if rng.random() < 0.5}
+        m = SparseMatrix(rows, cols, entries)
+        assert rank(m) == dense_rank_oracle(m), trial
+
+
+def _signed_permuted(rng, boundaries, counts):
+    """The same complex with every grade's generators shuffled and their
+    orientations flipped at random (a signed permutation in each grade)."""
+    perm = [rng.sample(range(n), n) for n in counts]
+    sign = [[rng.choice((1, -1)) for _ in range(n)] for n in counts]
+    out = [None]
+    for k, m in enumerate(boundaries[1:], start=1):
+        out.append(None if m is None else SparseMatrix(m.rows, m.cols, {
+            (perm[k - 1][i], perm[k][j]): v * sign[k - 1][i] * sign[k][j]
+            for (i, j), v in m.entries.items()}))
+    return out
+
+
+def _assert_cleared_ranks_exact(boundaries, counts):
+    ranks, dims = boundary_ranks(boundaries, counts)
+    for k, m in enumerate(boundaries[1:], start=1):
+        expected = 0 if m is None else dense_rank_oracle(m)
+        assert ranks[k] == expected == (0 if m is None else rank(m)), k
+    return dims
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_cleared_boundary_ranks_match_dense_ranks(kind, parity):
+    """Clearing the rows of d_{k+1} at d_k's pivot columns keeps every rank:
+    each graded rank equals the per-matrix rank and the dense Fraction
+    rank, for the complexes themselves and for signed permutations."""
+    rng = random.Random(f"{kind}-{parity}")
+    for genus in range(2 if kind.startswith("cellular") else 1, 4):
+        max_edges = (8 if genus == 1 else 7) if kind in ("com_geq2", "com_tad", "com_tad_geq2") else None
+        c = build_complex(ComplexSpec(kind, parity, genus, max_edges=max_edges))
+        counts = c.generator_counts()
+        boundaries = [None] + [c.boundary(k) for k in range(1, len(counts))]
+        dims = _assert_cleared_ranks_exact(boundaries, counts)
+        for _ in range(3):
+            assert _assert_cleared_ranks_exact(_signed_permuted(rng, boundaries, counts), counts) == dims
+
+
+def _simplicial_boundaries(rng, vertices, facets):
+    """Boundaries of the simplicial complex generated by random facets."""
+    faces = set()
+    for _ in range(facets):
+        top = rng.sample(range(vertices), rng.randint(1, min(5, vertices)))
+        for size in range(1, len(top) + 1):
+            faces.update(itertools.combinations(sorted(top), size))
+    grades = [sorted(f for f in faces if len(f) == k + 1) for k in range(5)]
+    index = [{f: i for i, f in enumerate(g)} for g in grades]
+    boundaries = [None]
+    for k in range(1, 5):
+        entries = {}
+        for j, f in enumerate(grades[k]):
+            for p in range(len(f)):
+                entries[(index[k - 1][f[:p] + f[p + 1:]], j)] = (-1) ** p
+        boundaries.append(SparseMatrix(len(grades[k - 1]), len(grades[k]), entries))
+    return boundaries, [len(g) for g in grades]
+
+
+def test_cleared_ranks_on_rescaled_simplicial_boundaries():
+    """Random simplicial complexes, with every basis vector rescaled by a
+    random rational, so d'_k = D_{k-1}^{-1} d_k D_k has non-unit and
+    non-integer entries and still squares to zero."""
+    rng = random.Random(1405)
+    for trial in range(40):
+        boundaries, counts = _simplicial_boundaries(rng, rng.randint(4, 8), rng.randint(1, 6))
+        dims = _assert_cleared_ranks_exact(boundaries, counts)
+        scale = [[Fraction(rng.choice((1, -1)) * rng.randint(1, 6), rng.randint(1, 6))
+                  for _ in range(n)] for n in counts]
+        rescaled = [None] + [SparseMatrix(m.rows, m.cols, {
+            (i, j): v * scale[k][j] / scale[k - 1][i] for (i, j), v in m.entries.items()})
+            for k, m in enumerate(boundaries[1:], start=1)]
+        assert _assert_cleared_ranks_exact(rescaled, counts) == dims, trial
