@@ -210,58 +210,95 @@ def canonical_form(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> C
 # ribbon canonicalization: traversal from every start half-edge
 
 
-def _ribbon_encoding(g: HalfEdgeGraph, nxt, start):
-    label = {start: 0}
+def _ribbon_encoding(nxt, weight, start, bound=None):
+    """Traversal from ``start`` along sigma, then the edge involution.
+
+    Half-edges are labelled in visiting order; the encoding lists, per
+    half-edge in that order, the labels of its sigma-successor and of its
+    partner and the weight of its vertex.  Returns ``(encoding, order)``,
+    or None as soon as a prefix of the encoding exceeds the same-length
+    prefix of ``bound``.
+    """
+    label = [-1] * len(nxt)
+    label[start] = 0
     order = [start]
-    i = 0
-    while i < len(order):
-        h = order[i]
-        for step in (nxt[h], h ^ 1):
-            if step not in label:
-                label[step] = len(order)
-                order.append(step)
-        i += 1
-    enc = tuple(
-        (label[nxt[h]], label[h ^ 1], g.weights[g.iota(h)])
-        for h in order
-    )
-    return enc, order, label
+    enc = []
+    tied = bound is not None
+    for i, h in enumerate(order):  # ``order`` grows while it is walked
+        s, p = nxt[h], h ^ 1
+        if label[s] < 0:
+            label[s] = len(order)
+            order.append(s)
+        if label[p] < 0:
+            label[p] = len(order)
+            order.append(p)
+        item = (label[s], label[p], weight[h])
+        if tied:
+            if item > bound[i]:
+                return None
+            tied = item == bound[i]
+        enc.append(item)
+    return enc, order
+
+
+def _ends(g: HalfEdgeGraph) -> list[int]:
+    """iota as a list: the vertex of each half-edge."""
+    return [v for pair in g.edges for v in pair]
+
+
+def _least_traversals(g: HalfEdgeGraph, ribbon: RibbonStructure):
+    """Every traversal with the least encoding, by start half-edge.  Each
+    traversal stops as soon as its prefix exceeds the least so far."""
+    nxt = ribbon.next_map
+    weight = [g.weights[v] for v in _ends(g)]
+    least: list = []
+    for start in range(g.half_edge_count):
+        run = _ribbon_encoding(nxt, weight, start, least[0][0] if least else None)
+        if run is None:
+            continue
+        if least and run[0] == least[0][0]:
+            least.append(run)
+        else:
+            least = [run]
+    return least
 
 
 def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
+    """Canonical form of a ribbon graph from its least traversal.
+
+    Connectedness makes a traversal determined by its start half-edge, so
+    the least encoding over all starts is a complete invariant; on a tie
+    the first start wins, and the tied starts are the automorphisms.  Each
+    traversal is abandoned as soon as its encoding prefix exceeds the least
+    one so far, which cannot change the winner: the canonical graph, its
+    ribbon, the certificate and ``iso`` are those of the full comparison.
+    """
     key = (g.vertex_count, g.weights, g.edges, ribbon.cycles)
     hit = _CERT_CACHE.get(key)
     if hit is not None:
         return hit
-    nxt = ribbon.next_map
-    best = None
-    for start in range(g.half_edge_count):
-        enc, order, label = _ribbon_encoding(g, nxt, start)
-        if best is None or enc < best[0]:
-            best = (enc, order, label)
-    enc, order, label = best
+    order = _least_traversals(g, ribbon)[0][1]
+    ends = _ends(g)
 
-    # vertices ranked by their first-visited half-edge, edges by lower label
-    first_visit: dict[int, int] = {}
+    # vertices and edges ranked by their first-visited half-edge
+    vperm = [-1] * g.vertex_count
+    rank = 0
     for h in order:
-        v = g.iota(h)
-        if v not in first_visit:
-            first_visit[v] = label[h]
-    vperm = [0] * g.vertex_count
-    for rank, v in enumerate(sorted(range(g.vertex_count), key=lambda v: first_visit[v])):
-        vperm[v] = rank
-    edge_rank = sorted(range(g.edge_count), key=lambda e: min(label[2 * e], label[2 * e + 1]))
-    hmap = [0] * g.half_edge_count
+        v = ends[h]
+        if vperm[v] < 0:
+            vperm[v] = rank
+            rank += 1
+    hmap = [-1] * g.half_edge_count
     new_edges = []
-    for j, e in enumerate(edge_rank):
-        a, b = 2 * e, 2 * e + 1
-        if label[a] > label[b]:
-            a, b = b, a
-        pa, pb = vperm[g.iota(a)], vperm[g.iota(b)]
+    for a in order:
+        if hmap[a] >= 0:
+            continue
+        j = len(new_edges)
+        pa, pb = vperm[ends[a]], vperm[ends[a ^ 1]]
         if pa <= pb:
-            hmap[a], hmap[b] = 2 * j, 2 * j + 1
+            hmap[a], hmap[a ^ 1] = 2 * j, 2 * j + 1
         else:
-            hmap[a], hmap[b] = 2 * j + 1, 2 * j
+            hmap[a], hmap[a ^ 1] = 2 * j + 1, 2 * j
         new_edges.append((min(pa, pb), max(pa, pb)))
     weights = [0] * g.vertex_count
     for v, w in enumerate(g.weights):
@@ -287,14 +324,10 @@ def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
 
 def ribbon_automorphisms(g: HalfEdgeGraph, ribbon: RibbonStructure) -> list[Morphism]:
     """All ribbon-preserving automorphisms; at most one per start half-edge."""
-    nxt = ribbon.next_map
-    runs = [_ribbon_encoding(g, nxt, start) for start in range(g.half_edge_count)]
-    base = min(runs, key=lambda r: r[0])
-    enc0, order0, _ = base
+    runs = _least_traversals(g, ribbon)
+    order0 = runs[0][1]
     auts = []
-    for enc, order, _ in runs:
-        if enc != enc0:
-            continue
+    for _, order in runs:
         hmap = [0] * g.half_edge_count
         for i, h in enumerate(order0):
             hmap[h] = order[i]

@@ -6,7 +6,8 @@ apart by certificate.  Three moves cover every family:
 * **Genus raising.**  The trivalent graphs of genus 2, tadpoles allowed,
   are the theta and the dumbbell.  One genus up, join the midpoints of two
   edges (possibly the same edge) by a new edge, or hang a tadpole on the
-  midpoint of an edge.  Every trivalent graph of genus g >= 3 arises so:
+  midpoint of an edge, once per automorphism orbit of edges or edge
+  pairs.  Every trivalent graph of genus g >= 3 arises so:
   deleting a tadpole with its stem, or any non-bridge edge, and smoothing
   the bivalent vertices left behind gives a connected trivalent graph of
   genus g - 1 from which one of the two moves rebuilds it.
@@ -24,8 +25,21 @@ apart by certificate.  Three moves cover every family:
   the one-edge loop.  Subdividing up to ``max_edges`` gives the bivalent
   families.
 
-Loopless graphs can have contractions and smoothings with tadpoles, so the
-closures keep tadpoles and the tadpole and edge-count filters come last.
+Ribbon graphs take the same moves, lifted to cyclic orders.  The seeds
+are the 2^V cyclic orders of each trivalent graph; a contraction splices
+the two orders of its edge (``contract_ribbon``), a tadpole contraction of
+a weighted family drops the loop's two half-edges from its vertex's order,
+and a subdivision gives the new vertex its only order.  Splitting a vertex
+of valence >= 4 along its cyclic order into two of valence >= 3 is undone
+by a contraction, so every ribbon graph of valence >= 3 is a contraction
+of a trivalent one, and smoothing a bivalent vertex undoes a subdivision.
+
+The bivalent and weighted families, and the families with tadpoles, can
+need tadpoles on the way (a loopless graph can smooth or uncontract to one
+with tadpoles), so their closures keep them and the tadpole and edge-count
+filters come last.  A loopless family of valence >= 3 needs none:
+splitting a loopless vertex makes no loop, so it starts from the loopless
+trivalent graphs and contracts only edges without a parallel partner.
 Everything is deterministic; outputs come back sorted by certificate.
 """
 
@@ -34,10 +48,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .canonical import CanonicalForm, canonical_form
+from .canonical import CanonicalForm, automorphism_group, canonical_form, edge_action_closure
 from .families import cycle, dumbbell, theta
 from .graph import HalfEdgeGraph, SubgraphMask
-from .ribbon import RibbonStructure
+from .ribbon import RibbonStructure, contract_ribbon
 
 
 class InfeasibleEnumeration(ValueError):
@@ -68,49 +82,97 @@ class EnumSpec:
 _ENUM_CACHE: dict[EnumSpec, tuple] = {}
 
 
-def _closure(graphs, moves) -> dict[str, CanonicalForm]:
-    """Classes of ``graphs`` and of everything ``moves`` reaches from them."""
+def _closure(seeds, moves) -> dict[str, CanonicalForm]:
+    """Classes of the (graph, ribbon) ``seeds`` and of everything ``moves``
+    reaches from them; a ribbon of None is a plain graph."""
     found: dict[str, CanonicalForm] = {}
-    frontier = list(graphs)
+    frontier = list(seeds)
     while frontier:
         reached = []
-        for g in frontier:
-            form = canonical_form(g)
+        for g, ribbon in frontier:
+            form = canonical_form(g, ribbon)
             if form.certificate not in found:
                 found[form.certificate] = form
-                reached.extend(moves(form.graph))
+                reached.extend(moves(form.graph, form.ribbon))
         frontier = reached
     return found
 
 
-def _subdivide(g: HalfEdgeGraph, e: int) -> HalfEdgeGraph:
-    """Weight-zero ``g`` with a new vertex on edge ``e``; the other half of
-    ``e`` becomes the last edge, so no edge index moves."""
+def _contract(g: HalfEdgeGraph, ribbon: RibbonStructure | None, e: int):
+    """(graph, ribbon) with edge ``e`` contracted.  A ribbon tadpole
+    becomes a weight: its two half-edges leave their vertex's order."""
+    if ribbon is None:
+        return g.contract(e)[0], None
+    if not g.is_tadpole(e):
+        return contract_ribbon(g, ribbon, e)[:2]
+    target, m = g.contract(e)
+    return target, RibbonStructure(target, tuple(
+        tuple(m.half_edge_map[h] for h in cyc if h >> 1 != e) for cyc in ribbon.cycles))
+
+
+def _subdivide(g: HalfEdgeGraph, e: int, ribbon: RibbonStructure | None = None):
+    """(graph, ribbon) for weight-zero ``g`` with a new vertex on edge ``e``.
+    The other half of ``e`` becomes the last edge, so no edge index moves;
+    its half at the old endpoint takes the place of ``2e+1`` in that
+    vertex's order, and the new vertex has its only cyclic order."""
     u, v = g.edges[e]
     a = g.vertex_count
     edges = list(g.edges)
     edges[e] = (u, a)
-    return HalfEdgeGraph.build(a + 1, edges + [(a, v)])
+    s = HalfEdgeGraph.build(a + 1, edges + [(a, v)])
+    if ribbon is None:
+        return s, None
+    moved = g.half_edge_count  # the new edge's half at v
+    cycles = tuple(tuple(moved if h == 2 * e + 1 else h for h in cyc) for cyc in ribbon.cycles)
+    return s, RibbonStructure(s, cycles + ((2 * e + 1, moved + 1),))
+
+
+def _orbit_representatives(perms, subsets):
+    """The first of each orbit of the edge permutations on edge subsets."""
+    seen = set()
+    for subset in subsets:
+        if subset not in seen:
+            seen.update(tuple(sorted(p[e] for e in subset)) for p in perms)
+            yield subset
 
 
 def _raise_genus(g: HalfEdgeGraph):
-    """Trivalent graphs one genus above trivalent ``g``."""
+    """Trivalent graphs one genus above trivalent ``g``, one per orbit of
+    Aut(g) on its edges (hang a tadpole) and on its pairs of edges (join
+    the midpoints)."""
     n = g.vertex_count
-    for i in range(g.edge_count):
-        s = _subdivide(g, i)
+    perms = [p for p, _ in edge_action_closure(automorphism_group(g))]
+    for (i,) in _orbit_representatives(perms, itertools.combinations(range(g.edge_count), 1)):
+        s, _ = _subdivide(g, i)
         yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1), (n + 1, n + 1)))
-        # j == i puts the second midpoint on the first half of edge i
-        for j in range(i, g.edge_count):
-            yield HalfEdgeGraph.build(n + 2, _subdivide(s, j).edges + ((n, n + 1),))
+    # i == j puts the second midpoint on the first half of edge i
+    for i, j in _orbit_representatives(
+            perms, itertools.combinations_with_replacement(range(g.edge_count), 2)):
+        s, _ = _subdivide(_subdivide(g, i)[0], j)
+        yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1),))
 
 
 def _trivalent(genus: int) -> list[HalfEdgeGraph]:
     """Trivalent weight-zero classes of the genus, tadpoles allowed."""
     graphs = [theta(), dumbbell()] if genus >= 2 else []
     for _ in range(genus - 2):
-        raised = _closure([h for g in graphs for h in _raise_genus(g)], lambda g: ())
+        raised = _closure([(h, None) for g in graphs for h in _raise_genus(g)],
+                          lambda g, ribbon: ())
         graphs = [f.graph for f in raised.values()]
     return graphs
+
+
+def _seeds(genus: int, ribbon: bool, tadpoles: bool):
+    """The trivalent graphs of the genus (with tadpoles only if asked),
+    each with its 2^V cyclic orders when ``ribbon`` is set."""
+    for t in _trivalent(genus):
+        if t.has_tadpole and not tadpoles:
+            continue
+        if not ribbon:
+            yield t, None
+            continue
+        for cycles in itertools.product(*(((a, b, c), (a, c, b)) for a, b, c in t.half_edges_at)):
+            yield t, RibbonStructure(t, cycles)
 
 
 def _select(found: dict[str, CanonicalForm], spec: EnumSpec, low: int, cap: int):
@@ -134,13 +196,19 @@ def _weight_zero_graphs(spec: EnumSpec):
     low = max(spec.min_edges, 1)
     # contractions below ``low`` edges are dropped, unless subdivisions follow
     floor = 1 if spec.min_valence == 2 else low
-    found = _closure(_trivalent(g), lambda h: (
-        h.contract(e)[0] for e in range(h.edge_count)
-        if h.edge_count > floor and not h.is_tadpole(e)))
+    # splitting a loopless vertex makes no loop, so a loopless family of
+    # valence >= 3 needs neither tadpole seeds nor contractions that make one
+    loopless = spec.min_valence == 3 and not spec.allow_tadpoles
+    found = _closure(_seeds(g, spec.ribbon, not loopless), lambda h, ribbon: (
+        _contract(h, ribbon, e) for e in range(h.edge_count)
+        if h.edge_count > floor and not h.is_tadpole(e)
+        and not (loopless and h.multiplicities[h.edges[e]] > 1)))
     if spec.min_valence == 2:
-        seeds = [f.graph for f in found.values()] + ([cycle(1)] if g == 1 else [])
-        found = _closure(seeds, lambda h: (
-            _subdivide(h, e) for e in range(h.edge_count) if h.edge_count < cap))
+        seeds = [(f.graph, f.ribbon) for f in found.values()]
+        if g == 1:
+            seeds.append((cycle(1), RibbonStructure(cycle(1), ((0, 1),)) if spec.ribbon else None))
+        found = _closure(seeds, lambda h, ribbon: (
+            _subdivide(h, e, ribbon) for e in range(h.edge_count) if h.edge_count < cap))
     return _select(found, spec, low, cap)
 
 
@@ -151,8 +219,8 @@ def _weighted_graphs(spec: EnumSpec):
     cap = 3 * g - 3
     if spec.max_edges is not None:
         cap = min(cap, spec.max_edges)
-    found = _closure(_trivalent(g), lambda h: (
-        h.contract(e)[0] for e in range(h.edge_count) if h.edge_count > spec.min_edges))
+    found = _closure(_seeds(g, spec.ribbon, True), lambda h, ribbon: (
+        _contract(h, ribbon, e) for e in range(h.edge_count) if h.edge_count > spec.min_edges))
     return _select(found, spec, spec.min_edges, cap)
 
 
@@ -165,13 +233,6 @@ def enumerate_graphs(spec: EnumSpec) -> list[CanonicalForm]:
         result = _weighted_graphs(spec)
     else:
         result = _weight_zero_graphs(spec)
-    if spec.ribbon:
-        expanded = []
-        for form in result:
-            for rib in enumerate_ribbon_structures(form.graph):
-                expanded.append(canonical_form(form.graph, ribbon=rib))
-        expanded.sort(key=lambda f: f.certificate)
-        result = expanded
     _ENUM_CACHE[spec] = tuple(result)
     return list(result)
 
@@ -208,12 +269,12 @@ def enumerate_forests(g: HalfEdgeGraph) -> list[SubgraphMask]:
 
 
 def enumerate_ribbon_structures(g: HalfEdgeGraph) -> list[RibbonStructure]:
-    """Orbit representatives of cyclic-order products under automorphisms."""
+    """Orbit representatives of cyclic-order products under automorphisms:
+    the per-graph oracle for the ribbon closure, not used to enumerate."""
     if not g.is_connected:
         raise ValueError("ribbon enumeration needs a connected graph")
     per_vertex = []
-    for v in range(g.vertex_count):
-        hs = sorted(h for h in range(g.half_edge_count) if g.iota(h) == v)
+    for hs in g.half_edges_at:
         if not hs:
             per_vertex.append([()])
             continue

@@ -62,6 +62,15 @@ class HalfEdgeGraph:
         """The other half of the edge of ``h``."""
         return h ^ 1
 
+    @cached_property
+    def half_edges_at(self):
+        """The half-edges at each vertex, in increasing order."""
+        at = [[] for _ in range(self.vertex_count)]
+        for e, (u, v) in enumerate(self.edges):
+            at[u].append(2 * e)
+            at[v].append(2 * e + 1)
+        return tuple(map(tuple, at))
+
     def is_tadpole(self, e):
         u, v = self.edges[e]
         return u == v

@@ -35,8 +35,8 @@ class RibbonStructure:
             raise ValueError("one cyclic order per vertex required")
         seen = set()
         norm = []
-        for v, cyc in enumerate(self.cycles):
-            if sorted(cyc) != sorted(h for h in range(g.half_edge_count) if g.iota(h) == v):
+        for v, (cyc, own) in enumerate(zip(self.cycles, g.half_edges_at)):
+            if tuple(sorted(cyc)) != own:
                 raise ValueError(f"cycle at vertex {v} must order its own half-edges")
             seen.update(cyc)
             norm.append(_normalize_cycle(tuple(cyc)))

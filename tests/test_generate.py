@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -263,6 +265,53 @@ def test_ribbon_structures_single_edge_and_rose():
         seen |= orbit
         orbits.append(orbit)
     assert len(ribs) == len(orbits)
+
+
+# the ``gch enumerate`` flag sets with ``--ribbon`` (weighted sets min_edges 1)
+RIBBON_FAMILIES = {
+    "ribbon": dict(),
+    "ribbon-tadpoles": dict(allow_tadpoles=True),
+    "bivalent-ribbon": dict(min_valence=2, max_edges=6),
+    "weighted-tadpoles-ribbon": dict(weighted=True, allow_tadpoles=True, min_edges=1),
+}
+
+
+def _ribbon_rows(forms):
+    return [(f.certificate, f.graph, f.ribbon.cycles) for f in forms]
+
+
+@pytest.mark.parametrize("genus,bound", [(1, None), (2, None), (3, None), (4, 5), (4, 7)])
+@pytest.mark.parametrize("family", sorted(RIBBON_FAMILIES))
+def test_ribbon_closure_matches_product_oracle(family, genus, bound):
+    """The ribbon closure equals every cyclic-order product of every plain
+    graph of the family, one per ribbon class."""
+    params = dict(RIBBON_FAMILIES[family])
+    if bound is not None:
+        params["max_edges"] = bound
+    spec = EnumSpec(genus=genus, ribbon=True, **params)
+    plain = enumerate_graphs(dataclasses.replace(spec, ribbon=False))
+    oracle = sorted((canonical_form(f.graph, ribbon=rib)
+                     for f in plain for rib in enumerate_ribbon_structures(f.graph)),
+                    key=lambda f: f.certificate)
+    assert _ribbon_rows(enumerate_graphs(spec)) == _ribbon_rows(oracle)
+
+
+def ribbon_list_sha256(forms):
+    """sha256 of the JSON list of [certificate, vertex count, weights,
+    edges, cycles], one entry per form in order."""
+    rows = [[f.certificate, f.graph.vertex_count, list(f.graph.weights),
+             [list(e) for e in f.graph.edges], [list(c) for c in f.ribbon.cycles]]
+            for f in forms]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_ribbon_genus5_matches_pinned_list():
+    """The genus-5 ribbon graphs of valence >= 3 without tadpoles, pinned
+    from the cyclic-order product enumerator (about 20 s)."""
+    pinned = json.loads((Path(__file__).parent / "fixtures" / "ribbon_genus5.json").read_text())
+    forms = enumerate_graphs(EnumSpec(genus=5, ribbon=True))
+    assert len(forms) == pinned["count"]
+    assert ribbon_list_sha256(forms) == pinned["sha256"]
 
 
 def test_trivalent_loopless_class_counts():

@@ -229,3 +229,16 @@ def test_cleared_ranks_on_rescaled_simplicial_boundaries():
             (i, j): v * scale[k][j] / scale[k - 1][i] for (i, j), v in m.entries.items()})
             for k, m in enumerate(boundaries[1:], start=1)]
         assert _assert_cleared_ranks_exact(rescaled, counts) == dims, trial
+
+
+def test_cleared_ranks_check_catches_wrong_clearing(monkeypatch):
+    """``gch verify``'s cleared-rank check passes, and fails once the
+    clearing drops the rows one past d_k's pivot columns."""
+    from gch import linalg, verify
+
+    assert verify.check_cleared_ranks()
+    real = linalg._integer_rows
+    monkeypatch.setattr(linalg, "_integer_rows", lambda m, drop=frozenset(): real(
+        m, frozenset(c + 1 for c in drop)))
+    with pytest.raises(AssertionError, match="cleared rank of d_"):
+        verify.check_cleared_ranks()
