@@ -17,10 +17,8 @@ from .canonical import (
     CanonicalForm,
     automorphism_group,
     canonical_form,
-    has_odd_symmetry,
 )
 from .orientation import (
-    CycleMatrix,
     Orientation,
     cycle_basis,
     h1_determinant_sign,

@@ -248,7 +248,8 @@ def _ends(g: HalfEdgeGraph) -> list[int]:
 
 def _least_traversals(g: HalfEdgeGraph, ribbon: RibbonStructure):
     """Every traversal with the least encoding, by start half-edge.  Each
-    traversal stops as soon as its prefix exceeds the least so far."""
+    traversal stops as soon as its prefix exceeds the least so far.  A
+    graph without half-edges (one vertex) has one empty traversal."""
     nxt = ribbon.next_map
     weight = [g.weights[v] for v in _ends(g)]
     least: list = []
@@ -260,7 +261,7 @@ def _least_traversals(g: HalfEdgeGraph, ribbon: RibbonStructure):
             least.append(run)
         else:
             least = [run]
-    return least
+    return least or [([], [])]
 
 
 def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
@@ -280,14 +281,11 @@ def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
     order = _least_traversals(g, ribbon)[0][1]
     ends = _ends(g)
 
-    # vertices and edges ranked by their first-visited half-edge
-    vperm = [-1] * g.vertex_count
-    rank = 0
-    for h in order:
-        v = ends[h]
-        if vperm[v] < 0:
-            vperm[v] = rank
-            rank += 1
+    # vertices and edges ranked by their first-visited half-edge; the one
+    # vertex of a graph without edges keeps rank 0
+    vperm = [0] * g.vertex_count
+    for rank, v in enumerate(dict.fromkeys(ends[h] for h in order)):
+        vperm[v] = rank
     hmap = [-1] * g.half_edge_count
     new_edges = []
     for a in order:
@@ -460,45 +458,6 @@ def automorphism_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) 
             gens.append(_flip_tadpole_morphism(g, members[0]))
             kernel *= 2 ** len(members)
     return AutGroup(graph=g, generators=tuple(gens), order=len(vertex_auts) * kernel)
-
-
-def restricted_edge_sign(m: Morphism, domain) -> int:
-    """Parity of the edge action restricted to an invariant edge set."""
-    from .orientation import perm_parity
-
-    dom = sorted(domain)
-    images = [m.edge_action[e] for e in dom]
-    if sorted(images) != dom:
-        raise ValueError("edge set is not invariant under the morphism")
-    return perm_parity(images)
-
-
-def automorphism_h1_sign(m: Morphism) -> int:
-    from .orientation import h1_determinant_sign, reference_orientation
-
-    ref = reference_orientation(m.source)
-    return h1_determinant_sign(m, ref, ref)
-
-
-def has_odd_symmetry(g: HalfEdgeGraph, parity: str,
-                     ribbon: RibbonStructure | None = None) -> bool:
-    """Whether some (ribbon) automorphism has total sign -1.
-
-    Even parity looks at the sign of the edge permutation.  Odd parity
-    multiplies in the sign of the determinant of the induced action on the
-    cycle space.  Both are group homomorphisms to {+1,-1}, so checking
-    generators suffices.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"unknown parity {parity!r}")
-    domain = range(g.edge_count)
-    for m in automorphism_group(g, ribbon).generators:
-        sign = restricted_edge_sign(m, domain)
-        if parity == "odd":
-            sign *= automorphism_h1_sign(m)
-        if sign == -1:
-            return True
-    return False
 
 
 def edge_action_closure(group: AutGroup) -> list[tuple[tuple[int, ...], Morphism]]:

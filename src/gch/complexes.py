@@ -227,18 +227,15 @@ class GraphContext:
 
     @cached_property
     def lifts(self):
-        """(automorphism, edge parity) for each nontrivial symmetry: the
-        ribbon automorphisms of a ribbon form, otherwise the canonical lifts
-        of the vertex automorphisms, which are the generators of Aut that
-        move a vertex."""
+        """The nontrivial symmetries: the ribbon automorphisms of a ribbon
+        form, otherwise the canonical lifts of the vertex automorphisms,
+        which are the generators of Aut that move a vertex."""
         g = self.graph
         if self.form.ribbon is not None:
             identity = tuple(range(g.half_edge_count))
-            auts = [m for m in self.group.generators if m.half_edge_map != identity]
-        else:
-            identity = tuple(range(g.vertex_count))
-            auts = [m for m in self.group.generators if m.vertex_map != identity]
-        return [(m, perm_parity(m.edge_action)) for m in auts]
+            return [m for m in self.group.generators if m.half_edge_map != identity]
+        identity = tuple(range(g.vertex_count))
+        return [m for m in self.group.generators if m.vertex_map != identity]
 
     def aut_h1(self, m) -> int:
         """Sign of an automorphism on det H_1, cached by its half-edge map."""
@@ -270,16 +267,30 @@ class GraphContext:
             self._witness[key] = hit
         return hit
 
-    def pair_vanishes(self, subset: tuple[int, ...], parity: str) -> bool:
-        """Whether the pair (graph, subset) is zero: :meth:`witness` as a flag."""
-        return bool(self.witness(parity, subset))
-
     def _symmetry_signs(self, subset, odd):
         """(kind, orientation sign) of symmetries generating the stabilizer
         of the subset.  A swap of two parallel edges or a tadpole flip acts
-        on H_1 by -1; a lift's H_1 sign is computed for odd parity only."""
+        on H_1 by -1; a lift's H_1 sign is computed for odd parity only.
+
+        A vertex automorphism stabilizes the subset through its
+        subset-aware lift, which differs from the canonical lift by swaps
+        inside parallel classes; each swap acts by -1 on H_1.  The H_1
+        sign is taken from the canonical lift, which changes no verdict
+        and no witness kind:
+
+        * If the graph has a tadpole, or a parallel class has two edges off
+          the subset, the tadpole flip or the off-subset swap comes before
+          the lifts and already witnesses for odd parity.
+        * Otherwise each class has at most one edge off the subset, at
+          position p_c among its members.  The two lifts differ on class c
+          by the shift that carries p_c to p_pi(c) and keeps the other
+          members in order, of parity (-1)^(p_c - p_pi(c)).  These sum to
+          zero around each cycle of classes under the vertex permutation
+          pi, so the swaps that separate the two lifts cancel, and the two
+          lifts have the same H_1 sign.
+        """
         if self.form.ribbon is not None:
-            for m, _ in self.lifts:
+            for m in self.lifts:
                 images = [m.edge_action[e] for e in subset]
                 if sorted(images) == list(subset):
                     yield "ribbon", perm_parity(images) * (self.aut_h1(m) if odd else 1)
@@ -294,16 +305,12 @@ class GraphContext:
                 yield "swap", cycle_sign
         if self.graph.has_tadpole:
             yield "flip", cycle_sign
-        for lift, lift_parity in self.lifts:
+        for lift in self.lifts:
             action = self._subset_aware_action(lift.vertex_map, inside)
             if action is None:
                 continue
             sign = perm_parity([action[e] for e in subset])
-            if odd:
-                # the subset-aware lift differs from the canonical lift by
-                # parallel swaps, each acting by -1 on both edges and H_1
-                sign *= self.aut_h1(lift) * lift_parity * perm_parity(action)
-            yield "lift", sign
+            yield "lift", sign * (self.aut_h1(lift) if odd else 1)
 
     def stabilizer_order(self, subset) -> int:
         """Order of the automorphisms of a plain form that map the edge
@@ -311,7 +318,7 @@ class GraphContext:
         lift, times the permutations of each parallel class that keep the
         subset, times the flips of its tadpoles."""
         inside = frozenset(subset)
-        order = 1 + sum(1 for lift, _ in self.lifts
+        order = 1 + sum(1 for lift in self.lifts
                         if self._subset_aware_action(lift.vertex_map, inside) is not None)
         for (u, v), members in self.classes.items():
             cin = sum(1 for e in members if e in inside)

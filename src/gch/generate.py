@@ -5,12 +5,15 @@ apart by certificate.  Three moves cover every family:
 
 * **Genus raising.**  The trivalent graphs of genus 2, tadpoles allowed,
   are the theta and the dumbbell.  One genus up, join the midpoints of two
-  edges (possibly the same edge) by a new edge, or hang a tadpole on the
-  midpoint of an edge, once per automorphism orbit of edges or edge
-  pairs.  Every trivalent graph of genus g >= 3 arises so:
-  deleting a tadpole with its stem, or any non-bridge edge, and smoothing
-  the bivalent vertices left behind gives a connected trivalent graph of
-  genus g - 1 from which one of the two moves rebuilds it.
+  distinct edges by a new edge, or hang a tadpole on the midpoint of an
+  edge, once per automorphism orbit of edges or edge pairs.  Every
+  trivalent graph of genus g >= 3 arises so.  It has a tadpole, or a
+  non-bridge edge with no parallel partner: otherwise every 2-edge-connected
+  block is a digon attached by two bridges, and a leaf of the bridge tree
+  would be a vertex of valence 1.  Deleting such an edge, or a tadpole
+  with its stem, and smoothing the bivalent vertices left behind gives a
+  connected trivalent graph of genus g - 1.  A join of two distinct edges,
+  or a tadpole hang, rebuilds the graph from it.
 * **Collapse closure.**  The moduli space of stable tropical curves of
   genus g is pure of dimension 3g - 4 (Chan-Galatius-Payne), so every
   stable weighted graph is a contraction of a trivalent weight-zero one:
@@ -145,9 +148,7 @@ def _raise_genus(g: HalfEdgeGraph):
     for (i,) in _orbit_representatives(perms, itertools.combinations(range(g.edge_count), 1)):
         s, _ = _subdivide(g, i)
         yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1), (n + 1, n + 1)))
-    # i == j puts the second midpoint on the first half of edge i
-    for i, j in _orbit_representatives(
-            perms, itertools.combinations_with_replacement(range(g.edge_count), 2)):
+    for i, j in _orbit_representatives(perms, itertools.combinations(range(g.edge_count), 2)):
         s, _ = _subdivide(_subdivide(g, i)[0], j)
         yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1),))
 

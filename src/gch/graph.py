@@ -87,19 +87,8 @@ class HalfEdgeGraph:
         return self.valences[v]
 
     @cached_property
-    def tadpole_counts(self):
-        t = [0] * self.vertex_count
-        for u, v in self.edges:
-            if u == v:
-                t[u] += 1
-        return tuple(t)
-
-    @cached_property
     def has_tadpole(self):
         return any(u == v for u, v in self.edges)
-
-    def incident_edges(self, v):
-        return tuple(i for i, (a, b) in enumerate(self.edges) if a == v or b == v)
 
     @cached_property
     def multiplicities(self):
@@ -151,20 +140,6 @@ class HalfEdgeGraph:
         return all(2 * w + val > 2 for w, val in zip(self.weights, self.valences))
 
     # -- rebuilding ------------------------------------------------------
-
-    def relabel(self, perm):
-        """New graph with vertex ``i`` renamed ``perm[i]``; edge order kept."""
-        weights = [0] * self.vertex_count
-        for i, w in enumerate(self.weights):
-            weights[perm[i]] = w
-        edges = tuple((perm[u], perm[v]) for u, v in self.edges)
-        return HalfEdgeGraph(self.vertex_count, tuple(weights), edges)
-
-    def delete_edges(self, dropped):
-        """Remove the given edge indices, keeping all vertices."""
-        dropped = set(dropped)
-        edges = tuple(e for i, e in enumerate(self.edges) if i not in dropped)
-        return HalfEdgeGraph(self.vertex_count, self.weights, edges)
 
     def contract(self, e):
         """Contract edge ``e`` and return ``(graph, morphism)``.

@@ -42,9 +42,6 @@ class CellPoset:
     def max_dimension(self) -> int:
         return max((n.dimension for n in self.nodes), default=-1)
 
-    def weight_stratum(self, k: int) -> list[PosetNode]:
-        return [n for n in self.nodes if n.weight_total == k]
-
     def positive_weight_subcomplex(self) -> list[PosetNode]:
         return [n for n in self.nodes if n.weight_total >= 1]
 

@@ -100,14 +100,6 @@ class Orientation:
         return self.edge_order.index(e) + 1
 
 
-@dataclass(frozen=True)
-class CycleMatrix:
-    """Rows are cycles, columns directed edges; entries -1/0/1."""
-
-    rows: tuple[tuple[tuple[int, int], ...], ...]  # per row: ((edge, coeff), ...)
-    edge_count: int
-
-
 def spanning_tree(g: HalfEdgeGraph, prefer: int | None = None) -> frozenset[int]:
     """Kruskal spanning tree in edge order, optionally seeded with one edge."""
     parent = list(range(g.vertex_count))
@@ -175,8 +167,9 @@ def _tree_paths(g: HalfEdgeGraph, tree: frozenset[int]):
     return parent_edge, parent_vertex, depth
 
 
-def cycle_basis(g: HalfEdgeGraph, orientation: Orientation) -> CycleMatrix:
-    """One row per complement edge: its directed cycle through the tree.
+def cycle_basis(g: HalfEdgeGraph, orientation: Orientation):
+    """One row per complement edge: its directed cycle through the tree,
+    as sorted ``(edge, coefficient)`` pairs.
 
     The coefficient on an edge is +1 when the cycle traverses it along the
     reference direction (lower to higher endpoint), -1 against it.
@@ -215,7 +208,7 @@ def cycle_basis(g: HalfEdgeGraph, orientation: Orientation) -> CycleMatrix:
         for e2, s in up_y:
             coeff[e2] = coeff.get(e2, 0) - s
         rows.append(tuple(sorted((k, v) for k, v in coeff.items() if v)))
-    return CycleMatrix(rows=tuple(rows), edge_count=g.edge_count)
+    return tuple(rows)
 
 
 def _image_row(row, m: Morphism):
@@ -239,7 +232,7 @@ def h1_determinant_sign(m: Morphism, orient_src: Orientation, orient_dst: Orient
     (isomorphisms, and collapse maps once the collapsed edge lies in the
     source tree).
     """
-    src_rows = cycle_basis(orient_src.graph, orient_src).rows
+    src_rows = cycle_basis(orient_src.graph, orient_src)
     h = len(src_rows)
     if len(orient_dst.comp_order) != h:
         raise ValueError("cycle ranks differ")
@@ -296,7 +289,7 @@ def exchange_rebase(orientation: Orientation, tree: frozenset[int]) -> tuple[Ori
             raise RuntimeError("tree exchange failed to terminate")
         enter = min(e for e in tree if e not in cur.tree)
         pos = cur.comp_order.index(enter)
-        row = dict(cycle_basis(g, cur).rows[pos])
+        row = dict(cycle_basis(g, cur)[pos])
         leave = min(e for e in row if e in cur.tree and e not in tree)
         new_tree = frozenset(set(cur.tree) - {leave} | {enter})
         # the leaving edge inherits the direction it had inside the old cycle

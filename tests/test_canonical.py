@@ -2,12 +2,8 @@ import random
 
 import pytest
 
-from gch.canonical import (
-    automorphism_group,
-    canonical_form,
-    edge_action_closure,
-    has_odd_symmetry,
-)
+from gch.canonical import automorphism_group, canonical_form, edge_action_closure
+from gch.complexes import context_for_graph, generator_vanishes
 from gch.families import (
     banana,
     cycle,
@@ -19,59 +15,7 @@ from gch.families import (
     wheel,
 )
 from gch.graph import HalfEdgeGraph
-
-
-def brute_force_automorphism_count(g):
-    """Count all half-edge bijections commuting with incidence and involution."""
-    n = g.half_edge_count
-    count = 0
-
-    def vertex_ok(h, t, hmap):
-        if g.weights[g.iota(h)] != g.weights[g.iota(t)]:
-            return False
-        if g.valences[g.iota(h)] != g.valences[g.iota(t)]:
-            return False
-        for x in range(n):
-            if hmap[x] is None:
-                continue
-            if (g.iota(x) == g.iota(h)) != (g.iota(hmap[x]) == g.iota(t)):
-                return False
-        return True
-
-    def extend(hmap, used):
-        nonlocal count
-        h = next((i for i in range(n) if hmap[i] is None), None)
-        if h is None:
-            count += 1
-            return
-        partner = hmap[h ^ 1]
-        for t in range(n):
-            if used[t]:
-                continue
-            if partner is not None and partner != t ^ 1:
-                continue
-            if not vertex_ok(h, t, hmap):
-                continue
-            hmap[h] = t
-            used[t] = True
-            extend(hmap, used)
-            hmap[h] = None
-            used[t] = False
-
-    extend([None] * n, [False] * n)
-    return max(count, 1)
-
-
-def shuffled_copy(g, rng):
-    perm = list(range(g.vertex_count))
-    rng.shuffle(perm)
-    edges = [(perm[u], perm[v]) for u, v in g.edges]
-    rng.shuffle(edges)
-    weights = [0] * g.vertex_count
-    for v, w in enumerate(g.weights):
-        weights[perm[v]] = w
-    return HalfEdgeGraph.build(g.vertex_count, edges, weights)
-
+from gch.oracle import automorphism_sign, half_edge_automorphisms, relabeled
 
 SMALL_GRAPHS = [
     single_edge(),
@@ -95,7 +39,7 @@ def test_certificate_relabeling_invariance(g):
     rng = random.Random(7)
     cert = canonical_form(g).certificate
     for _ in range(25):
-        assert canonical_form(shuffled_copy(g, rng)).certificate == cert
+        assert canonical_form(relabeled(g, rng)).certificate == cert
 
 
 def test_certificates_distinguish():
@@ -131,7 +75,7 @@ def test_automorphism_group_orders(g, order):
 
 @pytest.mark.parametrize("g", SMALL_GRAPHS, ids=lambda g: str(g))
 def test_automorphism_order_matches_brute_force(g):
-    assert automorphism_group(g).order == brute_force_automorphism_count(g)
+    assert automorphism_group(g).order == len(half_edge_automorphisms(g))
 
 
 def test_generators_are_automorphisms():
@@ -158,8 +102,6 @@ def test_edge_action_examples():
 
 
 def test_stabilizer_order_examples():
-    from gch.complexes import context_for_graph
-
     ctx = context_for_graph(theta())
     assert ctx.stabilizer_order((0,)) == 4
     full = automorphism_group(ctx.graph).order
@@ -182,58 +124,18 @@ def test_stabilizer_order_examples():
         (rose(1), "even", False),
     ],
 )
-def test_has_odd_symmetry(g, parity, expected):
-    assert has_odd_symmetry(g, parity) is expected
+def test_generator_vanishes_by_odd_symmetry(g, parity, expected):
+    assert generator_vanishes(g, parity)[0] is expected
 
 
 def test_odd_symmetry_oracle_equivalence():
-    """Even case: odd symmetry iff some brute-force element has odd edge sign."""
-    from gch.orientation import perm_parity
-
+    """Even case: a graph vanishes iff some automorphism found by the oracle
+    permutes its edges oddly."""
     for g in SMALL_GRAPHS:
-        n = g.half_edge_count
-        found = False
-
-        def edge_sign_of(hmap):
-            return perm_parity([hmap[2 * e] >> 1 for e in range(g.edge_count)])
-
-        def vertex_ok(h, t, hmap):
-            if g.weights[g.iota(h)] != g.weights[g.iota(t)]:
-                return False
-            if g.valences[g.iota(h)] != g.valences[g.iota(t)]:
-                return False
-            for x in range(n):
-                if hmap[x] is None:
-                    continue
-                if (g.iota(x) == g.iota(h)) != (g.iota(hmap[x]) == g.iota(t)):
-                    return False
-            return True
-
-        def extend(hmap, used):
-            nonlocal found
-            if found:
-                return
-            h = next((i for i in range(n) if hmap[i] is None), None)
-            if h is None:
-                if edge_sign_of(hmap) == -1:
-                    found = True
-                return
-            partner = hmap[h ^ 1]
-            for t in range(n):
-                if used[t]:
-                    continue
-                if partner is not None and partner != t ^ 1:
-                    continue
-                if not vertex_ok(h, t, hmap):
-                    continue
-                hmap[h] = t
-                used[t] = True
-                extend(hmap, used)
-                hmap[h] = None
-                used[t] = False
-
-        extend([None] * n, [False] * n)
-        assert has_odd_symmetry(g, "even") is found, str(g)
+        edges = range(g.edge_count)
+        found = any(automorphism_sign(aut, edges, False) == -1
+                    for aut in half_edge_automorphisms(g))
+        assert bool(context_for_graph(g).witness("even")) is found, str(g)
 
 
 def test_edge_action_closure_sizes():

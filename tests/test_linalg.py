@@ -6,25 +6,7 @@ import pytest
 
 from gch.complexes import KINDS, ComplexSpec, build_complex
 from gch.linalg import SparseMatrix, boundary_ranks, homology_dims, multiply, rank
-
-
-def dense_rank_oracle(m: SparseMatrix) -> int:
-    """Plain Gaussian elimination over Fractions."""
-    a = m.dense()
-    rows, cols = m.rows, m.cols
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
+from gch.oracle import dense_rank
 
 
 def random_sparse(rng, rows, cols, density=0.2, magnitude=9):
@@ -50,7 +32,7 @@ def test_rank_random_matches_dense_oracle():
         rows = rng.randint(1, 20)
         cols = rng.randint(1, 20)
         m = random_sparse(rng, rows, cols, density=rng.choice([0.1, 0.3, 0.7]))
-        assert rank(m) == dense_rank_oracle(m), (trial, m.entries)
+        assert rank(m) == dense_rank(m.dense()), (trial, m.entries)
 
 
 def test_rank_rational_entries():
@@ -61,7 +43,7 @@ def test_rank_rational_entries():
             if rng.random() < 0.5:
                 entries[(i, j)] = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
     m = SparseMatrix(8, 8, entries)
-    assert rank(m) == dense_rank_oracle(m)
+    assert rank(m) == dense_rank(m.dense())
 
 
 def test_rank_invariances():
@@ -155,7 +137,7 @@ def test_dense_oracle_is_exact_on_integer_entries():
         entries = {(i, j): rng.randint(-9, 9) for i in range(rows) for j in range(cols)
                    if rng.random() < 0.5}
         m = SparseMatrix(rows, cols, entries)
-        assert rank(m) == dense_rank_oracle(m), trial
+        assert rank(m) == dense_rank(m.dense()), trial
 
 
 def _signed_permuted(rng, boundaries, counts):
@@ -174,7 +156,7 @@ def _signed_permuted(rng, boundaries, counts):
 def _assert_cleared_ranks_exact(boundaries, counts):
     ranks, dims = boundary_ranks(boundaries, counts)
     for k, m in enumerate(boundaries[1:], start=1):
-        expected = 0 if m is None else dense_rank_oracle(m)
+        expected = 0 if m is None else dense_rank(m.dense())
         assert ranks[k] == expected == (0 if m is None else rank(m)), k
     return dims
 

@@ -7,6 +7,7 @@ from gch.canonical import automorphism_group, canonical_form
 from gch.families import banana, cycle, dumbbell, rose, theta, triangle_with_doubled_edge, wheel
 from gch.graph import HalfEdgeGraph, identity_morphism
 from gch.linalg import SparseMatrix, rank
+from gch.oracle import automorphism_sign, half_edge_automorphisms
 from gch.orientation import (
     Orientation,
     cycle_basis,
@@ -21,8 +22,8 @@ from gch.orientation import (
 )
 
 
-def rows_as_dicts(matrix):
-    return [dict(row) for row in matrix.rows]
+def rows_as_dicts(rows):
+    return [dict(row) for row in rows]
 
 
 def test_cycle_basis_theta():
@@ -44,9 +45,9 @@ def test_cycle_basis_rose_is_identity():
 
 def test_cycle_matrix_rank():
     g = wheel(4)
-    m = cycle_basis(g, reference_orientation(g))
-    entries = {(i, e): c for i, row in enumerate(m.rows) for e, c in row}
-    assert rank(SparseMatrix(len(m.rows), m.edge_count, entries)) == g.loop_number == 4
+    rows = cycle_basis(g, reference_orientation(g))
+    entries = {(i, e): c for i, row in enumerate(rows) for e, c in row}
+    assert rank(SparseMatrix(len(rows), g.edge_count, entries)) == g.loop_number == 4
 
 
 def test_h1_sign_identity():
@@ -165,26 +166,17 @@ def test_collapse_sign_against_brute_force_table():
 
 def odd_total_sign(m):
     """Edge-permutation parity times the cycle-space determinant sign."""
-    from gch.canonical import automorphism_h1_sign, restricted_edge_sign
+    ref = reference_orientation(m.source)
+    return perm_parity(m.edge_action) * h1_determinant_sign(m, ref, ref)
 
-    return restricted_edge_sign(m, range(m.source.edge_count)) * automorphism_h1_sign(m)
 
-
-def direction_oracle_sign(m):
-    """Vertex-order parity times the edge-direction flip parity.
-
-    For any automorphism this equals the edge-order-and-cycle-orientation
-    sign; the test graphs exercise tadpole flips, parallel swaps, rotations
-    and reflections.
-    """
-    g = m.source
-    vsign = perm_parity(list(m.vertex_map))
-    dsign = 1
-    for e in range(g.edge_count):
-        img = m.half_edge_map[2 * e]
-        if img != 2 * (img >> 1):
-            dsign = -dsign
-    return vsign * dsign
+def oracle_odd_sign(m, autos):
+    """The oracle's C_1.C_0 sign of an automorphism on all edges, for odd
+    parity; the automorphism must be among the oracle's ``autos``."""
+    firsts = m.half_edge_map[::2]
+    aut = ([h >> 1 for h in firsts], sum(h & 1 for h in firsts), list(m.vertex_map))
+    assert aut in autos
+    return automorphism_sign(aut, range(m.source.edge_count), odd=True)
 
 
 @pytest.mark.parametrize(
@@ -194,6 +186,10 @@ def direction_oracle_sign(m):
     ids=lambda g: str(g),
 )
 def test_odd_sign_matches_direction_oracle(g):
+    """The oracle's sign is the vertex-order parity times the edge-direction
+    flips; the graphs exercise tadpole flips, parallel swaps, rotations and
+    reflections."""
+    autos = half_edge_automorphisms(g)
     gens = automorphism_group(g).generators
     rng = random.Random(11)
     elements = list(gens)
@@ -202,7 +198,7 @@ def test_odd_sign_matches_direction_oracle(g):
         b = rng.choice(elements)
         elements.append(a.compose(b))
     for m in elements:
-        assert odd_total_sign(m) == direction_oracle_sign(m)
+        assert odd_total_sign(m) == oracle_odd_sign(m, autos)
 
 
 def test_even_sign_ignores_cycle_data():
