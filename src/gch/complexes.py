@@ -31,7 +31,13 @@ Every kind is built from the same three rules, all on
   the sign of the symmetry that aligns the target subset);
 * **subset orbits** (``GraphContext.subset_orbits``): the cube kinds and
   the cubical catalogs of :mod:`gch.moduli` take the same orbit
-  representatives of forests or proper subsets.
+  representatives of forests or proper subsets, walked once per context.
+  A subset is a mask with edge e at bit E-1-e, so the representative, the
+  lexicographically least subset of its orbit, is its largest mask.  The
+  first lookup of a subset enters its whole orbit, each member with the
+  least closure index k that carries it onto the representative; a face
+  is found by clearing a bit (deletion) or mapping the mask through the
+  collapse, and aligned by that p_k.
 
 A context computes its form's automorphism group once, and the same group
 gives the symmetries of the vanishing rule, the subset orbits and the
@@ -59,7 +65,7 @@ from .canonical import (
     edge_action_closure,
     edge_classes,
 )
-from .generate import EnumSpec, enumerate_forests, enumerate_graphs
+from .generate import EnumSpec, enumerate_graphs
 from .graph import HalfEdgeGraph
 from .linalg import SparseMatrix, boundary_ranks, multiply
 from .orientation import (
@@ -199,6 +205,10 @@ class GraphContext:
     takes parallel-edge swaps, tadpole flips and lifts of vertex
     automorphisms, and contracts plainly.  Both come from one
     automorphism group per context.
+
+    Edge subsets are also held as masks, edge e at bit E-1-e of an
+    E-edge graph, so that among subsets of one size the lexicographically
+    least sorted subset has the largest mask.
     """
 
     def __init__(self, form: CanonicalForm):
@@ -209,7 +219,6 @@ class GraphContext:
         self._collapse_h1: dict[int, int] = {}
         self._aut_h1: dict[tuple, int] = {}
         self._witness: dict[tuple, str] = {}
-        self._subset_canon: dict[tuple[int, ...], tuple] = {}
 
     @cached_property
     def classes(self):
@@ -237,6 +246,19 @@ class GraphContext:
         identity = tuple(range(g.vertex_count))
         return [m for m in self.group.generators if m.vertex_map != identity]
 
+    @cached_property
+    def _lift_classes(self):
+        """Each lift of a plain form with the index, in ``classes``, of the
+        image of every parallel class under its vertex permutation."""
+        position = {key: i for i, key in enumerate(self.classes)}
+        out = []
+        for lift in self.lifts:
+            perm = lift.vertex_map
+            out.append((lift, tuple(position[(perm[u], perm[v]) if perm[u] <= perm[v]
+                                             else (perm[v], perm[u])]
+                                    for u, v in self.classes)))
+        return out
+
     def aut_h1(self, m) -> int:
         """Sign of an automorphism on det H_1, cached by its half-edge map."""
         h = self._aut_h1.get(m.half_edge_map)
@@ -256,11 +278,11 @@ class GraphContext:
         the subset reverses that orientation: the parity of the symmetry on
         the subset, times for odd parity its sign on H_1, is -1.
         """
-        if subset is None:
-            subset = tuple(range(self.graph.edge_count))
         key = (subset, parity)
         hit = self._witness.get(key)
         if hit is None:
+            if subset is None:
+                subset = tuple(range(self.graph.edge_count))
             hit = next((_WITNESS[kind, parity]
                         for kind, sign in self._symmetry_signs(subset, parity == "odd")
                         if sign == -1), "")
@@ -272,11 +294,14 @@ class GraphContext:
         of the subset.  A swap of two parallel edges or a tadpole flip acts
         on H_1 by -1; a lift's H_1 sign is computed for odd parity only.
 
-        A vertex automorphism stabilizes the subset through its
-        subset-aware lift, which differs from the canonical lift by swaps
-        inside parallel classes; each swap acts by -1 on H_1.  The H_1
-        sign is taken from the canonical lift, which changes no verdict
-        and no witness kind:
+        A vertex automorphism stabilizes the subset exactly when its class
+        permutation keeps the number of subset edges in each parallel
+        class.  It then does so through its subset-aware lift, which maps
+        the subset members of each class, in index order, onto those of
+        the image class, and the complement likewise.  That lift differs
+        from the canonical lift by swaps inside parallel classes; each swap
+        acts by -1 on H_1.  The H_1 sign is taken from the canonical lift,
+        which changes no verdict and no witness kind:
 
         * If the graph has a tadpole, or a parallel class has two edges off
           the subset, the tadpole flip or the off-subset swap comes before
@@ -296,62 +321,48 @@ class GraphContext:
                     yield "ribbon", perm_parity(images) * (self.aut_h1(m) if odd else 1)
             return
         cycle_sign = -1 if odd else 1
-        inside = frozenset(subset)
-        for members in self.classes.values():
-            cin = sum(1 for e in members if e in inside)
-            if cin >= 2:
+        inside = self._inside_classes(subset)
+        for members, cin in zip(self.classes.values(), inside):
+            if len(cin) >= 2:
                 yield "swap", -cycle_sign
-            if len(members) - cin >= 2:
+            if len(members) - len(cin) >= 2:
                 yield "swap", cycle_sign
         if self.graph.has_tadpole:
             yield "flip", cycle_sign
-        for lift in self.lifts:
-            action = self._subset_aware_action(lift.vertex_map, inside)
-            if action is None:
-                continue
-            sign = perm_parity([action[e] for e in subset])
-            yield "lift", sign * (self.aut_h1(lift) if odd else 1)
+        lifts = self._stabilizing_lifts([len(cin) for cin in inside])
+        if not lifts:
+            return
+        # the subset-aware lift carries the subset, listed class by class,
+        # onto the same listing of the image classes
+        source = _sequence_parity([e for cin in inside for e in cin])
+        for lift, image in lifts:
+            target = _sequence_parity([e for j in image for e in inside[j]])
+            yield "lift", (-1 if source ^ target else 1) * (self.aut_h1(lift) if odd else 1)
+
+    def _inside_classes(self, subset) -> list[list[int]]:
+        """The subset's edges in each parallel class, in index order."""
+        inside = frozenset(subset)
+        return [[e for e in members if e in inside] for members in self.classes.values()]
+
+    def _stabilizing_lifts(self, counts):
+        """The lifts, with their class images, whose vertex automorphism
+        stabilizes a subset with these subset counts per parallel class:
+        those whose class permutation keeps the counts."""
+        return [(lift, image) for lift, image in self._lift_classes
+                if list(map(counts.__getitem__, image)) == counts]
 
     def stabilizer_order(self, subset) -> int:
         """Order of the automorphisms of a plain form that map the edge
-        subset onto itself: the vertex automorphisms with a subset-aware
-        lift, times the permutations of each parallel class that keep the
+        subset onto itself: the vertex automorphisms that stabilize it,
+        times the permutations of each parallel class that keep the
         subset, times the flips of its tadpoles."""
-        inside = frozenset(subset)
-        order = 1 + sum(1 for lift in self.lifts
-                        if self._subset_aware_action(lift.vertex_map, inside) is not None)
-        for (u, v), members in self.classes.items():
-            cin = sum(1 for e in members if e in inside)
+        counts = [len(cin) for cin in self._inside_classes(subset)]
+        order = 1 + len(self._stabilizing_lifts(counts))
+        for ((u, v), members), cin in zip(self.classes.items(), counts):
             order *= math.factorial(cin) * math.factorial(len(members) - cin)
             if u == v:
                 order *= 2 ** len(members)
         return order
-
-    def _subset_aware_action(self, perm, inside):
-        """Edge action of the subset-aware lift of a vertex permutation.
-
-        Within every parallel class, subset members map to subset members of
-        the image class in index order, complement to complement; returns
-        None when the permutation cannot stabilize the subset.
-        """
-        action = [0] * self.graph.edge_count
-        for (u, v), members in self.classes.items():
-            a, b = perm[u], perm[v]
-            key = (a, b) if a <= b else (b, a)
-            targets = self.classes.get(key)
-            if targets is None or len(targets) != len(members):
-                return None
-            src_in = [e for e in members if e in inside]
-            src_out = [e for e in members if e not in inside]
-            dst_in = [e for e in targets if e in inside]
-            dst_out = [e for e in targets if e not in inside]
-            if len(src_in) != len(dst_in):
-                return None
-            for e, f in zip(src_in, dst_in):
-                action[e] = f
-            for e, f in zip(src_out, dst_out):
-                action[e] = f
-        return action
 
     # -- collapses --------------------------------------------------------
 
@@ -383,51 +394,149 @@ class GraphContext:
     # -- subset orbits (cube pairs) ---------------------------------------
 
     @cached_property
+    def bits(self):
+        """The mask bit of each edge."""
+        return tuple(1 << (self.graph.edge_count - 1 - e) for e in range(self.graph.edge_count))
+
+    def mask_of(self, subset) -> int:
+        return sum(map(self.bits.__getitem__, subset))
+
+    def subset_of(self, mask: int) -> tuple[int, ...]:
+        return tuple(e for e, bit in enumerate(self.bits) if mask & bit)
+
+    @cached_property
     def closure(self):
         """All edge permutations of Aut, each with a witness morphism."""
         return edge_action_closure(self.group)
 
-    def subset_canonical(self, subset) -> tuple[tuple[int, ...], int]:
-        """Orbit-minimal representative of an edge subset and the index of
-        a closure element carrying the subset onto it."""
-        skey = tuple(sorted(subset))
-        hit = self._subset_canon.get(skey)
-        if hit is not None:
-            return hit
-        best = None
-        best_idx = 0
-        for idx, (p, _) in enumerate(self.closure):
-            image = tuple(sorted(p[e] for e in skey))
-            if best is None or image < best:
-                best, best_idx = image, idx
-        result = ((best if best is not None else ()), best_idx)
-        self._subset_canon[skey] = result
-        return result
+    @cached_property
+    def _orbit(self) -> dict[int, tuple[int, int, int]]:
+        """Subset mask -> (representative, k, parity), filled an orbit at
+        a time by ``_fill_orbit``."""
+        return {}
+
+    @cached_property
+    def _inverse_bits(self):
+        """For closure element k, the mask bit of p_k^-1(e) at index e."""
+        out = []
+        for p, _ in self.closure:
+            bits = [0] * len(p)
+            for f, image in enumerate(p):
+                bits[image] = self.bits[f]
+            out.append(bits)
+        return out
+
+    def canonical_mask(self, mask: int) -> tuple[int, int, int]:
+        """(representative, k, parity) for an edge-subset mask T.
+
+        The representative R is the largest mask in the orbit of T, its
+        lexicographically least subset; k is the least closure index with
+        p_k(T) = R; parity is that of p_k from T onto R, both in edge
+        order (0 even, 1 odd).  A miss fills the whole orbit.
+        """
+        hit = self._orbit.get(mask)
+        if hit is None:
+            edges = self.subset_of(mask)
+            rep = max(sum(bits[e] for e in edges) for bits in self._inverse_bits)
+            self._fill_orbit(rep, self.subset_of(rep))
+            hit = self._orbit[mask]
+        return hit
+
+    def _fill_orbit(self, rep: int, edges: tuple[int, ...]) -> None:
+        """Enter every member of the orbit of a representative, given by
+        its mask and its edges.
+
+        The k with p_k(T) = R are those with T = p_k^-1(R), so walking k
+        upwards and keeping the first k that reaches each member gives the
+        least one.  Its parity is that of p_k^-1 on R in edge order."""
+        table = self._orbit
+        for k, bits in enumerate(self._inverse_bits):
+            image = 0
+            for e in edges:
+                image |= bits[e]
+            if image in table:
+                continue
+            seen = inversions = 0
+            for e in edges:
+                bit = bits[e]
+                inversions += (seen & (bit - 1)).bit_count()
+                seen |= bit
+            table[image] = (rep, k, inversions & 1)
 
     def subset_orbits(self, forests_only: bool) -> list[tuple[int, ...]]:
         """Orbit representatives of the forests, or of the proper edge
-        subsets, in order of first appearance by size."""
-        e = self.graph.edge_count
-        if forests_only:
-            raw = [m.sorted_edges() for m in enumerate_forests(self.graph)]
-        else:
-            raw = itertools.chain.from_iterable(
-                itertools.combinations(range(e), size) for size in range(e))
-        return list(dict.fromkeys(self.subset_canonical(s)[0] for s in raw))
+        subsets, by size and then lexicographically."""
+        return self._forest_orbits if forests_only else self._proper_orbits
 
-    def subset_face(self, subset, e: int, collapse: bool):
-        """The face of the pair (graph, subset) that collapses, or deletes,
-        subset edge ``e``: (target context, orbit representative, images of
-        the other subset edges on the representative, the automorphism of
-        the target that aligns them)."""
-        rest = [f for f in subset if f != e]
-        target = self
-        if collapse:
-            target, composite = self.collapse(e)
-            rest = [composite.edge_action[f] for f in rest]
-        canon, aidx = target.subset_canonical(rest)
-        aperm, align = target.closure[aidx]
-        return target, canon, [aperm[f] for f in rest], align
+    @cached_property
+    def _forest_orbits(self):
+        return self._walk_orbits(self._forests())
+
+    @cached_property
+    def _proper_orbits(self):
+        e = self.graph.edge_count
+        return self._walk_orbits((edges, self.mask_of(edges))
+                                 for size in range(e)
+                                 for edges in itertools.combinations(range(e), size))
+
+    def _walk_orbits(self, walk):
+        """The representatives among (edges, mask) walked by size and then
+        lexicographically: the first of an orbit to be met is its
+        representative."""
+        reps = []
+        for edges, mask in walk:
+            hit = self._orbit.get(mask)
+            if hit is None:
+                self._fill_orbit(mask, edges)
+            elif hit[0] != mask:
+                continue
+            reps.append(edges)
+        return reps
+
+    def _forests(self):
+        """(edges, mask) of every forest, by size and then lexicographically:
+        each forest is extended by later edges that join two of its
+        components."""
+        g = self.graph
+        level = [((), 0, tuple(range(g.vertex_count)))]
+        while level:
+            grown = []
+            for edges, mask, comp in level:
+                yield edges, mask
+                for e in range(edges[-1] + 1 if edges else 0, g.edge_count):
+                    u, v = g.edges[e]
+                    a, b = comp[u], comp[v]
+                    if a != b:
+                        grown.append((edges + (e,), mask | self.bits[e],
+                                      tuple([b if c == a else c for c in comp])))
+            level = grown
+
+    def subset_canonical(self, subset) -> tuple[tuple[int, ...], int]:
+        """Orbit representative of an edge subset and the least closure
+        index carrying the subset onto it."""
+        rep, k, _ = self.canonical_mask(self.mask_of(subset))
+        return self.subset_of(rep), k
+
+    def subset_faces(self, subset):
+        """The faces of the pair (graph, sorted subset), in subset order,
+        the collapse before the deletion and no collapse of a tadpole:
+        (position, collapse?, target context, representative mask, closure
+        index k of the target, parity of the other subset edges' images
+        on the representative in subset order)."""
+        mask = self.mask_of(subset)
+        for pos, e in enumerate(subset):
+            if not self.graph.is_tadpole(e):
+                target, composite = self.collapse(e)
+                action, bits = composite.edge_action, target.bits
+                image = inversions = 0
+                for f in subset:
+                    if f != e:
+                        bit = bits[action[f]]
+                        inversions += (image & (bit - 1)).bit_count()
+                        image |= bit
+                rep, k, parity = target.canonical_mask(image)
+                yield pos, True, target, rep, k, parity ^ (inversions & 1)
+            yield (pos, False, self) + self.canonical_mask(mask ^ self.bits[e])
 
 
 _CTX_REGISTRY: dict[str, GraphContext] = {}
@@ -503,11 +612,21 @@ def _assemble(gens):
     return grades, index
 
 
-def _face_sign(pos: int, images, transport: int) -> int:
+def _sequence_parity(seq) -> int:
+    """Parity (0 even, 1 odd) of a sequence of distinct non-negative ints."""
+    seen = inversions = 0
+    for x in seq:
+        inversions += (seen >> x).bit_count()
+        seen |= 1 << x
+    return inversions & 1
+
+
+def _face_sign(pos: int, parity: int, transport: int) -> int:
     """Sign of the face that drops the oriented edge at 0-based ``pos``:
-    (-1)^(pos+1), times the parity of the surviving edges' images in the
-    target order, times the cycle transport (1 for even parity)."""
-    return (-1 if pos % 2 == 0 else 1) * perm_parity(images) * transport
+    (-1)^(pos+1), times (-1)^parity for the parity of the surviving edges'
+    images in the target order, times the cycle transport (1 for even
+    parity)."""
+    return (1 if (pos + parity) % 2 else -1) * transport
 
 
 def _add(acc, k: int, row: int, col: int, sign: int):
@@ -536,8 +655,8 @@ def _simplicial_boundary(spec: ComplexSpec, gens, index):
             hit = index.get(target.cert)
             if hit is None or hit[0] != k - 1:
                 continue
-            images = [composite.edge_action[f] for f in range(k) if f != e]
-            _add(acc, k, hit[1], col, _face_sign(e, images, ctx.collapse_h1(e) if odd else 1))
+            parity = _sequence_parity([composite.edge_action[f] for f in range(k) if f != e])
+            _add(acc, k, hit[1], col, _face_sign(e, parity, ctx.collapse_h1(e) if odd else 1))
     return acc
 
 
@@ -545,20 +664,20 @@ def _pair_boundary(spec: ComplexSpec, gens, index):
     """D = d - delta: collapse a subset edge (never a tadpole) minus delete it."""
     acc: dict[int, dict[tuple[int, int], int]] = {}
     odd = spec.parity == "odd"
+    rows = {(ctx.cert, ctx.mask_of(gen.subset)): index[gen.key][1] for ctx, gen in gens}
     for ctx, gen in gens:
         col = index[gen.key][1]
-        for pos, e in enumerate(gen.subset):
-            for collapse, scale in ((True, 1), (False, -1)):
-                if collapse and ctx.graph.is_tadpole(e):
-                    continue
-                target, canon, images, align = ctx.subset_face(gen.subset, e, collapse)
-                hit = index.get(pair_key(target.cert, canon))
-                if hit is None:
-                    continue
-                transport = 1
-                if odd:
-                    transport = target.aut_h1(align) * (ctx.collapse_h1(e) if collapse else 1)
-                _add(acc, gen.grade, hit[1], col, scale * _face_sign(pos, images, transport))
+        for pos, collapse, target, rep, k, parity in ctx.subset_faces(gen.subset):
+            row = rows.get((target.cert, rep))
+            if row is None:
+                continue
+            transport = 1
+            if odd:
+                transport = target.aut_h1(target.closure[k][1])
+                if collapse:
+                    transport *= ctx.collapse_h1(gen.subset[pos])
+            sign = _face_sign(pos, parity, transport)
+            _add(acc, gen.grade, row, col, sign if collapse else -sign)
     return acc
 
 

@@ -108,11 +108,6 @@ def build_cell_poset(genus: int) -> CellPoset:
     return CellPoset(genus=genus, nodes=nodes, covers=frozenset(covers))
 
 
-def _facet(ctx, subset, e: int, collapse: bool) -> str:
-    target, canon, _, _ = ctx.subset_face(subset, e, collapse)
-    return pair_key(target.cert, canon)
-
-
 def build_cube_catalog(genus: int, forest_only: bool) -> CubeCatalog:
     """Orbit representatives of cubes (weight-zero graph, edge subset)."""
     forms = enumerate_graphs(
@@ -120,8 +115,10 @@ def build_cube_catalog(genus: int, forest_only: bool) -> CubeCatalog:
     entries = []
     for form in forms:
         ctx = get_context(form)
-        g = ctx.graph
         for subset in ctx.subset_orbits(forests_only=forest_only):
+            facets = {True: [], False: []}
+            for _, collapse, target, rep, _, _ in ctx.subset_faces(subset):
+                facets[collapse].append(pair_key(target.cert, target.subset_of(rep)))
             entries.append(CubeEntry(
                 key=pair_key(ctx.cert, subset),
                 graph_certificate=ctx.cert,
@@ -129,9 +126,8 @@ def build_cube_catalog(genus: int, forest_only: bool) -> CubeCatalog:
                 dimension=len(subset),
                 aut_order=ctx.stabilizer_order(subset),
                 odd_symmetric=bool(ctx.witness("even", subset)),
-                collapse_facets=tuple(_facet(ctx, subset, e, True)
-                                      for e in subset if not g.is_tadpole(e)),
-                deletion_facets=tuple(_facet(ctx, subset, e, False) for e in subset),
+                collapse_facets=tuple(facets[True]),
+                deletion_facets=tuple(facets[False]),
             ))
     entries.sort(key=lambda e: (e.dimension, e.key))
     return CubeCatalog(genus=genus, forest_only=forest_only, entries=entries)

@@ -2,7 +2,6 @@ import pytest
 
 from gch.canonical import canonical_form
 from gch.complexes import (
-    ChainComplex,
     ComplexSpec,
     build_complex,
     degree_report,
@@ -10,8 +9,7 @@ from gch.complexes import (
     homology,
     split_by_surface,
 )
-from gch.families import cycle, dumbbell, rose, theta, wheel
-from gch.graph import HalfEdgeGraph
+from gch.families import cycle, rose, theta, wheel
 
 
 def dims_of(spec):
@@ -49,6 +47,16 @@ def test_com_even_genus5_is_grt1_in_weight5():
     report = homology(build_complex(ComplexSpec("com", "even", 5)))
     assert {k: v for k, v in report.dims.items() if v} == {10: 1}
     assert degree_report(report, 2)[10]["degree"] == 0
+
+
+def test_gf_even_genus5_is_rational_homology_of_out_f5():
+    """The even forested complex at genus n computes H_*(Out(F_n); Q)
+    (Conant-Vogtmann, arXiv:math/0208169), and Out(F_5) has the rational
+    homology of a point (Hatcher-Vogtmann, "Rational homology of
+    Aut(F_n)", Math. Res. Lett. 5 (1998); Ohashi, "The rational homology
+    group of Out(F_n) for n <= 6", Experiment. Math. 17 (2008))."""
+    report = homology(build_complex(ComplexSpec("gf", "even", 5)))
+    assert {k: v for k, v in report.dims.items() if v} == {0: 1}
 
 
 def test_com_odd_genus3_structure():

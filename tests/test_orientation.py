@@ -5,20 +5,17 @@ import pytest
 
 from gch.canonical import automorphism_group, canonical_form
 from gch.families import banana, cycle, dumbbell, rose, theta, triangle_with_doubled_edge, wheel
-from gch.graph import HalfEdgeGraph, identity_morphism
+from gch.graph import identity_morphism
 from gch.linalg import SparseMatrix, rank
 from gch.oracle import automorphism_sign, half_edge_automorphisms
 from gch.orientation import (
-    Orientation,
     cycle_basis,
     exchange_rebase,
     h1_determinant_sign,
     morphism_sign,
     orientation_with_tree,
     perm_parity,
-    rebase_sign,
     reference_orientation,
-    spanning_tree,
 )
 
 

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from gch.canonical import automorphism_group, canonical_form

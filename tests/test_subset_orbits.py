@@ -1,0 +1,66 @@
+"""The subset orbit tables of the cube-pair complexes against the oracle.
+
+A context keeps, for every edge subset T it has met, the representative R
+of its orbit under Aut (the lexicographically least image of T), the
+least index k of the edge-action closure with p_k(T) = R, and the parity
+of p_k from T onto R in edge order.  Here R is recomputed from the edge
+permutations of :func:`gch.oracle.half_edge_automorphisms`, which finds
+every automorphism by search, k by scanning the closure, and the parity
+by counting inversions.  The graphs are every graph of genus 1 to 3 with
+at most six edges (bivalent vertices and tadpoles allowed), the
+cube-pair family up to genus 3, and its genus-4 graphs with at most
+eight edges.  Each is checked in two fresh contexts: one meets the
+subsets in reverse order, so that most lookups miss on a subset that is
+not its orbit's representative; the other walks the orbits first.
+"""
+
+import itertools
+
+from gch.complexes import GraphContext
+from gch.generate import EnumSpec, enumerate_forests, enumerate_graphs
+from gch.oracle import half_edge_automorphisms
+
+
+def _forms():
+    specs = [EnumSpec(genus=g, min_valence=2, allow_tadpoles=True, max_edges=6) for g in (1, 2, 3)]
+    specs += [EnumSpec(genus=g, min_valence=3, allow_tadpoles=True) for g in (2, 3)]
+    specs.append(EnumSpec(genus=4, min_valence=3, allow_tadpoles=True, max_edges=8))
+    return list({f.certificate: f for spec in specs for f in enumerate_graphs(spec)}.values())
+
+
+def _check_graph(form):
+    g = form.graph
+    edge_perms = [perm for perm, _, _ in half_edge_automorphisms(g)]
+    subsets = [s for size in range(g.edge_count + 1)
+               for s in itertools.combinations(range(g.edge_count), size)]
+    orbit = {s: {tuple(sorted(p[e] for e in s)) for p in edge_perms} for s in subsets}
+    least = {s: min(images) for s, images in orbit.items()}
+
+    missing_first = GraphContext(form)
+    walked_first = GraphContext(form)
+    assert ({tuple(p) for p, _ in walked_first.closure}
+            == {tuple(p) for p in edge_perms})
+    forests = {m.sorted_edges() for m in enumerate_forests(g)}
+    for forests_only, expected_total in ((True, len(forests)), (False, 2 ** g.edge_count - 1)):
+        reps = walked_first.subset_orbits(forests_only)
+        members = [s for s in subsets if (s in forests if forests_only else len(s) < g.edge_count)]
+        assert reps == sorted({least[s] for s in members}, key=lambda s: (len(s), s))
+        assert sum(len(orbit[r]) for r in reps) == expected_total
+
+    for ctx, order in ((missing_first, subsets[::-1]), (walked_first, subsets)):
+        for s in order:
+            rep, k = ctx.subset_canonical(s)
+            assert rep == least[s], (form.certificate, s)
+            carries = [j for j, (p, _) in enumerate(ctx.closure)
+                       if tuple(sorted(p[e] for e in s)) == rep]
+            assert k == carries[0], (form.certificate, s)
+            images = [ctx.closure[k][0][e] for e in s]
+            inversions = sum(1 for a, b in itertools.combinations(images, 2) if a > b)
+            assert ctx.canonical_mask(ctx.mask_of(s))[2] == inversions % 2
+    return len(subsets)
+
+
+def test_orbit_tables_match_oracle():
+    forms = _forms()
+    assert any(f.graph.edge_count == 8 for f in forms)
+    assert sum(_check_graph(form) for form in forms) > 10000
