@@ -24,11 +24,13 @@ Every kind is built from the same three rules, all on
 
 * **vanishing** (``GraphContext.witness``): a generator is zero when a
   symmetry stabilizing its subset (all edges for the simplicial and ribbon
-  kinds) reverses its orientation;
+  kinds) reverses its orientation; one walk of the symmetries, each with
+  its sign on the subset and on H_1, decides both parities;
 * **faces**: the face dropping the oriented edge at 0-based position p
   has sign (-1)^(p+1), times the parity of the surviving edges in the
-  target order, times for odd parity the cycle transport (and, for pairs,
-  the sign of the symmetry that aligns the target subset);
+  target order, times for odd parity the cycle transport, the reference
+  cycle basis pushed through the collapse (and, for pairs, the sign of
+  the symmetry that aligns the target subset);
 * **subset orbits** (``GraphContext.subset_orbits``): the cube kinds and
   the cubical catalogs of :mod:`gch.moduli` take the same orbit
   representatives of forests or proper subsets, walked once per context.
@@ -40,9 +42,9 @@ Every kind is built from the same three rules, all on
   collapse, and aligned by that p_k.
 
 A context computes its form's automorphism group once, and the same group
-gives the symmetries of the vanishing rule, the subset orbits and the
-cube stabilizer orders (``GraphContext.stabilizer_order``) of the
-catalogs.
+gives the symmetries of the vanishing rule and the subset orbits; the
+cube stabilizer orders of the catalogs (``GraphContext.stabilizer_order``)
+are the group order over the orbit sizes.
 
 For odd parity the cellular kinds drop tadpole-collapse terms: a sign rule
 for transporting a cycle-space orientation across a genus-dropping face
@@ -54,7 +56,6 @@ complex splits by total weight.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,13 +69,7 @@ from .canonical import (
 from .generate import EnumSpec, enumerate_graphs
 from .graph import HalfEdgeGraph
 from .linalg import SparseMatrix, boundary_ranks, multiply
-from .orientation import (
-    h1_determinant_sign,
-    perm_parity,
-    rebase_sign,
-    reference_orientation,
-    spanning_tree,
-)
+from .orientation import h1_determinant_sign, reference_orientation
 from .ribbon import RibbonStructure, contract_ribbon, surface_invariants
 
 KINDS = (
@@ -111,6 +106,7 @@ _WITNESS = {
     ("ribbon", "even"): "ribbon symmetry with odd edge permutation",
     ("ribbon", "odd"): "ribbon symmetry with odd combined edge and cycle sign",
 }
+_REASONS: dict[tuple[str, str], tuple[str, str]] = {}
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,6 @@ class ComplexSpec:
     parity: str
     genus: int
     max_edges: int | None = None
-    n: int = 0  # degree parameter: enters reports only, never a matrix entry
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -218,7 +213,8 @@ class GraphContext:
         self._collapse: dict[int, tuple] = {}
         self._collapse_h1: dict[int, int] = {}
         self._aut_h1: dict[tuple, int] = {}
-        self._witness: dict[tuple, str] = {}
+        self._witness: dict[tuple | None, tuple[str, str]] = {}
+        self._orbit_size: dict[int, int] = {}
 
     @cached_property
     def classes(self):
@@ -276,23 +272,30 @@ class GraphContext:
         ``subset`` is None), oriented by the subset order and, for odd
         parity, by the cycle space.  It is zero when a symmetry stabilizing
         the subset reverses that orientation: the parity of the symmetry on
-        the subset, times for odd parity its sign on H_1, is -1.
+        the subset, times for odd parity its sign on H_1, is -1.  One walk
+        of the symmetries decides both parities; each keeps the first
+        symmetry that reverses it.
         """
-        key = (subset, parity)
-        hit = self._witness.get(key)
-        if hit is None:
-            if subset is None:
-                subset = tuple(range(self.graph.edge_count))
-            hit = next((_WITNESS[kind, parity]
-                        for kind, sign in self._symmetry_signs(subset, parity == "odd")
-                        if sign == -1), "")
-            self._witness[key] = hit
-        return hit
+        reasons = self._witness.get(subset)
+        if reasons is None:
+            even = odd = ""
+            edges = tuple(range(self.graph.edge_count)) if subset is None else subset
+            for kind, sign, h1 in self._symmetry_signs(edges):
+                if not even and sign == -1:
+                    even = _WITNESS[kind, "even"]
+                if not odd and sign * h1 == -1:
+                    odd = _WITNESS[kind, "odd"]
+                if even and odd:
+                    break
+            # one shared tuple per distinct pair keeps the cache small
+            reasons = self._witness[subset] = _REASONS.setdefault((even, odd), (even, odd))
+        return reasons[parity == "odd"]
 
-    def _symmetry_signs(self, subset, odd):
-        """(kind, orientation sign) of symmetries generating the stabilizer
-        of the subset.  A swap of two parallel edges or a tadpole flip acts
-        on H_1 by -1; a lift's H_1 sign is computed for odd parity only.
+    def _symmetry_signs(self, subset):
+        """(kind, sign on the subset order, sign on H_1) of symmetries
+        generating the stabilizer of the subset.  A swap of two parallel
+        edges or a tadpole flip acts on H_1 by -1; a lift or a ribbon
+        automorphism takes its H_1 sign from ``aut_h1``.
 
         A vertex automorphism stabilizes the subset exactly when its class
         permutation keeps the number of subset edges in each parallel
@@ -318,18 +321,20 @@ class GraphContext:
             for m in self.lifts:
                 images = [m.edge_action[e] for e in subset]
                 if sorted(images) == list(subset):
-                    yield "ribbon", perm_parity(images) * (self.aut_h1(m) if odd else 1)
+                    yield "ribbon", -1 if _sequence_parity(images) else 1, self.aut_h1(m)
             return
-        cycle_sign = -1 if odd else 1
-        inside = self._inside_classes(subset)
+        chosen = frozenset(subset)
+        inside = [[e for e in members if e in chosen] for members in self.classes.values()]
         for members, cin in zip(self.classes.values(), inside):
             if len(cin) >= 2:
-                yield "swap", -cycle_sign
+                yield "swap", -1, -1
             if len(members) - len(cin) >= 2:
-                yield "swap", cycle_sign
+                yield "swap", 1, -1
         if self.graph.has_tadpole:
-            yield "flip", cycle_sign
-        lifts = self._stabilizing_lifts([len(cin) for cin in inside])
+            yield "flip", 1, -1
+        counts = [len(cin) for cin in inside]
+        lifts = [(lift, image) for lift, image in self._lift_classes
+                 if list(map(counts.__getitem__, image)) == counts]
         if not lifts:
             return
         # the subset-aware lift carries the subset, listed class by class,
@@ -337,32 +342,13 @@ class GraphContext:
         source = _sequence_parity([e for cin in inside for e in cin])
         for lift, image in lifts:
             target = _sequence_parity([e for j in image for e in inside[j]])
-            yield "lift", (-1 if source ^ target else 1) * (self.aut_h1(lift) if odd else 1)
-
-    def _inside_classes(self, subset) -> list[list[int]]:
-        """The subset's edges in each parallel class, in index order."""
-        inside = frozenset(subset)
-        return [[e for e in members if e in inside] for members in self.classes.values()]
-
-    def _stabilizing_lifts(self, counts):
-        """The lifts, with their class images, whose vertex automorphism
-        stabilizes a subset with these subset counts per parallel class:
-        those whose class permutation keeps the counts."""
-        return [(lift, image) for lift, image in self._lift_classes
-                if list(map(counts.__getitem__, image)) == counts]
+            yield "lift", -1 if source ^ target else 1, self.aut_h1(lift)
 
     def stabilizer_order(self, subset) -> int:
-        """Order of the automorphisms of a plain form that map the edge
-        subset onto itself: the vertex automorphisms that stabilize it,
-        times the permutations of each parallel class that keep the
-        subset, times the flips of its tadpoles."""
-        counts = [len(cin) for cin in self._inside_classes(subset)]
-        order = 1 + len(self._stabilizing_lifts(counts))
-        for ((u, v), members), cin in zip(self.classes.items(), counts):
-            order *= math.factorial(cin) * math.factorial(len(members) - cin)
-            if u == v:
-                order *= 2 ** len(members)
-        return order
+        """Order of the automorphisms that map the edge subset onto itself:
+        the group order over the size of the subset's orbit."""
+        rep = self.canonical_mask(self.mask_of(subset))[0]
+        return self.group.order // self._orbit_size[rep]
 
     # -- collapses --------------------------------------------------------
 
@@ -384,10 +370,8 @@ class GraphContext:
         """Cycle-orientation transport sign across the collapse of edge e."""
         h = self._collapse_h1.get(e)
         if h is None:
-            target_ctx, composite = self.collapse(e)
-            rebased, d1 = rebase_sign(self.ref_orientation, spanning_tree(self.graph, prefer=e))
-            d2 = h1_determinant_sign(composite, rebased, target_ctx.ref_orientation)
-            h = d1 * d2
+            target, composite = self.collapse(e)
+            h = h1_determinant_sign(composite, self.ref_orientation, target.ref_orientation)
             self._collapse_h1[e] = h
         return h
 
@@ -448,8 +432,10 @@ class GraphContext:
 
         The k with p_k(T) = R are those with T = p_k^-1(R), so walking k
         upwards and keeping the first k that reaches each member gives the
-        least one.  Its parity is that of p_k^-1 on R in edge order."""
+        least one.  Its parity is that of p_k^-1 on R in edge order.  The
+        orbit's size is kept for ``stabilizer_order``."""
         table = self._orbit
+        before = len(table)
         for k, bits in enumerate(self._inverse_bits):
             image = 0
             for e in edges:
@@ -462,6 +448,7 @@ class GraphContext:
                 inversions += (seen & (bit - 1)).bit_count()
                 seen |= bit
             table[image] = (rep, k, inversions & 1)
+        self._orbit_size[rep] = len(table) - before
 
     def subset_orbits(self, forests_only: bool) -> list[tuple[int, ...]]:
         """Orbit representatives of the forests, or of the proper edge

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import HalfEdgeGraph, Morphism
+from .graph import HalfEdgeGraph, Morphism, identity_morphism
 
 
 def perm_parity(seq):
@@ -100,8 +100,8 @@ class Orientation:
         return self.edge_order.index(e) + 1
 
 
-def spanning_tree(g: HalfEdgeGraph, prefer: int | None = None) -> frozenset[int]:
-    """Kruskal spanning tree in edge order, optionally seeded with one edge."""
+def spanning_tree(g: HalfEdgeGraph) -> frozenset[int]:
+    """Kruskal spanning tree in edge order."""
     parent = list(range(g.vertex_count))
 
     def find(x):
@@ -111,13 +111,7 @@ def spanning_tree(g: HalfEdgeGraph, prefer: int | None = None) -> frozenset[int]
         return x
 
     tree = []
-    order = list(range(g.edge_count))
-    if prefer is not None:
-        if g.is_tadpole(prefer):
-            raise ValueError("a tadpole cannot lie in a spanning tree")
-        order.remove(prefer)
-        order.insert(0, prefer)
-    for e in order:
+    for e in range(g.edge_count):
         u, v = g.edges[e]
         ru, rv = find(u), find(v)
         if ru != rv:
@@ -228,9 +222,9 @@ def _image_row(row, m: Morphism):
 def h1_determinant_sign(m: Morphism, orient_src: Orientation, orient_dst: Orientation) -> int:
     """Sign of det of the source cycle basis written in the target basis.
 
-    Valid whenever the pushed-forward cycles span the target cycle space
-    (isomorphisms, and collapse maps once the collapsed edge lies in the
-    source tree).
+    Valid whenever the pushed-forward cycles span the target cycle space:
+    isomorphisms, and any non-tadpole collapse, which is a homotopy
+    equivalence and so carries every cycle basis onto one.
     """
     src_rows = cycle_basis(orient_src.graph, orient_src)
     h = len(src_rows)
@@ -249,35 +243,13 @@ def h1_determinant_sign(m: Morphism, orient_src: Orientation, orient_dst: Orient
     return s
 
 
-def rebase_sign(orientation: Orientation, tree: frozenset[int]) -> tuple[Orientation, int]:
-    """Re-express the cycle part in the basis of another spanning tree.
-
-    Returns the tree-based orientation and the sign of the change of basis
-    (new basis written in the old one); the orientation class itself is
-    unchanged, the sign records how the representation moved.
-    """
-    from .graph import identity_morphism
-
-    g = orientation.graph
-    new = Orientation(
-        graph=g,
-        edge_order=orientation.edge_order,
-        tree=tree,
-        comp_order=tuple(sorted(set(range(g.edge_count)) - tree)),
-        comp_dirs=tuple(2 * e for e in sorted(set(range(g.edge_count)) - tree)),
-    )
-    sign = h1_determinant_sign(identity_morphism(g), new, orientation)
-    return new, sign
-
-
 def exchange_rebase(orientation: Orientation, tree: frozenset[int]) -> tuple[Orientation, int]:
     """Move to another spanning tree by iterated single-edge exchanges.
 
     Each step swaps one complement edge into the tree and directs the edge
     leaving the tree so that its new cycle replaces the old one in place;
-    this keeps the orientation class fixed, so the accumulated sign is the
-    same as the direct change-of-basis sign (tested, always +1 against
-    ``rebase_sign`` composed with itself).
+    this keeps the orientation class fixed, so the accumulated sign is
+    always +1 (tested against the direct change-of-basis determinant).
     """
     g = orientation.graph
     cur = orientation
@@ -297,8 +269,6 @@ def exchange_rebase(orientation: Orientation, tree: frozenset[int]) -> tuple[Ori
         comp = [leave if e == enter else e for e in cur.comp_order]
         dirs = [leave_dir if e == leave else d for e, d in zip(comp, cur.comp_dirs)]
         nxt = Orientation(g, cur.edge_order, new_tree, tuple(comp), tuple(dirs))
-        from .graph import identity_morphism
-
         total *= h1_determinant_sign(identity_morphism(g), nxt, cur)
         cur = nxt
     return cur, total
@@ -314,30 +284,23 @@ def morphism_sign(m: Morphism, parity: str, orient_src: Orientation, orient_dst:
     Single-edge collapse (optionally already composed with an isomorphism
     onto a canonical target): (-1)^i for the collapsed edge at 1-based
     position i of the source order, times the edge-matching parity; for odd
-    parity additionally the transport of the cycle orientation, computed by
-    re-basing the source to a spanning tree through the collapsed edge.
+    parity additionally the transport of the cycle orientation: the sign of
+    the source cycle basis pushed through the collapse, in the target basis.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"unknown parity {parity!r}")
+    order_dst_pos = {e: i for i, e in enumerate(orient_dst.edge_order)}
     if m.kind == "isomorphism":
-        order_dst_pos = {e: i for i, e in enumerate(orient_dst.edge_order)}
-        seq = [order_dst_pos[m.edge_action[e]] for e in orient_src.edge_order]
-        sign = perm_parity(seq)
-        if parity == "odd":
-            sign *= h1_determinant_sign(m, orient_src, orient_dst)
-        return sign
-    if len(m.collapsed_edges) != 1:
-        raise ValueError("compose single-edge collapses instead of collapsing several edges")
-    e = m.collapsed_edges[0]
-    src = m.source
-    sign = -1 if orient_src.edge_position(e) % 2 else 1
-    order_dst_pos = {f: i for i, f in enumerate(orient_dst.edge_order)}
-    seq = [order_dst_pos[m.edge_action[f]] for f in orient_src.edge_order if f != e]
-    sign *= perm_parity(seq)
-    if parity == "odd":
-        if src.is_tadpole(e):
+        sign = perm_parity([order_dst_pos[m.edge_action[e]] for e in orient_src.edge_order])
+    else:
+        if len(m.collapsed_edges) != 1:
+            raise ValueError("compose single-edge collapses instead of collapsing several edges")
+        e = m.collapsed_edges[0]
+        if parity == "odd" and m.source.is_tadpole(e):
             raise ValueError("odd-parity transport is undefined across a tadpole collapse")
-        rebased, d1 = rebase_sign(orient_src, spanning_tree(src, prefer=e))
-        d2 = h1_determinant_sign(m, rebased, orient_dst)
-        sign *= d1 * d2
+        sign = -1 if orient_src.edge_position(e) % 2 else 1
+        sign *= perm_parity([order_dst_pos[m.edge_action[f]]
+                             for f in orient_src.edge_order if f != e])
+    if parity == "odd":
+        sign *= h1_determinant_sign(m, orient_src, orient_dst)
     return sign

@@ -10,6 +10,8 @@ from gch.complexes import (
     split_by_surface,
 )
 from gch.families import cycle, rose, theta, wheel
+from gch.orientation import morphism_sign, reference_orientation
+from gch.ribbon import contract_ribbon
 
 
 def dims_of(spec):
@@ -166,6 +168,44 @@ def test_generator_vanishes_examples():
         True, "parallel-edge swap acts by an odd edge permutation")
     vanished, reason = generator_vanishes(rose(1), "odd")
     assert vanished and "tadpole" in reason
+
+
+def _collapse_onto_canonical(gen, e):
+    """The canonical form of gen / e and the collapse composed with the
+    isomorphism onto it."""
+    if gen.ribbon is None:
+        target, m = gen.graph.contract(e)
+        form = canonical_form(target)
+    else:
+        target, ribbon, m = contract_ribbon(gen.graph, gen.ribbon, e)
+        form = canonical_form(target, ribbon=ribbon)
+    return form, form.iso.compose(m)
+
+
+@pytest.mark.parametrize("kind", ["com", "com_tad", "cellular_MG", "cellular_MG_relative", "ass"])
+def test_face_signs_match_morphism_sign(kind):
+    """Each boundary entry (H, G) is the sum of the public morphism_sign of
+    iso . collapse over the edges of G whose collapse lands on H, against
+    the reference orientations; a tadpole collapse counts only as the
+    weight-increment face of even cellular_MG."""
+    for parity in ("even", "odd"):
+        for genus in (2, 3, 4):
+            c = build_complex(ComplexSpec(kind, parity, genus))
+            for k in range(1, c.max_grade + 1):
+                rows = {gen.key: i for i, gen in enumerate(c.grades.get(k - 1, []))}
+                expected = {}
+                for j, gen in enumerate(c.grades.get(k, [])):
+                    src = reference_orientation(gen.graph)
+                    for e in range(k):
+                        if gen.graph.is_tadpole(e) and (parity == "odd" or kind != "cellular_MG"):
+                            continue
+                        form, m = _collapse_onto_canonical(gen, e)
+                        i = rows.get(form.certificate)
+                        if i is not None:
+                            sign = morphism_sign(m, parity, src, reference_orientation(form.graph))
+                            expected[i, j] = expected.get((i, j), 0) + sign
+                assert c.boundary(k).entries == {ij: v for ij, v in expected.items() if v}, \
+                    (parity, genus, k)
 
 
 def test_split_by_surface_genus2():

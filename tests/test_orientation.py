@@ -4,7 +4,9 @@ import random
 import pytest
 
 from gch.canonical import automorphism_group, canonical_form
+from gch.complexes import get_context
 from gch.families import banana, cycle, dumbbell, rose, theta, triangle_with_doubled_edge, wheel
+from gch.generate import EnumSpec, enumerate_graphs
 from gch.graph import identity_morphism
 from gch.linalg import SparseMatrix, rank
 from gch.oracle import automorphism_sign, half_edge_automorphisms
@@ -92,7 +94,8 @@ def test_exchange_rebase_never_flips(g):
         assert h1_determinant_sign(identity_morphism(g), rebased, ref) == 1
 
 
-def _is_spanning_tree(g, edges):
+def _forest_of(g, edges):
+    """The edges, in the given order, that join two components so far."""
     parent = list(range(g.vertex_count))
 
     def find(x):
@@ -101,13 +104,42 @@ def _is_spanning_tree(g, edges):
             x = parent[x]
         return x
 
+    kept = []
     for e in edges:
         u, v = g.edges[e]
         ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return len({find(v) for v in range(g.vertex_count)}) == 1
+        if ru != rv:
+            parent[ru] = rv
+            kept.append(e)
+    return kept
+
+
+def _is_spanning_tree(g, edges):
+    return len(_forest_of(g, edges)) == len(edges) == g.vertex_count - 1
+
+
+def test_collapse_transport_does_not_depend_on_the_tree():
+    """The odd transport across a non-tadpole collapse pushes the reference
+    cycle basis through it.  Moving the source first to a spanning tree
+    through the collapsed edge, by exchanges that keep the orientation
+    class, and counting the exchange sign, gives the same sign."""
+    specs = [EnumSpec(genus=g, min_valence=3, allow_tadpoles=True) for g in (2, 3, 4)]
+    specs += [EnumSpec(genus=g, min_valence=3, ribbon=True) for g in (2, 3)]
+    checked = 0
+    for form in (f for spec in specs for f in enumerate_graphs(spec)):
+        ctx = get_context(form)
+        g = ctx.graph
+        for e in range(g.edge_count):
+            if g.is_tadpole(e):
+                continue
+            target, composite = ctx.collapse(e)
+            tree = frozenset(_forest_of(g, [e, *range(g.edge_count)]))
+            rebased, sign = exchange_rebase(ctx.ref_orientation, tree)
+            assert e in rebased.tree
+            assert ctx.collapse_h1(e) == sign * h1_determinant_sign(
+                composite, rebased, target.ref_orientation), (ctx.cert, e)
+            checked += 1
+    assert checked > 700, checked
 
 
 def test_reference_orientation_deterministic():

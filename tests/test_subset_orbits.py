@@ -6,7 +6,9 @@ least index k of the edge-action closure with p_k(T) = R, and the parity
 of p_k from T onto R in edge order.  Here R is recomputed from the edge
 permutations of :func:`gch.oracle.half_edge_automorphisms`, which finds
 every automorphism by search, k by scanning the closure, and the parity
-by counting inversions.  The graphs are every graph of genus 1 to 3 with
+by counting inversions; the order of the stabilizer of T, which the
+context reads off the orbit size, is the number of automorphisms that
+map T onto itself.  The graphs are every graph of genus 1 to 3 with
 at most six edges (bivalent vertices and tadpoles allowed), the
 cube-pair family up to genus 3, and its genus-4 graphs with at most
 eight edges.  Each is checked in two fresh contexts: one meets the
@@ -57,6 +59,8 @@ def _check_graph(form):
             images = [ctx.closure[k][0][e] for e in s]
             inversions = sum(1 for a, b in itertools.combinations(images, 2) if a > b)
             assert ctx.canonical_mask(ctx.mask_of(s))[2] == inversions % 2
+            fixing = sum(1 for p in edge_perms if tuple(sorted(p[e] for e in s)) == s)
+            assert ctx.stabilizer_order(s) == fixing, (form.certificate, s)
     return len(subsets)
 
 
