@@ -69,7 +69,7 @@ from .canonical import (
 from .generate import EnumSpec, enumerate_graphs
 from .graph import HalfEdgeGraph
 from .linalg import SparseMatrix, boundary_ranks, multiply
-from .orientation import h1_determinant_sign, reference_orientation
+from .orientation import h1_determinant_sign, reference_orientation, sequence_parity
 from .ribbon import RibbonStructure, contract_ribbon, surface_invariants
 
 KINDS = (
@@ -321,7 +321,7 @@ class GraphContext:
             for m in self.lifts:
                 images = [m.edge_action[e] for e in subset]
                 if sorted(images) == list(subset):
-                    yield "ribbon", -1 if _sequence_parity(images) else 1, self.aut_h1(m)
+                    yield "ribbon", -1 if sequence_parity(images) else 1, self.aut_h1(m)
             return
         chosen = frozenset(subset)
         inside = [[e for e in members if e in chosen] for members in self.classes.values()]
@@ -339,9 +339,9 @@ class GraphContext:
             return
         # the subset-aware lift carries the subset, listed class by class,
         # onto the same listing of the image classes
-        source = _sequence_parity([e for cin in inside for e in cin])
+        source = sequence_parity([e for cin in inside for e in cin])
         for lift, image in lifts:
-            target = _sequence_parity([e for j in image for e in inside[j]])
+            target = sequence_parity([e for j in image for e in inside[j]])
             yield "lift", -1 if source ^ target else 1, self.aut_h1(lift)
 
     def stabilizer_order(self, subset) -> int:
@@ -498,12 +498,6 @@ class GraphContext:
                                       tuple([b if c == a else c for c in comp])))
             level = grown
 
-    def subset_canonical(self, subset) -> tuple[tuple[int, ...], int]:
-        """Orbit representative of an edge subset and the least closure
-        index carrying the subset onto it."""
-        rep, k, _ = self.canonical_mask(self.mask_of(subset))
-        return self.subset_of(rep), k
-
     def subset_faces(self, subset):
         """The faces of the pair (graph, sorted subset), in subset order,
         the collapse before the deletion and no collapse of a tadpole:
@@ -599,15 +593,6 @@ def _assemble(gens):
     return grades, index
 
 
-def _sequence_parity(seq) -> int:
-    """Parity (0 even, 1 odd) of a sequence of distinct non-negative ints."""
-    seen = inversions = 0
-    for x in seq:
-        inversions += (seen >> x).bit_count()
-        seen |= 1 << x
-    return inversions & 1
-
-
 def _face_sign(pos: int, parity: int, transport: int) -> int:
     """Sign of the face that drops the oriented edge at 0-based ``pos``:
     (-1)^(pos+1), times (-1)^parity for the parity of the surviving edges'
@@ -642,7 +627,7 @@ def _simplicial_boundary(spec: ComplexSpec, gens, index):
             hit = index.get(target.cert)
             if hit is None or hit[0] != k - 1:
                 continue
-            parity = _sequence_parity([composite.edge_action[f] for f in range(k) if f != e])
+            parity = sequence_parity([composite.edge_action[f] for f in range(k) if f != e])
             _add(acc, k, hit[1], col, _face_sign(e, parity, ctx.collapse_h1(e) if odd else 1))
     return acc
 

@@ -2,13 +2,18 @@
 
 Matrices are coordinate dictionaries: integral values are stored as
 ``int`` and the rest as ``Fraction``, so the boundary operators, which
-are sums of signs, carry no ``Fraction`` at all.  Every rank comes from
-one fraction-free sparse elimination, :func:`_eliminate`:
+are sums of signs, carry no ``Fraction`` at all; a matrix notes once
+whether it is integral.  Every rank comes from one fraction-free sparse
+elimination, :func:`_eliminate`:
 
 * rows holding a non-integer are scaled to integers first;
 * the pivot column is the one with the fewest active rows, the lowest
-  index on a tie, taken from a lazy heap; the pivot row there is the
-  sparsest, preferring a unit value;
+  index on a tie; the pivot row there is the sparsest, preferring a unit
+  value;
+* columns with a single active row, most pivots of a boundary
+  operator, come first from a queue of their own: such a pivot drops its
+  row with no row operation (a coreduction pair, Mrozek--Batko, 2009).
+  The columns left then come from a lazy heap, by the same rule;
 * a unit pivot updates each target row in place, touching only the pivot
   row's columns; any other pivot scales the target row and divides out
   its content afterwards, which keeps entries small on the
@@ -32,11 +37,14 @@ class SparseMatrix:
     rows: int
     cols: int
     entries: dict[tuple[int, int], int | Fraction] = field(default_factory=dict)
+    # whether every entry is an int, so no row needs scaling to integers
+    integral: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError(f"negative shape {self.rows}x{self.cols}")
         clean = {}
+        integral = True
         for (i, j), v in self.entries.items():
             if not (0 <= i < self.rows and 0 <= j < self.cols):
                 raise ValueError(f"entry ({i},{j}) out of range")
@@ -45,8 +53,11 @@ class SparseMatrix:
                     v = Fraction(v)
                     if v.denominator == 1:
                         v = v.numerator
+                    else:
+                        integral = False
                 clean[(i, j)] = v
         object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "integral", integral)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "SparseMatrix":
@@ -103,7 +114,7 @@ def _integer_rows(m: SparseMatrix, drop: frozenset[int] = frozenset()) -> list[d
     for i, row in enumerate(m.row_dicts()):
         if not row or i in drop:
             continue
-        if any(type(v) is not int for v in row.values()):
+        if not m.integral and any(type(v) is not int for v in row.values()):
             scale = math.lcm(*(v.denominator for v in row.values()))
             row = {j: int(v * scale) for j, v in row.items()}
         out.append(row)
@@ -115,17 +126,43 @@ def _eliminate(rows: list[dict[int, int]]) -> list[int]:
 
     The rows are reduced in place.  The pivot columns are linearly
     independent columns of the matrix, and there are rank-many of them.
+
+    The pivot column is always the least (active rows, column), and the
+    pivot row there the least (non-unit value, length, row).  While some
+    column has a single active row, that column is the least choice, so
+    these columns come first, from a queue of their own: such a pivot only
+    drops its row, with no row operation, and counts only fall.  The
+    columns left then go through a lazy heap of (active rows, column).
     """
     active = dict(enumerate(rows))
     col_rows: dict[int, set[int]] = {}
     for i, row in active.items():
         for j in row:
             col_rows.setdefault(j, set()).add(i)
+    pivots = []
+    # single-row columns, lowest index first; counts only fall here, so a
+    # column enters at most once, and one whose count fell to 0 is skipped
+    singles = [j for j, s in col_rows.items() if len(s) == 1]
+    heapq.heapify(singles)
+    while singles:
+        col = heapq.heappop(singles)
+        targets = col_rows.pop(col, None)
+        if targets is None:
+            continue
+        prow_id = targets.pop()
+        pivots.append(col)
+        for j in active.pop(prow_id):
+            s = col_rows.get(j)
+            if s is not None:
+                s.discard(prow_id)
+                if len(s) == 1:
+                    heapq.heappush(singles, j)
+                elif not s:
+                    del col_rows[j]
     # lazy queue of (active rows, column): an entry is current while its
     # count matches; every change of a count pushes a fresh entry
     queue = [(len(s), j) for j, s in col_rows.items()]
     heapq.heapify(queue)
-    pivots = []
     while queue:
         count, col = heapq.heappop(queue)
         targets = col_rows.get(col)

@@ -27,24 +27,15 @@ from dataclasses import dataclass
 from .graph import HalfEdgeGraph, Morphism, identity_morphism
 
 
-def perm_parity(seq):
-    """Parity (+1/-1) of a sequence that is a permutation of its sorted self."""
-    order = {v: i for i, v in enumerate(sorted(seq))}
-    perm = [order[v] for v in seq]
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def sequence_parity(seq) -> int:
+    """Parity (0 even, 1 odd) of a sequence of distinct non-negative ints:
+    the parity of its inversions, which is that of the permutation sorting
+    it."""
+    seen = inversions = 0
+    for x in seq:
+        inversions += (seen >> x).bit_count()
+        seen |= 1 << x
+    return inversions & 1
 
 
 def det_sign(matrix):
@@ -291,16 +282,17 @@ def morphism_sign(m: Morphism, parity: str, orient_src: Orientation, orient_dst:
         raise ValueError(f"unknown parity {parity!r}")
     order_dst_pos = {e: i for i, e in enumerate(orient_dst.edge_order)}
     if m.kind == "isomorphism":
-        sign = perm_parity([order_dst_pos[m.edge_action[e]] for e in orient_src.edge_order])
+        sign = -1 if sequence_parity([order_dst_pos[m.edge_action[e]]
+                                      for e in orient_src.edge_order]) else 1
     else:
         if len(m.collapsed_edges) != 1:
             raise ValueError("compose single-edge collapses instead of collapsing several edges")
         e = m.collapsed_edges[0]
         if parity == "odd" and m.source.is_tadpole(e):
             raise ValueError("odd-parity transport is undefined across a tadpole collapse")
-        sign = -1 if orient_src.edge_position(e) % 2 else 1
-        sign *= perm_parity([order_dst_pos[m.edge_action[f]]
-                             for f in orient_src.edge_order if f != e])
+        matching = sequence_parity([order_dst_pos[m.edge_action[f]]
+                                    for f in orient_src.edge_order if f != e])
+        sign = -1 if (orient_src.edge_position(e) + matching) % 2 else 1
     if parity == "odd":
         sign *= h1_determinant_sign(m, orient_src, orient_dst)
     return sign

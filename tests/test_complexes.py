@@ -61,6 +61,22 @@ def test_gf_even_genus5_is_rational_homology_of_out_f5():
     assert {k: v for k, v in report.dims.items() if v} == {0: 1}
 
 
+def test_odd_relative_cells_are_the_commutative_complex():
+    """The cells of the moduli space of tropical curves with all vertex
+    weights zero, relative to the rest, form Kontsevich's commutative graph
+    complex (Chan-Galatius-Payne, arXiv:1805.10186).  In odd parity the two
+    complexes are equal as chain complexes: the same generators in every
+    grade and the same boundary matrices, genus 2 to 5."""
+    for genus in range(2, 6):
+        relative = build_complex(ComplexSpec("cellular_MG_relative", "odd", genus))
+        com = build_complex(ComplexSpec("com", "odd", genus))
+        assert ({k: [g.key for g in gens] for k, gens in relative.grades.items()}
+                == {k: [g.key for g in gens] for k, gens in com.grades.items()}), genus
+        assert relative.max_grade == com.max_grade, genus
+        for k in range(1, com.max_grade + 1):
+            assert relative.boundary(k) == com.boundary(k), (genus, k)
+
+
 def test_com_odd_genus3_structure():
     """Hand check: grade 5 holds one class, grade 6 two (K4 and the ladder
     with doubled rungs).  K4 collapses onto the grade-5 graph along all six

@@ -147,7 +147,7 @@ def _subset_orbit_sizes(g):
     sizes = dict.fromkeys(reps, 0)
     for size in range(ctx.graph.edge_count):
         for subset in itertools.combinations(range(ctx.graph.edge_count), size):
-            sizes[ctx.subset_canonical(subset)[0]] += 1
+            sizes[ctx.subset_of(ctx.canonical_mask(ctx.mask_of(subset))[0])] += 1
     assert len(sizes) == len(reps)
     return sorted(sizes.values())
 

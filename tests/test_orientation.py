@@ -16,8 +16,8 @@ from gch.orientation import (
     h1_determinant_sign,
     morphism_sign,
     orientation_with_tree,
-    perm_parity,
     reference_orientation,
+    sequence_parity,
 )
 
 
@@ -196,7 +196,7 @@ def test_collapse_sign_against_brute_force_table():
 def odd_total_sign(m):
     """Edge-permutation parity times the cycle-space determinant sign."""
     ref = reference_orientation(m.source)
-    return perm_parity(m.edge_action) * h1_determinant_sign(m, ref, ref)
+    return (-1 if sequence_parity(m.edge_action) else 1) * h1_determinant_sign(m, ref, ref)
 
 
 def oracle_odd_sign(m, autos):

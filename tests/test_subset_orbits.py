@@ -51,14 +51,15 @@ def _check_graph(form):
 
     for ctx, order in ((missing_first, subsets[::-1]), (walked_first, subsets)):
         for s in order:
-            rep, k = ctx.subset_canonical(s)
+            mask, k, parity = ctx.canonical_mask(ctx.mask_of(s))
+            rep = ctx.subset_of(mask)
             assert rep == least[s], (form.certificate, s)
             carries = [j for j, (p, _) in enumerate(ctx.closure)
                        if tuple(sorted(p[e] for e in s)) == rep]
             assert k == carries[0], (form.certificate, s)
             images = [ctx.closure[k][0][e] for e in s]
             inversions = sum(1 for a, b in itertools.combinations(images, 2) if a > b)
-            assert ctx.canonical_mask(ctx.mask_of(s))[2] == inversions % 2
+            assert parity == inversions % 2
             fixing = sum(1 for p in edge_perms if tuple(sorted(p[e] for e in s)) == s)
             assert ctx.stabilizer_order(s) == fixing, (form.certificate, s)
     return len(subsets)
