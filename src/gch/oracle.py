@@ -4,8 +4,8 @@ Each function recomputes by exhaustive search, or by plain elimination,
 something that the engine computes another way.  The module imports
 nothing from ``gch`` except :class:`HalfEdgeGraph`, so a fault in
 canonical forms, automorphism groups, orientations, generation or sparse
-elimination cannot also sit in its check; ``gch verify`` and the tests
-both call it.
+elimination cannot also sit in its check.  Only the tests call it; no
+module of the package imports it.
 
 The sign of an automorphism on det H_1 comes from the exact sequence
 0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 of a connected graph (Conant-Vogtmann,

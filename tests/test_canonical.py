@@ -14,6 +14,7 @@ from gch.families import (
     triangle_with_doubled_edge,
     wheel,
 )
+from gch.generate import EnumSpec, enumerate_graphs
 from gch.graph import HalfEdgeGraph
 from gch.oracle import automorphism_sign, half_edge_automorphisms, relabeled
 
@@ -40,6 +41,18 @@ def test_certificate_relabeling_invariance(g):
     cert = canonical_form(g).certificate
     for _ in range(25):
         assert canonical_form(relabeled(g, rng)).certificate == cert
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_certificate_relabeling_invariance_across_families(genus):
+    """Every weighted graph with tadpoles of genus 2 and 3, under 200
+    random relabelings; the weight-zero ones are the valence >= 3 family."""
+    rng = random.Random(1)
+    for form in enumerate_graphs(EnumSpec(genus=genus, weighted=True, allow_tadpoles=True,
+                                          min_edges=1)):
+        for _ in range(200):
+            assert canonical_form(relabeled(form.graph, rng)).certificate == form.certificate, \
+                str(form.graph)
 
 
 def test_certificates_distinguish():

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from gch.canonical import canonical_form
@@ -238,6 +240,40 @@ def test_split_by_surface_preserves_generators():
     assert sum(b.total_generators() for b in blocks.values()) == c.total_generators()
     for sub in blocks.values():
         assert sub.d_squared_is_zero()
+
+
+@functools.cache
+def _surface_dims(genus, parity):
+    """Nonzero homology dims of each surface block of ``ass`` at this genus."""
+    blocks = split_by_surface(build_complex(ComplexSpec("ass", parity, genus)))
+    return {key: {k: v for k, v in homology(sub).dims.items() if v}
+            for key, sub in blocks.items()}
+
+
+def test_one_boundary_surface_blocks_agree_between_parities():
+    """A (h, 1) block computes the cohomology of M_{h,1}/S_1, and S_1 is
+    trivial, so the sign twist on the boundary components cannot tell the
+    parities apart (Kontsevich, Penner)."""
+    for genus in (2, 3, 4):
+        for parity in ("even", "odd"):
+            one_boundary = {key for key in _surface_dims(genus, parity) if key[1] == 1}
+            assert one_boundary == ({(genus // 2, 1)} if genus % 2 == 0 else set())
+    assert _surface_dims(2, "even")[(1, 1)] == _surface_dims(2, "odd")[(1, 1)] == {3: 1}
+    assert _surface_dims(4, "even")[(2, 1)] == _surface_dims(4, "odd")[(2, 1)] \
+        == {6: 1, 7: 2, 9: 1}
+
+
+def test_planar_surface_blocks_are_one_class_in_odd_parity():
+    """The (0, g+1) block computes H^*(M_{0,g+1}) with S_{g+1} permuting the
+    boundary components.  At genus 2, M_{0,3} is a point, so the block with
+    a class is the one with S_3 acting trivially: the odd parity is the
+    untwisted one, and the even parity twists by the sign of S_s.  The
+    invariants H^*(M_{0,s})^{S_s} are Q in degree zero (Getzler, "Operads
+    and moduli spaces of genus 0 Riemann surfaces"), one class on the
+    3g-3 edges of the trivalent graphs; the sign-twisted part vanishes."""
+    for genus in (2, 3, 4):
+        assert _surface_dims(genus, "odd")[(0, genus + 1)] == {3 * genus - 3: 1}
+        assert _surface_dims(genus, "even").get((0, genus + 1), {}) == {}
 
 
 def test_degree_report_formulas():

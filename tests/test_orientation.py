@@ -74,12 +74,7 @@ def test_rebase_between_trees_of_theta():
     assert sign2 == 1
 
 
-@pytest.mark.parametrize(
-    "g", [theta(), dumbbell(), wheel(3), cycle(4), banana(4), triangle_with_doubled_edge()],
-    ids=lambda g: str(g),
-)
-def test_exchange_rebase_never_flips(g):
-    """Stepwise tree exchange preserves the orientation class for every tree pair."""
+def _assert_rebases_keep_orientation(g):
     ref = reference_orientation(g)
     edges = range(g.edge_count)
     all_trees = [
@@ -89,9 +84,27 @@ def test_exchange_rebase_never_flips(g):
     ]
     for tree in all_trees:
         rebased, sign = exchange_rebase(ref, tree)
-        assert sign == 1
+        assert sign == 1, (str(g), tree)
         # agreeing with the direct change-of-basis determinant
-        assert h1_determinant_sign(identity_morphism(g), rebased, ref) == 1
+        assert h1_determinant_sign(identity_morphism(g), rebased, ref) == 1, (str(g), tree)
+
+
+@pytest.mark.parametrize(
+    "g", [theta(), dumbbell(), wheel(3), cycle(4), banana(4), triangle_with_doubled_edge()],
+    ids=lambda g: str(g),
+)
+def test_exchange_rebase_never_flips(g):
+    """Stepwise tree exchange preserves the orientation class for every tree pair."""
+    _assert_rebases_keep_orientation(g)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_exchange_rebase_never_flips_across_families(genus):
+    """The same on every weighted graph with tadpoles of genus 2 and 3 and
+    at most five edges; the weight-zero ones are the valence >= 3 family."""
+    for form in enumerate_graphs(EnumSpec(genus=genus, weighted=True, allow_tadpoles=True,
+                                          min_edges=1, max_edges=5)):
+        _assert_rebases_keep_orientation(form.graph)
 
 
 def _forest_of(g, edges):
@@ -252,7 +265,8 @@ def test_even_sign_ignores_cycle_data():
 
 def test_morphism_sign_multiplicative():
     rng = random.Random(3)
-    for g in [theta(), dumbbell(), cycle(4), banana(3), wheel(3)]:
+    for g in [theta(), dumbbell(), rose(2), cycle(4), cycle(5), banana(3), banana(4),
+              wheel(3), triangle_with_doubled_edge()]:
         ref = reference_orientation(g)
         gens = list(automorphism_group(g).generators)
         for parity in ("even", "odd"):
