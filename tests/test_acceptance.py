@@ -8,7 +8,11 @@ where the criteria fix them.  The property checks against
 ranks) are the module tests of the layers they check.
 """
 
+import re
 import time
+from pathlib import Path
+
+import pytest
 
 from gch import verify
 
@@ -72,3 +76,16 @@ def test_criterion_09_moduli_dimensions():
 def test_criterion_10_ribbon_surfaces():
     detail = _must_pass(verify.check_ribbon_surfaces)
     print(f"criterion 10: {detail}")
+
+
+def test_paper_suite_is_the_criteria():
+    """The paper suite is exactly the ten checks, and each check is run by
+    one criterion test of this module."""
+    called = re.findall(r"verify\.(check_\w+)", Path(__file__).read_text())
+    assert len(verify.PAPER_CHECKS) == 10
+    assert sorted(called) == sorted(fn.__name__ for _, fn in verify.PAPER_CHECKS)
+
+
+def test_unknown_suite_is_rejected():
+    with pytest.raises(ValueError, match="unknown suite"):
+        verify.run_suite("property")
