@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import HalfEdgeGraph, Morphism, identity_morphism
+from .graph import HalfEdgeGraph, Morphism
 from .ribbon import RibbonStructure, rotation_word, transport_ribbon
 
 
@@ -460,25 +460,21 @@ def automorphism_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) 
     return AutGroup(graph=g, generators=tuple(gens), order=len(vertex_auts) * kernel)
 
 
-def edge_action_closure(group: AutGroup) -> list[tuple[tuple[int, ...], Morphism]]:
-    """The full group of edge permutations, one witness morphism each."""
-    g = group.graph
-    identity = tuple(range(g.edge_count))
-    seen: dict[tuple[int, ...], Morphism] = {identity: identity_morphism(g)}
+def edge_action_closure(edge_count: int, generators) -> list[tuple[tuple[int, ...], int]]:
+    """The sorted group of permutations of ``edge_count`` edges spanned by
+    (edge permutation tuple, sign) generators, each with the product of the
+    generator signs along the path that first reached it.  That sign is
+    well defined when the signs are a character trivial on the elements
+    that fix every edge; otherwise it depends on the path."""
+    identity = tuple(range(edge_count))
+    seen = {identity: 1}
     frontier = [identity]
-    gen_pairs = []
-    for m in group.generators:
-        p = tuple(m.edge_action)
-        if p not in seen:
-            seen[p] = m
-            frontier.append(p)
-        gen_pairs.append((p, m))
     while frontier:
         p = frontier.pop()
-        mp = seen[p]
-        for q, mq in gen_pairs:
+        sp = seen[p]
+        for q, sq in generators:
             pq = tuple(q[x] for x in p)
             if pq not in seen:
-                seen[pq] = mq.compose(mp)
+                seen[pq] = sq * sp
                 frontier.append(pq)
     return sorted(seen.items())

@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"invalid document: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -24,13 +24,15 @@ Every kind is built from the same three rules, all on
 
 * **vanishing** (``GraphContext.witness``): a generator is zero when a
   symmetry stabilizing its subset (all edges for the simplicial and ribbon
-  kinds) reverses its orientation; one walk of the symmetries, each with
-  its sign on the subset and on H_1, decides both parities;
+  kinds) reverses its orientation.  A cube's verdict, for both parities,
+  comes from the walk of the edge-action closure that fills its orbit,
+  each element with its parity on the subset and its sign on H_1; the
+  bare graph's comes from the generators of Aut;
 * **faces**: the face dropping the oriented edge at 0-based position p
   has sign (-1)^(p+1), times the parity of the surviving edges in the
   target order, times for odd parity the cycle transport, the reference
-  cycle basis pushed through the collapse (and, for pairs, the sign of
-  the symmetry that aligns the target subset);
+  cycle basis pushed through the collapse (and, for pairs, the H_1 sign
+  that the closure carries for the p_k aligning the target subset);
 * **subset orbits** (``GraphContext.subset_orbits``): the cube kinds and
   the cubical catalogs of :mod:`gch.moduli` take the same orbit
   representatives of forests or proper subsets, walked once per context.
@@ -99,14 +101,15 @@ _PAIR_GRAPH_FAMILY = dict(min_valence=3, allow_tadpoles=True, weighted=False)
 # why a generator vanishes, by the kind of symmetry that reverses it
 _WITNESS = {
     ("swap", "even"): "parallel-edge swap acts by an odd edge permutation",
-    ("swap", "odd"): "parallel-edge swap off the subset reverses the cycle orientation",
     ("flip", "odd"): "tadpole reversal reverses the cycle orientation",
     ("lift", "even"): "vertex symmetry with odd edge permutation",
     ("lift", "odd"): "symmetry with odd combined edge and cycle sign",
     ("ribbon", "even"): "ribbon symmetry with odd edge permutation",
     ("ribbon", "odd"): "ribbon symmetry with odd combined edge and cycle sign",
 }
-_REASONS: dict[tuple[str, str], tuple[str, str]] = {}
+# a cube's (even, odd) reasons, one shared tuple for each of the four verdicts
+_CUBE_REASONS = tuple((even, odd) for even in ("", "stabilizer with odd subset permutation")
+                      for odd in ("", "stabilizer with odd combined subset and cycle sign"))
 
 
 @dataclass(frozen=True)
@@ -213,8 +216,11 @@ class GraphContext:
         self._collapse: dict[int, tuple] = {}
         self._collapse_h1: dict[int, int] = {}
         self._aut_h1: dict[tuple, int] = {}
-        self._witness: dict[tuple | None, tuple[str, str]] = {}
+        # mask -> (representative, k, parity), filled an orbit at a time by
+        # ``_fill_orbit``, which keeps each orbit's size and reasons by its rep
+        self._orbit: dict[int, tuple[int, int, int]] = {}
         self._orbit_size: dict[int, int] = {}
+        self._reasons: dict[int, tuple[str, str]] = {}
 
     @cached_property
     def classes(self):
@@ -242,24 +248,15 @@ class GraphContext:
         identity = tuple(range(g.vertex_count))
         return [m for m in self.group.generators if m.vertex_map != identity]
 
-    @cached_property
-    def _lift_classes(self):
-        """Each lift of a plain form with the index, in ``classes``, of the
-        image of every parallel class under its vertex permutation."""
-        position = {key: i for i, key in enumerate(self.classes)}
-        out = []
-        for lift in self.lifts:
-            perm = lift.vertex_map
-            out.append((lift, tuple(position[(perm[u], perm[v]) if perm[u] <= perm[v]
-                                             else (perm[v], perm[u])]
-                                    for u, v in self.classes)))
-        return out
-
     def aut_h1(self, m) -> int:
-        """Sign of an automorphism on det H_1, cached by its half-edge map."""
+        """Sign of a generator of Aut on det H_1, cached by its half-edge map.
+        A plain form's swaps and flips, its generators fixing every vertex,
+        act by -1: the one edge chain each negates is a cycle."""
         h = self._aut_h1.get(m.half_edge_map)
         if h is None:
-            h = h1_determinant_sign(m, self.ref_orientation, self.ref_orientation)
+            h = -1
+            if self.form.ribbon is not None or m.vertex_map != tuple(range(self.graph.vertex_count)):
+                h = h1_determinant_sign(m, self.ref_orientation, self.ref_orientation)
             self._aut_h1[m.half_edge_map] = h
         return h
 
@@ -272,77 +269,32 @@ class GraphContext:
         ``subset`` is None), oriented by the subset order and, for odd
         parity, by the cycle space.  It is zero when a symmetry stabilizing
         the subset reverses that orientation: the parity of the symmetry on
-        the subset, times for odd parity its sign on H_1, is -1.  One walk
-        of the symmetries decides both parities; each keeps the first
-        symmetry that reverses it.
+        the subset, times for odd parity its sign on H_1, is -1.  A subset
+        takes the verdict that ``_fill_orbit`` read off its orbit's
+        representative; the bare graph takes ``_bare_reasons``.
         """
-        reasons = self._witness.get(subset)
-        if reasons is None:
-            even = odd = ""
-            edges = tuple(range(self.graph.edge_count)) if subset is None else subset
-            for kind, sign, h1 in self._symmetry_signs(edges):
-                if not even and sign == -1:
-                    even = _WITNESS[kind, "even"]
-                if not odd and sign * h1 == -1:
-                    odd = _WITNESS[kind, "odd"]
-                if even and odd:
-                    break
-            # one shared tuple per distinct pair keeps the cache small
-            reasons = self._witness[subset] = _REASONS.setdefault((even, odd), (even, odd))
+        reasons = (self._bare_reasons if subset is None
+                   else self._reasons[self.canonical_mask(self.mask_of(subset))[0]])
         return reasons[parity == "odd"]
 
-    def _symmetry_signs(self, subset):
-        """(kind, sign on the subset order, sign on H_1) of symmetries
-        generating the stabilizer of the subset.  A swap of two parallel
-        edges or a tadpole flip acts on H_1 by -1; a lift or a ribbon
-        automorphism takes its H_1 sign from ``aut_h1``.
-
-        A vertex automorphism stabilizes the subset exactly when its class
-        permutation keeps the number of subset edges in each parallel
-        class.  It then does so through its subset-aware lift, which maps
-        the subset members of each class, in index order, onto those of
-        the image class, and the complement likewise.  That lift differs
-        from the canonical lift by swaps inside parallel classes; each swap
-        acts by -1 on H_1.  The H_1 sign is taken from the canonical lift,
-        which changes no verdict and no witness kind:
-
-        * If the graph has a tadpole, or a parallel class has two edges off
-          the subset, the tadpole flip or the off-subset swap comes before
-          the lifts and already witnesses for odd parity.
-        * Otherwise each class has at most one edge off the subset, at
-          position p_c among its members.  The two lifts differ on class c
-          by the shift that carries p_c to p_pi(c) and keeps the other
-          members in order, of parity (-1)^(p_c - p_pi(c)).  These sum to
-          zero around each cycle of classes under the vertex permutation
-          pi, so the swaps that separate the two lifts cancel, and the two
-          lifts have the same H_1 sign.
-        """
-        if self.form.ribbon is not None:
-            for m in self.lifts:
-                images = [m.edge_action[e] for e in subset]
-                if sorted(images) == list(subset):
-                    yield "ribbon", -1 if sequence_parity(images) else 1, self.aut_h1(m)
-            return
-        chosen = frozenset(subset)
-        inside = [[e for e in members if e in chosen] for members in self.classes.values()]
-        for members, cin in zip(self.classes.values(), inside):
-            if len(cin) >= 2:
-                yield "swap", -1, -1
-            if len(members) - len(cin) >= 2:
-                yield "swap", 1, -1
-        if self.graph.has_tadpole:
-            yield "flip", 1, -1
-        counts = [len(cin) for cin in inside]
-        lifts = [(lift, image) for lift, image in self._lift_classes
-                 if list(map(counts.__getitem__, image)) == counts]
-        if not lifts:
-            return
-        # the subset-aware lift carries the subset, listed class by class,
-        # onto the same listing of the image classes
-        source = sequence_parity([e for cin in inside for e in cin])
-        for lift, image in lifts:
-            target = sequence_parity([e for j in image for e in inside[j]])
-            yield "lift", -1 if source ^ target else 1, self.aut_h1(lift)
+    @cached_property
+    def _bare_reasons(self) -> tuple[str, str]:
+        """(even, odd) reasons of the bare graph.  Its orientation sign is a
+        character of Aut, so generators decide it: parallel-edge swaps (odd
+        on the edges, -1 on H_1), the tadpole flip (-1 on H_1), then the
+        lifts or ribbon automorphisms, each parity keeping the first."""
+        plain = self.form.ribbon is None
+        swaps = plain and any(len(members) > 1 for members in self.classes.values())
+        even = _WITNESS["swap", "even"] if swaps else ""
+        odd = _WITNESS["flip", "odd"] if plain and self.graph.has_tadpole else ""
+        kind = "lift" if plain else "ribbon"
+        for m in self.lifts:
+            sign = -1 if sequence_parity(m.edge_action) else 1
+            if not even and sign == -1:
+                even = _WITNESS[kind, "even"]
+            if not odd and sign * self.aut_h1(m) == -1:
+                odd = _WITNESS[kind, "odd"]
+        return even, odd
 
     def stabilizer_order(self, subset) -> int:
         """Order of the automorphisms that map the edge subset onto itself:
@@ -390,14 +342,22 @@ class GraphContext:
 
     @cached_property
     def closure(self):
-        """All edge permutations of Aut, each with a witness morphism."""
-        return edge_action_closure(self.group)
+        """All edge permutations p_k of Aut, sorted, each with its sign on
+        det H_1.  The sign is that of every automorphism with edge action
+        p_k unless ``_kernel_odd`` holds; then every odd cube of the graph
+        vanishes, so no matrix row reads it."""
+        return edge_action_closure(self.graph.edge_count,
+                                   [(m.edge_action, self.aut_h1(m)) for m in self.group.generators])
 
     @cached_property
-    def _orbit(self) -> dict[int, tuple[int, int, int]]:
-        """Subset mask -> (representative, k, parity), filled an orbit at
-        a time by ``_fill_orbit``."""
-        return {}
+    def _kernel_odd(self) -> bool:
+        """Whether a generator fixing every edge reverses H_1: a tadpole flip,
+        or the vertex swap of an even banana.  On a plain form every
+        automorphism fixing every edge is a product of flips or is that swap;
+        a ribbon form's generators are all its automorphisms."""
+        identity = tuple(range(self.graph.edge_count))
+        return any(m.edge_action == identity and self.aut_h1(m) == -1
+                   for m in self.group.generators)
 
     @cached_property
     def _inverse_bits(self):
@@ -428,27 +388,40 @@ class GraphContext:
 
     def _fill_orbit(self, rep: int, edges: tuple[int, ...]) -> None:
         """Enter every member of the orbit of a representative, given by
-        its mask and its edges.
+        its mask and its edges, and decide the orbit's vanishing.
 
         The k with p_k(T) = R are those with T = p_k^-1(R), so walking k
         upwards and keeping the first k that reaches each member gives the
         least one.  Its parity is that of p_k^-1 on R in edge order.  The
-        orbit's size is kept for ``stabilizer_order``."""
-        table = self._orbit
+        k with p_k^-1(R) = R form the stabilizer of R: the cube vanishes
+        for even parity when one of them has odd parity, and for odd
+        parity when one has parity times H_1 sign -1 or ``_kernel_odd``
+        holds.  Conjugate stabilizers have the same signs, so the verdict
+        holds for the whole orbit.  The orbit's size is kept for
+        ``stabilizer_order``."""
+        table, closure = self._orbit, self.closure
         before = len(table)
+        even, odd = 0, int(self._kernel_odd)
         for k, bits in enumerate(self._inverse_bits):
             image = 0
             for e in edges:
                 image |= bits[e]
-            if image in table:
+            known = image in table
+            if known and (image != rep or even & odd):
                 continue
             seen = inversions = 0
             for e in edges:
                 bit = bits[e]
                 inversions += (seen & (bit - 1)).bit_count()
                 seen |= bit
-            table[image] = (rep, k, inversions & 1)
+            parity = inversions & 1
+            if not known:
+                table[image] = (rep, k, parity)
+            else:  # p_k stabilizes R
+                even |= parity
+                odd |= parity ^ (closure[k][1] < 0)
         self._orbit_size[rep] = len(table) - before
+        self._reasons[rep] = _CUBE_REASONS[2 * even + odd]
 
     def subset_orbits(self, forests_only: bool) -> list[tuple[int, ...]]:
         """Orbit representatives of the forests, or of the proper edge
@@ -645,7 +618,7 @@ def _pair_boundary(spec: ComplexSpec, gens, index):
                 continue
             transport = 1
             if odd:
-                transport = target.aut_h1(target.closure[k][1])
+                transport = target.closure[k][1]
                 if collapse:
                     transport *= ctx.collapse_h1(gen.subset[pos])
             sign = _face_sign(pos, parity, transport)

@@ -144,7 +144,8 @@ def _raise_genus(g: HalfEdgeGraph):
     Aut(g) on its edges (hang a tadpole) and on its pairs of edges (join
     the midpoints)."""
     n = g.vertex_count
-    perms = [p for p, _ in edge_action_closure(automorphism_group(g))]
+    perms = [p for p, _ in edge_action_closure(
+        g.edge_count, [(m.edge_action, 1) for m in automorphism_group(g).generators])]
     for (i,) in _orbit_representatives(perms, itertools.combinations(range(g.edge_count), 1)):
         s, _ = _subdivide(g, i)
         yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1), (n + 1, n + 1)))

@@ -1,6 +1,7 @@
 """Exact sparse rational matrices and rank computation.
 
-Matrices are coordinate dictionaries: integral values are stored as
+Matrices are coordinate dictionaries of ``int`` or ``Fraction`` entries
+(anything else raises ``TypeError``): integral values are stored as
 ``int`` and the rest as ``Fraction``, so the boundary operators, which
 are sums of signs, carry no ``Fraction`` at all; a matrix notes once
 whether it is integral.  Every rank comes from one fraction-free sparse
@@ -48,13 +49,14 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             if not (0 <= i < self.rows and 0 <= j < self.cols):
                 raise ValueError(f"entry ({i},{j}) out of range")
+            if type(v) is not int:
+                if not isinstance(v, Fraction):
+                    raise TypeError(f"entry ({i},{j}) is {type(v).__name__}, not int or Fraction")
+                if v.denominator == 1:
+                    v = v.numerator
+                else:
+                    integral = False
             if v:
-                if type(v) is not int:
-                    v = Fraction(v)
-                    if v.denominator == 1:
-                        v = v.numerator
-                    else:
-                        integral = False
                 clean[(i, j)] = v
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "integral", integral)

@@ -115,6 +115,21 @@ def test_surface_requires_ribbon(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["surface", "--input", "{dir}"],
+    ["complex", "--kind", "com", "--parity", "even", "--genus", "2", "--export", "{file}"],
+    ["moduli", "--genus", "2", "--export", "{dir}"],
+])
+def test_unusable_path_exit_code(tmp_path, capsys, argv):
+    """A directory where a file is read or written, or a file where a
+    directory is written, is an input error (exit 2), not a crash."""
+    existing = tmp_path / "existing.txt"
+    existing.write_text("", encoding="utf-8")
+    argv = [a.format(dir=tmp_path, file=existing) for a in argv]
+    assert main(argv) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 def test_complex_export(tmp_path, capsys):
     code, rows = run_cli(capsys, "complex", "--kind", "gf", "--parity", "even",
                          "--genus", "2", "--export", str(tmp_path / "out"))

@@ -143,6 +143,17 @@ def test_gp_matches_com_genus3_with_shift():
         assert gp.dims.get(k, 0) == com.dims.get(k + 1, 0), k
 
 
+def test_gp_odd_genus5_matches_com_with_shift():
+    """The pair complex of cubes (graph, proper edge subset) has the
+    homology of ``com`` shifted down one grade, as at genus 3 above.  At
+    genus 5 in odd parity the automorphism groups are large enough that
+    the alignment signs of many symmetries enter the matrices."""
+    gp = homology(build_complex(ComplexSpec("gp", "odd", 5)))
+    com = homology(build_complex(ComplexSpec("com", "odd", 5)))
+    assert {k: v for k, v in com.dims.items() if v} == {12: 2}
+    assert {k: v for k, v in gp.dims.items() if v} == {11: 2}
+
+
 def test_com_geq2_genus1_window():
     even = homology(build_complex(ComplexSpec("com_geq2", "even", 1, max_edges=9)))
     nonzero = {k for k, v in even.dims.items() if v}

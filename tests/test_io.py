@@ -118,3 +118,15 @@ def test_sparse_matrix_rejects_negative_shape():
     for shape in ((-1, 0), (0, -1), (-2, 3)):
         with pytest.raises(ValueError):
             SparseMatrix(*shape)
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, 0.0, "1", "", True, False, None])
+def test_sparse_matrix_rejects_inexact_entries(value):
+    with pytest.raises(TypeError):
+        SparseMatrix(1, 1, {(0, 0): value})
+
+
+def test_sparse_matrix_keeps_exact_entries():
+    m = SparseMatrix(1, 3, {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 2): Fraction(0)})
+    assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 3)}
+    assert type(m.entries[(0, 0)]) is int and not m.integral

@@ -8,19 +8,23 @@ permutations of :func:`gch.oracle.half_edge_automorphisms`, which finds
 every automorphism by search, k by scanning the closure, and the parity
 by counting inversions; the order of the stabilizer of T, which the
 context reads off the orbit size, is the number of automorphisms that
-map T onto itself.  The graphs are every graph of genus 1 to 3 with
-at most six edges (bivalent vertices and tadpoles allowed), the
-cube-pair family up to genus 3, and its genus-4 graphs with at most
-eight edges.  Each is checked in two fresh contexts: one meets the
-subsets in reverse order, so that most lookups miss on a subset that is
-not its orbit's representative; the other walks the orbits first.
+map T onto itself.  Each closure element also carries a sign on det H_1:
+unless an automorphism fixing every edge reverses H_1 (``_kernel_odd``,
+which the oracle decides too), it must be the C_1.C_0 sign of every
+automorphism with that edge permutation; if one does, every odd cube
+must vanish.  The graphs are every graph of genus 1 to 3 with at most
+six edges (bivalent vertices and tadpoles allowed), the cube-pair family
+up to genus 3, and its genus-4 graphs with at most eight edges.  Each is
+checked in two fresh contexts: one meets the subsets in reverse order,
+so that most lookups miss on a subset that is not its orbit's
+representative; the other walks the orbits first.
 """
 
 import itertools
 
 from gch.complexes import GraphContext
 from gch.generate import EnumSpec, enumerate_forests, enumerate_graphs
-from gch.oracle import half_edge_automorphisms
+from gch.oracle import automorphism_sign, half_edge_automorphisms
 
 
 def _forms():
@@ -32,7 +36,8 @@ def _forms():
 
 def _check_graph(form):
     g = form.graph
-    edge_perms = [perm for perm, _, _ in half_edge_automorphisms(g)]
+    autos = half_edge_automorphisms(g)
+    edge_perms = [perm for perm, _, _ in autos]
     subsets = [s for size in range(g.edge_count + 1)
                for s in itertools.combinations(range(g.edge_count), size)]
     orbit = {s: {tuple(sorted(p[e] for e in s)) for p in edge_perms} for s in subsets}
@@ -42,6 +47,17 @@ def _check_graph(form):
     walked_first = GraphContext(form)
     assert ({tuple(p) for p, _ in walked_first.closure}
             == {tuple(p) for p in edge_perms})
+    # the C_1.C_0 sign on det H_1 of each automorphism, by edge permutation:
+    # the odd sign on all edges times the even one, the edge parity
+    every = tuple(range(g.edge_count))
+    h1_signs = {}
+    for aut in autos:
+        h1_signs.setdefault(tuple(aut[0]), set()).add(
+            automorphism_sign(aut, every, True) * automorphism_sign(aut, every, False))
+    assert walked_first._kernel_odd == (-1 in h1_signs[every]), form.certificate
+    if not walked_first._kernel_odd:
+        for p, sign in walked_first.closure:
+            assert h1_signs[p] == {sign}, (form.certificate, p)
     forests = {m.sorted_edges() for m in enumerate_forests(g)}
     for forests_only, expected_total in ((True, len(forests)), (False, 2 ** g.edge_count - 1)):
         reps = walked_first.subset_orbits(forests_only)
@@ -62,6 +78,8 @@ def _check_graph(form):
             assert parity == inversions % 2
             fixing = sum(1 for p in edge_perms if tuple(sorted(p[e] for e in s)) == s)
             assert ctx.stabilizer_order(s) == fixing, (form.certificate, s)
+            # where the closure signs are not well defined, no odd cube survives
+            assert not ctx._kernel_odd or ctx.witness("odd", s), (form.certificate, s)
     return len(subsets)
 
 
