@@ -43,7 +43,12 @@ class AutGroup:
     order: int
 
 
+# labelled input -> (class, vertex map, half-edge map) onto the class's
+# canonical graph; the labelled graph itself is not kept
 _CERT_CACHE: dict = {}
+# certificate -> (certificate, canonical graph, canonical ribbon or None),
+# the one shared entry of each class
+_CLASSES: dict[str, tuple[str, HalfEdgeGraph, RibbonStructure | None]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +162,9 @@ def _canonical_labeling(g: HalfEdgeGraph):
     return best[0], best[1]
 
 
-def _iso_from_labeling(g: HalfEdgeGraph, perm, encoding):
-    weights_enc, pairs = encoding
+def _canonical_plain(g: HalfEdgeGraph):
+    """(canonical graph, None, vertex map, half-edge map) of a graph."""
+    (weights_enc, pairs), perm = _canonical_labeling(g)
     canonical = HalfEdgeGraph(g.vertex_count, weights_enc, pairs)
     images = [(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges]
     order = sorted(range(g.edge_count), key=lambda i: (images[i], i))
@@ -170,14 +176,7 @@ def _iso_from_labeling(g: HalfEdgeGraph, perm, encoding):
             half_edge_map[2 * i], half_edge_map[2 * i + 1] = 2 * j, 2 * j + 1
         else:
             half_edge_map[2 * i], half_edge_map[2 * i + 1] = 2 * j + 1, 2 * j
-    m = Morphism(
-        kind="isomorphism",
-        source=g,
-        target=canonical,
-        vertex_map=tuple(perm),
-        half_edge_map=tuple(half_edge_map),
-    )
-    return canonical, m
+    return canonical, None, tuple(perm), tuple(half_edge_map)
 
 
 def _certificate_string(graph: HalfEdgeGraph, ribbon: RibbonStructure | None):
@@ -190,20 +189,28 @@ def _certificate_string(graph: HalfEdgeGraph, ribbon: RibbonStructure | None):
 
 
 def canonical_form(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> CanonicalForm:
-    """Canonical representative plus an isomorphism of the input onto it."""
+    """Canonical representative plus an isomorphism of the input onto it.
+
+    Each labelled input is canonicalized once.  The cache keeps its
+    certificate and its vertex and half-edge maps, and one canonical graph
+    (and ribbon) per class, so it pins no input graph; ``iso`` starts at
+    the caller's graph on every call.
+    """
     if not g.is_connected:
         raise ValueError("canonical form is defined for connected graphs")
-    if ribbon is not None:
-        return _canonical_ribbon(g, ribbon)
-    key = (g.vertex_count, g.weights, g.edges)
-    hit = _CERT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    encoding, perm = _canonical_labeling(g)
-    canonical, iso = _iso_from_labeling(g, perm, encoding)
-    form = CanonicalForm(graph=canonical, certificate=_certificate_string(canonical, None), iso=iso)
-    _CERT_CACHE[key] = form
-    return form
+    key = ((g.vertex_count, g.weights, g.edges) if ribbon is None
+           else (g.vertex_count, g.weights, g.edges, ribbon.cycles))
+    entry = _CERT_CACHE.get(key)
+    if entry is None:
+        canonical, canonical_ribbon, vertex_map, half_edge_map = (
+            _canonical_plain(g) if ribbon is None else _canonical_ribbon(g, ribbon))
+        certificate = _certificate_string(canonical, canonical_ribbon)
+        entry = (_CLASSES.setdefault(certificate, (certificate, canonical, canonical_ribbon)),
+                 vertex_map, half_edge_map)
+        _CERT_CACHE[key] = entry
+    (certificate, canonical, canonical_ribbon), vertex_map, half_edge_map = entry
+    iso = Morphism("isomorphism", g, canonical, vertex_map, half_edge_map)
+    return CanonicalForm(canonical, certificate, iso, canonical_ribbon)
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +272,16 @@ def _least_traversals(g: HalfEdgeGraph, ribbon: RibbonStructure):
 
 
 def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
-    """Canonical form of a ribbon graph from its least traversal.
+    """(canonical graph, ribbon, vertex map, half-edge map) of a ribbon
+    graph, from its least traversal.
 
     Connectedness makes a traversal determined by its start half-edge, so
     the least encoding over all starts is a complete invariant; on a tie
     the first start wins, and the tied starts are the automorphisms.  Each
     traversal is abandoned as soon as its encoding prefix exceeds the least
     one so far, which cannot change the winner: the canonical graph, its
-    ribbon, the certificate and ``iso`` are those of the full comparison.
+    ribbon and the maps are those of the full comparison.
     """
-    key = (g.vertex_count, g.weights, g.edges, ribbon.cycles)
-    hit = _CERT_CACHE.get(key)
-    if hit is not None:
-        return hit
     order = _least_traversals(g, ribbon)[0][1]
     ends = _ends(g)
 
@@ -309,15 +313,7 @@ def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
         vertex_map=tuple(vperm),
         half_edge_map=tuple(hmap),
     )
-    new_ribbon = transport_ribbon(ribbon, iso)
-    form = CanonicalForm(
-        graph=canonical,
-        certificate=_certificate_string(canonical, new_ribbon),
-        iso=iso,
-        ribbon=new_ribbon,
-    )
-    _CERT_CACHE[key] = form
-    return form
+    return canonical, transport_ribbon(ribbon, iso), iso.vertex_map, iso.half_edge_map
 
 
 def ribbon_automorphisms(g: HalfEdgeGraph, ribbon: RibbonStructure) -> list[Morphism]:

@@ -3,11 +3,14 @@
 Commands emit JSON lines on stdout, byte-for-byte deterministic for fixed
 inputs.  Exit codes: 0 success, 1 failed verification, 2 usage error,
 3 infeasible request (an enumeration that needs --max-edges to be finite).
+An ``--export`` target is opened before any work, so an unusable one exits
+2 with nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -59,40 +62,52 @@ def _spec_from_args(args) -> ComplexSpec:
     )
 
 
+def _open_export(target: str | None, name: str | None = None):
+    """The export file, opened before any work, so that an unusable target
+    exits 2 with nothing on stdout; a null context without a target.  With
+    ``name`` the target is a directory, made if missing, and the file is
+    ``name`` in it."""
+    if not target:
+        return contextlib.nullcontext()
+    if name is not None:
+        os.makedirs(target, exist_ok=True)
+        target = os.path.join(target, name)
+    return open(target, "w", encoding="utf-8")
+
+
 def _cmd_complex(args) -> int:
     spec = _spec_from_args(args)
-    complex_ = build_complex(spec)
-    for k in range(complex_.max_grade + 1):
-        gens = complex_.grades.get(k, [])
-        row = {"grade": k, "generators": len(gens)}
-        m = complex_.boundary(k)
-        row["boundary_entries"] = m.nnz
-        _emit(row)
-    _emit({
-        "kind": spec.kind,
-        "parity": spec.parity,
-        "genus": spec.genus,
-        "total_generators": complex_.total_generators(),
-        "d_squared_zero": complex_.d_squared_is_zero(),
-    })
-    if args.export:
-        _export_complex(complex_, args.export)
-        _emit({"exported_to": args.export})
+    with _open_export(args.export, "generators.jsonl") as generators:
+        complex_ = build_complex(spec)
+        for k in range(complex_.max_grade + 1):
+            gens = complex_.grades.get(k, [])
+            row = {"grade": k, "generators": len(gens)}
+            m = complex_.boundary(k)
+            row["boundary_entries"] = m.nnz
+            _emit(row)
+        _emit({
+            "kind": spec.kind,
+            "parity": spec.parity,
+            "genus": spec.genus,
+            "total_generators": complex_.total_generators(),
+            "d_squared_zero": complex_.d_squared_is_zero(),
+        })
+        if generators:
+            _export_complex(complex_, args.export, generators)
+            _emit({"exported_to": args.export})
     return 0
 
 
-def _export_complex(complex_, directory: str):
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "generators.jsonl"), "w", encoding="utf-8") as fh:
-        for k in sorted(complex_.grades):
-            for idx, gen in enumerate(complex_.grades[k]):
-                doc = graph_to_document(gen.graph, gen.ribbon)
-                doc.update({"grade": k, "index": idx, "key": gen.key})
-                if gen.subset is not None:
-                    doc["subset"] = list(gen.subset)
-                if gen.surface is not None:
-                    doc["surface"] = list(gen.surface)
-                fh.write(json.dumps(doc, sort_keys=True) + "\n")
+def _export_complex(complex_, directory: str, generators):
+    for k in sorted(complex_.grades):
+        for idx, gen in enumerate(complex_.grades[k]):
+            doc = graph_to_document(gen.graph, gen.ribbon)
+            doc.update({"grade": k, "index": idx, "key": gen.key})
+            if gen.subset is not None:
+                doc["subset"] = list(gen.subset)
+            if gen.surface is not None:
+                doc["surface"] = list(gen.surface)
+            generators.write(json.dumps(doc, sort_keys=True) + "\n")
     for k in range(1, complex_.max_grade + 1):
         m = complex_.boundary(k)
         path = os.path.join(directory, f"boundary_{k}.sms")
@@ -126,39 +141,40 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_moduli(args) -> int:
-    if args.spine:
-        spine = build_spine(args.genus)
-        _emit({
-            "genus": args.genus,
-            "spine": True,
-            "max_dimension": spine.max_dimension,
-            "cubes": len(spine.entries),
-            "f_vector": list(f_vector(spine)),
-            "f_vector_odd_symmetry_free": list(f_vector(spine, odd_symmetry_free=True)),
-            "facets_closed": spine.facets_closed(),
-        })
-        if args.export:
-            _export_spine(spine, args.export)
-            _emit({"exported_to": args.export})
-    else:
-        poset = build_cell_poset(args.genus)
-        _emit({
-            "genus": args.genus,
-            "spine": False,
-            "max_dimension": poset.max_dimension,
-            "cells": len(poset.nodes),
-            "covers": len(poset.covers),
-            "f_vector": list(f_vector(poset)),
-            "f_vector_odd_symmetry_free": list(f_vector(poset, odd_symmetry_free=True)),
-            "positive_weight_cells": len(poset.positive_weight_subcomplex()),
-        })
-        if args.export:
-            _export_poset(poset, args.export)
+    with _open_export(args.export) as fh:
+        if args.spine:
+            spine = build_spine(args.genus)
+            _emit({
+                "genus": args.genus,
+                "spine": True,
+                "max_dimension": spine.max_dimension,
+                "cubes": len(spine.entries),
+                "f_vector": list(f_vector(spine)),
+                "f_vector_odd_symmetry_free": list(f_vector(spine, odd_symmetry_free=True)),
+                "facets_closed": spine.facets_closed(),
+            })
+            if fh:
+                _export_spine(spine, fh)
+        else:
+            poset = build_cell_poset(args.genus)
+            _emit({
+                "genus": args.genus,
+                "spine": False,
+                "max_dimension": poset.max_dimension,
+                "cells": len(poset.nodes),
+                "covers": len(poset.covers),
+                "f_vector": list(f_vector(poset)),
+                "f_vector_odd_symmetry_free": list(f_vector(poset, odd_symmetry_free=True)),
+                "positive_weight_cells": len(poset.positive_weight_subcomplex()),
+            })
+            if fh:
+                _export_poset(poset, fh)
+        if fh:
             _emit({"exported_to": args.export})
     return 0
 
 
-def _export_poset(poset, path: str):
+def _export_poset(poset, fh):
     payload = {
         "genus": poset.genus,
         "nodes": [
@@ -173,12 +189,11 @@ def _export_poset(poset, path: str):
         ],
         "covers": sorted(list(c) for c in poset.covers),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    json.dump(payload, fh, sort_keys=True, indent=1)
+    fh.write("\n")
 
 
-def _export_spine(spine, path: str):
+def _export_spine(spine, fh):
     payload = {
         "genus": spine.genus,
         "cubes": [
@@ -195,9 +210,8 @@ def _export_spine(spine, path: str):
             for e in spine.entries
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    json.dump(payload, fh, sort_keys=True, indent=1)
+    fh.write("\n")
 
 
 def _cmd_surface(args) -> int:

@@ -210,15 +210,20 @@ class GraphContext:
     """
 
     def __init__(self, form: CanonicalForm):
-        self.form = form
+        # the form's iso is not kept: it would pin the caller's labelled graph
         self.graph = form.graph
         self.cert = form.certificate
+        self.ribbon = form.ribbon
         self._collapse: dict[int, tuple] = {}
         self._collapse_h1: dict[int, int] = {}
         self._aut_h1: dict[tuple, int] = {}
-        # mask -> (representative, k, parity), filled an orbit at a time by
-        # ``_fill_orbit``, which keeps each orbit's size and reasons by its rep
-        self._orbit: dict[int, tuple[int, int, int]] = {}
+        # mask -> one int packing ``canonical_mask``'s triple for an E-edge
+        # graph, (k << E | representative) << 1 | parity, filled an orbit at
+        # a time by ``_fill_orbit``, which keeps each orbit's size and
+        # reasons by its representative
+        self._orbit: dict[int, int] = {}
+        self._rep_bits = (1 << form.graph.edge_count) - 1
+        self._k_shift = form.graph.edge_count + 1
         self._orbit_size: dict[int, int] = {}
         self._reasons: dict[int, tuple[str, str]] = {}
 
@@ -234,7 +239,7 @@ class GraphContext:
     def group(self):
         """The form's automorphism group: ribbon automorphisms for a ribbon
         form, otherwise Aut of the graph."""
-        return automorphism_group(self.graph, self.form.ribbon)
+        return automorphism_group(self.graph, self.ribbon)
 
     @cached_property
     def lifts(self):
@@ -242,7 +247,7 @@ class GraphContext:
         form, otherwise the canonical lifts of the vertex automorphisms,
         which are the generators of Aut that move a vertex."""
         g = self.graph
-        if self.form.ribbon is not None:
+        if self.ribbon is not None:
             identity = tuple(range(g.half_edge_count))
             return [m for m in self.group.generators if m.half_edge_map != identity]
         identity = tuple(range(g.vertex_count))
@@ -255,7 +260,7 @@ class GraphContext:
         h = self._aut_h1.get(m.half_edge_map)
         if h is None:
             h = -1
-            if self.form.ribbon is not None or m.vertex_map != tuple(range(self.graph.vertex_count)):
+            if self.ribbon is not None or m.vertex_map != tuple(range(self.graph.vertex_count)):
                 h = h1_determinant_sign(m, self.ref_orientation, self.ref_orientation)
             self._aut_h1[m.half_edge_map] = h
         return h
@@ -283,7 +288,7 @@ class GraphContext:
         character of Aut, so generators decide it: parallel-edge swaps (odd
         on the edges, -1 on H_1), the tadpole flip (-1 on H_1), then the
         lifts or ribbon automorphisms, each parity keeping the first."""
-        plain = self.form.ribbon is None
+        plain = self.ribbon is None
         swaps = plain and any(len(members) > 1 for members in self.classes.values())
         even = _WITNESS["swap", "even"] if swaps else ""
         odd = _WITNESS["flip", "odd"] if plain and self.graph.has_tadpole else ""
@@ -308,11 +313,11 @@ class GraphContext:
         """(target context, composite morphism onto its canonical graph)."""
         hit = self._collapse.get(e)
         if hit is None:
-            if self.form.ribbon is None:
+            if self.ribbon is None:
                 target, m = self.graph.contract(e)
                 ribbon = None
             else:
-                target, ribbon, m = contract_ribbon(self.graph, self.form.ribbon, e)
+                target, ribbon, m = contract_ribbon(self.graph, self.ribbon, e)
             form = canonical_form(target, ribbon=ribbon)
             hit = (get_context(form), form.iso.compose(m))
             self._collapse[e] = hit
@@ -384,7 +389,7 @@ class GraphContext:
             rep = max(sum(bits[e] for e in edges) for bits in self._inverse_bits)
             self._fill_orbit(rep, self.subset_of(rep))
             hit = self._orbit[mask]
-        return hit
+        return (hit >> 1) & self._rep_bits, hit >> self._k_shift, hit & 1
 
     def _fill_orbit(self, rep: int, edges: tuple[int, ...]) -> None:
         """Enter every member of the orbit of a representative, given by
@@ -399,13 +404,12 @@ class GraphContext:
         holds.  Conjugate stabilizers have the same signs, so the verdict
         holds for the whole orbit.  The orbit's size is kept for
         ``stabilizer_order``."""
-        table, closure = self._orbit, self.closure
+        table, closure, k_shift = self._orbit, self.closure, self._k_shift
+        low = rep << 1
         before = len(table)
         even, odd = 0, int(self._kernel_odd)
         for k, bits in enumerate(self._inverse_bits):
-            image = 0
-            for e in edges:
-                image |= bits[e]
+            image = sum(map(bits.__getitem__, edges))
             known = image in table
             if known and (image != rep or even & odd):
                 continue
@@ -416,7 +420,7 @@ class GraphContext:
                 seen |= bit
             parity = inversions & 1
             if not known:
-                table[image] = (rep, k, parity)
+                table[image] = k << k_shift | low | parity
             else:  # p_k stabilizes R
                 even |= parity
                 odd |= parity ^ (closure[k][1] < 0)
@@ -448,7 +452,7 @@ class GraphContext:
             hit = self._orbit.get(mask)
             if hit is None:
                 self._fill_orbit(mask, edges)
-            elif hit[0] != mask:
+            elif (hit >> 1) & self._rep_bits != mask:
                 continue
             reps.append(edges)
         return reps
@@ -527,7 +531,7 @@ def _simplicial_generators(spec: ComplexSpec):
         ctx = get_context(form)
         if ctx.witness(spec.parity):
             continue
-        ribbon = ctx.form.ribbon
+        ribbon = ctx.ribbon
         gens.append((ctx, Generator(
             key=ctx.cert,
             grade=ctx.graph.edge_count,
@@ -641,8 +645,9 @@ def build_complex(spec: ComplexSpec) -> ChainComplex:
     for k in range(1, top + 1):
         rows = len(grades.get(k - 1, []))
         cols = len(grades.get(k, []))
-        entries = {kk: v for kk, v in acc.get(k, {}).items() if v}
-        boundaries[k] = SparseMatrix(rows, cols, entries)
+        # the matrix drops the cancelled entries; popping the grade's
+        # accumulator frees it before the next grade's matrix is made
+        boundaries[k] = SparseMatrix(rows, cols, acc.pop(k, {}))
     return ChainComplex(spec=spec, grades=grades, boundaries=boundaries)
 
 

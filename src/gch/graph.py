@@ -7,7 +7,8 @@ at ``edges[i][1]``.  The edge involution is therefore ``h ^ 1`` and tadpoles
 are pairs ``(v, v)``.  Legs (fixed points of the involution) are not
 representable on purpose.
 
-All values are immutable; every operation returns fresh objects.
+All values are immutable; every operation returns fresh graphs and
+morphisms, and graphs share one tuple per vertex pair.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ from functools import cached_property
 
 class DisconnectedGraphError(ValueError):
     """Raised when an operation requires a connected graph."""
+
+
+# one shared tuple per normalized vertex pair, so that graphs and the
+# canonical-form cache keys built from them hold no pairs of their own;
+# graphs of at most V vertices have fewer than V^2 pairs
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 @dataclass(frozen=True)
@@ -31,12 +38,12 @@ class HalfEdgeGraph:
             raise ValueError("one weight per vertex required")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be non-negative")
-        norm = []
+        n, norm = self.vertex_count, []
         for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             norm.append((u, v) if u <= v else (v, u))
-        object.__setattr__(self, "edges", tuple(norm))
+        object.__setattr__(self, "edges", tuple(map(_PAIRS.setdefault, norm, norm)))
 
     @staticmethod
     def build(vertex_count, edges, weights=None):

@@ -28,6 +28,7 @@ pivot columns of d_k, as in the clearing of persistent homology
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,10 +45,16 @@ class SparseMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError(f"negative shape {self.rows}x{self.cols}")
+        others = set(map(type, itertools.chain.from_iterable(self.entries))) - {int}
+        if others:
+            raise TypeError("entry coordinates must be int, not "
+                            + ", ".join(sorted(t.__name__ for t in others)))
         clean = {}
         integral = True
-        for (i, j), v in self.entries.items():
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
+        rows, cols = self.rows, self.cols
+        for key, v in self.entries.items():
+            i, j = key
+            if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) out of range")
             if type(v) is not int:
                 if not isinstance(v, Fraction):
@@ -57,7 +64,7 @@ class SparseMatrix:
                 else:
                     integral = False
             if v:
-                clean[(i, j)] = v
+                clean[key] = v
         object.__setattr__(self, "entries", clean)
         object.__setattr__(self, "integral", integral)
 
@@ -111,15 +118,21 @@ def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 
 def _integer_rows(m: SparseMatrix, drop: frozenset[int] = frozenset()) -> list[dict[int, int]]:
     """The nonzero rows of ``m`` outside ``drop``, in order, each scaled to
-    integers if it holds a non-integer."""
-    out = []
-    for i, row in enumerate(m.row_dicts()):
-        if not row or i in drop:
-            continue
-        if not m.integral and any(type(v) is not int for v in row.values()):
-            scale = math.lcm(*(v.denominator for v in row.values()))
-            row = {j: int(v * scale) for j, v in row.items()}
-        out.append(row)
+    integers if it holds a non-integer.  One pass over the entries builds
+    only the rows that are kept."""
+    rows: list[dict[int, int | Fraction] | None] = [None] * m.rows
+    for (i, j), v in m.entries.items():
+        if i not in drop:
+            row = rows[i]
+            if row is None:
+                rows[i] = row = {}
+            row[j] = v
+    out = [row for row in rows if row is not None]
+    if not m.integral:
+        for n, row in enumerate(out):
+            if any(type(v) is not int for v in row.values()):
+                scale = math.lcm(*(v.denominator for v in row.values()))
+                out[n] = {j: int(v * scale) for j, v in row.items()}
     return out
 
 

@@ -1,9 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from gch.canonical import automorphism_group, canonical_form, edge_action_closure
-from gch.complexes import context_for_graph, generator_vanishes
+from gch.complexes import context_for_graph, generator_vanishes, get_context
 from gch.families import (
     banana,
     cycle,
@@ -17,6 +19,9 @@ from gch.families import (
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.graph import HalfEdgeGraph
 from gch.oracle import automorphism_sign, half_edge_automorphisms, relabeled
+from gch.ribbon import RibbonStructure, contract_ribbon
+
+PLANAR_THETA_CYCLES = ((0, 2, 4), (1, 5, 3))
 
 SMALL_GRAPHS = [
     single_edge(),
@@ -155,3 +160,39 @@ def test_edge_action_closure_sizes():
     for g, size in ((theta(), 6), (rose(2), 2), (wheel(5), 10)):
         gens = [(m.edge_action, 1) for m in automorphism_group(g).generators]
         assert len(edge_action_closure(g.edge_count, gens)) == size
+
+
+def test_canonical_form_hit_starts_at_the_callers_graph():
+    """A cache hit shares the class's canonical graph (and ribbon) but its
+    iso starts at the graph it was called with."""
+    g, twin = theta(), theta()
+    first, second = canonical_form(g), canonical_form(twin)
+    assert first.iso.source is g and second.iso.source is twin
+    assert second.graph is first.graph and second.certificate == first.certificate
+    assert second.iso.half_edge_map == first.iso.half_edge_map
+    ribbons = [RibbonStructure(h, PLANAR_THETA_CYCLES) for h in (g, twin)]
+    first, second = (canonical_form(h, ribbon=r) for h, r in zip((g, twin), ribbons))
+    assert first.iso.source is g and second.iso.source is twin
+    assert second.graph is first.graph and second.ribbon is first.ribbon
+    assert second.certificate == first.certificate != canonical_form(g).certificate
+    for form in (first, second):
+        assert form.iso.check()
+
+
+def test_canonical_forms_pin_no_contracted_graph():
+    """Neither the certificate cache nor a context keeps the labelled graph
+    that a collapse produced, plain or ribbon."""
+    g = theta()
+    for ribbon in (None, RibbonStructure(g, PLANAR_THETA_CYCLES)):
+        if ribbon is None:
+            contracted, m = g.contract(0)
+            form = canonical_form(contracted)
+        else:
+            contracted, ribbon, m = contract_ribbon(g, ribbon, 0)
+            form = canonical_form(contracted, ribbon=ribbon)
+        assert form.iso.source is contracted
+        get_context(form)
+        ref = weakref.ref(contracted)
+        del contracted, ribbon, m, form
+        gc.collect()
+        assert ref() is None

@@ -122,12 +122,15 @@ def test_surface_requires_ribbon(tmp_path, capsys):
 ])
 def test_unusable_path_exit_code(tmp_path, capsys, argv):
     """A directory where a file is read or written, or a file where a
-    directory is written, is an input error (exit 2), not a crash."""
+    directory is written, is an input error (exit 2), not a crash.  The
+    export target is tried before any work, so nothing reaches stdout."""
     existing = tmp_path / "existing.txt"
     existing.write_text("", encoding="utf-8")
     argv = [a.format(dir=tmp_path, file=existing) for a in argv]
     assert main(argv) == 2
-    assert str(tmp_path) in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert str(tmp_path) in captured.err
+    assert captured.out == ""
 
 
 def test_complex_export(tmp_path, capsys):

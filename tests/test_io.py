@@ -126,6 +126,12 @@ def test_sparse_matrix_rejects_inexact_entries(value):
         SparseMatrix(1, 1, {(0, 0): value})
 
 
+@pytest.mark.parametrize("coordinate", [(0.5, 0), (0, 1.0), (True, 0), (0, False), ("0", 0)])
+def test_sparse_matrix_rejects_non_int_coordinates(coordinate):
+    with pytest.raises(TypeError):
+        SparseMatrix(2, 2, {coordinate: 1})
+
+
 def test_sparse_matrix_keeps_exact_entries():
     m = SparseMatrix(1, 3, {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 2): Fraction(0)})
     assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 3)}

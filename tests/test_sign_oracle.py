@@ -79,4 +79,4 @@ def test_stabilizer_orders_match_oracle():
 
 def test_vanishing_rule_matches_oracle_on_ribbon_graphs():
     forms = [f for spec in _families(ribbon=True) for f in enumerate_graphs(spec)]
-    assert _check(forms, lambda ctx: ctx.form.ribbon.next_map) > 1000
+    assert _check(forms, lambda ctx: ctx.ribbon.next_map) > 1000
