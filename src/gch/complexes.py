@@ -20,19 +20,27 @@ edge order (subset order for pairs) only; ``odd`` additionally tensors the
 orientation of the rational cycle space of the graph.
 
 Every kind is built from the same three rules, all on
-:class:`GraphContext`, one context per canonical form (plain or ribbon):
+:class:`GraphContext`, one context per canonical form (plain or ribbon).
+A generator is a context with an edge-subset mask: the full mask for the
+simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
 
 * **vanishing** (``GraphContext.witness``): a generator is zero when a
-  symmetry stabilizing its subset (all edges for the simplicial and ribbon
-  kinds) reverses its orientation.  A cube's verdict, for both parities,
-  comes from the walk of the edge-action closure that fills its orbit,
-  each element with its parity on the subset and its sign on H_1; the
-  bare graph's comes from the generators of Aut;
-* **faces**: the face dropping the oriented edge at 0-based position p
-  has sign (-1)^(p+1), times the parity of the surviving edges in the
-  target order, times for odd parity the cycle transport, the reference
-  cycle basis pushed through the collapse (and, for pairs, the H_1 sign
-  that the closure carries for the p_k aligning the target subset);
+  symmetry stabilizing its subset reverses its orientation.  A cube's
+  verdict, for both parities, comes from the walk of the edge-action
+  closure that fills its orbit, each element with its parity on the subset
+  and its sign on H_1; the bare graph's comes from the generators of Aut;
+* **faces** (``GraphContext.faces``): one walk yields, in subset order,
+  each subset edge's collapse and then its deletion.  A deletion is a face
+  only when the mask is proper; a tadpole collapse only in a weighted
+  family and even parity (the weight-increment face); in a family without
+  tadpoles an edge with a parallel partner is not collapsed.  The face
+  dropping the oriented edge at 0-based position p has sign (-1)^(p+1),
+  times the parity of the surviving edges in the target order, times for
+  odd parity the cycle transport, the reference cycle basis pushed through
+  the collapse and the H_1 sign that the closure carries for the p_k
+  aligning the target subset, and a deletion one more -1.  A full mask is
+  its own representative, aligned by the identity, so the simplicial
+  kinds never build a closure;
 * **subset orbits** (``GraphContext.subset_orbits``): the cube kinds and
   the cubical catalogs of :mod:`gch.moduli` take the same orbit
   representatives of forests or proper subsets, walked once per context.
@@ -61,13 +69,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canonical import (
-    CanonicalForm,
-    automorphism_group,
-    canonical_form,
-    edge_action_closure,
-    edge_classes,
-)
+from .canonical import CanonicalForm, automorphism_group, canonical_form, edge_action_closure
 from .generate import EnumSpec, enumerate_graphs
 from .graph import HalfEdgeGraph
 from .linalg import SparseMatrix, boundary_ranks, multiply
@@ -86,17 +88,20 @@ KINDS = (
     "ass",
 )
 
-_SIMPLICIAL_FAMILIES = {
+# the graph family of each kind; cellular_MG_relative and the cube kinds
+# share com_tad's
+_COM_TAD = dict(min_valence=3, allow_tadpoles=True, weighted=False)
+_FAMILIES = {
     "com": dict(min_valence=3, allow_tadpoles=False, weighted=False),
     "com_geq2": dict(min_valence=2, allow_tadpoles=False, weighted=False),
-    "com_tad": dict(min_valence=3, allow_tadpoles=True, weighted=False),
+    "com_tad": _COM_TAD,
     "com_tad_geq2": dict(min_valence=2, allow_tadpoles=True, weighted=False),
     "cellular_MG": dict(weighted=True, allow_tadpoles=True, min_edges=1),
-    "cellular_MG_relative": dict(min_valence=3, allow_tadpoles=True, weighted=False),
+    "cellular_MG_relative": _COM_TAD,
+    "gf": _COM_TAD,
+    "gp": _COM_TAD,
     "ass": dict(min_valence=3, allow_tadpoles=False, weighted=False, ribbon=True),
 }
-
-_PAIR_GRAPH_FAMILY = dict(min_valence=3, allow_tadpoles=True, weighted=False)
 
 # why a generator vanishes, by the kind of symmetry that reverses it
 _WITNESS = {
@@ -222,14 +227,10 @@ class GraphContext:
         # a time by ``_fill_orbit``, which keeps each orbit's size and
         # reasons by its representative
         self._orbit: dict[int, int] = {}
-        self._rep_bits = (1 << form.graph.edge_count) - 1
+        self.full_mask = (1 << form.graph.edge_count) - 1
         self._k_shift = form.graph.edge_count + 1
         self._orbit_size: dict[int, int] = {}
         self._reasons: dict[int, tuple[str, str]] = {}
-
-    @cached_property
-    def classes(self):
-        return edge_classes(self.graph)
 
     @cached_property
     def ref_orientation(self):
@@ -289,7 +290,7 @@ class GraphContext:
         on the edges, -1 on H_1), the tadpole flip (-1 on H_1), then the
         lifts or ribbon automorphisms, each parity keeping the first."""
         plain = self.ribbon is None
-        swaps = plain and any(len(members) > 1 for members in self.classes.values())
+        swaps = plain and any(n > 1 for n in self.graph.multiplicities.values())
         even = _WITNESS["swap", "even"] if swaps else ""
         odd = _WITNESS["flip", "odd"] if plain and self.graph.has_tadpole else ""
         kind = "lift" if plain else "ribbon"
@@ -332,7 +333,7 @@ class GraphContext:
             self._collapse_h1[e] = h
         return h
 
-    # -- subset orbits (cube pairs) ---------------------------------------
+    # -- subset masks, orbits and faces ------------------------------------
 
     @cached_property
     def bits(self):
@@ -343,7 +344,7 @@ class GraphContext:
         return sum(map(self.bits.__getitem__, subset))
 
     def subset_of(self, mask: int) -> tuple[int, ...]:
-        return tuple(e for e, bit in enumerate(self.bits) if mask & bit)
+        return tuple([e for e, bit in enumerate(self.bits) if mask & bit])
 
     @cached_property
     def closure(self):
@@ -389,7 +390,7 @@ class GraphContext:
             rep = max(sum(bits[e] for e in edges) for bits in self._inverse_bits)
             self._fill_orbit(rep, self.subset_of(rep))
             hit = self._orbit[mask]
-        return (hit >> 1) & self._rep_bits, hit >> self._k_shift, hit & 1
+        return (hit >> 1) & self.full_mask, hit >> self._k_shift, hit & 1
 
     def _fill_orbit(self, rep: int, edges: tuple[int, ...]) -> None:
         """Enter every member of the orbit of a representative, given by
@@ -452,7 +453,7 @@ class GraphContext:
             hit = self._orbit.get(mask)
             if hit is None:
                 self._fill_orbit(mask, edges)
-            elif (hit >> 1) & self._rep_bits != mask:
+            elif (hit >> 1) & self.full_mask != mask:
                 continue
             reps.append(edges)
         return reps
@@ -475,15 +476,26 @@ class GraphContext:
                                       tuple([b if c == a else c for c in comp])))
             level = grown
 
-    def subset_faces(self, subset):
-        """The faces of the pair (graph, sorted subset), in subset order,
-        the collapse before the deletion and no collapse of a tadpole:
-        (position, collapse?, target context, representative mask, closure
-        index k of the target, parity of the other subset edges' images
-        on the representative in subset order)."""
-        mask = self.mask_of(subset)
+    def faces(self, mask: int, family: EnumSpec, odd: bool, keep=None):
+        """The faces of the generator (graph, subset ``mask``) of the family,
+        in subset order, each edge's collapse before its deletion: (collapse?,
+        target context, representative mask, coefficient by the face-sign
+        rule of the module docstring).  Given ``keep``, a container of
+        (certificate, representative mask) pairs, a face outside it is
+        skipped before its cycle transport is computed.
+
+        A deletion is a face only when the mask is proper.  A tadpole
+        collapse is a face only in a weighted family and even parity, where
+        it increments a weight.  In a family without tadpoles an edge with
+        a parallel partner is not collapsed: the face would have one.
+        """
+        graph, edges, multiplicities = self.graph, self.graph.edges, self.graph.multiplicities
+        weight_face, tadpoles = family.weighted and not odd, family.allow_tadpoles
+        subset = self.subset_of(mask)
         for pos, e in enumerate(subset):
-            if not self.graph.is_tadpole(e):
+            sign = 1 if pos & 1 else -1
+            if ((weight_face or not graph.is_tadpole(e))
+                    and (tadpoles or multiplicities[edges[e]] == 1)):
                 target, composite = self.collapse(e)
                 action, bits = composite.edge_action, target.bits
                 image = inversions = 0
@@ -492,9 +504,26 @@ class GraphContext:
                         bit = bits[action[f]]
                         inversions += (image & (bit - 1)).bit_count()
                         image |= bit
-                rep, k, parity = target.canonical_mask(image)
-                yield pos, True, target, rep, k, parity ^ (inversions & 1)
-            yield (pos, False, self) + self.canonical_mask(mask ^ self.bits[e])
+                rep, align = target._align(image, odd)
+                if keep is None or (target.cert, rep) in keep:
+                    if odd:
+                        align *= self.collapse_h1(e)
+                    yield True, target, rep, (-sign if inversions & 1 else sign) * align
+            if mask != self.full_mask:
+                rep, align = self._align(mask ^ self.bits[e], odd)
+                if keep is None or (self.cert, rep) in keep:
+                    yield False, self, rep, -sign * align
+
+    def _align(self, mask: int, odd: bool) -> tuple[int, int]:
+        """(representative, sign of the p_k carrying the mask onto it): its
+        parity in subset order, times for odd parity its H_1 sign.  A full
+        mask is its own representative and k = 0, the identity, so a full
+        mask needs no closure."""
+        if mask == self.full_mask:
+            return mask, 1
+        rep, k, parity = self.canonical_mask(mask)
+        sign = -1 if parity else 1
+        return rep, sign * self.closure[k][1] if odd else sign
 
 
 _CTX_REGISTRY: dict[str, GraphContext] = {}
@@ -517,137 +546,64 @@ def context_for_graph(g: HalfEdgeGraph) -> GraphContext:
 
 
 def _family_spec(spec: ComplexSpec) -> EnumSpec:
-    params = _SIMPLICIAL_FAMILIES.get(spec.kind, _PAIR_GRAPH_FAMILY)
-    return EnumSpec(genus=spec.genus, max_edges=spec.max_edges, **params)
+    return EnumSpec(genus=spec.genus, max_edges=spec.max_edges, **_FAMILIES[spec.kind])
 
 
 def pair_key(cert: str, subset) -> str:
     return f"{cert}|{','.join(map(str, subset))}"
 
 
-def _simplicial_generators(spec: ComplexSpec):
-    gens = []
+def _generators(spec: ComplexSpec):
+    """(context, mask, generator) of every surviving generator, graph by
+    graph: the full mask of each graph, or for ``gf``/``gp`` its forest or
+    proper-subset orbit representatives."""
+    cubes = spec.kind in ("gf", "gp")
     for form in enumerate_graphs(_family_spec(spec)):
         ctx = get_context(form)
-        if ctx.witness(spec.parity):
-            continue
-        ribbon = ctx.ribbon
-        gens.append((ctx, Generator(
-            key=ctx.cert,
-            grade=ctx.graph.edge_count,
-            graph=ctx.graph,
-            ribbon=ribbon,
-            surface=None if ribbon is None else surface_invariants(ctx.graph, ribbon),
-        )))
-    return gens
-
-
-def _pair_generators(spec: ComplexSpec):
-    gens = []
-    for form in enumerate_graphs(_family_spec(spec)):
-        ctx = get_context(form)
-        for subset in ctx.subset_orbits(forests_only=spec.kind == "gf"):
+        g, ribbon = ctx.graph, ctx.ribbon
+        for subset in ctx.subset_orbits(spec.kind == "gf") if cubes else (None,):
             if ctx.witness(spec.parity, subset):
                 continue
-            gens.append((ctx, Generator(key=pair_key(ctx.cert, subset), grade=len(subset),
-                                        graph=ctx.graph, subset=subset)))
-    return gens
-
-
-# ---------------------------------------------------------------------------
-# boundary assembly
-
-
-def _assemble(gens):
-    grades: dict[int, list[Generator]] = {}
-    for _, gen in gens:
-        grades.setdefault(gen.grade, []).append(gen)
-    index: dict[str, tuple[int, int]] = {}
-    for k in grades:
-        grades[k].sort(key=lambda g: g.key)
-        for pos, gen in enumerate(grades[k]):
-            index[gen.key] = (k, pos)
-    return grades, index
-
-
-def _face_sign(pos: int, parity: int, transport: int) -> int:
-    """Sign of the face that drops the oriented edge at 0-based ``pos``:
-    (-1)^(pos+1), times (-1)^parity for the parity of the surviving edges'
-    images in the target order, times the cycle transport (1 for even
-    parity)."""
-    return (1 if (pos + parity) % 2 else -1) * transport
-
-
-def _add(acc, k: int, row: int, col: int, sign: int):
-    cell = acc.setdefault(k, {})
-    cell[(row, col)] = cell.get((row, col), 0) + sign
-
-
-def _simplicial_boundary(spec: ComplexSpec, gens, index):
-    acc: dict[int, dict[tuple[int, int], int]] = {}
-    odd = spec.parity == "odd"
-    no_tadpole_targets = spec.kind in ("com", "com_geq2", "ass")
-    for ctx, gen in gens:
-        k = gen.grade
-        col = index[gen.key][1]
-        for e in range(k):
-            # a tadpole collapse is the weight-increment face of even cellular_MG only
-            if ctx.graph.is_tadpole(e) and (odd or spec.kind != "cellular_MG"):
-                continue
-            # these kinds have no tadpoles, so only an edge parallel to e
-            # would become one
-            if no_tadpole_targets and len(ctx.classes[ctx.graph.edges[e]]) > 1:
-                continue
-            target, composite = ctx.collapse(e)
-            if spec.kind == "cellular_MG_relative" and any(target.graph.weights):
-                continue
-            hit = index.get(target.cert)
-            if hit is None or hit[0] != k - 1:
-                continue
-            parity = sequence_parity([composite.edge_action[f] for f in range(k) if f != e])
-            _add(acc, k, hit[1], col, _face_sign(e, parity, ctx.collapse_h1(e) if odd else 1))
-    return acc
-
-
-def _pair_boundary(spec: ComplexSpec, gens, index):
-    """D = d - delta: collapse a subset edge (never a tadpole) minus delete it."""
-    acc: dict[int, dict[tuple[int, int], int]] = {}
-    odd = spec.parity == "odd"
-    rows = {(ctx.cert, ctx.mask_of(gen.subset)): index[gen.key][1] for ctx, gen in gens}
-    for ctx, gen in gens:
-        col = index[gen.key][1]
-        for pos, collapse, target, rep, k, parity in ctx.subset_faces(gen.subset):
-            row = rows.get((target.cert, rep))
-            if row is None:
-                continue
-            transport = 1
-            if odd:
-                transport = target.closure[k][1]
-                if collapse:
-                    transport *= ctx.collapse_h1(gen.subset[pos])
-            sign = _face_sign(pos, parity, transport)
-            _add(acc, gen.grade, row, col, sign if collapse else -sign)
-    return acc
+            mask = ctx.full_mask if subset is None else ctx.mask_of(subset)
+            yield ctx, mask, Generator(
+                key=ctx.cert if subset is None else pair_key(ctx.cert, subset),
+                grade=mask.bit_count(),
+                graph=g,
+                subset=subset,
+                ribbon=ribbon,
+                surface=None if ribbon is None else surface_invariants(g, ribbon),
+            )
 
 
 def build_complex(spec: ComplexSpec) -> ChainComplex:
-    """Assemble generators and exact boundary matrices for a complex spec."""
-    if spec.kind in ("gf", "gp"):
-        gens = _pair_generators(spec)
-        builder = _pair_boundary
-    else:
-        gens = _simplicial_generators(spec)
-        builder = _simplicial_boundary
-    grades, index = _assemble(gens)
-    acc = builder(spec, gens, index)
+    """Assemble generators and exact boundary matrices for a complex spec.
+
+    Each grade is sorted by key, and one (certificate, mask) index gives a
+    generator's position in its grade.  A grade's columns are walked in the
+    order the generators were found, and each is dropped once its grade's
+    matrix is made."""
+    family = _family_spec(spec)
+    odd = spec.parity == "odd"
+    found: dict[int, list] = {}
+    for ctx, mask, gen in _generators(spec):
+        found.setdefault(gen.grade, []).append((gen, ctx, mask))
+    grades: dict[int, list[Generator]] = {}
+    index: dict[tuple[str, int], int] = {}
+    for k, cells in found.items():
+        ordered = sorted(cells, key=lambda cell: cell[0].key)
+        grades[k] = [gen for gen, _, _ in ordered]
+        for pos, (_, ctx, mask) in enumerate(ordered):
+            index[ctx.cert, mask] = pos
     boundaries = {}
-    top = max(grades, default=-1)
-    for k in range(1, top + 1):
-        rows = len(grades.get(k - 1, []))
-        cols = len(grades.get(k, []))
-        # the matrix drops the cancelled entries; popping the grade's
-        # accumulator frees it before the next grade's matrix is made
-        boundaries[k] = SparseMatrix(rows, cols, acc.pop(k, {}))
+    for k in range(1, max(grades, default=-1) + 1):
+        entries: dict[tuple[int, int], int] = {}
+        for _, ctx, mask in found.pop(k, ()):
+            col = index[ctx.cert, mask]
+            for _, target, rep, sign in ctx.faces(mask, family, odd, index):
+                row = index[target.cert, rep]
+                entries[row, col] = entries.get((row, col), 0) + sign
+        # the matrix drops the cancelled entries
+        boundaries[k] = SparseMatrix(len(grades.get(k - 1, [])), len(grades.get(k, [])), entries)
     return ChainComplex(spec=spec, grades=grades, boundaries=boundaries)
 
 
@@ -704,40 +660,27 @@ def split_by_surface(complex_: ChainComplex) -> dict[tuple[int, int], ChainCompl
     """
     if complex_.spec.kind != "ass":
         raise ValueError("surface splitting applies to ribbon complexes only")
-    keys = sorted({gen.surface for gens in complex_.grades.values() for gen in gens})
-    out: dict[tuple[int, int], ChainComplex] = {}
-    positions: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
-    for key in keys:
-        grades = {}
-        posmap: dict[int, dict[int, int]] = {}
-        for k, gens in complex_.grades.items():
-            block = [gen for gen in gens if gen.surface == key]
-            if block:
-                grades[k] = block
-                posmap[k] = {i: j for j, (i, gen) in enumerate(
-                    (i, gen) for i, gen in enumerate(gens) if gen.surface == key)}
-        positions[key] = posmap
-        out[key] = ChainComplex(spec=complex_.spec, grades=grades, boundaries={})
-    surface_of: dict[int, list] = {
-        k: [gen.surface for gen in gens] for k, gens in complex_.grades.items()
-    }
-    block_entries: dict[tuple, dict[int, dict]] = {key: {} for key in keys}
+    blocks: dict[tuple[int, int], dict[int, list[Generator]]] = {}
+    # grade -> (surface, position in the block) of each position in the grade
+    place: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    for k, gens in complex_.grades.items():
+        spots = place[k] = []
+        for gen in gens:
+            block = blocks.setdefault(gen.surface, {}).setdefault(k, [])
+            spots.append((gen.surface, len(block)))
+            block.append(gen)
+    entries: dict[tuple[int, int], dict[int, dict]] = {key: {} for key in blocks}
     for k in range(1, complex_.max_grade + 1):
-        m = complex_.boundary(k)
-        for (i, j), v in m.entries.items():
-            skey = surface_of[k][j]
-            if surface_of[k - 1][i] != skey:
+        for (i, j), v in complex_.boundary(k).entries.items():
+            (key, bi), (col_key, bj) = place[k - 1][i], place[k][j]
+            if key != col_key:
                 raise AssertionError("boundary entry crosses surface blocks")
-            bi = positions[skey][k - 1][i]
-            bj = positions[skey][k][j]
-            block_entries[skey].setdefault(k, {})[(bi, bj)] = v
-    for key in keys:
-        cpx = out[key]
-        boundaries = {}
-        top = cpx.max_grade
-        for k in range(1, top + 1):
-            rows = len(cpx.grades.get(k - 1, []))
-            cols = len(cpx.grades.get(k, []))
-            boundaries[k] = SparseMatrix(rows, cols, block_entries[key].get(k, {}))
-        cpx.boundaries = boundaries
+            entries[key].setdefault(k, {})[bi, bj] = v
+    out: dict[tuple[int, int], ChainComplex] = {}
+    for key in sorted(blocks):
+        grades = blocks[key]
+        out[key] = ChainComplex(spec=complex_.spec, grades=grades, boundaries={
+            k: SparseMatrix(len(grades.get(k - 1, [])), len(grades.get(k, [])),
+                            entries[key].get(k, {}))
+            for k in range(1, max(grades) + 1)})
     return out

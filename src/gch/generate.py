@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 from .canonical import CanonicalForm, automorphism_group, canonical_form, edge_action_closure
 from .families import cycle, dumbbell, theta
-from .graph import HalfEdgeGraph, SubgraphMask
+from .graph import HalfEdgeGraph, SubgraphMask, identity_morphism
 from .ribbon import RibbonStructure, contract_ribbon
 
 
@@ -87,7 +87,9 @@ _ENUM_CACHE: dict[EnumSpec, tuple] = {}
 
 def _closure(seeds, moves) -> dict[str, CanonicalForm]:
     """Classes of the (graph, ribbon) ``seeds`` and of everything ``moves``
-    reaches from them; a ribbon of None is a plain graph."""
+    reaches from them; a ribbon of None is a plain graph.  Each class keeps
+    its canonical form with the identity as its ``iso``, so no labelled
+    graph that reached it stays pinned."""
     found: dict[str, CanonicalForm] = {}
     frontier = list(seeds)
     while frontier:
@@ -95,7 +97,8 @@ def _closure(seeds, moves) -> dict[str, CanonicalForm]:
         for g, ribbon in frontier:
             form = canonical_form(g, ribbon)
             if form.certificate not in found:
-                found[form.certificate] = form
+                found[form.certificate] = CanonicalForm(
+                    form.graph, form.certificate, identity_morphism(form.graph), form.ribbon)
                 reached.extend(moves(form.graph, form.ribbon))
         frontier = reached
     return found

@@ -110,14 +110,13 @@ def build_cell_poset(genus: int) -> CellPoset:
 
 def build_cube_catalog(genus: int, forest_only: bool) -> CubeCatalog:
     """Orbit representatives of cubes (weight-zero graph, edge subset)."""
-    forms = enumerate_graphs(
-        EnumSpec(genus=genus, min_valence=3, allow_tadpoles=True))
+    family = EnumSpec(genus=genus, min_valence=3, allow_tadpoles=True)
     entries = []
-    for form in forms:
+    for form in enumerate_graphs(family):
         ctx = get_context(form)
         for subset in ctx.subset_orbits(forests_only=forest_only):
             facets = {True: [], False: []}
-            for _, collapse, target, rep, _, _ in ctx.subset_faces(subset):
+            for collapse, target, rep, _ in ctx.faces(ctx.mask_of(subset), family, odd=False):
                 facets[collapse].append(pair_key(target.cert, target.subset_of(rep)))
             entries.append(CubeEntry(
                 key=pair_key(ctx.cert, subset),

@@ -107,11 +107,11 @@ def check_small_commutative_homology():
     """Genus 2 even: empty complex; genus 3 even: one class on six edges."""
     c2 = build_complex(ComplexSpec("com", "even", 2))
     assert c2.total_generators() == 0, "genus-2 even complex should be empty"
-    report = homology(build_complex(ComplexSpec("com", "even", 3)))
+    c3 = build_complex(ComplexSpec("com", "even", 3))
+    report = homology(c3)
     expected = {k: (1 if k == 6 else 0) for k in report.dims}
     assert report.dims == expected, f"genus-3 dims {report.dims}"
-    top = build_complex(ComplexSpec("com", "even", 3)).grades[6]
-    assert top[0].key == canonical_form(wheel(3)).certificate
+    assert c3.grades[6][0].key == canonical_form(wheel(3)).certificate
     return "genus 2 empty; genus 3 homology Q at six edges (the 3-spoke wheel)"
 
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 
@@ -9,9 +10,11 @@ from gch.complexes import (
     degree_report,
     generator_vanishes,
     homology,
+    pair_key,
     split_by_surface,
 )
 from gch.families import cycle, rose, theta, wheel
+from gch.oracle import automorphism_sign, half_edge_automorphisms
 from gch.orientation import morphism_sign, reference_orientation
 from gch.ribbon import contract_ribbon
 
@@ -63,6 +66,15 @@ def test_gf_even_genus5_is_rational_homology_of_out_f5():
     assert {k: v for k, v in report.dims.items() if v} == {0: 1}
 
 
+def _assert_same_chain_complex(a, b):
+    """The same generator keys in every grade and the same boundaries."""
+    assert ({k: [g.key for g in gens] for k, gens in a.grades.items()}
+            == {k: [g.key for g in gens] for k, gens in b.grades.items()})
+    assert a.max_grade == b.max_grade
+    for k in range(1, a.max_grade + 1):
+        assert a.boundary(k) == b.boundary(k), k
+
+
 def test_odd_relative_cells_are_the_commutative_complex():
     """The cells of the moduli space of tropical curves with all vertex
     weights zero, relative to the rest, form Kontsevich's commutative graph
@@ -70,13 +82,22 @@ def test_odd_relative_cells_are_the_commutative_complex():
     complexes are equal as chain complexes: the same generators in every
     grade and the same boundary matrices, genus 2 to 5."""
     for genus in range(2, 6):
-        relative = build_complex(ComplexSpec("cellular_MG_relative", "odd", genus))
-        com = build_complex(ComplexSpec("com", "odd", genus))
-        assert ({k: [g.key for g in gens] for k, gens in relative.grades.items()}
-                == {k: [g.key for g in gens] for k, gens in com.grades.items()}), genus
-        assert relative.max_grade == com.max_grade, genus
-        for k in range(1, com.max_grade + 1):
-            assert relative.boundary(k) == com.boundary(k), (genus, k)
+        _assert_same_chain_complex(
+            build_complex(ComplexSpec("cellular_MG_relative", "odd", genus)),
+            build_complex(ComplexSpec("com", "odd", genus)))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_relative_cells_are_the_complex_with_tadpoles(parity):
+    """The relative cellular chains of (MG_g, positive-weight locus) are
+    the weight-zero complex with tadpoles (Chan-Galatius-Payne,
+    arXiv:1805.10186): the same family of graphs, and a non-tadpole
+    collapse of a weight-zero graph keeps weight zero, so the faces agree.
+    Pinned as chain complexes in both parities, genus 2 to 4."""
+    for genus in (2, 3, 4):
+        _assert_same_chain_complex(
+            build_complex(ComplexSpec("cellular_MG_relative", parity, genus)),
+            build_complex(ComplexSpec("com_tad", parity, genus)))
 
 
 def test_com_odd_genus3_structure():
@@ -235,6 +256,70 @@ def test_face_signs_match_morphism_sign(kind):
                             expected[i, j] = expected.get((i, j), 0) + sign
                 assert c.boundary(k).entries == {ij: v for ij, v in expected.items() if v}, \
                     (parity, genus, k)
+
+
+def _oracle_face(expected, rows, form, images, sign, odd, col, autos):
+    """Add a face to the row it aligns onto.  ``images`` are the face's
+    subset edges in the canonical graph of ``form``, in the column's subset
+    order; an automorphism from the brute-force search carries them onto
+    the row's subset, with its parity there and, for odd parity, its sign
+    on H_1 (the all-edges odd sign over the even sign).  A face aligned
+    onto no row is a vanishing generator."""
+    g = form.graph
+    if form.certificate not in autos:
+        autos[form.certificate] = half_edge_automorphisms(g)
+    every = range(g.edge_count)
+    for aut in autos[form.certificate]:
+        aligned = [aut[0][e] for e in images]
+        row = rows.get(pair_key(form.certificate, sorted(aligned)))
+        if row is None:
+            continue
+        if sum(a > b for a, b in itertools.combinations(aligned, 2)) % 2:
+            sign = -sign
+        if odd:
+            sign *= automorphism_sign(aut, every, True) * automorphism_sign(aut, every, False)
+        expected[row, col] = expected.get((row, col), 0) + sign
+        return
+
+
+@pytest.mark.parametrize("kind", ["gf", "gp"])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_pair_face_signs_match_oracle(kind, parity):
+    """Each boundary entry of a cube complex, recomputed without the
+    engine's closure.  The face of (G, S) dropping the edge e at 0-based
+    position p of S is the collapse (G/e, S - e), for e not a tadpole, and
+    the deletion (G, S - e).  Its sign is (-1)^(p+1), times the parity and
+    H_1 sign of an oracle automorphism aligning its subset onto the row's,
+    times for a collapse the cycle transport, the public morphism_sign of
+    iso . collapse with its edge-order part divided out, and for a
+    deletion -1.  Any aligning automorphism gives the same sign: the
+    stabilizer of a surviving row acts with sign 1."""
+    odd = parity == "odd"
+    autos = {}
+    for genus in (2, 3, 4):
+        c = build_complex(ComplexSpec(kind, parity, genus))
+        for k in range(1, c.max_grade + 1):
+            rows = {gen.key: i for i, gen in enumerate(c.grades.get(k - 1, []))}
+            expected = {}
+            for j, gen in enumerate(c.grades.get(k, [])):
+                g, subset = gen.graph, gen.subset
+                for p, e in enumerate(subset):
+                    base = 1 if p % 2 else -1
+                    rest = [f for f in subset if f != e]
+                    if not g.is_tadpole(e):
+                        target, m = g.contract(e)
+                        form = canonical_form(target)
+                        composite = form.iso.compose(m)
+                        transport = 1
+                        if odd:
+                            src, dst = reference_orientation(g), reference_orientation(form.graph)
+                            transport = (morphism_sign(composite, "odd", src, dst)
+                                         * morphism_sign(composite, "even", src, dst))
+                        _oracle_face(expected, rows, form, [composite.edge_action[f] for f in rest],
+                                     base * transport, odd, j, autos)
+                    _oracle_face(expected, rows, canonical_form(g), rest, -base, odd, j, autos)
+            assert c.boundary(k).entries == {ij: v for ij, v in expected.items() if v}, \
+                (genus, k)
 
 
 def test_split_by_surface_genus2():

@@ -127,6 +127,22 @@ def test_outputs_satisfy_filters_and_are_unique():
                 assert g.vertex_count <= 2 * spec.genus - 2
 
 
+@pytest.mark.parametrize("spec", [
+    EnumSpec(genus=3),
+    EnumSpec(genus=3, allow_tadpoles=True),
+    EnumSpec(genus=2, min_valence=2, allow_tadpoles=True, max_edges=6),
+    EnumSpec(genus=3, weighted=True, allow_tadpoles=True, min_edges=1),
+    EnumSpec(genus=3, ribbon=True),
+])
+def test_enumerated_forms_pin_no_labelled_graph(spec):
+    """The enumeration cache keeps one canonical graph per class: each
+    form's iso is the identity of its own graph, not the isomorphism from
+    the labelled graph that first reached the class."""
+    for form in enumerate_graphs(spec):
+        assert form.iso.source is form.graph and form.iso.target is form.graph
+        assert form.iso.half_edge_map == tuple(range(form.graph.half_edge_count))
+
+
 def test_forests_of_theta():
     masks = enumerate_forests(theta())
     subsets = {m.sorted_edges() for m in masks}
