@@ -22,10 +22,12 @@ vertex-automorphism count with the kernel size.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import HalfEdgeGraph, Morphism
-from .ribbon import RibbonStructure, rotation_word, transport_ribbon
+from .ribbon import RibbonStructure, cycles_word, normalize_cycle
 
 
 @dataclass(frozen=True)
@@ -43,12 +45,34 @@ class AutGroup:
     order: int
 
 
-# labelled input -> (class, vertex map, half-edge map) onto the class's
-# canonical graph; the labelled graph itself is not kept
+class ClassRecord:
+    """One isomorphism class, shared by every labelled graph that reaches it.
+
+    It holds the certificate, the canonical graph and ribbon, the
+    automorphism group once asked for, and the collapses recorded so far:
+    edge -> (the target class's record, the half-edge map onto the target's
+    canonical graph, None on the collapsed edge).  The enumeration closure
+    fills the collapses, and :class:`~gch.complexes.GraphContext` reads
+    them and the group.
+    """
+
+    def __init__(self, certificate: str, graph: HalfEdgeGraph, ribbon: RibbonStructure | None):
+        self.certificate = certificate
+        self.graph = graph
+        self.ribbon = ribbon
+        self.collapses: dict[int, tuple[ClassRecord, tuple[int | None, ...]]] = {}
+
+    @cached_property
+    def group(self) -> AutGroup:
+        """Aut of the class, computed on first use."""
+        return automorphism_group(self.graph, self.ribbon)
+
+
+# labelled input -> (class record, vertex map, half-edge map) onto the
+# class's canonical graph; the labelled graph itself is not kept
 _CERT_CACHE: dict = {}
-# certificate -> (certificate, canonical graph, canonical ribbon or None),
-# the one shared entry of each class
-_CLASSES: dict[str, tuple[str, HalfEdgeGraph, RibbonStructure | None]] = {}
+# certificate -> the class's one record
+_CLASSES: dict[str, ClassRecord] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -75,17 +99,28 @@ def _initial_colors(g: HalfEdgeGraph):
 
 
 def _refine(g: HalfEdgeGraph, colors, inc):
+    """Refine the colouring until it is stable, and rank its colours.
+
+    A vertex's signature is its colour, then its neighbours' colours with
+    their counts, and the new colours rank the signatures.  A vertex alone
+    in its colour keeps the bare colour, which already decides its rank."""
     n = g.vertex_count
     ncolors = len(set(colors))
     while True:
+        sizes = Counter(colors)
         sigs = []
         for v in range(n):
+            c = colors[v]
+            if sizes[c] == 1:
+                sigs.append((c,))
+                continue
             prof: dict[int, int] = {}
             for u in inc[v]:
-                prof[colors[u]] = prof.get(colors[u], 0) + 1
-            sigs.append((colors[v], tuple(sorted(prof.items()))))
+                cu = colors[u]
+                prof[cu] = prof.get(cu, 0) + 1
+            sigs.append((c, *sorted(prof.items())))
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple(ranks[s] for s in sigs)
+        new = tuple([ranks[s] for s in sigs])
         k = len(ranks)
         if k == ncolors or k == n:
             return new
@@ -98,7 +133,8 @@ def _canonical_labeling(g: HalfEdgeGraph):
 
     Individualization-refinement search; equal encodings at two leaves
     reveal an automorphism, whose orbits prune sibling branches at the root
-    of the search tree.
+    of the search tree.  ``_refine`` ranks its colours 0, 1, ..., so the
+    colouring at a leaf is the permutation itself.
     """
     n = g.vertex_count
     base, inc = _initial_colors(g)
@@ -116,7 +152,11 @@ def _canonical_labeling(g: HalfEdgeGraph):
         weights = [0] * n
         for v, w in enumerate(g.weights):
             weights[perm[v]] = w
-        pairs = sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges)
+        pairs = []
+        for u, v in g.edges:
+            a, b = perm[u], perm[v]
+            pairs.append((a, b) if a <= b else (b, a))
+        pairs.sort()
         return (tuple(weights), tuple(pairs))
 
     def record_leaf(perm):
@@ -137,21 +177,17 @@ def _canonical_labeling(g: HalfEdgeGraph):
 
     def search(colors, depth):
         colors = _refine(g, colors, inc)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            rank = {c: i for i, c in enumerate(sorted(colors))}
-            record_leaf(tuple(rank[c] for c in colors))
+        sizes = [0] * n
+        for c in colors:
+            sizes[c] += 1
+        # the first colour shared by several vertices, or a leaf
+        c = next((c for c in range(n) if sizes[c] > 1), None)
+        if c is None:
+            record_leaf(colors)
             return
         explored: list[int] = []
-        for v in target:
-            if depth == 0 and any(find(v) == find(u) for u in explored):
+        for v in range(n):
+            if colors[v] != c or depth == 0 and any(find(v) == find(u) for u in explored):
                 continue
             explored.append(v)
             refined = list(colors)
@@ -163,9 +199,9 @@ def _canonical_labeling(g: HalfEdgeGraph):
 
 
 def _canonical_plain(g: HalfEdgeGraph):
-    """(canonical graph, None, vertex map, half-edge map) of a graph."""
+    """(weights, edges, None, vertex map, half-edge map) of a graph's
+    canonical relabelling."""
     (weights_enc, pairs), perm = _canonical_labeling(g)
-    canonical = HalfEdgeGraph(g.vertex_count, weights_enc, pairs)
     images = [(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges]
     order = sorted(range(g.edge_count), key=lambda i: (images[i], i))
     edge_to_canon = {src: j for j, src in enumerate(order)}
@@ -176,41 +212,56 @@ def _canonical_plain(g: HalfEdgeGraph):
             half_edge_map[2 * i], half_edge_map[2 * i + 1] = 2 * j, 2 * j + 1
         else:
             half_edge_map[2 * i], half_edge_map[2 * i + 1] = 2 * j + 1, 2 * j
-    return canonical, None, tuple(perm), tuple(half_edge_map)
+    return weights_enc, pairs, None, tuple(perm), tuple(half_edge_map)
 
 
-def _certificate_string(graph: HalfEdgeGraph, ribbon: RibbonStructure | None):
-    parts = [f"v{graph.vertex_count}"]
-    parts.append("w" + ",".join(map(str, graph.weights)))
-    parts.append("e" + ",".join(f"{u}-{v}" for u, v in graph.edges))
-    if ribbon is not None:
-        parts.append("r" + rotation_word(ribbon))
+def _certificate_string(vertex_count: int, weights, edges, cycles) -> str:
+    parts = [f"v{vertex_count}"]
+    parts.append("w" + ",".join(map(str, weights)))
+    parts.append("e" + ",".join(f"{u}-{v}" for u, v in edges))
+    if cycles is not None:
+        parts.append("r" + cycles_word(cycles))
     return ";".join(parts)
 
 
-def canonical_form(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> CanonicalForm:
-    """Canonical representative plus an isomorphism of the input onto it.
+def canonical_entry(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None):
+    """(class record, vertex map, half-edge map onto the class's canonical
+    graph) of a labelled graph.
 
-    Each labelled input is canonicalized once.  The cache keeps its
-    certificate and its vertex and half-edge maps, and one canonical graph
-    (and ribbon) per class, so it pins no input graph; ``iso`` starts at
-    the caller's graph on every call.
+    Each labelled input is canonicalized once, and a class's canonical
+    graph and ribbon are built only when its certificate is new.  The
+    cache keeps the maps and the shared record, so it pins no input graph.
+    An input that hits was connected when it was stored.
     """
-    if not g.is_connected:
-        raise ValueError("canonical form is defined for connected graphs")
     key = ((g.vertex_count, g.weights, g.edges) if ribbon is None
            else (g.vertex_count, g.weights, g.edges, ribbon.cycles))
     entry = _CERT_CACHE.get(key)
     if entry is None:
-        canonical, canonical_ribbon, vertex_map, half_edge_map = (
+        if not g.is_connected:
+            raise ValueError("canonical form is defined for connected graphs")
+        weights, edges, cycles, vertex_map, half_edge_map = (
             _canonical_plain(g) if ribbon is None else _canonical_ribbon(g, ribbon))
-        certificate = _certificate_string(canonical, canonical_ribbon)
-        entry = (_CLASSES.setdefault(certificate, (certificate, canonical, canonical_ribbon)),
-                 vertex_map, half_edge_map)
-        _CERT_CACHE[key] = entry
-    (certificate, canonical, canonical_ribbon), vertex_map, half_edge_map = entry
-    iso = Morphism("isomorphism", g, canonical, vertex_map, half_edge_map)
-    return CanonicalForm(canonical, certificate, iso, canonical_ribbon)
+        certificate = _certificate_string(g.vertex_count, weights, edges, cycles)
+        record = _CLASSES.get(certificate)
+        if record is None:
+            graph = HalfEdgeGraph(g.vertex_count, weights, edges)
+            record = _CLASSES[certificate] = ClassRecord(
+                certificate, graph, None if cycles is None else RibbonStructure(graph, cycles))
+        entry = _CERT_CACHE[key] = (record, vertex_map, half_edge_map)
+    return entry
+
+
+def class_record(certificate: str) -> ClassRecord:
+    """The record of a class that has been canonicalized."""
+    return _CLASSES[certificate]
+
+
+def canonical_form(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> CanonicalForm:
+    """Canonical representative plus an isomorphism of the input onto it;
+    ``iso`` starts at the caller's graph on every call."""
+    record, vertex_map, half_edge_map = canonical_entry(g, ribbon)
+    iso = Morphism("isomorphism", g, record.graph, vertex_map, half_edge_map)
+    return CanonicalForm(record.graph, record.certificate, iso, record.ribbon)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +323,8 @@ def _least_traversals(g: HalfEdgeGraph, ribbon: RibbonStructure):
 
 
 def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
-    """(canonical graph, ribbon, vertex map, half-edge map) of a ribbon
-    graph, from its least traversal.
+    """(weights, edges, cyclic orders, vertex map, half-edge map) of a
+    ribbon graph's canonical relabelling, from its least traversal.
 
     Connectedness makes a traversal determined by its start half-edge, so
     the least encoding over all starts is a complete invariant; on a tie
@@ -303,17 +354,11 @@ def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
             hmap[a], hmap[a ^ 1] = 2 * j + 1, 2 * j
         new_edges.append((min(pa, pb), max(pa, pb)))
     weights = [0] * g.vertex_count
+    cycles: list[tuple[int, ...]] = [()] * g.vertex_count
     for v, w in enumerate(g.weights):
         weights[vperm[v]] = w
-    canonical = HalfEdgeGraph(g.vertex_count, tuple(weights), tuple(new_edges))
-    iso = Morphism(
-        kind="isomorphism",
-        source=g,
-        target=canonical,
-        vertex_map=tuple(vperm),
-        half_edge_map=tuple(hmap),
-    )
-    return canonical, transport_ribbon(ribbon, iso), iso.vertex_map, iso.half_edge_map
+        cycles[vperm[v]] = normalize_cycle([hmap[h] for h in ribbon.cycles[v]])
+    return tuple(weights), tuple(new_edges), tuple(cycles), tuple(vperm), tuple(hmap)
 
 
 def ribbon_automorphisms(g: HalfEdgeGraph, ribbon: RibbonStructure) -> list[Morphism]:
@@ -461,16 +506,30 @@ def edge_action_closure(edge_count: int, generators) -> list[tuple[tuple[int, ..
     (edge permutation tuple, sign) generators, each with the product of the
     generator signs along the path that first reached it.  That sign is
     well defined when the signs are a character trivial on the elements
-    that fix every edge; otherwise it depends on the path."""
-    identity = tuple(range(edge_count))
-    seen = {identity: 1}
-    frontier = [identity]
-    while frontier:
-        p = frontier.pop()
-        sp = seen[p]
-        for q, sq in generators:
-            pq = tuple(q[x] for x in p)
+    that fix every edge; otherwise it depends on the path.
+
+    The group grows one generator at a time, and a generator already in
+    the group built so far is skipped.  The group is closed under the
+    generators kept before a new one, so only the new one acts on its old
+    elements; every element it adds meets all the kept generators."""
+    seen = {tuple(range(edge_count)): 1}
+    kept = []
+    for q, sq in generators:
+        if q in seen:
+            continue
+        kept.append((q, sq))
+        frontier = []
+        for p, sp in list(seen.items()):
+            pq = tuple([q[x] for x in p])
             if pq not in seen:
                 seen[pq] = sq * sp
                 frontier.append(pq)
+        while frontier:
+            p = frontier.pop()
+            sp = seen[p]
+            for r, sr in kept:
+                pr = tuple([r[x] for x in p])
+                if pr not in seen:
+                    seen[pr] = sr * sp
+                    frontier.append(pr)
     return sorted(seen.items())

@@ -51,10 +51,18 @@ simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
   is found by clearing a bit (deletion) or mapping the mask through the
   collapse, and aligned by that p_k.
 
-A context computes its form's automorphism group once, and the same group
-gives the symmetries of the vanishing rule and the subset orbits; the
-cube stabilizer orders of the catalogs (``GraphContext.stabilizer_order``)
-are the group order over the orbit sizes.
+A context reads its form's automorphism group from the class record, where
+the enumeration closure left it, and the same group gives the symmetries of
+the vanishing rule and the subset orbits; the cube stabilizer orders of the
+catalogs (``GraphContext.stabilizer_order``) are the group order over the
+orbit sizes.  A collapse (``GraphContext.collapse``) is read from the
+record the closure made of it, the target class and the half-edge map onto
+its canonical graph; only an edge the closure never contracted is
+contracted here.  A recorded map may differ from a direct contraction by
+an automorphism of the target, which changes no coefficient of a
+surviving face: such an automorphism keeps the orientation of every
+generator that survives, and for a cube the p_k aligning its image
+absorbs it as an element of the stabilizer.
 
 For odd parity the cellular kinds drop tadpole-collapse terms: a sign rule
 for transporting a cycle-space orientation across a genus-dropping face
@@ -69,12 +77,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canonical import CanonicalForm, automorphism_group, canonical_form, edge_action_closure
-from .generate import EnumSpec, enumerate_graphs
+from .canonical import CanonicalForm, ClassRecord, canonical_form, class_record, edge_action_closure
+from .generate import EnumSpec, enumerate_graphs, record_collapse
 from .graph import HalfEdgeGraph
 from .linalg import SparseMatrix, boundary_ranks, multiply
-from .orientation import h1_determinant_sign, reference_orientation, sequence_parity
-from .ribbon import RibbonStructure, contract_ribbon, surface_invariants
+from .orientation import cycle_basis, cycle_transport_sign, reference_orientation, sequence_parity
+from .ribbon import RibbonStructure, surface_invariants
 
 KINDS = (
     "com",
@@ -214,8 +222,9 @@ class GraphContext:
     least sorted subset has the largest mask.
     """
 
-    def __init__(self, form: CanonicalForm):
+    def __init__(self, form: CanonicalForm | ClassRecord):
         # the form's iso is not kept: it would pin the caller's labelled graph
+        self.record = class_record(form.certificate)
         self.graph = form.graph
         self.cert = form.certificate
         self.ribbon = form.ribbon
@@ -237,10 +246,16 @@ class GraphContext:
         return reference_orientation(self.graph)
 
     @cached_property
+    def ref_rows(self):
+        """The cycle basis of the reference orientation, which every H_1
+        sign of the context pushes forward."""
+        return cycle_basis(self.graph, self.ref_orientation)
+
+    @property
     def group(self):
-        """The form's automorphism group: ribbon automorphisms for a ribbon
-        form, otherwise Aut of the graph."""
-        return automorphism_group(self.graph, self.ribbon)
+        """The form's automorphism group, kept on its class record:
+        ribbon automorphisms for a ribbon form, otherwise Aut of the graph."""
+        return self.record.group
 
     @cached_property
     def lifts(self):
@@ -262,7 +277,7 @@ class GraphContext:
         if h is None:
             h = -1
             if self.ribbon is not None or m.vertex_map != tuple(range(self.graph.vertex_count)):
-                h = h1_determinant_sign(m, self.ref_orientation, self.ref_orientation)
+                h = cycle_transport_sign(self.ref_rows, m.half_edge_map, self.ref_orientation)
             self._aut_h1[m.half_edge_map] = h
         return h
 
@@ -311,25 +326,24 @@ class GraphContext:
     # -- collapses --------------------------------------------------------
 
     def collapse(self, e: int):
-        """(target context, composite morphism onto its canonical graph)."""
+        """(target context, edge action, half-edge map) of the collapse of
+        edge e onto the target's canonical graph, the collapsed edge and its
+        half-edges mapping to None.  The maps come from the collapse the
+        enumeration closure recorded in the class; an edge it never
+        contracted is contracted and recorded here."""
         hit = self._collapse.get(e)
         if hit is None:
-            if self.ribbon is None:
-                target, m = self.graph.contract(e)
-                ribbon = None
-            else:
-                target, ribbon, m = contract_ribbon(self.graph, self.ribbon, e)
-            form = canonical_form(target, ribbon=ribbon)
-            hit = (get_context(form), form.iso.compose(m))
-            self._collapse[e] = hit
+            target, hmap = self.record.collapses.get(e) or record_collapse(self.record, e)
+            action = tuple([None if h is None else h >> 1 for h in hmap[::2]])
+            hit = self._collapse[e] = (get_context(target), action, hmap)
         return hit
 
     def collapse_h1(self, e: int) -> int:
         """Cycle-orientation transport sign across the collapse of edge e."""
         h = self._collapse_h1.get(e)
         if h is None:
-            target, composite = self.collapse(e)
-            h = h1_determinant_sign(composite, self.ref_orientation, target.ref_orientation)
+            target, _, hmap = self.collapse(e)
+            h = cycle_transport_sign(self.ref_rows, hmap, target.ref_orientation)
             self._collapse_h1[e] = h
         return h
 
@@ -496,8 +510,8 @@ class GraphContext:
             sign = 1 if pos & 1 else -1
             if ((weight_face or not graph.is_tadpole(e))
                     and (tadpoles or multiplicities[edges[e]] == 1)):
-                target, composite = self.collapse(e)
-                action, bits = composite.edge_action, target.bits
+                target, action, _ = self.collapse(e)
+                bits = target.bits
                 image = inversions = 0
                 for f in subset:
                     if f != e:
@@ -529,7 +543,8 @@ class GraphContext:
 _CTX_REGISTRY: dict[str, GraphContext] = {}
 
 
-def get_context(form: CanonicalForm) -> GraphContext:
+def get_context(form: CanonicalForm | ClassRecord) -> GraphContext:
+    """The one context of a canonical form's class."""
     ctx = _CTX_REGISTRY.get(form.certificate)
     if ctx is None:
         ctx = GraphContext(form)

@@ -44,6 +44,15 @@ filters come last.  A loopless family of valence >= 3 needs none:
 splitting a loopless vertex makes no loop, so it starts from the loopless
 trivalent graphs and contracts only edges without a parallel partner.
 Everything is deterministic; outputs come back sorted by certificate.
+
+The collapse closure is the one place that contracts a class's edges.  It
+contracts one edge per orbit of the class's automorphism group, and
+records every collapse in the class's :class:`~gch.canonical.ClassRecord`:
+the target class and the half-edge map onto its canonical graph.  The
+other edges of an orbit take the contracted edge's map composed with an
+automorphism of the source, so they land on the same target through a
+map that may differ from a direct one by an automorphism of the target.
+The complexes and the cell poset read their collapses from these records.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .canonical import CanonicalForm, automorphism_group, canonical_form, edge_action_closure
+from .canonical import CanonicalForm, ClassRecord, canonical_entry, edge_action_closure
 from .families import cycle, dumbbell, theta
 from .graph import HalfEdgeGraph, SubgraphMask, identity_morphism
 from .ribbon import RibbonStructure, contract_ribbon
@@ -85,35 +94,75 @@ class EnumSpec:
 _ENUM_CACHE: dict[EnumSpec, tuple] = {}
 
 
-def _closure(seeds, moves) -> dict[str, CanonicalForm]:
-    """Classes of the (graph, ribbon) ``seeds`` and of everything ``moves``
-    reaches from them; a ribbon of None is a plain graph.  Each class keeps
-    its canonical form with the identity as its ``iso``, so no labelled
-    graph that reached it stays pinned."""
-    found: dict[str, CanonicalForm] = {}
+def _closure(seeds, step) -> dict[str, ClassRecord]:
+    """The classes of the ``seeds`` records and of every class that
+    ``step`` reaches from them; ``step`` maps a class record to the
+    records it reaches."""
+    found: dict[str, ClassRecord] = {}
     frontier = list(seeds)
     while frontier:
         reached = []
-        for g, ribbon in frontier:
-            form = canonical_form(g, ribbon)
-            if form.certificate not in found:
-                found[form.certificate] = CanonicalForm(
-                    form.graph, form.certificate, identity_morphism(form.graph), form.ribbon)
-                reached.extend(moves(form.graph, form.ribbon))
+        for record in frontier:
+            if record.certificate not in found:
+                found[record.certificate] = record
+                reached.extend(step(record))
         frontier = reached
     return found
 
 
 def _contract(g: HalfEdgeGraph, ribbon: RibbonStructure | None, e: int):
-    """(graph, ribbon) with edge ``e`` contracted.  A ribbon tadpole
-    becomes a weight: its two half-edges leave their vertex's order."""
+    """(graph, ribbon, half-edge map) of the contraction of edge ``e``.  A
+    ribbon tadpole becomes a weight: its two half-edges leave their
+    vertex's order."""
     if ribbon is None:
-        return g.contract(e)[0], None
-    if not g.is_tadpole(e):
-        return contract_ribbon(g, ribbon, e)[:2]
-    target, m = g.contract(e)
-    return target, RibbonStructure(target, tuple(
-        tuple(m.half_edge_map[h] for h in cyc if h >> 1 != e) for cyc in ribbon.cycles))
+        target, m = g.contract(e)
+    elif not g.is_tadpole(e):
+        target, ribbon, m = contract_ribbon(g, ribbon, e)
+    else:
+        target, m = g.contract(e)
+        ribbon = RibbonStructure(target, tuple(
+            tuple(m.half_edge_map[h] for h in cyc if h >> 1 != e) for cyc in ribbon.cycles))
+    return target, ribbon, m.half_edge_map
+
+
+def record_collapse(record: ClassRecord, e: int):
+    """Contract edge ``e`` of the class's canonical graph, canonicalize, and
+    record the collapse in the class: the target's record and the
+    contraction composed with the isomorphism onto the target's canonical
+    graph.  Returns that pair."""
+    target, ribbon, contraction = _contract(record.graph, record.ribbon, e)
+    reached, _, iso = canonical_entry(target, ribbon)
+    hit = record.collapses[e] = (
+        reached, tuple([None if h is None else iso[h] for h in contraction]))
+    return hit
+
+
+def _collapse_orbits(record: ClassRecord, edges: list[int]) -> list[ClassRecord]:
+    """The targets of the collapses of ``edges``, a set that Aut of the
+    class maps onto itself, recording those not yet recorded by contracting
+    one edge per orbit (McKay's orbit pruning).  Each other edge of the
+    orbit is reached from the contracted one by an automorphism a, walked
+    along the group's generators, and takes the contracted map composed
+    with a^-1: it collapses that edge onto the same canonical target, and
+    differs from a direct contraction by an automorphism of the target."""
+    collapses = record.collapses
+    for r in edges:
+        if r in collapses:
+            continue
+        target, direct = record_collapse(record, r)
+        walk = {r: tuple(range(len(direct)))}  # edge f -> a with a(r) = f
+        queue = [r]
+        for e in queue:
+            for s in record.group.generators:
+                f = s.half_edge_map[2 * e] >> 1
+                if f not in walk:
+                    a = walk[f] = tuple([s.half_edge_map[h] for h in walk[e]])
+                    queue.append(f)
+                    derived = [None] * len(direct)
+                    for h, image in zip(a, direct):
+                        derived[h] = image
+                    collapses.setdefault(f, (target, tuple(derived)))
+    return [collapses[e][0] for e in edges]
 
 
 def _subdivide(g: HalfEdgeGraph, e: int, ribbon: RibbonStructure | None = None):
@@ -142,13 +191,14 @@ def _orbit_representatives(perms, subsets):
             yield subset
 
 
-def _raise_genus(g: HalfEdgeGraph):
-    """Trivalent graphs one genus above trivalent ``g``, one per orbit of
-    Aut(g) on its edges (hang a tadpole) and on its pairs of edges (join
+def _raise_genus(record: ClassRecord):
+    """Trivalent graphs one genus above the trivalent class, one per orbit
+    of its Aut on its edges (hang a tadpole) and on its pairs of edges (join
     the midpoints)."""
+    g = record.graph
     n = g.vertex_count
     perms = [p for p, _ in edge_action_closure(
-        g.edge_count, [(m.edge_action, 1) for m in automorphism_group(g).generators])]
+        g.edge_count, [(m.edge_action, 1) for m in record.group.generators])]
     for (i,) in _orbit_representatives(perms, itertools.combinations(range(g.edge_count), 1)):
         s, _ = _subdivide(g, i)
         yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1), (n + 1, n + 1)))
@@ -157,34 +207,37 @@ def _raise_genus(g: HalfEdgeGraph):
         yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1),))
 
 
-def _trivalent(genus: int) -> list[HalfEdgeGraph]:
+def _trivalent(genus: int) -> list[ClassRecord]:
     """Trivalent weight-zero classes of the genus, tadpoles allowed."""
-    graphs = [theta(), dumbbell()] if genus >= 2 else []
+    records = [canonical_entry(g)[0] for g in (theta(), dumbbell())] if genus >= 2 else []
     for _ in range(genus - 2):
-        raised = _closure([(h, None) for g in graphs for h in _raise_genus(g)],
-                          lambda g, ribbon: ())
-        graphs = [f.graph for f in raised.values()]
-    return graphs
+        records = list(_closure((canonical_entry(h)[0] for r in records for h in _raise_genus(r)),
+                                lambda r: ()).values())
+    return records
 
 
 def _seeds(genus: int, ribbon: bool, tadpoles: bool):
-    """The trivalent graphs of the genus (with tadpoles only if asked),
-    each with its 2^V cyclic orders when ``ribbon`` is set."""
-    for t in _trivalent(genus):
+    """The records of the trivalent classes of the genus (with tadpoles
+    only if asked), or with ``ribbon`` set those of their 2^V cyclic
+    orders."""
+    for record in _trivalent(genus):
+        t = record.graph
         if t.has_tadpole and not tadpoles:
             continue
         if not ribbon:
-            yield t, None
+            yield record
             continue
         for cycles in itertools.product(*(((a, b, c), (a, c, b)) for a, b, c in t.half_edges_at)):
-            yield t, RibbonStructure(t, cycles)
+            yield canonical_entry(t, RibbonStructure(t, cycles))[0]
 
 
-def _select(found: dict[str, CanonicalForm], spec: EnumSpec, low: int, cap: int):
-    """The classes with ``low`` to ``cap`` edges that the spec admits, by certificate."""
-    return [found[c] for c in sorted(found)
-            if low <= found[c].graph.edge_count <= cap
-            and (spec.allow_tadpoles or not found[c].graph.has_tadpole)]
+def _select(found: dict[str, ClassRecord], spec: EnumSpec, low: int, cap: int):
+    """The classes with ``low`` to ``cap`` edges that the spec admits, by
+    certificate, each with the identity as its ``iso``."""
+    return [CanonicalForm(r.graph, r.certificate, identity_morphism(r.graph), r.ribbon)
+            for r in map(found.__getitem__, sorted(found))
+            if low <= r.graph.edge_count <= cap
+            and (spec.allow_tadpoles or not r.graph.has_tadpole)]
 
 
 def _weight_zero_graphs(spec: EnumSpec):
@@ -204,16 +257,23 @@ def _weight_zero_graphs(spec: EnumSpec):
     # splitting a loopless vertex makes no loop, so a loopless family of
     # valence >= 3 needs neither tadpole seeds nor contractions that make one
     loopless = spec.min_valence == 3 and not spec.allow_tadpoles
-    found = _closure(_seeds(g, spec.ribbon, not loopless), lambda h, ribbon: (
-        _contract(h, ribbon, e) for e in range(h.edge_count)
-        if h.edge_count > floor and not h.is_tadpole(e)
-        and not (loopless and h.multiplicities[h.edges[e]] > 1)))
+
+    def contractible(h: HalfEdgeGraph) -> list[int]:
+        if h.edge_count <= floor:
+            return []
+        return [e for e in range(h.edge_count) if not h.is_tadpole(e)
+                and not (loopless and h.multiplicities[h.edges[e]] > 1)]
+
+    found = _closure(_seeds(g, spec.ribbon, not loopless),
+                     lambda r: _collapse_orbits(r, contractible(r.graph)))
     if spec.min_valence == 2:
-        seeds = [(f.graph, f.ribbon) for f in found.values()]
+        seeds = list(found.values())
         if g == 1:
-            seeds.append((cycle(1), RibbonStructure(cycle(1), ((0, 1),)) if spec.ribbon else None))
-        found = _closure(seeds, lambda h, ribbon: (
-            _subdivide(h, e, ribbon) for e in range(h.edge_count) if h.edge_count < cap))
+            seeds.append(canonical_entry(
+                cycle(1), RibbonStructure(cycle(1), ((0, 1),)) if spec.ribbon else None)[0])
+        found = _closure(seeds, lambda r: (
+            canonical_entry(*_subdivide(r.graph, e, r.ribbon))[0]
+            for e in range(r.graph.edge_count) if r.graph.edge_count < cap))
     return _select(found, spec, low, cap)
 
 
@@ -224,8 +284,8 @@ def _weighted_graphs(spec: EnumSpec):
     cap = 3 * g - 3
     if spec.max_edges is not None:
         cap = min(cap, spec.max_edges)
-    found = _closure(_seeds(g, spec.ribbon, True), lambda h, ribbon: (
-        _contract(h, ribbon, e) for e in range(h.edge_count) if h.edge_count > spec.min_edges))
+    found = _closure(_seeds(g, spec.ribbon, True), lambda r: _collapse_orbits(
+        r, list(range(r.graph.edge_count)) if r.graph.edge_count > spec.min_edges else []))
     return _select(found, spec, spec.min_edges, cap)
 
 
@@ -288,6 +348,6 @@ def enumerate_ribbon_structures(g: HalfEdgeGraph) -> list[RibbonStructure]:
     reps: dict[str, RibbonStructure] = {}
     for combo in itertools.product(*per_vertex):
         rib = RibbonStructure(g, tuple(combo))
-        cert = canonical_form(g, ribbon=rib).certificate
+        cert = canonical_entry(g, rib)[0].certificate
         reps.setdefault(cert, rib)
     return [reps[c] for c in sorted(reps)]

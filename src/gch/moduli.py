@@ -86,9 +86,9 @@ def build_cell_poset(genus: int) -> CellPoset:
         raise ValueError("the moduli space needs genus >= 2")
     forms = enumerate_graphs(
         EnumSpec(genus=genus, weighted=True, allow_tadpoles=True, min_edges=1))
+    contexts = [get_context(form) for form in forms]
     nodes = []
-    for form in forms:
-        ctx = get_context(form)
+    for ctx in contexts:
         nodes.append(PosetNode(
             certificate=ctx.cert,
             graph=ctx.graph,
@@ -98,11 +98,9 @@ def build_cell_poset(genus: int) -> CellPoset:
         ))
     index = {n.certificate: i for i, n in enumerate(nodes)}
     covers = set()
-    for i, node in enumerate(nodes):
-        ctx = get_context(forms[i])
-        for e in range(node.graph.edge_count):
-            target_ctx, _ = ctx.collapse(e)
-            j = index.get(target_ctx.cert)
+    for i, ctx in enumerate(contexts):
+        for e in range(ctx.graph.edge_count):
+            j = index.get(ctx.collapse(e)[0].cert)
             if j is not None:
                 covers.add((i, j))
     return CellPoset(genus=genus, nodes=nodes, covers=frozenset(covers))

@@ -196,12 +196,12 @@ def cycle_basis(g: HalfEdgeGraph, orientation: Orientation):
     return tuple(rows)
 
 
-def _image_row(row, m: Morphism):
-    """Push a cycle row through a morphism, in target reference coordinates."""
+def _image_row(row, half_edge_map):
+    """Push a cycle row through a half-edge map, in target reference
+    coordinates."""
     out: dict[int, int] = {}
-    hmap = m.half_edge_map
     for e, c in row:
-        img = hmap[2 * e]
+        img = half_edge_map[2 * e]
         if img is None:
             continue
         f = img >> 1
@@ -217,7 +217,13 @@ def h1_determinant_sign(m: Morphism, orient_src: Orientation, orient_dst: Orient
     isomorphisms, and any non-tadpole collapse, which is a homotopy
     equivalence and so carries every cycle basis onto one.
     """
-    src_rows = cycle_basis(orient_src.graph, orient_src)
+    return cycle_transport_sign(cycle_basis(orient_src.graph, orient_src),
+                                m.half_edge_map, orient_dst)
+
+
+def cycle_transport_sign(src_rows, half_edge_map, orient_dst: Orientation) -> int:
+    """:func:`h1_determinant_sign` for a source cycle basis computed once,
+    ``src_rows`` from :func:`cycle_basis`, and a morphism's half-edge map."""
     h = len(src_rows)
     if len(orient_dst.comp_order) != h:
         raise ValueError("cycle ranks differ")
@@ -226,7 +232,7 @@ def h1_determinant_sign(m: Morphism, orient_src: Orientation, orient_dst: Orient
     dst_sign = {e: (1 if d == 2 * e else -1) for e, d in zip(orient_dst.comp_order, orient_dst.comp_dirs)}
     matrix = []
     for row in src_rows:
-        img = _image_row(row, m)
+        img = _image_row(row, half_edge_map)
         matrix.append([img.get(e, 0) * dst_sign[e] for e in orient_dst.comp_order])
     s = det_sign(matrix)
     if s == 0:

@@ -14,7 +14,7 @@ from functools import cached_property
 from .graph import HalfEdgeGraph, Morphism
 
 
-def _normalize_cycle(cycle):
+def normalize_cycle(cycle):
     """Rotate a cyclic sequence so that it starts at its minimum."""
     if not cycle:
         return tuple(cycle)
@@ -39,7 +39,7 @@ class RibbonStructure:
             if tuple(sorted(cyc)) != own:
                 raise ValueError(f"cycle at vertex {v} must order its own half-edges")
             seen.update(cyc)
-            norm.append(_normalize_cycle(tuple(cyc)))
+            norm.append(normalize_cycle(tuple(cyc)))
         if len(seen) != g.half_edge_count:
             raise ValueError("cycles must partition the half-edge set")
         object.__setattr__(self, "cycles", tuple(norm))
@@ -127,8 +127,10 @@ def transport_ribbon(ribbon: RibbonStructure, m: Morphism) -> RibbonStructure:
     return RibbonStructure(target, tuple(new_cycles))
 
 
-def rotation_word(ribbon: RibbonStructure) -> str:
+def cycles_word(cycles) -> str:
+    """The cyclic orders, each starting at its least half-edge, listed by
+    that half-edge: the ribbon part of a certificate."""
     parts = []
-    for cyc in sorted(ribbon.cycles, key=lambda c: c[0] if c else -1):
+    for cyc in sorted(cycles, key=lambda c: c[0] if c else -1):
         parts.append("(" + ",".join(map(str, cyc)) + ")")
     return "".join(parts)

@@ -2,11 +2,14 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from gch.canonical import canonical_form
+from gch.canonical import canonical_form, class_record
 from gch.complexes import context_for_graph
 from gch.families import banana, cycle, dumbbell, rose, single_edge, theta, triangle_with_doubled_edge
 from gch.generate import (
@@ -18,7 +21,7 @@ from gch.generate import (
 )
 from gch.graph import HalfEdgeGraph
 from gch.oracle import pairing_classes
-from gch.ribbon import surface_invariants
+from gch.ribbon import contract_ribbon, surface_invariants
 
 # certificate lists of the degree-sequence enumerator that generation by
 # moves replaced; see the "about" field
@@ -291,3 +294,97 @@ def test_banana_counts_match_oracle():
     two_vertex = [f for f in forms if f.graph.vertex_count == 2]
     assert len(two_vertex) == 1
     assert two_vertex[0].certificate == canonical_form(banana(4)).certificate
+
+
+def _is_automorphism(graph, ribbon, sigma):
+    """Whether a half-edge map is an automorphism of the (ribbon) graph:
+    a bijection that commutes with the edge involution, carries the
+    half-edges at a vertex onto those at one vertex of the same weight,
+    and for a ribbon graph commutes with the cyclic orders."""
+    if sorted(sigma) != list(range(graph.half_edge_count)):
+        return False
+    vertex_map = {}
+    for h, image in enumerate(sigma):
+        u, x = graph.iota(h), graph.iota(image)
+        if sigma[h ^ 1] != image ^ 1 or vertex_map.setdefault(u, x) != x:
+            return False
+        if graph.weights[u] != graph.weights[x]:
+            return False
+    if len(set(vertex_map.values())) != len(vertex_map):
+        return False
+    nxt = None if ribbon is None else ribbon.next_map
+    return nxt is None or all(nxt[sigma[h]] == sigma[nxt[h]] for h in range(len(sigma)))
+
+
+def test_recorded_collapses_match_direct_contraction():
+    """Every collapse the enumeration closure records lands on the class of
+    a direct contraction, and its half-edge map is the direct composite
+    onto the canonical target, or, for an edge whose record came through an
+    automorphism of the source, differs from it by an automorphism of the
+    target."""
+    specs = [EnumSpec(genus=g, min_valence=3, allow_tadpoles=True) for g in (2, 3, 4)]
+    specs += [EnumSpec(genus=g, weighted=True, allow_tadpoles=True, min_edges=1) for g in (2, 3, 4)]
+    specs += [EnumSpec(genus=g, min_valence=3, ribbon=True) for g in (2, 3)]
+    checked = derived = 0
+    for form in (f for spec in specs for f in enumerate_graphs(spec)):
+        g, ribbon = form.graph, form.ribbon
+        for e, (target, recorded) in class_record(form.certificate).collapses.items():
+            if ribbon is None:
+                contracted, m = g.contract(e)
+                direct = canonical_form(contracted)
+            else:
+                contracted, moved, m = contract_ribbon(g, ribbon, e)
+                direct = canonical_form(contracted, ribbon=moved)
+            assert target.certificate == direct.certificate, (form.certificate, e)
+            composite = direct.iso.compose(m).half_edge_map
+            assert [h for h, x in enumerate(recorded) if x is None] == [2 * e, 2 * e + 1]
+            sigma = [0] * (len(recorded) - 2)
+            for h, image in zip(composite, recorded):
+                if h is not None:
+                    sigma[h] = image
+            assert _is_automorphism(target.graph, target.ribbon, sigma), (form.certificate, e)
+            derived += tuple(recorded) != composite
+            checked += 1
+    assert checked > 3000 and derived > 100, (checked, derived)
+
+
+WORK_COUNTER = """
+import collections, json
+import gch.canonical as canonical
+from gch import ComplexSpec, EnumSpec, build_cell_poset, build_complex, enumerate_graphs
+from gch.graph import HalfEdgeGraph
+
+plain = canonical._canonical_plain
+canonicalized = []
+canonical._canonical_plain = lambda g: canonicalized.append(g) or plain(g)
+contract = HalfEdgeGraph.contract
+contracted = collections.Counter()
+
+def counting_contract(g, e):
+    contracted[g.vertex_count, g.weights, g.edges, e] += 1
+    return contract(g, e)
+
+HalfEdgeGraph.contract = counting_contract
+enumerate_graphs(EnumSpec(genus=4, weighted=True, allow_tadpoles=True, min_edges=1))
+closure = len(canonicalized)
+build_complex(ComplexSpec("cellular_MG", "even", 4))
+build_cell_poset(4)
+print(json.dumps({"closure": closure, "contractions": sum(contracted.values()),
+                  "repeated": sum(1 for n in contracted.values() if n > 1)}))
+"""
+
+
+def test_each_class_edge_is_contracted_once():
+    """In a fresh interpreter, so that no earlier test has warmed a cache:
+    enumerating the weighted genus-4 family, building even cellular_MG on
+    it and then the cell poset contract no (class, edge) twice, and the
+    closure canonicalizes at most 1206 labelled graphs, one contraction
+    per automorphism orbit of edges."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    result = subprocess.run([sys.executable, "-c", WORK_COUNTER], capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout)
+    assert counts["repeated"] == 0, counts
+    assert counts["closure"] <= 1206, counts
