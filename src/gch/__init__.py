@@ -3,7 +3,6 @@
 from .graph import (
     HalfEdgeGraph,
     Morphism,
-    SubgraphMask,
     StructuralReport,
     DisconnectedGraphError,
     contract_edge,
@@ -12,12 +11,8 @@ from .graph import (
     loop_number,
     structural_predicates,
 )
-from .canonical import (
-    AutGroup,
-    CanonicalForm,
-    automorphism_group,
-    canonical_form,
-)
+from .canonical import AutGroup, automorphism_group
+from .context import CanonicalForm, canonical_form
 from .orientation import (
     Orientation,
     cycle_basis,
@@ -30,7 +25,6 @@ from .linalg import SparseMatrix, homology_dims, multiply, rank
 from .generate import (
     EnumSpec,
     InfeasibleEnumeration,
-    enumerate_forests,
     enumerate_graphs,
     enumerate_ribbon_structures,
 )

@@ -17,6 +17,9 @@ parallel-edge swaps are visible.  The group splits over the vertex action:
 the kernel is generated by flips and within-class edge swaps, and every
 vertex automorphism has a canonical lift; the order is the product of the
 vertex-automorphism count with the kernel size.
+
+The module keeps no state.  The one object per class, the registry of
+classes and the cache of labelled inputs live in :mod:`gch.context`.
 """
 
 from __future__ import annotations
@@ -24,18 +27,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graph import HalfEdgeGraph, Morphism
 from .ribbon import RibbonStructure, cycles_word, normalize_cycle
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    graph: HalfEdgeGraph
-    certificate: str
-    iso: Morphism  # from the input graph onto the canonical graph
-    ribbon: RibbonStructure | None = None
 
 
 @dataclass(frozen=True)
@@ -43,36 +37,6 @@ class AutGroup:
     graph: HalfEdgeGraph
     generators: tuple[Morphism, ...]
     order: int
-
-
-class ClassRecord:
-    """One isomorphism class, shared by every labelled graph that reaches it.
-
-    It holds the certificate, the canonical graph and ribbon, the
-    automorphism group once asked for, and the collapses recorded so far:
-    edge -> (the target class's record, the half-edge map onto the target's
-    canonical graph, None on the collapsed edge).  The enumeration closure
-    fills the collapses, and :class:`~gch.complexes.GraphContext` reads
-    them and the group.
-    """
-
-    def __init__(self, certificate: str, graph: HalfEdgeGraph, ribbon: RibbonStructure | None):
-        self.certificate = certificate
-        self.graph = graph
-        self.ribbon = ribbon
-        self.collapses: dict[int, tuple[ClassRecord, tuple[int | None, ...]]] = {}
-
-    @cached_property
-    def group(self) -> AutGroup:
-        """Aut of the class, computed on first use."""
-        return automorphism_group(self.graph, self.ribbon)
-
-
-# labelled input -> (class record, vertex map, half-edge map) onto the
-# class's canonical graph; the labelled graph itself is not kept
-_CERT_CACHE: dict = {}
-# certificate -> the class's one record
-_CLASSES: dict[str, ClassRecord] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -224,44 +188,14 @@ def _certificate_string(vertex_count: int, weights, edges, cycles) -> str:
     return ";".join(parts)
 
 
-def canonical_entry(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None):
-    """(class record, vertex map, half-edge map onto the class's canonical
-    graph) of a labelled graph.
-
-    Each labelled input is canonicalized once, and a class's canonical
-    graph and ribbon are built only when its certificate is new.  The
-    cache keeps the maps and the shared record, so it pins no input graph.
-    An input that hits was connected when it was stored.
-    """
-    key = ((g.vertex_count, g.weights, g.edges) if ribbon is None
-           else (g.vertex_count, g.weights, g.edges, ribbon.cycles))
-    entry = _CERT_CACHE.get(key)
-    if entry is None:
-        if not g.is_connected:
-            raise ValueError("canonical form is defined for connected graphs")
-        weights, edges, cycles, vertex_map, half_edge_map = (
-            _canonical_plain(g) if ribbon is None else _canonical_ribbon(g, ribbon))
-        certificate = _certificate_string(g.vertex_count, weights, edges, cycles)
-        record = _CLASSES.get(certificate)
-        if record is None:
-            graph = HalfEdgeGraph(g.vertex_count, weights, edges)
-            record = _CLASSES[certificate] = ClassRecord(
-                certificate, graph, None if cycles is None else RibbonStructure(graph, cycles))
-        entry = _CERT_CACHE[key] = (record, vertex_map, half_edge_map)
-    return entry
-
-
-def class_record(certificate: str) -> ClassRecord:
-    """The record of a class that has been canonicalized."""
-    return _CLASSES[certificate]
-
-
-def canonical_form(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> CanonicalForm:
-    """Canonical representative plus an isomorphism of the input onto it;
-    ``iso`` starts at the caller's graph on every call."""
-    record, vertex_map, half_edge_map = canonical_entry(g, ribbon)
-    iso = Morphism("isomorphism", g, record.graph, vertex_map, half_edge_map)
-    return CanonicalForm(record.graph, record.certificate, iso, record.ribbon)
+def canonical_labelling(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None):
+    """(certificate, weights, edges, cyclic orders or None, vertex map,
+    half-edge map) of the canonical relabelling of a connected graph, or
+    of a ribbon graph given its ribbon structure."""
+    weights, edges, cycles, vertex_map, half_edge_map = (
+        _canonical_plain(g) if ribbon is None else _canonical_ribbon(g, ribbon))
+    return (_certificate_string(g.vertex_count, weights, edges, cycles),
+            weights, edges, cycles, vertex_map, half_edge_map)
 
 
 # ---------------------------------------------------------------------------

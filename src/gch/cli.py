@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .canonical import canonical_form
+from .context import canonical_form
 from .complexes import (
     KINDS,
     ComplexSpec,

@@ -45,14 +45,16 @@ splitting a loopless vertex makes no loop, so it starts from the loopless
 trivalent graphs and contracts only edges without a parallel partner.
 Everything is deterministic; outputs come back sorted by certificate.
 
-The collapse closure is the one place that contracts a class's edges.  It
-contracts one edge per orbit of the class's automorphism group, and
-records every collapse in the class's :class:`~gch.canonical.ClassRecord`:
-the target class and the half-edge map onto its canonical graph.  The
-other edges of an orbit take the contracted edge's map composed with an
-automorphism of the source, so they land on the same target through a
+The closure walks the class objects of :mod:`gch.context` and hands them
+out: ``enumerate_graphs`` returns the registry's own object of each class.
+The collapse closure contracts one edge per orbit of the class's
+automorphism group, through ``GraphContext.collapse``, which records the
+target class and the half-edge map onto its canonical graph in the class.
+The other edges of an orbit take the contracted edge's map composed with
+an automorphism of the source, so they land on the same target through a
 map that may differ from a direct one by an automorphism of the target.
-The complexes and the cell poset read their collapses from these records.
+The complexes and the cell poset read their collapses from the same
+entries.
 """
 
 from __future__ import annotations
@@ -60,10 +62,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .canonical import CanonicalForm, ClassRecord, canonical_entry, edge_action_closure
+from .canonical import edge_action_closure
+from .context import GraphContext, canonical_entry
 from .families import cycle, dumbbell, theta
-from .graph import HalfEdgeGraph, SubgraphMask, identity_morphism
-from .ribbon import RibbonStructure, contract_ribbon
+from .graph import HalfEdgeGraph
+from .ribbon import RibbonStructure
 
 
 class InfeasibleEnumeration(ValueError):
@@ -94,50 +97,22 @@ class EnumSpec:
 _ENUM_CACHE: dict[EnumSpec, tuple] = {}
 
 
-def _closure(seeds, step) -> dict[str, ClassRecord]:
-    """The classes of the ``seeds`` records and of every class that
-    ``step`` reaches from them; ``step`` maps a class record to the
-    records it reaches."""
-    found: dict[str, ClassRecord] = {}
+def _closure(seeds, step) -> dict[str, GraphContext]:
+    """The ``seeds`` classes and every class that ``step`` reaches from
+    them; ``step`` maps a class to the classes it reaches."""
+    found: dict[str, GraphContext] = {}
     frontier = list(seeds)
     while frontier:
         reached = []
-        for record in frontier:
-            if record.certificate not in found:
-                found[record.certificate] = record
-                reached.extend(step(record))
+        for ctx in frontier:
+            if ctx.certificate not in found:
+                found[ctx.certificate] = ctx
+                reached.extend(step(ctx))
         frontier = reached
     return found
 
 
-def _contract(g: HalfEdgeGraph, ribbon: RibbonStructure | None, e: int):
-    """(graph, ribbon, half-edge map) of the contraction of edge ``e``.  A
-    ribbon tadpole becomes a weight: its two half-edges leave their
-    vertex's order."""
-    if ribbon is None:
-        target, m = g.contract(e)
-    elif not g.is_tadpole(e):
-        target, ribbon, m = contract_ribbon(g, ribbon, e)
-    else:
-        target, m = g.contract(e)
-        ribbon = RibbonStructure(target, tuple(
-            tuple(m.half_edge_map[h] for h in cyc if h >> 1 != e) for cyc in ribbon.cycles))
-    return target, ribbon, m.half_edge_map
-
-
-def record_collapse(record: ClassRecord, e: int):
-    """Contract edge ``e`` of the class's canonical graph, canonicalize, and
-    record the collapse in the class: the target's record and the
-    contraction composed with the isomorphism onto the target's canonical
-    graph.  Returns that pair."""
-    target, ribbon, contraction = _contract(record.graph, record.ribbon, e)
-    reached, _, iso = canonical_entry(target, ribbon)
-    hit = record.collapses[e] = (
-        reached, tuple([None if h is None else iso[h] for h in contraction]))
-    return hit
-
-
-def _collapse_orbits(record: ClassRecord, edges: list[int]) -> list[ClassRecord]:
+def _collapse_orbits(ctx: GraphContext, edges: list[int]) -> list[GraphContext]:
     """The targets of the collapses of ``edges``, a set that Aut of the
     class maps onto itself, recording those not yet recorded by contracting
     one edge per orbit (McKay's orbit pruning).  Each other edge of the
@@ -145,15 +120,15 @@ def _collapse_orbits(record: ClassRecord, edges: list[int]) -> list[ClassRecord]
     along the group's generators, and takes the contracted map composed
     with a^-1: it collapses that edge onto the same canonical target, and
     differs from a direct contraction by an automorphism of the target."""
-    collapses = record.collapses
+    collapses = ctx.collapses
     for r in edges:
         if r in collapses:
             continue
-        target, direct = record_collapse(record, r)
+        target, direct = ctx.collapse(r)
         walk = {r: tuple(range(len(direct)))}  # edge f -> a with a(r) = f
         queue = [r]
         for e in queue:
-            for s in record.group.generators:
+            for s in ctx.group.generators:
                 f = s.half_edge_map[2 * e] >> 1
                 if f not in walk:
                     a = walk[f] = tuple([s.half_edge_map[h] for h in walk[e]])
@@ -191,14 +166,14 @@ def _orbit_representatives(perms, subsets):
             yield subset
 
 
-def _raise_genus(record: ClassRecord):
+def _raise_genus(ctx: GraphContext):
     """Trivalent graphs one genus above the trivalent class, one per orbit
     of its Aut on its edges (hang a tadpole) and on its pairs of edges (join
     the midpoints)."""
-    g = record.graph
+    g = ctx.graph
     n = g.vertex_count
     perms = [p for p, _ in edge_action_closure(
-        g.edge_count, [(m.edge_action, 1) for m in record.group.generators])]
+        g.edge_count, [(m.edge_action, 1) for m in ctx.group.generators])]
     for (i,) in _orbit_representatives(perms, itertools.combinations(range(g.edge_count), 1)):
         s, _ = _subdivide(g, i)
         yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1), (n + 1, n + 1)))
@@ -207,35 +182,33 @@ def _raise_genus(record: ClassRecord):
         yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1),))
 
 
-def _trivalent(genus: int) -> list[ClassRecord]:
+def _trivalent(genus: int) -> list[GraphContext]:
     """Trivalent weight-zero classes of the genus, tadpoles allowed."""
-    records = [canonical_entry(g)[0] for g in (theta(), dumbbell())] if genus >= 2 else []
+    classes = [canonical_entry(g)[0] for g in (theta(), dumbbell())] if genus >= 2 else []
     for _ in range(genus - 2):
-        records = list(_closure((canonical_entry(h)[0] for r in records for h in _raise_genus(r)),
+        classes = list(_closure((canonical_entry(h)[0] for r in classes for h in _raise_genus(r)),
                                 lambda r: ()).values())
-    return records
+    return classes
 
 
 def _seeds(genus: int, ribbon: bool, tadpoles: bool):
-    """The records of the trivalent classes of the genus (with tadpoles
-    only if asked), or with ``ribbon`` set those of their 2^V cyclic
-    orders."""
-    for record in _trivalent(genus):
-        t = record.graph
+    """The trivalent classes of the genus (with tadpoles only if asked),
+    or with ``ribbon`` set the classes of their 2^V cyclic orders."""
+    for ctx in _trivalent(genus):
+        t = ctx.graph
         if t.has_tadpole and not tadpoles:
             continue
         if not ribbon:
-            yield record
+            yield ctx
             continue
         for cycles in itertools.product(*(((a, b, c), (a, c, b)) for a, b, c in t.half_edges_at)):
             yield canonical_entry(t, RibbonStructure(t, cycles))[0]
 
 
-def _select(found: dict[str, ClassRecord], spec: EnumSpec, low: int, cap: int):
+def _select(found: dict[str, GraphContext], spec: EnumSpec, low: int, cap: int):
     """The classes with ``low`` to ``cap`` edges that the spec admits, by
-    certificate, each with the identity as its ``iso``."""
-    return [CanonicalForm(r.graph, r.certificate, identity_morphism(r.graph), r.ribbon)
-            for r in map(found.__getitem__, sorted(found))
+    certificate."""
+    return [r for r in map(found.__getitem__, sorted(found))
             if low <= r.graph.edge_count <= cap
             and (spec.allow_tadpoles or not r.graph.has_tadpole)]
 
@@ -289,8 +262,9 @@ def _weighted_graphs(spec: EnumSpec):
     return _select(found, spec, spec.min_edges, cap)
 
 
-def enumerate_graphs(spec: EnumSpec) -> list[CanonicalForm]:
-    """All isomorphism classes matching the spec, canonically ordered."""
+def enumerate_graphs(spec: EnumSpec) -> list[GraphContext]:
+    """All isomorphism classes matching the spec, canonically ordered: the
+    registry's object of each class."""
     hit = _ENUM_CACHE.get(spec)
     if hit is not None:
         return list(hit)
@@ -300,37 +274,6 @@ def enumerate_graphs(spec: EnumSpec) -> list[CanonicalForm]:
         result = _weight_zero_graphs(spec)
     _ENUM_CACHE[spec] = tuple(result)
     return list(result)
-
-
-def enumerate_forests(g: HalfEdgeGraph) -> list[SubgraphMask]:
-    """Every acyclic edge subset, the empty one included."""
-    if not g.is_connected:
-        raise ValueError("forest enumeration needs a connected graph")
-    non_tadpoles = [e for e in range(g.edge_count) if not g.is_tadpole(e)]
-    found: list[SubgraphMask] = []
-
-    def rec(idx, parent, chosen):
-        if idx == len(non_tadpoles):
-            found.append(SubgraphMask(g, frozenset(chosen)))
-            return
-        rec(idx + 1, parent, chosen)
-        e = non_tadpoles[idx]
-        u, v = g.edges[e]
-
-        def find(p, x):
-            while p[x] != x:
-                x = p[x]
-            return x
-
-        ru, rv = find(parent, u), find(parent, v)
-        if ru != rv:
-            child = dict(parent)
-            child[ru] = rv
-            rec(idx + 1, child, chosen + [e])
-
-    rec(0, {v: v for v in range(g.vertex_count)}, [])
-    found.sort(key=lambda m: (len(m.edge_subset), m.sorted_edges()))
-    return found
 
 
 def enumerate_ribbon_structures(g: HalfEdgeGraph) -> list[RibbonStructure]:

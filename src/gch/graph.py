@@ -109,9 +109,10 @@ class HalfEdgeGraph:
 
     @cached_property
     def is_connected(self):
+        """Whether the graph is connected; a connected graph has a vertex."""
         n = self.vertex_count
         if n <= 1:
-            return True
+            return n == 1
         adj = [[] for _ in range(n)]
         for u, v in self.edges:
             if u != v:
@@ -279,40 +280,6 @@ def identity_morphism(g):
         vertex_map=tuple(range(g.vertex_count)),
         half_edge_map=tuple(range(g.half_edge_count)),
     )
-
-
-@dataclass(frozen=True)
-class SubgraphMask:
-    """An edge subset of a parent graph (all vertices implicitly included)."""
-
-    parent: HalfEdgeGraph
-    edge_subset: frozenset[int]
-
-    def __post_init__(self):
-        if any(e < 0 or e >= len(self.parent.edges) for e in self.edge_subset):
-            raise ValueError("edge subset out of range")
-
-    @cached_property
-    def is_forest(self):
-        """True iff the subset spans no cycle (tadpoles are cycles)."""
-        parent = list(range(self.parent.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edge_subset:
-            u, v = self.parent.edges[e]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
-
-    def sorted_edges(self):
-        return tuple(sorted(self.edge_subset))
 
 
 @dataclass(frozen=True)

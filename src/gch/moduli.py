@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .complexes import get_context, pair_key
+from .complexes import pair_key
 from .generate import EnumSpec, enumerate_graphs
 from .graph import HalfEdgeGraph
 
@@ -84,13 +84,12 @@ class CubeCatalog:
 def build_cell_poset(genus: int) -> CellPoset:
     if genus < 2:
         raise ValueError("the moduli space needs genus >= 2")
-    forms = enumerate_graphs(
+    contexts = enumerate_graphs(
         EnumSpec(genus=genus, weighted=True, allow_tadpoles=True, min_edges=1))
-    contexts = [get_context(form) for form in forms]
     nodes = []
     for ctx in contexts:
         nodes.append(PosetNode(
-            certificate=ctx.cert,
+            certificate=ctx.certificate,
             graph=ctx.graph,
             dimension=ctx.graph.edge_count - 1,
             weight_total=sum(ctx.graph.weights),
@@ -100,7 +99,7 @@ def build_cell_poset(genus: int) -> CellPoset:
     covers = set()
     for i, ctx in enumerate(contexts):
         for e in range(ctx.graph.edge_count):
-            j = index.get(ctx.collapse(e)[0].cert)
+            j = index.get(ctx.collapse(e)[0].certificate)
             if j is not None:
                 covers.add((i, j))
     return CellPoset(genus=genus, nodes=nodes, covers=frozenset(covers))
@@ -110,15 +109,14 @@ def build_cube_catalog(genus: int, forest_only: bool) -> CubeCatalog:
     """Orbit representatives of cubes (weight-zero graph, edge subset)."""
     family = EnumSpec(genus=genus, min_valence=3, allow_tadpoles=True)
     entries = []
-    for form in enumerate_graphs(family):
-        ctx = get_context(form)
+    for ctx in enumerate_graphs(family):
         for subset in ctx.subset_orbits(forests_only=forest_only):
             facets = {True: [], False: []}
             for collapse, target, rep, _ in ctx.faces(ctx.mask_of(subset), family, odd=False):
-                facets[collapse].append(pair_key(target.cert, target.subset_of(rep)))
+                facets[collapse].append(pair_key(target.certificate, target.subset_of(rep)))
             entries.append(CubeEntry(
-                key=pair_key(ctx.cert, subset),
-                graph_certificate=ctx.cert,
+                key=pair_key(ctx.certificate, subset),
+                graph_certificate=ctx.certificate,
                 subset=subset,
                 dimension=len(subset),
                 aut_order=ctx.stabilizer_order(subset),

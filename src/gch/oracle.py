@@ -1,4 +1,5 @@
-"""Brute-force references for automorphisms, signs, enumeration and ranks.
+"""Brute-force references for automorphisms, signs, enumeration, forests
+and ranks.
 
 Each function recomputes by exhaustive search, or by plain elimination,
 something that the engine computes another way.  The module imports
@@ -132,6 +133,30 @@ def pairing_classes(v: int, e: int, min_valence: int, allow_tadpoles: bool):
                        for r in reps for perm in itertools.permutations(identity)):
                 reps.append(edges)
     return reps
+
+
+def is_forest(g: HalfEdgeGraph, edges) -> bool:
+    """Whether the edge subset spans no cycle; a tadpole is a cycle."""
+    parent = list(range(g.vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in edges:
+        ru, rv = find(g.edges[e][0]), find(g.edges[e][1])
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def forests(g: HalfEdgeGraph) -> list[tuple[int, ...]]:
+    """Every forest of the graph, the empty one included, by size and then
+    lexicographically: every edge subset, kept when :func:`is_forest`."""
+    return [s for size in range(g.edge_count + 1)
+            for s in itertools.combinations(range(g.edge_count), size) if is_forest(g, s)]
 
 
 def dense_rank(rows) -> int:

@@ -87,7 +87,9 @@ def contract_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure, e: int):
 
 
 def faces(g: HalfEdgeGraph, ribbon: RibbonStructure):
-    """Boundary cycles of the thickening: orbits of sigma o epsilon."""
+    """Boundary cycles of the thickening: orbits of sigma o epsilon, and
+    one empty cycle for each vertex without half-edges, which thickens to
+    a disk."""
     nxt = ribbon.next_map
     seen = [False] * g.half_edge_count
     out = []
@@ -101,6 +103,7 @@ def faces(g: HalfEdgeGraph, ribbon: RibbonStructure):
             cyc.append(h)
             h = nxt[h ^ 1]
         out.append(tuple(cyc))
+    out.extend(cyc for cyc in ribbon.cycles if not cyc)
     return out
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import canonical_form
+from .context import canonical_entry, canonical_form
 from .complexes import (
     KINDS,
     ComplexSpec,
@@ -24,7 +24,7 @@ from .complexes import (
     split_by_surface,
 )
 from .families import banana, cycle, theta, triangle_with_doubled_edge, wheel
-from .generate import EnumSpec, enumerate_forests, enumerate_graphs, enumerate_ribbon_structures
+from .generate import EnumSpec, enumerate_graphs, enumerate_ribbon_structures
 from .linalg import rank
 from .moduli import build_cell_poset, build_spine, f_vector
 from .ribbon import contract_ribbon, surface_invariants
@@ -201,9 +201,13 @@ def check_moduli_dimensions():
         assert spine.max_dimension == 2 * genus - 3, \
             f"genus {genus}: spine dimension {spine.max_dimension}"
         assert spine.facets_closed()
+    # each forest orbit of size V-1 holds |Aut| / |stabilizer| spanning trees
     g = triangle_with_doubled_edge()
-    spanning = [m for m in enumerate_forests(g) if len(m.edge_subset) == g.vertex_count - 1]
-    assert len(spanning) == 5, f"{len(spanning)} spanning trees"
+    ctx = canonical_entry(g)[0]
+    spanning = sum(ctx.group.order // ctx.stabilizer_order(tree)
+                   for tree in ctx.subset_orbits(forests_only=True)
+                   if len(tree) == g.vertex_count - 1)
+    assert spanning == 5, f"{spanning} spanning trees"
     return "cell dimension 3g-4 and spine dimension 2g-3 for genus 2..4; 5 tree cubes"
 
 

@@ -4,8 +4,9 @@ import weakref
 
 import pytest
 
-from gch.canonical import automorphism_group, canonical_form, edge_action_closure
-from gch.complexes import context_for_graph, generator_vanishes, get_context
+from gch.canonical import automorphism_group, edge_action_closure
+from gch.complexes import generator_vanishes
+from gch.context import _CLASSES, canonical_entry, canonical_form
 from gch.families import (
     banana,
     cycle,
@@ -120,7 +121,7 @@ def test_edge_action_examples():
 
 
 def test_stabilizer_order_examples():
-    ctx = context_for_graph(theta())
+    ctx = canonical_entry(theta())[0]
     assert ctx.stabilizer_order((0,)) == 4
     full = automorphism_group(ctx.graph).order
     assert ctx.stabilizer_order(()) == full
@@ -153,7 +154,7 @@ def test_odd_symmetry_oracle_equivalence():
         edges = range(g.edge_count)
         found = any(automorphism_sign(aut, edges, False) == -1
                     for aut in half_edge_automorphisms(g))
-        assert bool(context_for_graph(g).witness("even")) is found, str(g)
+        assert bool(canonical_entry(g)[0].witness("even")) is found, str(g)
 
 
 def test_edge_action_closure_sizes():
@@ -180,8 +181,8 @@ def test_canonical_form_hit_starts_at_the_callers_graph():
 
 
 def test_canonical_forms_pin_no_contracted_graph():
-    """Neither the certificate cache nor a context keeps the labelled graph
-    that a collapse produced, plain or ribbon."""
+    """Neither the certificate cache nor the class object keeps the
+    labelled graph that a collapse produced, plain or ribbon."""
     g = theta()
     for ribbon in (None, RibbonStructure(g, PLANAR_THETA_CYCLES)):
         if ribbon is None:
@@ -191,7 +192,7 @@ def test_canonical_forms_pin_no_contracted_graph():
             contracted, ribbon, m = contract_ribbon(g, ribbon, 0)
             form = canonical_form(contracted, ribbon=ribbon)
         assert form.iso.source is contracted
-        get_context(form)
+        assert _CLASSES[form.certificate].graph is form.graph
         ref = weakref.ref(contracted)
         del contracted, ribbon, m, form
         gc.collect()

@@ -107,6 +107,24 @@ def test_surface_command(tmp_path, capsys):
     assert rows[0] == {"genus": 0, "boundaries": 3, "certificate": rows[0]["certificate"]}
 
 
+def test_surface_of_a_point_is_a_disk(tmp_path, capsys):
+    """A one-vertex graph without edges thickens to a disk: one boundary,
+    surface genus 0."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"vertices": 1, "edges": [], "ribbon": [[]]}), encoding="utf-8")
+    code, rows = run_cli(capsys, "surface", "--input", str(path))
+    assert code == 0
+    assert rows == [{"boundaries": 1, "certificate": "v1;w0;e;r()", "genus": 0}]
+
+
+def test_surface_of_the_empty_graph_is_refused(tmp_path, capsys):
+    """A graph without vertices is not connected: exit 2, nothing on stdout."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": 0, "edges": [], "ribbon": []}), encoding="utf-8")
+    assert main(["surface", "--input", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_surface_requires_ribbon(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"vertices": 1, "weights": [0], "edges": [[0, 0]]}),

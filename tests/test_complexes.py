@@ -3,7 +3,6 @@ import itertools
 
 import pytest
 
-from gch.canonical import canonical_form
 from gch.complexes import (
     ComplexSpec,
     build_complex,
@@ -13,6 +12,7 @@ from gch.complexes import (
     pair_key,
     split_by_surface,
 )
+from gch.context import _CLASSES, GraphContext, canonical_form
 from gch.families import cycle, rose, theta, wheel
 from gch.oracle import automorphism_sign, half_edge_automorphisms
 from gch.orientation import morphism_sign, reference_orientation
@@ -320,6 +320,24 @@ def test_pair_face_signs_match_oracle(kind, parity):
                     _oracle_face(expected, rows, canonical_form(g), rest, -base, odd, j, autos)
             assert c.boundary(k).entries == {ij: v for ij, v in expected.items() if v}, \
                 (genus, k)
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("kind", ["gf", "gp", "ass", "cellular_MG"])
+def test_face_targets_are_the_registry_objects(kind, parity, monkeypatch):
+    """Every target the face walk yields while a genus-3 complex is built
+    is the registry's one object of its class."""
+    walk, targets = GraphContext.faces, []
+
+    def recording(self, *args):
+        for face in walk(self, *args):
+            targets.append(face[1])
+            yield face
+
+    monkeypatch.setattr(GraphContext, "faces", recording)
+    build_complex(ComplexSpec(kind, parity, 3))
+    assert targets
+    assert all(target is _CLASSES[target.certificate] for target in targets)
 
 
 def test_split_by_surface_genus2():

@@ -9,18 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from gch.canonical import canonical_form, class_record
-from gch.complexes import context_for_graph
+from gch.context import _CLASSES, canonical_entry, canonical_form
 from gch.families import banana, cycle, dumbbell, rose, single_edge, theta, triangle_with_doubled_edge
 from gch.generate import (
     EnumSpec,
     InfeasibleEnumeration,
-    enumerate_forests,
     enumerate_graphs,
     enumerate_ribbon_structures,
 )
-from gch.graph import HalfEdgeGraph
-from gch.oracle import pairing_classes
+from gch.graph import HalfEdgeGraph, Morphism
+from gch.oracle import forests, pairing_classes
 from gch.ribbon import contract_ribbon, surface_invariants
 
 # certificate lists of the degree-sequence enumerator that generation by
@@ -138,30 +136,29 @@ def test_outputs_satisfy_filters_and_are_unique():
     EnumSpec(genus=3, ribbon=True),
 ])
 def test_enumerated_forms_pin_no_labelled_graph(spec):
-    """The enumeration cache keeps one canonical graph per class: each
-    form's iso is the identity of its own graph, not the isomorphism from
-    the labelled graph that first reached the class."""
-    for form in enumerate_graphs(spec):
-        assert form.iso.source is form.graph and form.iso.target is form.graph
-        assert form.iso.half_edge_map == tuple(range(form.graph.half_edge_count))
+    """Enumeration hands out the registry's one object per class, which
+    holds no morphism and whose automorphisms act on its own canonical
+    graph, so it pins no labelled graph that reached the class."""
+    for ctx in enumerate_graphs(spec):
+        assert ctx is _CLASSES[ctx.certificate]
+        assert not any(isinstance(value, Morphism) for value in vars(ctx).values())
+        assert all(m.source is ctx.graph for m in ctx.group.generators)
 
 
 def test_forests_of_theta():
-    masks = enumerate_forests(theta())
-    subsets = {m.sorted_edges() for m in masks}
-    assert subsets == {(), (0,), (1,), (2,)}
+    assert forests(theta()) == [(), (0,), (1,), (2,)]
 
 
 def test_forests_of_rose_and_spanning_trees():
-    assert [m.sorted_edges() for m in enumerate_forests(rose(2))] == [()]
+    assert forests(rose(2)) == [()]
     g = triangle_with_doubled_edge()
-    spanning = [m for m in enumerate_forests(g) if len(m.edge_subset) == g.vertex_count - 1]
+    spanning = [s for s in forests(g) if len(s) == g.vertex_count - 1]
     assert len(spanning) == 5
 
 
 def _subset_orbit_sizes(g):
     """Sizes of the orbits of proper edge subsets, by catalog representative."""
-    ctx = context_for_graph(g)
+    ctx = canonical_entry(g)[0]
     reps = ctx.subset_orbits(forests_only=False)
     sizes = dict.fromkeys(reps, 0)
     for size in range(ctx.graph.edge_count):
@@ -328,7 +325,7 @@ def test_recorded_collapses_match_direct_contraction():
     checked = derived = 0
     for form in (f for spec in specs for f in enumerate_graphs(spec)):
         g, ribbon = form.graph, form.ribbon
-        for e, (target, recorded) in class_record(form.certificate).collapses.items():
+        for e, (target, recorded) in form.collapses.items():
             if ribbon is None:
                 contracted, m = g.contract(e)
                 direct = canonical_form(contracted)

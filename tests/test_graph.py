@@ -4,13 +4,13 @@ from gch.families import banana, cycle, dumbbell, rose, theta, weighted_point, w
 from gch.graph import (
     DisconnectedGraphError,
     HalfEdgeGraph,
-    SubgraphMask,
     contract_edge,
     genus,
     is_stable,
     loop_number,
     structural_predicates,
 )
+from gch.oracle import is_forest
 
 
 def test_loop_number_examples():
@@ -119,12 +119,12 @@ def test_structural_predicates_theta():
 
 def test_forest_mask():
     g = theta()
-    assert SubgraphMask(g, frozenset()).is_forest
-    assert SubgraphMask(g, frozenset({0})).is_forest
-    assert not SubgraphMask(g, frozenset({0, 1})).is_forest
+    assert is_forest(g, ())
+    assert is_forest(g, (0,))
+    assert not is_forest(g, (0, 1))
     d = dumbbell()
-    assert not SubgraphMask(d, frozenset({0})).is_forest  # tadpole is a cycle
-    assert SubgraphMask(d, frozenset({1})).is_forest
+    assert not is_forest(d, (0,))  # tadpole is a cycle
+    assert is_forest(d, (1,))
 
 
 def test_contract_edge_function():

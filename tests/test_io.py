@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gch.canonical import canonical_form
+from gch.context import canonical_form
 from gch.families import dumbbell, theta
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.io import (

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from gch.canonical import automorphism_group, canonical_form
-from gch.complexes import get_context
+from gch.canonical import automorphism_group
+from gch.context import canonical_form
 from gch.families import banana, cycle, dumbbell, rose, theta, triangle_with_doubled_edge, wheel
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.graph import identity_morphism
@@ -140,18 +140,17 @@ def test_collapse_transport_does_not_depend_on_the_tree():
     specs = [EnumSpec(genus=g, min_valence=3, allow_tadpoles=True) for g in (2, 3, 4)]
     specs += [EnumSpec(genus=g, min_valence=3, ribbon=True) for g in (2, 3)]
     checked = 0
-    for form in (f for spec in specs for f in enumerate_graphs(spec)):
-        ctx = get_context(form)
+    for ctx in (f for spec in specs for f in enumerate_graphs(spec)):
         g = ctx.graph
         for e in range(g.edge_count):
             if g.is_tadpole(e):
                 continue
-            target, _, half_edge_map = ctx.collapse(e)
+            target, half_edge_map = ctx.collapse(e)
             tree = frozenset(_forest_of(g, [e, *range(g.edge_count)]))
             rebased, sign = exchange_rebase(ctx.ref_orientation, tree)
             assert e in rebased.tree
             assert ctx.collapse_h1(e) == sign * cycle_transport_sign(
-                cycle_basis(g, rebased), half_edge_map, target.ref_orientation), (ctx.cert, e)
+                cycle_basis(g, rebased), half_edge_map, target.ref_orientation), (ctx.certificate, e)
             checked += 1
     assert checked > 700, checked
 

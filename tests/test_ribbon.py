@@ -1,6 +1,7 @@
 import pytest
 
-from gch.canonical import automorphism_group, canonical_form
+from gch.canonical import automorphism_group
+from gch.context import canonical_form
 from gch.families import single_edge, theta, wheel
 from gch.generate import EnumSpec, enumerate_graphs, enumerate_ribbon_structures
 from gch.graph import HalfEdgeGraph
@@ -33,6 +34,11 @@ def test_surface_invariants_examples():
     s = single_edge()
     rib = RibbonStructure(s, ((0,), (1,)))
     assert surface_invariants(s, rib) == (0, 1)
+    # a vertex without edges thickens to a disk, bounded by one empty cycle
+    point = HalfEdgeGraph.build(1, [])
+    disk = RibbonStructure(point, ((),))
+    assert faces(point, disk) == [()]
+    assert surface_invariants(point, disk) == (0, 1)
 
 
 def test_ribbon_validation():

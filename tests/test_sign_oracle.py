@@ -18,7 +18,6 @@ cube (G, S) of the moduli catalogs carries.
 
 import itertools
 
-from gch.complexes import get_context
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.oracle import automorphism_sign, half_edge_automorphisms
 
@@ -37,14 +36,13 @@ def _subsets(m):
 
 def _check(forms, sigma_of):
     verdicts = 0
-    for form in forms:
-        ctx = get_context(form)
+    for ctx in forms:
         g = ctx.graph
         autos = half_edge_automorphisms(g, sigma_of(ctx))
         for subset in _subsets(g.edge_count):
             for p in ("even", "odd"):
                 expected = oracle_vanishes(autos, subset, p == "odd")
-                assert bool(ctx.witness(p, subset)) == expected, (ctx.cert, subset, p)
+                assert bool(ctx.witness(p, subset)) == expected, (ctx.certificate, subset, p)
                 verdicts += 1
     return verdicts
 
@@ -66,13 +64,12 @@ def test_vanishing_rule_matches_oracle_on_graphs_and_subsets():
 
 def test_stabilizer_orders_match_oracle():
     checked = 0
-    for form in (f for spec in _families(ribbon=False) for f in enumerate_graphs(spec)):
-        ctx = get_context(form)
+    for ctx in (f for spec in _families(ribbon=False) for f in enumerate_graphs(spec)):
         autos = half_edge_automorphisms(ctx.graph)
         for subset in _subsets(ctx.graph.edge_count):
             expected = sum(1 for aut in autos
                            if automorphism_sign(aut, subset, False) is not None)
-            assert ctx.stabilizer_order(subset) == expected, (ctx.cert, subset)
+            assert ctx.stabilizer_order(subset) == expected, (ctx.certificate, subset)
             checked += 1
     assert checked > 1000
 

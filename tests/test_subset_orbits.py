@@ -15,16 +15,18 @@ automorphism with that edge permutation; if one does, every odd cube
 must vanish.  The graphs are every graph of genus 1 to 3 with at most
 six edges (bivalent vertices and tadpoles allowed), the cube-pair family
 up to genus 3, and its genus-4 graphs with at most eight edges.  Each is
-checked in two fresh contexts: one meets the subsets in reverse order,
-so that most lookups miss on a subset that is not its orbit's
-representative; the other walks the orbits first.
+checked in two fresh class objects, made outside the registry so that no
+earlier build has filled their tables: one meets the subsets in reverse
+order, so that most lookups miss on a subset that is not its orbit's
+representative; the other walks the orbits first.  The forests come from
+:func:`gch.oracle.forests`.
 """
 
 import itertools
 
-from gch.complexes import GraphContext
-from gch.generate import EnumSpec, enumerate_forests, enumerate_graphs
-from gch.oracle import automorphism_sign, half_edge_automorphisms
+from gch.context import GraphContext
+from gch.generate import EnumSpec, enumerate_graphs
+from gch.oracle import automorphism_sign, forests, half_edge_automorphisms
 
 
 def _forms():
@@ -43,8 +45,7 @@ def _check_graph(form):
     orbit = {s: {tuple(sorted(p[e] for e in s)) for p in edge_perms} for s in subsets}
     least = {s: min(images) for s, images in orbit.items()}
 
-    missing_first = GraphContext(form)
-    walked_first = GraphContext(form)
+    missing_first, walked_first = (GraphContext(form.certificate, g, form.ribbon) for _ in range(2))
     assert ({tuple(p) for p, _ in walked_first.closure}
             == {tuple(p) for p in edge_perms})
     # the C_1.C_0 sign on det H_1 of each automorphism, by edge permutation:
@@ -58,10 +59,10 @@ def _check_graph(form):
     if not walked_first._kernel_odd:
         for p, sign in walked_first.closure:
             assert h1_signs[p] == {sign}, (form.certificate, p)
-    forests = {m.sorted_edges() for m in enumerate_forests(g)}
-    for forests_only, expected_total in ((True, len(forests)), (False, 2 ** g.edge_count - 1)):
+    forest_set = set(forests(g))
+    for forests_only, expected_total in ((True, len(forest_set)), (False, 2 ** g.edge_count - 1)):
         reps = walked_first.subset_orbits(forests_only)
-        members = [s for s in subsets if (s in forests if forests_only else len(s) < g.edge_count)]
+        members = [s for s in subsets if (s in forest_set if forests_only else len(s) < g.edge_count)]
         assert reps == sorted({least[s] for s in members}, key=lambda s: (len(s), s))
         assert sum(len(orbit[r]) for r in reps) == expected_total
 
