@@ -7,8 +7,8 @@ orientation signs.  A :class:`GraphContext` holds all of it for one class.
 :func:`canonical_entry` makes it when a certificate is first met and keeps
 it in ``_CLASSES``, the one registry, so the enumeration closure, the faces
 of the complexes, the cell poset and the vanishing rule all hand out the
-same object.  Its tables (H_1 signs, subset-orbit table, orbit sizes and
-reasons) are made on first use, so enumeration alone keeps only the
+same object.  Its tables (collapse H_1 signs, subset-orbit table, orbit
+sizes and reasons) are made on first use, so enumeration alone keeps only the
 certificate, the graph, the group and the collapses.
 
 Every kind is built from the same three rules, all on the class object.
@@ -19,7 +19,10 @@ simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
   symmetry stabilizing its subset reverses its orientation.  A cube's
   verdict, for both parities, comes from the walk of the edge-action
   closure that fills its orbit, each element with its parity on the subset
-  and its sign on H_1; the bare graph's comes from the generators of Aut;
+  and its sign on H_1; the bare graph's comes from the generators of Aut.
+  An automorphism's sign on H_1 needs no cycle basis: by the exact
+  sequence 0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 it is its sign on the
+  oriented edges times its sign on the vertices (``GraphContext.aut_h1``);
 * **faces** (``GraphContext.faces``): one walk yields, in subset order,
   each subset edge's collapse and then its deletion.  A deletion is a face
   only when the mask is proper; a tadpole collapse only in a weighted
@@ -131,10 +134,6 @@ class GraphContext:
         return {}
 
     @cached_property
-    def _aut_h1(self) -> dict[tuple, int]:
-        return {}
-
-    @cached_property
     def _orbit(self) -> dict[int, int]:
         """mask -> one int packing ``canonical_mask``'s triple for an E-edge
         graph, (k << E | representative) << 1 | parity, filled an orbit at
@@ -164,8 +163,8 @@ class GraphContext:
 
     @cached_property
     def ref_rows(self):
-        """The cycle basis of the reference orientation, which every H_1
-        sign of the class pushes forward."""
+        """The cycle basis of the reference orientation, which the odd
+        transport pushes through each collapse of the class."""
         return cycle_basis(self.graph, self.ref_orientation)
 
     @cached_property
@@ -181,16 +180,16 @@ class GraphContext:
         return [m for m in self.group.generators if m.vertex_map != identity]
 
     def aut_h1(self, m) -> int:
-        """Sign of a generator of Aut on det H_1, cached by its half-edge map.
-        A plain class's swaps and flips, its generators fixing every vertex,
-        act by -1: the one edge chain each negates is a cycle."""
-        h = self._aut_h1.get(m.half_edge_map)
-        if h is None:
-            h = -1
-            if self.ribbon is not None or m.vertex_map != tuple(range(self.graph.vertex_count)):
-                h = cycle_transport_sign(self.ref_rows, m.half_edge_map, self.ref_orientation)
-            self._aut_h1[m.half_edge_map] = h
-        return h
+        """Sign of an automorphism on det H_1.  By the exact sequence
+        0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 of a connected graph
+        (Conant-Vogtmann, arXiv:math/0208169) it is the sign on the oriented
+        edges C_1, the edge permutation's parity times -1 per reversed edge,
+        times the vertex permutation's parity on C_0."""
+        # half-edge 2e goes to 2f + 1 when edge e is reversed, else to 2f, so
+        # the images of the half-edges 2e sum to the reversed count mod 2
+        odd = (sequence_parity(m.edge_action) + sum(m.half_edge_map[::2])
+               + sequence_parity(m.vertex_map))
+        return -1 if odd & 1 else 1
 
     # -- vanishing --------------------------------------------------------
 

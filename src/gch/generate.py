@@ -88,6 +88,8 @@ class EnumSpec:
             raise ValueError("genus must be non-negative")
         if self.min_valence not in (2, 3):
             raise ValueError("min_valence must be 2 or 3")
+        if self.weighted and self.min_valence == 2:
+            raise ValueError("weighted families are stable: min_valence 2 does not apply")
         if self.min_edges < 0:
             raise ValueError("min_edges must be non-negative")
         if self.max_edges is not None and self.max_edges < 0:

@@ -111,25 +111,7 @@ class HalfEdgeGraph:
     def is_connected(self):
         """Whether the graph is connected; a connected graph has a vertex."""
         n = self.vertex_count
-        if n <= 1:
-            return n == 1
-        adj = [[] for _ in range(n)]
-        for u, v in self.edges:
-            if u != v:
-                adj[u].append(v)
-                adj[v].append(u)
-        seen = bytearray(n)
-        stack = [0]
-        seen[0] = 1
-        count = 1
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    stack.append(y)
-        return count == n
+        return n > 0 and _reached(n, self.edges, 0) == n
 
     @cached_property
     def loop_number(self):
@@ -172,29 +154,17 @@ class HalfEdgeGraph:
             new_n = n - 1
 
         new_edges = []
-        edge_map: list[int | None] = []
+        half_edge_map: list[int | None] = []
         for i, (a, b) in enumerate(self.edges):
             if i == e:
-                edge_map.append(None)
+                half_edge_map += (None, None)
                 continue
-            edge_map.append(len(new_edges))
-            new_edges.append((vertex_map[a], vertex_map[b]))
-
-        target = HalfEdgeGraph(new_n, weights, tuple(new_edges))
-
-        half_edge_map: list[int | None] = []
-        for i in range(len(self.edges)):
-            j = edge_map[i]
-            if j is None:
-                half_edge_map.extend((None, None))
-                continue
-            a = vertex_map[self.edges[i][0]]
-            b = vertex_map[self.edges[i][1]]
+            a, b = vertex_map[a], vertex_map[b]
+            j = 2 * len(new_edges)
+            new_edges.append((a, b))
             # target pairs are sorted; tadpole images keep the (2j, 2j+1) order
-            if a <= b:
-                half_edge_map.extend((2 * j, 2 * j + 1))
-            else:
-                half_edge_map.extend((2 * j + 1, 2 * j))
+            half_edge_map += (j, j + 1) if a <= b else (j + 1, j)
+        target = HalfEdgeGraph(new_n, weights, tuple(new_edges))
 
         m = Morphism(
             kind="edge-collapse",
@@ -306,30 +276,22 @@ def contract_edge(g: HalfEdgeGraph, e: int) -> HalfEdgeGraph:
     return g.contract(e)[0]
 
 
-def _connected_after(g, dropped_edges, dropped_vertex=None):
-    verts = [v for v in range(g.vertex_count) if v != dropped_vertex]
-    if not verts:
-        return True
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [[] for _ in verts]
-    for i, (u, v) in enumerate(g.edges):
-        if i in dropped_edges or u == dropped_vertex or v == dropped_vertex:
-            continue
-        if u != v:
-            adj[index[u]].append(index[v])
-            adj[index[v]].append(index[u])
-    seen = bytearray(len(verts))
-    seen[0] = 1
-    stack = [0]
-    count = 1
+def _reached(n, edges, start):
+    """How many of the vertices 0..n-1 the edges join to ``start``, itself
+    included."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = bytearray(n)
+    seen[start] = 1
+    stack = [start]
     while stack:
-        x = stack.pop()
-        for y in adj[x]:
+        for y in adj[stack.pop()]:
             if not seen[y]:
                 seen[y] = 1
-                count += 1
                 stack.append(y)
-    return count == len(verts)
+    return sum(seen)
 
 
 def structural_predicates(g: HalfEdgeGraph) -> StructuralReport:
@@ -343,13 +305,16 @@ def structural_predicates(g: HalfEdgeGraph) -> StructuralReport:
     """
     if not g.is_connected:
         raise DisconnectedGraphError("structural predicates need a connected graph")
+    n, edges = g.vertex_count, g.edges
     bridges = frozenset(
-        e for e in range(len(g.edges))
-        if not g.is_tadpole(e) and not _connected_after(g, {e})
+        e for e in range(len(edges))
+        if not g.is_tadpole(e) and _reached(n, edges[:e] + edges[e + 1:], 0) < n
     )
-    one_vi = not bridges and all(
-        _connected_after(g, set(), dropped_vertex=v) for v in range(g.vertex_count)
-    )
+    # with vertex v deleted, the edges off v must join the other n - 1
+    # vertices to one of them
+    one_vi = not bridges and (n == 1 or all(
+        _reached(n, [p for p in edges if v not in p], int(v == 0)) == n - 1 for v in range(n)
+    ))
     return StructuralReport(
         has_tadpole=g.has_tadpole,
         bridges=bridges,

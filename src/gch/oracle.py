@@ -1,5 +1,5 @@
-"""Brute-force references for automorphisms, signs, enumeration, forests
-and ranks.
+"""Brute-force references for automorphisms, signs, enumeration,
+connectivity, forests and ranks.
 
 Each function recomputes by exhaustive search, or by plain elimination,
 something that the engine computes another way.  The module imports
@@ -126,7 +126,7 @@ def pairing_classes(v: int, e: int, min_valence: int, allow_tadpoles: bool):
             seen.add(edges)
             if not allow_tadpoles and any(a == b for a, b in edges):
                 continue
-            if not HalfEdgeGraph.build(v, edges).is_connected:
+            if components(identity, edges) != 1:
                 continue
             key = _multiplicities(edges, identity)
             if not any(_multiplicities(r, perm) == key
@@ -135,21 +135,25 @@ def pairing_classes(v: int, e: int, min_valence: int, allow_tadpoles: bool):
     return reps
 
 
-def is_forest(g: HalfEdgeGraph, edges) -> bool:
-    """Whether the edge subset spans no cycle; a tadpole is a cycle."""
-    parent = list(range(g.vertex_count))
+def components(vertices, edges) -> int:
+    """How many components the edges, pairs of the given vertices, leave,
+    by union-find."""
+    root = {v: v for v in vertices}
 
     def find(x):
-        while parent[x] != x:
-            x = parent[x]
+        while root[x] != x:
+            x = root[x]
         return x
 
-    for e in edges:
-        ru, rv = find(g.edges[e][0]), find(g.edges[e][1])
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    for u, v in edges:
+        root[find(u)] = find(v)
+    return len({find(v) for v in root})
+
+
+def is_forest(g: HalfEdgeGraph, edges) -> bool:
+    """Whether the edge subset spans no cycle: each edge joins two
+    components; a tadpole is a cycle."""
+    return components(range(g.vertex_count), [g.edges[e] for e in edges]) == g.vertex_count - len(edges)
 
 
 def forests(g: HalfEdgeGraph) -> list[tuple[int, ...]]:

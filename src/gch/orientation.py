@@ -17,7 +17,12 @@ Reference conventions, fixed once so that every sign is reproducible:
   order with reference directions.
 
 Signs of isomorphisms and single-edge collapses are computed against these
-data.  Everything is exact integer arithmetic.
+data, by pushing the source cycle basis through the map and taking the
+determinant in the target basis (:func:`cycle_transport_sign`).  The
+complexes take only collapse signs this way: the sign of an automorphism
+on det H_1 follows from the exact sequence 0 -> H_1 -> C_1 -> C_0 -> H_0
+-> 0 without a basis (``GraphContext.aut_h1``), and the tests compare it
+with :func:`h1_determinant_sign`.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -80,7 +85,9 @@ class Orientation:
             raise ValueError("edge_order must enumerate all edges")
         if sorted(self.comp_order) != sorted(set(range(g.edge_count)) - self.tree):
             raise ValueError("comp_order must enumerate the tree complement")
-        if len(self.comp_order) != g.loop_number:
+        tree = tuple(g.edges[e] for e in range(g.edge_count) if e in self.tree)
+        if (len(tree) != len(self.tree) or len(tree) != g.vertex_count - 1
+                or not HalfEdgeGraph(g.vertex_count, g.weights, tree).is_connected):
             raise ValueError("tree is not spanning")
         for e, h in zip(self.comp_order, self.comp_dirs):
             if h >> 1 != e:
@@ -130,68 +137,39 @@ def reference_orientation(g) -> Orientation:
     return orientation_with_tree(graph, spanning_tree(graph))
 
 
-def _tree_paths(g: HalfEdgeGraph, tree: frozenset[int]):
-    """Parent structure of the tree rooted at vertex 0."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.vertex_count)}
-    for e in tree:
-        u, v = g.edges[e]
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    parent_edge = {0: None}
-    parent_vertex = {0: 0}
-    depth = {0: 0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y, e in adj[x]:
-            if y not in parent_edge:
-                parent_edge[y] = e
-                parent_vertex[y] = x
-                depth[y] = depth[x] + 1
-                stack.append(y)
-    return parent_edge, parent_vertex, depth
-
-
 def cycle_basis(g: HalfEdgeGraph, orientation: Orientation):
     """One row per complement edge: its directed cycle through the tree,
     as sorted ``(edge, coefficient)`` pairs.
 
     The coefficient on an edge is +1 when the cycle traverses it along the
-    reference direction (lower to higher endpoint), -1 against it.
+    reference direction (lower to higher endpoint), -1 against it.  The
+    cycle of a complement edge from vertex a to vertex b is the edge plus
+    the tree path from b to a: the signed tree path from vertex 0 to a
+    minus the one from vertex 0 to b, whose shared part cancels.
     """
-    parent_edge, parent_vertex, depth = _tree_paths(g, orientation.tree)
+    at: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for e in orientation.tree:
+        u, v = g.edges[e]
+        at[u].append(e)
+        at[v].append(e)
+    path: dict[int, dict[int, int]] = {0: {}}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for e in at[x]:
+            u, v = g.edges[e]
+            if v not in path:
+                path[v] = {**path[x], e: 1}
+                stack.append(v)
+            elif u not in path:
+                path[u] = {**path[x], e: -1}
+                stack.append(u)
     rows = []
     for e, h in zip(orientation.comp_order, orientation.comp_dirs):
-        coeff: dict[int, int] = {}
+        coeff = dict(path[g.iota(h)])
+        for f, c in path[g.iota(h ^ 1)].items():
+            coeff[f] = coeff.get(f, 0) - c
         coeff[e] = 1 if h == 2 * e else -1
-        # walk from target back to source through the tree
-        a = g.iota(g.epsilon(h))
-        b = g.iota(h)
-        x, y = a, b
-        up_x: list[tuple[int, int]] = []  # (edge, direction sign) ascending from x
-        up_y: list[tuple[int, int]] = []
-        while depth[x] > depth[y]:
-            e2 = parent_edge[x]
-            px = parent_vertex[x]
-            up_x.append((e2, 1 if g.edges[e2][0] == x else -1))
-            x = px
-        while depth[y] > depth[x]:
-            e2 = parent_edge[y]
-            py = parent_vertex[y]
-            up_y.append((e2, 1 if g.edges[e2][0] == y else -1))
-            y = py
-        while x != y:
-            e2 = parent_edge[x]
-            up_x.append((e2, 1 if g.edges[e2][0] == x else -1))
-            x = parent_vertex[x]
-            e2 = parent_edge[y]
-            up_y.append((e2, 1 if g.edges[e2][0] == y else -1))
-            y = parent_vertex[y]
-        # path a -> meeting point uses up_x forward, then up_y reversed
-        for e2, s in up_x:
-            coeff[e2] = coeff.get(e2, 0) + s
-        for e2, s in up_y:
-            coeff[e2] = coeff.get(e2, 0) - s
         rows.append(tuple(sorted((k, v) for k, v in coeff.items() if v)))
     return tuple(rows)
 

@@ -44,6 +44,14 @@ def test_negative_max_edges_exit_code(capsys, argv):
     assert "non-negative" in captured.err
 
 
+def test_weighted_min_valence_2_exit_code(capsys):
+    argv = ["enumerate", "--genus", "2", "--weighted", "--tadpoles", "--min-valence", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "min_valence" in captured.err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["homology", "--kind", "nonsense", "--parity", "even", "--genus", "2"])

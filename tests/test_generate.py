@@ -64,6 +64,12 @@ def test_negative_edge_bounds_rejected(bounds):
     assert enumerate_graphs(EnumSpec(genus=2, max_edges=0)) == []
 
 
+def test_weighted_family_rejects_min_valence_2():
+    """A weighted family is the stable graphs; valence 2 is no bound on it."""
+    with pytest.raises(ValueError, match="min_valence"):
+        EnumSpec(genus=2, weighted=True, allow_tadpoles=True, min_valence=2)
+
+
 def test_genus1_bivalent_graphs_are_cycles():
     forms = enumerate_graphs(EnumSpec(genus=1, min_valence=2, max_edges=7))
     assert sorted(f.graph.edge_count for f in forms) == list(range(2, 8))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gch.families import banana, cycle, dumbbell, rose, theta, weighted_point, wheel
@@ -10,7 +12,7 @@ from gch.graph import (
     loop_number,
     structural_predicates,
 )
-from gch.oracle import is_forest
+from gch.oracle import components, is_forest
 
 
 def test_loop_number_examples():
@@ -115,6 +117,36 @@ def test_structural_predicates_theta():
     assert rep.bridges == frozenset()
     assert rep.is_bridge_free
     assert rep.is_one_vertex_irreducible
+
+
+def test_connectivity_matches_union_find_oracle():
+    """Every multigraph on at most 4 vertices with at most 5 edges, tadpoles
+    and disconnected ones included: ``is_connected`` against the oracle's
+    union-find, and on the connected ones the bridges (delete each edge) and
+    one-vertex irreducibility (delete each vertex) of
+    ``structural_predicates``."""
+    checked = 0
+    for n in range(5):
+        pairs = list(itertools.combinations_with_replacement(range(n), 2))
+        for size in range(6):
+            for edges in itertools.combinations_with_replacement(pairs, size):
+                g = HalfEdgeGraph.build(n, edges)
+                connected = components(range(n), edges) == 1
+                assert g.is_connected == connected, edges
+                checked += 1
+                if not connected:
+                    with pytest.raises(DisconnectedGraphError):
+                        structural_predicates(g)
+                    continue
+                rep = structural_predicates(g)
+                bridges = {e for e, (u, v) in enumerate(edges) if u != v
+                           and components(range(n), edges[:e] + edges[e + 1:]) > 1}
+                assert rep.bridges == bridges, edges
+                assert rep.is_one_vertex_irreducible == (not bridges and all(
+                    components([w for w in range(n) if w != v],
+                               [p for p in edges if v not in p]) <= 1
+                    for v in range(n))), edges
+    assert checked == 3528, checked
 
 
 def test_forest_mask():

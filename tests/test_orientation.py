@@ -11,6 +11,7 @@ from gch.graph import identity_morphism
 from gch.linalg import SparseMatrix, rank
 from gch.oracle import automorphism_sign, half_edge_automorphisms
 from gch.orientation import (
+    Orientation,
     cycle_basis,
     cycle_transport_sign,
     exchange_rebase,
@@ -41,6 +42,53 @@ def test_cycle_basis_rose_is_identity():
     orient = reference_orientation(g)
     assert orient.tree == frozenset()
     assert rows_as_dicts(cycle_basis(g, orient)) == [{0: 1}, {1: 1}]
+
+
+@pytest.mark.parametrize("g, tree", [(dumbbell(), {0}), (triangle_with_doubled_edge(), {2, 3})],
+                         ids=["dumbbell-tadpole", "doubled-edge-pair"])
+def test_orientation_rejects_a_tree_that_does_not_span(g, tree):
+    """Each tree has the loop number's complement but is no spanning tree:
+    the dumbbell's tadpole, and the two parallel edges of the triangle."""
+    with pytest.raises(ValueError, match="tree is not spanning"):
+        orientation_with_tree(g, frozenset(tree))
+
+
+def _spanning_trees(g):
+    return [frozenset(t) for t in itertools.combinations(range(g.edge_count), g.vertex_count - 1)
+            if _is_spanning_tree(g, t)]
+
+
+def test_cycle_basis_rows_by_definition():
+    """On every spanning tree of every graph with at most six edges of the
+    weighted genus 2-4 and the bivalent genus-1 families, with reference
+    directions and with every other complement edge reversed, each row is a
+    cycle (zero boundary) whose coefficient is +-1 on its own complement
+    edge, by that edge's direction, and 0 on every other one.  Only one
+    chain has these properties, so this pins the rows whatever the walk."""
+    specs = [EnumSpec(genus=g, weighted=True, allow_tadpoles=True, min_edges=1, max_edges=6)
+             for g in (2, 3, 4)]
+    specs.append(EnumSpec(genus=1, min_valence=2, allow_tadpoles=True, max_edges=6))
+    checked = 0
+    for g in (form.graph for spec in specs for form in enumerate_graphs(spec)):
+        for tree in _spanning_trees(g):
+            comp = tuple(sorted(set(range(g.edge_count)) - tree))
+            for flips in (0, 1):
+                dirs = tuple(2 * e + (flips & i) for i, e in enumerate(comp))
+                orient = Orientation(g, tuple(range(g.edge_count)), tree, comp[::-1], dirs[::-1])
+                rows = cycle_basis(g, orient)
+                assert len(rows) == len(comp)
+                for e, h, row in zip(orient.comp_order, orient.comp_dirs, rows):
+                    row = dict(row)
+                    boundary = [0] * g.vertex_count
+                    for f, c in row.items():
+                        u, v = g.edges[f]
+                        boundary[v] += c
+                        boundary[u] -= c
+                    assert not any(boundary), (str(g), tree, row)
+                    assert {f: row.get(f, 0) for f in comp} == {
+                        f: (0 if f != e else 1 if h == 2 * e else -1) for f in comp}
+                checked += 1
+    assert checked > 1500, checked
 
 
 def test_cycle_matrix_rank():
@@ -219,6 +267,23 @@ def oracle_odd_sign(m, autos):
     aut = ([h >> 1 for h in firsts], sum(h & 1 for h in firsts), list(m.vertex_map))
     assert aut in autos
     return automorphism_sign(aut, range(m.source.edge_count), odd=True)
+
+
+def test_aut_h1_matches_cycle_basis_determinant():
+    """The engine's H_1 sign of an automorphism comes from the exact
+    sequence; the reference cycle basis pushed through it and written back
+    in that basis gives the same sign.  Every generator of Aut of every class
+    of the weighted genus 2-4 family and of the ribbon genus 2-3 families
+    with tadpoles."""
+    specs = [EnumSpec(genus=g, weighted=True, allow_tadpoles=True, min_edges=1) for g in (2, 3, 4)]
+    specs += [EnumSpec(genus=g, allow_tadpoles=True, ribbon=True) for g in (2, 3)]
+    checked = 0
+    for ctx in (form for spec in specs for form in enumerate_graphs(spec)):
+        ref = ctx.ref_orientation
+        for m in ctx.group.generators:
+            assert ctx.aut_h1(m) == h1_determinant_sign(m, ref, ref), (ctx.certificate, m)
+            checked += 1
+    assert checked > 1500, checked
 
 
 @pytest.mark.parametrize(
