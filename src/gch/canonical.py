@@ -15,8 +15,10 @@ Certificate format (stable within a major release):
 Automorphism groups are generated at half-edge level, so tadpole flips and
 parallel-edge swaps are visible.  The group splits over the vertex action:
 the kernel is generated by flips and within-class edge swaps, and every
-vertex automorphism has a canonical lift; the order is the product of the
-vertex-automorphism count with the kernel size.
+vertex automorphism has a canonical lift.  The labelling search itself
+meets a generating set of the vertex automorphisms and counts them, so
+the generators are the lifts of those and the kernel's, and the order is
+the vertex group's order times the kernel size.
 
 The module keeps no state.  The one object per class, the registry of
 classes and the cache of labelled inputs live in :mod:`gch.context`.
@@ -93,18 +95,29 @@ def _refine(g: HalfEdgeGraph, colors, inc):
 
 
 def _canonical_labeling(g: HalfEdgeGraph):
-    """Smallest (weights, edge pairs) encoding and the permutation giving it.
+    """Smallest (weights, edge pairs) encoding, the permutation giving it,
+    the vertex automorphisms the search meets and the vertex group's order.
 
     Individualization-refinement search; equal encodings at two leaves
     reveal an automorphism, whose orbits prune sibling branches at the root
     of the search tree.  ``_refine`` ranks its colours 0, 1, ..., so the
-    colouring at a leaf is the permutation itself.
+    colouring at a leaf is the permutation itself, and the vertices
+    individualized on the way take the labels 0, 1, ..., latest first.
+    Nothing below the root is pruned, so the leaves under the first root
+    branch v with the first leaf's encoding and v's label there are one per
+    element of Stab(v), and the search meets every element.  The
+    automorphisms met thus generate the group and have its orbits (McKay,
+    "Practical graph isomorphism", 1981): the order is |orbit(v)| |Stab(v)|,
+    or 1 at a discrete root.
     """
     n = g.vertex_count
     base, inc = _initial_colors(g)
     best: list = [None, None]  # encoding, perm
     leaf_perms: dict = {}
+    auts: list[tuple[int, ...]] = []
     orbit = list(range(n))
+    twins: list = []  # the leaves under v with the first leaf's encoding
+    root, stabilizer = None, 1  # v, the first root branch, and |Stab(v)|
 
     def find(x):
         while orbit[x] != x:
@@ -125,21 +138,24 @@ def _canonical_labeling(g: HalfEdgeGraph):
 
     def record_leaf(perm):
         enc = encode(perm)
-        other = leaf_perms.get(enc)
-        if other is None:
-            leaf_perms[enc] = perm
-        else:
+        other = leaf_perms.setdefault(enc, perm)
+        if other is not perm:
             inverse = [0] * n
             for i, x in enumerate(other):
                 inverse[x] = i
+            aut = tuple([inverse[x] for x in perm])
+            auts.append(aut)
             for i in range(n):
-                a, b = find(i), find(inverse[perm[i]])
+                a, b = find(i), find(aut[i])
                 if a != b:
                     orbit[a] = b
         if best[0] is None or enc < best[0]:
             best[0], best[1] = enc, perm
+        if root is None and (not twins or other is twins[0]):
+            twins.append(perm)
 
     def search(colors, depth):
+        nonlocal root, stabilizer
         colors = _refine(g, colors, inc)
         sizes = [0] * n
         for c in colors:
@@ -157,15 +173,19 @@ def _canonical_labeling(g: HalfEdgeGraph):
             refined = list(colors)
             refined[v] = -1
             search(tuple(refined), depth + 1)
+            if depth == 0 and root is None:
+                root = v
+                stabilizer = sum(p[v] == twins[0][v] for p in twins)
 
     search(base, 0)
-    return best[0], best[1]
+    orbit_size = 1 if root is None else sum(find(x) == find(root) for x in range(n))
+    return best[0], best[1], auts, stabilizer * orbit_size
 
 
 def _canonical_plain(g: HalfEdgeGraph):
     """(weights, edges, None, vertex map, half-edge map) of a graph's
     canonical relabelling."""
-    (weights_enc, pairs), perm = _canonical_labeling(g)
+    (weights_enc, pairs), perm, _, _ = _canonical_labeling(g)
     images = [(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges]
     order = sorted(range(g.edge_count), key=lambda i: (images[i], i))
     edge_to_canon = {src: j for j, src in enumerate(order)}
@@ -321,46 +341,6 @@ def ribbon_automorphisms(g: HalfEdgeGraph, ribbon: RibbonStructure) -> list[Morp
 # automorphism groups of plain graphs
 
 
-def vertex_automorphisms(g: HalfEdgeGraph) -> list[tuple[int, ...]]:
-    """All vertex permutations preserving weights and edge multiplicities."""
-    n = g.vertex_count
-    multiplicity: dict[tuple[int, int], int] = {}
-    for pair in g.edges:
-        multiplicity[pair] = multiplicity.get(pair, 0) + 1
-
-    def profile(u, v):
-        return multiplicity.get((u, v) if u <= v else (v, u), 0)
-
-    base, inc = _initial_colors(g)
-    refined = _refine(g, base, inc)
-    out = []
-    assignment = [-1] * n
-    used = [False] * n
-
-    def extend(i):
-        if i == n:
-            out.append(tuple(assignment))
-            return
-        for c in range(n):
-            if used[c] or refined[c] != refined[i]:
-                continue
-            ok = profile(i, i) == profile(c, c)
-            if ok:
-                for j in range(i):
-                    if profile(i, j) != profile(c, assignment[j]):
-                        ok = False
-                        break
-            if ok:
-                assignment[i] = c
-                used[c] = True
-                extend(i + 1)
-                used[c] = False
-                assignment[i] = -1
-
-    extend(0)
-    return out
-
-
 def edge_classes(g: HalfEdgeGraph) -> dict[tuple[int, int], list[int]]:
     """Edges grouped by endpoints (parallel classes), each in index order."""
     classes: dict[tuple[int, int], list[int]] = {}
@@ -414,16 +394,17 @@ def _flip_tadpole_morphism(g: HalfEdgeGraph, e: int) -> Morphism:
 def automorphism_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> AutGroup:
     """Aut(G), or the ribbon automorphisms for a ribbon structure.
 
-    A plain graph's generators are the canonical lifts of the nontrivial
-    vertex automorphisms, in search order, then the kernel: swaps of
-    consecutive parallel edges and one flip per tadpole class.
+    A plain graph's generators are the canonical lifts of the vertex
+    automorphisms that the labelling search meets, in search order, then
+    the kernel: swaps of consecutive parallel edges and one flip per
+    tadpole class.  The lifts generate Aut over the kernel, so together
+    they generate Aut, though they are not all of its elements.
     """
     if ribbon is not None:
         auts = ribbon_automorphisms(g, ribbon)
         return AutGroup(graph=g, generators=tuple(auts), order=len(auts))
-    identity = tuple(range(g.vertex_count))
-    vertex_auts = vertex_automorphisms(g)
-    gens = [lift_vertex_perm(g, perm) for perm in vertex_auts if perm != identity]
+    _, _, vertex_auts, vertex_order = _canonical_labeling(g)
+    gens = [lift_vertex_perm(g, perm) for perm in vertex_auts]
     kernel = 1
     for (u, v), members in sorted(edge_classes(g).items()):
         for a, b in zip(members, members[1:]):
@@ -432,7 +413,7 @@ def automorphism_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) 
         if u == v:
             gens.append(_flip_tadpole_morphism(g, members[0]))
             kernel *= 2 ** len(members)
-    return AutGroup(graph=g, generators=tuple(gens), order=len(vertex_auts) * kernel)
+    return AutGroup(graph=g, generators=tuple(gens), order=vertex_order * kernel)
 
 
 def edge_action_closure(edge_count: int, generators) -> list[tuple[tuple[int, ...], int]]:

@@ -169,9 +169,9 @@ class GraphContext:
 
     @cached_property
     def lifts(self):
-        """The nontrivial symmetries: the ribbon automorphisms of a ribbon
-        class, otherwise the canonical lifts of the vertex automorphisms,
-        which are the generators of Aut that move a vertex."""
+        """The nontrivial ribbon automorphisms of a ribbon class, otherwise
+        the generators of Aut that move a vertex: the canonical lifts of the
+        vertex automorphisms that the labelling search met."""
         g = self.graph
         if self.ribbon is not None:
             identity = tuple(range(g.half_edge_count))
@@ -211,8 +211,8 @@ class GraphContext:
     @cached_property
     def _bare_reasons(self) -> tuple[str, str]:
         """(even, odd) reasons of the bare graph.  Its orientation sign is a
-        character of Aut, so generators decide it: parallel-edge swaps (odd
-        on the edges, -1 on H_1), the tadpole flip (-1 on H_1), then the
+        character of Aut, so a generating set decides it: parallel-edge swaps
+        (odd on the edges, -1 on H_1), the tadpole flip (-1 on H_1), then the
         lifts or ribbon automorphisms, each parity keeping the first."""
         plain = self.ribbon is None
         swaps = plain and any(n > 1 for n in self.graph.multiplicities.values())
@@ -285,9 +285,10 @@ class GraphContext:
     @cached_property
     def closure(self):
         """All edge permutations p_k of Aut, sorted, each with its sign on
-        det H_1.  The sign is that of every automorphism with edge action
-        p_k unless ``_kernel_odd`` holds; then every odd cube of the graph
-        vanishes, so no matrix row reads it."""
+        det H_1, walked from the generators of Aut, whichever they are.  The
+        sign is that of every automorphism with edge action p_k unless
+        ``_kernel_odd`` holds; then every odd cube of the graph vanishes, so
+        no matrix row reads it."""
         return edge_action_closure(self.graph.edge_count,
                                    [(m.edge_action, self.aut_h1(m)) for m in self.group.generators])
 
@@ -295,8 +296,10 @@ class GraphContext:
     def _kernel_odd(self) -> bool:
         """Whether a generator fixing every edge reverses H_1: a tadpole flip,
         or the vertex swap of an even banana.  On a plain class every
-        automorphism fixing every edge is a product of flips or is that swap;
-        a ribbon class's generators are all its automorphisms."""
+        automorphism fixing every edge is a product of flips or is that swap,
+        the only vertex-moving one, which the labelling search meets at its
+        one pair of root branches; a ribbon class's generators are all its
+        automorphisms."""
         identity = tuple(range(self.graph.edge_count))
         return any(m.edge_action == identity and self.aut_h1(m) == -1
                    for m in self.group.generators)
@@ -371,19 +374,20 @@ class GraphContext:
 
     @cached_property
     def _forest_orbits(self):
-        return self._walk_orbits(self._forests())
+        return self.walk_orbits(self._forests())
 
     @cached_property
     def _proper_orbits(self):
         e = self.graph.edge_count
-        return self._walk_orbits((edges, self.mask_of(edges))
+        return self.walk_orbits((edges, self.mask_of(edges))
                                  for size in range(e)
                                  for edges in itertools.combinations(range(e), size))
 
-    def _walk_orbits(self, walk):
+    def walk_orbits(self, walk):
         """The representatives among (edges, mask) walked by size and then
-        lexicographically: the first of an orbit to be met is its
-        representative."""
+        lexicographically, such as the forests, the proper subsets, or the
+        edges and edge pairs of genus raising: the first of an orbit to be
+        met is its representative."""
         reps = []
         for edges, mask in walk:
             hit = self._orbit.get(mask)

@@ -45,11 +45,14 @@ splitting a loopless vertex makes no loop, so it starts from the loopless
 trivalent graphs and contracts only edges without a parallel partner.
 Everything is deterministic; outputs come back sorted by certificate.
 
-The closure walks the class objects of :mod:`gch.context` and hands them
-out: ``enumerate_graphs`` returns the registry's own object of each class.
-The collapse closure contracts one edge per orbit of the class's
-automorphism group, through ``GraphContext.collapse``, which records the
-target class and the half-edge map onto its canonical graph in the class.
+One function, ``enumerate_graphs``, runs the closures of every family,
+weighted or not, and returns the registry's own object of each class of
+:mod:`gch.context`.  Genus raising takes its orbits of edges and edge pairs
+from the class's orbit walk (``GraphContext.walk_orbits``), the one the
+cube kinds read.  The collapse closure contracts one edge per orbit of the
+class's automorphism group, through ``GraphContext.collapse``, which
+records the target class and the half-edge map onto its canonical graph in
+the class.
 The other edges of an orbit take the contracted edge's map composed with
 an automorphism of the source, so they land on the same target through a
 map that may differ from a direct one by an automorphism of the target.
@@ -62,7 +65,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .canonical import edge_action_closure
 from .context import GraphContext, canonical_entry
 from .families import cycle, dumbbell, theta
 from .graph import HalfEdgeGraph
@@ -119,9 +121,10 @@ def _collapse_orbits(ctx: GraphContext, edges: list[int]) -> list[GraphContext]:
     class maps onto itself, recording those not yet recorded by contracting
     one edge per orbit (McKay's orbit pruning).  Each other edge of the
     orbit is reached from the contracted one by an automorphism a, walked
-    along the group's generators, and takes the contracted map composed
-    with a^-1: it collapses that edge onto the same canonical target, and
-    differs from a direct contraction by an automorphism of the target."""
+    along the group's generators, which reach the whole orbit because they
+    generate Aut, and takes the contracted map composed with a^-1: it
+    collapses that edge onto the same canonical target, and differs from a
+    direct contraction by an automorphism of the target."""
     collapses = ctx.collapses
     for r in edges:
         if r in collapses:
@@ -159,37 +162,26 @@ def _subdivide(g: HalfEdgeGraph, e: int, ribbon: RibbonStructure | None = None):
     return s, RibbonStructure(s, cycles + ((2 * e + 1, moved + 1),))
 
 
-def _orbit_representatives(perms, subsets):
-    """The first of each orbit of the edge permutations on edge subsets."""
-    seen = set()
-    for subset in subsets:
-        if subset not in seen:
-            seen.update(tuple(sorted(p[e] for e in subset)) for p in perms)
-            yield subset
-
-
 def _raise_genus(ctx: GraphContext):
     """Trivalent graphs one genus above the trivalent class, one per orbit
     of its Aut on its edges (hang a tadpole) and on its pairs of edges (join
-    the midpoints)."""
+    the midpoints), the first of each orbit in combinations order."""
     g = ctx.graph
     n = g.vertex_count
-    perms = [p for p, _ in edge_action_closure(
-        g.edge_count, [(m.edge_action, 1) for m in ctx.group.generators])]
-    for (i,) in _orbit_representatives(perms, itertools.combinations(range(g.edge_count), 1)):
-        s, _ = _subdivide(g, i)
-        yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1), (n + 1, n + 1)))
-    for i, j in _orbit_representatives(perms, itertools.combinations(range(g.edge_count), 2)):
-        s, _ = _subdivide(_subdivide(g, i)[0], j)
-        yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1),))
+    for edges in ctx.walk_orbits((subset, ctx.mask_of(subset)) for size in (1, 2)
+                                 for subset in itertools.combinations(range(g.edge_count), size)):
+        s = g
+        for e in edges:
+            s, _ = _subdivide(s, e)
+        stem = ((n + 1, n + 1),) if len(edges) == 1 else ()
+        yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1),) + stem)
 
 
 def _trivalent(genus: int) -> list[GraphContext]:
     """Trivalent weight-zero classes of the genus, tadpoles allowed."""
     classes = [canonical_entry(g)[0] for g in (theta(), dumbbell())] if genus >= 2 else []
     for _ in range(genus - 2):
-        classes = list(_closure((canonical_entry(h)[0] for r in classes for h in _raise_genus(r)),
-                                lambda r: ()).values())
+        classes = list(dict.fromkeys(canonical_entry(h)[0] for r in classes for h in _raise_genus(r)))
     return classes
 
 
@@ -207,36 +199,35 @@ def _seeds(genus: int, ribbon: bool, tadpoles: bool):
             yield canonical_entry(t, RibbonStructure(t, cycles))[0]
 
 
-def _select(found: dict[str, GraphContext], spec: EnumSpec, low: int, cap: int):
-    """The classes with ``low`` to ``cap`` edges that the spec admits, by
-    certificate."""
-    return [r for r in map(found.__getitem__, sorted(found))
-            if low <= r.graph.edge_count <= cap
-            and (spec.allow_tadpoles or not r.graph.has_tadpole)]
+def enumerate_graphs(spec: EnumSpec) -> list[GraphContext]:
+    """All isomorphism classes matching the spec, canonically ordered: the
+    registry's object of each class.
 
-
-def _weight_zero_graphs(spec: EnumSpec):
+    A weighted family contracts every edge, tadpoles into weights, down to
+    ``min_edges`` edges; the others contract the non-tadpole edges, down to
+    one edge when subdivisions follow."""
+    hit = _ENUM_CACHE.get(spec)
+    if hit is not None:
+        return list(hit)
     g = spec.genus
-    if spec.min_valence >= 3:
-        cap = 3 * g - 3
-        if spec.max_edges is not None:
-            cap = min(cap, spec.max_edges)
-    else:
-        if spec.max_edges is None:
-            raise InfeasibleEnumeration(
-                "min_valence 2 admits arbitrarily long cycles; pass max_edges")
-        cap = spec.max_edges
-    low = max(spec.min_edges, 1)
+    if spec.weighted and g < 1:
+        raise ValueError("weighted enumeration needs genus >= 1")
+    if spec.min_valence == 2 and spec.max_edges is None:
+        raise InfeasibleEnumeration("min_valence 2 admits arbitrarily long cycles; pass max_edges")
+    cap = 3 * g - 3 if spec.min_valence == 3 else spec.max_edges
+    if spec.max_edges is not None:
+        cap = min(cap, spec.max_edges)
+    low = spec.min_edges if spec.weighted else max(spec.min_edges, 1)
     # contractions below ``low`` edges are dropped, unless subdivisions follow
     floor = 1 if spec.min_valence == 2 else low
     # splitting a loopless vertex makes no loop, so a loopless family of
     # valence >= 3 needs neither tadpole seeds nor contractions that make one
-    loopless = spec.min_valence == 3 and not spec.allow_tadpoles
+    loopless = spec.min_valence == 3 and not spec.allow_tadpoles and not spec.weighted
 
     def contractible(h: HalfEdgeGraph) -> list[int]:
         if h.edge_count <= floor:
             return []
-        return [e for e in range(h.edge_count) if not h.is_tadpole(e)
+        return [e for e in range(h.edge_count) if (spec.weighted or not h.is_tadpole(e))
                 and not (loopless and h.multiplicities[h.edges[e]] > 1)]
 
     found = _closure(_seeds(g, spec.ribbon, not loopless),
@@ -249,32 +240,9 @@ def _weight_zero_graphs(spec: EnumSpec):
         found = _closure(seeds, lambda r: (
             canonical_entry(*_subdivide(r.graph, e, r.ribbon))[0]
             for e in range(r.graph.edge_count) if r.graph.edge_count < cap))
-    return _select(found, spec, low, cap)
-
-
-def _weighted_graphs(spec: EnumSpec):
-    g = spec.genus
-    if g < 1:
-        raise ValueError("weighted enumeration needs genus >= 1")
-    cap = 3 * g - 3
-    if spec.max_edges is not None:
-        cap = min(cap, spec.max_edges)
-    found = _closure(_seeds(g, spec.ribbon, True), lambda r: _collapse_orbits(
-        r, list(range(r.graph.edge_count)) if r.graph.edge_count > spec.min_edges else []))
-    return _select(found, spec, spec.min_edges, cap)
-
-
-def enumerate_graphs(spec: EnumSpec) -> list[GraphContext]:
-    """All isomorphism classes matching the spec, canonically ordered: the
-    registry's object of each class."""
-    hit = _ENUM_CACHE.get(spec)
-    if hit is not None:
-        return list(hit)
-    if spec.weighted:
-        result = _weighted_graphs(spec)
-    else:
-        result = _weight_zero_graphs(spec)
-    _ENUM_CACHE[spec] = tuple(result)
+    result = _ENUM_CACHE[spec] = tuple(
+        r for r in map(found.__getitem__, sorted(found))
+        if low <= r.graph.edge_count <= cap and (spec.allow_tadpoles or not r.graph.has_tadpole))
     return list(result)
 
 

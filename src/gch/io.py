@@ -47,13 +47,17 @@ def document_to_graph(doc) -> tuple[HalfEdgeGraph, RibbonStructure | None]:
     n = doc.get("vertices")
     if not _is_int(n) or n < 0:
         raise DocumentError("vertices", "expected a non-negative integer")
-    weights = doc.get("weights", [0] * n)
-    if (not isinstance(weights, list) or len(weights) != n
-            or any(not _is_int(w) or w < 0 for w in weights)):
+    # lengths are checked against n before anything of n's size is made
+    weights = doc.get("weights")
+    if "weights" in doc and (not isinstance(weights, list) or len(weights) != n
+                             or any(not _is_int(w) or w < 0 for w in weights)):
         raise DocumentError("weights", f"expected {n} non-negative integers")
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise DocumentError("edges", "expected a list of vertex pairs")
+    if n > max(1, 2 * len(edges)):
+        # some vertex has no half-edge, so the graph is not connected
+        raise DocumentError("vertices", f"{n} vertices cannot be joined by {len(edges)} edges")
     pairs = []
     for k, e in enumerate(edges):
         if (not isinstance(e, list) or len(e) != 2
@@ -63,12 +67,12 @@ def document_to_graph(doc) -> tuple[HalfEdgeGraph, RibbonStructure | None]:
         if not (0 <= u < n and 0 <= v < n):
             raise DocumentError(f"edges[{k}]", f"vertex out of range 0..{n - 1}")
         pairs.append((u, v))
-    g = HalfEdgeGraph.build(n, pairs, weights)
     rib_doc = doc.get("ribbon")
+    if rib_doc is not None and (not isinstance(rib_doc, list) or len(rib_doc) != n):
+        raise DocumentError("ribbon", f"expected {n} half-edge cycles")
+    g = HalfEdgeGraph.build(n, pairs, weights)
     if rib_doc is None:
         return g, None
-    if not isinstance(rib_doc, list) or len(rib_doc) != n:
-        raise DocumentError("ribbon", f"expected {n} half-edge cycles")
     seen = set()
     cycles = []
     for v, cyc in enumerate(rib_doc):

@@ -89,6 +89,8 @@ class Orientation:
         if (len(tree) != len(self.tree) or len(tree) != g.vertex_count - 1
                 or not HalfEdgeGraph(g.vertex_count, g.weights, tree).is_connected):
             raise ValueError("tree is not spanning")
+        if len(self.comp_dirs) != len(self.comp_order):
+            raise ValueError("comp_dirs must give one direction per complement edge")
         for e, h in zip(self.comp_order, self.comp_dirs):
             if h >> 1 != e:
                 raise ValueError("direction half-edge must belong to its edge")

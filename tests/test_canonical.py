@@ -97,6 +97,69 @@ def test_automorphism_order_matches_brute_force(g):
     assert automorphism_group(g).order == len(half_edge_automorphisms(g))
 
 
+def _petersen():
+    return HalfEdgeGraph.build(10, [(i, (i + 1) % 5) for i in range(5)]
+                               + [(i, i + 5) for i in range(5)]
+                               + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def _complete_bipartite(a, b):
+    return HalfEdgeGraph.build(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def _cube():
+    return HalfEdgeGraph.build(8, [(u, u | 1 << k) for u in range(8) for k in range(3)
+                                   if not u & 1 << k])
+
+
+def _generated(generators, size):
+    """The half-edge maps that products of the generators reach."""
+    identity = tuple(range(size))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for m in generators:
+            q = tuple([m.half_edge_map[h] for h in p])
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return seen
+
+
+def _two_hubs():
+    """A triangle and a square, each vertex of weight 1 and joined to both
+    of two hubs of weight 0.  The hubs come first in the colouring, and
+    once one is individualized refinement cannot tell the triangle from
+    the square, so the first root branch has leaves of several encodings."""
+    cycles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
+    return HalfEdgeGraph.build(9, cycles + [(h, v) for h in (7, 8) for v in range(7)],
+                               weights=(1,) * 7 + (0, 0))
+
+
+@pytest.mark.parametrize("g,order", [(_petersen(), 120), (_complete_bipartite(3, 3), 72),
+                                     (_cube(), 48), (_complete_bipartite(4, 4), 1152),
+                                     (_two_hubs(), 96)],
+                         ids=["petersen", "K33", "Q3", "K44", "two-hubs"])
+def test_generators_generate_aut_of_symmetric_graphs(g, order):
+    """The generators are only those the labelling search meets, yet they
+    generate a group of the full order, which the oracle confirms."""
+    group = automorphism_group(g)
+    assert group.order == order == len(half_edge_automorphisms(g))
+    assert len(_generated(group.generators, g.half_edge_count)) == order
+
+
+def test_generators_generate_aut_across_families():
+    """Every class of the genus-4 family with tadpoles (up to nine edges)
+    and of the weighted genus-3 family: the generators reach ``order``
+    half-edge maps, and ``order`` is the oracle's count."""
+    specs = [EnumSpec(genus=4, allow_tadpoles=True, max_edges=9),
+             EnumSpec(genus=3, weighted=True, allow_tadpoles=True)]
+    for g in (ctx.graph for spec in specs for ctx in enumerate_graphs(spec)):
+        group = automorphism_group(g)
+        assert len(_generated(group.generators, g.half_edge_count)) == group.order, str(g)
+        assert group.order == len(half_edge_automorphisms(g)), str(g)
+
+
 def test_generators_are_automorphisms():
     for g in SMALL_GRAPHS:
         group = automorphism_group(g)

@@ -133,6 +133,16 @@ def test_surface_of_the_empty_graph_is_refused(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_surface_of_a_huge_vertex_count_is_refused(tmp_path, capsys):
+    """A billion vertices and no edges is refused as a document error
+    (exit 2), before a list of that size is allocated."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": 10**9, "edges": []}), encoding="utf-8")
+    assert main(["surface", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "vertices" in captured.err
+
+
 def test_surface_requires_ribbon(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"vertices": 1, "weights": [0], "edges": [[0, 0]]}),

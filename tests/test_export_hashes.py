@@ -1,5 +1,5 @@
 """Golden hashes of ``gch complex --export``, ``gch moduli --export`` and
-``gch enumerate``.
+``gch enumerate``, and of ``gch homology --N 1`` stdout.
 
 The fixture holds the sha256 of every exported file: ``generators.jsonl``
 and each ``boundary_k.sms`` for every complex kind, parity and genus 1-4
@@ -17,6 +17,11 @@ weighted with tadpoles, ribbon and ribbon with tadpoles.  These were
 written before the edge-colored variants of the canonical forms were
 deleted, except the two genus-4 ribbon entries, which were written before
 ribbon graphs were generated by moves.
+
+It also holds the sha256 of ``gch homology --N 1`` stdout (ranks,
+homology dimensions and degree rows) for every kind, parity and genus of
+the complex entries, written before the automorphism groups of plain
+graphs were read off the canonical-labelling search.
 
 Regenerate only for an intended change of output::
 
@@ -55,6 +60,8 @@ def _runs():
                 if kind in CAPPED:
                     argv += ["--max-edges", "9" if genus == 1 else "7"]
                 yield f"{kind}/{parity}/g{genus}", argv
+                yield (f"homology/{kind}/{parity}/g{genus}",
+                       ["homology"] + argv[1:] + ["--N", "1"])
     for genus in (2, 3, 4):
         yield f"moduli/g{genus}", ["moduli", "--genus", str(genus)]
         yield f"spine/g{genus}", ["moduli", "--genus", str(genus), "--spine"]
@@ -70,7 +77,7 @@ def _sha(path: Path) -> str:
 
 
 def _hashes(name: str, argv: list[str], workdir: Path) -> dict[str, str]:
-    if argv[0] == "enumerate":
+    if argv[0] in ("enumerate", "homology"):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,25 @@ def test_document_errors(doc, field):
     with pytest.raises(DocumentError) as err:
         document_to_graph(doc)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"vertices": 10**7, "weights": [], "edges": []}, "weights"),
+    # a vertex count above twice the edges leaves a vertex without a half-edge
+    ({"vertices": 10**7, "edges": []}, "vertices"),
+])
+def test_huge_vertex_count_is_rejected_before_allocation(doc, field):
+    """A short document claiming many vertices is refused by its field
+    before anything of the claimed size is allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DocumentError) as err:
+            document_to_graph(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.field == field
+    assert peak < 2**20, peak
 
 
 def test_parse_graph_json_rejects_bad_json():

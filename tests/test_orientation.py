@@ -53,6 +53,14 @@ def test_orientation_rejects_a_tree_that_does_not_span(g, tree):
         orientation_with_tree(g, frozenset(tree))
 
 
+@pytest.mark.parametrize("comp_dirs", [(2,), (2, 4, 0)])
+def test_orientation_rejects_comp_dirs_of_the_wrong_length(comp_dirs):
+    """The theta has loop number 2, so its orientation needs a direction
+    for each of its two complement edges, neither fewer nor more."""
+    with pytest.raises(ValueError, match="one direction per complement edge"):
+        Orientation(theta(), (0, 1, 2), frozenset({0}), (1, 2), comp_dirs)
+
+
 def _spanning_trees(g):
     return [frozenset(t) for t in itertools.combinations(range(g.edge_count), g.vertex_count - 1)
             if _is_spanning_tree(g, t)]
@@ -273,10 +281,12 @@ def test_aut_h1_matches_cycle_basis_determinant():
     """The engine's H_1 sign of an automorphism comes from the exact
     sequence; the reference cycle basis pushed through it and written back
     in that basis gives the same sign.  Every generator of Aut of every class
-    of the weighted genus 2-4 family and of the ribbon genus 2-3 families
-    with tadpoles."""
+    of the weighted genus 2-4 family, of the ribbon genus 2-3 families with
+    tadpoles and of the bivalent genus 1-3 families with tadpoles up to
+    seven edges."""
     specs = [EnumSpec(genus=g, weighted=True, allow_tadpoles=True, min_edges=1) for g in (2, 3, 4)]
     specs += [EnumSpec(genus=g, allow_tadpoles=True, ribbon=True) for g in (2, 3)]
+    specs += [EnumSpec(genus=g, min_valence=2, allow_tadpoles=True, max_edges=7) for g in (1, 2, 3)]
     checked = 0
     for ctx in (form for spec in specs for form in enumerate_graphs(spec)):
         ref = ctx.ref_orientation
