@@ -13,12 +13,14 @@ Certificate format (stable within a major release):
 ``;r(h,...)(...)`` appended for ribbon graphs.
 
 Automorphism groups are generated at half-edge level, so tadpole flips and
-parallel-edge swaps are visible.  The group splits over the vertex action:
-the kernel is generated by flips and within-class edge swaps, and every
-vertex automorphism has a canonical lift.  The labelling search itself
-meets a generating set of the vertex automorphisms and counts them, so
-the generators are the lifts of those and the kernel's, and the order is
-the vertex group's order times the kernel size.
+parallel-edge swaps are visible.  The search that canonicalizes a graph
+also returns its symmetries in the input's labels, from which
+``build_group`` makes Aut: the vertex automorphisms it meets, which
+generate the vertex group, with its order, or a ribbon graph's tied least
+traversals, all its automorphisms.  A plain graph's group splits over the
+vertex action: the kernel is generated by flips and within-class edge
+swaps, and each vertex automorphism has a canonical lift, ``_lift``, the
+rule that also maps a graph's edges onto its canonical edges.
 
 The module keeps no state.  The one object per class, the registry of
 classes and the cache of labelled inputs live in :mod:`gch.context`.
@@ -108,13 +110,15 @@ def _canonical_labeling(g: HalfEdgeGraph):
     element of Stab(v), and the search meets every element.  The
     automorphisms met thus generate the group and have its orbits (McKay,
     "Practical graph isomorphism", 1981): the order is |orbit(v)| |Stab(v)|,
-    or 1 at a discrete root.
+    or 1 at a discrete root.  Two search nodes can reach the same labelled
+    leaf, so an automorphism is kept only when it is new and not the
+    identity.
     """
     n = g.vertex_count
     base, inc = _initial_colors(g)
     best: list = [None, None]  # encoding, perm
     leaf_perms: dict = {}
-    auts: list[tuple[int, ...]] = []
+    auts: dict[tuple[int, ...], None] = {}  # in the order met
     orbit = list(range(n))
     twins: list = []  # the leaves under v with the first leaf's encoding
     root, stabilizer = None, 1  # v, the first root branch, and |Stab(v)|
@@ -139,16 +143,17 @@ def _canonical_labeling(g: HalfEdgeGraph):
     def record_leaf(perm):
         enc = encode(perm)
         other = leaf_perms.setdefault(enc, perm)
-        if other is not perm:
+        if other != perm:
             inverse = [0] * n
             for i, x in enumerate(other):
                 inverse[x] = i
             aut = tuple([inverse[x] for x in perm])
-            auts.append(aut)
-            for i in range(n):
-                a, b = find(i), find(aut[i])
-                if a != b:
-                    orbit[a] = b
+            if aut not in auts:
+                auts[aut] = None
+                for i in range(n):
+                    a, b = find(i), find(aut[i])
+                    if a != b:
+                        orbit[a] = b
         if best[0] is None or enc < best[0]:
             best[0], best[1] = enc, perm
         if root is None and (not twins or other is twins[0]):
@@ -179,24 +184,37 @@ def _canonical_labeling(g: HalfEdgeGraph):
 
     search(base, 0)
     orbit_size = 1 if root is None else sum(find(x) == find(root) for x in range(n))
-    return best[0], best[1], auts, stabilizer * orbit_size
+    return best[0], best[1], list(auts), stabilizer * orbit_size
+
+
+def _lift(g: HalfEdgeGraph, perm, targets) -> tuple[int, ...]:
+    """Half-edge map of ``g`` over the vertex bijection ``perm`` onto the
+    edges ``targets``, normalized pairs of the image's vertex labels.
+
+    Each parallel class maps onto the targets with its image's endpoints in
+    index order, and a tadpole is not flipped.  Onto the sorted images this
+    is the canonical relabelling; onto ``g.edges`` it is the canonical lift
+    of a vertex automorphism."""
+    slots: dict[tuple[int, int], list[int]] = {}
+    for j, pair in enumerate(targets):
+        slots.setdefault(pair, []).append(j)
+    hmap: list[int] = []
+    for u, v in g.edges:
+        a, b = perm[u], perm[v]
+        free = slots.get((a, b) if a <= b else (b, a))
+        if not free:
+            raise ValueError("vertex permutation does not preserve the class structure")
+        j = 2 * free.pop(0)
+        hmap += (j, j + 1) if a <= b else (j + 1, j)
+    return tuple(hmap)
 
 
 def _canonical_plain(g: HalfEdgeGraph):
-    """(weights, edges, None, vertex map, half-edge map) of a graph's
-    canonical relabelling."""
-    (weights_enc, pairs), perm, _, _ = _canonical_labeling(g)
-    images = [(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges]
-    order = sorted(range(g.edge_count), key=lambda i: (images[i], i))
-    edge_to_canon = {src: j for j, src in enumerate(order)}
-    half_edge_map: list[int] = [0] * g.half_edge_count
-    for i, (u, v) in enumerate(g.edges):
-        j = edge_to_canon[i]
-        if perm[u] <= perm[v]:
-            half_edge_map[2 * i], half_edge_map[2 * i + 1] = 2 * j, 2 * j + 1
-        else:
-            half_edge_map[2 * i], half_edge_map[2 * i + 1] = 2 * j + 1, 2 * j
-    return weights_enc, pairs, None, tuple(perm), tuple(half_edge_map)
+    """(weights, edges, None, vertex map, half-edge map, symmetries) of a
+    graph's canonical relabelling, the symmetries being the vertex
+    automorphisms its search met and the vertex group's order."""
+    (weights, pairs), perm, auts, order = _canonical_labeling(g)
+    return weights, pairs, None, perm, _lift(g, perm, pairs), (auts, order)
 
 
 def _certificate_string(vertex_count: int, weights, edges, cycles) -> str:
@@ -210,12 +228,13 @@ def _certificate_string(vertex_count: int, weights, edges, cycles) -> str:
 
 def canonical_labelling(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None):
     """(certificate, weights, edges, cyclic orders or None, vertex map,
-    half-edge map) of the canonical relabelling of a connected graph, or
-    of a ribbon graph given its ribbon structure."""
-    weights, edges, cycles, vertex_map, half_edge_map = (
+    half-edge map, symmetries) of the canonical relabelling of a connected
+    graph, or of a ribbon graph given its ribbon structure.  The symmetries
+    are what the search met, in the input's labels, for ``build_group``."""
+    weights, edges, cycles, vertex_map, half_edge_map, symmetries = (
         _canonical_plain(g) if ribbon is None else _canonical_ribbon(g, ribbon))
     return (_certificate_string(g.vertex_count, weights, edges, cycles),
-            weights, edges, cycles, vertex_map, half_edge_map)
+            weights, edges, cycles, vertex_map, half_edge_map, symmetries)
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +296,28 @@ def _least_traversals(g: HalfEdgeGraph, ribbon: RibbonStructure):
 
 
 def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
-    """(weights, edges, cyclic orders, vertex map, half-edge map) of a
-    ribbon graph's canonical relabelling, from its least traversal.
+    """(weights, edges, cyclic orders, vertex map, half-edge map,
+    symmetries) of a ribbon graph's canonical relabelling, from its least
+    traversal.
 
     Connectedness makes a traversal determined by its start half-edge, so
     the least encoding over all starts is a complete invariant; on a tie
-    the first start wins, and the tied starts are the automorphisms.  Each
-    traversal is abandoned as soon as its encoding prefix exceeds the least
-    one so far, which cannot change the winner: the canonical graph, its
-    ribbon and the maps are those of the full comparison.
+    the first start wins, and the maps carrying its traversal onto each
+    tied one are all the ribbon automorphisms, the symmetries with their
+    number.  Each traversal is abandoned as soon as its encoding prefix
+    exceeds the least one so far, which cannot change the winner: the
+    canonical graph, its ribbon and the maps are those of the full
+    comparison.
     """
-    order = _least_traversals(g, ribbon)[0][1]
+    runs = _least_traversals(g, ribbon)
+    order = runs[0][1]
     ends = _ends(g)
+    auts = []
+    for _, tied in runs:
+        aut = [0] * g.half_edge_count
+        for h, image in zip(order, tied):
+            aut[h] = image
+        auts.append(tuple(aut))
 
     # vertices and edges ranked by their first-visited half-edge; the one
     # vertex of a graph without edges keeps rank 0
@@ -312,70 +341,12 @@ def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
     for v, w in enumerate(g.weights):
         weights[vperm[v]] = w
         cycles[vperm[v]] = normalize_cycle([hmap[h] for h in ribbon.cycles[v]])
-    return tuple(weights), tuple(new_edges), tuple(cycles), tuple(vperm), tuple(hmap)
-
-
-def ribbon_automorphisms(g: HalfEdgeGraph, ribbon: RibbonStructure) -> list[Morphism]:
-    """All ribbon-preserving automorphisms; at most one per start half-edge."""
-    runs = _least_traversals(g, ribbon)
-    order0 = runs[0][1]
-    auts = []
-    for _, order in runs:
-        hmap = [0] * g.half_edge_count
-        for i, h in enumerate(order0):
-            hmap[h] = order[i]
-        vmap = [0] * g.vertex_count
-        for h in range(g.half_edge_count):
-            vmap[g.iota(h)] = g.iota(hmap[h])
-        auts.append(Morphism(
-            kind="isomorphism",
-            source=g,
-            target=g,
-            vertex_map=tuple(vmap),
-            half_edge_map=tuple(hmap),
-        ))
-    return auts
+    return (tuple(weights), tuple(new_edges), tuple(cycles), tuple(vperm), tuple(hmap),
+            (auts, len(auts)))
 
 
 # ---------------------------------------------------------------------------
-# automorphism groups of plain graphs
-
-
-def edge_classes(g: HalfEdgeGraph) -> dict[tuple[int, int], list[int]]:
-    """Edges grouped by endpoints (parallel classes), each in index order."""
-    classes: dict[tuple[int, int], list[int]] = {}
-    for i, pair in enumerate(g.edges):
-        classes.setdefault(pair, []).append(i)
-    return classes
-
-
-def lift_vertex_perm(g: HalfEdgeGraph, perm) -> Morphism:
-    """Canonical half-edge automorphism over a vertex permutation.
-
-    Within each parallel class, edges map in index order and tadpoles map
-    without flipping, so the lift is deterministic.
-    """
-    classes = edge_classes(g)
-    hmap = [0] * g.half_edge_count
-    for (u, v), members in classes.items():
-        tu, tv = perm[u], perm[v]
-        targets = classes.get((tu, tv) if tu <= tv else (tv, tu))
-        if targets is None or len(targets) != len(members):
-            raise ValueError("vertex permutation does not preserve the class structure")
-        for e, f in zip(members, targets):
-            a = perm[g.edges[e][0]]
-            b = perm[g.edges[e][1]]
-            if a <= b:
-                hmap[2 * e], hmap[2 * e + 1] = 2 * f, 2 * f + 1
-            else:
-                hmap[2 * e], hmap[2 * e + 1] = 2 * f + 1, 2 * f
-    return Morphism(
-        kind="isomorphism",
-        source=g,
-        target=g,
-        vertex_map=tuple(perm),
-        half_edge_map=tuple(hmap),
-    )
+# automorphism groups
 
 
 def _swap_edges_morphism(g: HalfEdgeGraph, a: int, b: int) -> Morphism:
@@ -391,29 +362,47 @@ def _flip_tadpole_morphism(g: HalfEdgeGraph, e: int) -> Morphism:
     return Morphism("isomorphism", g, g, tuple(range(g.vertex_count)), tuple(hmap))
 
 
-def automorphism_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> AutGroup:
-    """Aut(G), or the ribbon automorphisms for a ribbon structure.
+def build_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None, symmetries) -> AutGroup:
+    """Aut(G), or its ribbon automorphisms, from the symmetries that a
+    labelling search met, in ``g``'s labels.
 
-    A plain graph's generators are the canonical lifts of the vertex
-    automorphisms that the labelling search meets, in search order, then
-    the kernel: swaps of consecutive parallel edges and one flip per
-    tadpole class.  The lifts generate Aut over the kernel, so together
-    they generate Aut, though they are not all of its elements.
+    A ribbon graph's symmetries are all its automorphisms as half-edge
+    maps.  A plain graph's are the vertex automorphisms that generate its
+    vertex group, with that group's order; its generators are their
+    canonical lifts, in search order, then the kernel: swaps of
+    consecutive parallel edges and one flip per tadpole class.  The lifts
+    generate Aut over the kernel, so together they generate Aut, though
+    they are not all of its elements.
     """
+    maps, order = symmetries
     if ribbon is not None:
-        auts = ribbon_automorphisms(g, ribbon)
-        return AutGroup(graph=g, generators=tuple(auts), order=len(auts))
-    _, _, vertex_auts, vertex_order = _canonical_labeling(g)
-    gens = [lift_vertex_perm(g, perm) for perm in vertex_auts]
+        gens = []
+        for hmap in maps:
+            vmap = [0] * g.vertex_count
+            for h, image in enumerate(hmap):
+                vmap[g.iota(h)] = g.iota(image)
+            gens.append(Morphism("isomorphism", g, g, tuple(vmap), hmap))
+        return AutGroup(graph=g, generators=tuple(gens), order=order)
+    gens = [Morphism("isomorphism", g, g, perm, _lift(g, perm, g.edges)) for perm in maps]
+    classes: dict[tuple[int, int], list[int]] = {}
+    for e, pair in enumerate(g.edges):
+        classes.setdefault(pair, []).append(e)
     kernel = 1
-    for (u, v), members in sorted(edge_classes(g).items()):
+    for (u, v), members in sorted(classes.items()):
         for a, b in zip(members, members[1:]):
             gens.append(_swap_edges_morphism(g, a, b))
         kernel *= math.factorial(len(members))
         if u == v:
             gens.append(_flip_tadpole_morphism(g, members[0]))
             kernel *= 2 ** len(members)
-    return AutGroup(graph=g, generators=tuple(gens), order=vertex_order * kernel)
+    return AutGroup(graph=g, generators=tuple(gens), order=order * kernel)
+
+
+def automorphism_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> AutGroup:
+    """Aut(G), or the ribbon automorphisms for a ribbon structure, in
+    ``g``'s labels, from the labelling search on ``g``."""
+    symmetries = _canonical_labeling(g)[2:] if ribbon is None else _canonical_ribbon(g, ribbon)[-1]
+    return build_group(g, ribbon, symmetries)
 
 
 def edge_action_closure(edge_count: int, generators) -> list[tuple[tuple[int, ...], int]]:

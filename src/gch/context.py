@@ -7,9 +7,12 @@ orientation signs.  A :class:`GraphContext` holds all of it for one class.
 :func:`canonical_entry` makes it when a certificate is first met and keeps
 it in ``_CLASSES``, the one registry, so the enumeration closure, the faces
 of the complexes, the cell poset and the vanishing rule all hand out the
-same object.  Its tables (collapse H_1 signs, subset-orbit table, orbit
-sizes and reasons) are made on first use, so enumeration alone keeps only the
-certificate, the graph, the group and the collapses.
+same object.  The class keeps the symmetries that the labelling search
+which found it met, carried onto its canonical labels, and builds its
+automorphism group from them on first use, so no class is searched
+twice.  Its tables (collapse H_1 signs, subset-orbit table, orbit sizes
+and reasons) are made on first use, so enumeration alone keeps only the
+certificate, the graph, the symmetries, the group and the collapses.
 
 Every kind is built from the same three rules, all on the class object.
 A generator is a class with an edge-subset mask: the full mask for the
@@ -50,13 +53,14 @@ and the subset orbits; the cube stabilizer orders of the catalogs
 (``GraphContext.stabilizer_order``) are the group order over the orbit
 sizes.  A collapse (``GraphContext.collapse``) is one entry per edge, the
 target class and the half-edge map onto its canonical graph, which also
-gives the edge action.  The enumeration closure records most of them; an
-edge it never contracted is contracted on first use.  A map the closure
-derived through an automorphism of the source may differ from a direct
-contraction by an automorphism of the target, which changes no
-coefficient of a surviving face: such an automorphism keeps the
-orientation of every generator that survives, and for a cube the p_k
-aligning its image absorbs it as an element of the stabilizer.
+gives the edge action.  It contracts one edge per orbit of Aut, on first
+use by the enumeration closure or a face, and derives the map of every
+other edge of the orbit through an automorphism of the source.  Such a
+map may differ from a direct contraction by an automorphism of the
+target, which changes no coefficient of a surviving face: that
+automorphism keeps the orientation of every generator that survives, and
+for a cube the p_k aligning its image absorbs it as an element of the
+stabilizer.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canonical import AutGroup, automorphism_group, canonical_labelling, edge_action_closure
+from .canonical import AutGroup, build_group, canonical_labelling, edge_action_closure
 from .graph import HalfEdgeGraph, Morphism
 from .orientation import cycle_basis, cycle_transport_sign, reference_orientation, sequence_parity
 from .ribbon import RibbonStructure, contract_ribbon
@@ -99,6 +103,8 @@ class GraphContext:
     """One isomorphism class, shared by every labelled graph that reaches it.
 
     It holds the certificate, the canonical graph and ribbon, the
+    symmetries that the labelling search which found the class met (see
+    :func:`~gch.canonical.build_group`) in the canonical labels, the
     automorphism group once asked for, and the collapses recorded so far:
     edge -> (the target class, the half-edge map onto the target's
     canonical graph, None on the collapsed edge).
@@ -115,17 +121,20 @@ class GraphContext:
     least sorted subset has the largest mask.
     """
 
-    def __init__(self, certificate: str, graph: HalfEdgeGraph, ribbon: RibbonStructure | None):
+    def __init__(self, certificate: str, graph: HalfEdgeGraph, ribbon: RibbonStructure | None,
+                 symmetries):
         self.certificate = certificate
         self.graph = graph
         self.ribbon = ribbon
+        self.symmetries = symmetries
         self.collapses: dict[int, tuple[GraphContext, tuple[int | None, ...]]] = {}
 
     @cached_property
     def group(self) -> AutGroup:
-        """Aut of the class, computed on first use: the ribbon automorphisms
-        for a ribbon class, otherwise Aut of the graph."""
-        return automorphism_group(self.graph, self.ribbon)
+        """Aut of the class, built on first use from the symmetries its
+        search met, with no search of its own: the ribbon automorphisms for
+        a ribbon class, otherwise Aut of the graph."""
+        return build_group(self.graph, self.ribbon, self.symmetries)
 
     # made on first use, so that a class only enumeration met keeps none
 
@@ -167,18 +176,6 @@ class GraphContext:
         transport pushes through each collapse of the class."""
         return cycle_basis(self.graph, self.ref_orientation)
 
-    @cached_property
-    def lifts(self):
-        """The nontrivial ribbon automorphisms of a ribbon class, otherwise
-        the generators of Aut that move a vertex: the canonical lifts of the
-        vertex automorphisms that the labelling search met."""
-        g = self.graph
-        if self.ribbon is not None:
-            identity = tuple(range(g.half_edge_count))
-            return [m for m in self.group.generators if m.half_edge_map != identity]
-        identity = tuple(range(g.vertex_count))
-        return [m for m in self.group.generators if m.vertex_map != identity]
-
     def aut_h1(self, m) -> int:
         """Sign of an automorphism on det H_1.  By the exact sequence
         0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 of a connected graph
@@ -211,15 +208,17 @@ class GraphContext:
     @cached_property
     def _bare_reasons(self) -> tuple[str, str]:
         """(even, odd) reasons of the bare graph.  Its orientation sign is a
-        character of Aut, so a generating set decides it: parallel-edge swaps
-        (odd on the edges, -1 on H_1), the tadpole flip (-1 on H_1), then the
-        lifts or ribbon automorphisms, each parity keeping the first."""
+        character of Aut, so the generators decide it: parallel-edge swaps
+        (odd on the edges, -1 on H_1) and tadpole flips (-1 on H_1) give
+        their reasons first, then the lifts or ribbon automorphisms, each
+        parity keeping the first.  A swap or flip reverses no parity that
+        its own reason has not already taken."""
         plain = self.ribbon is None
         swaps = plain and any(n > 1 for n in self.graph.multiplicities.values())
         even = _WITNESS["swap", "even"] if swaps else ""
         odd = _WITNESS["flip", "odd"] if plain and self.graph.has_tadpole else ""
         kind = "lift" if plain else "ribbon"
-        for m in self.lifts:
+        for m in self.group.generators:
             sign = -1 if sequence_parity(m.edge_action) else 1
             if not even and sign == -1:
                 even = _WITNESS[kind, "even"]
@@ -243,7 +242,11 @@ class GraphContext:
         yet recorded is contracted on the canonical graph, plainly or by
         splicing cyclic orders, where a ribbon tadpole becomes a weight and
         its two half-edges leave their vertex's order; the result is
-        canonicalized and recorded."""
+        canonicalized and recorded, and so is the rest of its orbit under
+        Aut (McKay's orbit pruning), unrecorded too since only this walk
+        records: a generator s carrying a recorded edge x to f gives f the
+        map of x composed with s^-1, which collapses f onto the same target
+        and differs from a direct contraction by an automorphism of it."""
         hit = self.collapses.get(e)
         if hit is None:
             g, ribbon = self.graph, self.ribbon
@@ -258,6 +261,16 @@ class GraphContext:
             reached, _, iso = canonical_entry(target, ribbon)
             hit = self.collapses[e] = (
                 reached, tuple([None if h is None else iso[h] for h in m.half_edge_map]))
+            queue = [e]
+            for x in queue:
+                for s in self.group.generators:
+                    f = s.half_edge_map[2 * x] >> 1
+                    if f not in self.collapses:
+                        derived = [None] * len(hit[1])
+                        for h, image in zip(s.half_edge_map, self.collapses[x][1]):
+                            derived[h] = image
+                        self.collapses[f] = (reached, tuple(derived))
+                        queue.append(f)
         return hit
 
     def collapse_h1(self, e: int) -> int:
@@ -297,9 +310,9 @@ class GraphContext:
         """Whether a generator fixing every edge reverses H_1: a tadpole flip,
         or the vertex swap of an even banana.  On a plain class every
         automorphism fixing every edge is a product of flips or is that swap,
-        the only vertex-moving one, which the labelling search meets at its
-        one pair of root branches; a ribbon class's generators are all its
-        automorphisms."""
+        the only vertex-moving one, which the search meets on any labelling
+        of the banana at its one pair of root branches; a ribbon class's
+        generators are all its automorphisms."""
         identity = tuple(range(self.graph.edge_count))
         return any(m.edge_action == identity and self.aut_h1(m) == -1
                    for m in self.group.generators)
@@ -480,8 +493,10 @@ def canonical_entry(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None):
 
     Each labelled input is canonicalized once, and a class's object, with
     its canonical graph and ribbon, is made only when its certificate is
-    new.  The cache keeps the maps and the shared class, so it pins no
-    input graph.  An input that hits was connected when it was stored.
+    new; then the symmetries its search met are carried onto the canonical
+    labels by the input's map m, each a to m a m^-1.  The cache keeps the
+    maps and the shared class, so it pins no input graph.  An input that
+    hits was connected when it was stored.
     """
     key = ((g.vertex_count, g.weights, g.edges) if ribbon is None
            else (g.vertex_count, g.weights, g.edges, ribbon.cycles))
@@ -489,12 +504,17 @@ def canonical_entry(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None):
     if entry is None:
         if not g.is_connected:
             raise ValueError("canonical form is defined for connected graphs")
-        certificate, weights, edges, cycles, vertex_map, half_edge_map = canonical_labelling(g, ribbon)
+        certificate, weights, edges, cycles, vertex_map, half_edge_map, (auts, order) = (
+            canonical_labelling(g, ribbon))
         ctx = _CLASSES.get(certificate)
         if ctx is None:
             graph = HalfEdgeGraph(g.vertex_count, weights, edges)
+            m = vertex_map if ribbon is None else half_edge_map
+            inverse = sorted(range(len(m)), key=m.__getitem__)
+            carried = [tuple([m[a[i]] for i in inverse]) for a in auts]
             ctx = _CLASSES[certificate] = GraphContext(
-                certificate, graph, None if cycles is None else RibbonStructure(graph, cycles))
+                certificate, graph, None if cycles is None else RibbonStructure(graph, cycles),
+                (carried, order))
         entry = _CERT_CACHE[key] = (ctx, vertex_map, half_edge_map)
     return entry
 

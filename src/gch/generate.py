@@ -49,15 +49,13 @@ One function, ``enumerate_graphs``, runs the closures of every family,
 weighted or not, and returns the registry's own object of each class of
 :mod:`gch.context`.  Genus raising takes its orbits of edges and edge pairs
 from the class's orbit walk (``GraphContext.walk_orbits``), the one the
-cube kinds read.  The collapse closure contracts one edge per orbit of the
-class's automorphism group, through ``GraphContext.collapse``, which
-records the target class and the half-edge map onto its canonical graph in
-the class.
-The other edges of an orbit take the contracted edge's map composed with
-an automorphism of the source, so they land on the same target through a
-map that may differ from a direct one by an automorphism of the target.
-The complexes and the cell poset read their collapses from the same
-entries.
+cube kinds read.  The collapse closure reads each class's collapses from
+``GraphContext.collapse``, which does the orbit pruning: it contracts one
+edge per orbit of the class's automorphism group, gives the other edges
+of the orbit the contracted edge's map composed with an automorphism of
+the source, and records the target class and the half-edge map onto its
+canonical graph in the class.  The complexes and the cell poset read
+their collapses from the same entries.
 """
 
 from __future__ import annotations
@@ -114,35 +112,6 @@ def _closure(seeds, step) -> dict[str, GraphContext]:
                 reached.extend(step(ctx))
         frontier = reached
     return found
-
-
-def _collapse_orbits(ctx: GraphContext, edges: list[int]) -> list[GraphContext]:
-    """The targets of the collapses of ``edges``, a set that Aut of the
-    class maps onto itself, recording those not yet recorded by contracting
-    one edge per orbit (McKay's orbit pruning).  Each other edge of the
-    orbit is reached from the contracted one by an automorphism a, walked
-    along the group's generators, which reach the whole orbit because they
-    generate Aut, and takes the contracted map composed with a^-1: it
-    collapses that edge onto the same canonical target, and differs from a
-    direct contraction by an automorphism of the target."""
-    collapses = ctx.collapses
-    for r in edges:
-        if r in collapses:
-            continue
-        target, direct = ctx.collapse(r)
-        walk = {r: tuple(range(len(direct)))}  # edge f -> a with a(r) = f
-        queue = [r]
-        for e in queue:
-            for s in ctx.group.generators:
-                f = s.half_edge_map[2 * e] >> 1
-                if f not in walk:
-                    a = walk[f] = tuple([s.half_edge_map[h] for h in walk[e]])
-                    queue.append(f)
-                    derived = [None] * len(direct)
-                    for h, image in zip(a, direct):
-                        derived[h] = image
-                    collapses.setdefault(f, (target, tuple(derived)))
-    return [collapses[e][0] for e in edges]
 
 
 def _subdivide(g: HalfEdgeGraph, e: int, ribbon: RibbonStructure | None = None):
@@ -231,7 +200,7 @@ def enumerate_graphs(spec: EnumSpec) -> list[GraphContext]:
                 and not (loopless and h.multiplicities[h.edges[e]] > 1)]
 
     found = _closure(_seeds(g, spec.ribbon, not loopless),
-                     lambda r: _collapse_orbits(r, contractible(r.graph)))
+                     lambda r: [r.collapse(e)[0] for e in contractible(r.graph)])
     if spec.min_valence == 2:
         seeds = list(found.values())
         if g == 1:

@@ -20,7 +20,7 @@ from gch.families import (
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.graph import HalfEdgeGraph
 from gch.oracle import automorphism_sign, half_edge_automorphisms, relabeled
-from gch.ribbon import RibbonStructure, contract_ribbon
+from gch.ribbon import RibbonStructure, contract_ribbon, transport_ribbon
 
 PLANAR_THETA_CYCLES = ((0, 2, 4), (1, 5, 3))
 
@@ -158,6 +158,40 @@ def test_generators_generate_aut_across_families():
         group = automorphism_group(g)
         assert len(_generated(group.generators, g.half_edge_count)) == group.order, str(g)
         assert group.order == len(half_edge_automorphisms(g)), str(g)
+
+
+def test_two_hubs_generators_are_distinct_and_not_the_identity():
+    """Search nodes under different root branches reach leaves with equal
+    encodings many times over; each automorphism is kept once, and the
+    identity never."""
+    g = _two_hubs()
+    maps = [m.half_edge_map for m in automorphism_group(g).generators]
+    assert len(set(maps)) == len(maps)
+    assert tuple(range(g.half_edge_count)) not in maps
+
+
+def test_class_groups_match_the_oracle():
+    """Every class of the weighted genus 2-4 families, the genus-4 family
+    with tadpoles (up to nine edges) and the ribbon genus 2-3 families.
+    Its group comes from the search that found the class, carried onto the
+    canonical labels: each generator is an automorphism of the canonical
+    graph (and ribbon), and the generators reach ``order`` half-edge maps,
+    the oracle's count."""
+    specs = [EnumSpec(genus=g, weighted=True, allow_tadpoles=True, min_edges=1) for g in (2, 3, 4)]
+    specs.append(EnumSpec(genus=4, allow_tadpoles=True, max_edges=9))
+    specs += [EnumSpec(genus=g, ribbon=True) for g in (2, 3)]
+    classes = {ctx.certificate: ctx for spec in specs for ctx in enumerate_graphs(spec)}
+    assert len(classes) > 400
+    for ctx in classes.values():
+        g, ribbon, group = ctx.graph, ctx.ribbon, ctx.group
+        for m in group.generators:
+            assert m.check() and m.source is g and m.target is g, ctx.certificate
+            assert all(g.weights[x] == w for x, w in zip(m.vertex_map, g.weights)), ctx.certificate
+            if ribbon is not None:
+                assert transport_ribbon(ribbon, m) == ribbon, ctx.certificate
+        assert len(_generated(group.generators, g.half_edge_count)) == group.order, ctx.certificate
+        sigma = None if ribbon is None else ribbon.next_map
+        assert group.order == len(half_edge_automorphisms(g, sigma)), ctx.certificate
 
 
 def test_generators_are_automorphisms():

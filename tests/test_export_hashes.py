@@ -32,6 +32,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -97,6 +99,50 @@ def test_exports_match_golden_hashes(tmp_path, capsys):
         got = _hashes(name, argv, tmp_path)
         capsys.readouterr()
         assert got == expected[name], name
+
+
+HISTORY = """
+import contextlib, hashlib, io, json, sys, tempfile
+from pathlib import Path
+from gch.canonical import automorphism_group
+from gch.cli import main
+from gch.generate import EnumSpec, enumerate_graphs
+
+warm = [EnumSpec(genus=4, weighted=True, allow_tadpoles=True, min_edges=1),
+        EnumSpec(genus=4, ribbon=True, allow_tadpoles=True)]
+classes = {c.certificate: c for spec in warm for c in enumerate_graphs(spec)}
+hashes = {}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    for kind in ("gf", "ass"):
+        target = Path(tmp) / kind
+        main(["complex", "--kind", kind, "--parity", "odd", "--genus", "4", "--export", str(target)])
+        hashes[kind + "/odd/g4"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                    for p in sorted(target.iterdir())}
+differ = sum(1 for c in classes.values()
+             if [m.half_edge_map for m in c.group.generators]
+             != [m.half_edge_map for m in automorphism_group(c.graph, c.ribbon).generators])
+print(json.dumps({"classes": len(classes), "differ": differ, "hashes": hashes}))
+"""
+
+
+def test_exports_do_not_depend_on_history():
+    """In a fresh interpreter, enumerating the weighted genus-4 family and
+    the ribbon genus-4 family with tadpoles first leaves the ``gf`` odd and
+    ``ass`` odd genus-4 exports as golden.  A class takes its generators
+    from the search on the labelled graph that first reached it, so the
+    warm-up changes them for some classes; the check is vacuous unless at
+    least one class's generators differ from a search on its canonical
+    graph."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    result = subprocess.run([sys.executable, "-c", HISTORY], capture_output=True, text=True,
+                            env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    got = json.loads(result.stdout)
+    expected = json.loads(FIXTURE_PATH.read_text())
+    assert got["hashes"] == {name: expected[name] for name in got["hashes"]}
+    assert sorted(got["hashes"]) == ["ass/odd/g4", "gf/odd/g4"]
+    assert got["differ"] >= 1, got
 
 
 if __name__ == "__main__":

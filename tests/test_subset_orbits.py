@@ -45,7 +45,8 @@ def _check_graph(form):
     orbit = {s: {tuple(sorted(p[e] for e in s)) for p in edge_perms} for s in subsets}
     least = {s: min(images) for s, images in orbit.items()}
 
-    missing_first, walked_first = (GraphContext(form.certificate, g, form.ribbon) for _ in range(2))
+    missing_first, walked_first = (GraphContext(form.certificate, g, form.ribbon, form.symmetries)
+                                   for _ in range(2))
     assert ({tuple(p) for p, _ in walked_first.closure}
             == {tuple(p) for p in edge_perms})
     # the C_1.C_0 sign on det H_1 of each automorphism, by edge permutation:
