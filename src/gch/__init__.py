@@ -5,23 +5,13 @@ from .graph import (
     Morphism,
     StructuralReport,
     DisconnectedGraphError,
-    contract_edge,
-    genus,
-    is_stable,
-    loop_number,
     structural_predicates,
 )
 from .canonical import AutGroup, automorphism_group
 from .context import CanonicalForm, canonical_form
-from .orientation import (
-    Orientation,
-    cycle_basis,
-    h1_determinant_sign,
-    morphism_sign,
-    reference_orientation,
-)
+from .orientation import cycle_basis
 from .ribbon import RibbonStructure, contract_ribbon, faces, surface_invariants
-from .linalg import SparseMatrix, homology_dims, multiply, rank
+from .linalg import SparseMatrix, multiply, rank
 from .generate import (
     EnumSpec,
     InfeasibleEnumeration,

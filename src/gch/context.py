@@ -71,7 +71,7 @@ from functools import cached_property
 
 from .canonical import AutGroup, build_group, canonical_labelling, edge_action_closure
 from .graph import HalfEdgeGraph, Morphism
-from .orientation import cycle_basis, cycle_transport_sign, reference_orientation, sequence_parity
+from .orientation import cycle_basis, cycle_transport_sign, sequence_parity, spanning_tree
 from .ribbon import RibbonStructure, contract_ribbon
 
 # why a generator vanishes, by the kind of symmetry that reverses it
@@ -167,14 +167,15 @@ class GraphContext:
         return self.graph.edge_count + 1
 
     @cached_property
-    def ref_orientation(self):
-        return reference_orientation(self.graph)
+    def ref_orientation(self) -> tuple[int, ...]:
+        """The reference cycle basis's complement edges, in index order."""
+        tree = spanning_tree(self.graph)
+        return tuple([e for e in range(self.graph.edge_count) if e not in tree])
 
     @cached_property
     def ref_rows(self):
-        """The cycle basis of the reference orientation, which the odd
-        transport pushes through each collapse of the class."""
-        return cycle_basis(self.graph, self.ref_orientation)
+        """The reference cycle basis, pushed through each collapse."""
+        return cycle_basis(self.graph)
 
     def aut_h1(self, m) -> int:
         """Sign of an automorphism on det H_1.  By the exact sequence

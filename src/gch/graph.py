@@ -260,22 +260,6 @@ class StructuralReport:
     is_one_vertex_irreducible: bool
 
 
-def loop_number(g: HalfEdgeGraph) -> int:
-    return g.loop_number
-
-
-def genus(g: HalfEdgeGraph) -> int:
-    return g.genus
-
-
-def is_stable(g: HalfEdgeGraph) -> bool:
-    return g.is_stable
-
-
-def contract_edge(g: HalfEdgeGraph, e: int) -> HalfEdgeGraph:
-    return g.contract(e)[0]
-
-
 def _reached(n, edges, start):
     """How many of the vertices 0..n-1 the edges join to ``start``, itself
     included."""

@@ -269,9 +269,3 @@ def boundary_ranks(boundaries: list[SparseMatrix | None],
         ranks[k] = len(cleared)
     dims = [generator_counts[k] - ranks[k] - ranks[k + 1] for k in range(n)]
     return ranks, dims
-
-
-def homology_dims(boundaries: list[SparseMatrix | None], generator_counts: list[int]) -> list[int]:
-    """dim H_k for each grade of a chain complex (d_k d_{k+1} = 0); see
-    :func:`boundary_ranks`."""
-    return boundary_ranks(boundaries, generator_counts)[1]

@@ -1,10 +1,10 @@
-"""Brute-force references for automorphisms, signs, enumeration,
-connectivity, forests and ranks.
+"""Brute-force references for automorphisms, signs, orientations,
+enumeration, connectivity, forests and ranks.
 
 Each function recomputes by exhaustive search, or by plain elimination,
 something that the engine computes another way.  The module imports
-nothing from ``gch`` except :class:`HalfEdgeGraph`, so a fault in
-canonical forms, automorphism groups, orientations, generation or sparse
+nothing from ``gch`` except :mod:`gch.graph`, so a fault in canonical
+forms, automorphism groups, orientations, generation or sparse
 elimination cannot also sit in its check.  Only the tests call it; no
 module of the package imports it.
 
@@ -13,16 +13,20 @@ The sign of an automorphism on det H_1 comes from the exact sequence
 *On a theorem of Kontsevich*, arXiv:math/0208169): it is the sign on the
 oriented edges C_1 (edge permutation parity times -1 per reversed edge)
 times the sign on the vertices C_0, so :func:`automorphism_sign` needs no
-cycle basis or spanning tree.
+cycle basis or spanning tree.  Face signs are checked against orientations
+of the oracle's own, by any spanning tree and edge directions
+(:class:`Orientation`, :func:`morphism_sign`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import HalfEdgeGraph
+from .graph import HalfEdgeGraph, Morphism
 
 
 def _parity(seq) -> int:
@@ -163,22 +167,134 @@ def forests(g: HalfEdgeGraph) -> list[tuple[int, ...]]:
             for s in itertools.combinations(range(g.edge_count), size) if is_forest(g, s)]
 
 
-def dense_rank(rows) -> int:
-    """Rank of a dense matrix, given as a list of rows, by Gaussian
-    elimination over ``Fraction``."""
+@dataclass(frozen=True)
+class Orientation:
+    """An edge order and a basis of H_1: a spanning tree and its complement
+    edges in basis order, each leaving from the half-edge in comp_dirs."""
+
+    graph: HalfEdgeGraph
+    edge_order: tuple[int, ...]
+    tree: frozenset[int]
+    comp_order: tuple[int, ...]
+    comp_dirs: tuple[int, ...]
+
+    def __post_init__(self):
+        g, edges = self.graph, set(range(self.graph.edge_count))
+        if sorted(self.edge_order) != sorted(edges):
+            raise ValueError("edge_order must enumerate all edges")
+        if not (self.tree <= edges and len(self.tree) == g.vertex_count - 1 and is_forest(g, self.tree)):
+            raise ValueError("tree is not spanning")
+        if sorted(self.comp_order) != sorted(edges - self.tree):
+            raise ValueError("comp_order must enumerate the tree complement")
+        if len(self.comp_dirs) != len(self.comp_order):
+            raise ValueError("comp_dirs must give one direction per complement edge")
+        if any(h >> 1 != e for e, h in zip(self.comp_order, self.comp_dirs)):
+            raise ValueError("direction half-edge must belong to its edge")
+
+
+def reference_orientation(g: HalfEdgeGraph, tree=None) -> Orientation:
+    """The identity edge order and the complement of ``tree`` in index
+    order, edge e leaving from half-edge 2e.  The tree defaults to
+    Kruskal's: each edge in turn that keeps a forest."""
+    if tree is None:
+        tree = []
+        for e in range(g.edge_count):
+            if is_forest(g, tree + [e]):
+                tree.append(e)
+    comp = tuple(e for e in range(g.edge_count) if e not in tree)
+    return Orientation(g, tuple(range(g.edge_count)), frozenset(tree), comp, tuple(2 * e for e in comp))
+
+
+def fundamental_cycles(o: Orientation) -> list[dict[int, int]]:
+    """Per complement edge, ``{edge: coefficient}``: the edge, then the
+    tree path from its head back to its tail, walked breadth-first from the
+    head; an edge walked from half-edge 2e to 2e+1 counts +1."""
+    g, cycles = o.graph, []
+    for e, h in zip(o.comp_order, o.comp_dirs):
+        came = {g.iota(h ^ 1): None}
+        for x in (queue := [g.iota(h ^ 1)]):
+            for f in o.tree:
+                for a, b, c in (g.edges[f] + (1,), g.edges[f][::-1] + (-1,)):
+                    if a == x and b not in came:
+                        came[b] = (x, f, c)
+                        queue.append(b)
+        cycle, x = {e: 1 if h == 2 * e else -1}, g.iota(h)
+        while came[x]:
+            x, f, c = came[x]
+            cycle[f] = c
+        cycles.append(cycle)
+    return cycles
+
+
+def h1_sign(half_edge_map, src: Orientation, dst: Orientation) -> int:
+    """Sign on det H_1 of a map given by its half-edge map, None on a
+    collapsed edge: the source basis cycles pushed through it have
+    coordinates X with X B = Z in the target basis B, so on the target's
+    complement edges det X has the sign of det Z times det B.  Defined
+    for isomorphisms and collapses of an edge that is no tadpole."""
+    pushed = []
+    for cycle in fundamental_cycles(src):
+        pushed.append(image := {})
+        for e, c in cycle.items():
+            if (h := half_edge_map[2 * e]) is not None:
+                image[h >> 1] = image.get(h >> 1, 0) + (-c if h & 1 else c)
+    if len(pushed) != len(dst.comp_order):
+        raise ValueError("cycle ranks differ")
+    det = math.prod(determinant([[z.get(e, 0) for e in dst.comp_order] for z in rows])
+                    for rows in (pushed, fundamental_cycles(dst)))
+    if det == 0:
+        raise ValueError("pushed cycles do not form a basis")
+    return 1 if det > 0 else -1
+
+
+def morphism_sign(m: Morphism, parity: str, src: Orientation, dst: Orientation) -> int:
+    """Sign of an isomorphism, or a single-edge collapse then one, against
+    two orientations: the parity of the surviving edges in the target edge
+    order, times (-1)^i for a collapsed edge at 1-based position i of the
+    source order, times for odd parity :func:`h1_sign`."""
+    if parity not in ("even", "odd"):
+        raise ValueError(f"unknown parity {parity!r}")
+    position = {e: i for i, e in enumerate(dst.edge_order)}
+    sign = _parity([position[m.edge_action[e]] for e in src.edge_order if m.edge_action[e] is not None])
+    if m.kind != "isomorphism":
+        if len(m.collapsed_edges) != 1:
+            raise ValueError("compose single-edge collapses instead of collapsing several edges")
+        e = m.collapsed_edges[0]
+        if parity == "odd" and m.source.is_tadpole(e):
+            raise ValueError("odd-parity transport is undefined across a tadpole collapse")
+        sign *= (-1) ** (src.edge_order.index(e) + 1)
+    if parity == "odd":
+        sign *= h1_sign(m.half_edge_map, src, dst)
+    return sign
+
+
+def _eliminate(rows):
+    """Row echelon form over ``Fraction``: the pivots, by column, and the row swaps."""
     a = [[Fraction(x) for x in row] for row in rows]
-    r = 0
+    pivots, swaps = [], 0
     for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c] / a[r][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
+        swaps += piv != r
+        for i in range(r + 1, len(a)):
+            f = a[i][c] / a[r][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(a[r][c])
+    return pivots, swaps
+
+
+def dense_rank(rows) -> int:
+    """Rank of a dense matrix, given as a list of rows."""
+    return len(_eliminate(rows)[0])
+
+
+def determinant(rows) -> Fraction:
+    """Determinant of a square matrix, given as a list of rows."""
+    pivots, swaps = _eliminate(rows)
+    return (-1) ** swaps * math.prod(pivots) if len(pivots) == len(rows) else Fraction(0)
 
 
 def relabeled(g: HalfEdgeGraph, rng) -> HalfEdgeGraph:
@@ -192,3 +308,43 @@ def relabeled(g: HalfEdgeGraph, rng) -> HalfEdgeGraph:
     for v, w in enumerate(g.weights):
         weights[perm[v]] = w
     return HalfEdgeGraph.build(g.vertex_count, edges, weights)
+
+
+def mass_table(genus: int) -> dict[tuple[int, ...], Fraction]:
+    """Sum of 1/|Aut G| over the connected graphs of the genus with every
+    valence at least 3, tadpoles and multiple edges allowed, per degree
+    type (the sorted valences), Aut acting on half-edges.
+
+    Laying out n_k vertices of valence k as stubs and pairing the 2E stubs
+    in all (2E-1)!! ways reaches every graph, connected or not, as often as
+    the k!^{n_k} n_k! relabellings of the stubs over |Aut G|, so
+    Z = sum (2E-1)!! prod x_k^{n_k} / (k!^{n_k} n_k!) sums 1/|Aut G| over
+    all graphs and log Z over the connected ones (Borinsky, "Graphs in
+    perturbation theory", 2018).  A connected graph of the genus has
+    sum (k-2) n_k = 2E - 2V = 2g - 2, and each vertex adds at least 1 to
+    that grade, so the series is cut there.
+    """
+    top = 2 * genus - 2
+
+    def types(rest, least):
+        """Every sorted tuple of valences >= least of grade <= rest."""
+        yield ()
+        for k in range(least, rest + 3):
+            yield from ((k, *tail) for tail in types(rest - k + 2, k))
+
+    z = {}
+    for t in types(top, 3):
+        if t and sum(t) % 2 == 0:
+            z[t] = Fraction(math.prod(range(sum(t) - 1, 0, -2)), math.prod(
+                math.factorial(k) ** n * math.factorial(n) for k, n in Counter(t).items()))
+    log, power = {}, {(): Fraction(1)}
+    for j in range(1, top + 1):
+        product = {}
+        for a, x in power.items():
+            for b, y in z.items():
+                if sum(key := tuple(sorted(a + b))) - 2 * len(key) <= top:
+                    product[key] = product.get(key, 0) + x * y
+        power = product
+        for key, x in power.items():
+            log[key] = log.get(key, 0) + (-1) ** (j + 1) * x / j
+    return {key: x for key, x in log.items() if x and sum(key) - 2 * len(key) == top}

@@ -1,5 +1,10 @@
 import functools
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +19,7 @@ from gch.complexes import (
 )
 from gch.context import _CLASSES, GraphContext, canonical_form
 from gch.families import cycle, rose, theta, wheel
-from gch.oracle import automorphism_sign, half_edge_automorphisms
-from gch.orientation import morphism_sign, reference_orientation
+from gch.oracle import automorphism_sign, half_edge_automorphisms, morphism_sign, reference_orientation
 from gch.ribbon import contract_ribbon
 
 
@@ -232,30 +236,26 @@ def _collapse_onto_canonical(gen, e):
     return form, form.iso.compose(m)
 
 
-@pytest.mark.parametrize("kind", ["com", "com_tad", "cellular_MG", "cellular_MG_relative", "ass"])
-def test_face_signs_match_morphism_sign(kind):
-    """Each boundary entry (H, G) is the sum of the public morphism_sign of
+def _simplicial_faces(c, k):
+    """The oracle's entries of the grade-k boundary of a simplicial complex:
+    each entry (H, G) is the sum of the oracle's morphism_sign of
     iso . collapse over the edges of G whose collapse lands on H, against
-    the reference orientations; a tadpole collapse counts only as the
-    weight-increment face of even cellular_MG."""
-    for parity in ("even", "odd"):
-        for genus in (2, 3, 4):
-            c = build_complex(ComplexSpec(kind, parity, genus))
-            for k in range(1, c.max_grade + 1):
-                rows = {gen.key: i for i, gen in enumerate(c.grades.get(k - 1, []))}
-                expected = {}
-                for j, gen in enumerate(c.grades.get(k, [])):
-                    src = reference_orientation(gen.graph)
-                    for e in range(k):
-                        if gen.graph.is_tadpole(e) and (parity == "odd" or kind != "cellular_MG"):
-                            continue
-                        form, m = _collapse_onto_canonical(gen, e)
-                        i = rows.get(form.certificate)
-                        if i is not None:
-                            sign = morphism_sign(m, parity, src, reference_orientation(form.graph))
-                            expected[i, j] = expected.get((i, j), 0) + sign
-                assert c.boundary(k).entries == {ij: v for ij, v in expected.items() if v}, \
-                    (parity, genus, k)
+    the oracle's reference orientations; a tadpole collapse counts only as
+    the weight-increment face of even cellular_MG."""
+    kind, parity = c.spec.kind, c.spec.parity
+    rows = {gen.key: i for i, gen in enumerate(c.grades.get(k - 1, []))}
+    expected = {}
+    for j, gen in enumerate(c.grades.get(k, [])):
+        src = reference_orientation(gen.graph)
+        for e in range(k):
+            if gen.graph.is_tadpole(e) and (parity == "odd" or kind != "cellular_MG"):
+                continue
+            form, m = _collapse_onto_canonical(gen, e)
+            i = rows.get(form.certificate)
+            if i is not None:
+                sign = morphism_sign(m, parity, src, reference_orientation(form.graph))
+                expected[i, j] = expected.get((i, j), 0) + sign
+    return expected
 
 
 def _oracle_face(expected, rows, form, images, sign, odd, col, autos):
@@ -282,44 +282,107 @@ def _oracle_face(expected, rows, form, images, sign, odd, col, autos):
         return
 
 
+def _pair_faces(c, k, autos):
+    """The oracle's entries of the grade-k boundary of a cube complex,
+    recomputed without the engine's closure.  The face of (G, S) dropping
+    the edge e at 0-based position p of S is the collapse (G/e, S - e), for
+    e not a tadpole, and the deletion (G, S - e).  Its sign is (-1)^(p+1),
+    times the parity and H_1 sign of an oracle automorphism aligning its
+    subset onto the row's, times for a collapse the cycle transport, the
+    oracle's morphism_sign of iso . collapse with its edge-order part
+    divided out, and for a deletion -1.  Any aligning automorphism gives
+    the same sign: the stabilizer of a surviving row acts with sign 1."""
+    odd = c.spec.parity == "odd"
+    rows = {gen.key: i for i, gen in enumerate(c.grades.get(k - 1, []))}
+    expected = {}
+    for j, gen in enumerate(c.grades.get(k, [])):
+        g, subset = gen.graph, gen.subset
+        for p, e in enumerate(subset):
+            base = 1 if p % 2 else -1
+            rest = [f for f in subset if f != e]
+            if not g.is_tadpole(e):
+                target, m = g.contract(e)
+                form = canonical_form(target)
+                composite = form.iso.compose(m)
+                transport = 1
+                if odd:
+                    src, dst = reference_orientation(g), reference_orientation(form.graph)
+                    transport = (morphism_sign(composite, "odd", src, dst)
+                                 * morphism_sign(composite, "even", src, dst))
+                _oracle_face(expected, rows, form, [composite.edge_action[f] for f in rest],
+                             base * transport, odd, j, autos)
+            _oracle_face(expected, rows, canonical_form(g), rest, -base, odd, j, autos)
+    return expected
+
+
+def _wrong_grades(kind, parity, genus):
+    """The grades whose boundary differs from the oracle's face signs."""
+    c = build_complex(ComplexSpec(kind, parity, genus))
+    autos = {}
+    wrong = []
+    for k in range(1, c.max_grade + 1):
+        expected = _pair_faces(c, k, autos) if kind in ("gf", "gp") else _simplicial_faces(c, k)
+        if c.boundary(k).entries != {ij: v for ij, v in expected.items() if v}:
+            wrong.append(k)
+    return wrong
+
+
+@pytest.mark.parametrize("kind", ["com", "com_tad", "cellular_MG", "cellular_MG_relative", "ass"])
+def test_face_signs_match_morphism_sign(kind):
+    """Each boundary entry of a simplicial kind at genus 2-4 is the sum of
+    the oracle's morphism signs of its collapses (``_simplicial_faces``)."""
+    for parity in ("even", "odd"):
+        for genus in (2, 3, 4):
+            assert _wrong_grades(kind, parity, genus) == [], (parity, genus)
+
+
 @pytest.mark.parametrize("kind", ["gf", "gp"])
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_pair_face_signs_match_oracle(kind, parity):
-    """Each boundary entry of a cube complex, recomputed without the
-    engine's closure.  The face of (G, S) dropping the edge e at 0-based
-    position p of S is the collapse (G/e, S - e), for e not a tadpole, and
-    the deletion (G, S - e).  Its sign is (-1)^(p+1), times the parity and
-    H_1 sign of an oracle automorphism aligning its subset onto the row's,
-    times for a collapse the cycle transport, the public morphism_sign of
-    iso . collapse with its edge-order part divided out, and for a
-    deletion -1.  Any aligning automorphism gives the same sign: the
-    stabilizer of a surviving row acts with sign 1."""
-    odd = parity == "odd"
-    autos = {}
+    """Each boundary entry of a cube kind at genus 2-4, recomputed from
+    oracle automorphisms and morphism signs (``_pair_faces``)."""
     for genus in (2, 3, 4):
-        c = build_complex(ComplexSpec(kind, parity, genus))
-        for k in range(1, c.max_grade + 1):
-            rows = {gen.key: i for i, gen in enumerate(c.grades.get(k - 1, []))}
-            expected = {}
-            for j, gen in enumerate(c.grades.get(k, [])):
-                g, subset = gen.graph, gen.subset
-                for p, e in enumerate(subset):
-                    base = 1 if p % 2 else -1
-                    rest = [f for f in subset if f != e]
-                    if not g.is_tadpole(e):
-                        target, m = g.contract(e)
-                        form = canonical_form(target)
-                        composite = form.iso.compose(m)
-                        transport = 1
-                        if odd:
-                            src, dst = reference_orientation(g), reference_orientation(form.graph)
-                            transport = (morphism_sign(composite, "odd", src, dst)
-                                         * morphism_sign(composite, "even", src, dst))
-                        _oracle_face(expected, rows, form, [composite.edge_action[f] for f in rest],
-                                     base * transport, odd, j, autos)
-                    _oracle_face(expected, rows, canonical_form(g), rest, -base, odd, j, autos)
-            assert c.boundary(k).entries == {ij: v for ij, v in expected.items() if v}, \
-                (genus, k)
+        assert _wrong_grades(kind, parity, genus) == [], genus
+
+
+# The odd complexes whose boundaries change when every collapse transport is
+# negated: gf odd genus 3 has a single entry, a deletion face, so gf is taken
+# at genus 4.
+GENERA = {"com": 3, "gf": 4, "ass": 3}
+# Negates the collapse transport wherever ``cycle_transport_sign`` is bound,
+# then prints the grades where the oracle's face signs disagree.
+MUTANT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import gch.context, gch.orientation
+from test_complexes import GENERA, _wrong_grades
+
+transport = gch.orientation.cycle_transport_sign
+
+
+def mutant(src_rows, half_edge_map, *dst):
+    sign = transport(src_rows, half_edge_map, *dst)
+    return -sign if None in half_edge_map else sign
+
+
+gch.context.cycle_transport_sign = gch.orientation.cycle_transport_sign = mutant
+print(json.dumps({kind: _wrong_grades(kind, "odd", genus) for kind, genus in GENERA.items()}))
+"""
+
+
+def test_face_sign_oracle_catches_a_negated_collapse_transport():
+    """The odd face-sign references share no code with the engine: with the
+    engine's cycle transport negated on every collapse, the odd com, gf
+    and ass boundaries of ``GENERA`` disagree with the oracle.  The mutant
+    runs in a fresh interpreter, so that its collapse signs do not stay in
+    this process's class registry."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", MUTANT, str(tests)], capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    wrong = json.loads(result.stdout)
+    assert all(wrong[kind] for kind in GENERA), wrong
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -422,7 +485,7 @@ def test_homology_invariant_under_relabeling_and_orientation_flips():
     signed permutation matrices on the boundaries, so dimensions must not move."""
     import random
 
-    from gch.linalg import SparseMatrix, homology_dims
+    from gch.linalg import SparseMatrix, boundary_ranks
 
     rng = random.Random(6)
     for spec in [ComplexSpec("cellular_MG", "even", 3), ComplexSpec("gf", "even", 3)]:
@@ -444,7 +507,7 @@ def test_homology_invariant_under_relabeling_and_orientation_flips():
                 for (i, j), v in m.entries.items()
             }
             boundaries.append(SparseMatrix(m.rows, m.cols, entries))
-        assert homology_dims(boundaries, counts) == base
+        assert boundary_ranks(boundaries, counts)[1] == base
 
 
 def test_empty_complex_report():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from gch.generate import (
     enumerate_ribbon_structures,
 )
 from gch.graph import HalfEdgeGraph, Morphism
-from gch.oracle import forests, pairing_classes
+from gch.oracle import forests, mass_table, pairing_classes
 from gch.ribbon import contract_ribbon, surface_invariants
 
 # certificate lists of the degree-sequence enumerator that generation by
@@ -397,3 +398,24 @@ def test_each_class_edge_is_contracted_once():
     assert counts["repeated"] == 0, counts
     assert counts["closure"] <= 1206, counts
     assert counts["searches"] == counts["canonicalized"], counts
+
+
+def _masses(classes):
+    """Sum of 1/order per degree type of (degree type, Aut order) pairs."""
+    out = {}
+    for valences, order in classes:
+        out[valences] = out.get(valences, 0) + Fraction(1, order)
+    return out
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_enumeration_matches_mass_formula(genus):
+    """Per degree type, the com_tad classes and their automorphism group
+    orders give the mass formula's sum of 1/|Aut G|.  Dropping one class or
+    doubling one order breaks the match."""
+    classes = [(tuple(sorted(ctx.graph.valences)), ctx.group.order)
+               for ctx in enumerate_graphs(EnumSpec(genus=genus, min_valence=3, allow_tadpoles=True))]
+    table = mass_table(genus)
+    assert _masses(classes) == table
+    assert _masses(classes[1:]) != table
+    assert _masses([(classes[0][0], 2 * classes[0][1]), *classes[1:]]) != table

@@ -3,42 +3,34 @@ import itertools
 import pytest
 
 from gch.families import banana, cycle, dumbbell, rose, theta, weighted_point, wheel
-from gch.graph import (
-    DisconnectedGraphError,
-    HalfEdgeGraph,
-    contract_edge,
-    genus,
-    is_stable,
-    loop_number,
-    structural_predicates,
-)
+from gch.graph import DisconnectedGraphError, HalfEdgeGraph, structural_predicates
 from gch.oracle import components, is_forest
 
 
 def test_loop_number_examples():
-    assert loop_number(theta()) == 2
-    assert loop_number(HalfEdgeGraph.build(1, [])) == 0
-    assert loop_number(dumbbell()) == 2
+    assert theta().loop_number == 2
+    assert HalfEdgeGraph.build(1, []).loop_number == 0
+    assert dumbbell().loop_number == 2
 
 
 def test_loop_number_rejects_disconnected():
     g = HalfEdgeGraph.build(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
-        loop_number(g)
+        g.loop_number
 
 
 def test_genus_examples():
-    assert genus(theta()) == 2
-    assert genus(weighted_point(2)) == 2
-    assert genus(HalfEdgeGraph.build(1, [(0, 0)], weights=(1,))) == 2
+    assert theta().genus == 2
+    assert weighted_point(2).genus == 2
+    assert HalfEdgeGraph.build(1, [(0, 0)], weights=(1,)).genus == 2
 
 
 def test_stability_examples():
-    assert is_stable(theta())
-    assert not is_stable(cycle(4))
-    assert is_stable(HalfEdgeGraph.build(2, [(0, 1)], weights=(1, 1)))
+    assert theta().is_stable
+    assert not cycle(4).is_stable
+    assert HalfEdgeGraph.build(2, [(0, 1)], weights=(1, 1)).is_stable
     # a tadpole contributes two to its vertex valence
-    assert is_stable(dumbbell())
+    assert dumbbell().is_stable
 
 
 def test_half_edge_structure():
@@ -65,7 +57,7 @@ def test_contract_tadpole_increments_weight():
     assert target.vertex_count == 2
     assert target.weights == (1, 0)
     assert target.edges == ((0, 1), (1, 1))
-    assert genus(target) == genus(g) == 2
+    assert target.genus == g.genus == 2
     assert m.check()
 
 
@@ -82,11 +74,11 @@ def test_contraction_preserves_genus_and_tracks_loops(g):
     for e in range(g.edge_count):
         target, m = g.contract(e)
         assert m.check()
-        assert genus(target) == genus(g)
+        assert target.genus == g.genus
         if g.is_tadpole(e):
-            assert loop_number(target) == loop_number(g) - 1
+            assert target.loop_number == g.loop_number - 1
         else:
-            assert loop_number(target) == loop_number(g)
+            assert target.loop_number == g.loop_number
 
 
 def test_contraction_preserves_stability():
@@ -98,9 +90,9 @@ def test_contraction_preserves_stability():
         wheel(3),
     ]
     for g in stable:
-        assert is_stable(g)
+        assert g.is_stable
         for e in range(g.edge_count):
-            assert is_stable(g.contract(e)[0])
+            assert g.contract(e)[0].is_stable
 
 
 def test_structural_predicates_dumbbell():
@@ -160,4 +152,4 @@ def test_forest_mask():
 
 
 def test_contract_edge_function():
-    assert contract_edge(theta(), 0).vertex_count == 1
+    assert theta().contract(0)[0].vertex_count == 1
