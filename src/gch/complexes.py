@@ -163,9 +163,13 @@ def pair_key(cert: str, subset) -> str:
 def _generators(spec: ComplexSpec):
     """(class, mask, generator) of every surviving generator, graph by
     graph: the full mask of each graph, or for ``gf``/``gp`` its forest or
-    proper-subset orbit representatives."""
+    proper-subset orbit representatives.  For odd parity a class where
+    ``_kernel_odd`` holds is skipped before its subsets are walked: every
+    odd generator of it vanishes."""
     cubes = spec.kind in ("gf", "gp")
     for ctx in enumerate_graphs(_family_spec(spec)):
+        if spec.parity == "odd" and ctx._kernel_odd:
+            continue
         g, ribbon = ctx.graph, ctx.ribbon
         for subset in ctx.subset_orbits(spec.kind == "gf") if cubes else (None,):
             if ctx.witness(spec.parity, subset):

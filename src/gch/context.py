@@ -10,9 +10,9 @@ of the complexes, the cell poset and the vanishing rule all hand out the
 same object.  The class keeps the symmetries that the labelling search
 which found it met, carried onto its canonical labels, and builds its
 automorphism group from them on first use, so no class is searched
-twice.  Its tables (collapse H_1 signs, subset-orbit table, orbit sizes
-and reasons) are made on first use, so enumeration alone keeps only the
-certificate, the graph, the symmetries, the group and the collapses.
+twice.  Its tables (collapse H_1 signs and the subset-orbit table) are
+made on first use, so enumeration alone keeps only the certificate, the
+graph, the symmetries, the group and the collapses.
 
 Every kind is built from the same three rules, all on the class object.
 A generator is a class with an edge-subset mask: the full mask for the
@@ -43,10 +43,11 @@ simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
   representatives of forests or proper subsets, walked once per class.
   A subset is a mask with edge e at bit E-1-e, so the representative, the
   lexicographically least subset of its orbit, is its largest mask.  The
-  first lookup of a subset enters its whole orbit, each member with the
-  least closure index k that carries it onto the representative; a face
-  is found by clearing a bit (deletion) or mapping the mask through the
-  collapse, and aligned by that p_k.
+  first lookup of a subset enters its whole orbit into the class's table
+  of one 4-byte slot per mask (``GraphContext._orbit``), each member with
+  the parity and H_1 sign of the least p_k that carries it onto the
+  representative; a face is found by clearing a bit (deletion) or
+  mapping the mask through the collapse, and aligned by those signs.
 
 The same automorphism group gives the symmetries of the vanishing rule
 and the subset orbits; the cube stabilizer orders of the catalogs
@@ -66,6 +67,7 @@ stabilizer.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,9 +85,11 @@ _WITNESS = {
     ("ribbon", "even"): "ribbon symmetry with odd edge permutation",
     ("ribbon", "odd"): "ribbon symmetry with odd combined edge and cycle sign",
 }
-# a cube's (even, odd) reasons, one shared tuple for each of the four verdicts
-_CUBE_REASONS = tuple((even, odd) for even in ("", "stabilizer with odd subset permutation")
-                      for odd in ("", "stabilizer with odd combined subset and cycle sign"))
+# why a cube vanishes, for even and for odd parity
+_CUBE_WITNESS = ("stabilizer with odd subset permutation",
+                 "stabilizer with odd combined subset and cycle sign")
+# the most edges whose masks fit a signed 4-byte slot beside its three flags
+_SLOT_EDGES = 28
 
 
 @dataclass(frozen=True)
@@ -143,28 +147,30 @@ class GraphContext:
         return {}
 
     @cached_property
-    def _orbit(self) -> dict[int, int]:
-        """mask -> one int packing ``canonical_mask``'s triple for an E-edge
-        graph, (k << E | representative) << 1 | parity, filled an orbit at
-        a time by ``_fill_orbit``, which keeps each orbit's size and
-        reasons by its representative."""
-        return {}
+    def _orbit(self) -> array:
+        """One 4-byte slot per edge-subset mask, 0 until the mask's orbit is
+        walked (``_fill_orbit``).
 
-    @cached_property
-    def _orbit_size(self) -> dict[int, int]:
-        return {}
-
-    @cached_property
-    def _reasons(self) -> dict[int, tuple[str, str]]:
-        return {}
+        A member T of an orbit with representative R holds
+        R << 3 | sign << 2 | parity << 1: the parity (0 even, 1 odd) and the
+        H_1 sign (1 for -1) of the least p_k with p_k(T) = R.  R is a larger
+        mask than T, so the slot is not 0.  The slot of R itself, whose p_k
+        is the identity, holds instead the orbit's size and its vanishing
+        verdicts, size << 3 | odd << 2 | even << 1 | 1, bit 0 marking a
+        representative.  The two signs are all that a face or an alignment
+        reads of p_k, so the slot keeps no closure index k.  A class with
+        more than ``_SLOT_EDGES`` edges raises ValueError before any slot
+        is allocated.
+        """
+        edges = self.graph.edge_count
+        if edges > _SLOT_EDGES:
+            raise ValueError(f"a subset-orbit slot encodes at most {_SLOT_EDGES} edges; "
+                             f"this class has {edges}")
+        return array("i", bytes(4 << edges))
 
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.graph.edge_count) - 1
-
-    @cached_property
-    def _k_shift(self) -> int:
-        return self.graph.edge_count + 1
 
     @cached_property
     def ref_orientation(self) -> tuple[int, ...]:
@@ -199,12 +205,13 @@ class GraphContext:
         parity, by the cycle space.  It is zero when a symmetry stabilizing
         the subset reverses that orientation: the parity of the symmetry on
         the subset, times for odd parity its sign on H_1, is -1.  A subset
-        takes the verdict that ``_fill_orbit`` read off its orbit's
-        representative; the bare graph takes ``_bare_reasons``.
+        takes the verdict that ``_fill_orbit`` wrote into its orbit
+        representative's slot; the bare graph takes ``_bare_reasons``.
         """
-        reasons = (self._bare_reasons if subset is None
-                   else self._reasons[self.canonical_mask(self.mask_of(subset))[0]])
-        return reasons[parity == "odd"]
+        odd = parity == "odd"
+        if subset is None:
+            return self._bare_reasons[odd]
+        return _CUBE_WITNESS[odd] if self._rep_slot(self.mask_of(subset)) >> 1 + odd & 1 else ""
 
     @cached_property
     def _bare_reasons(self) -> tuple[str, str]:
@@ -230,8 +237,7 @@ class GraphContext:
     def stabilizer_order(self, subset) -> int:
         """Order of the automorphisms that map the edge subset onto itself:
         the group order over the size of the subset's orbit."""
-        rep = self.canonical_mask(self.mask_of(subset))[0]
-        return self.group.order // self._orbit_size[rep]
+        return self.group.order // (self._rep_slot(self.mask_of(subset)) >> 3)
 
     # -- collapses --------------------------------------------------------
 
@@ -329,21 +335,34 @@ class GraphContext:
             out.append(bits)
         return out
 
-    def canonical_mask(self, mask: int) -> tuple[int, int, int]:
-        """(representative, k, parity) for an edge-subset mask T.
-
-        The representative R is the largest mask in the orbit of T, its
-        lexicographically least subset; k is the least closure index with
-        p_k(T) = R; parity is that of p_k from T onto R, both in edge
-        order (0 even, 1 odd).  A miss fills the whole orbit.
-        """
-        hit = self._orbit.get(mask)
-        if hit is None:
+    def _slot(self, mask: int) -> int:
+        """The mask's slot of ``_orbit``, its orbit walked on a miss."""
+        slot = self._orbit[mask]
+        if not slot:
             edges = self.subset_of(mask)
             rep = max(sum(bits[e] for e in edges) for bits in self._inverse_bits)
             self._fill_orbit(rep, self.subset_of(rep))
-            hit = self._orbit[mask]
-        return (hit >> 1) & self.full_mask, hit >> self._k_shift, hit & 1
+            slot = self._orbit[mask]
+        return slot
+
+    def _rep_slot(self, mask: int) -> int:
+        """The slot of the mask's orbit representative."""
+        slot = self._slot(mask)
+        return slot if slot & 1 else self._orbit[slot >> 3]
+
+    def canonical_mask(self, mask: int) -> tuple[int, int, int]:
+        """(representative, parity, H_1 sign) for an edge-subset mask T.
+
+        The representative R is the largest mask in the orbit of T, its
+        lexicographically least subset.  The parity (0 even, 1 odd), in
+        edge order, and the sign on det H_1 (1 or -1) are those of p_k from
+        T onto R, for the least closure index k with p_k(T) = R.  A miss
+        fills the whole orbit.
+        """
+        slot = self._slot(mask)
+        if slot & 1:
+            return mask, 0, 1
+        return slot >> 3, slot >> 1 & 1, -1 if slot & 4 else 1
 
     def _fill_orbit(self, rep: int, edges: tuple[int, ...]) -> None:
         """Enter every member of the orbit of a representative, given by
@@ -356,15 +375,16 @@ class GraphContext:
         for even parity when one of them has odd parity, and for odd
         parity when one has parity times H_1 sign -1 or ``_kernel_odd``
         holds.  Conjugate stabilizers have the same signs, so the verdict
-        holds for the whole orbit.  The orbit's size is kept for
-        ``stabilizer_order``."""
-        table, closure, k_shift = self._orbit, self.closure, self._k_shift
-        low = rep << 1
-        before = len(table)
+        holds for the whole orbit.  The representative's slot keeps it,
+        with the orbit's size for ``stabilizer_order``."""
+        table, closure = self._orbit, self.closure
+        table[rep] = 1  # R is its own image under k = 0, the identity
+        member = rep << 3
+        size = 1
         even, odd = 0, int(self._kernel_odd)
         for k, bits in enumerate(self._inverse_bits):
             image = sum(map(bits.__getitem__, edges))
-            known = image in table
+            known = table[image]
             if known and (image != rep or even & odd):
                 continue
             seen = inversions = 0
@@ -374,12 +394,12 @@ class GraphContext:
                 seen |= bit
             parity = inversions & 1
             if not known:
-                table[image] = k << k_shift | low | parity
+                table[image] = member | (closure[k][1] < 0) << 2 | parity << 1
+                size += 1
             else:  # p_k stabilizes R
                 even |= parity
                 odd |= parity ^ (closure[k][1] < 0)
-        self._orbit_size[rep] = len(table) - before
-        self._reasons[rep] = _CUBE_REASONS[2 * even + odd]
+        table[rep] = size << 3 | odd << 2 | even << 1 | 1
 
     def subset_orbits(self, forests_only: bool) -> list[tuple[int, ...]]:
         """Orbit representatives of the forests, or of the proper edge
@@ -399,15 +419,15 @@ class GraphContext:
 
     def walk_orbits(self, walk):
         """The representatives among (edges, mask) walked by size and then
-        lexicographically, such as the forests, the proper subsets, or the
-        edges and edge pairs of genus raising: the first of an orbit to be
-        met is its representative."""
+        lexicographically, such as the forests or the proper subsets: the
+        first of an orbit to be met is its representative."""
+        table = self._orbit
         reps = []
         for edges, mask in walk:
-            hit = self._orbit.get(mask)
-            if hit is None:
+            slot = table[mask]
+            if not slot:
                 self._fill_orbit(mask, edges)
-            elif (hit >> 1) & self.full_mask != mask:
+            elif not slot & 1:
                 continue
             reps.append(edges)
         return reps
@@ -442,7 +462,10 @@ class GraphContext:
         A deletion is a face only when the mask is proper.  A tadpole
         collapse is a face only in a weighted family and even parity, where
         it increments a weight.  In a family without tadpoles an edge with
-        a parallel partner is not collapsed: the face would have one.
+        a parallel partner is not collapsed: the face would have one.  For
+        odd parity a collapse onto a class where ``_kernel_odd`` holds is
+        skipped before it is aligned, since every odd generator of that
+        class vanishes, so such a class gets no subset table.
         """
         graph, edges, multiplicities = self.graph, self.graph.edges, self.graph.multiplicities
         weight_face, tadpoles = family.weighted and not odd, family.allow_tadpoles
@@ -452,18 +475,19 @@ class GraphContext:
             if ((weight_face or not graph.is_tadpole(e))
                     and (tadpoles or multiplicities[edges[e]] == 1)):
                 target, hmap = self.collapse(e)
-                bits = target.bits
-                image = inversions = 0
-                for f in subset:
-                    if f != e:
-                        bit = bits[hmap[2 * f] >> 1]
-                        inversions += (image & (bit - 1)).bit_count()
-                        image |= bit
-                rep, align = target._align(image, odd)
-                if keep is None or (target.certificate, rep) in keep:
-                    if odd:
-                        align *= self.collapse_h1(e)
-                    yield True, target, rep, (-sign if inversions & 1 else sign) * align
+                if not (odd and target._kernel_odd):
+                    bits = target.bits
+                    image = inversions = 0
+                    for f in subset:
+                        if f != e:
+                            bit = bits[hmap[2 * f] >> 1]
+                            inversions += (image & (bit - 1)).bit_count()
+                            image |= bit
+                    rep, align = target._align(image, odd)
+                    if keep is None or (target.certificate, rep) in keep:
+                        if odd:
+                            align *= self.collapse_h1(e)
+                        yield True, target, rep, (-sign if inversions & 1 else sign) * align
             if mask != self.full_mask:
                 rep, align = self._align(mask ^ self.bits[e], odd)
                 if keep is None or (self.certificate, rep) in keep:
@@ -472,13 +496,13 @@ class GraphContext:
     def _align(self, mask: int, odd: bool) -> tuple[int, int]:
         """(representative, sign of the p_k carrying the mask onto it): its
         parity in subset order, times for odd parity its H_1 sign.  A full
-        mask is its own representative and k = 0, the identity, so a full
-        mask needs no closure."""
+        mask is its own representative, carried by the identity, so it
+        needs no table."""
         if mask == self.full_mask:
             return mask, 1
-        rep, k, parity = self.canonical_mask(mask)
+        rep, parity, h1 = self.canonical_mask(mask)
         sign = -1 if parity else 1
-        return rep, sign * self.closure[k][1] if odd else sign
+        return rep, sign * h1 if odd else sign
 
 
 # labelled input -> (class, vertex map, half-edge map) onto the class's

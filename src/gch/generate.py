@@ -47,9 +47,11 @@ Everything is deterministic; outputs come back sorted by certificate.
 
 One function, ``enumerate_graphs``, runs the closures of every family,
 weighted or not, and returns the registry's own object of each class of
-:mod:`gch.context`.  Genus raising takes its orbits of edges and edge pairs
-from the class's orbit walk (``GraphContext.walk_orbits``), the one the
-cube kinds read.  The collapse closure reads each class's collapses from
+:mod:`gch.context`.  Genus raising walks its orbits of edges and edge
+pairs itself, over their images under the class's edge-action closure,
+and leaves the class no subset-orbit table: the cube kinds' table has a
+slot for each of the 2^E subsets, and a trivalent class of genus g has
+3g - 3 edges.  The collapse closure reads each class's collapses from
 ``GraphContext.collapse``, which does the orbit pruning: it contracts one
 edge per orbit of the class's automorphism group, gives the other edges
 of the orbit the contracted edge's map composed with an automorphism of
@@ -134,11 +136,18 @@ def _subdivide(g: HalfEdgeGraph, e: int, ribbon: RibbonStructure | None = None):
 def _raise_genus(ctx: GraphContext):
     """Trivalent graphs one genus above the trivalent class, one per orbit
     of its Aut on its edges (hang a tadpole) and on its pairs of edges (join
-    the midpoints), the first of each orbit in combinations order."""
+    the midpoints), the first of each orbit in combinations order.  The
+    orbits are walked here, each as the masks of its images under the
+    edge-action closure, so the class gets no table of all 2^E subsets."""
     g = ctx.graph
     n = g.vertex_count
-    for edges in ctx.walk_orbits((subset, ctx.mask_of(subset)) for size in (1, 2)
-                                 for subset in itertools.combinations(range(g.edge_count), size)):
+    inverse = ctx._inverse_bits
+    seen = set()
+    for edges in itertools.chain.from_iterable(
+            itertools.combinations(range(g.edge_count), size) for size in (1, 2)):
+        if ctx.mask_of(edges) in seen:
+            continue
+        seen.update(sum(bits[e] for e in edges) for bits in inverse)
         s = g
         for e in edges:
             s, _ = _subdivide(s, e)

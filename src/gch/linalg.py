@@ -174,14 +174,19 @@ def _eliminate(rows: list[dict[int, int]]) -> list[int]:
                     heapq.heappush(singles, j)
                 elif not s:
                     del col_rows[j]
-    # lazy queue of (active rows, column): an entry is current while its
-    # count matches; every change of a count pushes a fresh entry
+    # lazy queue of (active rows, column): every column keeps an entry at
+    # or below its count, so an entry popped at its count is the least
+    # choice.  A pivot pushes only the columns whose count fell; a popped
+    # entry whose count rose since goes back at the new count
     queue = [(len(s), j) for j, s in col_rows.items()]
     heapq.heapify(queue)
     while queue:
         count, col = heapq.heappop(queue)
         targets = col_rows.get(col)
-        if targets is None or len(targets) != count:
+        if targets is None:
+            continue
+        if len(targets) != count:
+            heapq.heappush(queue, (len(targets), col))
             continue
         prow_id = min(targets, key=lambda i: (abs(active[i][col]) != 1, len(active[i]), i))
         pivot_row = active.pop(prow_id)
@@ -190,8 +195,11 @@ def _eliminate(rows: list[dict[int, int]]) -> list[int]:
         targets.discard(prow_id)
         pval = pivot_row[col]
         others = [(j, v) for j, v in pivot_row.items() if j != col]
+        before = []
         for j, _ in others:
-            col_rows[j].discard(prow_id)
+            s = col_rows[j]
+            before.append(len(s))
+            s.discard(prow_id)
         unit = abs(pval) == 1
         for rid in targets:
             row = active[rid]
@@ -223,12 +231,12 @@ def _eliminate(rows: list[dict[int, int]]) -> list[int]:
                 if g > 1:
                     for j in row:
                         row[j] //= g
-        for j, _ in others:
+        for (j, _), was in zip(others, before):
             s = col_rows[j]
-            if s:
-                heapq.heappush(queue, (len(s), j))
-            else:
+            if not s:
                 del col_rows[j]
+            elif len(s) < was:
+                heapq.heappush(queue, (len(s), j))
     return pivots
 
 

@@ -1,14 +1,15 @@
 """The subset orbit tables of the cube-pair complexes against the oracle.
 
 A context keeps, for every edge subset T it has met, the representative R
-of its orbit under Aut (the lexicographically least image of T), the
-least index k of the edge-action closure with p_k(T) = R, and the parity
-of p_k from T onto R in edge order.  Here R is recomputed from the edge
-permutations of :func:`gch.oracle.half_edge_automorphisms`, which finds
-every automorphism by search, k by scanning the closure, and the parity
-by counting inversions; the order of the stabilizer of T, which the
-context reads off the orbit size, is the number of automorphisms that
-map T onto itself.  Each closure element also carries a sign on det H_1:
+of its orbit under Aut (the lexicographically least image of T), and the
+parity in edge order and the sign on det H_1 of p_k from T onto R, for the
+least index k of the edge-action closure with p_k(T) = R; its slot holds
+the two signs, not k.  Here R is recomputed from the edge permutations of
+:func:`gch.oracle.half_edge_automorphisms`, which finds every automorphism
+by search, k by scanning the closure, the parity by counting inversions
+and the sign off the closure element k; the order of the stabilizer of T,
+which the context reads off the orbit size, is the number of
+automorphisms that map T onto itself.  Each closure element also carries a sign on det H_1:
 unless an automorphism fixing every edge reverses H_1 (``_kernel_odd``,
 which the oracle decides too), it must be the C_1.C_0 sign of every
 automorphism with that edge permutation; if one does, every odd cube
@@ -23,6 +24,11 @@ representative; the other walks the orbits first.  The forests come from
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from gch.context import GraphContext
 from gch.generate import EnumSpec, enumerate_graphs
@@ -69,15 +75,15 @@ def _check_graph(form):
 
     for ctx, order in ((missing_first, subsets[::-1]), (walked_first, subsets)):
         for s in order:
-            mask, k, parity = ctx.canonical_mask(ctx.mask_of(s))
+            mask, parity, h1 = ctx.canonical_mask(ctx.mask_of(s))
             rep = ctx.subset_of(mask)
             assert rep == least[s], (form.certificate, s)
-            carries = [j for j, (p, _) in enumerate(ctx.closure)
-                       if tuple(sorted(p[e] for e in s)) == rep]
-            assert k == carries[0], (form.certificate, s)
+            k = next(j for j, (p, _) in enumerate(ctx.closure)
+                     if tuple(sorted(p[e] for e in s)) == rep)
             images = [ctx.closure[k][0][e] for e in s]
             inversions = sum(1 for a, b in itertools.combinations(images, 2) if a > b)
-            assert parity == inversions % 2
+            assert parity == inversions % 2, (form.certificate, s)
+            assert h1 == ctx.closure[k][1], (form.certificate, s)
             fixing = sum(1 for p in edge_perms if tuple(sorted(p[e] for e in s)) == s)
             assert ctx.stabilizer_order(s) == fixing, (form.certificate, s)
             # where the closure signs are not well defined, no odd cube survives
@@ -89,3 +95,53 @@ def test_orbit_tables_match_oracle():
     forms = _forms()
     assert any(f.graph.edge_count == 8 for f in forms)
     assert sum(_check_graph(form) for form in forms) > 10000
+
+
+SLOTS = r"""
+import json, resource
+from gch.complexes import ComplexSpec, build_complex
+from gch.context import _CLASSES, canonical_entry
+from gch.families import cycle
+from gch.generate import _trivalent
+
+def tabled():
+    return [c for c in _CLASSES.values() if "_orbit" in vars(c)]
+
+out = {}
+_trivalent(5)
+build_complex(ComplexSpec("com", "odd", 4))
+build_complex(ComplexSpec("ass", "even", 3))
+out["tables_without_cubes"] = len(tabled())
+build_complex(ComplexSpec("gp", "odd", 3))
+out["odd_kernel_tables"] = sum(c._kernel_odd for c in tabled())
+build_complex(ComplexSpec("gf", "even", 3))
+out["tables"] = len(tabled())
+out["slots"] = sorted({(c._orbit.itemsize, len(c._orbit) == 2 ** c.graph.edge_count)
+                       for c in tabled()})
+# a missing guard would ask for 2^29 slots; fail fast instead of paging
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    canonical_entry(cycle(29))[0].subset_orbits(forests_only=False)
+except ValueError as exc:
+    out["error"] = str(exc)
+print(json.dumps(out))
+"""
+
+
+def test_orbit_slots_are_dense_four_byte_tables():
+    """In a fresh interpreter, so that no earlier build has given a class
+    a table: genus raising and the simplicial and ribbon kinds make no
+    subset-orbit table; an odd cube build gives none to a class whose odd
+    generators all vanish; a cube build's tables have one 4-byte slot per
+    edge subset; and a class with more edges than a slot encodes is
+    refused with a ValueError before its table is allocated."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, "-c", SLOTS], capture_output=True, text=True,
+                            env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["tables_without_cubes"] == 0
+    assert out["odd_kernel_tables"] == 0
+    assert out["tables"] > 0 and out["slots"] == [[4, True]]
+    assert "at most 28 edges" in out["error"] and "29" in out["error"]
