@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graph import HalfEdgeGraph, Morphism
-from .ribbon import RibbonStructure, cycles_word, normalize_cycle
+from .ribbon import RibbonStructure, cycles_word, cyclic_orders
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,9 @@ def canonical_labelling(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None)
     half-edge map, symmetries) of the canonical relabelling of a connected
     graph, or of a ribbon graph given its ribbon structure.  The symmetries
     are what the search met, in the input's labels, for ``build_group``."""
-    weights, edges, cycles, vertex_map, half_edge_map, symmetries = (
-        _canonical_plain(g) if ribbon is None else _canonical_ribbon(g, ribbon))
+    if ribbon is not None:
+        return ribbon_labelling(ribbon.next_map, _ends(g), g.weights)
+    weights, edges, cycles, vertex_map, half_edge_map, symmetries = _canonical_plain(g)
     return (_certificate_string(g.vertex_count, weights, edges, cycles),
             weights, edges, cycles, vertex_map, half_edge_map, symmetries)
 
@@ -277,14 +278,12 @@ def _ends(g: HalfEdgeGraph) -> list[int]:
     return [v for pair in g.edges for v in pair]
 
 
-def _least_traversals(g: HalfEdgeGraph, ribbon: RibbonStructure):
+def _least_traversals(nxt, weight):
     """Every traversal with the least encoding, by start half-edge.  Each
     traversal stops as soon as its prefix exceeds the least so far.  A
     graph without half-edges (one vertex) has one empty traversal."""
-    nxt = ribbon.next_map
-    weight = [g.weights[v] for v in _ends(g)]
     least: list = []
-    for start in range(g.half_edge_count):
+    for start in range(len(nxt)):
         run = _ribbon_encoding(nxt, weight, start, least[0][0] if least else None)
         if run is None:
             continue
@@ -295,10 +294,10 @@ def _least_traversals(g: HalfEdgeGraph, ribbon: RibbonStructure):
     return least or [([], [])]
 
 
-def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
-    """(weights, edges, cyclic orders, vertex map, half-edge map,
-    symmetries) of a ribbon graph's canonical relabelling, from its least
-    traversal.
+def ribbon_labelling(nxt, ends, vertex_weights):
+    """``canonical_labelling`` of the connected ribbon graph given by sigma
+    (``nxt``), the vertex of each half-edge and the vertex weights, from
+    its least traversal; no graph or ribbon structure is needed.
 
     Connectedness makes a traversal determined by its start half-edge, so
     the least encoding over all starts is a complete invariant; on a tie
@@ -309,22 +308,22 @@ def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
     canonical graph, its ribbon and the maps are those of the full
     comparison.
     """
-    runs = _least_traversals(g, ribbon)
+    runs = _least_traversals(nxt, [vertex_weights[v] for v in ends])
     order = runs[0][1]
-    ends = _ends(g)
     auts = []
     for _, tied in runs:
-        aut = [0] * g.half_edge_count
+        aut = [0] * len(nxt)
         for h, image in zip(order, tied):
             aut[h] = image
         auts.append(tuple(aut))
 
     # vertices and edges ranked by their first-visited half-edge; the one
     # vertex of a graph without edges keeps rank 0
-    vperm = [0] * g.vertex_count
+    n = len(vertex_weights)
+    vperm = [0] * n
     for rank, v in enumerate(dict.fromkeys(ends[h] for h in order)):
         vperm[v] = rank
-    hmap = [-1] * g.half_edge_count
+    hmap = [-1] * len(nxt)
     new_edges = []
     for a in order:
         if hmap[a] >= 0:
@@ -336,13 +335,21 @@ def _canonical_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure):
         else:
             hmap[a], hmap[a ^ 1] = 2 * j + 1, 2 * j
         new_edges.append((min(pa, pb), max(pa, pb)))
-    weights = [0] * g.vertex_count
-    cycles: list[tuple[int, ...]] = [()] * g.vertex_count
-    for v, w in enumerate(g.weights):
+    weights = [0] * n
+    for v, w in enumerate(vertex_weights):
         weights[vperm[v]] = w
-        cycles[vperm[v]] = normalize_cycle([hmap[h] for h in ribbon.cycles[v]])
-    return (tuple(weights), tuple(new_edges), tuple(cycles), tuple(vperm), tuple(hmap),
-            (auts, len(auts)))
+    # sigma on the canonical labels, each vertex's order from its least half-edge
+    canonical_nxt = [0] * len(nxt)
+    for h, image in enumerate(hmap):
+        canonical_nxt[image] = hmap[nxt[h]]
+    at: list[list[int]] = [[] for _ in range(n)]
+    for j, (u, v) in enumerate(new_edges):
+        at[u].append(2 * j)
+        at[v].append(2 * j + 1)
+    cycles = cyclic_orders(canonical_nxt, at)
+    weights, new_edges = tuple(weights), tuple(new_edges)
+    return (_certificate_string(n, weights, new_edges, cycles), weights, new_edges, cycles,
+            tuple(vperm), tuple(hmap), (auts, len(auts)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +408,8 @@ def build_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None, symmetries) ->
 def automorphism_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> AutGroup:
     """Aut(G), or the ribbon automorphisms for a ribbon structure, in
     ``g``'s labels, from the labelling search on ``g``."""
-    symmetries = _canonical_labeling(g)[2:] if ribbon is None else _canonical_ribbon(g, ribbon)[-1]
+    symmetries = (_canonical_labeling(g)[2:] if ribbon is None
+                  else ribbon_labelling(ribbon.next_map, _ends(g), g.weights)[-1])
     return build_group(g, ribbon, symmetries)
 
 

@@ -71,10 +71,11 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canonical import AutGroup, build_group, canonical_labelling, edge_action_closure
+from .canonical import (AutGroup, build_group, canonical_labelling, edge_action_closure,
+                        ribbon_labelling)
 from .graph import HalfEdgeGraph, Morphism
 from .orientation import cycle_basis, cycle_transport_sign, sequence_parity, spanning_tree
-from .ribbon import RibbonStructure, contract_ribbon
+from .ribbon import RibbonStructure, splice
 
 # why a generator vanishes, by the kind of symmetry that reverses it
 _WITNESS = {
@@ -246,28 +247,32 @@ class GraphContext:
         collapse of edge e, the collapsed edge's half-edges mapping to None.
 
         This is the one place that contracts a class's edges.  An edge not
-        yet recorded is contracted on the canonical graph, plainly or by
-        splicing cyclic orders, where a ribbon tadpole becomes a weight and
-        its two half-edges leave their vertex's order; the result is
-        canonicalized and recorded, and so is the rest of its orbit under
-        Aut (McKay's orbit pruning), unrecorded too since only this walk
-        records: a generator s carrying a recorded edge x to f gives f the
-        map of x composed with s^-1, which collapses f onto the same target
-        and differs from a direct contraction by an automorphism of it."""
+        yet recorded is contracted on the canonical graph (``_contract``).
+        A plain class contracts plainly.  A ribbon class splices sigma on a
+        non-tadpole edge e = {h, h'}: sigma'(sigma^-1 h) = sigma(h') and
+        sigma'(sigma^-1 h') = sigma(h) (:func:`~gch.ribbon.splice`), on the
+        half-edges numbered as ``HalfEdgeGraph.contract`` numbers them, so
+        ties between least traversals break, and every map comes out, as
+        for the contracted labelled graph.  The spliced sigma is
+        canonicalized from the vertex of each half-edge and the weights by
+        the least traversal that ``canonical_entry`` uses, and a graph and
+        a ribbon structure are built and validated only when the
+        certificate is new.  Contracting a non-loop edge keeps the graph
+        connected, so the connectivity check is skipped there.  A ribbon
+        tadpole, in a weighted family, becomes a weight, its two
+        half-edges leave their vertex's order, and the contracted graph
+        goes through ``canonical_entry``.
+
+        The result is recorded, and so is the rest of the edge's orbit
+        under Aut (McKay's orbit pruning), unrecorded too since only this
+        walk records: a generator s carrying a recorded edge x to f gives
+        f the map of x composed with s^-1, which collapses f onto the same
+        target and differs from a direct contraction by an automorphism of
+        it."""
         hit = self.collapses.get(e)
         if hit is None:
-            g, ribbon = self.graph, self.ribbon
-            if ribbon is None:
-                target, m = g.contract(e)
-            elif not g.is_tadpole(e):
-                target, ribbon, m = contract_ribbon(g, ribbon, e)
-            else:
-                target, m = g.contract(e)
-                ribbon = RibbonStructure(target, tuple(
-                    tuple(m.half_edge_map[h] for h in cyc if h >> 1 != e) for cyc in ribbon.cycles))
-            reached, _, iso = canonical_entry(target, ribbon)
-            hit = self.collapses[e] = (
-                reached, tuple([None if h is None else iso[h] for h in m.half_edge_map]))
+            hit = self.collapses[e] = self._contract(e)
+            reached = hit[0]
             queue = [e]
             for x in queue:
                 for s in self.group.generators:
@@ -279,6 +284,25 @@ class GraphContext:
                         self.collapses[f] = (reached, tuple(derived))
                         queue.append(f)
         return hit
+
+    def _contract(self, e: int):
+        """(target class, half-edge map onto its canonical graph) of the
+        contraction of edge e on the canonical graph, with no orbit
+        pruning: the rule of ``collapse`` for one edge."""
+        g, ribbon = self.graph, self.ribbon
+        if ribbon is not None and not g.is_tadpole(e):
+            weights, edges, _, half_edge_map = g.contraction(e)
+            labelling = ribbon_labelling(splice(ribbon, e, half_edge_map),
+                                         [v for pair in edges for v in pair], weights)
+            reached, iso = _class_of(labelling), labelling[5]
+        else:
+            target, m = g.contract(e)
+            half_edge_map = m.half_edge_map
+            if ribbon is not None:
+                ribbon = RibbonStructure(target, tuple(
+                    tuple(half_edge_map[h] for h in cyc if h >> 1 != e) for cyc in ribbon.cycles))
+            reached, _, iso = canonical_entry(target, ribbon)
+        return reached, tuple([None if h is None else iso[h] for h in half_edge_map])
 
     def collapse_h1(self, e: int) -> int:
         """Cycle-orientation transport sign across the collapse of edge e."""
@@ -303,14 +327,25 @@ class GraphContext:
         return tuple([e for e, bit in enumerate(self.bits) if mask & bit])
 
     @cached_property
-    def closure(self):
-        """All edge permutations p_k of Aut, sorted, each with its sign on
-        det H_1, walked from the generators of Aut, whichever they are.  The
-        sign is that of every automorphism with edge action p_k unless
+    def closure(self) -> tuple[list[list[int]], bytes]:
+        """The edge-action closure of Aut, walked from the generators of
+        Aut, whichever they are, as (``_inverse_bits``, H_1 signs): for
+        each element p_k in sorted order of the permutations, its inverse
+        as mask bits and whether its sign on det H_1 is -1.  The sign is
+        that of every automorphism with edge action p_k unless
         ``_kernel_odd`` holds; then every odd cube of the graph vanishes, so
-        no matrix row reads it."""
-        return edge_action_closure(self.graph.edge_count,
-                                   [(m.edge_action, self.aut_h1(m)) for m in self.group.generators])
+        no matrix row reads it.  The permutations themselves are not kept:
+        the bits hold the same group."""
+        inverse_bits, odd = [], bytearray()
+        for p, sign in edge_action_closure(
+                self.graph.edge_count,
+                [(m.edge_action, self.aut_h1(m)) for m in self.group.generators]):
+            bits = [0] * len(p)
+            for f, image in enumerate(p):
+                bits[image] = self.bits[f]
+            inverse_bits.append(bits)
+            odd.append(sign < 0)
+        return inverse_bits, bytes(odd)
 
     @cached_property
     def _kernel_odd(self) -> bool:
@@ -324,16 +359,10 @@ class GraphContext:
         return any(m.edge_action == identity and self.aut_h1(m) == -1
                    for m in self.group.generators)
 
-    @cached_property
-    def _inverse_bits(self):
+    @property
+    def _inverse_bits(self) -> list[list[int]]:
         """For closure element k, the mask bit of p_k^-1(e) at index e."""
-        out = []
-        for p, _ in self.closure:
-            bits = [0] * len(p)
-            for f, image in enumerate(p):
-                bits[image] = self.bits[f]
-            out.append(bits)
-        return out
+        return self.closure[0]
 
     def _slot(self, mask: int) -> int:
         """The mask's slot of ``_orbit``, its orbit walked on a miss."""
@@ -377,12 +406,12 @@ class GraphContext:
         holds.  Conjugate stabilizers have the same signs, so the verdict
         holds for the whole orbit.  The representative's slot keeps it,
         with the orbit's size for ``stabilizer_order``."""
-        table, closure = self._orbit, self.closure
+        table, (inverse_bits, h1_odd) = self._orbit, self.closure
         table[rep] = 1  # R is its own image under k = 0, the identity
         member = rep << 3
         size = 1
         even, odd = 0, int(self._kernel_odd)
-        for k, bits in enumerate(self._inverse_bits):
+        for k, bits in enumerate(inverse_bits):
             image = sum(map(bits.__getitem__, edges))
             known = table[image]
             if known and (image != rep or even & odd):
@@ -394,11 +423,11 @@ class GraphContext:
                 seen |= bit
             parity = inversions & 1
             if not known:
-                table[image] = member | (closure[k][1] < 0) << 2 | parity << 1
+                table[image] = member | h1_odd[k] << 2 | parity << 1
                 size += 1
             else:  # p_k stabilizes R
                 even |= parity
-                odd |= parity ^ (closure[k][1] < 0)
+                odd |= parity ^ h1_odd[k]
         table[rep] = size << 3 | odd << 2 | even << 1 | 1
 
     def subset_orbits(self, forests_only: bool) -> list[tuple[int, ...]]:
@@ -516,12 +545,12 @@ def canonical_entry(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None):
     """(class, vertex map, half-edge map onto the class's canonical graph)
     of a labelled graph.
 
-    Each labelled input is canonicalized once, and a class's object, with
-    its canonical graph and ribbon, is made only when its certificate is
-    new; then the symmetries its search met are carried onto the canonical
-    labels by the input's map m, each a to m a m^-1.  The cache keeps the
-    maps and the shared class, so it pins no input graph.  An input that
-    hits was connected when it was stored.
+    Each labelled input given here is canonicalized once; the ribbon
+    collapses of ``GraphContext.collapse`` canonicalize their spliced
+    sigma without a labelled graph and do not pass through this cache.
+    The cache keeps the maps and the shared class (``_class_of``), so it
+    pins no input graph.  An input that hits was connected when it was
+    stored.
     """
     key = ((g.vertex_count, g.weights, g.edges) if ribbon is None
            else (g.vertex_count, g.weights, g.edges, ribbon.cycles))
@@ -529,19 +558,28 @@ def canonical_entry(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None):
     if entry is None:
         if not g.is_connected:
             raise ValueError("canonical form is defined for connected graphs")
-        certificate, weights, edges, cycles, vertex_map, half_edge_map, (auts, order) = (
-            canonical_labelling(g, ribbon))
-        ctx = _CLASSES.get(certificate)
-        if ctx is None:
-            graph = HalfEdgeGraph(g.vertex_count, weights, edges)
-            m = vertex_map if ribbon is None else half_edge_map
-            inverse = sorted(range(len(m)), key=m.__getitem__)
-            carried = [tuple([m[a[i]] for i in inverse]) for a in auts]
-            ctx = _CLASSES[certificate] = GraphContext(
-                certificate, graph, None if cycles is None else RibbonStructure(graph, cycles),
-                (carried, order))
-        entry = _CERT_CACHE[key] = (ctx, vertex_map, half_edge_map)
+        labelling = canonical_labelling(g, ribbon)
+        entry = _CERT_CACHE[key] = (_class_of(labelling), labelling[4], labelling[5])
     return entry
+
+
+def _class_of(labelling) -> GraphContext:
+    """The registry's class of a canonical labelling
+    (:func:`~gch.canonical.canonical_labelling`).  Its object, with the
+    canonical graph and ribbon, is made only when the certificate is new;
+    then the symmetries the search met are carried onto the canonical
+    labels by the input's map m, each a to m a m^-1."""
+    certificate, weights, edges, cycles, vertex_map, half_edge_map, (auts, order) = labelling
+    ctx = _CLASSES.get(certificate)
+    if ctx is None:
+        graph = HalfEdgeGraph(len(weights), weights, edges)
+        m = vertex_map if cycles is None else half_edge_map
+        inverse = sorted(range(len(m)), key=m.__getitem__)
+        carried = [tuple([m[a[i]] for i in inverse]) for a in auts]
+        ctx = _CLASSES[certificate] = GraphContext(
+            certificate, graph, None if cycles is None else RibbonStructure(graph, cycles),
+            (carried, order))
+    return ctx
 
 
 def canonical_form(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> CanonicalForm:

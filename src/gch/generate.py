@@ -28,14 +28,18 @@ apart by certificate.  Three moves cover every family:
   the one-edge loop.  Subdividing up to ``max_edges`` gives the bivalent
   families.
 
-Ribbon graphs take the same moves, lifted to cyclic orders.  The seeds
-are the 2^V cyclic orders of each trivalent graph; a contraction splices
-the two orders of its edge (``contract_ribbon``), a tadpole contraction of
-a weighted family drops the loop's two half-edges from its vertex's order,
-and a subdivision gives the new vertex its only order.  Splitting a vertex
-of valence >= 4 along its cyclic order into two of valence >= 3 is undone
-by a contraction, so every ribbon graph of valence >= 3 is a contraction
-of a trivalent one, and smoothing a bivalent vertex undoes a subdivision.
+Ribbon graphs take the same moves, lifted to cyclic orders.  A trivalent
+graph t has 2^V choices of cyclic orders, and an isomorphism between two
+ribbon structures on t is an automorphism of t, so the ribbon classes over
+t are the orbits of Aut(t) on the choices: the seeds are one choice per
+orbit, the first in product order (``_ribbon_seeds``).  A contraction
+splices the two orders of its edge on sigma (``GraphContext.collapse``),
+a tadpole contraction of a weighted family drops the loop's two
+half-edges from its vertex's order, and a subdivision gives the new
+vertex its only order.  Splitting a vertex of valence >= 4 along its
+cyclic order into two of valence >= 3 is undone by a contraction, so
+every ribbon graph of valence >= 3 is a contraction of a trivalent one,
+and smoothing a bivalent vertex undoes a subdivision.
 
 The bivalent and weighted families, and the families with tadpoles, can
 need tadpoles on the way (a loopless graph can smooth or uncontract to one
@@ -165,16 +169,54 @@ def _trivalent(genus: int) -> list[GraphContext]:
 
 def _seeds(genus: int, ribbon: bool, tadpoles: bool):
     """The trivalent classes of the genus (with tadpoles only if asked),
-    or with ``ribbon`` set the classes of their 2^V cyclic orders."""
+    or with ``ribbon`` set their ribbon classes (``_ribbon_seeds``)."""
     for ctx in _trivalent(genus):
-        t = ctx.graph
-        if t.has_tadpole and not tadpoles:
+        if ctx.graph.has_tadpole and not tadpoles:
             continue
-        if not ribbon:
+        if ribbon:
+            yield from _ribbon_seeds(ctx)
+        else:
             yield ctx
+
+
+def _ribbon_seeds(ctx: GraphContext):
+    """One ribbon class per orbit of Aut(t) on the 2^V cyclic-order choices
+    of the trivalent class t: the first choice of each orbit in
+    ``itertools.product`` order is canonicalized.
+
+    Choice i at vertex v orders its half-edges a < b < c as (a, b, c) for
+    i = 0 and (a, c, b) for i = 1, and index k of the product holds the
+    choice of v at bit V-1-v.  An automorphism s carries the order at v to
+    (s(a), s(b), s(c)) at s(v), which flips the choice when that is an odd
+    permutation of its sorted half-edges.  An isomorphism between two
+    ribbon structures on t is an automorphism of t, so the orbits are the
+    classes, one to one."""
+    t = ctx.graph
+    at = t.half_edges_at
+    top = t.vertex_count - 1
+    moves = []  # per generator: (bit of s(v), flip) for each v
+    for s in ctx.group.generators:
+        hmap = s.half_edge_map
+        moves.append([(1 << top - s.vertex_map[v],
+                       (hmap[a] < hmap[b]) + (hmap[b] < hmap[c]) + (hmap[c] < hmap[a]) != 2)
+                      for v, (a, b, c) in enumerate(at)])
+    seen = bytearray(1 << t.vertex_count)
+    for k in range(len(seen)):
+        if seen[k]:
             continue
-        for cycles in itertools.product(*(((a, b, c), (a, c, b)) for a, b, c in t.half_edges_at)):
-            yield canonical_entry(t, RibbonStructure(t, cycles))[0]
+        seen[k] = 1
+        orbit = [k]
+        for x in orbit:
+            for move in moves:
+                y = 0
+                for v, (bit, flip) in enumerate(move):
+                    if (x >> top - v & 1) ^ flip:
+                        y |= bit
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        cycles = tuple((a, c, b) if k >> top - v & 1 else (a, b, c) for v, (a, b, c) in enumerate(at))
+        yield canonical_entry(t, RibbonStructure(t, cycles))[0]
 
 
 def enumerate_graphs(spec: EnumSpec) -> list[GraphContext]:

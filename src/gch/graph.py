@@ -136,22 +136,40 @@ class HalfEdgeGraph:
 
         A non-tadpole merges its endpoints (weights add); a tadpole is
         removed and its vertex weight grows by one, so the genus is
-        preserved either way.  The surviving vertex of a merge is the
-        smaller endpoint, vertices above the larger one shift down.
+        preserved either way.  The labels are those of ``contraction``.
+        """
+        weights, edges, vertex_map, half_edge_map = self.contraction(e)
+        target = HalfEdgeGraph(len(weights), weights, edges)
+        m = Morphism(
+            kind="edge-collapse",
+            source=self,
+            target=target,
+            vertex_map=vertex_map,
+            half_edge_map=half_edge_map,
+            collapsed_edges=(e,),
+        )
+        return target, m
+
+    def contraction(self, e):
+        """(weights, edges, vertex map, half-edge map) of the contraction of
+        edge ``e``, without building the graph.
+
+        The surviving vertex of a merge is the smaller endpoint, vertices
+        above the larger one shift down, the other edges keep their order,
+        and each keeps its half-edges in the order of its target pair, a
+        tadpole image keeping (2j, 2j+1).  ``e``'s half-edges map to None.
         """
         u, v = self.edges[e]
         n = self.vertex_count
         if u == v:
             vertex_map = tuple(range(n))
             weights = tuple(w + (1 if i == u else 0) for i, w in enumerate(self.weights))
-            new_n = n
         else:
             vertex_map = tuple(i - (1 if i > v else 0) if i != v else u for i in range(n))
             weights = [0] * (n - 1)
             for i, w in enumerate(self.weights):
                 weights[vertex_map[i]] += w
             weights = tuple(weights)
-            new_n = n - 1
 
         new_edges = []
         half_edge_map: list[int | None] = []
@@ -161,20 +179,13 @@ class HalfEdgeGraph:
                 continue
             a, b = vertex_map[a], vertex_map[b]
             j = 2 * len(new_edges)
-            new_edges.append((a, b))
-            # target pairs are sorted; tadpole images keep the (2j, 2j+1) order
-            half_edge_map += (j, j + 1) if a <= b else (j + 1, j)
-        target = HalfEdgeGraph(new_n, weights, tuple(new_edges))
-
-        m = Morphism(
-            kind="edge-collapse",
-            source=self,
-            target=target,
-            vertex_map=vertex_map,
-            half_edge_map=tuple(half_edge_map),
-            collapsed_edges=(e,),
-        )
-        return target, m
+            if a <= b:
+                new_edges.append((a, b))
+                half_edge_map += (j, j + 1)
+            else:
+                new_edges.append((b, a))
+                half_edge_map += (j + 1, j)
+        return weights, tuple(new_edges), vertex_map, tuple(half_edge_map)
 
     def __str__(self):
         w = "" if not any(self.weights) else f" w={list(self.weights)}"

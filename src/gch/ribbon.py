@@ -54,36 +54,63 @@ class RibbonStructure:
         return tuple(nxt)
 
 
-def contract_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure, e: int):
-    """Contract a non-tadpole edge, splicing the two cyclic orders.
+def splice(ribbon: RibbonStructure, e: int, half_edge_map) -> list[int]:
+    """sigma after contracting the non-tadpole edge ``e``, as a list on the
+    labels that the contraction's ``half_edge_map`` (None on ``e``) gives
+    the surviving half-edges.
 
-    With the order at one endpoint written ending in the half-edge of ``e``
-    and the order at the other starting with its partner, the new vertex
-    carries the concatenation with both halves of ``e`` removed.  Returns
+    With h = 2e and h' = 2e + 1, the orders at the two ends of ``e`` join
+    where they held them: sigma'(sigma^-1 h) = sigma(h') and
+    sigma'(sigma^-1 h') = sigma(h).  An end where ``e`` is the only
+    half-edge adds nothing.  Elsewhere sigma' is sigma.
+    """
+    h, hp = 2 * e, 2 * e + 1
+    nxt = list(ribbon.next_map)
+    cycles, iota = ribbon.cycles, ribbon.graph.iota
+    cyc_v, cyc_w = cycles[iota(h)], cycles[iota(hp)]
+    before_h, before_hp = cyc_v[cyc_v.index(h) - 1], cyc_w[cyc_w.index(hp) - 1]
+    after_h, after_hp = nxt[h], nxt[hp]
+    if after_h == h:
+        after_h = after_hp
+    if after_hp == hp:
+        after_hp = after_h
+    nxt[before_h], nxt[before_hp] = after_hp, after_h
+    out = [0] * (len(nxt) - 2)
+    for x, image in enumerate(half_edge_map):
+        if image is not None:
+            out[image] = half_edge_map[nxt[x]]
+    return out
+
+
+def cyclic_orders(nxt, half_edges_at) -> tuple[tuple[int, ...], ...]:
+    """The cyclic orders of sigma (``nxt``), one per vertex, each from the
+    least of the vertex's half-edges ``half_edges_at``."""
+    out = []
+    for hs in half_edges_at:
+        cyc = []
+        if hs:
+            h = hs[0]
+            while True:
+                cyc.append(h)
+                h = nxt[h]
+                if h == hs[0]:
+                    break
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
+def contract_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure, e: int):
+    """Contract a non-tadpole edge, splicing the two cyclic orders
+    (``splice``): the new vertex carries the order at one endpoint,
+    written ending just before the half-edge of ``e``, followed by the
+    order at the other, written starting just after its partner.  Returns
     ``(graph, ribbon, morphism)``.
     """
     if g.is_tadpole(e):
         raise ValueError("cannot contract a tadpole in a ribbon graph")
     target, m = g.contract(e)
-    h, hp = 2 * e, 2 * e + 1
-    v, w = g.iota(h), g.iota(hp)
-    cyc_v = list(ribbon.cycles[v])
-    cyc_w = list(ribbon.cycles[w])
-    # rotate so cyc_v ends with h and cyc_w starts with h'
-    iv = cyc_v.index(h)
-    cyc_v = cyc_v[iv + 1:] + cyc_v[:iv]
-    iw = cyc_w.index(hp)
-    cyc_w = cyc_w[iw + 1:] + cyc_w[:iw]
-    merged = cyc_v + cyc_w
-
-    new_cycles: list[tuple[int, ...]] = [()] * target.vertex_count
-    merged_at = m.vertex_map[v]
-    for x in range(g.vertex_count):
-        if x in (v, w):
-            continue
-        new_cycles[m.vertex_map[x]] = tuple(m.half_edge_map[y] for y in ribbon.cycles[x])
-    new_cycles[merged_at] = tuple(m.half_edge_map[y] for y in merged)
-    return target, RibbonStructure(target, tuple(new_cycles)), m
+    nxt = splice(ribbon, e, m.half_edge_map)
+    return target, RibbonStructure(target, cyclic_orders(nxt, target.half_edges_at)), m
 
 
 def faces(g: HalfEdgeGraph, ribbon: RibbonStructure):

@@ -273,7 +273,7 @@ def ribbon_list_sha256(forms):
 
 def test_ribbon_genus5_matches_pinned_list():
     """The genus-5 ribbon graphs of valence >= 3 without tadpoles, pinned
-    from the cyclic-order product enumerator (about 20 s)."""
+    from the cyclic-order product enumerator."""
     pinned = json.loads((Path(__file__).parent / "fixtures" / "ribbon_genus5.json").read_text())
     forms = enumerate_graphs(EnumSpec(genus=5, ribbon=True))
     assert len(forms) == pinned["count"]

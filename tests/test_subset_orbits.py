@@ -30,6 +30,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from gch.canonical import edge_action_closure
 from gch.context import GraphContext
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.oracle import automorphism_sign, forests, half_edge_automorphisms
@@ -53,7 +54,14 @@ def _check_graph(form):
 
     missing_first, walked_first = (GraphContext(form.certificate, g, form.ribbon, form.symmetries)
                                    for _ in range(2))
-    assert ({tuple(p) for p, _ in walked_first.closure}
+    # the engine keeps of its closure only the inverse bits and H_1 signs;
+    # the same walk with the permutations kept is the reference
+    closure = edge_action_closure(g.edge_count, [(m.edge_action, walked_first.aut_h1(m))
+                                                 for m in walked_first.group.generators])
+    assert walked_first.closure[1] == bytes(sign < 0 for _, sign in closure)
+    assert walked_first._inverse_bits == [[walked_first.bits[p.index(e)] for e in range(len(p))]
+                                          for p, _ in closure]
+    assert ({tuple(p) for p, _ in closure}
             == {tuple(p) for p in edge_perms})
     # the C_1.C_0 sign on det H_1 of each automorphism, by edge permutation:
     # the odd sign on all edges times the even one, the edge parity
@@ -64,7 +72,7 @@ def _check_graph(form):
             automorphism_sign(aut, every, True) * automorphism_sign(aut, every, False))
     assert walked_first._kernel_odd == (-1 in h1_signs[every]), form.certificate
     if not walked_first._kernel_odd:
-        for p, sign in walked_first.closure:
+        for p, sign in closure:
             assert h1_signs[p] == {sign}, (form.certificate, p)
     forest_set = set(forests(g))
     for forests_only, expected_total in ((True, len(forest_set)), (False, 2 ** g.edge_count - 1)):
@@ -78,12 +86,12 @@ def _check_graph(form):
             mask, parity, h1 = ctx.canonical_mask(ctx.mask_of(s))
             rep = ctx.subset_of(mask)
             assert rep == least[s], (form.certificate, s)
-            k = next(j for j, (p, _) in enumerate(ctx.closure)
+            k = next(j for j, (p, _) in enumerate(closure)
                      if tuple(sorted(p[e] for e in s)) == rep)
-            images = [ctx.closure[k][0][e] for e in s]
+            images = [closure[k][0][e] for e in s]
             inversions = sum(1 for a, b in itertools.combinations(images, 2) if a > b)
             assert parity == inversions % 2, (form.certificate, s)
-            assert h1 == ctx.closure[k][1], (form.certificate, s)
+            assert h1 == closure[k][1], (form.certificate, s)
             fixing = sum(1 for p in edge_perms if tuple(sorted(p[e] for e in s)) == s)
             assert ctx.stabilizer_order(s) == fixing, (form.certificate, s)
             # where the closure signs are not well defined, no odd cube survives
