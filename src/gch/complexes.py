@@ -164,19 +164,20 @@ def _generators(spec: ComplexSpec):
     """(class, mask, generator) of every surviving generator, graph by
     graph: the full mask of each graph, or for ``gf``/``gp`` its forest or
     proper-subset orbit representatives.  For odd parity a class where
-    ``_kernel_odd`` holds is skipped before its subsets are walked: every
-    odd generator of it vanishes."""
+    ``kernel_odd`` holds is skipped before its subsets are walked: every
+    odd generator of it vanishes.  A cube's subset tuple is built only
+    when it survives."""
     cubes = spec.kind in ("gf", "gp")
     for ctx in enumerate_graphs(_family_spec(spec)):
-        if spec.parity == "odd" and ctx._kernel_odd:
+        if spec.parity == "odd" and ctx.kernel_odd:
             continue
         g, ribbon = ctx.graph, ctx.ribbon
-        for subset in ctx.subset_orbits(spec.kind == "gf") if cubes else (None,):
-            if ctx.witness(spec.parity, subset):
+        for mask in ctx.subset_orbits(spec.kind == "gf") if cubes else (ctx.full_mask,):
+            if ctx.witness(spec.parity, mask if cubes else None):
                 continue
-            mask = ctx.full_mask if subset is None else ctx.mask_of(subset)
+            subset = ctx.subset_of(mask) if cubes else None
             yield ctx, mask, Generator(
-                key=ctx.certificate if subset is None else pair_key(ctx.certificate, subset),
+                key=pair_key(ctx.certificate, subset) if cubes else ctx.certificate,
                 grade=mask.bit_count(),
                 graph=g,
                 subset=subset,

@@ -40,14 +40,19 @@ simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
   kinds never build a closure;
 * **subset orbits** (``GraphContext.subset_orbits``): the cube kinds and
   the cubical catalogs of :mod:`gch.moduli` take the same orbit
-  representatives of forests or proper subsets, walked once per class.
-  A subset is a mask with edge e at bit E-1-e, so the representative, the
-  lexicographically least subset of its orbit, is its largest mask.  The
+  representatives of forests or proper subsets, walked once per class and
+  kept as one ``array("i")`` of masks.  A subset is a mask with edge e at
+  bit E-1-e, so the representative, the lexicographically least subset of
+  its orbit, is its largest mask; the vanishing rule, the stabilizer
+  orders and the faces all take masks, and a caller builds a subset tuple
+  only for a generator or cube it keeps (``GraphContext.subset_of``).  The
   first lookup of a subset enters its whole orbit into the class's table
   of one 4-byte slot per mask (``GraphContext._orbit``), each member with
   the parity and H_1 sign of the least p_k that carries it onto the
   representative; a face is found by clearing a bit (deletion) or
   mapping the mask through the collapse, and aligned by those signs.
+  The edge-action closure that fills the table, and the slot format, are
+  read by no other module.
 
 The same automorphism group gives the symmetries of the vanishing rule
 and the subset orbits; the cube stabilizer orders of the catalogs
@@ -121,9 +126,9 @@ class GraphContext:
     automorphisms, and contracts plainly.  Both come from its one
     automorphism group.
 
-    Edge subsets are also held as masks, edge e at bit E-1-e of an
-    E-edge graph, so that among subsets of one size the lexicographically
-    least sorted subset has the largest mask.
+    Edge subsets are held as masks, edge e at bit E-1-e of an E-edge
+    graph, so that among subsets of one size the lexicographically least
+    sorted subset has the largest mask.
     """
 
     def __init__(self, certificate: str, graph: HalfEdgeGraph, ribbon: RibbonStructure | None,
@@ -198,11 +203,11 @@ class GraphContext:
 
     # -- vanishing --------------------------------------------------------
 
-    def witness(self, parity: str, subset: tuple[int, ...] | None = None) -> str:
+    def witness(self, parity: str, mask: int | None = None) -> str:
         """Why the generator is zero for the parity, or "" when it survives.
 
-        The generator is the graph with a sorted edge subset (all edges when
-        ``subset`` is None), oriented by the subset order and, for odd
+        The generator is the graph with the edge subset ``mask`` (all edges
+        when it is None), oriented by the subset order and, for odd
         parity, by the cycle space.  It is zero when a symmetry stabilizing
         the subset reverses that orientation: the parity of the symmetry on
         the subset, times for odd parity its sign on H_1, is -1.  A subset
@@ -210,9 +215,9 @@ class GraphContext:
         representative's slot; the bare graph takes ``_bare_reasons``.
         """
         odd = parity == "odd"
-        if subset is None:
+        if mask is None:
             return self._bare_reasons[odd]
-        return _CUBE_WITNESS[odd] if self._rep_slot(self.mask_of(subset)) >> 1 + odd & 1 else ""
+        return _CUBE_WITNESS[odd] if self._rep_slot(mask) >> 1 + odd & 1 else ""
 
     @cached_property
     def _bare_reasons(self) -> tuple[str, str]:
@@ -235,10 +240,10 @@ class GraphContext:
                 odd = _WITNESS[kind, "odd"]
         return even, odd
 
-    def stabilizer_order(self, subset) -> int:
-        """Order of the automorphisms that map the edge subset onto itself:
-        the group order over the size of the subset's orbit."""
-        return self.group.order // (self._rep_slot(self.mask_of(subset)) >> 3)
+    def stabilizer_order(self, mask: int) -> int:
+        """Order of the automorphisms that map the edge subset ``mask`` onto
+        itself: the group order over the size of its orbit."""
+        return self.group.order // (self._rep_slot(mask) >> 3)
 
     # -- collapses --------------------------------------------------------
 
@@ -248,20 +253,19 @@ class GraphContext:
 
         This is the one place that contracts a class's edges.  An edge not
         yet recorded is contracted on the canonical graph (``_contract``).
-        A plain class contracts plainly.  A ribbon class splices sigma on a
-        non-tadpole edge e = {h, h'}: sigma'(sigma^-1 h) = sigma(h') and
-        sigma'(sigma^-1 h') = sigma(h) (:func:`~gch.ribbon.splice`), on the
-        half-edges numbered as ``HalfEdgeGraph.contract`` numbers them, so
-        ties between least traversals break, and every map comes out, as
-        for the contracted labelled graph.  The spliced sigma is
-        canonicalized from the vertex of each half-edge and the weights by
-        the least traversal that ``canonical_entry`` uses, and a graph and
-        a ribbon structure are built and validated only when the
-        certificate is new.  Contracting a non-loop edge keeps the graph
-        connected, so the connectivity check is skipped there.  A ribbon
-        tadpole, in a weighted family, becomes a weight, its two
-        half-edges leave their vertex's order, and the contracted graph
-        goes through ``canonical_entry``.
+        A plain class contracts plainly.  A ribbon class splices sigma on
+        edge e = {h, h'} (:func:`~gch.ribbon.splice`): for a non-tadpole,
+        sigma'(sigma^-1 h) = sigma(h') and sigma'(sigma^-1 h') = sigma(h);
+        a tadpole, in a weighted family, becomes a weight and its two
+        half-edges leave their vertex's order.  The half-edges are numbered
+        as ``HalfEdgeGraph.contract`` numbers them, so ties between least
+        traversals break, and every map comes out, as for the contracted
+        labelled graph.  The spliced sigma is canonicalized from the vertex
+        of each half-edge and the weights by the least traversal that
+        ``canonical_entry`` uses, and a graph and a ribbon structure are
+        built and validated only when the certificate is new.  A
+        contraction keeps the graph connected, so the connectivity check is
+        skipped.
 
         The result is recorded, and so is the rest of the edge's orbit
         under Aut (McKay's orbit pruning), unrecorded too since only this
@@ -290,18 +294,15 @@ class GraphContext:
         contraction of edge e on the canonical graph, with no orbit
         pruning: the rule of ``collapse`` for one edge."""
         g, ribbon = self.graph, self.ribbon
-        if ribbon is not None and not g.is_tadpole(e):
+        if ribbon is None:
+            target, m = g.contract(e)
+            half_edge_map = m.half_edge_map
+            reached, _, iso = canonical_entry(target)
+        else:
             weights, edges, _, half_edge_map = g.contraction(e)
             labelling = ribbon_labelling(splice(ribbon, e, half_edge_map),
                                          [v for pair in edges for v in pair], weights)
             reached, iso = _class_of(labelling), labelling[5]
-        else:
-            target, m = g.contract(e)
-            half_edge_map = m.half_edge_map
-            if ribbon is not None:
-                ribbon = RibbonStructure(target, tuple(
-                    tuple(half_edge_map[h] for h in cyc if h >> 1 != e) for cyc in ribbon.cycles))
-            reached, _, iso = canonical_entry(target, ribbon)
         return reached, tuple([None if h is None else iso[h] for h in half_edge_map])
 
     def collapse_h1(self, e: int) -> int:
@@ -329,13 +330,14 @@ class GraphContext:
     @cached_property
     def closure(self) -> tuple[list[list[int]], bytes]:
         """The edge-action closure of Aut, walked from the generators of
-        Aut, whichever they are, as (``_inverse_bits``, H_1 signs): for
-        each element p_k in sorted order of the permutations, its inverse
-        as mask bits and whether its sign on det H_1 is -1.  The sign is
-        that of every automorphism with edge action p_k unless
-        ``_kernel_odd`` holds; then every odd cube of the graph vanishes, so
+        Aut, whichever they are, as (inverse bits, H_1 signs): for each
+        element p_k in sorted order of the permutations, the mask bit of
+        p_k^-1(e) at index e, and whether its sign on det H_1 is -1.  The
+        sign is that of every automorphism with edge action p_k unless
+        ``kernel_odd`` holds; then every odd cube of the graph vanishes, so
         no matrix row reads it.  The permutations themselves are not kept:
-        the bits hold the same group."""
+        the bits hold the same group.  Only the subset-orbit table reads
+        it."""
         inverse_bits, odd = [], bytearray()
         for p, sign in edge_action_closure(
                 self.graph.edge_count,
@@ -348,7 +350,7 @@ class GraphContext:
         return inverse_bits, bytes(odd)
 
     @cached_property
-    def _kernel_odd(self) -> bool:
+    def kernel_odd(self) -> bool:
         """Whether a generator fixing every edge reverses H_1: a tadpole flip,
         or the vertex swap of an even banana.  On a plain class every
         automorphism fixing every edge is a product of flips or is that swap,
@@ -359,18 +361,12 @@ class GraphContext:
         return any(m.edge_action == identity and self.aut_h1(m) == -1
                    for m in self.group.generators)
 
-    @property
-    def _inverse_bits(self) -> list[list[int]]:
-        """For closure element k, the mask bit of p_k^-1(e) at index e."""
-        return self.closure[0]
-
     def _slot(self, mask: int) -> int:
         """The mask's slot of ``_orbit``, its orbit walked on a miss."""
         slot = self._orbit[mask]
         if not slot:
             edges = self.subset_of(mask)
-            rep = max(sum(bits[e] for e in edges) for bits in self._inverse_bits)
-            self._fill_orbit(rep, self.subset_of(rep))
+            self._fill_orbit(max(sum(bits[e] for e in edges) for bits in self.closure[0]))
             slot = self._orbit[mask]
         return slot
 
@@ -379,38 +375,25 @@ class GraphContext:
         slot = self._slot(mask)
         return slot if slot & 1 else self._orbit[slot >> 3]
 
-    def canonical_mask(self, mask: int) -> tuple[int, int, int]:
-        """(representative, parity, H_1 sign) for an edge-subset mask T.
-
-        The representative R is the largest mask in the orbit of T, its
-        lexicographically least subset.  The parity (0 even, 1 odd), in
-        edge order, and the sign on det H_1 (1 or -1) are those of p_k from
-        T onto R, for the least closure index k with p_k(T) = R.  A miss
-        fills the whole orbit.
-        """
-        slot = self._slot(mask)
-        if slot & 1:
-            return mask, 0, 1
-        return slot >> 3, slot >> 1 & 1, -1 if slot & 4 else 1
-
-    def _fill_orbit(self, rep: int, edges: tuple[int, ...]) -> None:
-        """Enter every member of the orbit of a representative, given by
-        its mask and its edges, and decide the orbit's vanishing.
+    def _fill_orbit(self, rep: int) -> None:
+        """Enter every member of the orbit of the representative mask R
+        and decide the orbit's vanishing.
 
         The k with p_k(T) = R are those with T = p_k^-1(R), so walking k
         upwards and keeping the first k that reaches each member gives the
         least one.  Its parity is that of p_k^-1 on R in edge order.  The
         k with p_k^-1(R) = R form the stabilizer of R: the cube vanishes
         for even parity when one of them has odd parity, and for odd
-        parity when one has parity times H_1 sign -1 or ``_kernel_odd``
+        parity when one has parity times H_1 sign -1 or ``kernel_odd``
         holds.  Conjugate stabilizers have the same signs, so the verdict
         holds for the whole orbit.  The representative's slot keeps it,
         with the orbit's size for ``stabilizer_order``."""
         table, (inverse_bits, h1_odd) = self._orbit, self.closure
+        edges = self.subset_of(rep)
         table[rep] = 1  # R is its own image under k = 0, the identity
         member = rep << 3
         size = 1
-        even, odd = 0, int(self._kernel_odd)
+        even, odd = 0, int(self.kernel_odd)
         for k, bits in enumerate(inverse_bits):
             image = sum(map(bits.__getitem__, edges))
             known = table[image]
@@ -430,52 +413,49 @@ class GraphContext:
                 odd |= parity ^ h1_odd[k]
         table[rep] = size << 3 | odd << 2 | even << 1 | 1
 
-    def subset_orbits(self, forests_only: bool) -> list[tuple[int, ...]]:
-        """Orbit representatives of the forests, or of the proper edge
-        subsets, by size and then lexicographically."""
+    def subset_orbits(self, forests_only: bool) -> array:
+        """The orbit representatives of the forests, or of the proper edge
+        subsets, as masks, by size and then lexicographically."""
         return self._forest_orbits if forests_only else self._proper_orbits
 
     @cached_property
-    def _forest_orbits(self):
-        return self.walk_orbits(self._forests())
+    def _forest_orbits(self) -> array:
+        return self._representatives(self._forests())
 
     @cached_property
-    def _proper_orbits(self):
-        e = self.graph.edge_count
-        return self.walk_orbits((edges, self.mask_of(edges))
-                                 for size in range(e)
-                                 for edges in itertools.combinations(range(e), size))
+    def _proper_orbits(self) -> array:
+        return self._representatives(sum(bits) for size in range(self.graph.edge_count)
+                                     for bits in itertools.combinations(self.bits, size))
 
-    def walk_orbits(self, walk):
-        """The representatives among (edges, mask) walked by size and then
-        lexicographically, such as the forests or the proper subsets: the
-        first of an orbit to be met is its representative."""
+    def _representatives(self, masks) -> array:
+        """The representatives among ``masks``, a union of orbits walked by
+        size and then lexicographically: the first mask met of each orbit."""
         table = self._orbit
-        reps = []
-        for edges, mask in walk:
+        reps = array("i")
+        for mask in masks:
             slot = table[mask]
             if not slot:
-                self._fill_orbit(mask, edges)
+                self._fill_orbit(mask)
             elif not slot & 1:
                 continue
-            reps.append(edges)
+            reps.append(mask)
         return reps
 
     def _forests(self):
-        """(edges, mask) of every forest, by size and then lexicographically:
+        """The mask of every forest, by size and then lexicographically:
         each forest is extended by later edges that join two of its
         components."""
         g = self.graph
-        level = [((), 0, tuple(range(g.vertex_count)))]
+        level = [(0, 0, tuple(range(g.vertex_count)))]  # (mask, first later edge, components)
         while level:
             grown = []
-            for edges, mask, comp in level:
-                yield edges, mask
-                for e in range(edges[-1] + 1 if edges else 0, g.edge_count):
+            for mask, start, comp in level:
+                yield mask
+                for e in range(start, g.edge_count):
                     u, v = g.edges[e]
                     a, b = comp[u], comp[v]
                     if a != b:
-                        grown.append((edges + (e,), mask | self.bits[e],
+                        grown.append((mask | self.bits[e], e + 1,
                                       tuple([b if c == a else c for c in comp])))
             level = grown
 
@@ -492,7 +472,7 @@ class GraphContext:
         collapse is a face only in a weighted family and even parity, where
         it increments a weight.  In a family without tadpoles an edge with
         a parallel partner is not collapsed: the face would have one.  For
-        odd parity a collapse onto a class where ``_kernel_odd`` holds is
+        odd parity a collapse onto a class where ``kernel_odd`` holds is
         skipped before it is aligned, since every odd generator of that
         class vanishes, so such a class gets no subset table.
         """
@@ -504,7 +484,7 @@ class GraphContext:
             if ((weight_face or not graph.is_tadpole(e))
                     and (tadpoles or multiplicities[edges[e]] == 1)):
                 target, hmap = self.collapse(e)
-                if not (odd and target._kernel_odd):
+                if not (odd and target.kernel_odd):
                     bits = target.bits
                     image = inversions = 0
                     for f in subset:
@@ -523,15 +503,19 @@ class GraphContext:
                     yield False, self, rep, -sign * align
 
     def _align(self, mask: int, odd: bool) -> tuple[int, int]:
-        """(representative, sign of the p_k carrying the mask onto it): its
-        parity in subset order, times for odd parity its H_1 sign.  A full
-        mask is its own representative, carried by the identity, so it
-        needs no table."""
+        """(representative, sign) of an edge-subset mask T: the largest mask
+        R in the orbit of T, its lexicographically least subset, and the
+        sign of the least closure element p_k with p_k(T) = R, its parity
+        in subset order, times for odd parity its sign on det H_1.  A miss
+        fills the whole orbit.  A full mask is its own representative,
+        carried by the identity, so it needs no table."""
         if mask == self.full_mask:
             return mask, 1
-        rep, parity, h1 = self.canonical_mask(mask)
-        sign = -1 if parity else 1
-        return rep, sign * h1 if odd else sign
+        slot = self._slot(mask)
+        if slot & 1:
+            return mask, 1
+        # bit 1 of a member's slot is the parity, bit 2 the H_1 sign
+        return slot >> 3, -1 if (slot & (6 if odd else 2)).bit_count() & 1 else 1
 
 
 # labelled input -> (class, vertex map, half-edge map) onto the class's

@@ -35,7 +35,7 @@ t are the orbits of Aut(t) on the choices: the seeds are one choice per
 orbit, the first in product order (``_ribbon_seeds``).  A contraction
 splices the two orders of its edge on sigma (``GraphContext.collapse``),
 a tadpole contraction of a weighted family drops the loop's two
-half-edges from its vertex's order, and a subdivision gives the new
+half-edges from sigma, and a subdivision gives the new
 vertex its only order.  Splitting a vertex of valence >= 4 along its
 cyclic order into two of valence >= 3 is undone by a contraction, so
 every ribbon graph of valence >= 3 is a contraction of a trivalent one,
@@ -52,9 +52,10 @@ Everything is deterministic; outputs come back sorted by certificate.
 One function, ``enumerate_graphs``, runs the closures of every family,
 weighted or not, and returns the registry's own object of each class of
 :mod:`gch.context`.  Genus raising walks its orbits of edges and edge
-pairs itself, over their images under the class's edge-action closure,
-and leaves the class no subset-orbit table: the cube kinds' table has a
-slot for each of the 2^E subsets, and a trivalent class of genus g has
+pairs itself, through the edge actions of the generators of Aut as the
+ribbon seeds walk their cyclic-order choices, and leaves the class no
+edge-action closure and no subset-orbit table: the cube kinds' table has
+a slot for each of the 2^E subsets, and a trivalent class of genus g has
 3g - 3 edges.  The collapse closure reads each class's collapses from
 ``GraphContext.collapse``, which does the orbit pruning: it contracts one
 edge per orbit of the class's automorphism group, gives the other edges
@@ -140,18 +141,26 @@ def _subdivide(g: HalfEdgeGraph, e: int, ribbon: RibbonStructure | None = None):
 def _raise_genus(ctx: GraphContext):
     """Trivalent graphs one genus above the trivalent class, one per orbit
     of its Aut on its edges (hang a tadpole) and on its pairs of edges (join
-    the midpoints), the first of each orbit in combinations order.  The
-    orbits are walked here, each as the masks of its images under the
-    edge-action closure, so the class gets no table of all 2^E subsets."""
+    the midpoints), the first of each orbit in combinations order.  Each
+    orbit is walked here through the edge actions of the generators of
+    Aut, so the class builds no edge-action closure and no table of all
+    2^E subsets."""
     g = ctx.graph
     n = g.vertex_count
-    inverse = ctx._inverse_bits
+    actions = [m.edge_action for m in ctx.group.generators]
     seen = set()
     for edges in itertools.chain.from_iterable(
             itertools.combinations(range(g.edge_count), size) for size in (1, 2)):
-        if ctx.mask_of(edges) in seen:
+        if edges in seen:
             continue
-        seen.update(sum(bits[e] for e in edges) for bits in inverse)
+        seen.add(edges)
+        orbit = [edges]
+        for x in orbit:
+            for p in actions:
+                y = tuple(sorted([p[e] for e in x]))
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
         s = g
         for e in edges:
             s, _ = _subdivide(s, e)

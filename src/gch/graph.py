@@ -235,33 +235,6 @@ class Morphism:
             assert sorted(self.half_edge_map) == list(range(dst.half_edge_count))
         return True
 
-    def compose(self, other):
-        """Composite morphism applying ``other`` first, then ``self``."""
-        if other.target is not self.source and other.target != self.source:
-            raise ValueError("morphisms not composable")
-        vmap = tuple(self.vertex_map[x] for x in other.vertex_map)
-        hmap = tuple(
-            None if h is None else self.half_edge_map[h] for h in other.half_edge_map
-        )
-        collapsed = tuple(sorted(
-            set(other.collapsed_edges)
-            | {e for e in range(len(other.source.edges))
-               if other.edge_action[e] is not None
-               and self.edge_action[other.edge_action[e]] is None}
-        ))
-        kind = "isomorphism" if (self.kind == other.kind == "isomorphism") else "edge-collapse"
-        return Morphism(kind, other.source, self.target, vmap, hmap, collapsed)
-
-
-def identity_morphism(g):
-    return Morphism(
-        kind="isomorphism",
-        source=g,
-        target=g,
-        vertex_map=tuple(range(g.vertex_count)),
-        half_edge_map=tuple(range(g.half_edge_count)),
-    )
-
 
 @dataclass(frozen=True)
 class StructuralReport:

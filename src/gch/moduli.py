@@ -110,17 +110,18 @@ def build_cube_catalog(genus: int, forest_only: bool) -> CubeCatalog:
     family = EnumSpec(genus=genus, min_valence=3, allow_tadpoles=True)
     entries = []
     for ctx in enumerate_graphs(family):
-        for subset in ctx.subset_orbits(forests_only=forest_only):
+        for mask in ctx.subset_orbits(forests_only=forest_only):
             facets = {True: [], False: []}
-            for collapse, target, rep, _ in ctx.faces(ctx.mask_of(subset), family, odd=False):
+            for collapse, target, rep, _ in ctx.faces(mask, family, odd=False):
                 facets[collapse].append(pair_key(target.certificate, target.subset_of(rep)))
+            subset = ctx.subset_of(mask)
             entries.append(CubeEntry(
                 key=pair_key(ctx.certificate, subset),
                 graph_certificate=ctx.certificate,
                 subset=subset,
                 dimension=len(subset),
-                aut_order=ctx.stabilizer_order(subset),
-                odd_symmetric=bool(ctx.witness("even", subset)),
+                aut_order=ctx.stabilizer_order(mask),
+                odd_symmetric=bool(ctx.witness("even", mask)),
                 collapse_facets=tuple(facets[True]),
                 deletion_facets=tuple(facets[False]),
             ))

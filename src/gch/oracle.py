@@ -15,7 +15,8 @@ oriented edges C_1 (edge permutation parity times -1 per reversed edge)
 times the sign on the vertices C_0, so :func:`automorphism_sign` needs no
 cycle basis or spanning tree.  Face signs are checked against orientations
 of the oracle's own, by any spanning tree and edge directions
-(:class:`Orientation`, :func:`morphism_sign`).
+(:class:`Orientation`, :func:`morphism_sign`), on morphisms built here
+too (:func:`identity_morphism`, :func:`compose`).
 """
 
 from __future__ import annotations
@@ -245,6 +246,25 @@ def h1_sign(half_edge_map, src: Orientation, dst: Orientation) -> int:
     if det == 0:
         raise ValueError("pushed cycles do not form a basis")
     return 1 if det > 0 else -1
+
+
+def identity_morphism(g: HalfEdgeGraph) -> Morphism:
+    return Morphism("isomorphism", g, g, tuple(range(g.vertex_count)),
+                    tuple(range(g.half_edge_count)))
+
+
+def compose(second: Morphism, first: Morphism) -> Morphism:
+    """Composite morphism applying ``first``, then ``second``."""
+    if first.target is not second.source and first.target != second.source:
+        raise ValueError("morphisms not composable")
+    vmap = tuple(second.vertex_map[x] for x in first.vertex_map)
+    hmap = tuple(None if h is None else second.half_edge_map[h] for h in first.half_edge_map)
+    collapsed = tuple(sorted(
+        set(first.collapsed_edges)
+        | {e for e, f in enumerate(first.edge_action)
+           if f is not None and second.edge_action[f] is None}))
+    kind = "isomorphism" if second.kind == first.kind == "isomorphism" else "edge-collapse"
+    return Morphism(kind, first.source, second.target, vmap, hmap, collapsed)
 
 
 def morphism_sign(m: Morphism, parity: str, src: Orientation, dst: Orientation) -> int:

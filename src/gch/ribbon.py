@@ -55,30 +55,28 @@ class RibbonStructure:
 
 
 def splice(ribbon: RibbonStructure, e: int, half_edge_map) -> list[int]:
-    """sigma after contracting the non-tadpole edge ``e``, as a list on the
-    labels that the contraction's ``half_edge_map`` (None on ``e``) gives
-    the surviving half-edges.
+    """sigma after contracting the edge ``e``, as a list on the labels that
+    the contraction's ``half_edge_map`` (None on ``e``) gives the surviving
+    half-edges.
 
-    With h = 2e and h' = 2e + 1, the orders at the two ends of ``e`` join
-    where they held them: sigma'(sigma^-1 h) = sigma(h') and
-    sigma'(sigma^-1 h') = sigma(h).  An end where ``e`` is the only
-    half-edge adds nothing.  Elsewhere sigma' is sigma.
+    A half-edge keeps its successor unless that lies on ``e``.  With
+    h = 2e and h' = 2e + 1, the orders at the two ends of a non-tadpole
+    join where they held it: sigma'(sigma^-1 h) = sigma(h') and
+    sigma'(sigma^-1 h') = sigma(h), stepping on once more past an end
+    where ``e`` is the only half-edge.  A tadpole, which a weighted family
+    contracts into a weight, leaves its vertex's order: sigma' steps past
+    h and h'.
     """
-    h, hp = 2 * e, 2 * e + 1
-    nxt = list(ribbon.next_map)
-    cycles, iota = ribbon.cycles, ribbon.graph.iota
-    cyc_v, cyc_w = cycles[iota(h)], cycles[iota(hp)]
-    before_h, before_hp = cyc_v[cyc_v.index(h) - 1], cyc_w[cyc_w.index(hp) - 1]
-    after_h, after_hp = nxt[h], nxt[hp]
-    if after_h == h:
-        after_h = after_hp
-    if after_hp == hp:
-        after_hp = after_h
-    nxt[before_h], nxt[before_hp] = after_hp, after_h
+    nxt = ribbon.next_map
+    # a step on e continues from the other half-edge for a non-tadpole
+    other = int(not ribbon.graph.is_tadpole(e))
     out = [0] * (len(nxt) - 2)
     for x, image in enumerate(half_edge_map):
         if image is not None:
-            out[image] = half_edge_map[nxt[x]]
+            y = nxt[x]
+            while y >> 1 == e:
+                y = nxt[y ^ other]
+            out[image] = half_edge_map[y]
     return out
 
 

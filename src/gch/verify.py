@@ -206,7 +206,7 @@ def check_moduli_dimensions():
     ctx = canonical_entry(g)[0]
     spanning = sum(ctx.group.order // ctx.stabilizer_order(tree)
                    for tree in ctx.subset_orbits(forests_only=True)
-                   if len(tree) == g.vertex_count - 1)
+                   if tree.bit_count() == g.vertex_count - 1)
     assert spanning == 5, f"{spanning} spanning trees"
     return "cell dimension 3g-4 and spine dimension 2g-3 for genus 2..4; 5 tree cubes"
 

@@ -19,7 +19,7 @@ from gch.families import (
 )
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.graph import HalfEdgeGraph
-from gch.oracle import automorphism_sign, half_edge_automorphisms, relabeled
+from gch.oracle import automorphism_sign, half_edge_automorphisms, identity_morphism, relabeled
 from gch.ribbon import RibbonStructure, contract_ribbon, transport_ribbon
 
 PLANAR_THETA_CYCLES = ((0, 2, 4), (1, 5, 3))
@@ -203,8 +203,6 @@ def test_generators_are_automorphisms():
 
 
 def test_edge_action_examples():
-    from gch.graph import identity_morphism
-
     g = theta()
     group = automorphism_group(g)
     assert identity_morphism(g).edge_action == (0, 1, 2)
@@ -219,10 +217,10 @@ def test_edge_action_examples():
 
 def test_stabilizer_order_examples():
     ctx = canonical_entry(theta())[0]
-    assert ctx.stabilizer_order((0,)) == 4
+    assert ctx.stabilizer_order(ctx.mask_of((0,))) == 4
     full = automorphism_group(ctx.graph).order
-    assert ctx.stabilizer_order(()) == full
-    assert ctx.stabilizer_order((0, 1, 2)) == full
+    assert ctx.stabilizer_order(ctx.mask_of(())) == full
+    assert ctx.stabilizer_order(ctx.mask_of((0, 1, 2))) == full
 
 
 @pytest.mark.parametrize(

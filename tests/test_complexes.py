@@ -19,7 +19,8 @@ from gch.complexes import (
 )
 from gch.context import _CLASSES, GraphContext, canonical_form
 from gch.families import cycle, rose, theta, wheel
-from gch.oracle import automorphism_sign, half_edge_automorphisms, morphism_sign, reference_orientation
+from gch.oracle import (automorphism_sign, compose, half_edge_automorphisms, morphism_sign,
+                        reference_orientation)
 from gch.ribbon import contract_ribbon
 
 
@@ -233,7 +234,7 @@ def _collapse_onto_canonical(gen, e):
     else:
         target, ribbon, m = contract_ribbon(gen.graph, gen.ribbon, e)
         form = canonical_form(target, ribbon=ribbon)
-    return form, form.iso.compose(m)
+    return form, compose(form.iso, m)
 
 
 def _simplicial_faces(c, k):
@@ -303,7 +304,7 @@ def _pair_faces(c, k, autos):
             if not g.is_tadpole(e):
                 target, m = g.contract(e)
                 form = canonical_form(target)
-                composite = form.iso.compose(m)
+                composite = compose(form.iso, m)
                 transport = 1
                 if odd:
                     src, dst = reference_orientation(g), reference_orientation(form.graph)

@@ -1,11 +1,15 @@
-"""No module imports a name at top level that it never uses, and the
-package keeps a known set of module-level caches.
+"""No module imports a name at top level that it never uses, the package
+keeps a known set of module-level caches, and only the class module reads
+the private state of another object.
 
 Every source module of the package (all but ``__init__.py``, which
 re-exports) and every test module is parsed with ``ast``; a name bound by
 a top-level import must appear as a name somewhere in the same module.
 A module-level name bound to an empty ``{}`` or ``dict()`` is a cache that
-lives for the whole process, and the package has exactly four.
+lives for the whole process, and the package has exactly four.  A
+``_``-prefixed attribute (dunders aside) of anything but ``self`` is read
+only in ``context.py``, so the formats a class keeps there (its slot
+table, its edge-action closure) stay inside it.
 """
 
 import ast
@@ -75,3 +79,28 @@ def test_module_level_caches_are_the_known_four():
     caches = {f"{p.stem}.{name}" for p in sorted(PACKAGE.glob("*.py")) for name in empty_dicts(p)}
     assert caches == {"context._CERT_CACHE", "context._CLASSES", "generate._ENUM_CACHE",
                       "graph._PAIRS"}
+
+
+def private_reads(path: Path) -> list[str]:
+    """Each ``_``-prefixed attribute, dunders aside, that the module reads
+    or sets on an object other than ``self``, as source text."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_private_read_is_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("a = ctx._orbit\nb = self._orbit\nc = d.__getitem__\ne = ctx.group._x\n"
+                    "ctx.y._z = 1\n")
+    assert private_reads(path) == ["ctx._orbit", "ctx.group._x", "ctx.y._z"]
+
+
+def test_only_context_reads_private_attributes_of_other_objects():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "context.py"]
+    reads = {p.name: names for p in modules if (names := private_reads(p))}
+    assert reads == {}

@@ -10,7 +10,7 @@ by search, k by scanning the closure, the parity by counting inversions
 and the sign off the closure element k; the order of the stabilizer of T,
 which the context reads off the orbit size, is the number of
 automorphisms that map T onto itself.  Each closure element also carries a sign on det H_1:
-unless an automorphism fixing every edge reverses H_1 (``_kernel_odd``,
+unless an automorphism fixing every edge reverses H_1 (``kernel_odd``,
 which the oracle decides too), it must be the C_1.C_0 sign of every
 automorphism with that edge permutation; if one does, every odd cube
 must vanish.  The graphs are every graph of genus 1 to 3 with at most
@@ -59,8 +59,8 @@ def _check_graph(form):
     closure = edge_action_closure(g.edge_count, [(m.edge_action, walked_first.aut_h1(m))
                                                  for m in walked_first.group.generators])
     assert walked_first.closure[1] == bytes(sign < 0 for _, sign in closure)
-    assert walked_first._inverse_bits == [[walked_first.bits[p.index(e)] for e in range(len(p))]
-                                          for p, _ in closure]
+    assert walked_first.closure[0] == [[walked_first.bits[p.index(e)] for e in range(len(p))]
+                                       for p, _ in closure]
     assert ({tuple(p) for p, _ in closure}
             == {tuple(p) for p in edge_perms})
     # the C_1.C_0 sign on det H_1 of each automorphism, by edge permutation:
@@ -70,20 +70,21 @@ def _check_graph(form):
     for aut in autos:
         h1_signs.setdefault(tuple(aut[0]), set()).add(
             automorphism_sign(aut, every, True) * automorphism_sign(aut, every, False))
-    assert walked_first._kernel_odd == (-1 in h1_signs[every]), form.certificate
-    if not walked_first._kernel_odd:
+    assert walked_first.kernel_odd == (-1 in h1_signs[every]), form.certificate
+    if not walked_first.kernel_odd:
         for p, sign in closure:
             assert h1_signs[p] == {sign}, (form.certificate, p)
     forest_set = set(forests(g))
     for forests_only, expected_total in ((True, len(forest_set)), (False, 2 ** g.edge_count - 1)):
-        reps = walked_first.subset_orbits(forests_only)
+        reps = [walked_first.subset_of(mask) for mask in walked_first.subset_orbits(forests_only)]
         members = [s for s in subsets if (s in forest_set if forests_only else len(s) < g.edge_count)]
         assert reps == sorted({least[s] for s in members}, key=lambda s: (len(s), s))
         assert sum(len(orbit[r]) for r in reps) == expected_total
 
     for ctx, order in ((missing_first, subsets[::-1]), (walked_first, subsets)):
         for s in order:
-            mask, parity, h1 = ctx.canonical_mask(ctx.mask_of(s))
+            mask, even = ctx._align(ctx.mask_of(s), False)
+            parity, h1 = int(even < 0), even * ctx._align(ctx.mask_of(s), True)[1]
             rep = ctx.subset_of(mask)
             assert rep == least[s], (form.certificate, s)
             k = next(j for j, (p, _) in enumerate(closure)
@@ -93,9 +94,9 @@ def _check_graph(form):
             assert parity == inversions % 2, (form.certificate, s)
             assert h1 == closure[k][1], (form.certificate, s)
             fixing = sum(1 for p in edge_perms if tuple(sorted(p[e] for e in s)) == s)
-            assert ctx.stabilizer_order(s) == fixing, (form.certificate, s)
+            assert ctx.stabilizer_order(ctx.mask_of(s)) == fixing, (form.certificate, s)
             # where the closure signs are not well defined, no odd cube survives
-            assert not ctx._kernel_odd or ctx.witness("odd", s), (form.certificate, s)
+            assert not ctx.kernel_odd or ctx.witness("odd", ctx.mask_of(s)), (form.certificate, s)
     return len(subsets)
 
 
@@ -120,12 +121,16 @@ _trivalent(5)
 build_complex(ComplexSpec("com", "odd", 4))
 build_complex(ComplexSpec("ass", "even", 3))
 out["tables_without_cubes"] = len(tabled())
+out["closures_without_cubes"] = sum("closure" in vars(c) for c in _CLASSES.values())
 build_complex(ComplexSpec("gp", "odd", 3))
-out["odd_kernel_tables"] = sum(c._kernel_odd for c in tabled())
+out["odd_kernel_tables"] = sum(c.kernel_odd for c in tabled())
 build_complex(ComplexSpec("gf", "even", 3))
 out["tables"] = len(tabled())
 out["slots"] = sorted({(c._orbit.itemsize, len(c._orbit) == 2 ** c.graph.edge_count)
                        for c in tabled()})
+out["orbits"] = sorted({(type(reps).__name__, reps.itemsize) for c in tabled()
+                        for name in ("_forest_orbits", "_proper_orbits")
+                        if (reps := vars(c).get(name)) is not None})
 # a missing guard would ask for 2^29 slots; fail fast instead of paging
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
 try:
@@ -139,10 +144,11 @@ print(json.dumps(out))
 def test_orbit_slots_are_dense_four_byte_tables():
     """In a fresh interpreter, so that no earlier build has given a class
     a table: genus raising and the simplicial and ribbon kinds make no
-    subset-orbit table; an odd cube build gives none to a class whose odd
-    generators all vanish; a cube build's tables have one 4-byte slot per
-    edge subset; and a class with more edges than a slot encodes is
-    refused with a ValueError before its table is allocated."""
+    subset-orbit table and no edge-action closure; an odd cube build gives
+    no table to a class whose odd generators all vanish; a cube build's
+    tables have one 4-byte slot per edge subset, and its representatives
+    are arrays of 4-byte masks; and a class with more edges than a slot
+    encodes is refused with a ValueError before its table is allocated."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     result = subprocess.run([sys.executable, "-c", SLOTS], capture_output=True, text=True,
@@ -150,6 +156,8 @@ def test_orbit_slots_are_dense_four_byte_tables():
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout)
     assert out["tables_without_cubes"] == 0
+    assert out["closures_without_cubes"] == 0
     assert out["odd_kernel_tables"] == 0
     assert out["tables"] > 0 and out["slots"] == [[4, True]]
+    assert out["orbits"] == [["array", 4]]
     assert "at most 28 edges" in out["error"] and "29" in out["error"]
