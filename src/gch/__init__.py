@@ -9,7 +9,6 @@ from .graph import (
 )
 from .canonical import AutGroup, automorphism_group
 from .context import CanonicalForm, canonical_form
-from .orientation import cycle_basis
 from .ribbon import RibbonStructure, contract_ribbon, faces, surface_invariants
 from .linalg import SparseMatrix, multiply, rank
 from .generate import (

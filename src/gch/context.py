@@ -25,7 +25,8 @@ simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
   and its sign on H_1; the bare graph's comes from the generators of Aut.
   An automorphism's sign on H_1 needs no cycle basis: by the exact
   sequence 0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 it is its sign on the
-  oriented edges times its sign on the vertices (``GraphContext.aut_h1``);
+  oriented edges times its sign on the vertices (``GraphContext.aut_h1``,
+  by :func:`~gch.orientation.h1_map_sign`);
 * **faces** (``GraphContext.faces``): one walk yields, in subset order,
   each subset edge's collapse and then its deletion.  A deletion is a face
   only when the mask is proper; a tadpole collapse only in a weighted
@@ -33,9 +34,13 @@ simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
   tadpoles an edge with a parallel partner is not collapsed.  The face
   dropping the oriented edge at 0-based position p has sign (-1)^(p+1),
   times the parity of the surviving edges in the target order, times for
-  odd parity the cycle transport, the reference cycle basis pushed through
-  the collapse and the H_1 sign that the closure carries for the p_k
-  aligning the target subset, and a deletion one more -1.  A full mask is
+  odd parity the collapse's sign on det H_1 and the H_1 sign that the
+  closure carries for the p_k aligning the target subset, and a deletion
+  one more -1.  The collapse's sign (``GraphContext.collapse_h1``) comes
+  from the same exact-sequence rule as an automorphism's, on the
+  surviving edges and the merged vertices, times the sign of each side's
+  reference orientation, its Kruskal cycle basis, against the sequence's
+  (``GraphContext.kruskal_sign``).  A full mask is
   its own representative, aligned by the identity, so the simplicial
   kinds never build a closure;
 * **subset orbits** (``GraphContext.subset_orbits``): the cube kinds and
@@ -79,7 +84,7 @@ from functools import cached_property
 from .canonical import (AutGroup, build_group, canonical_labelling, edge_action_closure,
                         ribbon_labelling)
 from .graph import HalfEdgeGraph, Morphism
-from .orientation import cycle_basis, cycle_transport_sign, sequence_parity, spanning_tree
+from .orientation import h1_map_sign, kruskal_sign, sequence_parity
 from .ribbon import RibbonStructure, splice
 
 # why a generator vanishes, by the kind of symmetry that reverses it
@@ -179,27 +184,21 @@ class GraphContext:
         return (1 << self.graph.edge_count) - 1
 
     @cached_property
-    def ref_orientation(self) -> tuple[int, ...]:
-        """The reference cycle basis's complement edges, in index order."""
-        tree = spanning_tree(self.graph)
-        return tuple([e for e in range(self.graph.edge_count) if e not in tree])
-
-    @cached_property
-    def ref_rows(self):
-        """The reference cycle basis, pushed through each collapse."""
-        return cycle_basis(self.graph)
+    def kruskal_sign(self) -> int:
+        """Sign of the reference orientation of det H_1, the Kruskal cycle
+        basis, against the exact-sequence one
+        (:func:`~gch.orientation.kruskal_sign`)."""
+        return kruskal_sign(self.graph)
 
     def aut_h1(self, m) -> int:
         """Sign of an automorphism on det H_1.  By the exact sequence
         0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 of a connected graph
         (Conant-Vogtmann, arXiv:math/0208169) it is the sign on the oriented
         edges C_1, the edge permutation's parity times -1 per reversed edge,
-        times the vertex permutation's parity on C_0."""
-        # half-edge 2e goes to 2f + 1 when edge e is reversed, else to 2f, so
-        # the images of the half-edges 2e sum to the reversed count mod 2
-        odd = (sequence_parity(m.edge_action) + sum(m.half_edge_map[::2])
-               + sequence_parity(m.vertex_map))
-        return -1 if odd & 1 else 1
+        times the vertex permutation's parity on C_0
+        (:func:`~gch.orientation.h1_map_sign`).  The reference orientation
+        is the same on both sides, so its sign cancels."""
+        return h1_map_sign(self.graph, m.half_edge_map, self.graph)
 
     # -- vanishing --------------------------------------------------------
 
@@ -306,11 +305,15 @@ class GraphContext:
         return reached, tuple([None if h is None else iso[h] for h in half_edge_map])
 
     def collapse_h1(self, e: int) -> int:
-        """Cycle-orientation transport sign across the collapse of edge e."""
+        """Sign on det H_1 of the collapse of edge e, the reference
+        orientations on both sides: the exact-sequence sign of the collapse
+        (:func:`~gch.orientation.h1_map_sign`) times each side's
+        ``kruskal_sign``.  A tadpole has none and raises ValueError."""
         h = self._collapse_h1.get(e)
         if h is None:
             target, hmap = self.collapse(e)
-            h = cycle_transport_sign(self.ref_rows, hmap, target.ref_orientation)
+            h = h1_map_sign(self.graph, hmap, target.graph, e)
+            h *= self.kruskal_sign * target.kruskal_sign
             self._collapse_h1[e] = h
         return h
 
@@ -320,9 +323,6 @@ class GraphContext:
     def bits(self):
         """The mask bit of each edge."""
         return tuple(1 << (self.graph.edge_count - 1 - e) for e in range(self.graph.edge_count))
-
-    def mask_of(self, subset) -> int:
-        return sum(map(self.bits.__getitem__, subset))
 
     def subset_of(self, mask: int) -> tuple[int, ...]:
         return tuple([e for e, bit in enumerate(self.bits) if mask & bit])
@@ -466,7 +466,7 @@ class GraphContext:
         representative mask, coefficient by the face-sign rule of the module
         docstring).  Given ``keep``, a container of (certificate,
         representative mask) pairs, a face outside it is skipped before its
-        cycle transport is computed.
+        collapse's H_1 sign is computed.
 
         A deletion is a face only when the mask is proper.  A tadpole
         collapse is a face only in a weighted family and even parity, where

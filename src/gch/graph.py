@@ -90,9 +90,6 @@ class HalfEdgeGraph:
             val[v] += 1
         return tuple(val)
 
-    def valence(self, v):
-        return self.valences[v]
-
     @cached_property
     def has_tadpole(self):
         return any(u == v for u, v in self.edges)

@@ -1,14 +1,20 @@
-"""The reference orientation of a graph and the odd collapse sign.
+"""Orientation signs on det H_1, by the exact sequence.
 
 An odd generator is oriented by its edges and by det H_1
-(Conant-Vogtmann, arXiv:math/0208169).  The engine's one basis of H_1 is
-the Kruskal spanning tree's: per complement edge, in index order, the
-cycle that runs along it from half-edge ``2e`` (lower to higher endpoint)
-and returns through the tree.  A cycle's coordinates are then its
-coefficients on the complement edges, so a collapse's sign on det H_1 is
-the determinant of the source basis pushed through it, read on the
-target's complement edges.  The tests check it against the oracle's own
-orientations (:mod:`gch.oracle`).
+(Conant-Vogtmann, arXiv:math/0208169).  The exact sequence
+0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 of a connected graph identifies det H_1
+with det C_1 times det C_0, once C_1 is oriented by the edges in index
+order, edge e from half-edge ``2e`` (its tail ``edges[e][0]``) to its head,
+and C_0 by the vertices in index order.  A map of graphs then has a sign
+on det H_1 read off its edges and vertices alone (:func:`h1_map_sign`),
+for automorphisms and collapses alike.
+
+The engine's reference orientation of det H_1 is still the Kruskal
+spanning tree's basis: per complement edge, in index order, the cycle that
+runs along it from half-edge ``2e`` and returns through the tree.  It
+enters as one sign per class, the basis against the exact-sequence
+orientation (:func:`kruskal_sign`).  The tests check both against the
+oracle's cycle bases and determinants (:mod:`gch.oracle`).
 """
 
 from __future__ import annotations
@@ -25,27 +31,6 @@ def sequence_parity(seq) -> int:
         inversions += (seen >> x).bit_count()
         seen |= 1 << x
     return inversions & 1
-
-
-def det_sign(matrix):
-    """Sign of the determinant of a small integer matrix (0 if singular)."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        pv = m[col][col]
-        if pv < 0:
-            sign = -sign
-        for r in range(col + 1, n):
-            if f := m[r][col]:
-                m[r] = [a * abs(pv) - b * (f if pv > 0 else -f) for a, b in zip(m[r], m[col])]
-    return sign
 
 
 def spanning_tree(g: HalfEdgeGraph) -> frozenset[int]:
@@ -69,65 +54,62 @@ def spanning_tree(g: HalfEdgeGraph) -> frozenset[int]:
     return frozenset(tree)
 
 
-def cycle_basis(g: HalfEdgeGraph):
-    """The reference cycle basis: one row per complement edge of the
-    Kruskal tree, in index order, as sorted ``(edge, coefficient)`` pairs,
-    +1 along the reference direction and -1 against it.  The cycle of a
-    complement edge from vertex a to vertex b is the edge plus the tree
-    path from b to a: the signed tree path from vertex 0 to a minus the one
-    from vertex 0 to b, whose shared part cancels."""
-    tree = spanning_tree(g)
-    at: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for e in tree:
-        u, v = g.edges[e]
-        at[u].append(e)
-        at[v].append(e)
-    path: dict[int, dict[int, int]] = {0: {}}
+def kruskal_sign(g: HalfEdgeGraph) -> int:
+    """Sign of the Kruskal cycle basis against the exact-sequence
+    orientation of det H_1: sign det A times sign det B, where A has the
+    cycles and then the tree edges as rows in edge coordinates, and B the
+    boundaries of the tree edges and then vertex 0 in vertex coordinates.
+
+    Clearing the tree coordinates of the cycles leaves A a permutation
+    matrix: the complement edges, then the tree edges.  Walking the tree
+    from vertex 0, each other vertex v takes its parent edge, whose
+    boundary is +-(v - parent of v), - when v is its tail; B's rows put in
+    that order, with vertex 0 moved first, make a triangular matrix."""
+    tree = sorted(spanning_tree(g))
+    odd = g.vertex_count - 1
+    odd += sequence_parity([e for e in range(g.edge_count) if e not in tree] + tree)
+    parent_rank: list[int | None] = [-1] + [None] * (g.vertex_count - 1)
     for x in (reached := [0]):
-        for e in at[x]:
+        for rank, e in enumerate(tree):
             u, v = g.edges[e]
-            if v not in path:
-                path[v] = {**path[x], e: 1}
-                reached.append(v)
-            elif u not in path:
-                path[u] = {**path[x], e: -1}
-                reached.append(u)
-    rows = []
-    for e in range(g.edge_count):
-        if e in tree:
-            continue
-        u, v = g.edges[e]
-        coeff = dict(path[u])
-        for f, c in path[v].items():
-            coeff[f] = coeff.get(f, 0) - c
-        coeff[e] = 1
-        rows.append(tuple(sorted((k, v) for k, v in coeff.items() if v)))
-    return tuple(rows)
+            if x in (u, v) and parent_rank[w := u + v - x] is None:
+                parent_rank[w] = rank
+                odd += w == u
+                reached.append(w)
+    odd += sequence_parity(parent_rank[1:])
+    return -1 if odd & 1 else 1
 
 
-def _image_row(row, half_edge_map):
-    """Push a cycle row through a half-edge map, in target reference
-    directions; a collapsed edge (half-edge image None) drops out."""
-    out: dict[int, int] = {}
-    for e, c in row:
-        if (img := half_edge_map[2 * e]) is not None:
-            out[img >> 1] = out.get(img >> 1, 0) + (-c if img & 1 else c)
-    return out
+def h1_map_sign(graph: HalfEdgeGraph, half_edge_map, target: HalfEdgeGraph,
+                e: int | None = None) -> int:
+    """Sign on det H_1, both sides oriented by the exact sequence, of an
+    isomorphism ``graph -> target`` or, given ``e``, of the collapse of the
+    edge e, by its half-edge map (None on e's half-edges).
 
-
-def cycle_transport_sign(src_rows, half_edge_map, dst_comp) -> int:
-    """Sign of det of the source cycle basis ``src_rows`` (from
-    :func:`cycle_basis`) pushed through a half-edge map and written in the
-    target's reference basis, whose complement edges are ``dst_comp``.
-    Valid for isomorphisms and non-tadpole collapses, which carry every
-    cycle basis onto one."""
-    if len(dst_comp) != len(src_rows):
-        raise ValueError("cycle ranks differ")
-    matrix = []
-    for row in src_rows:
-        img = _image_row(row, half_edge_map)
-        matrix.append([img.get(e, 0) for e in dst_comp])
-    s = det_sign(matrix)
-    if s == 0:
-        raise ValueError("pushed cycles do not form a basis")
-    return s
+    An isomorphism's sign is its sign on the oriented edges C_1, the parity
+    of the edge images times -1 per reversed edge, times its parity on the
+    vertices C_0.  A collapse kills e in C_1 and merges its endpoints in
+    C_0: the same product over the surviving edges and over every vertex
+    but the head, the tail standing for the merged vertex, times
+    (-1)^(e + b + head) for moving e and the head out of the two
+    determinants, b the loop number.  A tadpole collapse drops a cycle,
+    so it has no such sign and raises ValueError."""
+    ends, vertex, images, odd = target.edges, [0] * graph.vertex_count, [], 0
+    for (u, v), h in zip(graph.edges, half_edge_map[::2]):
+        if h is not None:
+            images.append(f := h >> 1)
+            if h & 1:
+                odd += 1
+                vertex[v], vertex[u] = ends[f]
+            else:
+                vertex[u], vertex[v] = ends[f]
+    if e is not None:
+        tail, head = graph.edges[e]
+        if tail == head:
+            raise ValueError("a tadpole collapse has no sign on det H_1")
+        odd += e + graph.edge_count - graph.vertex_count + 1 + head
+        # an endpoint with no surviving half-edge reads 0, so the larger
+        # image is the merged vertex (0 too when the target has no edge)
+        vertex[tail] = max(vertex[tail], vertex.pop(head))
+    odd += sequence_parity(images) + sequence_parity(vertex)
+    return -1 if odd & 1 else 1

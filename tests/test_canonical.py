@@ -22,6 +22,8 @@ from gch.graph import HalfEdgeGraph
 from gch.oracle import automorphism_sign, half_edge_automorphisms, identity_morphism, relabeled
 from gch.ribbon import RibbonStructure, contract_ribbon, transport_ribbon
 
+from masks import mask_of
+
 PLANAR_THETA_CYCLES = ((0, 2, 4), (1, 5, 3))
 
 SMALL_GRAPHS = [
@@ -217,10 +219,10 @@ def test_edge_action_examples():
 
 def test_stabilizer_order_examples():
     ctx = canonical_entry(theta())[0]
-    assert ctx.stabilizer_order(ctx.mask_of((0,))) == 4
+    assert ctx.stabilizer_order(mask_of(ctx, (0,))) == 4
     full = automorphism_group(ctx.graph).order
-    assert ctx.stabilizer_order(ctx.mask_of(())) == full
-    assert ctx.stabilizer_order(ctx.mask_of((0, 1, 2))) == full
+    assert ctx.stabilizer_order(mask_of(ctx, ())) == full
+    assert ctx.stabilizer_order(mask_of(ctx, (0, 1, 2))) == full
 
 
 @pytest.mark.parametrize(

@@ -346,34 +346,35 @@ def test_pair_face_signs_match_oracle(kind, parity):
         assert _wrong_grades(kind, parity, genus) == [], genus
 
 
-# The odd complexes whose boundaries change when every collapse transport is
+# The odd complexes whose boundaries change when every collapse H_1 sign is
 # negated: gf odd genus 3 has a single entry, a deletion face, so gf is taken
 # at genus 4.
 GENERA = {"com": 3, "gf": 4, "ass": 3}
-# Negates the collapse transport wherever ``cycle_transport_sign`` is bound,
-# then prints the grades where the oracle's face signs disagree.
+# Negates the H_1 sign of every collapse wherever ``h1_map_sign`` is bound,
+# automorphisms keeping theirs, then prints the grades where the oracle's
+# face signs disagree.
 MUTANT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import gch.context, gch.orientation
 from test_complexes import GENERA, _wrong_grades
 
-transport = gch.orientation.cycle_transport_sign
+h1_map_sign = gch.orientation.h1_map_sign
 
 
-def mutant(src_rows, half_edge_map, *dst):
-    sign = transport(src_rows, half_edge_map, *dst)
-    return -sign if None in half_edge_map else sign
+def mutant(graph, half_edge_map, target, e=None):
+    sign = h1_map_sign(graph, half_edge_map, target, e)
+    return sign if e is None else -sign
 
 
-gch.context.cycle_transport_sign = gch.orientation.cycle_transport_sign = mutant
+gch.context.h1_map_sign = gch.orientation.h1_map_sign = mutant
 print(json.dumps({kind: _wrong_grades(kind, "odd", genus) for kind, genus in GENERA.items()}))
 """
 
 
 def test_face_sign_oracle_catches_a_negated_collapse_transport():
     """The odd face-sign references share no code with the engine: with the
-    engine's cycle transport negated on every collapse, the odd com, gf
+    engine's H_1 sign negated on every collapse, the odd com, gf
     and ass boundaries of ``GENERA`` disagree with the oracle.  The mutant
     runs in a fresh interpreter, so that its collapse signs do not stay in
     this process's class registry."""

@@ -22,6 +22,8 @@ from gch.graph import HalfEdgeGraph, Morphism
 from gch.oracle import compose, forests, mass_table, pairing_classes
 from gch.ribbon import contract_ribbon, surface_invariants
 
+from masks import mask_of
+
 # certificate lists of the degree-sequence enumerator that generation by
 # moves replaced; see the "about" field
 FIXTURE = json.loads(
@@ -170,7 +172,7 @@ def _subset_orbit_sizes(g):
     sizes = dict.fromkeys(reps, 0)
     for size in range(ctx.graph.edge_count):
         for subset in itertools.combinations(range(ctx.graph.edge_count), size):
-            sizes[ctx._align(ctx.mask_of(subset), False)[0]] += 1
+            sizes[ctx._align(mask_of(ctx, subset), False)[0]] += 1
     assert len(sizes) == len(reps)
     return sorted(sizes.values())
 

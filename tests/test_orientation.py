@@ -1,5 +1,8 @@
-"""The engine's reference orientation, checked against the oracle's own
-orientations, cycles and determinants (``gch.oracle``)."""
+"""The engine's orientation signs on det H_1, checked against the oracle's
+own orientations, cycles and determinants (``gch.oracle``): the sign of
+the Kruskal basis against the exact-sequence orientation, by its
+definition, and the exact-sequence signs of automorphisms and collapses,
+against cycle bases pushed through them."""
 
 import itertools
 import random
@@ -7,13 +10,14 @@ import random
 import pytest
 
 from gch.canonical import automorphism_group
-from gch.context import canonical_form
+from gch.context import canonical_entry, canonical_form
 from gch.families import banana, cycle, dumbbell, rose, theta, triangle_with_doubled_edge, wheel
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.linalg import SparseMatrix, rank
 from gch.oracle import (
     Orientation,
     compose,
+    determinant,
     fundamental_cycles,
     h1_sign,
     identity_morphism,
@@ -21,16 +25,12 @@ from gch.oracle import (
     morphism_sign,
     reference_orientation,
 )
-from gch.orientation import cycle_basis, cycle_transport_sign, spanning_tree
-
-
-def rows_as_dicts(rows):
-    return [dict(row) for row in rows]
+from gch.orientation import h1_map_sign, kruskal_sign, spanning_tree
 
 
 def test_cycle_basis_theta():
     g = theta()
-    assert rows_as_dicts(cycle_basis(g)) == [{0: -1, 1: 1}, {0: -1, 2: 1}]
+    assert fundamental_cycles(reference_orientation(g)) == [{0: -1, 1: 1}, {0: -1, 2: 1}]
     assert fundamental_cycles(reference_orientation(g, frozenset({2}))) == [{0: 1, 2: -1}, {1: 1, 2: -1}]
     assert fundamental_cycles(reference_orientation(g, frozenset({1}))) == [{0: 1, 1: -1}, {2: 1, 1: -1}]
 
@@ -38,7 +38,6 @@ def test_cycle_basis_theta():
 def test_cycle_basis_rose_is_identity():
     g = rose(2)
     assert spanning_tree(g) == frozenset()
-    assert rows_as_dicts(cycle_basis(g)) == [{0: 1}, {1: 1}]
     assert fundamental_cycles(reference_orientation(g)) == [{0: 1}, {1: 1}]
 
 
@@ -97,9 +96,7 @@ def test_cycle_basis_rows_by_definition():
     """The oracle's cycles on every spanning tree of every graph with at
     most six edges of the weighted genus 2-4 and the bivalent genus-1
     families, with reference directions and with every other complement
-    edge reversed, in reversed order; and the engine's reference rows on
-    every class of the weighted genus 2-4 families, on the complement
-    edges of the oracle's Kruskal tree."""
+    edge reversed, in reversed order."""
     specs = [EnumSpec(genus=g, weighted=True, allow_tadpoles=True, min_edges=1, max_edges=6)
              for g in (2, 3, 4)]
     specs.append(EnumSpec(genus=1, min_valence=2, allow_tadpoles=True, max_edges=6))
@@ -113,21 +110,43 @@ def test_cycle_basis_rows_by_definition():
                 _assert_rows_by_definition(g, orient.comp_order, orient.comp_dirs, fundamental_cycles(orient))
                 checked += 1
     assert checked > 1500, checked
-    engine = 0
-    for ctx in (f for g in (2, 3, 4) for f in enumerate_graphs(
-            EnumSpec(genus=g, weighted=True, allow_tadpoles=True, min_edges=1))):
-        comp = reference_orientation(ctx.graph).comp_order
-        assert ctx.ref_orientation == comp
-        _assert_rows_by_definition(ctx.graph, comp, [2 * e for e in comp], rows_as_dicts(ctx.ref_rows))
-        engine += 1
-    assert engine > 400, engine
 
 
 def test_cycle_matrix_rank():
     g = wheel(4)
-    rows = cycle_basis(g)
-    entries = {(i, e): c for i, row in enumerate(rows) for e, c in row}
+    rows = fundamental_cycles(reference_orientation(g))
+    entries = {(i, e): c for i, row in enumerate(rows) for e, c in row.items()}
     assert rank(SparseMatrix(len(rows), g.edge_count, entries)) == g.loop_number == 4
+
+
+def test_kruskal_sign_by_definition():
+    """The sign of the Kruskal basis against the exact-sequence orientation
+    is sign det A times sign det B (``oracle.determinant``): A has the
+    oracle's Kruskal cycles and then the unit vectors of the tree edges as
+    rows, in edge coordinates; B the boundaries of the tree edges and then
+    vertex 0, in vertex coordinates.  Every class of the weighted genus 2-4
+    family, of the ribbon genus 2-3 families with tadpoles and of the
+    bivalent genus 1-3 families with tadpoles up to seven edges."""
+    specs = [EnumSpec(genus=g, weighted=True, allow_tadpoles=True, min_edges=1) for g in (2, 3, 4)]
+    specs += [EnumSpec(genus=g, allow_tadpoles=True, ribbon=True) for g in (2, 3)]
+    specs += [EnumSpec(genus=g, min_valence=2, allow_tadpoles=True, max_edges=7) for g in (1, 2, 3)]
+    checked = 0
+    for ctx in (form for spec in specs for form in enumerate_graphs(spec)):
+        g = ctx.graph
+        ref = reference_orientation(g)
+        tree = sorted(ref.tree)
+        units = [{e: 1} for e in tree]
+        a = [[row.get(e, 0) for e in range(g.edge_count)] for row in fundamental_cycles(ref) + units]
+        b = []
+        for e in tree:
+            b.append([0] * g.vertex_count)
+            b[-1][g.edges[e][1]] += 1
+            b[-1][g.edges[e][0]] -= 1
+        b.append([1] + [0] * (g.vertex_count - 1))
+        det = determinant(a) * determinant(b)
+        assert det and ctx.kruskal_sign == kruskal_sign(g) == (1 if det > 0 else -1), ctx.certificate
+        checked += 1
+    assert checked > 600, checked
 
 
 def _comp(g):
@@ -139,7 +158,7 @@ def test_h1_sign_identity():
         identity = identity_morphism(g).half_edge_map
         ref = reference_orientation(g)
         assert h1_sign(identity, ref, ref) == 1
-        assert cycle_transport_sign(cycle_basis(g), identity, _comp(g)) == 1
+        assert h1_map_sign(g, identity, g) == 1
 
 
 def test_h1_sign_tadpole_flip():
@@ -149,7 +168,7 @@ def test_h1_sign_tadpole_flip():
         m for m in automorphism_group(g).generators if m.half_edge_map == (1, 0)
     )
     assert h1_sign(flip.half_edge_map, ref, ref) == -1
-    assert cycle_transport_sign(cycle_basis(g), flip.half_edge_map, _comp(g)) == -1
+    assert h1_map_sign(g, flip.half_edge_map, g) == -1
 
 
 def _forest_of(g, edges):
@@ -184,6 +203,18 @@ def test_collapse_transport_does_not_depend_on_the_tree():
                 half_edge_map, other, reference_orientation(target.graph)), (ctx.certificate, e)
             checked += 1
     assert checked > 700, checked
+
+
+def test_collapse_h1_refuses_a_tadpole():
+    """A tadpole collapse drops a cycle, so it has no sign on det H_1: each
+    tadpole of the dumbbell raises, though the collapse itself exists."""
+    ctx = canonical_entry(dumbbell())[0]
+    tadpoles = [e for e in range(ctx.graph.edge_count) if ctx.graph.is_tadpole(e)]
+    assert len(tadpoles) == 2
+    for e in tadpoles:
+        assert 1 in ctx.collapse(e)[0].graph.weights
+        with pytest.raises(ValueError):
+            ctx.collapse_h1(e)
 
 
 def test_reference_orientation_deterministic():

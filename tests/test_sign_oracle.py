@@ -21,6 +21,8 @@ import itertools
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.oracle import automorphism_sign, half_edge_automorphisms
 
+from masks import mask_of
+
 MAX_EDGES = 6
 
 
@@ -42,7 +44,7 @@ def _check(forms, sigma_of):
         for subset in _subsets(g.edge_count):
             for p in ("even", "odd"):
                 expected = oracle_vanishes(autos, subset, p == "odd")
-                assert bool(ctx.witness(p, ctx.mask_of(subset))) == expected, (ctx.certificate, subset, p)
+                assert bool(ctx.witness(p, mask_of(ctx, subset))) == expected, (ctx.certificate, subset, p)
                 verdicts += 1
     return verdicts
 
@@ -69,7 +71,7 @@ def test_stabilizer_orders_match_oracle():
         for subset in _subsets(ctx.graph.edge_count):
             expected = sum(1 for aut in autos
                            if automorphism_sign(aut, subset, False) is not None)
-            assert ctx.stabilizer_order(ctx.mask_of(subset)) == expected, (ctx.certificate, subset)
+            assert ctx.stabilizer_order(mask_of(ctx, subset)) == expected, (ctx.certificate, subset)
             checked += 1
     assert checked > 1000
 

@@ -35,6 +35,8 @@ from gch.context import GraphContext
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.oracle import automorphism_sign, forests, half_edge_automorphisms
 
+from masks import mask_of
+
 
 def _forms():
     specs = [EnumSpec(genus=g, min_valence=2, allow_tadpoles=True, max_edges=6) for g in (1, 2, 3)]
@@ -83,8 +85,8 @@ def _check_graph(form):
 
     for ctx, order in ((missing_first, subsets[::-1]), (walked_first, subsets)):
         for s in order:
-            mask, even = ctx._align(ctx.mask_of(s), False)
-            parity, h1 = int(even < 0), even * ctx._align(ctx.mask_of(s), True)[1]
+            mask, even = ctx._align(mask_of(ctx, s), False)
+            parity, h1 = int(even < 0), even * ctx._align(mask_of(ctx, s), True)[1]
             rep = ctx.subset_of(mask)
             assert rep == least[s], (form.certificate, s)
             k = next(j for j, (p, _) in enumerate(closure)
@@ -94,9 +96,9 @@ def _check_graph(form):
             assert parity == inversions % 2, (form.certificate, s)
             assert h1 == closure[k][1], (form.certificate, s)
             fixing = sum(1 for p in edge_perms if tuple(sorted(p[e] for e in s)) == s)
-            assert ctx.stabilizer_order(ctx.mask_of(s)) == fixing, (form.certificate, s)
+            assert ctx.stabilizer_order(mask_of(ctx, s)) == fixing, (form.certificate, s)
             # where the closure signs are not well defined, no odd cube survives
-            assert not ctx.kernel_odd or ctx.witness("odd", ctx.mask_of(s)), (form.certificate, s)
+            assert not ctx.kernel_odd or ctx.witness("odd", mask_of(ctx, s)), (form.certificate, s)
     return len(subsets)
 
 
