@@ -140,10 +140,6 @@ class HomologyReport:
     ranks: dict[int, int]  # rank of the boundary leaving grade k
     dims: dict[int, int]
 
-    def dim_vector(self) -> list[int]:
-        top = max(self.counts, default=-1)
-        return [self.dims.get(k, 0) for k in range(top + 1)]
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in self.counts.items())
 
@@ -190,9 +186,12 @@ def build_complex(spec: ComplexSpec) -> ChainComplex:
     """Assemble generators and exact boundary matrices for a complex spec.
 
     Each grade is sorted by key, and one (certificate, mask) index gives a
-    generator's position in its grade.  A grade's columns are walked in the
-    order the generators were found, and each is dropped once its grade's
-    matrix is made."""
+    generator's position in its grade.  A grade's matrix is written one
+    column at a time, in index order: a small accumulator per column sums
+    the faces landing on one row, and
+    :meth:`~gch.linalg.SparseMatrix.from_columns` drops the cancelled
+    entries and packs the columns into the matrix's coordinate arrays.  A
+    grade's generators are dropped once its matrix is made."""
     family = _family_spec(spec)
     odd = spec.parity == "odd"
     found: dict[int, list] = {}
@@ -201,20 +200,23 @@ def build_complex(spec: ComplexSpec) -> ChainComplex:
     grades: dict[int, list[Generator]] = {}
     index: dict[tuple[str, int], int] = {}
     for k, cells in found.items():
-        ordered = sorted(cells, key=lambda cell: cell[0].key)
-        grades[k] = [gen for gen, _, _ in ordered]
-        for pos, (_, ctx, mask) in enumerate(ordered):
+        cells.sort(key=lambda cell: cell[0].key)
+        grades[k] = [gen for gen, _, _ in cells]
+        for pos, (_, ctx, mask) in enumerate(cells):
             index[ctx.certificate, mask] = pos
-    boundaries = {}
-    for k in range(1, max(grades, default=-1) + 1):
-        entries: dict[tuple[int, int], int] = {}
-        for _, ctx, mask in found.pop(k, ()):
-            col = index[ctx.certificate, mask]
+
+    def columns(cells):
+        for _, ctx, mask in cells:
+            column: dict[int, int] = {}
             for _, target, rep, sign in ctx.faces(mask, family, odd, index):
                 row = index[target.certificate, rep]
-                entries[row, col] = entries.get((row, col), 0) + sign
-        # the matrix drops the cancelled entries
-        boundaries[k] = SparseMatrix(len(grades.get(k - 1, [])), len(grades.get(k, [])), entries)
+                column[row] = column.get(row, 0) + sign
+            yield column
+
+    boundaries = {}
+    for k in range(1, max(grades, default=-1) + 1):
+        boundaries[k] = SparseMatrix.from_columns(
+            len(grades.get(k - 1, [])), len(grades.get(k, [])), columns(found.pop(k, ())))
     return ChainComplex(spec=spec, grades=grades, boundaries=boundaries)
 
 
@@ -282,7 +284,7 @@ def split_by_surface(complex_: ChainComplex) -> dict[tuple[int, int], ChainCompl
             block.append(gen)
     entries: dict[tuple[int, int], dict[int, dict]] = {key: {} for key in blocks}
     for k in range(1, complex_.max_grade + 1):
-        for (i, j), v in complex_.boundary(k).entries.items():
+        for i, j, v in complex_.boundary(k).items():
             (key, bi), (col_key, bj) = place[k - 1][i], place[k][j]
             if key != col_key:
                 raise AssertionError("boundary entry crosses surface blocks")

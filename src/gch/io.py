@@ -6,7 +6,8 @@ one cyclic order per vertex.  Matrices use the plain-text triple format
 common in exact linear algebra tooling: a header ``rows cols M``, one line
 ``i j value`` per entry with 1-based indices and values written as
 ``num/den`` (plain integers when the denominator is one), closed by the
-line ``0 0 0``.
+line ``0 0 0``.  The lines come by row, then column, the order in which a
+matrix keeps its nonzeros.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def parse_graph_json(text: str) -> tuple[HalfEdgeGraph, RibbonStructure | None]:
 
 def matrix_to_text(m: SparseMatrix) -> str:
     lines = [f"{m.rows} {m.cols} M"]
-    for (i, j), v in sorted(m.entries.items()):
+    for i, j, v in m.items():
         val = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
         lines.append(f"{i + 1} {j + 1} {val}")
     lines.append("0 0 0")

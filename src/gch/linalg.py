@@ -1,11 +1,17 @@
 """Exact sparse rational matrices and rank computation.
 
-Matrices are coordinate dictionaries of ``int`` or ``Fraction`` entries
-(anything else raises ``TypeError``): integral values are stored as
-``int`` and the rest as ``Fraction``, so the boundary operators, which
-are sums of signs, carry no ``Fraction`` at all; a matrix notes once
-whether it is integral.  Every rank comes from one fraction-free sparse
-elimination, :func:`_eliminate`:
+A matrix holds its nonzeros as coordinate arrays sorted by row, then
+column: row and column indices in ``array("i")`` and values in
+``array("q")``, so an integer entry costs 16 bytes.  Only a matrix with a
+``Fraction`` entry, or an integer wider than 63 bits, keeps its values in
+a list.  Entries are ``int`` or ``Fraction`` (anything else raises
+``TypeError``): integral values are stored as ``int`` and the rest as
+``Fraction``, so the boundary operators, which are sums of signs, carry
+no ``Fraction`` at all, and a matrix notes once whether it is integral.
+Code outside the class reads the nonzeros through
+:meth:`SparseMatrix.items`; ``entries`` is a fresh dictionary on every
+read.  Every rank comes from one fraction-free sparse elimination,
+:func:`_eliminate`:
 
 * rows holding a non-integer are scaled to integers first;
 * the pivot column is the one with the fewest active rows, the lowest
@@ -30,32 +36,66 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from array import array
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], int | Fraction] = field(default_factory=dict)
-    # whether every entry is an int, so no row needs scaling to integers
-    integral: bool = field(init=False, repr=False, compare=False)
+def _index_code(rows: int, cols: int) -> str:
+    """The typecode of a matrix's index arrays: ``"i"`` unless an index
+    can pass 2^31 - 1."""
+    return "i" if max(rows, cols) <= 2 ** 31 else "q"
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError(f"negative shape {self.rows}x{self.cols}")
-        others = set(map(type, itertools.chain.from_iterable(self.entries))) - {int}
+
+def _values(values: list) -> array | list:
+    """``array("q")`` of integer values that fit in 63 bits, else the list."""
+    try:
+        return array("q", values)
+    except (TypeError, OverflowError):
+        return values
+
+
+def _keep(m: "SparseMatrix", rows: int, cols: int, ii: array, jj: array,
+          vv: array | list, integral: bool) -> "SparseMatrix":
+    """Set the shape and the sorted nonzeros of a matrix being made."""
+    setter = object.__setattr__
+    setter(m, "rows", rows)
+    setter(m, "cols", cols)
+    setter(m, "integral", integral)
+    setter(m, "_i", ii)
+    setter(m, "_j", jj)
+    setter(m, "_v", vv)
+    return m
+
+
+class SparseMatrix:
+    """An exact ``rows`` x ``cols`` matrix, its nonzeros held as coordinate
+    arrays sorted by (row, column).
+
+    The constructor takes a ``{(i, j): value}`` dictionary of ``int`` and
+    ``Fraction`` values, checks it, turns a ``Fraction`` of denominator 1
+    into an ``int`` and leaves zeros out; :meth:`from_columns` takes
+    integer columns in order instead.  ``entries`` is a fresh dictionary on
+    every read, so changing it leaves the matrix as it was.  A matrix is
+    not changed once made."""
+
+    __slots__ = ("rows", "cols", "integral", "_i", "_j", "_v")
+
+    def __init__(self, rows: int, cols: int,
+                 entries: dict[tuple[int, int], int | Fraction] | None = None):
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative shape {rows}x{cols}")
+        entries = {} if entries is None else entries
+        others = set(map(type, itertools.chain.from_iterable(entries))) - {int}
         if others:
             raise TypeError("entry coordinates must be int, not "
                             + ", ".join(sorted(t.__name__ for t in others)))
-        clean = {}
+        ii, jj, vv = [], [], []
         integral = True
-        rows, cols = self.rows, self.cols
-        for key, v in self.entries.items():
+        for key in sorted(entries):
             i, j = key
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) out of range")
+            v = entries[key]
             if type(v) is not int:
                 if not isinstance(v, Fraction):
                     raise TypeError(f"entry ({i},{j}) is {type(v).__name__}, not int or Fraction")
@@ -64,9 +104,59 @@ class SparseMatrix:
                 else:
                     integral = False
             if v:
-                clean[key] = v
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "integral", integral)
+                ii.append(i)
+                jj.append(j)
+                vv.append(v)
+        code = _index_code(rows, cols)
+        _keep(self, rows, cols, array(code, ii), array(code, jj), _values(vv), integral)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a SparseMatrix is not changed once made")
+
+    def __reduce__(self):
+        return SparseMatrix, (self.rows, self.cols, self.entries)
+
+    @classmethod
+    def from_columns(cls, rows: int, cols: int, columns) -> "SparseMatrix":
+        """The matrix whose j-th column is the j-th ``{row: value}`` of
+        ``columns``, with integer values of at most 63 bits and zeros left
+        out; there must be ``cols`` columns.
+
+        The columns are read once, in order, into column-major arrays; a
+        counting sort by row then lays the entries out row by row, in
+        column order within a row, so the order of the rows within a column
+        does not matter, and no dictionary of coordinates is made."""
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative shape {rows}x{cols}")
+        code = _index_code(rows, cols)
+        col_i, col_v, sizes = array(code), array("q"), []
+        for column in columns:
+            if 0 in column.values():
+                column = {i: v for i, v in column.items() if v}
+            col_i.extend(column)
+            col_v.extend(column.values())
+            sizes.append(len(column))
+        if len(sizes) != cols:
+            raise ValueError(f"{len(sizes)} columns given for {cols}")
+        if col_i and not (min(col_i) >= 0 and max(col_i) < rows):
+            raise ValueError(f"a row index is out of range 0..{rows - 1}")
+        counts = [0] * rows
+        for i in col_i:
+            counts[i] += 1
+        # free[i]: the next free position of row i in row-major order
+        free = list(itertools.accumulate(counts, initial=0))
+        n, size = len(col_i), col_i.itemsize
+        ii, jj = array(code, bytes(n * size)), array(code, bytes(n * size))
+        vv = array("q", bytes(8 * n))
+        entries = zip(col_i, col_v)
+        for j, column_size in enumerate(sizes):
+            for i, v in itertools.islice(entries, column_size):
+                p = free[i]
+                free[i] = p + 1
+                ii[p] = i
+                jj[p] = j
+                vv[p] = v
+        return _keep(cls.__new__(cls), rows, cols, ii, jj, vv, True)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "SparseMatrix":
@@ -78,38 +168,49 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self._i)
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int | Fraction]:
+        """A fresh ``{(i, j): value}`` dictionary of the nonzeros."""
+        return dict(zip(zip(self._i, self._j), self._v))
+
+    def items(self):
+        """(row, column, value) of every nonzero, by row, then column."""
+        return zip(self._i, self._j, self._v)
 
     def is_zero(self) -> bool:
-        return not self.entries
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows,
-                            {(j, i): v for (i, j), v in self.entries.items()})
-
-    def row_dicts(self) -> list[dict[int, int | Fraction]]:
-        rows: list[dict[int, int | Fraction]] = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
+        return not self._i
 
     def dense(self) -> list[list[Fraction]]:
         """Rows of ``Fraction``s, also for integer entries, so that dense
         elimination on the result divides exactly."""
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
+        for i, j, v in self.items():
             out[i][j] = Fraction(v)
         return out
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols and self.nnz == other.nnz
+                and all(a == b for a, b in zip(self.items(), other.items())))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SparseMatrix(rows={self.rows}, cols={self.cols}, entries={self.entries!r})"
 
 
 def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     if a.cols != b.rows:
         raise ValueError(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    b_rows = b.row_dicts()
+    b_rows: list[list] = [[] for _ in range(b.rows)]
+    for k, j, w in b.items():
+        b_rows[k].append((j, w))
     acc: dict[tuple[int, int], int | Fraction] = {}
-    for (i, k), v in a.entries.items():
-        row = b_rows[k]
-        for j, w in row.items():
+    for i, k, v in a.items():
+        for j, w in b_rows[k]:
             key = (i, j)
             cur = acc.get(key)
             acc[key] = v * w if cur is None else cur + v * w
@@ -118,16 +219,22 @@ def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 
 def _integer_rows(m: SparseMatrix, drop: frozenset[int] = frozenset()) -> list[dict[int, int]]:
     """The nonzero rows of ``m`` outside ``drop``, in order, each scaled to
-    integers if it holds a non-integer.  One pass over the entries builds
-    only the rows that are kept."""
-    rows: list[dict[int, int | Fraction] | None] = [None] * m.rows
-    for (i, j), v in m.entries.items():
-        if i not in drop:
-            row = rows[i]
-            if row is None:
-                rows[i] = row = {}
-            row[j] = v
-    out = [row for row in rows if row is not None]
+    integers if it holds a non-integer.  One pass over the entries, which
+    come row by row, builds only the rows that are kept.  Every row keys a
+    column by the same ``int`` object, which speeds up the elimination's
+    dictionary and set lookups; a matrix with more columns than nonzeros
+    indexes a ``range`` instead, so that no int is made per empty column."""
+    out: list[dict[int, int | Fraction]] = []
+    last, row = -1, None
+    columns = list(range(m.cols)) if m.cols <= m.nnz else range(m.cols)
+    for i, j, v in m.items():
+        if i != last:
+            last = i
+            row = None if i in drop else {}
+            if row is not None:
+                out.append(row)
+        if row is not None:
+            row[columns[j]] = v
     if not m.integral:
         for n, row in enumerate(out):
             if any(type(v) is not int for v in row.values()):
@@ -151,9 +258,12 @@ def _eliminate(rows: list[dict[int, int]]) -> list[int]:
     """
     active = dict(enumerate(rows))
     col_rows: dict[int, set[int]] = {}
-    for i, row in active.items():
+    for i, row in enumerate(rows):
         for j in row:
-            col_rows.setdefault(j, set()).add(i)
+            if (s := col_rows.get(j)) is None:
+                col_rows[j] = {i}
+            else:
+                s.add(i)
     pivots = []
     # single-row columns, lowest index first; counts only fall here, so a
     # column enters at most once, and one whose count fell to 0 is skipped

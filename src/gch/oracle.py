@@ -8,15 +8,16 @@ forms, automorphism groups, orientations, generation or sparse
 elimination cannot also sit in its check.  Only the tests call it; no
 module of the package imports it.
 
-The sign of an automorphism on det H_1 comes from the exact sequence
-0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 of a connected graph (Conant-Vogtmann,
-*On a theorem of Kontsevich*, arXiv:math/0208169): it is the sign on the
-oriented edges C_1 (edge permutation parity times -1 per reversed edge)
-times the sign on the vertices C_0, so :func:`automorphism_sign` needs no
-cycle basis or spanning tree.  Face signs are checked against orientations
-of the oracle's own, by any spanning tree and edge directions
-(:class:`Orientation`, :func:`morphism_sign`), on morphisms built here
-too (:func:`identity_morphism`, :func:`compose`).
+The sign of a map on det H_1 is the determinant of a cycle basis pushed
+through it, written in a basis of the target (:func:`h1_sign`), with
+bases from spanning trees and edge directions (:class:`Orientation`).
+The engine reads the same sign off the exact sequence
+0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 instead (Conant-Vogtmann, *On a
+theorem of Kontsevich*, arXiv:math/0208169), so no rule is shared:
+:func:`half_edge_automorphisms` signs each automorphism by :func:`h1_sign`
+between reference orientations, and face signs are checked against
+:func:`morphism_sign`, on morphisms built here too
+(:func:`identity_morphism`, :func:`compose`).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .graph import HalfEdgeGraph, Morphism
 
@@ -36,17 +38,32 @@ def _parity(seq) -> int:
     return -1 if inversions % 2 else 1
 
 
-def half_edge_automorphisms(g: HalfEdgeGraph, sigma=None):
-    """(edge permutation, reversed-edge count, vertex permutation) for every
-    half-edge automorphism of a connected graph.
+@dataclass(frozen=True)
+class Automorphism:
+    """A half-edge automorphism: edge e goes to edge ``edges[e]`` and
+    half-edge h to ``half_edges[h]``."""
+
+    edges: tuple[int, ...]
+    half_edges: tuple[int, ...]
+    reference: Orientation = field(repr=False, compare=False)
+
+    @cached_property
+    def h1(self) -> int:
+        """Its sign on det H_1: :func:`h1_sign` from the reference
+        orientation to itself, a cycle-basis determinant, taken once."""
+        return h1_sign(self.half_edges, self.reference, self.reference)
+
+
+def half_edge_automorphisms(g: HalfEdgeGraph, sigma=None) -> list[Automorphism]:
+    """Every half-edge automorphism of a connected graph.
 
     An automorphism is a bijection of half-edges that commutes with the
     edge involution and induces a weight-preserving bijection of vertices;
     given the successor map ``sigma`` of a ribbon structure, it must also
-    commute with ``sigma``.  Edge ``e`` goes to edge ``perm[e]``, and it is
-    reversed when its first half-edge lands on a second one.
+    commute with ``sigma``.
     """
     n, m = g.vertex_count, g.edge_count
+    ref = reference_orientation(g)
     found = []
     hmap = [None] * (2 * m)
     vmap, vinv = [None] * n, [None] * n
@@ -61,9 +78,8 @@ def half_edge_automorphisms(g: HalfEdgeGraph, sigma=None):
     def extend(e, used):
         if e == m:
             if sigma is None or all(hmap[sigma[h]] == sigma[hmap[h]] for h in range(2 * m)):
-                edges = [hmap[2 * f] >> 1 for f in range(m)]
-                reversed_count = sum(hmap[2 * f] & 1 for f in range(m))
-                found.append((edges, reversed_count, list(vmap) if m else list(range(n))))
+                found.append(Automorphism(tuple(hmap[2 * f] >> 1 for f in range(m)),
+                                          tuple(hmap), ref))
             return
         for f in range(m):
             if f in used:
@@ -82,18 +98,15 @@ def half_edge_automorphisms(g: HalfEdgeGraph, sigma=None):
     return found
 
 
-def automorphism_sign(aut, subset, odd: bool) -> int | None:
+def automorphism_sign(aut: Automorphism, subset, odd: bool) -> int | None:
     """Sign of an automorphism from :func:`half_edge_automorphisms` on the
     generator (graph, ``subset``) for even or odd parity, or None when it
-    does not map the subset onto itself."""
-    edges, reversed_count, vertices = aut
-    images = [edges[e] for e in subset]
+    does not map the subset onto itself: the parity of its action on the
+    subset, times for odd parity its sign on det H_1."""
+    images = [aut.edges[e] for e in subset]
     if sorted(images) != sorted(subset):
         return None
-    sign = _parity(images)
-    if odd:
-        sign *= _parity(edges) * (-1) ** reversed_count * _parity(vertices)
-    return sign
+    return _parity(images) * aut.h1 if odd else _parity(images)
 
 
 def _multiplicities(edges, perm):

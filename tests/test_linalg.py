@@ -1,12 +1,18 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gch import linalg
 from gch.complexes import KINDS, ComplexSpec, build_complex
+from gch.io import matrix_to_text, text_to_matrix
 from gch.linalg import SparseMatrix, boundary_ranks, multiply, rank
 from gch.oracle import dense_rank
 
@@ -20,6 +26,10 @@ def random_sparse(rng, rows, cols, density=0.2, magnitude=9):
                 if v:
                     entries[(i, j)] = Fraction(v)
     return SparseMatrix(rows, cols, entries)
+
+
+def transpose(m):
+    return SparseMatrix(m.cols, m.rows, {(j, i): v for i, j, v in m.items()})
 
 
 def test_rank_trivia():
@@ -53,7 +63,7 @@ def test_rank_invariances():
     for _ in range(20):
         m = random_sparse(rng, 12, 9)
         r = rank(m)
-        assert r == rank(m.transpose())
+        assert r == rank(transpose(m))
         assert r <= min(m.rows, m.cols)
         rperm = list(range(m.rows))
         cperm = list(range(m.cols))
@@ -318,3 +328,144 @@ def test_elimination_follows_pivot_rule_on_boundaries(parity):
                 m = c.boundary(k)
                 _assert_pivot_rule(m)
                 cleared = frozenset(_assert_pivot_rule(m, cleared))
+
+
+def _random_entries(rng, rows, cols):
+    """A random ``{(i, j): value}`` input and what the matrix keeps of it:
+    zeros, ``int``s from 2^63 up, ``Fraction``s, and ``Fraction``s of
+    denominator 1, which the matrix keeps as ``int``s."""
+    given, kept = {}, {}
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < 0.3:
+                kind = rng.randrange(5)
+                if kind == 0:
+                    v = rng.choice((0, Fraction(0), Fraction(0, 5)))
+                elif kind == 1:
+                    v = rng.choice((1, -1)) * (2 ** 63 + rng.randrange(2 ** 70))
+                elif kind == 2:
+                    v = Fraction(rng.randint(-9, 9), rng.randint(2, 9))
+                elif kind == 3:
+                    v = Fraction(rng.randint(-9, 9) * 4, 4)
+                else:
+                    v = rng.randint(-9, 9)
+                given[i, j] = v
+                if v:
+                    kept[i, j] = v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+    return given, kept
+
+
+def test_storage_keeps_exactly_the_normalised_input():
+    """On random inputs the matrix keeps the normalised nonzeros: ``entries``
+    equals them, with ``int`` for every integral value, and is a fresh copy;
+    equality, ``nnz`` and ``integral`` follow them; and the matrix text is
+    the sorted triples, which read back to the same matrix."""
+    rng = random.Random(4401)
+    for trial in range(200):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        given, kept = _random_entries(rng, rows, cols)
+        m = SparseMatrix(rows, cols, given)
+        entries = m.entries
+        assert entries == kept and entries is not m.entries, trial
+        assert all(type(v) is int or type(v) is Fraction and v.denominator != 1
+                   for v in entries.values())
+        assert m.nnz == len(kept)
+        assert m.integral == all(type(v) is int for v in kept.values())
+        entries[rows, cols] = 1
+        entries.pop(next(iter(kept), None), None)
+        assert m.entries == kept
+        shuffled = list(given.items())
+        rng.shuffle(shuffled)
+        assert SparseMatrix(rows, cols, dict(shuffled)) == m
+        assert SparseMatrix(rows, cols, kept) == m
+        assert SparseMatrix(rows + 1, cols, kept) != m
+        if kept:
+            key = rng.choice(sorted(kept))
+            assert SparseMatrix(rows, cols, {**kept, key: kept[key] + 1}) != m
+        lines = [f"{rows} {cols} M"]
+        for (i, j), v in sorted(kept.items()):
+            v = Fraction(v)
+            lines.append(f"{i + 1} {j + 1} {v.numerator}" if v.denominator == 1
+                         else f"{i + 1} {j + 1} {v.numerator}/{v.denominator}")
+        text = "\n".join(lines + ["0 0 0"]) + "\n"
+        assert matrix_to_text(m) == text, trial
+        assert text_to_matrix(text) == m
+
+
+def test_from_columns_matches_the_dictionary_constructor():
+    """Columns given in order, with repeated rows summed by the caller,
+    zeros and rows in any order within a column, make the same matrix as
+    the dictionary of their nonzeros; a wrong column count or a row out of
+    range is refused."""
+    rng = random.Random(4402)
+    for trial in range(200):
+        rows, cols = rng.randint(0, 12), rng.randint(0, 12)
+        columns = []
+        for _ in range(cols):
+            picked = rng.sample(range(rows), rng.randint(0, rows))
+            columns.append({i: rng.choice((0, 1, -1, 2, -3)) for i in picked})
+        m = SparseMatrix.from_columns(rows, cols, iter(columns))
+        expected = {(i, j): v for j, column in enumerate(columns) for i, v in column.items() if v}
+        assert m == SparseMatrix(rows, cols, expected) and m.entries == expected, trial
+        assert m.integral and m.nnz == len(expected)
+    with pytest.raises(ValueError):
+        SparseMatrix.from_columns(2, 3, [{0: 1}, {}])
+    with pytest.raises(ValueError):
+        SparseMatrix.from_columns(2, 1, [{2: 1}])
+    with pytest.raises(ValueError):
+        SparseMatrix.from_columns(2, 1, [{-1: 1}])
+
+
+STORAGE = r"""
+import gc, json, sys
+from gch.complexes import ComplexSpec, build_complex
+
+def referents(obj):
+    return [r for r in gc.get_referents(obj) if not isinstance(r, type)]
+
+def retained(obj):
+    seen, stack, total = set(), [obj], 0
+    while stack:
+        o = stack.pop()
+        if id(o) not in seen:
+            seen.add(id(o))
+            total += sys.getsizeof(o)
+            stack.extend(referents(o))
+    return total
+
+out = {}
+for kind, parity in (("gp", "even"), ("ass", "odd")):
+    c = build_complex(ComplexSpec(kind, parity, 3))
+    ms = list(c.boundaries.values())
+    out[f"{kind}-{parity}"] = {
+        "holders": sorted({type(r).__name__ for m in ms for r in referents(m)}),
+        "itemsizes": sorted({r.itemsize for m in ms for r in referents(m) if hasattr(r, "itemsize")}),
+        "nnz": sum(m.nnz for m in ms),
+        "matrices": len(ms),
+        "bytes": sum(retained(m) for m in ms),
+    }
+print(json.dumps(out))
+"""
+
+# what one boundary retains: at most FIXED bytes for the object and its
+# empty arrays, and PER_NONZERO bytes for each nonzero (4 + 4 + 8 in the
+# arrays); a dictionary entry with its key tuple costs over 100
+FIXED, PER_NONZERO = 512, 20
+
+
+def test_boundaries_hold_nonzeros_in_packed_arrays():
+    """In a fresh interpreter, every boundary of ``gp`` even and ``ass`` odd
+    at genus 3 refers to nothing but index and value arrays and its shape
+    and flags, the arrays hold 4-byte indices and 8-byte values, and the
+    bytes the boundaries retain stay within FIXED per matrix plus
+    PER_NONZERO per nonzero."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, "-c", STORAGE], capture_output=True, text=True,
+                            env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    for name, got in json.loads(result.stdout).items():
+        assert got["holders"] == ["array", "bool", "int"], (name, got)
+        assert got["itemsizes"] == [4, 8], (name, got)
+        assert got["nnz"] > 0, name
+        assert got["bytes"] <= FIXED * got["matrices"] + PER_NONZERO * got["nnz"], (name, got)

@@ -88,13 +88,16 @@ def test_determinant_and_rank_by_definition():
             assert dense_rank(a) == max(minors), a
 
 
-def oracle_odd_sign(m, autos):
-    """The oracle's C_1.C_0 sign of an automorphism on all edges, for odd
-    parity; the automorphism must be among the oracle's ``autos``."""
+def exact_sequence_sign(m):
+    """The sign on det H_1 of an automorphism by the exact sequence
+    0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0, written here and not in the oracle:
+    the parity of its edge images times -1 per reversed edge, times the
+    parity of its vertex images."""
+    def parity(seq):
+        return -1 if sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 else 1
     firsts = m.half_edge_map[::2]
-    aut = ([h >> 1 for h in firsts], sum(h & 1 for h in firsts), list(m.vertex_map))
-    assert aut in autos
-    return automorphism_sign(aut, range(m.source.edge_count), odd=True)
+    return (parity([h >> 1 for h in firsts]) * (-1) ** sum(h & 1 for h in firsts)
+            * parity(m.vertex_map))
 
 
 @pytest.mark.parametrize(
@@ -104,12 +107,13 @@ def oracle_odd_sign(m, autos):
     ids=lambda g: str(g),
 )
 def test_odd_sign_matches_direction_oracle(g):
-    """The oracle's two odd signs of an automorphism agree: its morphism
-    sign, the edge permutation parity times the determinant of the cycle
-    basis pushed through it, and the exact-sequence sign, the vertex-order
-    parity times the edge-direction flips.  The graphs exercise tadpole
-    flips, parallel swaps, rotations and reflections."""
-    autos = half_edge_automorphisms(g)
+    """The oracle's odd sign of an automorphism, its H_1 sign from the
+    determinant of the reference cycle basis pushed through it, is the
+    exact-sequence sign, the parity of the edge images times the
+    edge-direction flips times the vertex-order parity; and its sign on all
+    edges is its morphism sign.  The graphs exercise tadpole flips,
+    parallel swaps, rotations and reflections."""
+    autos = {aut.half_edges: aut for aut in half_edge_automorphisms(g)}
     ref = reference_orientation(g)
     gens = automorphism_group(g).generators
     rng = random.Random(11)
@@ -119,4 +123,6 @@ def test_odd_sign_matches_direction_oracle(g):
         b = rng.choice(elements)
         elements.append(compose(a, b))
     for m in elements:
-        assert morphism_sign(m, "odd", ref, ref) == oracle_odd_sign(m, autos)
+        aut = autos[tuple(m.half_edge_map)]
+        assert aut.h1 == exact_sequence_sign(m)
+        assert morphism_sign(m, "odd", ref, ref) == automorphism_sign(aut, range(g.edge_count), True)

@@ -181,11 +181,13 @@ def _forest_of(g, edges):
 
 
 def test_collapse_transport_does_not_depend_on_the_tree():
-    """The odd transport across a non-tadpole collapse pushes the reference
-    cycle basis through it.  The oracle's basis of a spanning tree through
-    the collapsed edge, pushed through the collapse onto the target's
-    reference basis, gives the same sign once multiplied by the sign of
-    the change of basis between that tree's basis and the reference one."""
+    """The engine's odd sign of a non-tadpole collapse, ``collapse_h1``, is
+    ``h1_map_sign`` on the exact-sequence orientations times the
+    ``kruskal_sign`` of each side.  The oracle transports a cycle basis
+    instead: the basis of a spanning tree through the collapsed edge,
+    pushed through the collapse onto the target's reference basis, times
+    the sign of the change of basis between that tree's basis and the
+    source's reference one, gives the same sign."""
     specs = [EnumSpec(genus=g, min_valence=3, allow_tadpoles=True) for g in (2, 3, 4)]
     specs += [EnumSpec(genus=g, min_valence=3, ribbon=True) for g in (2, 3)]
     checked = 0

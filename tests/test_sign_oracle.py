@@ -4,10 +4,12 @@
 automorphism of a small graph by search (for a ribbon graph, those that
 commute with the cyclic orders), and :func:`gch.oracle.automorphism_sign`
 gives its orientation sign on a generator (graph, edge subset S): the
-parity of its action on S, and for odd parity also its C_1.C_0 sign on
-det H_1.  So the oracle never computes a cycle basis, a spanning tree or
-an automorphism group with gch, and a generator vanishes exactly when some
-automorphism stabilizing S has sign -1.  The graphs are every graph and
+parity of its action on S, and for odd parity also its sign on det H_1,
+the determinant of the oracle's own reference cycle basis pushed through
+it.  The engine reads that sign off the exact sequence instead, so the
+two share no sign rule; the oracle never computes an automorphism group
+with gch, and a generator vanishes exactly when some automorphism
+stabilizing S has sign -1.  The graphs are every graph and
 ribbon graph of genus 1 to 3 with at most six edges, bivalent vertices and
 tadpoles allowed, and the stable weighted graphs of genus 2 and 3 with at
 most six edges; the subsets are all of their edge subsets.  On the graphs

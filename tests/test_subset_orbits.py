@@ -48,7 +48,7 @@ def _forms():
 def _check_graph(form):
     g = form.graph
     autos = half_edge_automorphisms(g)
-    edge_perms = [perm for perm, _, _ in autos]
+    edge_perms = [aut.edges for aut in autos]
     subsets = [s for size in range(g.edge_count + 1)
                for s in itertools.combinations(range(g.edge_count), size)]
     orbit = {s: {tuple(sorted(p[e] for e in s)) for p in edge_perms} for s in subsets}
@@ -65,12 +65,13 @@ def _check_graph(form):
                                        for p, _ in closure]
     assert ({tuple(p) for p, _ in closure}
             == {tuple(p) for p in edge_perms})
-    # the C_1.C_0 sign on det H_1 of each automorphism, by edge permutation:
-    # the odd sign on all edges times the even one, the edge parity
+    # the cycle-basis sign on det H_1 of each automorphism, by edge
+    # permutation: the odd sign on all edges times the even one, the edge
+    # parity
     every = tuple(range(g.edge_count))
     h1_signs = {}
     for aut in autos:
-        h1_signs.setdefault(tuple(aut[0]), set()).add(
+        h1_signs.setdefault(aut.edges, set()).add(
             automorphism_sign(aut, every, True) * automorphism_sign(aut, every, False))
     assert walked_first.kernel_odd == (-1 in h1_signs[every]), form.certificate
     if not walked_first.kernel_odd:
