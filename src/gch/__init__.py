@@ -1,22 +1,11 @@
 """Exact-arithmetic engine for graph complexes and moduli-of-graphs cells."""
 
-from .graph import (
-    HalfEdgeGraph,
-    Morphism,
-    StructuralReport,
-    DisconnectedGraphError,
-    structural_predicates,
-)
-from .canonical import AutGroup, automorphism_group
+from .graph import DisconnectedGraphError, HalfEdgeGraph, Morphism
+from .canonical import AutGroup
 from .context import CanonicalForm, canonical_form
-from .ribbon import RibbonStructure, contract_ribbon, faces, surface_invariants
+from .ribbon import RibbonStructure, faces, surface_invariants
 from .linalg import SparseMatrix, multiply, rank
-from .generate import (
-    EnumSpec,
-    InfeasibleEnumeration,
-    enumerate_graphs,
-    enumerate_ribbon_structures,
-)
+from .generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs
 from .complexes import (
     ChainComplex,
     ComplexSpec,

@@ -405,14 +405,6 @@ def build_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None, symmetries) ->
     return AutGroup(graph=g, generators=tuple(gens), order=order * kernel)
 
 
-def automorphism_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> AutGroup:
-    """Aut(G), or the ribbon automorphisms for a ribbon structure, in
-    ``g``'s labels, from the labelling search on ``g``."""
-    symmetries = (_canonical_labeling(g)[2:] if ribbon is None
-                  else ribbon_labelling(ribbon.next_map, _ends(g), g.weights)[-1])
-    return build_group(g, ribbon, symmetries)
-
-
 def edge_action_closure(edge_count: int, generators) -> list[tuple[tuple[int, ...], int]]:
     """The sorted group of permutations of ``edge_count`` edges spanned by
     (edge permutation tuple, sign) generators, each with the product of the

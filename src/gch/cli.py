@@ -3,8 +3,9 @@
 Commands emit JSON lines on stdout, byte-for-byte deterministic for fixed
 inputs.  Exit codes: 0 success, 1 failed verification, 2 usage error,
 3 infeasible request (an enumeration that needs --max-edges to be finite).
-An ``--export`` target is opened before any work, so an unusable one exits
-2 with nothing on stdout.
+An infeasible request is refused when its spec is made, before an
+``--export`` target is opened, so it writes no file.  The target is opened
+before any work, so an unusable one exits 2 with nothing on stdout.
 """
 
 from __future__ import annotations

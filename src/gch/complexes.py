@@ -88,6 +88,7 @@ class ComplexSpec:
             raise ValueError("moduli cells need genus >= 2")
         if self.max_edges is not None and self.max_edges < 0:
             raise ValueError("max_edges must be non-negative")
+        _family_spec(self)  # an unbounded family raises InfeasibleEnumeration here
 
 
 @dataclass(frozen=True)

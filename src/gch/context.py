@@ -257,7 +257,7 @@ class GraphContext:
         sigma'(sigma^-1 h) = sigma(h') and sigma'(sigma^-1 h') = sigma(h);
         a tadpole, in a weighted family, becomes a weight and its two
         half-edges leave their vertex's order.  The half-edges are numbered
-        as ``HalfEdgeGraph.contract`` numbers them, so ties between least
+        as ``HalfEdgeGraph.contraction`` numbers them, so ties between least
         traversals break, and every map comes out, as for the contracted
         labelled graph.  The spliced sigma is canonicalized from the vertex
         of each half-edge and the weights by the least traversal that
@@ -292,14 +292,11 @@ class GraphContext:
         """(target class, half-edge map onto its canonical graph) of the
         contraction of edge e on the canonical graph, with no orbit
         pruning: the rule of ``collapse`` for one edge."""
-        g, ribbon = self.graph, self.ribbon
-        if ribbon is None:
-            target, m = g.contract(e)
-            half_edge_map = m.half_edge_map
-            reached, _, iso = canonical_entry(target)
+        weights, edges, _, half_edge_map = self.graph.contraction(e)
+        if self.ribbon is None:
+            reached, _, iso = canonical_entry(HalfEdgeGraph(len(weights), weights, edges))
         else:
-            weights, edges, _, half_edge_map = g.contraction(e)
-            labelling = ribbon_labelling(splice(ribbon, e, half_edge_map),
+            labelling = ribbon_labelling(splice(self.ribbon, e, half_edge_map),
                                          [v for pair in edges for v in pair], weights)
             reached, iso = _class_of(labelling), labelling[5]
         return reached, tuple([None if h is None else iso[h] for h in half_edge_map])

@@ -51,10 +51,3 @@ def triangle_with_doubled_edge() -> HalfEdgeGraph:
     """Three vertices, four edges, one of them doubled; its spine has five cubes."""
     return HalfEdgeGraph.build(3, [(0, 2), (0, 1), (1, 2), (1, 2)])
 
-
-def single_edge() -> HalfEdgeGraph:
-    return HalfEdgeGraph.build(2, [(0, 1)])
-
-
-def weighted_point(g: int) -> HalfEdgeGraph:
-    return HalfEdgeGraph.build(1, [], weights=(g,))

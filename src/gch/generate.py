@@ -39,7 +39,11 @@ half-edges from sigma, and a subdivision gives the new
 vertex its only order.  Splitting a vertex of valence >= 4 along its
 cyclic order into two of valence >= 3 is undone by a contraction, so
 every ribbon graph of valence >= 3 is a contraction of a trivalent one,
-and smoothing a bivalent vertex undoes a subdivision.
+and smoothing a bivalent vertex undoes a subdivision.  This closure is
+the one way ribbon classes are made: the ``ass`` complexes and
+``gch verify`` read it, and the tests check it against
+:func:`gch.oracle.ribbon_structures`, the orbits of brute-force
+automorphisms on the products of cyclic orders of each plain graph.
 
 The bivalent and weighted families, and the families with tadpoles, can
 need tadpoles on the way (a loopless graph can smooth or uncontract to one
@@ -71,7 +75,7 @@ import itertools
 from dataclasses import dataclass
 
 from .context import GraphContext, canonical_entry
-from .families import cycle, dumbbell, theta
+from .families import dumbbell, rose, theta
 from .graph import HalfEdgeGraph
 from .ribbon import RibbonStructure
 
@@ -101,6 +105,8 @@ class EnumSpec:
             raise ValueError("min_edges must be non-negative")
         if self.max_edges is not None and self.max_edges < 0:
             raise ValueError("max_edges must be non-negative")
+        if self.min_valence == 2 and self.max_edges is None:
+            raise InfeasibleEnumeration("min_valence 2 admits arbitrarily long cycles; pass max_edges")
 
 
 _ENUM_CACHE: dict[EnumSpec, tuple] = {}
@@ -241,8 +247,6 @@ def enumerate_graphs(spec: EnumSpec) -> list[GraphContext]:
     g = spec.genus
     if spec.weighted and g < 1:
         raise ValueError("weighted enumeration needs genus >= 1")
-    if spec.min_valence == 2 and spec.max_edges is None:
-        raise InfeasibleEnumeration("min_valence 2 admits arbitrarily long cycles; pass max_edges")
     cap = 3 * g - 3 if spec.min_valence == 3 else spec.max_edges
     if spec.max_edges is not None:
         cap = min(cap, spec.max_edges)
@@ -265,7 +269,7 @@ def enumerate_graphs(spec: EnumSpec) -> list[GraphContext]:
         seeds = list(found.values())
         if g == 1:
             seeds.append(canonical_entry(
-                cycle(1), RibbonStructure(cycle(1), ((0, 1),)) if spec.ribbon else None)[0])
+                rose(1), RibbonStructure(rose(1), ((0, 1),)) if spec.ribbon else None)[0])
         found = _closure(seeds, lambda r: (
             canonical_entry(*_subdivide(r.graph, e, r.ribbon))[0]
             for e in range(r.graph.edge_count) if r.graph.edge_count < cap))
@@ -273,23 +277,3 @@ def enumerate_graphs(spec: EnumSpec) -> list[GraphContext]:
         r for r in map(found.__getitem__, sorted(found))
         if low <= r.graph.edge_count <= cap and (spec.allow_tadpoles or not r.graph.has_tadpole))
     return list(result)
-
-
-def enumerate_ribbon_structures(g: HalfEdgeGraph) -> list[RibbonStructure]:
-    """Orbit representatives of cyclic-order products under automorphisms:
-    the per-graph oracle for the ribbon closure, not used to enumerate."""
-    if not g.is_connected:
-        raise ValueError("ribbon enumeration needs a connected graph")
-    per_vertex = []
-    for hs in g.half_edges_at:
-        if not hs:
-            per_vertex.append([()])
-            continue
-        head, rest = hs[0], hs[1:]
-        per_vertex.append([(head,) + p for p in itertools.permutations(rest)])
-    reps: dict[str, RibbonStructure] = {}
-    for combo in itertools.product(*per_vertex):
-        rib = RibbonStructure(g, tuple(combo))
-        cert = canonical_entry(g, rib)[0].certificate
-        reps.setdefault(cert, rib)
-    return [reps[c] for c in sorted(reps)]

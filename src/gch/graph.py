@@ -7,8 +7,8 @@ at ``edges[i][1]``.  The edge involution is therefore ``h ^ 1`` and tadpoles
 are pairs ``(v, v)``.  Legs (fixed points of the involution) are not
 representable on purpose.
 
-All values are immutable; every operation returns fresh graphs and
-morphisms, and graphs share one tuple per vertex pair.
+All values are immutable; every operation returns fresh values, and
+graphs share one tuple per vertex pair.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class HalfEdgeGraph:
         """Vertex carrying half-edge ``h``."""
         return self.edges[h >> 1][h & 1]
 
-    def epsilon(self, h):
-        """The other half of the edge of ``h``."""
-        return h ^ 1
-
     @cached_property
     def half_edges_at(self):
         """The half-edges at each vertex, in increasing order."""
@@ -121,40 +117,19 @@ class HalfEdgeGraph:
     def genus(self):
         return self.loop_number + sum(self.weights)
 
-    @cached_property
-    def is_stable(self):
-        """Every vertex satisfies 2*weight + valence > 2."""
-        return all(2 * w + val > 2 for w, val in zip(self.weights, self.valences))
-
     # -- rebuilding ------------------------------------------------------
-
-    def contract(self, e):
-        """Contract edge ``e`` and return ``(graph, morphism)``.
-
-        A non-tadpole merges its endpoints (weights add); a tadpole is
-        removed and its vertex weight grows by one, so the genus is
-        preserved either way.  The labels are those of ``contraction``.
-        """
-        weights, edges, vertex_map, half_edge_map = self.contraction(e)
-        target = HalfEdgeGraph(len(weights), weights, edges)
-        m = Morphism(
-            kind="edge-collapse",
-            source=self,
-            target=target,
-            vertex_map=vertex_map,
-            half_edge_map=half_edge_map,
-            collapsed_edges=(e,),
-        )
-        return target, m
 
     def contraction(self, e):
         """(weights, edges, vertex map, half-edge map) of the contraction of
         edge ``e``, without building the graph.
 
-        The surviving vertex of a merge is the smaller endpoint, vertices
-        above the larger one shift down, the other edges keep their order,
-        and each keeps its half-edges in the order of its target pair, a
-        tadpole image keeping (2j, 2j+1).  ``e``'s half-edges map to None.
+        A non-tadpole merges its endpoints (weights add); a tadpole is
+        removed and its vertex weight grows by one, so the genus is
+        preserved either way.  The surviving vertex of a merge is the
+        smaller endpoint, vertices above the larger one shift down, the
+        other edges keep their order, and each keeps its half-edges in the
+        order of its target pair, a tadpole image keeping (2j, 2j+1).
+        ``e``'s half-edges map to None.
         """
         u, v = self.edges[e]
         n = self.vertex_count
@@ -214,32 +189,6 @@ class Morphism:
             out.append(None if h is None else h >> 1)
         return tuple(out)
 
-    def check(self):
-        """Validate the graph-morphism laws; used by tests."""
-        src, dst = self.source, self.target
-        assert len(self.vertex_map) == src.vertex_count
-        assert len(self.half_edge_map) == src.half_edge_count
-        for h in range(src.half_edge_count):
-            img = self.half_edge_map[h]
-            if img is None:
-                assert (h >> 1) in self.collapsed_edges
-                continue
-            assert dst.iota(img) == self.vertex_map[src.iota(h)]
-            partner = self.half_edge_map[h ^ 1]
-            assert partner is not None and partner == img ^ 1
-        if self.kind == "isomorphism":
-            assert sorted(self.vertex_map) == list(range(dst.vertex_count))
-            assert sorted(self.half_edge_map) == list(range(dst.half_edge_count))
-        return True
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    has_tadpole: bool
-    bridges: frozenset[int]
-    is_bridge_free: bool
-    is_one_vertex_irreducible: bool
-
 
 def _reached(n, edges, start):
     """How many of the vertices 0..n-1 the edges join to ``start``, itself
@@ -257,32 +206,3 @@ def _reached(n, edges, start):
                 seen[y] = 1
                 stack.append(y)
     return sum(seen)
-
-
-def structural_predicates(g: HalfEdgeGraph) -> StructuralReport:
-    """Bridges, tadpoles and one-vertex irreducibility of a connected graph.
-
-    A bridge is a non-tadpole edge whose deletion disconnects.  A graph
-    counts as one-vertex irreducible when it is bridge-free and deleting
-    any single vertex (with its incident edges) leaves the rest connected;
-    requiring bridge-freeness keeps graphs like the dumbbell reducible even
-    though deleting a bridge endpoint there leaves a lone tadpole vertex.
-    """
-    if not g.is_connected:
-        raise DisconnectedGraphError("structural predicates need a connected graph")
-    n, edges = g.vertex_count, g.edges
-    bridges = frozenset(
-        e for e in range(len(edges))
-        if not g.is_tadpole(e) and _reached(n, edges[:e] + edges[e + 1:], 0) < n
-    )
-    # with vertex v deleted, the edges off v must join the other n - 1
-    # vertices to one of them
-    one_vi = not bridges and (n == 1 or all(
-        _reached(n, [p for p in edges if v not in p], int(v == 0)) == n - 1 for v in range(n)
-    ))
-    return StructuralReport(
-        has_tadpole=g.has_tadpole,
-        bridges=bridges,
-        is_bridge_free=not bridges,
-        is_one_vertex_irreducible=one_vi,
-    )

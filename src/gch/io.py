@@ -128,6 +128,8 @@ def text_to_matrix(text: str) -> SparseMatrix:
         if parts == ["0", "0", "0"]:
             raise ValueError("lines after the '0 0 0' terminator")
         i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"entry line {ln!r} out of range 1..{rows} x 1..{cols}")
         if (i, j) in entries:
             raise ValueError(f"duplicate entry ({i + 1},{j + 1})")
         try:

@@ -162,10 +162,6 @@ class SparseMatrix:
     def zero(rows: int, cols: int) -> "SparseMatrix":
         return SparseMatrix(rows, cols, {})
 
-    @staticmethod
-    def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
-
     @property
     def nnz(self) -> int:
         return len(self._i)
@@ -181,14 +177,6 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return not self._i
-
-    def dense(self) -> list[list[Fraction]]:
-        """Rows of ``Fraction``s, also for integer entries, so that dense
-        elimination on the result divides exactly."""
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for i, j, v in self.items():
-            out[i][j] = Fraction(v)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):

@@ -34,10 +34,6 @@ class CellPoset:
     nodes: list[PosetNode]
     covers: frozenset[tuple[int, int]]  # (node index, collapsed-face index)
 
-    @cached_property
-    def index(self):
-        return {node.certificate: i for i, node in enumerate(self.nodes)}
-
     @property
     def max_dimension(self) -> int:
         return max((n.dimension for n in self.nodes), default=-1)

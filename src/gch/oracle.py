@@ -1,12 +1,12 @@
 """Brute-force references for automorphisms, signs, orientations,
-enumeration, connectivity, forests and ranks.
+enumeration, connectivity, forests, ribbon structures and ranks.
 
 Each function recomputes by exhaustive search, or by plain elimination,
 something that the engine computes another way.  The module imports
 nothing from ``gch`` except :mod:`gch.graph`, so a fault in canonical
-forms, automorphism groups, orientations, generation or sparse
-elimination cannot also sit in its check.  Only the tests call it; no
-module of the package imports it.
+forms, automorphism groups, orientations, generation, ribbon splicing or
+sparse elimination cannot also sit in its check.  Only the tests call it;
+no module of the package imports it.
 
 The sign of a map on det H_1 is the determinant of a cycle basis pushed
 through it, written in a basis of the target (:func:`h1_sign`), with
@@ -17,7 +17,16 @@ theorem of Kontsevich*, arXiv:math/0208169), so no rule is shared:
 :func:`half_edge_automorphisms` signs each automorphism by :func:`h1_sign`
 between reference orientations, and face signs are checked against
 :func:`morphism_sign`, on morphisms built here too
-(:func:`identity_morphism`, :func:`compose`).
+(:func:`identity_morphism`, :func:`contract`, :func:`compose`).
+
+Ribbon structures are tuples of cyclic orders, one per vertex, each from
+its least half-edge.  The ribbon classes on a graph are the orbits of
+:func:`half_edge_automorphisms` on the products of cyclic orders
+(:func:`ribbon_structures`), not the engine's certificates, and a
+contraction joins the two orders at the ends of the edge as the
+definition reads (:func:`contract_ribbon`), not by the engine's splice of
+sigma.  Bridges and one-vertex irreducibility are deletions counted by
+union-find (:func:`bridges`, :func:`is_one_vertex_irreducible`).
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .graph import HalfEdgeGraph, Morphism
+from .graph import DisconnectedGraphError, HalfEdgeGraph, Morphism
 
 
 def _parity(seq) -> int:
@@ -181,6 +190,100 @@ def forests(g: HalfEdgeGraph) -> list[tuple[int, ...]]:
             for s in itertools.combinations(range(g.edge_count), size) if is_forest(g, s)]
 
 
+def bridges(g: HalfEdgeGraph) -> frozenset[int]:
+    """The non-tadpole edges of a connected graph whose deletion leaves two
+    components."""
+    vertices = range(g.vertex_count)
+    if components(vertices, g.edges) != 1:
+        raise DisconnectedGraphError("bridges need a connected graph")
+    return frozenset(e for e, (u, v) in enumerate(g.edges)
+                     if u != v and components(vertices, g.edges[:e] + g.edges[e + 1:]) > 1)
+
+
+def is_one_vertex_irreducible(g: HalfEdgeGraph) -> bool:
+    """Whether a connected graph is bridge-free and deleting any one vertex,
+    with its edges, leaves the rest connected.  Bridge-freeness keeps the
+    dumbbell reducible, though deleting a bridge end there leaves a lone
+    tadpole vertex."""
+    n = g.vertex_count
+    return not bridges(g) and all(
+        components([w for w in range(n) if w != v], [p for p in g.edges if v not in p]) <= 1
+        for v in range(n))
+
+
+def is_stable(g: HalfEdgeGraph) -> bool:
+    """Every vertex has 2 * weight + valence > 2."""
+    return all(2 * w + val > 2 for w, val in zip(g.weights, g.valences))
+
+
+def is_morphism(m: Morphism) -> bool:
+    """Whether ``m`` obeys the laws of a graph map: its half-edge map
+    commutes with the vertex map and the edge involution, only collapsed
+    edges map to None, and an isomorphism is bijective."""
+    src, dst = m.source, m.target
+    if len(m.vertex_map) != src.vertex_count or len(m.half_edge_map) != src.half_edge_count:
+        return False
+    for h, image in enumerate(m.half_edge_map):
+        if image is None:
+            if h >> 1 not in m.collapsed_edges:
+                return False
+        elif dst.iota(image) != m.vertex_map[src.iota(h)] or m.half_edge_map[h ^ 1] != image ^ 1:
+            return False
+    return m.kind != "isomorphism" or (sorted(m.vertex_map) == list(range(dst.vertex_count))
+                                       and sorted(m.half_edge_map) == list(range(dst.half_edge_count)))
+
+
+def _from_least(cycle) -> tuple[int, ...]:
+    """A cyclic order rotated to start at its least half-edge."""
+    k = cycle.index(min(cycle)) if cycle else 0
+    return tuple(cycle[k:]) + tuple(cycle[:k])
+
+
+def transport_cycles(target: HalfEdgeGraph, cycles, half_edge_map) -> tuple[tuple[int, ...], ...]:
+    """Cyclic orders pushed onto ``target`` by a half-edge map defined on
+    their half-edges, an isomorphism's or a collapse's: each image order
+    sits at the vertex of its half-edges, from its least half-edge."""
+    out = [()] * target.vertex_count
+    for cycle in cycles:
+        if cycle:
+            image = [half_edge_map[h] for h in cycle]
+            out[target.iota(image[0])] = _from_least(image)
+    return tuple(out)
+
+
+def ribbon_structures(g: HalfEdgeGraph) -> list[tuple[tuple[int, ...], ...]]:
+    """One choice of cyclic orders per ribbon class on a connected graph:
+    the orbits of :func:`half_edge_automorphisms` on the product of the
+    cyclic orders at the vertices, each orbit's first member in product
+    order."""
+    choices = [[(hs[0], *rest) for rest in itertools.permutations(hs[1:])] if hs else [()]
+               for hs in g.half_edges_at]
+    auts = half_edge_automorphisms(g)
+    seen, reps = set(), []
+    for cycles in itertools.product(*choices):
+        if cycles not in seen:
+            reps.append(cycles)
+            seen.update(transport_cycles(g, cycles, aut.half_edges) for aut in auts)
+    return reps
+
+
+def contract_ribbon(g: HalfEdgeGraph, cycles, e: int):
+    """(graph, cyclic orders, morphism) of the contraction of the
+    non-tadpole edge ``e`` of a ribbon graph, by the definition: the new
+    vertex carries the order at the end of half-edge 2e, rotated to end
+    just before it, followed by the order at the other end, rotated to
+    start just after 2e + 1.  The other orders are carried along."""
+    v, w = g.edges[e]
+    if v == w:
+        raise ValueError("cannot contract a tadpole in a ribbon graph")
+    target, m = contract(g, e)
+    at_v, at_w = list(cycles[v]), list(cycles[w])
+    i, j = at_v.index(2 * e), at_w.index(2 * e + 1)
+    merged = at_v[i + 1:] + at_v[:i] + at_w[j + 1:] + at_w[:j]
+    kept = [cycle for x, cycle in enumerate(cycles) if x not in (v, w)]
+    return target, transport_cycles(target, kept + [merged], m.half_edge_map), m
+
+
 @dataclass(frozen=True)
 class Orientation:
     """An edge order and a basis of H_1: a spanning tree and its complement
@@ -264,6 +367,14 @@ def h1_sign(half_edge_map, src: Orientation, dst: Orientation) -> int:
 def identity_morphism(g: HalfEdgeGraph) -> Morphism:
     return Morphism("isomorphism", g, g, tuple(range(g.vertex_count)),
                     tuple(range(g.half_edge_count)))
+
+
+def contract(g: HalfEdgeGraph, e: int) -> tuple[HalfEdgeGraph, Morphism]:
+    """The contraction of edge ``e`` (``HalfEdgeGraph.contraction``) and
+    its edge-collapse morphism."""
+    weights, edges, vertex_map, half_edge_map = g.contraction(e)
+    target = HalfEdgeGraph(len(weights), weights, edges)
+    return target, Morphism("edge-collapse", g, target, vertex_map, half_edge_map, (e,))
 
 
 def compose(second: Morphism, first: Morphism) -> Morphism:

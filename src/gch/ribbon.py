@@ -1,9 +1,13 @@
-"""Ribbon (fat) graph structure: cyclic orders, contraction, face tracing.
+"""Ribbon (fat) graph structure: cyclic orders, the splice of a
+contraction, face tracing.
 
 A ribbon structure assigns to every vertex a cyclic order of its half-edges.
 The disjoint union of these cycles is a permutation sigma of the half-edge
 set; the boundary components of the thickened surface are the orbits of
-sigma composed with the edge involution.
+sigma composed with the edge involution.  A ribbon class contracts an edge
+only by :func:`splice` on sigma, in ``GraphContext.collapse``; the tests
+check it against :func:`gch.oracle.contract_ribbon`, which joins the two
+cyclic orders as the definition reads.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import HalfEdgeGraph, Morphism
+from .graph import HalfEdgeGraph
 
 
 def normalize_cycle(cycle):
@@ -97,20 +101,6 @@ def cyclic_orders(nxt, half_edges_at) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def contract_ribbon(g: HalfEdgeGraph, ribbon: RibbonStructure, e: int):
-    """Contract a non-tadpole edge, splicing the two cyclic orders
-    (``splice``): the new vertex carries the order at one endpoint,
-    written ending just before the half-edge of ``e``, followed by the
-    order at the other, written starting just after its partner.  Returns
-    ``(graph, ribbon, morphism)``.
-    """
-    if g.is_tadpole(e):
-        raise ValueError("cannot contract a tadpole in a ribbon graph")
-    target, m = g.contract(e)
-    nxt = splice(ribbon, e, m.half_edge_map)
-    return target, RibbonStructure(target, cyclic_orders(nxt, target.half_edges_at)), m
-
-
 def faces(g: HalfEdgeGraph, ribbon: RibbonStructure):
     """Boundary cycles of the thickening: orbits of sigma o epsilon, and
     one empty cycle for each vertex without half-edges, which thickens to
@@ -144,15 +134,6 @@ def surface_invariants(g: HalfEdgeGraph, ribbon: RibbonStructure):
     if gs < 0:
         raise AssertionError("negative surface genus")
     return gs, b
-
-
-def transport_ribbon(ribbon: RibbonStructure, m: Morphism) -> RibbonStructure:
-    """Push a ribbon structure through an isomorphism."""
-    target = m.target
-    new_cycles: list[tuple[int, ...]] = [()] * target.vertex_count
-    for v, cyc in enumerate(ribbon.cycles):
-        new_cycles[m.vertex_map[v]] = tuple(m.half_edge_map[h] for h in cyc)
-    return RibbonStructure(target, tuple(new_cycles))
 
 
 def cycles_word(cycles) -> str:

@@ -23,11 +23,11 @@ from .complexes import (
     homology,
     split_by_surface,
 )
-from .families import banana, cycle, theta, triangle_with_doubled_edge, wheel
-from .generate import EnumSpec, enumerate_graphs, enumerate_ribbon_structures
+from .families import banana, cycle, triangle_with_doubled_edge, wheel
+from .generate import EnumSpec, enumerate_graphs
 from .linalg import rank
 from .moduli import build_cell_poset, build_spine, f_vector
-from .ribbon import contract_ribbon, surface_invariants
+from .ribbon import surface_invariants
 
 
 @dataclass
@@ -211,25 +211,35 @@ def check_moduli_dimensions():
     return "cell dimension 3g-4 and spine dimension 2g-3 for genus 2..4; 5 tree cubes"
 
 
+def _ribbon_classes(genus):
+    """The ribbon classes of valence >= 3 with tadpoles, up to six edges."""
+    return enumerate_graphs(EnumSpec(genus=genus, min_valence=3, allow_tadpoles=True,
+                                     max_edges=6, ribbon=True))
+
+
+def _theta_surfaces():
+    """The surface invariants of the ribbon classes on the theta graph."""
+    return sorted(surface_invariants(ctx.graph, ctx.ribbon) for ctx in _ribbon_classes(2)
+                  if ctx.graph.edges == ((0, 1),) * 3)
+
+
 def check_ribbon_surfaces():
     """Theta thickens to (0,3) and (1,1); surface invariants survive every
-    contraction up to six edges; ribbon boundaries are surface-diagonal."""
-    ribs = enumerate_ribbon_structures(theta())
-    invs = sorted(surface_invariants(theta(), r) for r in ribs)
+    contraction of a ribbon class up to six edges (``GraphContext.collapse``);
+    ribbon boundaries are surface-diagonal."""
+    invs = _theta_surfaces()
     assert invs == [(0, 3), (1, 1)], invs
     checked = 0
     for genus in (2, 3):
-        for form in enumerate_graphs(EnumSpec(genus=genus, min_valence=3,
-                                              allow_tadpoles=True, max_edges=6)):
-            g = form.graph
-            for rib in enumerate_ribbon_structures(g):
-                inv = surface_invariants(g, rib)
-                for e in range(g.edge_count):
-                    if g.is_tadpole(e):
-                        continue
-                    t, trib, _ = contract_ribbon(g, rib, e)
-                    assert surface_invariants(t, trib) == inv, (g, e)
-                    checked += 1
+        for ctx in _ribbon_classes(genus):
+            g = ctx.graph
+            inv = surface_invariants(g, ctx.ribbon)
+            for e in range(g.edge_count):
+                if g.is_tadpole(e):
+                    continue
+                target = ctx.collapse(e)[0]
+                assert surface_invariants(target.graph, target.ribbon) == inv, (ctx.certificate, e)
+                checked += 1
     for genus in (2, 3):
         for parity in ("even", "odd"):
             blocks = split_by_surface(build_complex(ComplexSpec("ass", parity, genus)))
@@ -261,9 +271,7 @@ def _core_checks():
         return "genus-2 boundaries square to zero"
 
     def quick_surface():
-        invs = sorted(surface_invariants(theta(), r)
-                      for r in enumerate_ribbon_structures(theta()))
-        assert invs == [(0, 3), (1, 1)]
+        assert _theta_surfaces() == [(0, 3), (1, 1)]
         return "theta thickening invariants"
 
     def quick_spine():

@@ -169,6 +169,20 @@ def test_unusable_path_exit_code(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+def test_infeasible_export_writes_nothing(tmp_path, capsys):
+    """An unbounded request is refused (exit 3) before its export target is
+    opened: no directory and no file is made, and nothing reaches stdout."""
+    target = tmp_path / "out"
+    argv = ["complex", "--kind", "com_geq2", "--parity", "even", "--genus", "1",
+            "--export", str(target)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "infeasible request" in captured.err
+    assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_complex_export(tmp_path, capsys):
     code, rows = run_cli(capsys, "complex", "--kind", "gf", "--parity", "even",
                          "--genus", "2", "--export", str(tmp_path / "out"))

@@ -19,9 +19,9 @@ from gch.complexes import (
 )
 from gch.context import _CLASSES, GraphContext, canonical_form
 from gch.families import cycle, rose, theta, wheel
-from gch.oracle import (automorphism_sign, compose, half_edge_automorphisms, morphism_sign,
-                        reference_orientation)
-from gch.ribbon import contract_ribbon
+from gch.oracle import (automorphism_sign, compose, contract, contract_ribbon,
+                        half_edge_automorphisms, morphism_sign, reference_orientation)
+from gch.ribbon import RibbonStructure
 
 
 def dims_of(spec):
@@ -229,11 +229,11 @@ def _collapse_onto_canonical(gen, e):
     """The canonical form of gen / e and the collapse composed with the
     isomorphism onto it."""
     if gen.ribbon is None:
-        target, m = gen.graph.contract(e)
+        target, m = contract(gen.graph, e)
         form = canonical_form(target)
     else:
-        target, ribbon, m = contract_ribbon(gen.graph, gen.ribbon, e)
-        form = canonical_form(target, ribbon=ribbon)
+        target, cycles, m = contract_ribbon(gen.graph, gen.ribbon.cycles, e)
+        form = canonical_form(target, ribbon=RibbonStructure(target, cycles))
     return form, compose(form.iso, m)
 
 
@@ -302,7 +302,7 @@ def _pair_faces(c, k, autos):
             base = 1 if p % 2 else -1
             rest = [f for f in subset if f != e]
             if not g.is_tadpole(e):
-                target, m = g.contract(e)
+                target, m = contract(g, e)
                 form = canonical_form(target)
                 composite = compose(form.iso, m)
                 transport = 1

@@ -104,7 +104,7 @@ def test_exports_match_golden_hashes(tmp_path, capsys):
 HISTORY = """
 import contextlib, hashlib, io, json, sys, tempfile
 from pathlib import Path
-from gch.canonical import automorphism_group
+from gch.canonical import build_group, canonical_labelling
 from gch.cli import main
 from gch.generate import EnumSpec, enumerate_graphs
 
@@ -120,7 +120,8 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
                                     for p in sorted(target.iterdir())}
 differ = sum(1 for c in classes.values()
              if [m.half_edge_map for m in c.group.generators]
-             != [m.half_edge_map for m in automorphism_group(c.graph, c.ribbon).generators])
+             != [m.half_edge_map for m in build_group(
+                 c.graph, c.ribbon, canonical_labelling(c.graph, c.ribbon)[-1]).generators])
 print(json.dumps({"classes": len(classes), "differ": differ, "hashes": hashes}))
 """
 

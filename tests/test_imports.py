@@ -9,7 +9,10 @@ A module-level name bound to an empty ``{}`` or ``dict()`` is a cache that
 lives for the whole process, and the package has exactly four.  A
 ``_``-prefixed attribute (dunders aside) of anything but ``self`` is read
 only in ``context.py``, so the formats a class keeps there (its slot
-table, its edge-action closure) stay inside it.
+table, its edge-action closure) stay inside it.  Every function, class
+and method of an engine module (all but ``oracle.py`` and
+``__init__.py``) is named by some engine module or benchmark file, so the
+engine keeps no code that only the tests reach.
 """
 
 import ast
@@ -19,6 +22,7 @@ import gch
 
 PACKAGE = Path(gch.__file__).parent
 TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -104,3 +108,65 @@ def test_only_context_reads_private_attributes_of_other_objects():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "context.py"]
     reads = {p.name: names for p in modules if (names := private_reads(p))}
     assert reads == {}
+
+
+def unnamed_definitions(modules: list[Path], callers: list[Path]) -> list[str]:
+    """``module.name`` or ``module.Class.name`` of each function, class and
+    method (dunders aside) of ``modules`` that no name or attribute in
+    ``modules`` or ``callers`` names; docstrings and comments do not
+    count."""
+    named = set()
+    for path in modules + callers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and node.name not in named:
+                    found.append(prefix + node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.")
+
+    for path in modules:
+        visit(ast.parse(path.read_text()).body, f"{path.stem}.")
+    return sorted(found)
+
+
+def test_unnamed_definition_is_found(tmp_path):
+    engine, bench = tmp_path / "engine.py", tmp_path / "bench.py"
+    engine.write_text('''"""unused, Box.spare and helper appear only in words here."""
+def used():
+    return _helper()
+def _helper():
+    return Box().size
+def unused():
+    pass
+class Box:
+    def __init__(self):
+        self.size = 1
+    def spare(self):
+        pass
+    def read(self):
+        pass
+''')
+    bench.write_text("import engine\nengine.used()\nengine.Box.read\n")
+    assert unnamed_definitions([engine], [bench]) == ["engine.Box.spare", "engine.unused"]
+    assert unnamed_definitions([engine], []) == ["engine.Box.read", "engine.Box.spare",
+                                                 "engine.unused", "engine.used"]
+
+
+# the documented reader of the matrices that ``gch complex --export`` writes
+READERS = {"io.text_to_matrix"}
+
+
+def test_engine_keeps_no_code_only_tests_reach():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("oracle.py", "__init__.py")]
+    callers = sorted(PERFBENCH.glob("*.py"))
+    assert callers, PERFBENCH
+    assert set(unnamed_definitions(modules, callers)) - READERS == set()

@@ -132,6 +132,10 @@ def test_matrix_parse_errors():
     for text in bad:
         with pytest.raises(ValueError):
             text_to_matrix(text)
+    # a coordinate out of range names the file's 1-based line, not a 0-based entry
+    for line in ("0 1 3", "3 1 1", "1 3 1"):
+        with pytest.raises(ValueError, match=f"entry line '{line}' out of range 1..2 x 1..2"):
+            text_to_matrix(f"2 2 M\n{line}\n0 0 0")
 
 
 def test_sparse_matrix_rejects_negative_shape():

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import gch
-from gch.canonical import automorphism_group
+from gch.context import canonical_entry
 from gch.families import banana, cycle, dumbbell, rose, theta, triangle_with_doubled_edge, wheel
 from gch.oracle import (
     automorphism_sign,
@@ -113,9 +113,10 @@ def test_odd_sign_matches_direction_oracle(g):
     edge-direction flips times the vertex-order parity; and its sign on all
     edges is its morphism sign.  The graphs exercise tadpole flips,
     parallel swaps, rotations and reflections."""
+    ctx = canonical_entry(g)[0]
+    g, gens = ctx.graph, ctx.group.generators
     autos = {aut.half_edges: aut for aut in half_edge_automorphisms(g)}
     ref = reference_orientation(g)
-    gens = automorphism_group(g).generators
     rng = random.Random(11)
     elements = list(gens)
     for _ in range(30):

@@ -1,11 +1,11 @@
 import pytest
 
-from gch.canonical import automorphism_group
-from gch.context import canonical_form
-from gch.families import single_edge, theta, wheel
-from gch.generate import EnumSpec, enumerate_graphs, enumerate_ribbon_structures
+from gch.context import canonical_entry, canonical_form
+from gch.families import banana, theta, wheel
+from gch.generate import EnumSpec, enumerate_graphs
 from gch.graph import HalfEdgeGraph
-from gch.ribbon import RibbonStructure, contract_ribbon, faces, surface_invariants
+from gch.oracle import contract_ribbon, is_morphism, ribbon_structures, transport_cycles
+from gch.ribbon import RibbonStructure, faces, surface_invariants
 
 
 def planar_theta():
@@ -31,7 +31,7 @@ def test_surface_invariants_examples():
     assert surface_invariants(g, planar) == (0, 3)
     g, twisted = nonplanar_theta()
     assert surface_invariants(g, twisted) == (1, 1)
-    s = single_edge()
+    s = banana(1)
     rib = RibbonStructure(s, ((0,), (1,)))
     assert surface_invariants(s, rib) == (0, 1)
     # a vertex without edges thickens to a disk, bounded by one empty cycle
@@ -50,43 +50,48 @@ def test_ribbon_validation():
 
 
 def test_contract_ribbon_splice():
+    """The class's collapse and the oracle's contraction, which joins the
+    two orders by their definition, reach one class."""
     g, planar = planar_theta()
-    target, rib, m = contract_ribbon(g, planar, 2)
-    assert target.vertex_count == 1
-    assert target.edge_count == 2
-    assert sorted(len(c) for c in rib.cycles) == [4]
-    assert surface_invariants(target, rib) == (0, 3)
+    target = canonical_entry(g, planar)[0].collapse(2)[0]
+    assert target.graph.vertex_count == 1
+    assert target.graph.edge_count == 2
+    assert sorted(len(c) for c in target.ribbon.cycles) == [4]
+    assert surface_invariants(target.graph, target.ribbon) == (0, 3)
+    contracted, cycles, _ = contract_ribbon(g, planar.cycles, 2)
+    assert canonical_entry(contracted, RibbonStructure(contracted, cycles))[0] is target
 
 
 def test_contract_ribbon_rejects_tadpole():
     g = HalfEdgeGraph.build(2, [(0, 0), (0, 1), (1, 1)])
-    rib = RibbonStructure(g, ((0, 1, 2), (3, 4, 5)))
     with pytest.raises(ValueError):
-        contract_ribbon(g, rib, 0)
+        contract_ribbon(g, ((0, 1, 2), (3, 4, 5)), 0)
 
 
 def test_contraction_preserves_surface():
-    g, planar = planar_theta()
-    for e in range(3):
-        t, rib, _ = contract_ribbon(g, planar, e)
-        assert surface_invariants(t, rib) == (0, 3)
-    g, twisted = nonplanar_theta()
-    for e in range(3):
-        t, rib, _ = contract_ribbon(g, twisted, e)
-        assert surface_invariants(t, rib) == (1, 1)
+    for g, ribbon in (planar_theta(), nonplanar_theta()):
+        ctx = canonical_entry(g, ribbon)[0]
+        for e in range(3):
+            target = ctx.collapse(e)[0]
+            assert surface_invariants(target.graph, target.ribbon) == surface_invariants(g, ribbon)
+    assert surface_invariants(*planar_theta()) == (0, 3)
+    assert surface_invariants(*nonplanar_theta()) == (1, 1)
 
 
 def test_contraction_preserves_surface_across_family():
+    """Every ribbon structure of the oracle on the genus-3 graphs up to six
+    edges keeps its surface through every collapse of its class."""
     forms = enumerate_graphs(EnumSpec(genus=3, min_valence=3, allow_tadpoles=False, max_edges=6))
     for form in forms:
         g = form.graph
-        for rib in enumerate_ribbon_structures(g):
-            inv = surface_invariants(g, rib)
-            for e in range(g.edge_count):
-                if g.is_tadpole(e):
+        for cycles in ribbon_structures(g):
+            ctx = canonical_entry(g, RibbonStructure(g, cycles))[0]
+            inv = surface_invariants(ctx.graph, ctx.ribbon)
+            for e in range(ctx.graph.edge_count):
+                if ctx.graph.is_tadpole(e):
                     continue
-                t, trib, _ = contract_ribbon(g, rib, e)
-                assert surface_invariants(t, trib) == inv
+                target = ctx.collapse(e)[0]
+                assert surface_invariants(target.graph, target.ribbon) == inv
 
 
 def test_half_edge_budget():
@@ -108,28 +113,26 @@ def test_ribbon_certificates_distinguish_thetas():
 
 def test_ribbon_certificate_invariance():
     g, planar = planar_theta()
-    # push through every graph automorphism: the certificate must not move
-    for m in automorphism_group(g).generators:
-        from gch.ribbon import transport_ribbon
-
-        moved = transport_ribbon(planar, m)
+    # push through every generator of Aut: the certificate must not move
+    for m in canonical_entry(g)[0].group.generators:
+        moved = RibbonStructure(g, transport_cycles(g, planar.cycles, m.half_edge_map))
         assert canonical_form(g, ribbon=moved).certificate == \
             canonical_form(g, ribbon=planar).certificate
 
 
 def test_ribbon_automorphisms_form_subgroup_of_aut():
     g, planar = planar_theta()
-    auts = automorphism_group(g, planar).generators
+    auts = canonical_entry(g, planar)[0].group.generators
     assert len(auts) in (2, 3, 6, 12)
-    full = automorphism_group(g).order
+    full = canonical_entry(g)[0].group.order
     assert full % len(auts) == 0
     for m in auts:
-        assert m.check()
+        assert is_morphism(m)
 
 
 def test_surface_euler_parity_across_wheel_ribbons():
     g = wheel(3)
-    for rib in enumerate_ribbon_structures(g):
-        gs, b = surface_invariants(g, rib)
+    for cycles in ribbon_structures(g):
+        gs, b = surface_invariants(g, RibbonStructure(g, cycles))
         assert gs >= 0 and b >= 1
         assert (g.vertex_count - g.edge_count + b) % 2 == 0
