@@ -15,12 +15,13 @@ Certificate format (stable within a major release):
 Automorphism groups are generated at half-edge level, so tadpole flips and
 parallel-edge swaps are visible.  The search that canonicalizes a graph
 also returns its symmetries in the input's labels, from which
-``build_group`` makes Aut: the vertex automorphisms it meets, which
-generate the vertex group, with its order, or a ribbon graph's tied least
-traversals, all its automorphisms.  A plain graph's group splits over the
-vertex action: the kernel is generated by flips and within-class edge
-swaps, and each vertex automorphism has a canonical lift, ``_lift``, the
-rule that also maps a graph's edges onto its canonical edges.
+``build_group`` makes Aut as :mod:`gch.context` makes the class: the
+vertex automorphisms it meets, which generate the vertex group, with its
+order, or a ribbon graph's tied least traversals, all its automorphisms.
+A plain graph's group splits over the vertex action: the kernel is
+generated by flips and within-class edge swaps, and each vertex
+automorphism has a canonical lift, ``_lift``, the rule that also maps a
+graph's edges onto its canonical edges.
 
 The module keeps no state.  The one object per class, the registry of
 classes and the cache of labelled inputs live in :mod:`gch.context`.

@@ -24,7 +24,7 @@ from .complexes import (
     degree_report,
     homology,
 )
-from .generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs
+from .generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs, refuse_wide_subsets
 from .io import DocumentError, graph_to_document, matrix_to_text, parse_graph_json
 from .moduli import build_cell_poset, build_spine, f_vector
 from .ribbon import surface_invariants
@@ -142,6 +142,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_moduli(args) -> int:
+    if args.spine:
+        refuse_wide_subsets(args.genus)  # before the export target is opened
     with _open_export(args.export) as fh:
         if args.spine:
             spine = build_spine(args.genus)

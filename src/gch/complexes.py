@@ -23,7 +23,8 @@ Every kind is built from the same three rules, vanishing, faces and
 subset orbits, all on the one object per isomorphism class of
 :mod:`gch.context`.  A generator is a class with an edge-subset mask: the
 full mask for the simplicial and ribbon kinds, a forest or proper subset
-for the cube kinds.  This module keeps the specs, the walk over the
+for the cube kinds (:class:`Generator`, which reads its graph, ribbon and
+surface off the class).  This module keeps the specs, the walk over the
 generators, the assembly of the boundary matrices and the reports.
 
 For odd parity the cellular kinds drop tadpole-collapse terms: a sign rule
@@ -37,11 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import canonical_entry
-from .generate import EnumSpec, enumerate_graphs
+from .context import GraphContext, canonical_entry
+from .generate import EnumSpec, enumerate_graphs, refuse_wide_subsets
 from .graph import HalfEdgeGraph
 from .linalg import SparseMatrix, boundary_ranks, multiply
-from .ribbon import RibbonStructure, surface_invariants
 
 KINDS = (
     "com",
@@ -89,16 +89,22 @@ class ComplexSpec:
         if self.max_edges is not None and self.max_edges < 0:
             raise ValueError("max_edges must be non-negative")
         _family_spec(self)  # an unbounded family raises InfeasibleEnumeration here
+        if self.kind in ("gf", "gp"):
+            refuse_wide_subsets(self.genus, self.max_edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
+    """The class ``ctx`` with the edge subset ``mask`` (its tuple ``subset``
+    for a cube kind, else None), graded by bit count and sorted by ``key``."""
     key: str
-    grade: int
-    graph: HalfEdgeGraph
-    subset: tuple[int, ...] | None = None
-    ribbon: RibbonStructure | None = None
-    surface: tuple[int, int] | None = None
+    ctx: GraphContext
+    mask: int
+    subset: tuple[int, ...] | None
+
+    graph = property(lambda gen: gen.ctx.graph)
+    ribbon = property(lambda gen: gen.ctx.ribbon)
+    surface = property(lambda gen: gen.ctx.surface)
 
 
 @dataclass
@@ -158,66 +164,54 @@ def pair_key(cert: str, subset) -> str:
 
 
 def _generators(spec: ComplexSpec):
-    """(class, mask, generator) of every surviving generator, graph by
-    graph: the full mask of each graph, or for ``gf``/``gp`` its forest or
-    proper-subset orbit representatives.  For odd parity a class where
-    ``kernel_odd`` holds is skipped before its subsets are walked: every
-    odd generator of it vanishes.  A cube's subset tuple is built only
-    when it survives."""
+    """Every surviving :class:`Generator`, class by class: the full mask of
+    each class, or for ``gf``/``gp`` its forest or proper-subset orbit
+    representatives.  For odd parity a class where ``kernel_odd`` holds is
+    skipped before its subsets are walked: every odd generator of it
+    vanishes.  A cube's subset tuple is built only when it survives."""
     cubes = spec.kind in ("gf", "gp")
     for ctx in enumerate_graphs(_family_spec(spec)):
         if spec.parity == "odd" and ctx.kernel_odd:
             continue
-        g, ribbon = ctx.graph, ctx.ribbon
         for mask in ctx.subset_orbits(spec.kind == "gf") if cubes else (ctx.full_mask,):
-            if ctx.witness(spec.parity, mask if cubes else None):
-                continue
-            subset = ctx.subset_of(mask) if cubes else None
-            yield ctx, mask, Generator(
-                key=pair_key(ctx.certificate, subset) if cubes else ctx.certificate,
-                grade=mask.bit_count(),
-                graph=g,
-                subset=subset,
-                ribbon=ribbon,
-                surface=None if ribbon is None else surface_invariants(g, ribbon),
-            )
+            if not ctx.witness(spec.parity, mask):
+                subset = ctx.subset_of(mask) if cubes else None
+                key = ctx.certificate if subset is None else pair_key(ctx.certificate, subset)
+                yield Generator(key, ctx, mask, subset)
 
 
 def build_complex(spec: ComplexSpec) -> ChainComplex:
     """Assemble generators and exact boundary matrices for a complex spec.
 
-    Each grade is sorted by key, and one (certificate, mask) index gives a
-    generator's position in its grade.  A grade's matrix is written one
-    column at a time, in index order: a small accumulator per column sums
-    the faces landing on one row, and
-    :meth:`~gch.linalg.SparseMatrix.from_columns` drops the cancelled
-    entries and packs the columns into the matrix's coordinate arrays.  A
-    grade's generators are dropped once its matrix is made."""
+    Generators are graded by the bit count of their masks, each grade is
+    sorted by key, and one (certificate, mask) index gives a generator's
+    position in its grade.  A grade's matrix is written one column at a
+    time, in index order: a small accumulator per column sums the faces
+    landing on one row, and :meth:`~gch.linalg.SparseMatrix.from_columns`
+    drops the cancelled entries and packs the columns into the matrix's
+    coordinate arrays."""
     family = _family_spec(spec)
     odd = spec.parity == "odd"
-    found: dict[int, list] = {}
-    for ctx, mask, gen in _generators(spec):
-        found.setdefault(gen.grade, []).append((gen, ctx, mask))
     grades: dict[int, list[Generator]] = {}
+    for gen in _generators(spec):
+        grades.setdefault(gen.mask.bit_count(), []).append(gen)
     index: dict[tuple[str, int], int] = {}
-    for k, cells in found.items():
-        cells.sort(key=lambda cell: cell[0].key)
-        grades[k] = [gen for gen, _, _ in cells]
-        for pos, (_, ctx, mask) in enumerate(cells):
-            index[ctx.certificate, mask] = pos
+    for gens in grades.values():
+        gens.sort(key=lambda gen: gen.key)
+        for pos, gen in enumerate(gens):
+            index[gen.ctx.certificate, gen.mask] = pos
 
-    def columns(cells):
-        for _, ctx, mask in cells:
+    def columns(gens):
+        for gen in gens:
             column: dict[int, int] = {}
-            for _, target, rep, sign in ctx.faces(mask, family, odd, index):
+            for _, target, rep, sign in gen.ctx.faces(gen.mask, family, odd, index):
                 row = index[target.certificate, rep]
                 column[row] = column.get(row, 0) + sign
             yield column
 
-    boundaries = {}
-    for k in range(1, max(grades, default=-1) + 1):
-        boundaries[k] = SparseMatrix.from_columns(
-            len(grades.get(k - 1, [])), len(grades.get(k, [])), columns(found.pop(k, ())))
+    boundaries = {k: SparseMatrix.from_columns(len(grades.get(k - 1, ())), len(grades.get(k, ())),
+                                               columns(grades.get(k, ())))
+                  for k in range(1, max(grades, default=-1) + 1)}
     return ChainComplex(spec=spec, grades=grades, boundaries=boundaries)
 
 

@@ -7,12 +7,12 @@ orientation signs.  A :class:`GraphContext` holds all of it for one class.
 :func:`canonical_entry` makes it when a certificate is first met and keeps
 it in ``_CLASSES``, the one registry, so the enumeration closure, the faces
 of the complexes, the cell poset and the vanishing rule all hand out the
-same object.  The class keeps the symmetries that the labelling search
-which found it met, carried onto its canonical labels, and builds its
-automorphism group from them on first use, so no class is searched
-twice.  Its tables (collapse H_1 signs and the subset-orbit table) are
-made on first use, so enumeration alone keeps only the certificate, the
-graph, the symmetries, the group and the collapses.
+same object.  The class is made with its automorphism group, built from
+the symmetries that the labelling search which found it met, carried onto
+its canonical labels, so no class is searched twice.  Its tables
+(collapse H_1 signs, the subset-orbit table, a ribbon class's surface)
+are made on first use, so enumeration alone keeps only the certificate,
+the graph, the group and the collapses.
 
 Every kind is built from the same three rules, all on the class object.
 A generator is a class with an edge-subset mask: the full mask for the
@@ -22,7 +22,8 @@ simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
   symmetry stabilizing its subset reverses its orientation.  A cube's
   verdict, for both parities, comes from the walk of the edge-action
   closure that fills its orbit, each element with its parity on the subset
-  and its sign on H_1; the bare graph's comes from the generators of Aut.
+  and its sign on H_1; the full mask's, the bare graph's, comes from the
+  generators of Aut.
   An automorphism's sign on H_1 needs no cycle basis: by the exact
   sequence 0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 it is its sign on the
   oriented edges times its sign on the vertices (``GraphContext.aut_h1``,
@@ -40,9 +41,8 @@ simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
   from the same exact-sequence rule as an automorphism's, on the
   surviving edges and the merged vertices, times the sign of each side's
   reference orientation, its Kruskal cycle basis, against the sequence's
-  (``GraphContext.kruskal_sign``).  A full mask is
-  its own representative, aligned by the identity, so the simplicial
-  kinds never build a closure;
+  (``GraphContext.kruskal_sign``).  A full mask is its own representative,
+  aligned by the identity, so the simplicial kinds never build a closure;
 * **subset orbits** (``GraphContext.subset_orbits``): the cube kinds and
   the cubical catalogs of :mod:`gch.moduli` take the same orbit
   representatives of forests or proper subsets, walked once per class and
@@ -85,7 +85,7 @@ from .canonical import (AutGroup, build_group, canonical_labelling, edge_action_
                         ribbon_labelling)
 from .graph import HalfEdgeGraph, Morphism
 from .orientation import h1_map_sign, kruskal_sign, sequence_parity
-from .ribbon import RibbonStructure, splice
+from .ribbon import RibbonStructure, splice, surface_invariants
 
 # why a generator vanishes, by the kind of symmetry that reverses it
 _WITNESS = {
@@ -100,7 +100,7 @@ _WITNESS = {
 _CUBE_WITNESS = ("stabilizer with odd subset permutation",
                  "stabilizer with odd combined subset and cycle sign")
 # the most edges whose masks fit a signed 4-byte slot beside its three flags
-_SLOT_EDGES = 28
+SLOT_EDGES = 28
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,11 @@ class GraphContext:
     """One isomorphism class, shared by every labelled graph that reaches it.
 
     It holds the certificate, the canonical graph and ribbon, the
-    symmetries that the labelling search which found the class met (see
-    :func:`~gch.canonical.build_group`) in the canonical labels, the
-    automorphism group once asked for, and the collapses recorded so far:
-    edge -> (the target class, the half-edge map onto the target's
-    canonical graph, None on the collapsed edge).
+    automorphism group (built by :func:`~gch.canonical.build_group` from
+    the symmetries met by the labelling search which found the class), and
+    the collapses recorded so far: edge -> (the target class, the
+    half-edge map onto the target's canonical graph, None on the collapsed
+    edge).
 
     The class decides everything that differs between graphs and ribbon
     graphs: a ribbon class takes its symmetries from the ribbon
@@ -137,19 +137,12 @@ class GraphContext:
     """
 
     def __init__(self, certificate: str, graph: HalfEdgeGraph, ribbon: RibbonStructure | None,
-                 symmetries):
+                 group: AutGroup):
         self.certificate = certificate
         self.graph = graph
         self.ribbon = ribbon
-        self.symmetries = symmetries
+        self.group = group
         self.collapses: dict[int, tuple[GraphContext, tuple[int | None, ...]]] = {}
-
-    @cached_property
-    def group(self) -> AutGroup:
-        """Aut of the class, built on first use from the symmetries its
-        search met, with no search of its own: the ribbon automorphisms for
-        a ribbon class, otherwise Aut of the graph."""
-        return build_group(self.graph, self.ribbon, self.symmetries)
 
     # made on first use, so that a class only enumeration met keeps none
 
@@ -170,18 +163,23 @@ class GraphContext:
         verdicts, size << 3 | odd << 2 | even << 1 | 1, bit 0 marking a
         representative.  The two signs are all that a face or an alignment
         reads of p_k, so the slot keeps no closure index k.  A class with
-        more than ``_SLOT_EDGES`` edges raises ValueError before any slot
+        more than ``SLOT_EDGES`` edges raises ValueError before any slot
         is allocated.
         """
         edges = self.graph.edge_count
-        if edges > _SLOT_EDGES:
-            raise ValueError(f"a subset-orbit slot encodes at most {_SLOT_EDGES} edges; "
+        if edges > SLOT_EDGES:
+            raise ValueError(f"a subset-orbit slot encodes at most {SLOT_EDGES} edges; "
                              f"this class has {edges}")
         return array("i", bytes(4 << edges))
 
     @cached_property
     def full_mask(self) -> int:
         return (1 << self.graph.edge_count) - 1
+
+    @cached_property
+    def surface(self) -> tuple[int, int] | None:
+        """A ribbon class's :func:`~gch.ribbon.surface_invariants`, else None."""
+        return None if self.ribbon is None else surface_invariants(self.graph, self.ribbon)
 
     @cached_property
     def kruskal_sign(self) -> int:
@@ -209,12 +207,13 @@ class GraphContext:
         when it is None), oriented by the subset order and, for odd
         parity, by the cycle space.  It is zero when a symmetry stabilizing
         the subset reverses that orientation: the parity of the symmetry on
-        the subset, times for odd parity its sign on H_1, is -1.  A subset
-        takes the verdict that ``_fill_orbit`` wrote into its orbit
-        representative's slot; the bare graph takes ``_bare_reasons``.
+        the subset, times for odd parity its sign on H_1, is -1.  A proper
+        subset takes the verdict that ``_fill_orbit`` wrote into its orbit
+        representative's slot; the full mask, stabilized by all of Aut,
+        the bare graph's ``_bare_reasons``, with no subset table.
         """
         odd = parity == "odd"
-        if mask is None:
+        if mask is None or mask == self.full_mask:
             return self._bare_reasons[odd]
         return _CUBE_WITNESS[odd] if self._rep_slot(mask) >> 1 + odd & 1 else ""
 
@@ -549,17 +548,18 @@ def _class_of(labelling) -> GraphContext:
     (:func:`~gch.canonical.canonical_labelling`).  Its object, with the
     canonical graph and ribbon, is made only when the certificate is new;
     then the symmetries the search met are carried onto the canonical
-    labels by the input's map m, each a to m a m^-1."""
+    labels by the input's map m, each a to m a m^-1, and the class's
+    automorphism group is built from them."""
     certificate, weights, edges, cycles, vertex_map, half_edge_map, (auts, order) = labelling
     ctx = _CLASSES.get(certificate)
     if ctx is None:
         graph = HalfEdgeGraph(len(weights), weights, edges)
+        ribbon = None if cycles is None else RibbonStructure(graph, cycles)
         m = vertex_map if cycles is None else half_edge_map
         inverse = sorted(range(len(m)), key=m.__getitem__)
         carried = [tuple([m[a[i]] for i in inverse]) for a in auts]
         ctx = _CLASSES[certificate] = GraphContext(
-            certificate, graph, None if cycles is None else RibbonStructure(graph, cycles),
-            (carried, order))
+            certificate, graph, ribbon, build_group(graph, ribbon, (carried, order)))
     return ctx
 
 

@@ -74,7 +74,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .context import GraphContext, canonical_entry
+from .context import SLOT_EDGES, GraphContext, canonical_entry
 from .families import dumbbell, rose, theta
 from .graph import HalfEdgeGraph
 from .ribbon import RibbonStructure
@@ -107,6 +107,18 @@ class EnumSpec:
             raise ValueError("max_edges must be non-negative")
         if self.min_valence == 2 and self.max_edges is None:
             raise InfeasibleEnumeration("min_valence 2 admits arbitrarily long cycles; pass max_edges")
+
+
+def refuse_wide_subsets(genus: int, max_edges: int | None = None) -> None:
+    """Refuse a subset-orbit walk over the graphs of valence >= 3 of the
+    genus, up to ``max_edges`` edges, when the widest of them, 3g - 3
+    edges or fewer, has more edges than a slot of the table encodes
+    (``context.SLOT_EDGES``): every such class could only fail after its
+    enumeration."""
+    edges = 3 * genus - 3 if max_edges is None else min(3 * genus - 3, max_edges)
+    if edges > SLOT_EDGES:
+        raise InfeasibleEnumeration(f"genus {genus} graphs have up to {edges} edges; a "
+                                    f"subset-orbit slot encodes at most {SLOT_EDGES}")
 
 
 _ENUM_CACHE: dict[EnumSpec, tuple] = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .complexes import pair_key
-from .generate import EnumSpec, enumerate_graphs
+from .generate import EnumSpec, enumerate_graphs, refuse_wide_subsets
 from .graph import HalfEdgeGraph
 
 
@@ -102,7 +102,10 @@ def build_cell_poset(genus: int) -> CellPoset:
 
 
 def build_cube_catalog(genus: int, forest_only: bool) -> CubeCatalog:
-    """Orbit representatives of cubes (weight-zero graph, edge subset)."""
+    """Orbit representatives of cubes (weight-zero graph, edge subset).
+    A genus whose graphs can have more edges than a subset-orbit slot
+    encodes is refused before any enumeration."""
+    refuse_wide_subsets(genus)
     family = EnumSpec(genus=genus, min_valence=3, allow_tadpoles=True)
     entries = []
     for ctx in enumerate_graphs(family):

@@ -49,6 +49,13 @@ def _run(name, fn):
     return CheckResult(name=name, passed=passed, detail=detail)
 
 
+def _check(condition, message=None) -> None:
+    """``assert condition, message``, which ``python -O`` would strip, so
+    that a failed check is reported under -O too."""
+    if not condition:
+        raise AssertionError() if message is None else AssertionError(message)
+
+
 def _variant_max_edges(kind):
     return 9 if ("geq2" in kind or "tad" in kind) else None
 
@@ -65,7 +72,7 @@ def check_boundary_squared():
             for parity in ("even", "odd"):
                 spec = ComplexSpec(kind, parity, genus, max_edges=_variant_max_edges(kind))
                 c = build_complex(spec)
-                assert c.d_squared_is_zero(), f"d^2 != 0 for {spec}"
+                _check(c.d_squared_is_zero(), f"d^2 != 0 for {spec}")
                 total += c.total_generators()
     return f"all boundaries square to zero ({total} generators touched)"
 
@@ -99,19 +106,19 @@ def check_vanishing_table():
         got, _ = generator_vanishes(graph, parity)
         if got is not expected:
             bad.append(f"{name}/{parity}: expected vanish={expected}, got {got}")
-    assert not bad, "; ".join(bad)
+    _check(not bad, "; ".join(bad))
     return f"{len(_vanishing_table_rows())} rows match"
 
 
 def check_small_commutative_homology():
     """Genus 2 even: empty complex; genus 3 even: one class on six edges."""
     c2 = build_complex(ComplexSpec("com", "even", 2))
-    assert c2.total_generators() == 0, "genus-2 even complex should be empty"
+    _check(c2.total_generators() == 0, "genus-2 even complex should be empty")
     c3 = build_complex(ComplexSpec("com", "even", 3))
     report = homology(c3)
     expected = {k: (1 if k == 6 else 0) for k in report.dims}
-    assert report.dims == expected, f"genus-3 dims {report.dims}"
-    assert c3.grades[6][0].key == canonical_form(wheel(3)).certificate
+    _check(report.dims == expected, f"genus-3 dims {report.dims}")
+    _check(c3.grades[6][0].key == canonical_form(wheel(3)).certificate)
     return "genus 2 empty; genus 3 homology Q at six edges (the 3-spoke wheel)"
 
 
@@ -121,16 +128,16 @@ def check_moduli_genus2_contractible():
     antenna, whose boundary has rank one."""
     c = build_complex(ComplexSpec("cellular_MG", "even", 2))
     counts = c.generator_counts()
-    assert counts == [0, 2, 1], f"generator counts {counts}"
+    _check(counts == [0, 2, 1], f"generator counts {counts}")
     one_edge = {gen.graph.edges for gen in c.grades[1]}
-    assert one_edge == {((0, 1),), ((0, 0),)}, "unexpected one-edge generators"
+    _check(one_edge == {((0, 1),), ((0, 0),)}, "unexpected one-edge generators")
     antenna = c.grades[2][0].graph
-    assert sorted(antenna.weights) == [0, 1] and antenna.edge_count == 2
-    assert rank(c.boundary(2)) == 1
+    _check(sorted(antenna.weights) == [0, 1] and antenna.edge_count == 2)
+    _check(rank(c.boundary(2)) == 1)
     report = homology(c)
     reduced = dict(report.dims)
     reduced[1] -= 1  # one connected component
-    assert all(v == 0 for v in reduced.values()), f"reduced dims {reduced}"
+    _check(all(v == 0 for v in reduced.values()), f"reduced dims {reduced}")
     return "reduced homology vanishes on generators {weight-1 pair, weight-1 tadpole; antenna}"
 
 
@@ -142,13 +149,13 @@ def check_relative_cells_match_commutative():
         rel = homology(build_complex(ComplexSpec("cellular_MG_relative", "even", genus)))
         top = max(max(com.counts, default=0), max(rel.counts, default=0))
         for k in range(top + 1):
-            assert com.dims.get(k, 0) == rel.dims.get(k, 0), \
-                f"genus {genus} grade {k}: com {com.dims.get(k, 0)} vs relative {rel.dims.get(k, 0)}"
+            _check(com.dims.get(k, 0) == rel.dims.get(k, 0),
+                   f"genus {genus} grade {k}: com {com.dims.get(k, 0)} vs relative {rel.dims.get(k, 0)}")
         absolute = homology(build_complex(ComplexSpec("cellular_MG", "even", genus)))
         for k in range(top + 1):
             reduced = absolute.dims.get(k, 0) - (1 if k == 1 else 0)
-            assert rel.dims.get(k, 0) == reduced, \
-                f"genus {genus} grade {k}: relative {rel.dims.get(k, 0)} vs reduced {reduced}"
+            _check(rel.dims.get(k, 0) == reduced,
+                   f"genus {genus} grade {k}: relative {rel.dims.get(k, 0)} vs reduced {reduced}")
     return "relative = commutative = reduced absolute, genus 2 and 3"
 
 
@@ -156,13 +163,13 @@ def check_one_loop_window():
     """One-loop bivalent complexes on at most nine edges: surviving classes
     sit exactly on the 5- and 9-cycles (even) resp. 3- and 7-cycles (odd)."""
     even = homology(build_complex(ComplexSpec("com_geq2", "even", 1, max_edges=9)))
-    assert {k for k, v in even.dims.items() if v} == {5, 9}, even.dims
-    assert even.dims[5] == even.dims[9] == 1
+    _check({k for k, v in even.dims.items() if v} == {5, 9}, even.dims)
+    _check(even.dims[5] == even.dims[9] == 1)
     odd = homology(build_complex(ComplexSpec("com_geq2", "odd", 1, max_edges=9)))
-    assert {k for k, v in odd.dims.items() if v} == {3, 7}, odd.dims
-    assert odd.dims[3] == odd.dims[7] == 1
+    _check({k for k, v in odd.dims.items() if v} == {3, 7}, odd.dims)
+    _check(odd.dims[3] == odd.dims[7] == 1)
     tad_even = homology(build_complex(ComplexSpec("com_tad_geq2", "even", 1, max_edges=9)))
-    assert {k for k, v in tad_even.dims.items() if v} == {1, 5, 9}, tad_even.dims
+    _check({k for k, v in tad_even.dims.items() if v} == {1, 5, 9}, tad_even.dims)
     return "windows {5,9} even, {3,7} odd, plus the one-edge loop class with tadpoles"
 
 
@@ -171,9 +178,9 @@ def check_forested_genus2():
     class in grade zero (a connected spine); the cycle-twisted variant is
     entirely killed by symmetries."""
     even = homology(build_complex(ComplexSpec("gf", "even", 2)))
-    assert even.dims == {0: 1, 1: 0}, even.dims
+    _check(even.dims == {0: 1, 1: 0}, even.dims)
     odd = build_complex(ComplexSpec("gf", "odd", 2))
-    assert odd.total_generators() == 0, "twisted genus-2 forested complex should be empty"
+    _check(odd.total_generators() == 0, "twisted genus-2 forested complex should be empty")
     return "edge-only: H0 = Q and nothing above; twisted: zero complex"
 
 
@@ -185,8 +192,8 @@ def check_cubical_commutative_experiment():
         com = homology(build_complex(ComplexSpec("com", "even", genus)))
         top = max(max(com.counts, default=0), max(gp.counts, default=0) + 1)
         for k in range(top):
-            assert gp.dims.get(k, 0) == com.dims.get(k + 1, 0), \
-                f"genus {genus}: cube grade {k} = {gp.dims.get(k, 0)} vs edge grade {k + 1} = {com.dims.get(k + 1, 0)}"
+            _check(gp.dims.get(k, 0) == com.dims.get(k + 1, 0),
+                   f"genus {genus}: cube grade {k} = {gp.dims.get(k, 0)} vs edge grade {k + 1} = {com.dims.get(k + 1, 0)}")
     return "cube-pair homology matches the commutative complex, genus 2 and 3"
 
 
@@ -195,19 +202,19 @@ def check_moduli_dimensions():
     spanning-tree cubes in the doubled-edge triangle."""
     for genus in (2, 3, 4):
         poset = build_cell_poset(genus)
-        assert poset.max_dimension == 3 * genus - 4, \
-            f"genus {genus}: cell dimension {poset.max_dimension}"
+        _check(poset.max_dimension == 3 * genus - 4,
+               f"genus {genus}: cell dimension {poset.max_dimension}")
         spine = build_spine(genus)
-        assert spine.max_dimension == 2 * genus - 3, \
-            f"genus {genus}: spine dimension {spine.max_dimension}"
-        assert spine.facets_closed()
+        _check(spine.max_dimension == 2 * genus - 3,
+               f"genus {genus}: spine dimension {spine.max_dimension}")
+        _check(spine.facets_closed())
     # each forest orbit of size V-1 holds |Aut| / |stabilizer| spanning trees
     g = triangle_with_doubled_edge()
     ctx = canonical_entry(g)[0]
     spanning = sum(ctx.group.order // ctx.stabilizer_order(tree)
                    for tree in ctx.subset_orbits(forests_only=True)
                    if tree.bit_count() == g.vertex_count - 1)
-    assert spanning == 5, f"{spanning} spanning trees"
+    _check(spanning == 5, f"{spanning} spanning trees")
     return "cell dimension 3g-4 and spine dimension 2g-3 for genus 2..4; 5 tree cubes"
 
 
@@ -228,7 +235,7 @@ def check_ribbon_surfaces():
     contraction of a ribbon class up to six edges (``GraphContext.collapse``);
     ribbon boundaries are surface-diagonal."""
     invs = _theta_surfaces()
-    assert invs == [(0, 3), (1, 1)], invs
+    _check(invs == [(0, 3), (1, 1)], invs)
     checked = 0
     for genus in (2, 3):
         for ctx in _ribbon_classes(genus):
@@ -238,13 +245,13 @@ def check_ribbon_surfaces():
                 if g.is_tadpole(e):
                     continue
                 target = ctx.collapse(e)[0]
-                assert surface_invariants(target.graph, target.ribbon) == inv, (ctx.certificate, e)
+                _check(surface_invariants(target.graph, target.ribbon) == inv, (ctx.certificate, e))
                 checked += 1
     for genus in (2, 3):
         for parity in ("even", "odd"):
             blocks = split_by_surface(build_complex(ComplexSpec("ass", parity, genus)))
             for sub in blocks.values():
-                assert sub.d_squared_is_zero()
+                _check(sub.d_squared_is_zero())
     return f"theta surfaces (0,3)/(1,1); {checked} contractions preserved invariants; blocks closed"
 
 
@@ -267,18 +274,18 @@ def _core_checks():
             for parity in ("even", "odd"):
                 c = build_complex(ComplexSpec(kind, parity, 2,
                                               max_edges=_variant_max_edges(kind)))
-                assert c.d_squared_is_zero(), (kind, parity)
+                _check(c.d_squared_is_zero(), (kind, parity))
         return "genus-2 boundaries square to zero"
 
     def quick_surface():
-        assert _theta_surfaces() == [(0, 3), (1, 1)]
+        _check(_theta_surfaces() == [(0, 3), (1, 1)])
         return "theta thickening invariants"
 
     def quick_spine():
         spine = build_spine(2)
-        assert f_vector(spine) == (3, 2)
+        _check(f_vector(spine) == (3, 2))
         poset = build_cell_poset(2)
-        assert f_vector(poset, odd_symmetry_free=True) == (2, 1, 0)
+        _check(f_vector(poset, odd_symmetry_free=True) == (2, 1, 0))
         return "genus-2 spine and cell counts"
 
     return [

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -213,6 +214,41 @@ def test_verify_output_is_byte_identical_across_runs():
         for _ in range(2)
     }
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["complex", "--kind", "gp", "--parity", "even", "--genus", "11"],
+    ["moduli", "--genus", "11", "--spine"],
+])
+def test_cube_request_past_the_slot_table_exits_3_at_once(tmp_path, capsys, argv):
+    """``gp`` and the spine at genus 11 have 30-edge classes, past the
+    subset-orbit slot table, so they are refused before any enumeration:
+    exit 3 within a second, nothing on stdout and no export."""
+    target = tmp_path / "out"
+    start = time.perf_counter()
+    code = main(argv + ["--export", str(target)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and elapsed < 1, elapsed
+    assert captured.out == "" and "at most 28" in captured.err
+    assert not target.exists()
+
+
+def test_a_failing_check_fails_under_python_O():
+    """``python -O`` strips assert statements, and ``gch verify`` must still
+    report a failed check there: the vanishing table with its C1 rows
+    flipped fails with and without -O."""
+    script = ("from gch import verify\n"
+              "rows = verify._vanishing_table_rows\n"
+              "verify._vanishing_table_rows = lambda: [\n"
+              "    (n, g, p, e != (n == 'C1')) for n, g, p, e in rows()]\n"
+              "result = verify._run('vanishing_table', verify.check_vanishing_table)\n"
+              "print(result.passed, result.detail)\n")
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", script],
+                             capture_output=True, text=True, check=True).stdout
+        assert out == ("False C1/even: expected vanish=True, got False; "
+                       "C1/odd: expected vanish=False, got True\n"), flags
 
 
 def test_output_determinism(capsys):

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from gch.canonical import edge_action_closure
 from gch.complexes import (
     ComplexSpec,
+    Generator,
     build_complex,
     degree_report,
     generator_vanishes,
@@ -19,9 +21,11 @@ from gch.complexes import (
 )
 from gch.context import _CLASSES, GraphContext, canonical_form
 from gch.families import cycle, rose, theta, wheel
+from gch.generate import EnumSpec, enumerate_graphs
 from gch.oracle import (automorphism_sign, compose, contract, contract_ribbon,
                         half_edge_automorphisms, morphism_sign, reference_orientation)
-from gch.ribbon import RibbonStructure
+from gch.orientation import sequence_parity
+from gch.ribbon import RibbonStructure, surface_invariants
 
 
 def dims_of(spec):
@@ -565,3 +569,63 @@ def test_invalid_specs_rejected():
         ComplexSpec("com", "even", 2, max_edges=-3)
     with pytest.raises(ValueError):
         split_by_surface(build_complex(ComplexSpec("com", "even", 2)))
+
+
+@pytest.mark.parametrize("family", [
+    dict(min_valence=3, allow_tadpoles=True),
+    dict(weighted=True, allow_tadpoles=True, min_edges=1),
+    dict(min_valence=3, ribbon=True),
+    dict(min_valence=3, allow_tadpoles=True, ribbon=True),
+], ids=["com_tad", "weighted", "ribbon", "ribbon_tad"])
+def test_full_mask_takes_the_bare_verdict_without_a_table(family):
+    """The full mask's verdict is the bare graph's, with no subset table:
+    in a fresh class of every class of the family at g <= 4, both parities
+    agree in truth value with the bare verdict and with the verdict of the
+    full subset read off the edge-action closure (whose stabilizer is the
+    whole group), and the class has no ``_orbit`` after it."""
+    checked = 0
+    for genus in (1, 2, 3, 4):
+        if family.get("weighted") and genus < 2:
+            continue
+        for ctx in enumerate_graphs(EnumSpec(genus=genus, **family)):
+            fresh = GraphContext(ctx.certificate, ctx.graph, ctx.ribbon, ctx.group)
+            closure = edge_action_closure(fresh.graph.edge_count,
+                                          [(m.edge_action, fresh.aut_h1(m))
+                                           for m in fresh.group.generators])
+            even = any(sequence_parity(p) for p, _ in closure)
+            odd = fresh.kernel_odd or any((-1 if sequence_parity(p) else 1) * sign == -1
+                                          for p, sign in closure)
+            for parity, expected in (("even", even), ("odd", odd)):
+                verdict = bool(fresh.witness(parity, fresh.full_mask))
+                assert verdict == bool(fresh.witness(parity)) == expected, (ctx.certificate, parity)
+            assert "_orbit" not in vars(fresh), ctx.certificate
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("kind,parity", [("gf", "even"), ("gp", "odd"), ("com", "odd"),
+                                         ("cellular_MG", "even"), ("ass", "even"),
+                                         ("ass", "odd")])
+def test_generators_hold_their_class_mask_and_subset(kind, parity):
+    """A generator keeps exactly its key, class, mask and subset, in slots,
+    and reads its graph, ribbon and surface off its class; a ribbon
+    generator's surface is its class's surface invariants."""
+    c = build_complex(ComplexSpec(kind, parity, 3))
+    assert Generator.__slots__ == ("key", "ctx", "mask", "subset")
+    cubes = kind in ("gf", "gp")
+    for k, gens in c.grades.items():
+        for gen in gens:
+            assert not hasattr(gen, "__dict__")
+            assert gen.graph is gen.ctx.graph and gen.ribbon is gen.ctx.ribbon
+            assert gen.mask.bit_count() == k
+            assert gen.ctx is _CLASSES[gen.ctx.certificate]
+            if cubes:
+                assert gen.subset == gen.ctx.subset_of(gen.mask)
+                assert gen.key == pair_key(gen.ctx.certificate, gen.subset)
+            else:
+                assert gen.mask == gen.ctx.full_mask
+                assert gen.subset is None and gen.key == gen.ctx.certificate
+            if kind == "ass":
+                assert gen.surface == surface_invariants(gen.graph, gen.ribbon)
+            else:
+                assert gen.surface is None

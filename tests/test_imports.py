@@ -12,7 +12,8 @@ only in ``context.py``, so the formats a class keeps there (its slot
 table, its edge-action closure) stay inside it.  Every function, class
 and method of an engine module (all but ``oracle.py`` and
 ``__init__.py``) is named by some engine module or benchmark file, so the
-engine keeps no code that only the tests reach.
+engine keeps no code that only the tests reach; a method counts as named
+only by an attribute, and ``self.name`` only for its own class.
 """
 
 import ast
@@ -112,29 +113,44 @@ def test_only_context_reads_private_attributes_of_other_objects():
 
 def unnamed_definitions(modules: list[Path], callers: list[Path]) -> list[str]:
     """``module.name`` or ``module.Class.name`` of each function, class and
-    method (dunders aside) of ``modules`` that no name or attribute in
-    ``modules`` or ``callers`` names; docstrings and comments do not
-    count."""
-    named = set()
+    method (dunders aside) of ``modules`` that nothing in ``modules`` or
+    ``callers`` names; docstrings and comments do not count.  A function or
+    class is named by a name or an attribute, a method only by an
+    attribute: ``self.name`` inside a class names that class's method, and
+    any other ``obj.name`` names every method called ``name``."""
+    names, attributes, own = set(), set(), set()
+
+    def scan(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                names.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                if owner and isinstance(child.value, ast.Name) and child.value.id == "self":
+                    own.add(owner + child.attr)
+                else:
+                    attributes.add(child.attr)
+            if isinstance(child, ast.ClassDef):
+                scan(child, module, f"{owner or module}{child.name}.")
+            else:
+                scan(child, module, owner)
+
     for path in modules + callers:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+        scan(ast.parse(path.read_text()), f"{path.stem}.", None)
     found = []
 
-    def visit(body, prefix):
+    def visit(body, prefix, in_class):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 dunder = node.name.startswith("__") and node.name.endswith("__")
-                if not dunder and node.name not in named:
+                named = (node.name in attributes
+                         or (prefix + node.name in own if in_class else node.name in names))
+                if not dunder and not named:
                     found.append(prefix + node.name)
                 if isinstance(node, ast.ClassDef):
-                    visit(node.body, f"{prefix}{node.name}.")
+                    visit(node.body, f"{prefix}{node.name}.", True)
 
     for path in modules:
-        visit(ast.parse(path.read_text()).body, f"{path.stem}.")
+        visit(ast.parse(path.read_text()).body, f"{path.stem}.", False)
     return sorted(found)
 
 
@@ -159,6 +175,31 @@ class Box:
     assert unnamed_definitions([engine], [bench]) == ["engine.Box.spare", "engine.unused"]
     assert unnamed_definitions([engine], []) == ["engine.Box.read", "engine.Box.spare",
                                                  "engine.unused", "engine.used"]
+
+
+def test_method_is_named_only_by_attribute_on_its_class(tmp_path):
+    """A local variable of a method's name, or ``self.name`` in another
+    class that defines the name too, does not keep the method."""
+    engine = tmp_path / "engine.py"
+    engine.write_text('''def build():
+    identity = 1
+    return Matrix(), Poset().run(identity)
+class Matrix:
+    def identity(self):
+        pass
+class Catalog:
+    def index(self):
+        pass
+class Poset:
+    def index(self):
+        pass
+    def run(self, x):
+        return self.index()
+''')
+    bench = tmp_path / "bench.py"
+    bench.write_text("import engine\nengine.build()\nengine.Catalog\n")
+    assert unnamed_definitions([engine], [bench]) == ["engine.Catalog.index",
+                                                      "engine.Matrix.identity"]
 
 
 # the documented reader of the matrices that ``gch complex --export`` writes

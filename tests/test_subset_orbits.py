@@ -30,9 +30,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from gch import moduli
 from gch.canonical import edge_action_closure
-from gch.context import GraphContext
-from gch.generate import EnumSpec, enumerate_graphs
+from gch.complexes import ComplexSpec
+from gch.context import SLOT_EDGES, GraphContext
+from gch.generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs
 from gch.oracle import automorphism_sign, forests, half_edge_automorphisms
 
 from masks import mask_of
@@ -54,7 +58,7 @@ def _check_graph(form):
     orbit = {s: {tuple(sorted(p[e] for e in s)) for p in edge_perms} for s in subsets}
     least = {s: min(images) for s, images in orbit.items()}
 
-    missing_first, walked_first = (GraphContext(form.certificate, g, form.ribbon, form.symmetries)
+    missing_first, walked_first = (GraphContext(form.certificate, g, form.ribbon, form.group)
                                    for _ in range(2))
     # the engine keeps of its closure only the inverse bits and H_1 signs;
     # the same walk with the permutations kept is the reference
@@ -164,3 +168,25 @@ def test_orbit_slots_are_dense_four_byte_tables():
     assert out["tables"] > 0 and out["slots"] == [[4, True]]
     assert out["orbits"] == [["array", 4]]
     assert "at most 28 edges" in out["error"] and "29" in out["error"]
+
+
+def test_subset_walks_past_the_slot_table_are_refused(monkeypatch):
+    """A cube spec, cube catalog or spine whose graphs can have more edges
+    than a slot encodes, min(3g - 3, max_edges), could only fail after its
+    enumeration, so it is refused with InfeasibleEnumeration before any;
+    a spec within the limit is accepted (and not built here)."""
+    assert SLOT_EDGES == 28
+    ComplexSpec("gf", "even", 11, max_edges=28)
+    ComplexSpec("gp", "odd", 10)  # 27 edges
+    ComplexSpec("com_tad", "even", 11)  # no subset walk
+
+    def enumerate_graphs(spec):
+        raise AssertionError(f"enumerated {spec}")
+
+    monkeypatch.setattr(moduli, "enumerate_graphs", enumerate_graphs)
+    for refused in (lambda: ComplexSpec("gp", "even", 11),
+                    lambda: ComplexSpec("gf", "odd", 11, max_edges=29),
+                    lambda: moduli.build_spine(11),
+                    lambda: moduli.build_cube_catalog(11, forest_only=False)):
+        with pytest.raises(InfeasibleEnumeration, match="at most 28"):
+            refused()
