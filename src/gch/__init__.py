@@ -1,8 +1,6 @@
 """Exact-arithmetic engine for graph complexes and moduli-of-graphs cells."""
 
-from .graph import DisconnectedGraphError, HalfEdgeGraph, Morphism
-from .canonical import AutGroup
-from .context import CanonicalForm, canonical_form
+from .graph import DisconnectedGraphError, HalfEdgeGraph
 from .ribbon import RibbonStructure, faces, surface_invariants
 from .linalg import SparseMatrix, multiply, rank
 from .generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs

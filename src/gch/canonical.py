@@ -12,14 +12,17 @@ Certificate format (stable within a major release):
 ``v<n>;w<w0,...>;e<u-v,...>`` in canonical edge order, with
 ``;r(h,...)(...)`` appended for ribbon graphs.
 
-Automorphism groups are generated at half-edge level, so tadpole flips and
-parallel-edge swaps are visible.  The search that canonicalizes a graph
-also returns its symmetries in the input's labels, from which
-``build_group`` makes Aut as :mod:`gch.context` makes the class: the
-vertex automorphisms it meets, which generate the vertex group, with its
-order, or a ribbon graph's tied least traversals, all its automorphisms.
-A plain graph's group splits over the vertex action: the kernel is
-generated by flips and within-class edge swaps, and each vertex
+An automorphism is held as its half-edge map and nothing else: a tuple
+whose entry h is the image of half-edge h.  Its action on the edges
+(``edge_action``), its vertex map and its sign on det H_1 are read off
+that tuple where they are needed, so tadpole flips and parallel-edge
+swaps are visible.  The search that canonicalizes a graph also returns
+its symmetries in the input's labels, from which ``build_group`` makes the
+generators of Aut and its order as :mod:`gch.context` makes the class:
+the vertex automorphisms it meets, which generate the vertex group, with
+its order, or a ribbon graph's tied least traversals, all its
+automorphisms.  A plain graph's group splits over the vertex action: the
+kernel is generated by flips and within-class edge swaps, and each vertex
 automorphism has a canonical lift, ``_lift``, the rule that also maps a
 graph's edges onto its canonical edges.
 
@@ -31,17 +34,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
-from .graph import HalfEdgeGraph, Morphism
+from .graph import HalfEdgeGraph
 from .ribbon import RibbonStructure, cycles_word, cyclic_orders
-
-
-@dataclass(frozen=True)
-class AutGroup:
-    graph: HalfEdgeGraph
-    generators: tuple[Morphism, ...]
-    order: int
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +352,10 @@ def ribbon_labelling(nxt, ends, vertex_weights):
 # automorphism groups
 
 
-def _swap_edges_morphism(g: HalfEdgeGraph, a: int, b: int) -> Morphism:
-    hmap = list(range(g.half_edge_count))
-    hmap[2 * a], hmap[2 * b] = 2 * b, 2 * a
-    hmap[2 * a + 1], hmap[2 * b + 1] = 2 * b + 1, 2 * a + 1
-    return Morphism("isomorphism", g, g, tuple(range(g.vertex_count)), tuple(hmap))
-
-
-def _flip_tadpole_morphism(g: HalfEdgeGraph, e: int) -> Morphism:
-    hmap = list(range(g.half_edge_count))
-    hmap[2 * e], hmap[2 * e + 1] = 2 * e + 1, 2 * e
-    return Morphism("isomorphism", g, g, tuple(range(g.vertex_count)), tuple(hmap))
-
-
-def build_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None, symmetries) -> AutGroup:
-    """Aut(G), or its ribbon automorphisms, from the symmetries that a
-    labelling search met, in ``g``'s labels.
+def build_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None, symmetries):
+    """(generators, order) of Aut(G), or of its ribbon automorphisms, from
+    the symmetries that a labelling search met, in ``g``'s labels; each
+    generator is a half-edge map.
 
     A ribbon graph's symmetries are all its automorphisms as half-edge
     maps.  A plain graph's are the vertex automorphisms that generate its
@@ -384,26 +367,32 @@ def build_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None, symmetries) ->
     """
     maps, order = symmetries
     if ribbon is not None:
-        gens = []
-        for hmap in maps:
-            vmap = [0] * g.vertex_count
-            for h, image in enumerate(hmap):
-                vmap[g.iota(h)] = g.iota(image)
-            gens.append(Morphism("isomorphism", g, g, tuple(vmap), hmap))
-        return AutGroup(graph=g, generators=tuple(gens), order=order)
-    gens = [Morphism("isomorphism", g, g, perm, _lift(g, perm, g.edges)) for perm in maps]
+        return tuple(maps), order
+    gens = [_lift(g, perm, g.edges) for perm in maps]
     classes: dict[tuple[int, int], list[int]] = {}
     for e, pair in enumerate(g.edges):
         classes.setdefault(pair, []).append(e)
     kernel = 1
     for (u, v), members in sorted(classes.items()):
         for a, b in zip(members, members[1:]):
-            gens.append(_swap_edges_morphism(g, a, b))
+            swap = list(range(g.half_edge_count))
+            swap[2 * a], swap[2 * b] = 2 * b, 2 * a
+            swap[2 * a + 1], swap[2 * b + 1] = 2 * b + 1, 2 * a + 1
+            gens.append(tuple(swap))
         kernel *= math.factorial(len(members))
         if u == v:
-            gens.append(_flip_tadpole_morphism(g, members[0]))
+            e = members[0]
+            flip = list(range(g.half_edge_count))
+            flip[2 * e], flip[2 * e + 1] = 2 * e + 1, 2 * e
+            gens.append(tuple(flip))
             kernel *= 2 ** len(members)
-    return AutGroup(graph=g, generators=tuple(gens), order=order * kernel)
+    return tuple(gens), order * kernel
+
+
+def edge_action(half_edge_map) -> tuple[int, ...]:
+    """The permutation of the edges induced by an automorphism's half-edge
+    map: edge e goes to the edge of the image of half-edge 2e."""
+    return tuple([h >> 1 for h in half_edge_map[::2]])
 
 
 def edge_action_closure(edge_count: int, generators) -> list[tuple[tuple[int, ...], int]]:

@@ -4,7 +4,8 @@ Commands emit JSON lines on stdout, byte-for-byte deterministic for fixed
 inputs.  Exit codes: 0 success, 1 failed verification, 2 usage error,
 3 infeasible request (an enumeration that needs --max-edges to be finite).
 An infeasible request is refused when its spec is made, before an
-``--export`` target is opened, so it writes no file.  The target is opened
+``--export`` target is opened, so it writes no file; so is a ``moduli``
+genus below 2 (exit 2).  The target is opened
 before any work, so an unusable one exits 2 with nothing on stdout.
 """
 
@@ -16,7 +17,7 @@ import json
 import os
 import sys
 
-from .context import canonical_form
+from .context import canonical_entry
 from .complexes import (
     KINDS,
     ComplexSpec,
@@ -26,7 +27,7 @@ from .complexes import (
 )
 from .generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs, refuse_wide_subsets
 from .io import DocumentError, graph_to_document, matrix_to_text, parse_graph_json
-from .moduli import build_cell_poset, build_spine, f_vector
+from .moduli import build_cell_poset, build_spine, f_vector, refuse_low_genus
 from .ribbon import surface_invariants
 from .verify import run_suite
 
@@ -142,8 +143,10 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_moduli(args) -> int:
+    # refused before the export target is opened, so they write no file
+    refuse_low_genus(args.genus, args.spine)
     if args.spine:
-        refuse_wide_subsets(args.genus)  # before the export target is opened
+        refuse_wide_subsets(args.genus)
     with _open_export(args.export) as fh:
         if args.spine:
             spine = build_spine(args.genus)
@@ -225,7 +228,7 @@ def _cmd_surface(args) -> int:
         raise DocumentError("ribbon", "surface invariants need a ribbon structure")
     gs, b = surface_invariants(graph, ribbon)
     _emit({"genus": gs, "boundaries": b,
-           "certificate": canonical_form(graph, ribbon=ribbon).certificate})
+           "certificate": canonical_entry(graph, ribbon)[0].certificate})
     return 0
 
 

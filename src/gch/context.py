@@ -12,7 +12,8 @@ the symmetries that the labelling search which found it met, carried onto
 its canonical labels, so no class is searched twice.  Its tables
 (collapse H_1 signs, the subset-orbit table, a ribbon class's surface)
 are made on first use, so enumeration alone keeps only the certificate,
-the graph, the group and the collapses.
+the graph, the generators of Aut as half-edge maps with its order, and
+the collapses.
 
 Every kind is built from the same three rules, all on the class object.
 A generator is a class with an edge-subset mask: the full mask for the
@@ -78,12 +79,11 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 
-from .canonical import (AutGroup, build_group, canonical_labelling, edge_action_closure,
+from .canonical import (build_group, canonical_labelling, edge_action, edge_action_closure,
                         ribbon_labelling)
-from .graph import HalfEdgeGraph, Morphism
+from .graph import HalfEdgeGraph
 from .orientation import h1_map_sign, kruskal_sign, sequence_parity
 from .ribbon import RibbonStructure, splice, surface_invariants
 
@@ -103,33 +103,25 @@ _CUBE_WITNESS = ("stabilizer with odd subset permutation",
 SLOT_EDGES = 28
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """A labelled input's class data, with its isomorphism onto the class's
-    canonical graph."""
-
-    graph: HalfEdgeGraph
-    certificate: str
-    iso: Morphism  # from the input graph onto the canonical graph
-    ribbon: RibbonStructure | None = None
-
-
 class GraphContext:
     """One isomorphism class, shared by every labelled graph that reaches it.
 
     It holds the certificate, the canonical graph and ribbon, the
-    automorphism group (built by :func:`~gch.canonical.build_group` from
-    the symmetries met by the labelling search which found the class), and
-    the collapses recorded so far: edge -> (the target class, the
-    half-edge map onto the target's canonical graph, None on the collapsed
-    edge).
+    generators of the automorphism group and its order (built by
+    :func:`~gch.canonical.build_group` from the symmetries met by the
+    labelling search which found the class), each generator its half-edge
+    map and nothing else, and the collapses recorded so far: edge -> (the
+    target class, the half-edge map onto the target's canonical graph,
+    None on the collapsed edge).  A generator's edge action
+    (:func:`~gch.canonical.edge_action`) and its sign on det H_1
+    (``aut_h1``) are computed where they are read; none is kept.
 
     The class decides everything that differs between graphs and ribbon
     graphs: a ribbon class takes its symmetries from the ribbon
     automorphisms and contracts by splicing cyclic orders; a plain class
     takes parallel-edge swaps, tadpole flips and lifts of vertex
-    automorphisms, and contracts plainly.  Both come from its one
-    automorphism group.
+    automorphisms, and contracts plainly.  Both come from its one set of
+    generators.
 
     Edge subsets are held as masks, edge e at bit E-1-e of an E-edge
     graph, so that among subsets of one size the lexicographically least
@@ -137,11 +129,12 @@ class GraphContext:
     """
 
     def __init__(self, certificate: str, graph: HalfEdgeGraph, ribbon: RibbonStructure | None,
-                 group: AutGroup):
+                 generators: tuple[tuple[int, ...], ...], aut_order: int):
         self.certificate = certificate
         self.graph = graph
         self.ribbon = ribbon
-        self.group = group
+        self.generators = generators
+        self.aut_order = aut_order
         self.collapses: dict[int, tuple[GraphContext, tuple[int | None, ...]]] = {}
 
     # made on first use, so that a class only enumeration met keeps none
@@ -188,15 +181,15 @@ class GraphContext:
         (:func:`~gch.orientation.kruskal_sign`)."""
         return kruskal_sign(self.graph)
 
-    def aut_h1(self, m) -> int:
-        """Sign of an automorphism on det H_1.  By the exact sequence
-        0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 of a connected graph
-        (Conant-Vogtmann, arXiv:math/0208169) it is the sign on the oriented
-        edges C_1, the edge permutation's parity times -1 per reversed edge,
-        times the vertex permutation's parity on C_0
+    def aut_h1(self, half_edge_map) -> int:
+        """Sign on det H_1 of the automorphism with the half-edge map.  By
+        the exact sequence 0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 of a connected
+        graph (Conant-Vogtmann, arXiv:math/0208169) it is the sign on the
+        oriented edges C_1, the edge permutation's parity times -1 per
+        reversed edge, times the vertex permutation's parity on C_0
         (:func:`~gch.orientation.h1_map_sign`).  The reference orientation
         is the same on both sides, so its sign cancels."""
-        return h1_map_sign(self.graph, m.half_edge_map, self.graph)
+        return h1_map_sign(self.graph, half_edge_map, self.graph)
 
     # -- vanishing --------------------------------------------------------
 
@@ -230,18 +223,18 @@ class GraphContext:
         even = _WITNESS["swap", "even"] if swaps else ""
         odd = _WITNESS["flip", "odd"] if plain and self.graph.has_tadpole else ""
         kind = "lift" if plain else "ribbon"
-        for m in self.group.generators:
-            sign = -1 if sequence_parity(m.edge_action) else 1
+        for s in self.generators:
+            sign = -1 if sequence_parity(edge_action(s)) else 1
             if not even and sign == -1:
                 even = _WITNESS[kind, "even"]
-            if not odd and sign * self.aut_h1(m) == -1:
+            if not odd and sign * self.aut_h1(s) == -1:
                 odd = _WITNESS[kind, "odd"]
         return even, odd
 
     def stabilizer_order(self, mask: int) -> int:
         """Order of the automorphisms that map the edge subset ``mask`` onto
         itself: the group order over the size of its orbit."""
-        return self.group.order // (self._rep_slot(mask) >> 3)
+        return self.aut_order // (self._rep_slot(mask) >> 3)
 
     # -- collapses --------------------------------------------------------
 
@@ -277,11 +270,11 @@ class GraphContext:
             reached = hit[0]
             queue = [e]
             for x in queue:
-                for s in self.group.generators:
-                    f = s.half_edge_map[2 * x] >> 1
+                for s in self.generators:
+                    f = s[2 * x] >> 1
                     if f not in self.collapses:
                         derived = [None] * len(hit[1])
-                        for h, image in zip(s.half_edge_map, self.collapses[x][1]):
+                        for h, image in zip(s, self.collapses[x][1]):
                             derived[h] = image
                         self.collapses[f] = (reached, tuple(derived))
                         queue.append(f)
@@ -337,7 +330,7 @@ class GraphContext:
         inverse_bits, odd = [], bytearray()
         for p, sign in edge_action_closure(
                 self.graph.edge_count,
-                [(m.edge_action, self.aut_h1(m)) for m in self.group.generators]):
+                [(edge_action(s), self.aut_h1(s)) for s in self.generators]):
             bits = [0] * len(p)
             for f, image in enumerate(p):
                 bits[image] = self.bits[f]
@@ -354,8 +347,8 @@ class GraphContext:
         of the banana at its one pair of root branches; a ribbon class's
         generators are all its automorphisms."""
         identity = tuple(range(self.graph.edge_count))
-        return any(m.edge_action == identity and self.aut_h1(m) == -1
-                   for m in self.group.generators)
+        return any(edge_action(s) == identity and self.aut_h1(s) == -1
+                   for s in self.generators)
 
     def _slot(self, mask: int) -> int:
         """The mask's slot of ``_orbit``, its orbit walked on a miss."""
@@ -548,8 +541,8 @@ def _class_of(labelling) -> GraphContext:
     (:func:`~gch.canonical.canonical_labelling`).  Its object, with the
     canonical graph and ribbon, is made only when the certificate is new;
     then the symmetries the search met are carried onto the canonical
-    labels by the input's map m, each a to m a m^-1, and the class's
-    automorphism group is built from them."""
+    labels by the input's map m, each a to m a m^-1, and the generators of
+    the class's automorphism group and its order are built from them."""
     certificate, weights, edges, cycles, vertex_map, half_edge_map, (auts, order) = labelling
     ctx = _CLASSES.get(certificate)
     if ctx is None:
@@ -559,13 +552,6 @@ def _class_of(labelling) -> GraphContext:
         inverse = sorted(range(len(m)), key=m.__getitem__)
         carried = [tuple([m[a[i]] for i in inverse]) for a in auts]
         ctx = _CLASSES[certificate] = GraphContext(
-            certificate, graph, ribbon, build_group(graph, ribbon, (carried, order)))
+            certificate, graph, ribbon, *build_group(graph, ribbon, (carried, order)))
     return ctx
 
-
-def canonical_form(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> CanonicalForm:
-    """Canonical representative of a labelled input plus an isomorphism of
-    the input onto it; ``iso`` starts at the caller's graph on every call."""
-    ctx, vertex_map, half_edge_map = canonical_entry(g, ribbon)
-    iso = Morphism("isomorphism", g, ctx.graph, vertex_map, half_edge_map)
-    return CanonicalForm(ctx.graph, ctx.certificate, iso, ctx.ribbon)

@@ -74,6 +74,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .canonical import edge_action
 from .context import SLOT_EDGES, GraphContext, canonical_entry
 from .families import dumbbell, rose, theta
 from .graph import HalfEdgeGraph
@@ -165,7 +166,7 @@ def _raise_genus(ctx: GraphContext):
     2^E subsets."""
     g = ctx.graph
     n = g.vertex_count
-    actions = [m.edge_action for m in ctx.group.generators]
+    actions = [edge_action(hmap) for hmap in ctx.generators]
     seen = set()
     for edges in itertools.chain.from_iterable(
             itertools.combinations(range(g.edge_count), size) for size in (1, 2)):
@@ -214,19 +215,18 @@ def _ribbon_seeds(ctx: GraphContext):
     Choice i at vertex v orders its half-edges a < b < c as (a, b, c) for
     i = 0 and (a, c, b) for i = 1, and index k of the product holds the
     choice of v at bit V-1-v.  An automorphism s carries the order at v to
-    (s(a), s(b), s(c)) at s(v), which flips the choice when that is an odd
-    permutation of its sorted half-edges.  An isomorphism between two
-    ribbon structures on t is an automorphism of t, so the orbits are the
-    classes, one to one."""
+    (s(a), s(b), s(c)) at s(v), the vertex of s(a), which flips the choice
+    when that is an odd permutation of its sorted half-edges.  An
+    isomorphism between two ribbon structures on t is an automorphism of
+    t, so the orbits are the classes, one to one."""
     t = ctx.graph
     at = t.half_edges_at
     top = t.vertex_count - 1
     moves = []  # per generator: (bit of s(v), flip) for each v
-    for s in ctx.group.generators:
-        hmap = s.half_edge_map
-        moves.append([(1 << top - s.vertex_map[v],
+    for hmap in ctx.generators:
+        moves.append([(1 << top - t.iota(hmap[a]),
                        (hmap[a] < hmap[b]) + (hmap[b] < hmap[c]) + (hmap[c] < hmap[a]) != 2)
-                      for v, (a, b, c) in enumerate(at)])
+                      for a, b, c in at])
     seen = bytearray(1 << t.vertex_count)
     for k in range(len(seen)):
         if seen[k]:

@@ -164,32 +164,6 @@ class HalfEdgeGraph:
         return f"HalfEdgeGraph(v={self.vertex_count}, e={list(self.edges)}{w})"
 
 
-@dataclass(frozen=True)
-class Morphism:
-    """A graph map at half-edge resolution.
-
-    ``half_edge_map`` commutes with the incidence and involution maps;
-    collapsed half-edges map to ``None``.  Isomorphisms are bijective on
-    vertices and half-edges.
-    """
-
-    kind: str  # isomorphism | edge-collapse | edge-deletion
-    source: HalfEdgeGraph
-    target: HalfEdgeGraph
-    vertex_map: tuple[int, ...]
-    half_edge_map: tuple[int | None, ...]
-    collapsed_edges: tuple[int, ...] = ()
-
-    @cached_property
-    def edge_action(self):
-        """Induced (partial) map on edge indices."""
-        out = []
-        for e in range(len(self.source.edges)):
-            h = self.half_edge_map[2 * e]
-            out.append(None if h is None else h >> 1)
-        return tuple(out)
-
-
 def _reached(n, edges, start):
     """How many of the vertices 0..n-1 the edges join to ``start``, itself
     included."""

@@ -57,7 +57,6 @@ class CubeEntry:
 @dataclass
 class CubeCatalog:
     genus: int
-    forest_only: bool
     entries: list[CubeEntry]
 
     @cached_property
@@ -77,9 +76,16 @@ class CubeCatalog:
         )
 
 
-def build_cell_poset(genus: int) -> CellPoset:
+def refuse_low_genus(genus: int, spine: bool) -> None:
+    """Raise ValueError below genus 2, where neither the moduli space of
+    graphs nor its spine is built; ``gch moduli`` calls it before its
+    export target is opened."""
     if genus < 2:
-        raise ValueError("the moduli space needs genus >= 2")
+        raise ValueError(f"the {'spine' if spine else 'moduli space'} needs genus >= 2")
+
+
+def build_cell_poset(genus: int) -> CellPoset:
+    refuse_low_genus(genus, spine=False)
     contexts = enumerate_graphs(
         EnumSpec(genus=genus, weighted=True, allow_tadpoles=True, min_edges=1))
     nodes = []
@@ -125,13 +131,12 @@ def build_cube_catalog(genus: int, forest_only: bool) -> CubeCatalog:
                 deletion_facets=tuple(facets[False]),
             ))
     entries.sort(key=lambda e: (e.dimension, e.key))
-    return CubeCatalog(genus=genus, forest_only=forest_only, entries=entries)
+    return CubeCatalog(genus=genus, entries=entries)
 
 
 def build_spine(genus: int) -> CubeCatalog:
     """Forest cubes of weight-zero graphs: the spine of the moduli space."""
-    if genus < 2:
-        raise ValueError("the spine needs genus >= 2")
+    refuse_low_genus(genus, spine=True)
     return build_cube_catalog(genus, forest_only=True)
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .graph import DisconnectedGraphError, HalfEdgeGraph, Morphism
+from .graph import DisconnectedGraphError, HalfEdgeGraph
 
 
 def _parity(seq) -> int:
@@ -214,6 +214,34 @@ def is_one_vertex_irreducible(g: HalfEdgeGraph) -> bool:
 def is_stable(g: HalfEdgeGraph) -> bool:
     """Every vertex has 2 * weight + valence > 2."""
     return all(2 * w + val > 2 for w, val in zip(g.weights, g.valences))
+
+
+@dataclass(frozen=True)
+class Morphism:
+    """A graph map at half-edge resolution, built only here
+    (:func:`identity_morphism`, :func:`contract`, :func:`compose`) and by
+    the tests; the engine holds an automorphism as its half-edge map alone.
+
+    ``half_edge_map`` commutes with the incidence and involution maps;
+    collapsed half-edges map to ``None``.  Isomorphisms are bijective on
+    vertices and half-edges.
+    """
+
+    kind: str  # isomorphism | edge-collapse
+    source: HalfEdgeGraph
+    target: HalfEdgeGraph
+    vertex_map: tuple[int, ...]
+    half_edge_map: tuple[int | None, ...]
+    collapsed_edges: tuple[int, ...] = ()
+
+    @cached_property
+    def edge_action(self):
+        """Induced (partial) map on edge indices."""
+        out = []
+        for e in range(len(self.source.edges)):
+            h = self.half_edge_map[2 * e]
+            out.append(None if h is None else h >> 1)
+        return tuple(out)
 
 
 def is_morphism(m: Morphism) -> bool:

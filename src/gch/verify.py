@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import canonical_entry, canonical_form
+from .context import canonical_entry
 from .complexes import (
     KINDS,
     ComplexSpec,
@@ -118,7 +118,7 @@ def check_small_commutative_homology():
     report = homology(c3)
     expected = {k: (1 if k == 6 else 0) for k in report.dims}
     _check(report.dims == expected, f"genus-3 dims {report.dims}")
-    _check(c3.grades[6][0].key == canonical_form(wheel(3)).certificate)
+    _check(c3.grades[6][0].key == canonical_entry(wheel(3))[0].certificate)
     return "genus 2 empty; genus 3 homology Q at six edges (the 3-spoke wheel)"
 
 
@@ -211,7 +211,7 @@ def check_moduli_dimensions():
     # each forest orbit of size V-1 holds |Aut| / |stabilizer| spanning trees
     g = triangle_with_doubled_edge()
     ctx = canonical_entry(g)[0]
-    spanning = sum(ctx.group.order // ctx.stabilizer_order(tree)
+    spanning = sum(ctx.aut_order // ctx.stabilizer_order(tree)
                    for tree in ctx.subset_orbits(forests_only=True)
                    if tree.bit_count() == g.vertex_count - 1)
     _check(spanning == 5, f"{spanning} spanning trees")

@@ -1,12 +1,17 @@
 import gc
+import json
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
 from gch.canonical import build_group, canonical_labelling, edge_action_closure
 from gch.complexes import generator_vanishes
-from gch.context import _CLASSES, canonical_entry, canonical_form
+from gch.context import _CLASSES, canonical_entry
 from gch.families import (
     banana,
     cycle,
@@ -22,6 +27,7 @@ from gch.oracle import (automorphism_sign, contract, contract_ribbon, half_edge_
                         identity_morphism, is_morphism, relabeled, transport_cycles)
 from gch.ribbon import RibbonStructure
 
+from forms import automorphisms, canonical_form
 from masks import mask_of
 
 PLANAR_THETA_CYCLES = ((0, 2, 4), (1, 5, 3))
@@ -91,12 +97,12 @@ def test_canonical_iso_is_valid():
     ],
 )
 def test_automorphism_group_orders(g, order):
-    assert canonical_entry(g)[0].group.order == order
+    assert canonical_entry(g)[0].aut_order == order
 
 
 @pytest.mark.parametrize("g", SMALL_GRAPHS, ids=lambda g: str(g))
 def test_automorphism_order_matches_brute_force(g):
-    assert canonical_entry(g)[0].group.order == len(half_edge_automorphisms(g))
+    assert canonical_entry(g)[0].aut_order == len(half_edge_automorphisms(g))
 
 
 def _petersen():
@@ -115,13 +121,14 @@ def _cube():
 
 
 def _generated(generators, size):
-    """The half-edge maps that products of the generators reach."""
+    """The half-edge maps that products of the generators, half-edge maps
+    themselves, reach."""
     identity = tuple(range(size))
     seen, frontier = {identity}, [identity]
     while frontier:
         p = frontier.pop()
         for m in generators:
-            q = tuple([m.half_edge_map[h] for h in p])
+            q = tuple([m[h] for h in p])
             if q not in seen:
                 seen.add(q)
                 frontier.append(q)
@@ -145,9 +152,9 @@ def _two_hubs():
 def test_generators_generate_aut_of_symmetric_graphs(g, order):
     """The generators are only those the labelling search meets, yet they
     generate a group of the full order, which the oracle confirms."""
-    group = canonical_entry(g)[0].group
-    assert group.order == order == len(half_edge_automorphisms(g))
-    assert len(_generated(group.generators, g.half_edge_count)) == order
+    ctx = canonical_entry(g)[0]
+    assert ctx.aut_order == order == len(half_edge_automorphisms(g))
+    assert len(_generated(ctx.generators, g.half_edge_count)) == order
 
 
 def test_generators_generate_aut_across_families():
@@ -161,9 +168,9 @@ def test_generators_generate_aut_across_families():
              EnumSpec(genus=3, weighted=True, allow_tadpoles=True)]
     rng = random.Random(5)
     for g in (relabeled(ctx.graph, rng) for spec in specs for ctx in enumerate_graphs(spec)):
-        group = build_group(g, None, canonical_labelling(g)[-1])
-        assert len(_generated(group.generators, g.half_edge_count)) == group.order, str(g)
-        assert group.order == len(half_edge_automorphisms(g)), str(g)
+        generators, order = build_group(g, None, canonical_labelling(g)[-1])
+        assert len(_generated(generators, g.half_edge_count)) == order, str(g)
+        assert order == len(half_edge_automorphisms(g)), str(g)
 
 
 def test_two_hubs_generators_are_distinct_and_not_the_identity():
@@ -171,7 +178,7 @@ def test_two_hubs_generators_are_distinct_and_not_the_identity():
     encodings many times over; each automorphism is kept once, and the
     identity never."""
     g = _two_hubs()
-    maps = [m.half_edge_map for m in canonical_entry(g)[0].group.generators]
+    maps = list(canonical_entry(g)[0].generators)
     assert len(set(maps)) == len(maps)
     assert tuple(range(g.half_edge_count)) not in maps
 
@@ -189,33 +196,34 @@ def test_class_groups_match_the_oracle():
     classes = {ctx.certificate: ctx for spec in specs for ctx in enumerate_graphs(spec)}
     assert len(classes) > 400
     for ctx in classes.values():
-        g, ribbon, group = ctx.graph, ctx.ribbon, ctx.group
-        for m in group.generators:
+        g, ribbon = ctx.graph, ctx.ribbon
+        for m in automorphisms(ctx):
             assert is_morphism(m) and m.source is g and m.target is g, ctx.certificate
             assert all(g.weights[x] == w for x, w in zip(m.vertex_map, g.weights)), ctx.certificate
             if ribbon is not None:
                 assert transport_cycles(g, ribbon.cycles, m.half_edge_map) == ribbon.cycles, \
                     ctx.certificate
-        assert len(_generated(group.generators, g.half_edge_count)) == group.order, ctx.certificate
+        assert len(_generated(ctx.generators, g.half_edge_count)) == ctx.aut_order, \
+            ctx.certificate
         sigma = None if ribbon is None else ribbon.next_map
-        assert group.order == len(half_edge_automorphisms(g, sigma)), ctx.certificate
+        assert ctx.aut_order == len(half_edge_automorphisms(g, sigma)), ctx.certificate
 
 
 def test_generators_are_automorphisms():
     for g in SMALL_GRAPHS:
         ctx = canonical_entry(g)[0]
-        for m in ctx.group.generators:
+        for m in automorphisms(ctx):
             assert is_morphism(m)
             assert m.source == m.target == ctx.graph
 
 
 def test_edge_action_examples():
     g = theta()
-    group = canonical_entry(g)[0].group
-    assert group.graph == g
+    ctx = canonical_entry(g)[0]
+    assert ctx.graph == g
     assert identity_morphism(g).edge_action == (0, 1, 2)
     swap = next(
-        m for m in group.generators
+        m for m in automorphisms(ctx)
         if m.vertex_map == (0, 1) and m.edge_action == (0, 2, 1)
     )
     assert swap.edge_action == (0, 2, 1)
@@ -262,7 +270,7 @@ def test_odd_symmetry_oracle_equivalence():
 
 def test_edge_action_closure_sizes():
     for g, size in ((theta(), 6), (rose(2), 2), (wheel(5), 10)):
-        gens = [(m.edge_action, 1) for m in canonical_entry(g)[0].group.generators]
+        gens = [(m.edge_action, 1) for m in automorphisms(canonical_entry(g)[0])]
         assert len(edge_action_closure(g.edge_count, gens)) == size
 
 
@@ -301,3 +309,47 @@ def test_canonical_forms_pin_no_contracted_graph():
         del contracted, ribbon, m, form
         gc.collect()
         assert ref() is None
+
+
+GENERATORS = r"""
+import gc, json, sys
+from gch.complexes import ComplexSpec, build_complex
+from gch.context import _CLASSES
+
+out = {}
+for kind, parity, genus in (("com", "odd", 4), ("ass", "even", 3)):
+    c = build_complex(ComplexSpec(kind, parity, genus))
+    classes = {gen.ctx for grade in c.grades.values() for gen in grade} | set(_CLASSES.values())
+    out[f"{kind}-{parity}-g{genus}"] = {
+        "classes": len(classes),
+        "ribbon": sum(ctx.ribbon is not None for ctx in classes),
+        "holders": sorted({type(ctx.generators).__name__ for ctx in classes}
+                          | {type(s).__name__ for ctx in classes for s in ctx.generators}),
+        "entries": sorted({type(h).__name__ for ctx in classes for s in ctx.generators for h in s}),
+        "bijective": all(sorted(s) == list(range(ctx.graph.half_edge_count))
+                         for ctx in classes for s in ctx.generators),
+        "morphisms": sum(type(o).__name__ == "Morphism" for o in gc.get_objects()),
+        "oracle": "gch.oracle" in sys.modules,
+    }
+print(json.dumps(out))
+"""
+
+
+def test_classes_hold_generators_as_half_edge_maps():
+    """In a fresh interpreter, after building ``com`` odd at genus 4 and
+    ``ass`` even at genus 3, every class the builds made holds its
+    generators as a tuple of half-edge maps, each a tuple of ints that is
+    a bijection of the half-edges, and no ``Morphism`` exists: the oracle
+    that defines it is never imported."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, "-c", GENERATORS], capture_output=True, text=True,
+                            env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    got = json.loads(result.stdout)
+    assert got["ass-even-g3"]["ribbon"] > 0, got
+    for name, case in got.items():
+        assert case["classes"] > 10, (name, case)
+        assert case["holders"] == ["tuple"], (name, case)
+        assert case["entries"] == ["int"], (name, case)
+        assert case["bijective"] and case["morphisms"] == 0 and not case["oracle"], (name, case)

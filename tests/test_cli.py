@@ -184,6 +184,21 @@ def test_infeasible_export_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spine", [False, True], ids=["poset", "spine"])
+def test_low_genus_moduli_export_writes_nothing(tmp_path, capsys, spine):
+    """Genus 1 has no moduli space to build, with or without ``--spine``;
+    it is refused (exit 2) before the export target is opened, so no file
+    is made and nothing reaches stdout."""
+    target = tmp_path / "moduli.json"
+    argv = ["moduli", "--genus", "1", "--export", str(target)] + (["--spine"] if spine else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs genus >= 2" in captured.err
+    assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_complex_export(tmp_path, capsys):
     code, rows = run_cli(capsys, "complex", "--kind", "gf", "--parity", "even",
                          "--genus", "2", "--export", str(tmp_path / "out"))

@@ -19,13 +19,15 @@ from gch.complexes import (
     pair_key,
     split_by_surface,
 )
-from gch.context import _CLASSES, GraphContext, canonical_form
+from gch.context import _CLASSES, GraphContext
 from gch.families import cycle, rose, theta, wheel
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.oracle import (automorphism_sign, compose, contract, contract_ribbon,
                         half_edge_automorphisms, morphism_sign, reference_orientation)
 from gch.orientation import sequence_parity
 from gch.ribbon import RibbonStructure, surface_invariants
+
+from forms import automorphisms, canonical_form
 
 
 def dims_of(spec):
@@ -588,10 +590,11 @@ def test_full_mask_takes_the_bare_verdict_without_a_table(family):
         if family.get("weighted") and genus < 2:
             continue
         for ctx in enumerate_graphs(EnumSpec(genus=genus, **family)):
-            fresh = GraphContext(ctx.certificate, ctx.graph, ctx.ribbon, ctx.group)
+            fresh = GraphContext(ctx.certificate, ctx.graph, ctx.ribbon, ctx.generators,
+                                 ctx.aut_order)
             closure = edge_action_closure(fresh.graph.edge_count,
-                                          [(m.edge_action, fresh.aut_h1(m))
-                                           for m in fresh.group.generators])
+                                          [(m.edge_action, fresh.aut_h1(m.half_edge_map))
+                                           for m in automorphisms(fresh)])
             even = any(sequence_parity(p) for p, _ in closure)
             odd = fresh.kernel_odd or any((-1 if sequence_parity(p) else 1) * sign == -1
                                           for p, sign in closure)

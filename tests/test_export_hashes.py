@@ -119,9 +119,8 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
         hashes[kind + "/odd/g4"] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                                     for p in sorted(target.iterdir())}
 differ = sum(1 for c in classes.values()
-             if [m.half_edge_map for m in c.group.generators]
-             != [m.half_edge_map for m in build_group(
-                 c.graph, c.ribbon, canonical_labelling(c.graph, c.ribbon)[-1]).generators])
+             if c.generators
+             != build_group(c.graph, c.ribbon, canonical_labelling(c.graph, c.ribbon)[-1])[0])
 print(json.dumps({"classes": len(classes), "differ": differ, "hashes": hashes}))
 """
 

@@ -10,14 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from gch.context import _CLASSES, canonical_entry, canonical_form
+from gch.context import _CLASSES, canonical_entry
 from gch.families import banana, cycle, dumbbell, rose, theta, triangle_with_doubled_edge
 from gch.generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs
-from gch.graph import HalfEdgeGraph, Morphism
-from gch.oracle import (compose, contract, contract_ribbon, forests, is_stable, mass_table,
-                        pairing_classes, ribbon_structures)
+from gch.graph import HalfEdgeGraph
+from gch.oracle import (Morphism, compose, contract, contract_ribbon, forests, is_stable,
+                        mass_table, pairing_classes, ribbon_structures)
 from gch.ribbon import RibbonStructure, surface_invariants
 
+from forms import automorphisms, canonical_form
 from masks import mask_of
 
 # certificate lists of the degree-sequence enumerator that generation by
@@ -142,12 +143,14 @@ def test_outputs_satisfy_filters_and_are_unique():
 ])
 def test_enumerated_forms_pin_no_labelled_graph(spec):
     """Enumeration hands out the registry's one object per class, which
-    holds no morphism and whose automorphisms act on its own canonical
-    graph, so it pins no labelled graph that reached the class."""
+    holds no morphism and whose automorphisms, half-edge maps of ints, act
+    on its own canonical graph, so it pins no labelled graph that reached
+    the class."""
     for ctx in enumerate_graphs(spec):
         assert ctx is _CLASSES[ctx.certificate]
         assert not any(isinstance(value, Morphism) for value in vars(ctx).values())
-        assert all(m.source is ctx.graph for m in ctx.group.generators)
+        assert all(type(h) is int for hmap in ctx.generators for h in hmap)
+        assert all(m.source is ctx.graph for m in automorphisms(ctx))
 
 
 def test_forests_of_theta():
@@ -398,7 +401,7 @@ def test_enumeration_matches_mass_formula(genus):
     """Per degree type, the com_tad classes and their automorphism group
     orders give the mass formula's sum of 1/|Aut G|.  Dropping one class or
     doubling one order breaks the match."""
-    classes = [(tuple(sorted(ctx.graph.valences)), ctx.group.order)
+    classes = [(tuple(sorted(ctx.graph.valences)), ctx.aut_order)
                for ctx in enumerate_graphs(EnumSpec(genus=genus, min_valence=3, allow_tadpoles=True))]
     table = mass_table(genus)
     assert _masses(classes) == table

@@ -13,7 +13,10 @@ table, its edge-action closure) stay inside it.  Every function, class
 and method of an engine module (all but ``oracle.py`` and
 ``__init__.py``) is named by some engine module or benchmark file, so the
 engine keeps no code that only the tests reach; a method counts as named
-only by an attribute, and ``self.name`` only for its own class.
+only by an attribute, and ``self.name`` only for its own class.  Every
+field of an engine ``@dataclass`` is read as an attribute by some engine
+module or benchmark file, so a record keeps no field that only the tests
+read.
 """
 
 import ast
@@ -211,3 +214,64 @@ def test_engine_keeps_no_code_only_tests_reach():
     callers = sorted(PERFBENCH.glob("*.py"))
     assert callers, PERFBENCH
     assert set(unnamed_definitions(modules, callers)) - READERS == set()
+
+
+def _is_dataclass(decorator) -> bool:
+    """Whether a class decorator is ``dataclass`` or ``dataclasses.dataclass``,
+    called or not."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+            or isinstance(decorator, ast.Attribute) and decorator.attr == "dataclass")
+
+
+def unread_fields(modules: list[Path], callers: list[Path]) -> list[str]:
+    """``module.Class.field`` of each field of a ``@dataclass`` of ``modules``
+    whose name no attribute read in ``modules`` or ``callers`` takes.
+    Setting the attribute, passing the field by keyword and naming it in a
+    docstring or a comment do not count as reads."""
+    read = set()
+    for path in modules + callers:
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                found += [f"{path.stem}.{node.name}.{item.target.id}" for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                          and item.target.id not in read]
+    return sorted(found)
+
+
+def test_unread_field_is_found(tmp_path):
+    engine, bench = tmp_path / "engine.py", tmp_path / "bench.py"
+    engine.write_text('''"""Box.spare is named only here."""
+import dataclasses
+from dataclasses import dataclass
+@dataclass(frozen=True)
+class Box:
+    size: int
+    spare: int
+    kept: int
+    written: int = 0
+@dataclasses.dataclass
+class Crate:
+    label: str
+class Plain:
+    unread: int
+def make():
+    box = Box(1, spare=2, kept=3)
+    box.written = 4
+    return box.size
+''')
+    bench.write_text("import engine\nprint(engine.make().kept)\n")
+    assert unread_fields([engine], [bench]) == ["engine.Box.spare", "engine.Box.written",
+                                                "engine.Crate.label"]
+    assert unread_fields([engine], []) == ["engine.Box.kept", "engine.Box.spare",
+                                           "engine.Box.written", "engine.Crate.label"]
+
+
+def test_engine_records_keep_no_field_only_tests_read():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("oracle.py", "__init__.py")]
+    assert unread_fields(modules, sorted(PERFBENCH.glob("*.py"))) == []

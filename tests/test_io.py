@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from gch.context import canonical_form
 from gch.families import dumbbell, theta
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.io import (
@@ -16,6 +15,8 @@ from gch.io import (
 )
 from gch.linalg import SparseMatrix
 from gch.ribbon import RibbonStructure
+
+from forms import canonical_form
 
 
 def test_theta_document():

@@ -1,10 +1,11 @@
 import pytest
 
-from gch.context import canonical_form
 from gch.families import triangle_with_doubled_edge
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.moduli import build_cell_poset, build_cube_catalog, build_spine, f_vector
 from gch.oracle import contract
+
+from forms import canonical_form
 
 
 def test_poset_genus2():

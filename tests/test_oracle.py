@@ -28,6 +28,8 @@ from gch.oracle import (
     reference_orientation,
 )
 
+from forms import automorphisms
+
 PACKAGE = Path(gch.__file__).parent
 
 
@@ -114,7 +116,7 @@ def test_odd_sign_matches_direction_oracle(g):
     edges is its morphism sign.  The graphs exercise tadpole flips,
     parallel swaps, rotations and reflections."""
     ctx = canonical_entry(g)[0]
-    g, gens = ctx.graph, ctx.group.generators
+    g, gens = ctx.graph, automorphisms(ctx)
     autos = {aut.half_edges: aut for aut in half_edge_automorphisms(g)}
     ref = reference_orientation(g)
     rng = random.Random(11)

@@ -1,11 +1,13 @@
 import pytest
 
-from gch.context import canonical_entry, canonical_form
+from gch.context import canonical_entry
 from gch.families import banana, theta, wheel
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.graph import HalfEdgeGraph
 from gch.oracle import contract_ribbon, is_morphism, ribbon_structures, transport_cycles
 from gch.ribbon import RibbonStructure, faces, surface_invariants
+
+from forms import automorphisms, canonical_form
 
 
 def planar_theta():
@@ -114,7 +116,7 @@ def test_ribbon_certificates_distinguish_thetas():
 def test_ribbon_certificate_invariance():
     g, planar = planar_theta()
     # push through every generator of Aut: the certificate must not move
-    for m in canonical_entry(g)[0].group.generators:
+    for m in automorphisms(canonical_entry(g)[0]):
         moved = RibbonStructure(g, transport_cycles(g, planar.cycles, m.half_edge_map))
         assert canonical_form(g, ribbon=moved).certificate == \
             canonical_form(g, ribbon=planar).certificate
@@ -122,9 +124,9 @@ def test_ribbon_certificate_invariance():
 
 def test_ribbon_automorphisms_form_subgroup_of_aut():
     g, planar = planar_theta()
-    auts = canonical_entry(g, planar)[0].group.generators
+    auts = automorphisms(canonical_entry(g, planar)[0])
     assert len(auts) in (2, 3, 6, 12)
-    full = canonical_entry(g)[0].group.order
+    full = canonical_entry(g)[0].aut_order
     assert full % len(auts) == 0
     for m in auts:
         assert is_morphism(m)

@@ -39,6 +39,7 @@ from gch.context import SLOT_EDGES, GraphContext
 from gch.generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs
 from gch.oracle import automorphism_sign, forests, half_edge_automorphisms
 
+from forms import automorphisms
 from masks import mask_of
 
 
@@ -58,12 +59,14 @@ def _check_graph(form):
     orbit = {s: {tuple(sorted(p[e] for e in s)) for p in edge_perms} for s in subsets}
     least = {s: min(images) for s, images in orbit.items()}
 
-    missing_first, walked_first = (GraphContext(form.certificate, g, form.ribbon, form.group)
+    missing_first, walked_first = (GraphContext(form.certificate, g, form.ribbon, form.generators,
+                                                form.aut_order)
                                    for _ in range(2))
     # the engine keeps of its closure only the inverse bits and H_1 signs;
     # the same walk with the permutations kept is the reference
-    closure = edge_action_closure(g.edge_count, [(m.edge_action, walked_first.aut_h1(m))
-                                                 for m in walked_first.group.generators])
+    closure = edge_action_closure(g.edge_count,
+                                  [(m.edge_action, walked_first.aut_h1(m.half_edge_map))
+                                   for m in automorphisms(walked_first)])
     assert walked_first.closure[1] == bytes(sign < 0 for _, sign in closure)
     assert walked_first.closure[0] == [[walked_first.bits[p.index(e)] for e in range(len(p))]
                                        for p, _ in closure]
