@@ -104,7 +104,8 @@ def parse_graph_json(text: str) -> tuple[HalfEdgeGraph, RibbonStructure | None]:
 def matrix_to_text(m: SparseMatrix) -> str:
     lines = [f"{m.rows} {m.cols} M"]
     for i, j, v in m.items():
-        val = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        # a matrix keeps every integral value as an int
+        val = v if type(v) is int else f"{v.numerator}/{v.denominator}"
         lines.append(f"{i + 1} {j + 1} {val}")
     lines.append("0 0 0")
     return "\n".join(lines) + "\n"

@@ -1,26 +1,31 @@
 """Exact sparse rational matrices and rank computation.
 
-A matrix holds its nonzeros as coordinate arrays sorted by row, then
-column: row and column indices in ``array("i")`` and values in
-``array("q")``, so an integer entry costs 16 bytes.  Only a matrix with a
+A matrix holds its nonzeros in compressed sparse row form: the columns of
+row i are ``_j[_p[i]:_p[i + 1]]``, in increasing order, and their values
+sit at the same positions of ``_v``.  Row pointers and column indices are
+``array("i")`` (``"q"`` once they can pass 2^31 - 1) and values
+``array("q")``, so an integer entry costs 12 bytes.  Only a matrix with a
 ``Fraction`` entry, or an integer wider than 63 bits, keeps its values in
 a list.  Entries are ``int`` or ``Fraction`` (anything else raises
 ``TypeError``): integral values are stored as ``int`` and the rest as
 ``Fraction``, so the boundary operators, which are sums of signs, carry
 no ``Fraction`` at all, and a matrix notes once whether it is integral.
 Code outside the class reads the nonzeros through
-:meth:`SparseMatrix.items`; ``entries`` is a fresh dictionary on every
-read.  Every rank comes from one fraction-free sparse elimination,
-:func:`_eliminate`:
+:meth:`SparseMatrix.items`, and the kernels here through the read-only
+:attr:`SparseMatrix.csr` arrays; ``entries`` is a fresh dictionary on
+every read.  Every rank comes from one fraction-free sparse elimination,
+:func:`_pivots`, in two phases:
 
-* rows holding a non-integer are scaled to integers first;
-* the pivot column is the one with the fewest active rows, the lowest
-  index on a tie; the pivot row there is the sparsest, preferring a unit
-  value;
-* columns with a single active row, most pivots of a boundary
-  operator, come first from a queue of their own: such a pivot drops its
-  row with no row operation (a coreduction pair, Mrozek--Batko, 2009).
-  The columns left then come from a lazy heap, by the same rule;
+* peeling: while some column has a single live row, the lowest such
+  column is the pivot, and its row is dropped with no row operation (a
+  coreduction pair, Mrozek--Batko, 2009).  This phase works on the arrays
+  alone and never reads a value: per column it keeps the count of live
+  rows and the sum of their indices, so a column of count 1 names its
+  row.  Most pivots of a boundary operator come off here;
+* the heap phase: the rows left become integer rows, each scaled to
+  integers first if it holds a non-integer.  The pivot column is the one
+  with the fewest active rows, the lowest index on a tie, taken from a
+  lazy heap; the pivot row there is the sparsest, preferring a unit value;
 * a unit pivot updates each target row in place, touching only the pivot
   row's columns; any other pivot scales the target row and divides out
   its content afterwards, which keeps entries small on the
@@ -36,14 +41,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from array import array
+from collections.abc import Iterable
 from fractions import Fraction
 
 
-def _index_code(rows: int, cols: int) -> str:
-    """The typecode of a matrix's index arrays: ``"i"`` unless an index
-    can pass 2^31 - 1."""
-    return "i" if max(rows, cols) <= 2 ** 31 else "q"
+def _index_code(n: int) -> str:
+    """The typecode of an array of ints in ``range(n)``: ``"i"`` unless
+    one can pass 2^31 - 1."""
+    return "i" if n <= 2 ** 31 else "q"
 
 
 def _values(values: list) -> array | list:
@@ -54,22 +61,33 @@ def _values(values: list) -> array | list:
         return values
 
 
-def _keep(m: "SparseMatrix", rows: int, cols: int, ii: array, jj: array,
+def _refuse_coordinates(types: set[type]) -> None:
+    others = types - {int}
+    if others:
+        raise TypeError("entry coordinates must be int, not "
+                        + ", ".join(sorted(t.__name__ for t in others)))
+
+
+# swaps the bytes 0 and 1: a row mask to its complement
+_FLIP = bytes([1, 0]) + bytes(254)
+
+
+def _keep(m: "SparseMatrix", rows: int, cols: int, pp: array, jj: array,
           vv: array | list, integral: bool) -> "SparseMatrix":
-    """Set the shape and the sorted nonzeros of a matrix being made."""
+    """Set the shape, row pointers and sorted nonzeros of a matrix being made."""
     setter = object.__setattr__
     setter(m, "rows", rows)
     setter(m, "cols", cols)
     setter(m, "integral", integral)
-    setter(m, "_i", ii)
+    setter(m, "_p", pp)
     setter(m, "_j", jj)
     setter(m, "_v", vv)
     return m
 
 
 class SparseMatrix:
-    """An exact ``rows`` x ``cols`` matrix, its nonzeros held as coordinate
-    arrays sorted by (row, column).
+    """An exact ``rows`` x ``cols`` matrix, its nonzeros held row by row in
+    compressed sparse row arrays.
 
     The constructor takes a ``{(i, j): value}`` dictionary of ``int`` and
     ``Fraction`` values, checks it, turns a ``Fraction`` of denominator 1
@@ -78,18 +96,15 @@ class SparseMatrix:
     every read, so changing it leaves the matrix as it was.  A matrix is
     not changed once made."""
 
-    __slots__ = ("rows", "cols", "integral", "_i", "_j", "_v")
+    __slots__ = ("rows", "cols", "integral", "_p", "_j", "_v")
 
     def __init__(self, rows: int, cols: int,
                  entries: dict[tuple[int, int], int | Fraction] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError(f"negative shape {rows}x{cols}")
         entries = {} if entries is None else entries
-        others = set(map(type, itertools.chain.from_iterable(entries))) - {int}
-        if others:
-            raise TypeError("entry coordinates must be int, not "
-                            + ", ".join(sorted(t.__name__ for t in others)))
-        ii, jj, vv = [], [], []
+        _refuse_coordinates(set(map(type, itertools.chain.from_iterable(entries))))
+        pp, jj, vv = [0] * rows, [], []
         integral = True
         for key in sorted(entries):
             i, j = key
@@ -104,11 +119,11 @@ class SparseMatrix:
                 else:
                     integral = False
             if v:
-                ii.append(i)
+                pp[i] += 1
                 jj.append(j)
                 vv.append(v)
-        code = _index_code(rows, cols)
-        _keep(self, rows, cols, array(code, ii), array(code, jj), _values(vv), integral)
+        _keep(self, rows, cols, array(_index_code(len(vv) + 1), itertools.accumulate(pp, initial=0)),
+              array(_index_code(cols), jj), _values(vv), integral)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: a SparseMatrix is not changed once made")
@@ -119,8 +134,9 @@ class SparseMatrix:
     @classmethod
     def from_columns(cls, rows: int, cols: int, columns) -> "SparseMatrix":
         """The matrix whose j-th column is the j-th ``{row: value}`` of
-        ``columns``, with integer values of at most 63 bits and zeros left
-        out; there must be ``cols`` columns.
+        ``columns``, with ``int`` rows and values of at most 63 bits (a
+        ``bool`` raises ``TypeError``, as in the constructor) and zeros
+        left out; there must be ``cols`` columns.
 
         The columns are read once, in order, into column-major arrays; a
         counting sort by row then lays the entries out row by row, in
@@ -128,9 +144,17 @@ class SparseMatrix:
         does not matter, and no dictionary of coordinates is made."""
         if rows < 0 or cols < 0:
             raise ValueError(f"negative shape {rows}x{cols}")
-        code = _index_code(rows, cols)
-        col_i, col_v, sizes = array(code), array("q"), []
+        col_i, col_v, sizes = array(_index_code(rows)), array("q"), []
+        # the types of the rows and values read so far: a bool, which the
+        # arrays would take as an int, or any other type makes one grow
+        row_types, value_types = {int}, {int}
         for column in columns:
+            row_types.update(map(type, column))
+            value_types.update(map(type, column.values()))
+            if len(row_types) + len(value_types) > 2:
+                _refuse_coordinates(row_types)
+                i, v = next((i, v) for i, v in column.items() if type(v) is not int)
+                raise TypeError(f"entry ({i},{len(sizes)}) is {type(v).__name__}, not int")
             if 0 in column.values():
                 column = {i: v for i, v in column.items() if v}
             col_i.extend(column)
@@ -143,20 +167,20 @@ class SparseMatrix:
         counts = [0] * rows
         for i in col_i:
             counts[i] += 1
+        n = len(col_i)
         # free[i]: the next free position of row i in row-major order
         free = list(itertools.accumulate(counts, initial=0))
-        n, size = len(col_i), col_i.itemsize
-        ii, jj = array(code, bytes(n * size)), array(code, bytes(n * size))
+        pp = array(_index_code(n + 1), free)
+        jj = array(_index_code(cols), bytes(n * col_i.itemsize))
         vv = array("q", bytes(8 * n))
         entries = zip(col_i, col_v)
         for j, column_size in enumerate(sizes):
             for i, v in itertools.islice(entries, column_size):
                 p = free[i]
                 free[i] = p + 1
-                ii[p] = i
                 jj[p] = j
                 vv[p] = v
-        return _keep(cls.__new__(cls), rows, cols, ii, jj, vv, True)
+        return _keep(cls.__new__(cls), rows, cols, pp, jj, vv, True)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "SparseMatrix":
@@ -164,25 +188,36 @@ class SparseMatrix:
 
     @property
     def nnz(self) -> int:
-        return len(self._i)
+        return len(self._j)
+
+    @property
+    def csr(self) -> tuple[array, array, array | list]:
+        """The row pointers, column indices and values: the matrix's own
+        arrays, to be read and never written."""
+        return self._p, self._j, self._v
+
+    def _row_indices(self):
+        """The row of every nonzero, in storage order."""
+        p = self._p
+        return itertools.chain.from_iterable(
+            map(itertools.repeat, range(self.rows), map(operator.sub, p[1:], p)))
 
     @property
     def entries(self) -> dict[tuple[int, int], int | Fraction]:
         """A fresh ``{(i, j): value}`` dictionary of the nonzeros."""
-        return dict(zip(zip(self._i, self._j), self._v))
+        return dict(zip(zip(self._row_indices(), self._j), self._v))
 
     def items(self):
         """(row, column, value) of every nonzero, by row, then column."""
-        return zip(self._i, self._j, self._v)
+        return zip(self._row_indices(), self._j, self._v)
 
     def is_zero(self) -> bool:
-        return not self._i
+        return not self._j
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols and self.nnz == other.nnz
-                and all(a == b for a, b in zip(self.items(), other.items())))
+        return (self.rows, self.cols, self.csr) == (other.rows, other.cols, other.csr)
 
     __hash__ = None
 
@@ -191,87 +226,110 @@ class SparseMatrix:
 
 
 def multiply(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """The product ``a @ b``, one row of ``a`` at a time: a row accumulator
+    sums the rows of ``b`` that the row's entries pick out, and the row's
+    nonzeros are written out in column order."""
     if a.cols != b.rows:
         raise ValueError(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    b_rows: list[list] = [[] for _ in range(b.rows)]
-    for k, j, w in b.items():
-        b_rows[k].append((j, w))
-    acc: dict[tuple[int, int], int | Fraction] = {}
-    for i, k, v in a.items():
-        for j, w in b_rows[k]:
-            key = (i, j)
-            cur = acc.get(key)
-            acc[key] = v * w if cur is None else cur + v * w
-    return SparseMatrix(a.rows, b.cols, {k: v for k, v in acc.items() if v})
+    ap, aj, av = a.csr
+    bp, bj, bv = b.csr
+    pp, jj, vv = [0], [], []
+    for i in range(a.rows):
+        acc: dict[int, int | Fraction] = {}
+        for t in range(ap[i], ap[i + 1]):
+            k, v = aj[t], av[t]
+            for s in range(bp[k], bp[k + 1]):
+                j = bj[s]
+                acc[j] = acc.get(j, 0) + v * bv[s]
+        for j in sorted(acc):
+            if w := acc[j]:
+                jj.append(j)
+                vv.append(w)
+        pp.append(len(jj))
+    integral = a.integral and b.integral
+    if not integral:
+        vv = [v.numerator if type(v) is not int and v.denominator == 1 else v for v in vv]
+        integral = all(type(v) is int for v in vv)
+    return _keep(SparseMatrix.__new__(SparseMatrix), a.rows, b.cols,
+                 array(_index_code(len(vv) + 1), pp), array(_index_code(b.cols), jj),
+                 _values(vv), integral)
 
 
-def _integer_rows(m: SparseMatrix, drop: frozenset[int] = frozenset()) -> list[dict[int, int]]:
-    """The nonzero rows of ``m`` outside ``drop``, in order, each scaled to
-    integers if it holds a non-integer.  One pass over the entries, which
-    come row by row, builds only the rows that are kept.  Every row keys a
-    column by the same ``int`` object, which speeds up the elimination's
-    dictionary and set lookups; a matrix with more columns than nonzeros
-    indexes a ``range`` instead, so that no int is made per empty column."""
-    out: list[dict[int, int | Fraction]] = []
-    last, row = -1, None
-    columns = list(range(m.cols)) if m.cols <= m.nnz else range(m.cols)
-    for i, j, v in m.items():
-        if i != last:
-            last = i
-            row = None if i in drop else {}
-            if row is not None:
-                out.append(row)
-        if row is not None:
-            row[columns[j]] = v
-    if not m.integral:
-        for n, row in enumerate(out):
-            if any(type(v) is not int for v in row.values()):
-                scale = math.lcm(*(v.denominator for v in row.values()))
-                out[n] = {j: int(v * scale) for j, v in row.items()}
-    return out
+def _pivots(m: SparseMatrix, drop: Iterable[int] = ()) -> array:
+    """Pivot columns, in pivot order, of a sparse elimination of the rows
+    of ``m`` outside ``drop`` (row indices; one outside ``range(m.rows)``
+    names no row).
 
+    The pivot columns are linearly independent columns of the matrix, and
+    there are rank-many of them.  The pivot column is always the least
+    (active rows, column), and the pivot row there the least (non-unit
+    value, length, row).
 
-def _eliminate(rows: list[dict[int, int]]) -> list[int]:
-    """Pivot columns, in pivot order, of a sparse elimination of integer rows.
-
-    The rows are reduced in place.  The pivot columns are linearly
-    independent columns of the matrix, and there are rank-many of them.
-
-    The pivot column is always the least (active rows, column), and the
-    pivot row there the least (non-unit value, length, row).  While some
-    column has a single active row, that column is the least choice, so
-    these columns come first, from a queue of their own: such a pivot only
-    drops its row, with no row operation, and counts only fall.  The
-    columns left then go through a lazy heap of (active rows, column).
+    While some column has a single live row, that column is the least
+    choice, so these columns come first, from a min-heap of their own:
+    such a pivot only drops its row, and counts only fall, so a column
+    enters the heap at most once.  Each column keeps the count of its live
+    rows and the sum of their indices, which is the index of its row when
+    the count is 1.  The rows left then become integer ``{column: value}``
+    rows, and their columns go through a lazy heap of (active rows,
+    column).
     """
-    active = dict(enumerate(rows))
+    p, jj, vv = m.csr
+    # per column, the sum of its live rows' indices above the low ``shift``
+    # bits, which count those rows (at most ``m.rows``): a column is 0 once
+    # it has no live row, and names its row by ``>> shift`` when it has one
+    shift = m.rows.bit_length()
+    low = (1 << shift) - 1
+    live = [0] * m.cols
+    dead = bytearray(m.rows)
+    for i in drop:
+        if 0 <= i < m.rows:
+            dead[i] = 1
+    for i in itertools.compress(range(m.rows), dead.translate(_FLIP)):
+        step = (i << shift) + 1
+        for c in jj[p[i]:p[i + 1]]:
+            live[c] += step
+    # ascending, so already a heap; a column whose count fell to 0 is skipped
+    singles = [c for c, s in enumerate(live) if s & low == 1]
+    pivots = array(jj.typecode)
+    pop, push, keep = heapq.heappop, heapq.heappush, pivots.append
+    while singles:
+        col = pop(singles)
+        step = live[col]
+        if not step:
+            continue
+        # the column holds its row alone: drop the row from every column
+        prow_id = step >> shift
+        keep(col)
+        dead[prow_id] = 1
+        for c in jj[p[prow_id]:p[prow_id + 1]]:
+            s = live[c] - step
+            live[c] = s
+            if s & low == 1:
+                push(singles, c)
+    if not any(live):
+        return pivots
+    alive = dead.translate(_FLIP)
+    # the rows left, read in one pass over the entries of live rows
+    lengths = list(map(operator.sub, itertools.islice(p, 1, None), p))
+    entries = itertools.compress(
+        zip(jj, vv),
+        itertools.chain.from_iterable(map(itertools.repeat, alive, lengths)))
+    active: dict[int, dict[int, int]] = {}
+    for i, n in itertools.compress(enumerate(lengths), alive):
+        if n:
+            row = dict(itertools.islice(entries, n))
+            if not m.integral and any(type(v) is not int for v in row.values()):
+                scale = math.lcm(*(v.denominator for v in row.values()))
+                row = {j: int(v * scale) for j, v in row.items()}
+            active[i] = row
     col_rows: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
+    for i, row in active.items():
         for j in row:
             if (s := col_rows.get(j)) is None:
                 col_rows[j] = {i}
             else:
                 s.add(i)
-    pivots = []
-    # single-row columns, lowest index first; counts only fall here, so a
-    # column enters at most once, and one whose count fell to 0 is skipped
-    singles = [j for j, s in col_rows.items() if len(s) == 1]
-    heapq.heapify(singles)
-    while singles:
-        col = heapq.heappop(singles)
-        targets = col_rows.pop(col, None)
-        if targets is None:
-            continue
-        prow_id = targets.pop()
-        pivots.append(col)
-        for j in active.pop(prow_id):
-            s = col_rows.get(j)
-            if s is not None:
-                s.discard(prow_id)
-                if len(s) == 1:
-                    heapq.heappush(singles, j)
-                elif not s:
-                    del col_rows[j]
     # lazy queue of (active rows, column): every column keeps an entry at
     # or below its count, so an entry popped at its count is the least
     # choice.  A pivot pushes only the columns whose count fell; a popped
@@ -279,12 +337,12 @@ def _eliminate(rows: list[dict[int, int]]) -> list[int]:
     queue = [(len(s), j) for j, s in col_rows.items()]
     heapq.heapify(queue)
     while queue:
-        count, col = heapq.heappop(queue)
+        count, col = pop(queue)
         targets = col_rows.get(col)
         if targets is None:
             continue
         if len(targets) != count:
-            heapq.heappush(queue, (len(targets), col))
+            push(queue, (len(targets), col))
             continue
         prow_id = min(targets, key=lambda i: (abs(active[i][col]) != 1, len(active[i]), i))
         pivot_row = active.pop(prow_id)
@@ -334,13 +392,13 @@ def _eliminate(rows: list[dict[int, int]]) -> list[int]:
             if not s:
                 del col_rows[j]
             elif len(s) < was:
-                heapq.heappush(queue, (len(s), j))
+                push(queue, (len(s), j))
     return pivots
 
 
 def rank(m: SparseMatrix) -> int:
     """Exact rank over the rationals."""
-    return len(_eliminate(_integer_rows(m)))
+    return len(_pivots(m))
 
 
 def boundary_ranks(boundaries: list[SparseMatrix | None],
@@ -362,16 +420,16 @@ def boundary_ranks(boundaries: list[SparseMatrix | None],
     """
     n = len(generator_counts)
     ranks = [0] * (n + 1)
-    cleared: frozenset[int] = frozenset()
+    cleared: Iterable[int] = ()
     for k in range(1, n):
         m = boundaries[k] if k < len(boundaries) else None
         if m is None:
-            cleared = frozenset()
+            cleared = ()
             continue
         if m.cols != generator_counts[k] or m.rows != generator_counts[k - 1]:
             raise ValueError(f"boundary {k} has shape {m.rows}x{m.cols}, "
                              f"expected {generator_counts[k - 1]}x{generator_counts[k]}")
-        cleared = frozenset(_eliminate(_integer_rows(m, cleared)))
+        cleared = _pivots(m, cleared)
         ranks[k] = len(cleared)
     dims = [generator_counts[k] - ranks[k] - ranks[k + 1] for k in range(n)]
     return ranks, dims

@@ -1,0 +1,40 @@
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "frontier.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("frontier", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_frontier_runs_a_spec_in_a_fresh_interpreter():
+    """``tools/frontier.py gp-even-3`` prints one JSON line with the build
+    and rank times, the peak resident set and H = {5: 1}, chi = -1, and
+    exits 0: the spec has no baseline to miss."""
+    result = subprocess.run([sys.executable, str(TOOL), "gp-even-3"], capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    (line,) = result.stdout.splitlines()
+    record = json.loads(line)
+    assert record["spec"] == "gp-even-3"
+    assert record["dims"] == {"5": 1} and record["chi"] == -1
+    assert record["build_s"] >= 0 and record["rank_s"] >= 0 and record["peak_rss_mb"] > 0
+
+
+def test_frontier_exits_1_off_its_baseline(capsys):
+    """The same spec passes against its true (sum of dims, chi) and exits 1
+    against any other, or when the child fails."""
+    tool = load_tool()
+    assert set(tool.LADDER) == {"gf-even-5", "gp-even-5", "gp-odd-5", "ass-odd-5", "com-odd-6"}
+    assert tool.main(["gp-even-3"], baseline={"gp-even-3": (1, -1)}) == 0
+    assert tool.main(["gp-even-3"], baseline={"gp-even-3": (1, 1)}) == 1
+    assert "baseline (1, 1)" in capsys.readouterr().err
+    assert tool.main(["nokind-even-3"]) == 1
+    assert '"error"' in capsys.readouterr().out

@@ -2,9 +2,11 @@ import itertools
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +98,20 @@ def test_multiply_trivia():
     assert multiply(identity(6), a).entries == a.entries
     with pytest.raises(ValueError):
         multiply(a, SparseMatrix.zero(6, 2))
+
+
+def test_multiply_normalises_its_product():
+    """A product keeps the matrix invariants: an integral ``Fraction`` comes
+    out as an ``int``, a cancelled entry is left out, and ``integral`` says
+    whether any ``Fraction`` is left."""
+    a = SparseMatrix(2, 2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3), (1, 1): 1})
+    b = SparseMatrix(2, 2, {(0, 0): 2, (0, 1): Fraction(2, 3), (1, 1): -1})
+    prod = multiply(a, b)
+    assert prod.entries == {(0, 0): 1, (1, 1): -1} and prod.integral
+    assert all(type(v) is int for v in prod.entries.values())
+    assert prod == SparseMatrix(2, 2, {(0, 0): 1, (1, 1): -1})
+    half = multiply(a, identity(2))
+    assert half == a and not half.integral
 
 
 def test_multiply_against_dense():
@@ -249,8 +265,8 @@ def test_cleared_ranks_check_catches_wrong_clearing(monkeypatch):
     columns."""
     boundaries, counts = _boundaries_of(ComplexSpec("gf", "even", 3))
     _assert_cleared_ranks_exact(boundaries, counts)
-    real = linalg._integer_rows
-    monkeypatch.setattr(linalg, "_integer_rows", lambda m, drop=frozenset(): real(
+    real = linalg._pivots
+    monkeypatch.setattr(linalg, "_pivots", lambda m, drop=frozenset(): real(
         m, frozenset(col + 1 for col in drop)))
     with pytest.raises(AssertionError):
         _assert_cleared_ranks_exact(boundaries, counts)
@@ -301,7 +317,7 @@ def _reference_pivots(m, drop=frozenset()):
 
 
 def _assert_pivot_rule(m, drop=frozenset()):
-    pivots = linalg._eliminate(linalg._integer_rows(m, drop))
+    pivots = list(linalg._pivots(m, drop))
     assert pivots == _reference_pivots(m, drop)
     return pivots
 
@@ -387,6 +403,10 @@ def test_storage_keeps_exactly_the_normalised_input():
         entries[rows, cols] = 1
         entries.pop(next(iter(kept), None), None)
         assert m.entries == kept
+        assert list(m.items()) == [(i, j, v) for (i, j), v in sorted(kept.items())]
+        assert repr(m) == f"SparseMatrix(rows={rows}, cols={cols}, entries={dict(sorted(kept.items()))!r})"
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m and copy.integral == m.integral and copy.entries == kept
         shuffled = list(given.items())
         rng.shuffle(shuffled)
         assert SparseMatrix(rows, cols, dict(shuffled)) == m
@@ -429,6 +449,18 @@ def test_from_columns_matches_the_dictionary_constructor():
         SparseMatrix.from_columns(2, 1, [{-1: 1}])
 
 
+@pytest.mark.parametrize("column", [{True: 1}, {0: True}, {0: False}, {1: 1, 0: 1.0}, {0.0: 1}])
+def test_from_columns_refuses_what_the_dictionary_constructor_refuses(column):
+    """A bool or float row or value is refused with the dictionary
+    constructor's ``TypeError``, not read as an int."""
+    with pytest.raises(TypeError) as by_dict:
+        SparseMatrix(2, 1, {(i, 0): v for i, v in column.items()})
+    with pytest.raises(TypeError) as by_columns:
+        SparseMatrix.from_columns(2, 1, [column])
+    if type(next(iter(column))) is not int:
+        assert str(by_columns.value) == str(by_dict.value)
+
+
 STORAGE = r"""
 import gc, json, sys
 from gch.complexes import ComplexSpec, build_complex
@@ -446,6 +478,13 @@ def retained(obj):
             stack.extend(referents(o))
     return total
 
+def compressed_rows(m):
+    p, j, v = m.csr
+    return (len(p) == m.rows + 1 and p[0] == 0 and p[-1] == len(j) == len(v)
+            and all(a <= b for a, b in zip(p, p[1:]))
+            and all(j[t] < j[t + 1] for i in range(m.rows) for t in range(p[i], p[i + 1] - 1))
+            and all(0 <= c < m.cols for c in j) and all(v))
+
 out = {}
 for kind, parity in (("gp", "even"), ("ass", "odd")):
     c = build_complex(ComplexSpec(kind, parity, 3))
@@ -453,7 +492,9 @@ for kind, parity in (("gp", "even"), ("ass", "odd")):
     out[f"{kind}-{parity}"] = {
         "holders": sorted({type(r).__name__ for m in ms for r in referents(m)}),
         "itemsizes": sorted({r.itemsize for m in ms for r in referents(m) if hasattr(r, "itemsize")}),
+        "csr": all(map(compressed_rows, ms)),
         "nnz": sum(m.nnz for m in ms),
+        "rows": sum(m.rows for m in ms),
         "matrices": len(ms),
         "bytes": sum(retained(m) for m in ms),
     }
@@ -461,17 +502,20 @@ print(json.dumps(out))
 """
 
 # what one boundary retains: at most FIXED bytes for the object and its
-# empty arrays, and PER_NONZERO bytes for each nonzero (4 + 4 + 8 in the
-# arrays); a dictionary entry with its key tuple costs over 100
-FIXED, PER_NONZERO = 512, 20
+# empty arrays, PER_NONZERO bytes for each nonzero (a 4-byte column and an
+# 8-byte value) and PER_ROW bytes for each row pointer; a dictionary entry
+# with its key tuple costs over 100
+FIXED, PER_NONZERO, PER_ROW = 512, 12, 4
 
 
 def test_boundaries_hold_nonzeros_in_packed_arrays():
     """In a fresh interpreter, every boundary of ``gp`` even and ``ass`` odd
-    at genus 3 refers to nothing but index and value arrays and its shape
-    and flags, the arrays hold 4-byte indices and 8-byte values, and the
-    bytes the boundaries retain stay within FIXED per matrix plus
-    PER_NONZERO per nonzero."""
+    at genus 3 refers to nothing but its row pointer, column and value
+    arrays and its shape and flags; the rows are compressed (``rows + 1``
+    pointers from 0 to ``nnz``, increasing columns within a row, no stored
+    zero); the arrays hold 4-byte pointers and columns and 8-byte values;
+    and the bytes the boundaries retain stay within FIXED per matrix plus
+    PER_NONZERO per nonzero plus PER_ROW per row."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     result = subprocess.run([sys.executable, "-c", STORAGE], capture_output=True, text=True,
@@ -480,5 +524,25 @@ def test_boundaries_hold_nonzeros_in_packed_arrays():
     for name, got in json.loads(result.stdout).items():
         assert got["holders"] == ["array", "bool", "int"], (name, got)
         assert got["itemsizes"] == [4, 8], (name, got)
+        assert got["csr"], name
         assert got["nnz"] > 0, name
-        assert got["bytes"] <= FIXED * got["matrices"] + PER_NONZERO * got["nnz"], (name, got)
+        assert got["bytes"] <= (FIXED * got["matrices"] + PER_NONZERO * got["nnz"]
+                                + PER_ROW * got["rows"]), (name, got)
+
+
+def test_peeled_rank_allocates_little_beyond_the_matrix():
+    """The rank of a 20 000 x 20 001 bidiagonal matrix of signs, every
+    pivot of which the peeling phase takes, allocates less than 24 bytes
+    per nonzero at its peak (a dictionary per row and a set per column
+    would take hundreds)."""
+    n = 20_000
+    m = SparseMatrix.from_columns(n, n + 1, ({i: (-1) ** i for i in (j - 1, j) if 0 <= i < n}
+                                             for j in range(n + 1)))
+    assert m.nnz == 2 * n
+    tracemalloc.start()
+    try:
+        assert rank(m) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * m.nnz, peak
