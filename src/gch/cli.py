@@ -148,34 +148,22 @@ def _cmd_moduli(args) -> int:
     if args.spine:
         refuse_wide_subsets(args.genus)
     with _open_export(args.export) as fh:
+        built = build_spine(args.genus) if args.spine else build_cell_poset(args.genus)
+        row = {
+            "genus": args.genus,
+            "spine": args.spine,
+            "max_dimension": built.max_dimension,
+            "f_vector": list(f_vector(built)),
+            "f_vector_odd_symmetry_free": list(f_vector(built, odd_symmetry_free=True)),
+        }
         if args.spine:
-            spine = build_spine(args.genus)
-            _emit({
-                "genus": args.genus,
-                "spine": True,
-                "max_dimension": spine.max_dimension,
-                "cubes": len(spine.entries),
-                "f_vector": list(f_vector(spine)),
-                "f_vector_odd_symmetry_free": list(f_vector(spine, odd_symmetry_free=True)),
-                "facets_closed": spine.facets_closed(),
-            })
-            if fh:
-                _export_spine(spine, fh)
+            row.update(cubes=len(built.entries), facets_closed=built.facets_closed())
         else:
-            poset = build_cell_poset(args.genus)
-            _emit({
-                "genus": args.genus,
-                "spine": False,
-                "max_dimension": poset.max_dimension,
-                "cells": len(poset.nodes),
-                "covers": len(poset.covers),
-                "f_vector": list(f_vector(poset)),
-                "f_vector_odd_symmetry_free": list(f_vector(poset, odd_symmetry_free=True)),
-                "positive_weight_cells": len(poset.positive_weight_subcomplex()),
-            })
-            if fh:
-                _export_poset(poset, fh)
+            row.update(cells=len(built.nodes), covers=len(built.covers),
+                       positive_weight_cells=sum(n.weight_total >= 1 for n in built.nodes))
+        _emit(row)
         if fh:
+            (_export_spine if args.spine else _export_poset)(built, fh)
             _emit({"exported_to": args.export})
     return 0
 

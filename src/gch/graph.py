@@ -104,7 +104,7 @@ class HalfEdgeGraph:
     def is_connected(self):
         """Whether the graph is connected; a connected graph has a vertex."""
         n = self.vertex_count
-        return n > 0 and _reached(n, self.edges, 0) == n
+        return n > 0 and _reached(n, self.edges) == n
 
     @cached_property
     def loop_number(self):
@@ -164,16 +164,16 @@ class HalfEdgeGraph:
         return f"HalfEdgeGraph(v={self.vertex_count}, e={list(self.edges)}{w})"
 
 
-def _reached(n, edges, start):
-    """How many of the vertices 0..n-1 the edges join to ``start``, itself
+def _reached(n, edges):
+    """How many of the vertices 0..n-1 the edges join to vertex 0, itself
     included."""
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     seen = bytearray(n)
-    seen[start] = 1
-    stack = [start]
+    seen[0] = 1
+    stack = [0]
     while stack:
         for y in adj[stack.pop()]:
             if not seen[y]:

@@ -1,21 +1,20 @@
 """Combinatorial cells of the moduli space of stable weighted metric graphs.
 
-The cell poset has one node per isomorphism class of stable weighted
-genus-g graphs with at least one edge, covering relations given by
-single-edge collapses, and dimension = edge count - 1.  The cubical
-catalog lists orbit representatives of pairs (graph, proper edge subset);
-restricted to weight-zero graphs and forest subsets it is the spine, onto
-which the weight-zero locus deformation retracts.  Only combinatorial data
-is kept: no metrics, no coordinates.
+The cell poset has one node per isomorphism class of the ``cellular_MG``
+family of :mod:`gch.complexes` (stable weighted genus-g graphs with at
+least one edge), covering relations given by single-edge collapses, and
+dimension = edge count - 1.  The spine, onto which the weight-zero locus
+deformation retracts, lists orbit representatives of the ``gf`` family's
+forest cubes (weight-zero graph, forest); there is no catalog of proper
+edge subsets.  Only combinatorial data is kept: no metrics, no coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .complexes import pair_key
-from .generate import EnumSpec, enumerate_graphs, refuse_wide_subsets
+from .complexes import ComplexSpec, _family_spec, pair_key
+from .generate import enumerate_graphs
 from .graph import HalfEdgeGraph
 
 
@@ -38,9 +37,6 @@ class CellPoset:
     def max_dimension(self) -> int:
         return max((n.dimension for n in self.nodes), default=-1)
 
-    def positive_weight_subcomplex(self) -> list[PosetNode]:
-        return [n for n in self.nodes if n.weight_total >= 1]
-
 
 @dataclass(frozen=True)
 class CubeEntry:
@@ -59,18 +55,15 @@ class CubeCatalog:
     genus: int
     entries: list[CubeEntry]
 
-    @cached_property
-    def index(self):
-        return {e.key: i for i, e in enumerate(self.entries)}
-
     @property
     def max_dimension(self) -> int:
         return max((e.dimension for e in self.entries), default=-1)
 
     def facets_closed(self) -> bool:
         """Both facet families of every cube are catalogued."""
+        keys = {e.key for e in self.entries}
         return all(
-            facet in self.index
+            facet in keys
             for entry in self.entries
             for facet in entry.collapse_facets + entry.deletion_facets
         )
@@ -86,8 +79,7 @@ def refuse_low_genus(genus: int, spine: bool) -> None:
 
 def build_cell_poset(genus: int) -> CellPoset:
     refuse_low_genus(genus, spine=False)
-    contexts = enumerate_graphs(
-        EnumSpec(genus=genus, weighted=True, allow_tadpoles=True, min_edges=1))
+    contexts = enumerate_graphs(_family_spec(ComplexSpec("cellular_MG", "even", genus)))
     nodes = []
     for ctx in contexts:
         nodes.append(PosetNode(
@@ -107,15 +99,16 @@ def build_cell_poset(genus: int) -> CellPoset:
     return CellPoset(genus=genus, nodes=nodes, covers=frozenset(covers))
 
 
-def build_cube_catalog(genus: int, forest_only: bool) -> CubeCatalog:
-    """Orbit representatives of cubes (weight-zero graph, edge subset).
-    A genus whose graphs can have more edges than a subset-orbit slot
-    encodes is refused before any enumeration."""
-    refuse_wide_subsets(genus)
-    family = EnumSpec(genus=genus, min_valence=3, allow_tadpoles=True)
+def build_spine(genus: int) -> CubeCatalog:
+    """Orbit representatives of the forest cubes of the ``gf`` family: the
+    spine of the moduli space.  A genus whose graphs can have more edges
+    than a subset-orbit slot encodes is refused by its ``ComplexSpec``
+    before any enumeration."""
+    refuse_low_genus(genus, spine=True)
+    family = _family_spec(ComplexSpec("gf", "even", genus))
     entries = []
     for ctx in enumerate_graphs(family):
-        for mask in ctx.subset_orbits(forests_only=forest_only):
+        for mask in ctx.subset_orbits(forests_only=True):
             facets = {True: [], False: []}
             for collapse, target, rep, _ in ctx.faces(mask, family, odd=False):
                 facets[collapse].append(pair_key(target.certificate, target.subset_of(rep)))
@@ -134,24 +127,16 @@ def build_cube_catalog(genus: int, forest_only: bool) -> CubeCatalog:
     return CubeCatalog(genus=genus, entries=entries)
 
 
-def build_spine(genus: int) -> CubeCatalog:
-    """Forest cubes of weight-zero graphs: the spine of the moduli space."""
-    refuse_low_genus(genus, spine=True)
-    return build_cube_catalog(genus, forest_only=True)
-
-
 def f_vector(obj, odd_symmetry_free: bool = False) -> tuple[int, ...]:
     """Class counts per dimension, optionally dropping odd-symmetric classes."""
     if isinstance(obj, CellPoset):
-        items = [(n.dimension, n.odd_symmetric) for n in obj.nodes]
+        records = obj.nodes
     elif isinstance(obj, CubeCatalog):
-        items = [(e.dimension, e.odd_symmetric) for e in obj.entries]
+        records = obj.entries
     else:
         raise TypeError("f_vector expects a CellPoset or a CubeCatalog")
-    top = max((d for d, _ in items), default=-1)
-    if odd_symmetry_free:
-        items = [(d, o) for d, o in items if not o]
-    counts = [0] * (top + 1)
-    for d, _ in items:
-        counts[d] += 1
+    counts = [0] * (obj.max_dimension + 1)
+    for r in records:
+        if not (odd_symmetry_free and r.odd_symmetric):
+            counts[r.dimension] += 1
     return tuple(counts)

@@ -186,6 +186,29 @@ def test_gp_odd_genus5_matches_com_with_shift():
     assert {k: v for k, v in gp.dims.items() if v} == {11: 2}
 
 
+@pytest.mark.parametrize("parity,expected", [
+    ("even", {2: {}, 3: {5: 1}, 4: {}}),
+    ("odd", {2: {2: 1}, 3: {5: 1}, 4: {8: 1}}),
+])
+def test_gp_is_com_tad_one_grade_down(parity, expected):
+    """``gp`` has the homology of ``com_tad`` one grade down, at genus 2-4
+    in every grade, zero or not.  The reason: filter ``gp`` by the edge
+    count of the underlying graph.  A deletion face keeps the graph and a
+    collapse lowers its edge count, so the associated graded complex is,
+    class by class, the proper subsets of the class's E edges with their
+    deletion faces: the boundary of a simplex, one sphere, whose homology
+    sits in grade E - 1 alone, where the class's ``com_tad`` generator sits
+    in grade E.  This test checks the statement at these genera; it does
+    not prove it."""
+    for genus, dims in expected.items():
+        gp = homology(build_complex(ComplexSpec("gp", parity, genus)))
+        com_tad = homology(build_complex(ComplexSpec("com_tad", parity, genus)))
+        assert {k: d for k, d in gp.dims.items() if d} == dims, genus
+        grades = range(-1, max(com_tad.dims, default=0) + 1)
+        assert ([gp.dims.get(k, 0) for k in grades]
+                == [com_tad.dims.get(k + 1, 0) for k in grades]), genus
+
+
 def test_com_geq2_genus1_window():
     even = homology(build_complex(ComplexSpec("com_geq2", "even", 1, max_edges=9)))
     nonzero = {k for k, v in even.dims.items() if v}

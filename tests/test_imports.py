@@ -16,7 +16,9 @@ engine keeps no code that only the tests reach; a method counts as named
 only by an attribute, and ``self.name`` only for its own class.  Every
 field of an engine ``@dataclass`` is read as an attribute by some engine
 module or benchmark file, so a record keeps no field that only the tests
-read.
+read.  No parameter of an engine function or method is passed the same
+literal by every call in the engine and the benchmark files, so the
+engine keeps no knob that only the tests turn.
 """
 
 import ast
@@ -275,3 +277,136 @@ def make():
 def test_engine_records_keep_no_field_only_tests_read():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("oracle.py", "__init__.py")]
     assert unread_fields(modules, sorted(PERFBENCH.glob("*.py"))) == []
+
+
+def _parameters(node, method: bool):
+    """The parameters of a function that a call can pass, in order, each
+    with its default or None, and how many a call passes positionally; a
+    method's ``self`` or ``cls`` is dropped."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    drop = 1 if method and not static else 0
+    params = list(zip(positional, defaults))[drop:] + list(zip(args.kwonlyargs, args.kw_defaults))
+    return [(a.arg, default) for a, default in params], len(positional) - drop
+
+
+def _literal(node) -> str | None:
+    """The source of a literal argument or default, else None."""
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, RecursionError):
+        return None
+    return ast.unparse(node)
+
+
+def fixed_knobs(modules: list[Path], callers: list[Path], exempt: set[str] = frozenset()) -> list[str]:
+    """``module.function.parameter`` (``module.Class.method.parameter`` for
+    a method) of each parameter that every call passes the same literal.
+    Only functions and methods whose name ``modules`` define once are
+    checked, and only when a call in ``modules`` or ``callers`` names them:
+    a call is ``name(...)`` or ``obj.name(...)``, and a call that omits a
+    defaulted parameter passes its default.  A function also named other
+    than as the callee of a call (passed as a value, say) is skipped, since
+    its calls are out of sight, as is a call that unpacks ``*args`` or
+    ``**kwargs``.  ``exempt`` holds ``module.function.parameter`` names and
+    module stems whose parameters are not checked."""
+    definitions = {}
+    for path in modules:
+        def visit(node, prefix, in_class):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    definitions.setdefault(child.name, []).append(
+                        (path.stem, prefix + child.name, child, in_class))
+                    visit(child, f"{prefix}{child.name}.", False)
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.", True)
+                else:
+                    visit(child, prefix, in_class)
+        visit(ast.parse(path.read_text()), "", False)
+    checked = {name: found[0] for name, found in definitions.items()
+               if len(found) == 1 and not name.startswith("__")}
+    passed = {name: [] for name in checked}  # name -> one {parameter: literal} per call
+    named_otherwise = set()
+    for path in modules + callers:
+        tree = ast.parse(path.read_text())
+        callees = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in checked:
+                continue
+            callees.add(id(func))
+            _, _, definition, method = checked[name]
+            params, npos = _parameters(definition, method)
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                passed[name].append({})
+                continue
+            values = {}
+            for (param, _), arg in zip(params[:npos], node.args):
+                values[param] = _literal(arg)
+            for keyword in node.keywords:
+                values[keyword.arg] = _literal(keyword.value)
+            for param, default in params:
+                if param not in values and default is not None:
+                    values[param] = _literal(default)
+            passed[name].append(values)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees:
+                named_otherwise.add(node.id if isinstance(node, ast.Name) else node.attr)
+    found = []
+    for name, (module, qualname, definition, method) in checked.items():
+        calls = passed[name]
+        if not calls or name in named_otherwise or module in exempt:
+            continue
+        for param, _ in _parameters(definition, method)[0]:
+            knob = f"{module}.{qualname}.{param}"
+            values = {call.get(param) for call in calls}
+            if len(values) == 1 and None not in values and knob not in exempt:
+                found.append(knob)
+    return sorted(found)
+
+
+def test_fixed_knob_is_found(tmp_path):
+    engine, bench = tmp_path / "engine.py", tmp_path / "bench.py"
+    engine.write_text('''def build(genus, forest_only, scale=2, *, mode="a"):
+    return _walk(genus, 0) + _walk(genus + 1, 0)
+def _walk(n, start):
+    return n + start
+def callback(x, flag=True):
+    return x
+def run(items):
+    return sorted(items, key=callback) + [callback(1)]
+class Box:
+    def size(self, unit, exact=False):
+        return unit
+    def fill(self, unit):
+        return self.size(unit) + self.size(unit, exact=False) + build(unit, True, scale=3)
+def spread(*args, **kwargs):
+    return Box().fill(*args) + Box().fill(**kwargs)
+''')
+    bench.write_text('''import engine
+engine.build(4, True, mode="a")
+engine.Box().fill(2)
+engine.Box().fill(3)
+''')
+    assert fixed_knobs([engine], [bench]) == ["engine.Box.size.exact", "engine._walk.start",
+                                              "engine.build.forest_only", "engine.build.mode"]
+    assert fixed_knobs([engine], [bench], {"engine._walk.start", "engine"}) == []
+    assert fixed_knobs([engine], [], {"engine.build.mode"}) == [
+        "engine.Box.size.exact", "engine._walk.start", "engine.build.forest_only",
+        "engine.build.scale"]
+
+
+# the named families are built at many sizes by the checks and the tests,
+# and ``main``'s ``argv`` is the seam that the command-line tests call
+KNOBS = {"families", "cli.main.argv"}
+
+
+def test_engine_passes_no_parameter_one_fixed_literal():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("oracle.py", "__init__.py")]
+    assert fixed_knobs(modules, sorted(PERFBENCH.glob("*.py")), KNOBS) == []

@@ -2,7 +2,7 @@ import pytest
 
 from gch.families import triangle_with_doubled_edge
 from gch.generate import EnumSpec, enumerate_graphs
-from gch.moduli import build_cell_poset, build_cube_catalog, build_spine, f_vector
+from gch.moduli import build_cell_poset, build_spine, f_vector
 from gch.oracle import contract
 
 from forms import canonical_form
@@ -113,15 +113,6 @@ def test_five_spanning_tree_cubes():
 
     spanning = [s for s in forests(g) if len(s) == g.vertex_count - 1]
     assert len(spanning) == 5
-
-
-def test_cube_catalog_closure_genus2():
-    catalog = build_cube_catalog(2, forest_only=False)
-    assert catalog.facets_closed()
-    assert catalog.max_dimension == 2
-    spine = build_spine(2)
-    spine_keys = {e.key for e in spine.entries}
-    assert spine_keys <= {e.key for e in catalog.entries}
 
 
 def test_f_vector_totals():

@@ -174,10 +174,10 @@ def test_orbit_slots_are_dense_four_byte_tables():
 
 
 def test_subset_walks_past_the_slot_table_are_refused(monkeypatch):
-    """A cube spec, cube catalog or spine whose graphs can have more edges
-    than a slot encodes, min(3g - 3, max_edges), could only fail after its
-    enumeration, so it is refused with InfeasibleEnumeration before any;
-    a spec within the limit is accepted (and not built here)."""
+    """A cube spec or spine whose graphs can have more edges than a slot
+    encodes, min(3g - 3, max_edges), could only fail after its enumeration,
+    so it is refused with InfeasibleEnumeration before any; a spec within
+    the limit is accepted (and not built here)."""
     assert SLOT_EDGES == 28
     ComplexSpec("gf", "even", 11, max_edges=28)
     ComplexSpec("gp", "odd", 10)  # 27 edges
@@ -189,7 +189,6 @@ def test_subset_walks_past_the_slot_table_are_refused(monkeypatch):
     monkeypatch.setattr(moduli, "enumerate_graphs", enumerate_graphs)
     for refused in (lambda: ComplexSpec("gp", "even", 11),
                     lambda: ComplexSpec("gf", "odd", 11, max_edges=29),
-                    lambda: moduli.build_spine(11),
-                    lambda: moduli.build_cube_catalog(11, forest_only=False)):
+                    lambda: moduli.build_spine(11)):
         with pytest.raises(InfeasibleEnumeration, match="at most 28"):
             refused()
