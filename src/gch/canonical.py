@@ -393,37 +393,3 @@ def edge_action(half_edge_map) -> tuple[int, ...]:
     """The permutation of the edges induced by an automorphism's half-edge
     map: edge e goes to the edge of the image of half-edge 2e."""
     return tuple([h >> 1 for h in half_edge_map[::2]])
-
-
-def edge_action_closure(edge_count: int, generators) -> list[tuple[tuple[int, ...], int]]:
-    """The sorted group of permutations of ``edge_count`` edges spanned by
-    (edge permutation tuple, sign) generators, each with the product of the
-    generator signs along the path that first reached it.  That sign is
-    well defined when the signs are a character trivial on the elements
-    that fix every edge; otherwise it depends on the path.
-
-    The group grows one generator at a time, and a generator already in
-    the group built so far is skipped.  The group is closed under the
-    generators kept before a new one, so only the new one acts on its old
-    elements; every element it adds meets all the kept generators."""
-    seen = {tuple(range(edge_count)): 1}
-    kept = []
-    for q, sq in generators:
-        if q in seen:
-            continue
-        kept.append((q, sq))
-        frontier = []
-        for p, sp in list(seen.items()):
-            pq = tuple([q[x] for x in p])
-            if pq not in seen:
-                seen[pq] = sq * sp
-                frontier.append(pq)
-        while frontier:
-            p = frontier.pop()
-            sp = seen[p]
-            for r, sr in kept:
-                pr = tuple([r[x] for x in p])
-                if pr not in seen:
-                    seen[pr] = sr * sp
-                    frontier.append(pr)
-    return sorted(seen.items())

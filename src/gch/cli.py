@@ -25,9 +25,9 @@ from .complexes import (
     degree_report,
     homology,
 )
-from .generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs, refuse_wide_subsets
+from .generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs
 from .io import DocumentError, graph_to_document, matrix_to_text, parse_graph_json
-from .moduli import build_cell_poset, build_spine, f_vector, refuse_low_genus
+from .moduli import build_cell_poset, build_spine, f_vector, refuse_request
 from .ribbon import surface_invariants
 from .verify import run_suite
 
@@ -143,10 +143,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_moduli(args) -> int:
-    # refused before the export target is opened, so they write no file
-    refuse_low_genus(args.genus, args.spine)
-    if args.spine:
-        refuse_wide_subsets(args.genus)
+    # refused before the export target is opened, so it writes no file
+    refuse_request(args.genus, args.spine)
     with _open_export(args.export) as fh:
         built = build_spine(args.genus) if args.spine else build_cell_poset(args.genus)
         row = {

@@ -166,18 +166,20 @@ def pair_key(cert: str, subset) -> str:
 def _generators(spec: ComplexSpec):
     """Every surviving :class:`Generator`, class by class: the full mask of
     each class, or for ``gf``/``gp`` its forest or proper-subset orbit
-    representatives.  For odd parity a class where ``kernel_odd`` holds is
-    skipped before its subsets are walked: every odd generator of it
-    vanishes.  A cube's subset tuple is built only when it survives."""
-    cubes = spec.kind in ("gf", "gp")
+    representatives that survive (``GraphContext.surviving``).  For odd
+    parity a class where ``kernel_odd`` holds is skipped before its
+    subsets are walked: every odd generator of it vanishes.  A cube's
+    subset tuple is built only when it survives."""
+    odd, cubes = spec.parity == "odd", spec.kind in ("gf", "gp")
     for ctx in enumerate_graphs(_family_spec(spec)):
-        if spec.parity == "odd" and ctx.kernel_odd:
+        if odd and ctx.kernel_odd:
             continue
-        for mask in ctx.subset_orbits(spec.kind == "gf") if cubes else (ctx.full_mask,):
-            if not ctx.witness(spec.parity, mask):
-                subset = ctx.subset_of(mask) if cubes else None
-                key = ctx.certificate if subset is None else pair_key(ctx.certificate, subset)
-                yield Generator(key, ctx, mask, subset)
+        if cubes:
+            for mask in ctx.surviving(spec.kind == "gf", odd):
+                subset = ctx.subset_of(mask)
+                yield Generator(pair_key(ctx.certificate, subset), ctx, mask, subset)
+        elif not ctx.witness(spec.parity):
+            yield Generator(ctx.certificate, ctx, ctx.full_mask, None)
 
 
 def build_complex(spec: ComplexSpec) -> ChainComplex:
@@ -204,8 +206,7 @@ def build_complex(spec: ComplexSpec) -> ChainComplex:
     def columns(gens):
         for gen in gens:
             column: dict[int, int] = {}
-            for _, target, rep, sign in gen.ctx.faces(gen.mask, family, odd, index):
-                row = index[target.certificate, rep]
+            for _, _, row, sign in gen.ctx.faces(gen.mask, gen.subset, family, odd, index):
                 column[row] = column.get(row, 0) + sign
             yield column
 
@@ -277,18 +278,20 @@ def split_by_surface(complex_: ChainComplex) -> dict[tuple[int, int], ChainCompl
             block = blocks.setdefault(gen.surface, {}).setdefault(k, [])
             spots.append((gen.surface, len(block)))
             block.append(gen)
-    entries: dict[tuple[int, int], dict[int, dict]] = {key: {} for key in blocks}
+    # surface -> grade -> one {row: value} per column of the block
+    columns = {key: {k: [{} for _ in gens] for k, gens in grades.items()}
+               for key, grades in blocks.items()}
     for k in range(1, complex_.max_grade + 1):
         for i, j, v in complex_.boundary(k).items():
             (key, bi), (col_key, bj) = place[k - 1][i], place[k][j]
             if key != col_key:
                 raise AssertionError("boundary entry crosses surface blocks")
-            entries[key].setdefault(k, {})[bi, bj] = v
+            columns[key][k][bj][bi] = v
     out: dict[tuple[int, int], ChainComplex] = {}
     for key in sorted(blocks):
         grades = blocks[key]
         out[key] = ChainComplex(spec=complex_.spec, grades=grades, boundaries={
-            k: SparseMatrix(len(grades.get(k - 1, [])), len(grades.get(k, [])),
-                            entries[key].get(k, {}))
+            k: SparseMatrix.from_columns(len(grades.get(k - 1, [])), len(grades.get(k, [])),
+                                         columns[key].get(k, []))
             for k in range(1, max(grades) + 1)})
     return out

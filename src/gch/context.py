@@ -21,10 +21,11 @@ simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
 
 * **vanishing** (``GraphContext.witness``): a generator is zero when a
   symmetry stabilizing its subset reverses its orientation.  A cube's
-  verdict, for both parities, comes from the walk of the edge-action
-  closure that fills its orbit, each element with its parity on the subset
-  and its sign on H_1; the full mask's, the bare graph's, comes from the
-  generators of Aut.
+  verdict, for both parities, comes from the walk that fills its orbit
+  through the generators of Aut: each step that closes a cycle of the
+  walk gives a Schreier generator of the stabilizer, with its parity on
+  the subset and its sign on H_1; the full mask's, the bare graph's,
+  comes from the generators of Aut.
   An automorphism's sign on H_1 needs no cycle basis: by the exact
   sequence 0 -> H_1 -> C_1 -> C_0 -> H_0 -> 0 it is its sign on the
   oriented edges times its sign on the vertices (``GraphContext.aut_h1``,
@@ -36,14 +37,15 @@ simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
   tadpoles an edge with a parallel partner is not collapsed.  The face
   dropping the oriented edge at 0-based position p has sign (-1)^(p+1),
   times the parity of the surviving edges in the target order, times for
-  odd parity the collapse's sign on det H_1 and the H_1 sign that the
-  closure carries for the p_k aligning the target subset, and a deletion
-  one more -1.  The collapse's sign (``GraphContext.collapse_h1``) comes
-  from the same exact-sequence rule as an automorphism's, on the
-  surviving edges and the merged vertices, times the sign of each side's
-  reference orientation, its Kruskal cycle basis, against the sequence's
+  odd parity the collapse's sign on det H_1, times the sign of the
+  symmetry aligning the target subset with its representative (its
+  parity, and for odd parity its H_1 sign), and a deletion one more -1.
+  The collapse's sign (``GraphContext.collapse_h1``) comes from the same
+  exact-sequence rule as an automorphism's, on the surviving edges and the
+  merged vertices, times the sign of each side's reference orientation,
+  its Kruskal cycle basis, against the sequence's
   (``GraphContext.kruskal_sign``).  A full mask is its own representative,
-  aligned by the identity, so the simplicial kinds never build a closure;
+  aligned by the identity, so the simplicial kinds never walk an orbit;
 * **subset orbits** (``GraphContext.subset_orbits``): the cube kinds and
   the cubical catalogs of :mod:`gch.moduli` take the same orbit
   representatives of forests or proper subsets, walked once per class and
@@ -53,11 +55,14 @@ simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
   orders and the faces all take masks, and a caller builds a subset tuple
   only for a generator or cube it keeps (``GraphContext.subset_of``).  The
   first lookup of a subset enters its whole orbit into the class's table
-  of one 4-byte slot per mask (``GraphContext._orbit``), each member with
-  the parity and H_1 sign of the least p_k that carries it onto the
-  representative; a face is found by clearing a bit (deletion) or
-  mapping the mask through the collapse, and aligned by those signs.
-  The edge-action closure that fills the table, and the slot format, are
+  of one 4-byte slot per mask (``GraphContext._orbit``), by a breadth-first
+  walk through the generators of Aut that move an edge, each step read
+  off half-width tables (``GraphContext._steps``); each member gets the
+  parity and H_1 sign of the walk's symmetry that carries it onto the
+  representative.  On a surviving orbit every symmetry doing so has that
+  sign, so the choice of path changes no coefficient.  A face is found by
+  clearing a bit (deletion) or mapping the mask through the collapse, and
+  aligned by those signs.  The walk's tables and the slot format are
   read by no other module.
 
 The same automorphism group gives the symmetries of the vanishing rule
@@ -71,18 +76,16 @@ other edge of the orbit through an automorphism of the source.  Such a
 map may differ from a direct contraction by an automorphism of the
 target, which changes no coefficient of a surviving face: that
 automorphism keeps the orientation of every generator that survives, and
-for a cube the p_k aligning its image absorbs it as an element of the
-stabilizer.
+for a cube the symmetry aligning its image absorbs it as an element of
+the stabilizer.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from functools import cached_property
 
-from .canonical import (build_group, canonical_labelling, edge_action, edge_action_closure,
-                        ribbon_labelling)
+from .canonical import build_group, canonical_labelling, edge_action, ribbon_labelling
 from .graph import HalfEdgeGraph
 from .orientation import h1_map_sign, kruskal_sign, sequence_parity
 from .ribbon import RibbonStructure, splice, surface_invariants
@@ -150,14 +153,14 @@ class GraphContext:
 
         A member T of an orbit with representative R holds
         R << 3 | sign << 2 | parity << 1: the parity (0 even, 1 odd) and the
-        H_1 sign (1 for -1) of the least p_k with p_k(T) = R.  R is a larger
-        mask than T, so the slot is not 0.  The slot of R itself, whose p_k
-        is the identity, holds instead the orbit's size and its vanishing
-        verdicts, size << 3 | odd << 2 | even << 1 | 1, bit 0 marking a
-        representative.  The two signs are all that a face or an alignment
-        reads of p_k, so the slot keeps no closure index k.  A class with
-        more than ``SLOT_EDGES`` edges raises ValueError before any slot
-        is allocated.
+        H_1 sign (1 for -1) of the walk's symmetry carrying T onto R.  R is
+        a larger mask than T, so the slot is not 0.  The slot of R itself,
+        carried by the identity, holds instead the orbit's size and its
+        vanishing verdicts, size << 3 | odd << 2 | even << 1 | 1, bit 0
+        marking a representative.  The two signs are all that a face or an
+        alignment reads of the symmetry, so the slot keeps no other trace of
+        it.  A class with more than ``SLOT_EDGES`` edges raises ValueError
+        before any slot is allocated.
         """
         edges = self.graph.edge_count
         if edges > SLOT_EDGES:
@@ -314,29 +317,14 @@ class GraphContext:
         return tuple(1 << (self.graph.edge_count - 1 - e) for e in range(self.graph.edge_count))
 
     def subset_of(self, mask: int) -> tuple[int, ...]:
-        return tuple([e for e, bit in enumerate(self.bits) if mask & bit])
-
-    @cached_property
-    def closure(self) -> tuple[list[list[int]], bytes]:
-        """The edge-action closure of Aut, walked from the generators of
-        Aut, whichever they are, as (inverse bits, H_1 signs): for each
-        element p_k in sorted order of the permutations, the mask bit of
-        p_k^-1(e) at index e, and whether its sign on det H_1 is -1.  The
-        sign is that of every automorphism with edge action p_k unless
-        ``kernel_odd`` holds; then every odd cube of the graph vanishes, so
-        no matrix row reads it.  The permutations themselves are not kept:
-        the bits hold the same group.  Only the subset-orbit table reads
-        it."""
-        inverse_bits, odd = [], bytearray()
-        for p, sign in edge_action_closure(
-                self.graph.edge_count,
-                [(edge_action(s), self.aut_h1(s)) for s in self.generators]):
-            bits = [0] * len(p)
-            for f, image in enumerate(p):
-                bits[image] = self.bits[f]
-            inverse_bits.append(bits)
-            odd.append(sign < 0)
-        return inverse_bits, bytes(odd)
+        """The edges of the mask in increasing order, read off its set bits
+        from the highest down."""
+        last, edges = self.graph.edge_count - 1, []
+        while mask:
+            top = mask.bit_length() - 1
+            edges.append(last - top)
+            mask ^= 1 << top
+        return tuple(edges)
 
     @cached_property
     def kernel_odd(self) -> bool:
@@ -354,8 +342,7 @@ class GraphContext:
         """The mask's slot of ``_orbit``, its orbit walked on a miss."""
         slot = self._orbit[mask]
         if not slot:
-            edges = self.subset_of(mask)
-            self._fill_orbit(max(sum(bits[e] for e in edges) for bits in self.closure[0]))
+            self._fill_orbit(mask)
             slot = self._orbit[mask]
         return slot
 
@@ -364,48 +351,130 @@ class GraphContext:
         slot = self._slot(mask)
         return slot if slot & 1 else self._orbit[slot >> 3]
 
-    def _fill_orbit(self, rep: int) -> None:
-        """Enter every member of the orbit of the representative mask R
-        and decide the orbit's vanishing.
+    @cached_property
+    def _steps(self) -> list[tuple[array, array, array, int]]:
+        """The steps of the orbit walk (``_fill_orbit``): (low, high, cross,
+        h1) for each edge permutation p that ``_sifted`` keeps of the
+        generators of Aut, h1 being 4 when its sign on det H_1 is -1, else
+        0.
 
-        The k with p_k(T) = R are those with T = p_k^-1(R), so walking k
-        upwards and keeping the first k that reaches each member gives the
-        least one.  Its parity is that of p_k^-1 on R in edge order.  The
-        k with p_k^-1(R) = R form the stabilizer of R: the cube vanishes
-        for even parity when one of them has odd parity, and for odd
-        parity when one has parity times H_1 sign -1 or ``kernel_odd``
-        holds.  Conjugate stabilizers have the same signs, so the verdict
-        holds for the whole orbit.  The representative's slot keeps it,
-        with the orbit's size for ``stabilizer_order``."""
-        table, (inverse_bits, h1_odd) = self._orbit, self.closure
-        edges = self.subset_of(rep)
-        table[rep] = 1  # R is its own image under k = 0, the identity
-        member = rep << 3
-        size = 1
+        The tables give p(T) and the parity of p on T in subset order from
+        the two halves of the mask T, its low L = ceil(E/2) bits x and the
+        rest y = T >> L, with 2^L entries or fewer each, so a class keeps
+        no per-generator table of all 2^E masks.  ``low[x]`` and ``high[y]``
+        hold the image of each half shifted left once, with the parity of p
+        on that half in bit 0 (``_image_table``).  Every edge of y comes
+        before every edge of x in subset order, so the pairs that p inverts
+        across the halves are, for each edge b of x, the edges a of y whose
+        images come after p(b); ``cross[x]`` holds the exclusive or of those
+        high-half masks over the edges b of x, so their count is odd when
+        y & cross[x] has an odd bit count."""
+        edges, bits = self.graph.edge_count, self.bits
+        half = (edges + 1) // 2
+        steps = []
+        for p, h1 in self._sifted():
+            # the image bit of the edge at each mask bit, from bit 0
+            images = [bits[image] for image in reversed(p)]
+            low, high = images[:half], images[half:]
+            cross = [0]
+            for b in low:
+                mark = sum(1 << j for j, a in enumerate(high) if a < b)
+                cross += [c ^ mark for c in cross]
+            steps.append((_image_table(low), _image_table(high), array("i", cross),
+                          4 if h1 == -1 else 0))
+        return steps
+
+    def _sifted(self) -> list[tuple[tuple[int, ...], int]]:
+        """The edge actions of the generators of Aut, with their signs on
+        det H_1, through the Sims filter (Seress, *Permutation Group
+        Algorithms*, 2003): each is sifted through those kept, one per
+        first moved edge and its image, by the inverse of the kept one that
+        agrees with it there, and kept when it reaches a new pair or dropped
+        at the identity.  The kept permutations, products of generators
+        carrying the products of their signs, generate the same group; the
+        labelling search meets many redundant symmetries (35 for the 72
+        automorphisms of K_3,3, of which 11 are kept).  A generator fixing
+        every edge moves no subset; its H_1 sign is ``kernel_odd``'s."""
+        identity = tuple(range(self.graph.edge_count))
+        kept: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+        for s in self.generators:
+            p, h1 = edge_action(s), self.aut_h1(s)
+            while p != identity:
+                e = next(e for e, image in enumerate(p) if image != e)
+                found = kept.get((e, p[e]))
+                if found is None:
+                    kept[e, p[e]] = p, h1
+                    break
+                q, sign = found
+                inverse = [0] * len(q)
+                for f, image in enumerate(q):
+                    inverse[image] = f
+                p, h1 = tuple(map(inverse.__getitem__, p)), h1 * sign
+        return list(kept.values())
+
+    def _fill_orbit(self, start: int) -> None:
+        """Enter every member of the orbit of the mask ``start`` and decide
+        the orbit's vanishing, by a breadth-first walk from ``start``
+        through ``_steps``.
+
+        Each member T is labelled with the parity and the H_1 sign of its
+        walk path, bits 1 and 2 of its slot: the product q_T of the steps
+        from ``start`` to T, its parity on ``start`` in subset order and
+        its sign on det H_1.  A step s from T onto a member T' already
+        labelled gives q_T'^-1 s q_T, which stabilizes ``start``; by
+        Schreier's lemma these elements and the automorphisms fixing every
+        edge generate the stabilizer (Seress, *Permutation Group
+        Algorithms*, 2003).  So the orbit vanishes for even parity when the
+        two labels of such a step differ in the parity, and for odd parity
+        when they differ in one bit alone, the parity times the H_1 sign
+        being -1, or when ``kernel_odd`` holds.  Conjugate stabilizers have
+        the same signs, so the verdict holds for the whole orbit.
+
+        The slots are written as the walk goes, as members of an orbit
+        whose representative is ``start``; the representative R is the
+        largest member, and when it is not ``start`` every slot is written
+        again.  q_R q_T^-1 carries T onto R, so a member's slot holds the
+        exclusive or of the labels of T and R; on a surviving orbit every
+        element carrying T onto R has that sign.  R's slot keeps the
+        verdicts, with the orbit's size for ``stabilizer_order``."""
+        table, steps = self._orbit, self._steps
+        half = (self.graph.edge_count + 1) // 2
+        low_bits = (1 << half) - 1
+        table[start] = 1  # label 0, in a slot that is not 0 even for the empty mask
+        queue = [start]
+        member = start << 3
         even, odd = 0, int(self.kernel_odd)
-        for k, bits in enumerate(inverse_bits):
-            image = sum(map(bits.__getitem__, edges))
-            known = table[image]
-            if known and (image != rep or even & odd):
-                continue
-            seen = inversions = 0
-            for e in edges:
-                bit = bits[e]
-                inversions += (seen & (bit - 1)).bit_count()
-                seen |= bit
-            parity = inversions & 1
-            if not known:
-                table[image] = member | h1_odd[k] << 2 | parity << 1
-                size += 1
-            else:  # p_k stabilizes R
-                even |= parity
-                odd |= parity ^ h1_odd[k]
-        table[rep] = size << 3 | odd << 2 | even << 1 | 1
+        for t in queue:
+            x, y, here = t & low_bits, t >> half, table[t] & 6
+            for low, high, cross, h1 in steps:
+                image = low[x] ^ high[y] ^ ((y & cross[x]).bit_count() & 1)
+                step = here ^ h1 ^ (image & 1) << 1
+                image >>= 1
+                known = table[image]
+                if not known:
+                    table[image] = member | step
+                    queue.append(image)
+                elif known & 6 != step:  # a stabilizer element with sign -1
+                    diff = known & 6 ^ step
+                    even |= diff >> 1 & 1
+                    odd |= (diff >> 1 ^ diff >> 2) & 1
+        rep = max(queue)
+        if rep != start:
+            base, member = table[rep] & 6, rep << 3
+            for t in queue:
+                table[t] = member | (table[t] & 6 ^ base)
+        table[rep] = len(queue) << 3 | odd << 2 | even << 1 | 1
 
     def subset_orbits(self, forests_only: bool) -> array:
         """The orbit representatives of the forests, or of the proper edge
         subsets, as masks, by size and then lexicographically."""
         return self._forest_orbits if forests_only else self._proper_orbits
+
+    def surviving(self, forests_only: bool, odd: bool) -> list[int]:
+        """The masks of ``subset_orbits`` whose cubes survive for the
+        parity: the representatives whose slot has no verdict bit."""
+        table, verdict = self._orbit, 4 if odd else 2
+        return [mask for mask in self.subset_orbits(forests_only) if not table[mask] & verdict]
 
     @cached_property
     def _forest_orbits(self) -> array:
@@ -413,12 +482,16 @@ class GraphContext:
 
     @cached_property
     def _proper_orbits(self) -> array:
-        return self._representatives(sum(bits) for size in range(self.graph.edge_count)
-                                     for bits in itertools.combinations(self.bits, size))
+        """Walked from the largest proper mask down, so that the first mask
+        met of each orbit is its largest, the representative, then sorted
+        stably by size: within a size a larger mask is a lexicographically
+        smaller subset."""
+        reps = self._representatives(range(self.full_mask - 1, -1, -1))
+        return array("i", sorted(reps, key=int.bit_count))
 
     def _representatives(self, masks) -> array:
-        """The representatives among ``masks``, a union of orbits walked by
-        size and then lexicographically: the first mask met of each orbit."""
+        """The representatives among ``masks``, a union of orbits walked so
+        that the first mask met of each orbit is its representative."""
         table = self._orbit
         reps = array("i")
         for mask in masks:
@@ -448,14 +521,16 @@ class GraphContext:
                                       tuple([b if c == a else c for c in comp])))
             level = grown
 
-    def faces(self, mask: int, family, odd: bool, keep=None):
+    def faces(self, mask: int, subset, family, odd: bool, index=None):
         """The faces of the generator (graph, subset ``mask``) of the family,
         an :class:`~gch.generate.EnumSpec`, in subset order, each edge's
         collapse before its deletion: (collapse?, target class,
         representative mask, coefficient by the face-sign rule of the module
-        docstring).  Given ``keep``, a container of (certificate,
-        representative mask) pairs, a face outside it is skipped before its
-        collapse's H_1 sign is computed.
+        docstring).  ``subset`` is the mask's tuple of edges, or None to
+        read it off the mask.  Given ``index``, a mapping of (certificate,
+        representative mask) to a row, each face gives its row in place of
+        its representative, and a face outside the index is skipped before
+        its collapse's H_1 sign is computed.
 
         A deletion is a face only when the mask is proper.  A tadpole
         collapse is a face only in a weighted family and even parity, where
@@ -467,7 +542,8 @@ class GraphContext:
         """
         graph, edges, multiplicities = self.graph, self.graph.edges, self.graph.multiplicities
         weight_face, tadpoles = family.weighted and not odd, family.allow_tadpoles
-        subset = self.subset_of(mask)
+        if subset is None:
+            subset = self.subset_of(mask)
         for pos, e in enumerate(subset):
             sign = 1 if pos & 1 else -1
             if ((weight_face or not graph.is_tadpole(e))
@@ -481,26 +557,30 @@ class GraphContext:
                             bit = bits[hmap[2 * f] >> 1]
                             inversions += (image & (bit - 1)).bit_count()
                             image |= bit
-                    rep, align = target._align(image, odd)
-                    if keep is None or (target.certificate, rep) in keep:
+                    row, align = target._align(image, odd)
+                    if index is not None:
+                        row = index.get((target.certificate, row))
+                    if row is not None:
                         if odd:
                             align *= self.collapse_h1(e)
-                        yield True, target, rep, (-sign if inversions & 1 else sign) * align
+                        yield True, target, row, (-sign if inversions & 1 else sign) * align
             if mask != self.full_mask:
-                rep, align = self._align(mask ^ self.bits[e], odd)
-                if keep is None or (self.certificate, rep) in keep:
-                    yield False, self, rep, -sign * align
+                row, align = self._align(mask ^ self.bits[e], odd)
+                if index is not None:
+                    row = index.get((self.certificate, row))
+                if row is not None:
+                    yield False, self, row, -sign * align
 
     def _align(self, mask: int, odd: bool) -> tuple[int, int]:
         """(representative, sign) of an edge-subset mask T: the largest mask
         R in the orbit of T, its lexicographically least subset, and the
-        sign of the least closure element p_k with p_k(T) = R, its parity
-        in subset order, times for odd parity its sign on det H_1.  A miss
-        fills the whole orbit.  A full mask is its own representative,
+        sign of the walk's element carrying T onto R (``_fill_orbit``), its
+        parity in subset order, times for odd parity its sign on det H_1.
+        A miss fills the whole orbit.  A full mask is its own representative,
         carried by the identity, so it needs no table."""
         if mask == self.full_mask:
             return mask, 1
-        slot = self._slot(mask)
+        slot = self._orbit[mask] or self._slot(mask)
         if slot & 1:
             return mask, 1
         # bit 1 of a member's slot is the parity, bit 2 the H_1 sign
@@ -555,3 +635,15 @@ def _class_of(labelling) -> GraphContext:
             certificate, graph, ribbon, *build_group(graph, ribbon, (carried, order)))
     return ctx
 
+
+def _image_table(images: list[int]) -> array:
+    """For each mask x over ``len(images)`` bits, the image of x, bit i
+    going to ``images[i]``, shifted left once, with in bit 0 the parity of
+    that map in subset order, the highest bit first.  The table doubles
+    once per bit, from the lowest: the new bit comes first in subset order,
+    so its image inverts the pairs with the later images above it."""
+    table = [0]
+    for bit in images:
+        above = -(bit << 1)
+        table += [(t | bit << 1) ^ ((t >> 1 & above).bit_count() & 1) for t in table]
+    return array("i", table)

@@ -58,7 +58,7 @@ weighted or not, and returns the registry's own object of each class of
 :mod:`gch.context`.  Genus raising walks its orbits of edges and edge
 pairs itself, through the edge actions of the generators of Aut as the
 ribbon seeds walk their cyclic-order choices, and leaves the class no
-edge-action closure and no subset-orbit table: the cube kinds' table has
+walk tables and no subset-orbit table: the cube kinds' table has
 a slot for each of the 2^E subsets, and a trivalent class of genus g has
 3g - 3 edges.  The collapse closure reads each class's collapses from
 ``GraphContext.collapse``, which does the orbit pruning: it contracts one
@@ -162,8 +162,8 @@ def _raise_genus(ctx: GraphContext):
     of its Aut on its edges (hang a tadpole) and on its pairs of edges (join
     the midpoints), the first of each orbit in combinations order.  Each
     orbit is walked here through the edge actions of the generators of
-    Aut, so the class builds no edge-action closure and no table of all
-    2^E subsets."""
+    Aut, so the class builds no walk tables and no table of all 2^E
+    subsets."""
     g = ctx.graph
     n = g.vertex_count
     actions = [edge_action(hmap) for hmap in ctx.generators]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import ComplexSpec, _family_spec, pair_key
-from .generate import enumerate_graphs
+from .generate import enumerate_graphs, refuse_wide_subsets
 from .graph import HalfEdgeGraph
 
 
@@ -69,16 +69,21 @@ class CubeCatalog:
         )
 
 
-def refuse_low_genus(genus: int, spine: bool) -> None:
-    """Raise ValueError below genus 2, where neither the moduli space of
-    graphs nor its spine is built; ``gch moduli`` calls it before its
-    export target is opened."""
+def refuse_request(genus: int, spine: bool) -> None:
+    """Refuse a request that cannot be built, before any work: ValueError
+    below genus 2, where neither the moduli space of graphs nor its spine
+    is built, and for the spine InfeasibleEnumeration when the genus's
+    graphs can have more edges than a subset-orbit slot encodes
+    (:func:`~gch.generate.refuse_wide_subsets`).  Both builders call it
+    first, and ``gch moduli`` before its export target is opened."""
     if genus < 2:
         raise ValueError(f"the {'spine' if spine else 'moduli space'} needs genus >= 2")
+    if spine:
+        refuse_wide_subsets(genus)
 
 
 def build_cell_poset(genus: int) -> CellPoset:
-    refuse_low_genus(genus, spine=False)
+    refuse_request(genus, spine=False)
     contexts = enumerate_graphs(_family_spec(ComplexSpec("cellular_MG", "even", genus)))
     nodes = []
     for ctx in contexts:
@@ -102,17 +107,17 @@ def build_cell_poset(genus: int) -> CellPoset:
 def build_spine(genus: int) -> CubeCatalog:
     """Orbit representatives of the forest cubes of the ``gf`` family: the
     spine of the moduli space.  A genus whose graphs can have more edges
-    than a subset-orbit slot encodes is refused by its ``ComplexSpec``
-    before any enumeration."""
-    refuse_low_genus(genus, spine=True)
+    than a subset-orbit slot encodes is refused (``refuse_request``) before
+    any enumeration."""
+    refuse_request(genus, spine=True)
     family = _family_spec(ComplexSpec("gf", "even", genus))
     entries = []
     for ctx in enumerate_graphs(family):
         for mask in ctx.subset_orbits(forests_only=True):
-            facets = {True: [], False: []}
-            for collapse, target, rep, _ in ctx.faces(mask, family, odd=False):
-                facets[collapse].append(pair_key(target.certificate, target.subset_of(rep)))
             subset = ctx.subset_of(mask)
+            facets = {True: [], False: []}
+            for collapse, target, rep, _ in ctx.faces(mask, subset, family, odd=False):
+                facets[collapse].append(pair_key(target.certificate, target.subset_of(rep)))
             entries.append(CubeEntry(
                 key=pair_key(ctx.certificate, subset),
                 graph_certificate=ctx.certificate,

@@ -26,7 +26,10 @@ its least half-edge.  The ribbon classes on a graph are the orbits of
 contraction joins the two orders at the ends of the edge as the
 definition reads (:func:`contract_ribbon`), not by the engine's splice of
 sigma.  Bridges and one-vertex irreducibility are deletions counted by
-union-find (:func:`bridges`, :func:`is_one_vertex_irreducible`).
+union-find (:func:`bridges`, :func:`is_one_vertex_irreducible`).  The
+edge-action closure (:func:`edge_action_closure`) lists every edge
+permutation of a group with a sign on each, where the engine walks its
+subset orbits through the generators alone.
 """
 
 from __future__ import annotations
@@ -116,6 +119,40 @@ def automorphism_sign(aut: Automorphism, subset, odd: bool) -> int | None:
     if sorted(images) != sorted(subset):
         return None
     return _parity(images) * aut.h1 if odd else _parity(images)
+
+
+def edge_action_closure(edge_count: int, generators) -> list[tuple[tuple[int, ...], int]]:
+    """The sorted group of permutations of ``edge_count`` edges spanned by
+    (edge permutation tuple, sign) generators, each with the product of the
+    generator signs along the path that first reached it.  That sign is
+    well defined when the signs are a character trivial on the elements
+    that fix every edge; otherwise it depends on the path.
+
+    The group grows one generator at a time, and a generator already in
+    the group built so far is skipped.  The group is closed under the
+    generators kept before a new one, so only the new one acts on its old
+    elements; every element it adds meets all the kept generators."""
+    seen = {tuple(range(edge_count)): 1}
+    kept = []
+    for q, sq in generators:
+        if q in seen:
+            continue
+        kept.append((q, sq))
+        frontier = []
+        for p, sp in list(seen.items()):
+            pq = tuple([q[x] for x in p])
+            if pq not in seen:
+                seen[pq] = sq * sp
+                frontier.append(pq)
+        while frontier:
+            p = frontier.pop()
+            sp = seen[p]
+            for r, sr in kept:
+                pr = tuple([r[x] for x in p])
+                if pr not in seen:
+                    seen[pr] = sr * sp
+                    frontier.append(pr)
+    return sorted(seen.items())
 
 
 def _multiplicities(edges, perm):

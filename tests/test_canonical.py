@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gch.canonical import build_group, canonical_labelling, edge_action_closure
+from gch.canonical import build_group, canonical_labelling
 from gch.complexes import generator_vanishes
 from gch.context import _CLASSES, canonical_entry
 from gch.families import (
@@ -23,8 +23,9 @@ from gch.families import (
 )
 from gch.generate import EnumSpec, enumerate_graphs
 from gch.graph import HalfEdgeGraph
-from gch.oracle import (automorphism_sign, contract, contract_ribbon, half_edge_automorphisms,
-                        identity_morphism, is_morphism, relabeled, transport_cycles)
+from gch.oracle import (automorphism_sign, contract, contract_ribbon, edge_action_closure,
+                        half_edge_automorphisms, identity_morphism, is_morphism, relabeled,
+                        transport_cycles)
 from gch.ribbon import RibbonStructure
 
 from forms import automorphisms, canonical_form

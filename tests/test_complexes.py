@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from gch.canonical import edge_action_closure
+from gch import verify
 from gch.complexes import (
+    ChainComplex,
     ComplexSpec,
     Generator,
     build_complex,
@@ -22,8 +23,10 @@ from gch.complexes import (
 from gch.context import _CLASSES, GraphContext
 from gch.families import cycle, rose, theta, wheel
 from gch.generate import EnumSpec, enumerate_graphs
+from gch.linalg import SparseMatrix
 from gch.oracle import (automorphism_sign, compose, contract, contract_ribbon,
-                        half_edge_automorphisms, morphism_sign, reference_orientation)
+                        edge_action_closure, half_edge_automorphisms, morphism_sign,
+                        reference_orientation)
 from gch.orientation import sequence_parity
 from gch.ribbon import RibbonStructure, surface_invariants
 
@@ -448,6 +451,57 @@ def test_split_by_surface_preserves_generators():
     assert sum(b.total_generators() for b in blocks.values()) == c.total_generators()
     for sub in blocks.values():
         assert sub.d_squared_is_zero()
+
+
+def _dict_blocks(c):
+    """The surface blocks of a ribbon complex with each boundary built by
+    the dictionary constructor of ``SparseMatrix`` from (row, column)
+    entries: the reference for ``split_by_surface``."""
+    place, blocks = {}, {}
+    for k, gens in c.grades.items():
+        for i, gen in enumerate(gens):
+            block = blocks.setdefault(gen.surface, {}).setdefault(k, [])
+            place[k, i] = (gen.surface, len(block))
+            block.append(gen)
+    entries = {key: {} for key in blocks}
+    for k in range(1, c.max_grade + 1):
+        for i, j, v in c.boundary(k).items():
+            (key, bi), (_, bj) = place[k - 1, i], place[k, j]
+            entries[key].setdefault(k, {})[bi, bj] = v
+    return {key: {k: SparseMatrix(len(grades.get(k - 1, [])), len(grades.get(k, [])),
+                                  entries[key].get(k, {}))
+                  for k in range(1, max(grades) + 1)}
+            for key, grades in blocks.items()}
+
+
+@pytest.mark.parametrize("genus", [3, 4])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_surface_blocks_match_the_dictionary_build(genus, parity):
+    """Every surface block's boundaries, written column by column, equal
+    the dictionary constructor's build from the same entries, and its
+    grades are the complex's generators of that surface in order."""
+    c = build_complex(ComplexSpec("ass", parity, genus))
+    blocks, reference = split_by_surface(c), _dict_blocks(c)
+    assert list(blocks) == sorted(reference)
+    for key, sub in blocks.items():
+        assert sub.boundaries == reference[key], key
+        for k, gens in sub.grades.items():
+            assert gens == [gen for gen in c.grades[k] if gen.surface == key]
+
+
+def test_ribbon_surface_check_reads_the_same_through_either_build(monkeypatch):
+    """``gch verify``'s ribbon-surface row is the same whether its blocks
+    come from ``split_by_surface`` or from the dictionary build."""
+    row = verify._run("ribbon_surfaces", verify.check_ribbon_surfaces)
+
+    def dict_split(c):
+        return {key: ChainComplex(c.spec, {k: [gen for gen in gens if gen.surface == key]
+                                           for k, gens in c.grades.items()}, boundaries)
+                for key, boundaries in sorted(_dict_blocks(c).items())}
+
+    monkeypatch.setattr(verify, "split_by_surface", dict_split)
+    assert verify._run("ribbon_surfaces", verify.check_ribbon_surfaces) == row
+    assert row.passed
 
 
 @functools.cache

@@ -15,9 +15,9 @@ def load_tool():
 
 
 def test_frontier_runs_a_spec_in_a_fresh_interpreter():
-    """``tools/frontier.py gp-even-3`` prints one JSON line with the build
-    and rank times, the peak resident set and H = {5: 1}, chi = -1, and
-    exits 0: the spec has no baseline to miss."""
+    """``tools/frontier.py gp-even-3`` prints one JSON line with the
+    enumeration, build and rank times, the peak resident set and
+    H = {5: 1}, chi = -1, and exits 0: the spec has no baseline to miss."""
     result = subprocess.run([sys.executable, str(TOOL), "gp-even-3"], capture_output=True,
                             text=True, timeout=300)
     assert result.returncode == 0, result.stderr
@@ -25,7 +25,8 @@ def test_frontier_runs_a_spec_in_a_fresh_interpreter():
     record = json.loads(line)
     assert record["spec"] == "gp-even-3"
     assert record["dims"] == {"5": 1} and record["chi"] == -1
-    assert record["build_s"] >= 0 and record["rank_s"] >= 0 and record["peak_rss_mb"] > 0
+    assert record["enumerate_s"] >= 0 and record["build_s"] >= 0 and record["rank_s"] >= 0
+    assert record["peak_rss_mb"] > 0
 
 
 def test_frontier_exits_1_off_its_baseline(capsys):

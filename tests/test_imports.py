@@ -9,7 +9,7 @@ A module-level name bound to an empty ``{}`` or ``dict()`` is a cache that
 lives for the whole process, and the package has exactly four.  A
 ``_``-prefixed attribute (dunders aside) of anything but ``self`` is read
 only in ``context.py``, so the formats a class keeps there (its slot
-table, its edge-action closure) stay inside it.  Every function, class
+table, its walk tables) stay inside it.  Every function, class
 and method of an engine module (all but ``oracle.py`` and
 ``__init__.py``) is named by some engine module or benchmark file, so the
 engine keeps no code that only the tests reach; a method counts as named

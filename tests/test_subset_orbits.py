@@ -1,21 +1,25 @@
 """The subset orbit tables of the cube-pair complexes against the oracle.
 
 A context keeps, for every edge subset T it has met, the representative R
-of its orbit under Aut (the lexicographically least image of T), and the
-parity in edge order and the sign on det H_1 of p_k from T onto R, for the
-least index k of the edge-action closure with p_k(T) = R; its slot holds
-the two signs, not k.  Here R is recomputed from the edge permutations of
+of its orbit under Aut (the lexicographically least image of T), the
+order of the stabilizer of T (read off the orbit size), the even and odd
+vanishing verdicts of the orbit, and the parity in subset order and the
+sign on det H_1 of the element of its orbit walk that carries T onto R.
+Here R is recomputed from the edge permutations of
 :func:`gch.oracle.half_edge_automorphisms`, which finds every automorphism
-by search, k by scanning the closure, the parity by counting inversions
-and the sign off the closure element k; the order of the stabilizer of T,
-which the context reads off the orbit size, is the number of
-automorphisms that map T onto itself.  Each closure element also carries a sign on det H_1:
-unless an automorphism fixing every edge reverses H_1 (``kernel_odd``,
-which the oracle decides too), it must be the C_1.C_0 sign of every
-automorphism with that edge permutation; if one does, every odd cube
-must vanish.  The graphs are every graph of genus 1 to 3 with at most
-six edges (bivalent vertices and tadpoles allowed), the cube-pair family
-up to genus 3, and its genus-4 graphs with at most eight edges.  Each is
+by search; the stabilizer order is the number of those automorphisms that
+map T onto itself; a verdict is whether one of them has sign -1 on the
+generator (:func:`gch.oracle.automorphism_sign`; for odd parity times the
+automorphism's H_1 sign, a cycle-basis determinant).  The aligning sign is defined only where the
+generator survives: there it must equal the sign of every element of the
+edge-action closure (:func:`gch.oracle.edge_action_closure`) that carries
+T onto R.  Each closure element also carries a sign on det H_1: unless an
+automorphism fixing every edge reverses H_1 (``kernel_odd``, which the
+oracle decides too), it must be the cycle-basis sign of every
+automorphism with that edge permutation; if one does, every odd cube must
+vanish.  The graphs are every graph of genus 1 to 3 with at most six
+edges (bivalent vertices and tadpoles allowed), the cube-pair family up
+to genus 3, and its genus-4 graphs with at most eight edges.  Each is
 checked in two fresh class objects, made outside the registry so that no
 earlier build has filled their tables: one meets the subsets in reverse
 order, so that most lookups miss on a subset that is not its orbit's
@@ -33,11 +37,11 @@ from pathlib import Path
 import pytest
 
 from gch import moduli
-from gch.canonical import edge_action_closure
 from gch.complexes import ComplexSpec
-from gch.context import SLOT_EDGES, GraphContext
+from gch.context import SLOT_EDGES, GraphContext, canonical_entry
+from gch.families import theta, wheel
 from gch.generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs
-from gch.oracle import automorphism_sign, forests, half_edge_automorphisms
+from gch.oracle import automorphism_sign, edge_action_closure, forests, half_edge_automorphisms
 
 from forms import automorphisms
 from masks import mask_of
@@ -50,70 +54,126 @@ def _forms():
     return list({f.certificate: f for spec in specs for f in enumerate_graphs(spec)}.values())
 
 
-def _check_graph(form):
+def _fresh(form) -> GraphContext:
+    return GraphContext(form.certificate, form.graph, form.ribbon, form.generators, form.aut_order)
+
+
+class Reference:
+    """What the oracle says of every edge subset of a class: its
+    representative, stabilizer order and (even, odd) verdicts, and the
+    closure elements with their H_1 signs."""
+
+    def __init__(self, form):
+        g = form.graph
+        autos = half_edge_automorphisms(g)
+        self.certificate = form.certificate
+        self.subsets = [s for size in range(g.edge_count + 1)
+                        for s in itertools.combinations(range(g.edge_count), size)]
+        self.rep = {s: min(tuple(sorted(aut.edges[e] for e in s)) for aut in autos)
+                    for s in self.subsets}
+        self.stabilizer, self.vanishes = {}, {}
+        for s in self.subsets:
+            # (even, odd) sign of each automorphism mapping s onto itself
+            signs = [(even, even * aut.h1) for aut in autos
+                     if (even := automorphism_sign(aut, s, False)) is not None]
+            self.stabilizer[s] = len(signs)
+            self.vanishes[s] = tuple(any(sign[odd] == -1 for sign in signs) for odd in (0, 1))
+        # the cycle-basis sign on det H_1 of each automorphism, by edge
+        # permutation: the odd sign on all edges times the even one
+        every = tuple(range(g.edge_count))
+        self.h1_signs = {}
+        for aut in autos:
+            self.h1_signs.setdefault(aut.edges, set()).add(
+                automorphism_sign(aut, every, True) * automorphism_sign(aut, every, False))
+        self.kernel_odd = -1 in self.h1_signs[every]
+        ctx = _fresh(form)
+        self.closure = edge_action_closure(
+            g.edge_count, [(m.edge_action, ctx.aut_h1(m.half_edge_map)) for m in automorphisms(ctx)])
+        self.forests = set(forests(g))
+
+    def aligning_signs(self, s, odd: bool) -> set[int]:
+        """The signs of the closure elements carrying s onto its
+        representative: the parity of each on s in subset order, times for
+        odd parity its sign on det H_1."""
+        signs = set()
+        for p, h1 in self.closure:
+            images = [p[e] for e in s]
+            if tuple(sorted(images)) == self.rep[s]:
+                inversions = sum(a > b for a, b in itertools.combinations(images, 2))
+                signs.add((-1 if inversions % 2 else 1) * (h1 if odd else 1))
+        return signs
+
+
+def _check_closure(ref: Reference, ctx: GraphContext) -> None:
+    """The closure is the group of the oracle's edge permutations, the
+    engine's ``kernel_odd`` is the oracle's, and without it each closure
+    element's H_1 sign is the cycle-basis sign of its automorphisms."""
+    assert {p for p, _ in ref.closure} == set(ref.h1_signs), ref.certificate
+    assert ctx.kernel_odd == ref.kernel_odd, ref.certificate
+    if not ref.kernel_odd:
+        for p, sign in ref.closure:
+            assert ref.h1_signs[p] == {sign}, (ref.certificate, p)
+
+
+def _check_tables(ref: Reference, ctx: GraphContext, order) -> None:
+    """Every subset of ``order``, looked up in that order, has the
+    oracle's representative, stabilizer order and both verdicts, and where
+    it survives for a parity its aligning sign is the sign of every
+    closure element carrying it onto its representative."""
+    for s in order:
+        mask = mask_of(ctx, s)
+        rep = ctx._align(mask, False)[0]
+        assert ctx.subset_of(rep) == ref.rep[s], (ref.certificate, s)
+        assert ctx.stabilizer_order(mask) == ref.stabilizer[s], (ref.certificate, s)
+        for odd, parity in ((False, "even"), (True, "odd")):
+            assert bool(ctx.witness(parity, mask)) == ref.vanishes[s][odd], (ref.certificate, s)
+            if not ref.vanishes[s][odd]:
+                signs = ref.aligning_signs(s, odd)
+                assert signs == {ctx._align(mask, odd)[1]}, (ref.certificate, s, parity, signs)
+
+
+def _check_graph(form) -> int:
+    ref = Reference(form)
+    missing_first, walked_first = _fresh(form), _fresh(form)
+    _check_closure(ref, walked_first)
     g = form.graph
-    autos = half_edge_automorphisms(g)
-    edge_perms = [aut.edges for aut in autos]
-    subsets = [s for size in range(g.edge_count + 1)
-               for s in itertools.combinations(range(g.edge_count), size)]
-    orbit = {s: {tuple(sorted(p[e] for e in s)) for p in edge_perms} for s in subsets}
-    least = {s: min(images) for s, images in orbit.items()}
-
-    missing_first, walked_first = (GraphContext(form.certificate, g, form.ribbon, form.generators,
-                                                form.aut_order)
-                                   for _ in range(2))
-    # the engine keeps of its closure only the inverse bits and H_1 signs;
-    # the same walk with the permutations kept is the reference
-    closure = edge_action_closure(g.edge_count,
-                                  [(m.edge_action, walked_first.aut_h1(m.half_edge_map))
-                                   for m in automorphisms(walked_first)])
-    assert walked_first.closure[1] == bytes(sign < 0 for _, sign in closure)
-    assert walked_first.closure[0] == [[walked_first.bits[p.index(e)] for e in range(len(p))]
-                                       for p, _ in closure]
-    assert ({tuple(p) for p, _ in closure}
-            == {tuple(p) for p in edge_perms})
-    # the cycle-basis sign on det H_1 of each automorphism, by edge
-    # permutation: the odd sign on all edges times the even one, the edge
-    # parity
-    every = tuple(range(g.edge_count))
-    h1_signs = {}
-    for aut in autos:
-        h1_signs.setdefault(aut.edges, set()).add(
-            automorphism_sign(aut, every, True) * automorphism_sign(aut, every, False))
-    assert walked_first.kernel_odd == (-1 in h1_signs[every]), form.certificate
-    if not walked_first.kernel_odd:
-        for p, sign in closure:
-            assert h1_signs[p] == {sign}, (form.certificate, p)
-    forest_set = set(forests(g))
-    for forests_only, expected_total in ((True, len(forest_set)), (False, 2 ** g.edge_count - 1)):
+    for forests_only, expected_total in ((True, len(ref.forests)), (False, 2 ** g.edge_count - 1)):
         reps = [walked_first.subset_of(mask) for mask in walked_first.subset_orbits(forests_only)]
-        members = [s for s in subsets if (s in forest_set if forests_only else len(s) < g.edge_count)]
-        assert reps == sorted({least[s] for s in members}, key=lambda s: (len(s), s))
-        assert sum(len(orbit[r]) for r in reps) == expected_total
-
-    for ctx, order in ((missing_first, subsets[::-1]), (walked_first, subsets)):
-        for s in order:
-            mask, even = ctx._align(mask_of(ctx, s), False)
-            parity, h1 = int(even < 0), even * ctx._align(mask_of(ctx, s), True)[1]
-            rep = ctx.subset_of(mask)
-            assert rep == least[s], (form.certificate, s)
-            k = next(j for j, (p, _) in enumerate(closure)
-                     if tuple(sorted(p[e] for e in s)) == rep)
-            images = [closure[k][0][e] for e in s]
-            inversions = sum(1 for a, b in itertools.combinations(images, 2) if a > b)
-            assert parity == inversions % 2, (form.certificate, s)
-            assert h1 == closure[k][1], (form.certificate, s)
-            fixing = sum(1 for p in edge_perms if tuple(sorted(p[e] for e in s)) == s)
-            assert ctx.stabilizer_order(mask_of(ctx, s)) == fixing, (form.certificate, s)
-            # where the closure signs are not well defined, no odd cube survives
-            assert not ctx.kernel_odd or ctx.witness("odd", mask_of(ctx, s)), (form.certificate, s)
-    return len(subsets)
+        members = [s for s in ref.subsets
+                   if (s in ref.forests if forests_only else len(s) < g.edge_count)]
+        assert reps == sorted({ref.rep[s] for s in members}, key=lambda s: (len(s), s))
+        assert sum(walked_first.aut_order // walked_first.stabilizer_order(mask_of(walked_first, r))
+                   for r in reps) == expected_total
+    _check_tables(ref, missing_first, ref.subsets[::-1])
+    _check_tables(ref, walked_first, ref.subsets)
+    return len(ref.subsets)
 
 
 def test_orbit_tables_match_oracle():
     forms = _forms()
     assert any(f.graph.edge_count == 8 for f in forms)
     assert sum(_check_graph(form) for form in forms) > 10000
+
+
+@pytest.mark.parametrize("graph", [theta, lambda: wheel(4)], ids=["theta", "wheel4"])
+def test_orbit_table_check_has_teeth(graph):
+    """A table with one member's parity bit flipped in an orbit that
+    survives for even parity, or with one representative's even verdict
+    bit flipped, fails the check that the untouched table passes."""
+    form = canonical_entry(graph())[0]
+    ref = Reference(form)
+    ctx = _fresh(form)
+    _check_tables(ref, ctx, ref.subsets)
+    members = [s for s in ref.subsets
+               if not ref.vanishes[s][0] and ref.rep[s] != s and len(s) < form.graph.edge_count]
+    reps = [s for s in ref.subsets if ref.rep[s] == s and len(s) < form.graph.edge_count]
+    assert members and reps
+    for s, bit in ((members[0], 2), (reps[0], 2)):
+        tampered = _fresh(form)
+        _check_tables(ref, tampered, ref.subsets)
+        tampered._orbit[mask_of(tampered, s)] ^= bit
+        with pytest.raises(AssertionError):
+            _check_tables(ref, tampered, ref.subsets)
 
 
 SLOTS = r"""
@@ -126,21 +186,30 @@ from gch.generate import _trivalent
 def tabled():
     return [c for c in _CLASSES.values() if "_orbit" in vars(c)]
 
+def stepped():
+    return [c for c in _CLASSES.values() if "_steps" in vars(c)]
+
 out = {}
 _trivalent(5)
 build_complex(ComplexSpec("com", "odd", 4))
 build_complex(ComplexSpec("ass", "even", 3))
-out["tables_without_cubes"] = len(tabled())
-out["closures_without_cubes"] = sum("closure" in vars(c) for c in _CLASSES.values())
+out["tables_without_cubes"] = len(tabled()) + len(stepped())
 build_complex(ComplexSpec("gp", "odd", 3))
 out["odd_kernel_tables"] = sum(c.kernel_odd for c in tabled())
 build_complex(ComplexSpec("gf", "even", 3))
+build_complex(ComplexSpec("gp", "even", 4))
 out["tables"] = len(tabled())
+out["steps_without_table"] = len(set(map(id, stepped())) - set(map(id, tabled())))
+out["closures"] = sum(hasattr(c, "closure") for c in _CLASSES.values())
 out["slots"] = sorted({(c._orbit.itemsize, len(c._orbit) == 2 ** c.graph.edge_count)
                        for c in tabled()})
 out["orbits"] = sorted({(type(reps).__name__, reps.itemsize) for c in tabled()
                         for name in ("_forest_orbits", "_proper_orbits")
                         if (reps := vars(c).get(name)) is not None})
+# entries of a generator's walk tables per 2^ceil(E/2)
+out["step_entries"] = max(sum(map(len, step[:3])) / 2 ** ((c.graph.edge_count + 1) // 2)
+                          for c in stepped() for step in c._steps)
+out["widest"] = max(c.graph.edge_count for c in stepped())
 # a missing guard would ask for 2^29 slots; fail fast instead of paging
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
 try:
@@ -154,11 +223,15 @@ print(json.dumps(out))
 def test_orbit_slots_are_dense_four_byte_tables():
     """In a fresh interpreter, so that no earlier build has given a class
     a table: genus raising and the simplicial and ribbon kinds make no
-    subset-orbit table and no edge-action closure; an odd cube build gives
-    no table to a class whose odd generators all vanish; a cube build's
-    tables have one 4-byte slot per edge subset, and its representatives
-    are arrays of 4-byte masks; and a class with more edges than a slot
-    encodes is refused with a ValueError before its table is allocated."""
+    subset-orbit table and no walk tables; an odd cube build gives no
+    table to a class whose odd generators all vanish; only a class whose
+    orbits a cube build walked holds walk tables, and no class has an
+    edge-action closure; a cube build's tables have one 4-byte slot per
+    edge subset, its representatives are arrays of 4-byte masks, and each
+    generator's walk tables hold at most 4 * 2^ceil(E/2) entries, so none
+    is as long as the slot table of a 9-edge class; and a class with more
+    edges than a slot encodes is refused with a ValueError before its
+    table is allocated."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     result = subprocess.run([sys.executable, "-c", SLOTS], capture_output=True, text=True,
@@ -166,10 +239,11 @@ def test_orbit_slots_are_dense_four_byte_tables():
     assert result.returncode == 0, result.stderr
     out = json.loads(result.stdout)
     assert out["tables_without_cubes"] == 0
-    assert out["closures_without_cubes"] == 0
     assert out["odd_kernel_tables"] == 0
     assert out["tables"] > 0 and out["slots"] == [[4, True]]
+    assert out["steps_without_table"] == 0 and out["closures"] == 0
     assert out["orbits"] == [["array", 4]]
+    assert 0 < out["step_entries"] <= 4 and out["widest"] == 9
     assert "at most 28 edges" in out["error"] and "29" in out["error"]
 
 

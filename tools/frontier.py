@@ -9,12 +9,15 @@ With no argument it runs the ladder, ``LADDER``: the genus-5 rungs and
 ``com-odd-6``.  The larger rungs of ``BASELINE`` (``com-even-7``,
 ``com-odd-7``, ``gf-odd-6``) run when named.  Each spec runs in its own
 interpreter, with ``PYTHONHASHSEED=0`` and gch taken from the ``src/``
-directory next to this one; it builds the complex as ``gch homology``
-does and prints one JSON line: the seconds spent building and ranking,
-the child's peak resident set (``ru_maxrss``), the generator count, the
-nonzero homology dimensions by grade and the Euler characteristic.  The
-exit status is 1 when a child fails, or when a spec of ``BASELINE`` gives
-another (total dimension, Euler characteristic), and 0 otherwise.
+directory next to this one; it enumerates the kind's graph family, then
+builds the complex as ``gch homology`` does, which reuses that
+enumeration, and prints one JSON line: the seconds spent enumerating,
+building (the assembly alone: subset orbits, faces and matrices) and
+ranking, the child's peak resident set (``ru_maxrss``), the generator
+count, the nonzero homology dimensions by grade and the Euler
+characteristic.  The exit status is 1 when a child fails, or when a spec
+of ``BASELINE`` gives another (total dimension, Euler characteristic),
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -45,19 +48,24 @@ LADDER = ("gf-even-5", "gp-even-5", "gp-odd-5", "ass-odd-5", "com-odd-6")
 
 CHILD = r"""
 import json, resource, sys, time
-from gch.complexes import ComplexSpec, build_complex, homology
+from gch.complexes import ComplexSpec, _family_spec, build_complex, homology
+from gch.generate import enumerate_graphs
 
 spec = sys.argv[1]
 kind, parity, genus = spec.rsplit("-", 2)
+complex_spec = ComplexSpec(kind, parity, int(genus))
 start = time.perf_counter()
-complex_ = build_complex(ComplexSpec(kind, parity, int(genus)))
+enumerate_graphs(_family_spec(complex_spec))
+enumerated = time.perf_counter()
+complex_ = build_complex(complex_spec)
 built = time.perf_counter()
 report = homology(complex_)
 ranked = time.perf_counter()
 dims = {k: d for k, d in sorted(report.dims.items()) if d}
 print(json.dumps({
     "spec": spec,
-    "build_s": round(built - start, 3),
+    "enumerate_s": round(enumerated - start, 3),
+    "build_s": round(built - enumerated, 3),
     "rank_s": round(ranked - built, 3),
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "generators": sum(report.counts.values()),
