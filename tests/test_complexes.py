@@ -317,7 +317,7 @@ def _oracle_face(expected, rows, form, images, sign, odd, col, autos):
 
 def _pair_faces(c, k, autos):
     """The oracle's entries of the grade-k boundary of a cube complex,
-    recomputed without the engine's closure.  The face of (G, S) dropping
+    recomputed without the engine's orbit walk.  The face of (G, S) dropping
     the edge e at 0-based position p of S is the collapse (G/e, S - e), for
     e not a tadpole, and the deletion (G, S - e).  Its sign is (-1)^(p+1),
     times the parity and H_1 sign of an oracle automorphism aligning its
