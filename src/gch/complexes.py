@@ -205,8 +205,10 @@ def build_complex(spec: ComplexSpec) -> ChainComplex:
 
     def columns(gens):
         for gen in gens:
+            # a simplicial generator's subset is all of its edges
+            subset = range(gen.graph.edge_count) if gen.subset is None else gen.subset
             column: dict[int, int] = {}
-            for _, _, row, sign in gen.ctx.faces(gen.mask, gen.subset, family, odd, index):
+            for _, _, row, sign in gen.ctx.faces(gen.mask, subset, family, odd, index):
                 column[row] = column.get(row, 0) + sign
             yield column
 

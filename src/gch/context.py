@@ -354,9 +354,12 @@ class GraphContext:
     @cached_property
     def _steps(self) -> list[tuple[array, array, array, int]]:
         """The steps of the orbit walk (``_fill_orbit``): (low, high, cross,
-        h1) for each edge permutation p that ``_sifted`` keeps of the
-        generators of Aut, h1 being 4 when its sign on det H_1 is -1, else
-        0.
+        h1) for each distinct edge permutation p of the generators of Aut
+        other than the identity, h1 being 4 when its sign on det H_1 is -1,
+        else 0.  Two generators with the same edge permutation but opposite
+        H_1 signs differ by one fixing every edge with sign -1, which
+        ``kernel_odd`` already holds, so the first of them is kept; a
+        generator fixing every edge moves no subset.
 
         The tables give p(T) and the parity of p on T in subset order from
         the two halves of the mask T, its low L = ceil(E/2) bits x and the
@@ -371,8 +374,12 @@ class GraphContext:
         y & cross[x] has an odd bit count."""
         edges, bits = self.graph.edge_count, self.bits
         half = (edges + 1) // 2
-        steps = []
-        for p, h1 in self._sifted():
+        seen, steps = {tuple(range(edges))}, []
+        for s in self.generators:
+            p = edge_action(s)
+            if p in seen:
+                continue
+            seen.add(p)
             # the image bit of the edge at each mask bit, from bit 0
             images = [bits[image] for image in reversed(p)]
             low, high = images[:half], images[half:]
@@ -381,36 +388,8 @@ class GraphContext:
                 mark = sum(1 << j for j, a in enumerate(high) if a < b)
                 cross += [c ^ mark for c in cross]
             steps.append((_image_table(low), _image_table(high), array("i", cross),
-                          4 if h1 == -1 else 0))
+                          4 if self.aut_h1(s) == -1 else 0))
         return steps
-
-    def _sifted(self) -> list[tuple[tuple[int, ...], int]]:
-        """The edge actions of the generators of Aut, with their signs on
-        det H_1, through the Sims filter (Seress, *Permutation Group
-        Algorithms*, 2003): each is sifted through those kept, one per
-        first moved edge and its image, by the inverse of the kept one that
-        agrees with it there, and kept when it reaches a new pair or dropped
-        at the identity.  The kept permutations, products of generators
-        carrying the products of their signs, generate the same group; the
-        labelling search meets many redundant symmetries (35 for the 72
-        automorphisms of K_3,3, of which 11 are kept).  A generator fixing
-        every edge moves no subset; its H_1 sign is ``kernel_odd``'s."""
-        identity = tuple(range(self.graph.edge_count))
-        kept: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-        for s in self.generators:
-            p, h1 = edge_action(s), self.aut_h1(s)
-            while p != identity:
-                e = next(e for e, image in enumerate(p) if image != e)
-                found = kept.get((e, p[e]))
-                if found is None:
-                    kept[e, p[e]] = p, h1
-                    break
-                q, sign = found
-                inverse = [0] * len(q)
-                for f, image in enumerate(q):
-                    inverse[image] = f
-                p, h1 = tuple(map(inverse.__getitem__, p)), h1 * sign
-        return list(kept.values())
 
     def _fill_orbit(self, start: int) -> None:
         """Enter every member of the orbit of the mask ``start`` and decide
@@ -526,11 +505,11 @@ class GraphContext:
         an :class:`~gch.generate.EnumSpec`, in subset order, each edge's
         collapse before its deletion: (collapse?, target class,
         representative mask, coefficient by the face-sign rule of the module
-        docstring).  ``subset`` is the mask's tuple of edges, or None to
-        read it off the mask.  Given ``index``, a mapping of (certificate,
-        representative mask) to a row, each face gives its row in place of
-        its representative, and a face outside the index is skipped before
-        its collapse's H_1 sign is computed.
+        docstring).  ``subset`` is the mask's edges in increasing order.  Given
+        ``index``, a mapping of (certificate, representative mask) to a row,
+        each face gives its row in place of its representative, and a face
+        outside the index is skipped before its collapse's H_1 sign is
+        computed.
 
         A deletion is a face only when the mask is proper.  A tadpole
         collapse is a face only in a weighted family and even parity, where
@@ -542,8 +521,6 @@ class GraphContext:
         """
         graph, edges, multiplicities = self.graph, self.graph.edges, self.graph.multiplicities
         weight_face, tadpoles = family.weighted and not odd, family.allow_tadpoles
-        if subset is None:
-            subset = self.subset_of(mask)
         for pos, e in enumerate(subset):
             sign = 1 if pos & 1 else -1
             if ((weight_face or not graph.is_tadpole(e))
@@ -580,7 +557,7 @@ class GraphContext:
         carried by the identity, so it needs no table."""
         if mask == self.full_mask:
             return mask, 1
-        slot = self._orbit[mask] or self._slot(mask)
+        slot = self._slot(mask)
         if slot & 1:
             return mask, 1
         # bit 1 of a member's slot is the parity, bit 2 the H_1 sign
