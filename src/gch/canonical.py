@@ -33,45 +33,45 @@ classes and the cache of labelled inputs live in :mod:`gch.context`.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from .graph import HalfEdgeGraph
-from .ribbon import RibbonStructure, cycles_word, cyclic_orders
+from .ribbon import RibbonStructure, cycles_word, cyclic_orders, sigma
 
 
 # ---------------------------------------------------------------------------
 # vertex-level refinement
 
 
-def _incidence_tables(g: HalfEdgeGraph):
-    inc: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    tad = [0] * g.vertex_count
-    for u, v in g.edges:
+def _initial_colors(n: int, weights, edges):
+    """The vertices' colours, their (weight, valence, tadpole count) ranked,
+    and each vertex's neighbours along its non-tadpole edges."""
+    inc: list[list[int]] = [[] for _ in range(n)]
+    tad = [0] * n
+    for u, v in edges:
         if u == v:
             tad[u] += 1
         else:
             inc[u].append(v)
             inc[v].append(u)
-    return inc, tad
-
-
-def _initial_colors(g: HalfEdgeGraph):
-    inc, tad = _incidence_tables(g)
-    sigs = [(g.weights[v], g.valences[v], tad[v]) for v in range(g.vertex_count)]
+    sigs = [(weights[v], len(inc[v]) + 2 * tad[v], tad[v]) for v in range(n)]
     ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    return tuple(ranks[s] for s in sigs), inc
+    return [ranks[s] for s in sigs], inc
 
 
-def _refine(g: HalfEdgeGraph, colors, inc):
-    """Refine the colouring until it is stable, and rank its colours.
+def _refine(n: int, colors, inc):
+    """Refine the colouring of the n vertices until it is stable, and rank
+    its colours, as a list.
 
     A vertex's signature is its colour, then its neighbours' colours with
     their counts, and the new colours rank the signatures.  A vertex alone
-    in its colour keeps the bare colour, which already decides its rank."""
-    n = g.vertex_count
+    in its colour keeps the bare colour, which already decides its rank.
+    A colour is a rank below n, or -1 for the vertex just individualized,
+    whose size is counted in the last slot."""
     ncolors = len(set(colors))
     while True:
-        sizes = Counter(colors)
+        sizes = [0] * (n + 1)
+        for c in colors:
+            sizes[c] += 1
         sigs = []
         for v in range(n):
             c = colors[v]
@@ -84,7 +84,7 @@ def _refine(g: HalfEdgeGraph, colors, inc):
                 prof[cu] = prof.get(cu, 0) + 1
             sigs.append((c, *sorted(prof.items())))
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple([ranks[s] for s in sigs])
+        new = [ranks[s] for s in sigs]
         k = len(ranks)
         if k == ncolors or k == n:
             return new
@@ -92,9 +92,10 @@ def _refine(g: HalfEdgeGraph, colors, inc):
         colors = new
 
 
-def _canonical_labeling(g: HalfEdgeGraph):
-    """Smallest (weights, edge pairs) encoding, the permutation giving it,
-    the vertex automorphisms the search meets and the vertex group's order.
+def _canonical_labeling(n: int, weights, edges):
+    """Smallest (weights, edge pairs) encoding of the graph on n vertices,
+    the permutation giving it, the vertex automorphisms the search meets
+    and the vertex group's order.
 
     Individualization-refinement search; equal encodings at two leaves
     reveal an automorphism, whose orbits prune sibling branches at the root
@@ -110,8 +111,7 @@ def _canonical_labeling(g: HalfEdgeGraph):
     leaf, so an automorphism is kept only when it is new and not the
     identity.
     """
-    n = g.vertex_count
-    base, inc = _initial_colors(g)
+    base, inc = _initial_colors(n, weights, edges)
     best: list = [None, None]  # encoding, perm
     leaf_perms: dict = {}
     auts: dict[tuple[int, ...], None] = {}  # in the order met
@@ -126,15 +126,15 @@ def _canonical_labeling(g: HalfEdgeGraph):
         return x
 
     def encode(perm):
-        weights = [0] * n
-        for v, w in enumerate(g.weights):
-            weights[perm[v]] = w
+        relabelled = [0] * n
+        for v, w in enumerate(weights):
+            relabelled[perm[v]] = w
         pairs = []
-        for u, v in g.edges:
+        for u, v in edges:
             a, b = perm[u], perm[v]
             pairs.append((a, b) if a <= b else (b, a))
         pairs.sort()
-        return (tuple(weights), tuple(pairs))
+        return (tuple(relabelled), tuple(pairs))
 
     def record_leaf(perm):
         enc = encode(perm)
@@ -157,23 +157,23 @@ def _canonical_labeling(g: HalfEdgeGraph):
 
     def search(colors, depth):
         nonlocal root, stabilizer
-        colors = _refine(g, colors, inc)
+        colors = _refine(n, colors, inc)
         sizes = [0] * n
         for c in colors:
             sizes[c] += 1
         # the first colour shared by several vertices, or a leaf
         c = next((c for c in range(n) if sizes[c] > 1), None)
         if c is None:
-            record_leaf(colors)
+            record_leaf(tuple(colors))
             return
         explored: list[int] = []
         for v in range(n):
             if colors[v] != c or depth == 0 and any(find(v) == find(u) for u in explored):
                 continue
             explored.append(v)
-            refined = list(colors)
+            refined = colors.copy()
             refined[v] = -1
-            search(tuple(refined), depth + 1)
+            search(refined, depth + 1)
             if depth == 0 and root is None:
                 root = v
                 stabilizer = sum(p[v] == twins[0][v] for p in twins)
@@ -183,19 +183,20 @@ def _canonical_labeling(g: HalfEdgeGraph):
     return best[0], best[1], list(auts), stabilizer * orbit_size
 
 
-def _lift(g: HalfEdgeGraph, perm, targets) -> tuple[int, ...]:
-    """Half-edge map of ``g`` over the vertex bijection ``perm`` onto the
-    edges ``targets``, normalized pairs of the image's vertex labels.
+def _lift(edges, perm, targets) -> tuple[int, ...]:
+    """Half-edge map of the graph with the ``edges`` over the vertex
+    bijection ``perm`` onto ``targets``, normalized pairs of the image's
+    vertex labels.
 
     Each parallel class maps onto the targets with its image's endpoints in
     index order, and a tadpole is not flipped.  Onto the sorted images this
-    is the canonical relabelling; onto ``g.edges`` it is the canonical lift
+    is the canonical relabelling; onto ``edges`` it is the canonical lift
     of a vertex automorphism."""
     slots: dict[tuple[int, int], list[int]] = {}
     for j, pair in enumerate(targets):
         slots.setdefault(pair, []).append(j)
     hmap: list[int] = []
-    for u, v in g.edges:
+    for u, v in edges:
         a, b = perm[u], perm[v]
         free = slots.get((a, b) if a <= b else (b, a))
         if not free:
@@ -203,14 +204,6 @@ def _lift(g: HalfEdgeGraph, perm, targets) -> tuple[int, ...]:
         j = 2 * free.pop(0)
         hmap += (j, j + 1) if a <= b else (j + 1, j)
     return tuple(hmap)
-
-
-def _canonical_plain(g: HalfEdgeGraph):
-    """(weights, edges, None, vertex map, half-edge map, symmetries) of a
-    graph's canonical relabelling, the symmetries being the vertex
-    automorphisms its search met and the vertex group's order."""
-    (weights, pairs), perm, auts, order = _canonical_labeling(g)
-    return weights, pairs, None, perm, _lift(g, perm, pairs), (auts, order)
 
 
 def _certificate_string(vertex_count: int, weights, edges, cycles) -> str:
@@ -222,16 +215,18 @@ def _certificate_string(vertex_count: int, weights, edges, cycles) -> str:
     return ";".join(parts)
 
 
-def canonical_labelling(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None):
+def canonical_labelling(vertex_count: int, weights, edges, cycles=None):
     """(certificate, weights, edges, cyclic orders or None, vertex map,
-    half-edge map, symmetries) of the canonical relabelling of a connected
-    graph, or of a ribbon graph given its ribbon structure.  The symmetries
-    are what the search met, in the input's labels, for ``build_group``."""
-    if ribbon is not None:
-        return ribbon_labelling(ribbon.next_map, _ends(g), g.weights)
-    weights, edges, cycles, vertex_map, half_edge_map, symmetries = _canonical_plain(g)
-    return (_certificate_string(g.vertex_count, weights, edges, cycles),
-            weights, edges, cycles, vertex_map, half_edge_map, symmetries)
+    half-edge map, symmetries) of the canonical relabelling of the
+    connected graph with the vertex count, weights and normalized edge
+    pairs, or of the ribbon graph with the cyclic orders ``cycles``.  The
+    symmetries are what the search met, in the input's labels, for
+    ``build_group``.  Nothing is validated, and no graph is built."""
+    if cycles is not None:
+        return ribbon_labelling(sigma(cycles, 2 * len(edges)), edges, weights)
+    (canonical_weights, pairs), perm, auts, order = _canonical_labeling(vertex_count, weights, edges)
+    return (_certificate_string(vertex_count, canonical_weights, pairs, None), canonical_weights,
+            pairs, None, perm, _lift(edges, perm, pairs), (auts, order))
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +264,6 @@ def _ribbon_encoding(nxt, weight, start, bound=None):
     return enc, order
 
 
-def _ends(g: HalfEdgeGraph) -> list[int]:
-    """iota as a list: the vertex of each half-edge."""
-    return [v for pair in g.edges for v in pair]
-
-
 def _least_traversals(nxt, weight):
     """Every traversal with the least encoding, by start half-edge.  Each
     traversal stops as soon as its prefix exceeds the least so far.  A
@@ -290,10 +280,10 @@ def _least_traversals(nxt, weight):
     return least or [([], [])]
 
 
-def ribbon_labelling(nxt, ends, vertex_weights):
+def ribbon_labelling(nxt, edges, vertex_weights):
     """``canonical_labelling`` of the connected ribbon graph given by sigma
-    (``nxt``), the vertex of each half-edge and the vertex weights, from
-    its least traversal; no graph or ribbon structure is needed.
+    (``nxt``), the edge pairs and the vertex weights, from its least
+    traversal; no graph or ribbon structure is needed.
 
     Connectedness makes a traversal determined by its start half-edge, so
     the least encoding over all starts is a complete invariant; on a tie
@@ -304,6 +294,7 @@ def ribbon_labelling(nxt, ends, vertex_weights):
     canonical graph, its ribbon and the maps are those of the full
     comparison.
     """
+    ends = [v for pair in edges for v in pair]
     runs = _least_traversals(nxt, [vertex_weights[v] for v in ends])
     order = runs[0][1]
     auts = []
@@ -368,7 +359,7 @@ def build_group(g: HalfEdgeGraph, ribbon: RibbonStructure | None, symmetries):
     maps, order = symmetries
     if ribbon is not None:
         return tuple(maps), order
-    gens = [_lift(g, perm, g.edges) for perm in maps]
+    gens = [_lift(g.edges, perm, g.edges) for perm in maps]
     classes: dict[tuple[int, int], list[int]] = {}
     for e, pair in enumerate(g.edges):
         classes.setdefault(pair, []).append(e)

@@ -4,7 +4,8 @@ The complexes here are cellular chains of one space of graphs, so every
 kind is built from the same per-class data: the canonical graph (and
 ribbon), the automorphism group, the recorded collapses and the
 orientation signs.  A :class:`GraphContext` holds all of it for one class.
-:func:`canonical_entry` makes it when a certificate is first met and keeps
+The certificate cache (:func:`canonical_entry`, unchecked for the
+engine's own moves) makes it when a certificate is first met and keeps
 it in ``_CLASSES``, the one registry, so the enumeration closure, the faces
 of the complexes, the cell poset and the vanishing rule all hand out the
 same object.  The class is made with its automorphism group, built from
@@ -86,7 +87,7 @@ from array import array
 from functools import cached_property
 
 from .canonical import build_group, canonical_labelling, edge_action, ribbon_labelling
-from .graph import HalfEdgeGraph
+from .graph import _PAIRS, HalfEdgeGraph
 from .orientation import h1_map_sign, kruskal_sign, sequence_parity
 from .ribbon import RibbonStructure, splice, surface_invariants
 
@@ -247,7 +248,8 @@ class GraphContext:
 
         This is the one place that contracts a class's edges.  An edge not
         yet recorded is contracted on the canonical graph (``_contract``).
-        A plain class contracts plainly.  A ribbon class splices sigma on
+        A plain class hands the contraction's tuples to the certificate
+        cache (``_canonical_entry``).  A ribbon class splices sigma on
         edge e = {h, h'} (:func:`~gch.ribbon.splice`): for a non-tadpole,
         sigma'(sigma^-1 h) = sigma(h') and sigma'(sigma^-1 h') = sigma(h);
         a tadpole, in a weighted family, becomes a weight and its two
@@ -256,10 +258,9 @@ class GraphContext:
         traversals break, and every map comes out, as for the contracted
         labelled graph.  The spliced sigma is canonicalized from the vertex
         of each half-edge and the weights by the least traversal that
-        ``canonical_entry`` uses, and a graph and a ribbon structure are
-        built and validated only when the certificate is new.  A
-        contraction keeps the graph connected, so the connectivity check is
-        skipped.
+        ``canonical_entry`` uses.  Either way a graph is built only for a
+        new certificate, and no connectivity walk runs: a contraction keeps
+        a connected graph connected.
 
         The result is recorded, and so is the rest of the edge's orbit
         under Aut (McKay's orbit pruning), unrecorded too since only this
@@ -289,10 +290,9 @@ class GraphContext:
         pruning: the rule of ``collapse`` for one edge."""
         weights, edges, _, half_edge_map = self.graph.contraction(e)
         if self.ribbon is None:
-            reached, _, iso = canonical_entry(HalfEdgeGraph(len(weights), weights, edges))
+            reached, _, iso = _canonical_entry(len(weights), weights, edges)
         else:
-            labelling = ribbon_labelling(splice(self.ribbon, e, half_edge_map),
-                                         [v for pair in edges for v in pair], weights)
+            labelling = ribbon_labelling(splice(self.ribbon, e, half_edge_map), edges, weights)
             reached, iso = _class_of(labelling), labelling[5]
         return reached, tuple([None if h is None else iso[h] for h in half_edge_map])
 
@@ -573,22 +573,26 @@ _CLASSES: dict[str, GraphContext] = {}
 
 def canonical_entry(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None):
     """(class, vertex map, half-edge map onto the class's canonical graph)
-    of a labelled graph.
+    of a labelled graph, with its ribbon structure if given: the checked
+    entry, for graphs from outside the engine (the CLI, ``gch verify``,
+    ``generator_vanishes``), which refuses a disconnected graph."""
+    if not g.is_connected:
+        raise ValueError("canonical form is defined for connected graphs")
+    return _canonical_entry(g.vertex_count, g.weights, g.edges, ribbon and ribbon.cycles)
 
-    Each labelled input given here is canonicalized once; the ribbon
-    collapses of ``GraphContext.collapse`` canonicalize their spliced
-    sigma without a labelled graph and do not pass through this cache.
-    The cache keeps the maps and the shared class (``_class_of``), so it
-    pins no input graph.  An input that hits was connected when it was
-    stored.
-    """
-    key = ((g.vertex_count, g.weights, g.edges) if ribbon is None
-           else (g.vertex_count, g.weights, g.edges, ribbon.cycles))
+
+def _canonical_entry(vertex_count: int, weights, edges, cycles=None):
+    """``canonical_entry`` of a vertex count, weights, normalized edge pairs
+    and a ribbon graph's cyclic orders, unchecked: the engine's moves keep
+    a connected graph connected.  Each input is canonicalized once; the
+    cache keeps the maps and the shared class (``_class_of``), no graph,
+    and a stored key holds the shared pairs of ``graph._PAIRS``.  Ribbon
+    collapses (``GraphContext._contract``) bypass the cache."""
+    key = (vertex_count, weights, edges) if cycles is None else (vertex_count, weights, edges, cycles)
     entry = _CERT_CACHE.get(key)
     if entry is None:
-        if not g.is_connected:
-            raise ValueError("canonical form is defined for connected graphs")
-        labelling = canonical_labelling(g, ribbon)
+        labelling = canonical_labelling(vertex_count, weights, edges, cycles)
+        key = (vertex_count, weights, tuple(map(_PAIRS.setdefault, edges, edges)), *key[3:])
         entry = _CERT_CACHE[key] = (_class_of(labelling), labelling[4], labelling[5])
     return entry
 

@@ -13,7 +13,9 @@ apart by certificate.  Three moves cover every family:
   would be a vertex of valence 1.  Deleting such an edge, or a tadpole
   with its stem, and smoothing the bivalent vertices left behind gives a
   connected trivalent graph of genus g - 1.  A join of two distinct edges,
-  or a tadpole hang, rebuilds the graph from it.
+  or a tadpole hang, rebuilds the graph from it, and keeps a connected
+  graph connected: each new vertex lies on an old edge, and the new edge
+  or the stem ends at new vertices.
 * **Collapse closure.**  The moduli space of stable tropical curves of
   genus g is pure of dimension 3g - 4 (Chan-Galatius-Payne), so every
   stable weighted graph is a contraction of a trivalent weight-zero one:
@@ -26,7 +28,8 @@ apart by certificate.  Three moves cover every family:
   keeps the genus, so every graph of valence >= 2 and genus >= 2 is a
   subdivision of one of valence >= 3, and every cycle is a subdivision of
   the one-edge loop.  Subdividing up to ``max_edges`` gives the bivalent
-  families.
+  families.  A subdivision keeps a connected graph connected: the new
+  vertex joins both ends of the edge it splits.
 
 Ribbon graphs take the same moves, lifted to cyclic orders.  A trivalent
 graph t has 2^V choices of cyclic orders, and an isomorphism between two
@@ -66,7 +69,9 @@ edge per orbit of the class's automorphism group, gives the other edges
 of the orbit the contracted edge's map composed with an automorphism of
 the source, and records the target class and the half-edge map onto its
 canonical graph in the class.  The complexes and the cell poset read
-their collapses from the same entries.
+their collapses from the same entries.  A contraction keeps a connected
+graph connected too, so every move hands its result's tuples to
+``context._canonical_entry``, which walks no graph for connectivity.
 """
 
 from __future__ import annotations
@@ -75,10 +80,9 @@ import itertools
 from dataclasses import dataclass
 
 from .canonical import edge_action
-from .context import SLOT_EDGES, GraphContext, canonical_entry
+from .context import SLOT_EDGES, GraphContext, _canonical_entry
 from .families import dumbbell, rose, theta
 from .graph import HalfEdgeGraph
-from .ribbon import RibbonStructure
 
 
 class InfeasibleEnumeration(ValueError):
@@ -140,30 +144,30 @@ def _closure(seeds, step) -> dict[str, GraphContext]:
     return found
 
 
-def _subdivide(g: HalfEdgeGraph, e: int, ribbon: RibbonStructure | None = None):
-    """(graph, ribbon) for weight-zero ``g`` with a new vertex on edge ``e``.
-    The other half of ``e`` becomes the last edge, so no edge index moves;
-    its half at the old endpoint takes the place of ``2e+1`` in that
-    vertex's order, and the new vertex has its only cyclic order."""
-    u, v = g.edges[e]
-    a = g.vertex_count
-    edges = list(g.edges)
-    edges[e] = (u, a)
-    s = HalfEdgeGraph.build(a + 1, edges + [(a, v)])
-    if ribbon is None:
-        return s, None
-    moved = g.half_edge_count  # the new edge's half at v
-    cycles = tuple(tuple(moved if h == 2 * e + 1 else h for h in cyc) for cyc in ribbon.cycles)
-    return s, RibbonStructure(s, cycles + ((2 * e + 1, moved + 1),))
+def _subdivide(a: int, edges, e: int, cycles=None):
+    """(vertex count, weights, edge pairs, cyclic orders or None) of the
+    weight-zero graph on the vertices 0..a-1 with the ``edges`` and
+    ``cycles``, after a new vertex ``a`` on edge ``e``.  The other half of
+    ``e`` becomes the last edge, so no edge index moves; its half at the
+    old endpoint takes the place of ``2e+1`` in that vertex's order, and
+    the new vertex has its only cyclic order.  Both new pairs end at
+    ``a``, the largest vertex, so they are normalized."""
+    u, v = edges[e]
+    moved = 2 * len(edges)  # the new edge's half at v
+    edges = edges[:e] + ((u, a),) + edges[e + 1:] + ((v, a),)
+    if cycles is not None:
+        cycles = tuple(tuple(moved if h == 2 * e + 1 else h for h in cyc) for cyc in cycles)
+        cycles += ((2 * e + 1, moved + 1),)
+    return a + 1, (0,) * (a + 1), edges, cycles
 
 
 def _raise_genus(ctx: GraphContext):
-    """Trivalent graphs one genus above the trivalent class, one per orbit
-    of its Aut on its edges (hang a tadpole) and on its pairs of edges (join
-    the midpoints), the first of each orbit in combinations order.  Each
-    orbit is walked here through the edge actions of the generators of
-    Aut, so the class builds no walk tables and no table of all 2^E
-    subsets."""
+    """(vertex count, weights, edge pairs) of the trivalent graphs one
+    genus above the trivalent class, one per orbit of its Aut on its edges
+    (hang a tadpole) and on its pairs of edges (join the midpoints), the
+    first of each orbit in combinations order.  Each orbit is walked here
+    through the edge actions of the generators of Aut, so the class builds
+    no walk tables and no table of all 2^E subsets."""
     g = ctx.graph
     n = g.vertex_count
     actions = [edge_action(hmap) for hmap in ctx.generators]
@@ -180,18 +184,19 @@ def _raise_genus(ctx: GraphContext):
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
-        s = g
-        for e in edges:
-            s, _ = _subdivide(s, e)
+        s = g.edges
+        for a, e in enumerate(edges, n):
+            s = _subdivide(a, s, e)[2]
         stem = ((n + 1, n + 1),) if len(edges) == 1 else ()
-        yield HalfEdgeGraph.build(n + 2, s.edges + ((n, n + 1),) + stem)
+        yield n + 2, (0,) * (n + 2), s + ((n, n + 1),) + stem
 
 
 def _trivalent(genus: int) -> list[GraphContext]:
     """Trivalent weight-zero classes of the genus, tadpoles allowed."""
-    classes = [canonical_entry(g)[0] for g in (theta(), dumbbell())] if genus >= 2 else []
+    classes = [_canonical_entry(g.vertex_count, g.weights, g.edges)[0]
+               for g in (theta(), dumbbell())] if genus >= 2 else []
     for _ in range(genus - 2):
-        classes = list(dict.fromkeys(canonical_entry(h)[0] for r in classes for h in _raise_genus(r)))
+        classes = list(dict.fromkeys(_canonical_entry(*h)[0] for r in classes for h in _raise_genus(r)))
     return classes
 
 
@@ -243,7 +248,7 @@ def _ribbon_seeds(ctx: GraphContext):
                     seen[y] = 1
                     orbit.append(y)
         cycles = tuple((a, c, b) if k >> top - v & 1 else (a, b, c) for v, (a, b, c) in enumerate(at))
-        yield canonical_entry(t, RibbonStructure(t, cycles))[0]
+        yield _canonical_entry(t.vertex_count, t.weights, t.edges, cycles)[0]
 
 
 def enumerate_graphs(spec: EnumSpec) -> list[GraphContext]:
@@ -280,10 +285,10 @@ def enumerate_graphs(spec: EnumSpec) -> list[GraphContext]:
     if spec.min_valence == 2:
         seeds = list(found.values())
         if g == 1:
-            seeds.append(canonical_entry(
-                rose(1), RibbonStructure(rose(1), ((0, 1),)) if spec.ribbon else None)[0])
+            seeds.append(_canonical_entry(1, (0,), rose(1).edges, ((0, 1),) if spec.ribbon else None)[0])
         found = _closure(seeds, lambda r: (
-            canonical_entry(*_subdivide(r.graph, e, r.ribbon))[0]
+            _canonical_entry(*_subdivide(r.graph.vertex_count, r.graph.edges, e,
+                                         None if r.ribbon is None else r.ribbon.cycles))[0]
             for e in range(r.graph.edge_count) if r.graph.edge_count < cap))
     result = _ENUM_CACHE[spec] = tuple(
         r for r in map(found.__getitem__, sorted(found))

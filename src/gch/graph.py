@@ -79,14 +79,6 @@ class HalfEdgeGraph:
         return u == v
 
     @cached_property
-    def valences(self):
-        val = [0] * self.vertex_count
-        for u, v in self.edges:
-            val[u] += 1
-            val[v] += 1
-        return tuple(val)
-
-    @cached_property
     def has_tadpole(self):
         return any(u == v for u, v in self.edges)
 

@@ -12,6 +12,7 @@ edge subsets.  Only combinatorial data is kept: no metrics, no coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .complexes import ComplexSpec, _family_spec, pair_key
 from .generate import enumerate_graphs, refuse_wide_subsets
@@ -108,18 +109,20 @@ def build_spine(genus: int) -> CubeCatalog:
     """Orbit representatives of the forest cubes of the ``gf`` family: the
     spine of the moduli space.  A genus whose graphs can have more edges
     than a subset-orbit slot encodes is refused (``refuse_request``) before
-    any enumeration."""
+    any enumeration.  Each cube's key is built once, and the cube and
+    every facet naming it share that string."""
     refuse_request(genus, spine=True)
     family = _family_spec(ComplexSpec("gf", "even", genus))
     entries = []
+    key = cache(lambda ctx, mask: pair_key(ctx.certificate, ctx.subset_of(mask)))
     for ctx in enumerate_graphs(family):
         for mask in ctx.subset_orbits(forests_only=True):
             subset = ctx.subset_of(mask)
             facets = {True: [], False: []}
             for collapse, target, rep, _ in ctx.faces(mask, subset, family, odd=False):
-                facets[collapse].append(pair_key(target.certificate, target.subset_of(rep)))
+                facets[collapse].append(key(target, rep))
             entries.append(CubeEntry(
-                key=pair_key(ctx.certificate, subset),
+                key=key(ctx, mask),
                 graph_certificate=ctx.certificate,
                 subset=subset,
                 dimension=len(subset),

@@ -250,7 +250,7 @@ def is_one_vertex_irreducible(g: HalfEdgeGraph) -> bool:
 
 def is_stable(g: HalfEdgeGraph) -> bool:
     """Every vertex has 2 * weight + valence > 2."""
-    return all(2 * w + val > 2 for w, val in zip(g.weights, g.valences))
+    return all(2 * w + len(at) > 2 for w, at in zip(g.weights, g.half_edges_at))
 
 
 @dataclass(frozen=True)

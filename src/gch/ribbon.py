@@ -51,11 +51,16 @@ class RibbonStructure:
     @cached_property
     def next_map(self):
         """sigma as a flat permutation of half-edge ids."""
-        nxt = [0] * self.graph.half_edge_count
-        for cyc in self.cycles:
-            for i, h in enumerate(cyc):
-                nxt[h] = cyc[(i + 1) % len(cyc)]
-        return tuple(nxt)
+        return sigma(self.cycles, self.graph.half_edge_count)
+
+
+def sigma(cycles, half_edge_count: int) -> tuple[int, ...]:
+    """The cyclic orders as one flat permutation of the half-edge ids."""
+    nxt = [0] * half_edge_count
+    for cyc in cycles:
+        for i, h in enumerate(cyc):
+            nxt[h] = cyc[(i + 1) % len(cyc)]
+    return tuple(nxt)
 
 
 def splice(ribbon: RibbonStructure, e: int, half_edge_map) -> list[int]:

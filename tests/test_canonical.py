@@ -169,7 +169,7 @@ def test_generators_generate_aut_across_families():
              EnumSpec(genus=3, weighted=True, allow_tadpoles=True)]
     rng = random.Random(5)
     for g in (relabeled(ctx.graph, rng) for spec in specs for ctx in enumerate_graphs(spec)):
-        generators, order = build_group(g, None, canonical_labelling(g)[-1])
+        generators, order = build_group(g, None, canonical_labelling(g.vertex_count, g.weights, g.edges)[-1])
         assert len(_generated(generators, g.half_edge_count)) == order, str(g)
         assert order == len(half_edge_automorphisms(g)), str(g)
 
@@ -257,6 +257,17 @@ def test_stabilizer_order_examples():
 )
 def test_generator_vanishes_by_odd_symmetry(g, parity, expected):
     assert generator_vanishes(g, parity)[0] is expected
+
+
+def test_public_entries_refuse_a_disconnected_graph():
+    """The engine's own moves reach the certificate cache without a
+    connectivity walk; the entries for outside graphs still refuse a
+    disconnected one."""
+    g = HalfEdgeGraph.build(2, [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="connected"):
+        canonical_entry(g)
+    with pytest.raises(ValueError, match="connected"):
+        generator_vanishes(g, "even")
 
 
 def test_odd_symmetry_oracle_equivalence():

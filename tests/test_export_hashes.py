@@ -129,7 +129,9 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
                                     for p in sorted(target.iterdir())}
 differ = sum(1 for c in classes.values()
              if c.generators
-             != build_group(c.graph, c.ribbon, canonical_labelling(c.graph, c.ribbon)[-1])[0])
+             != build_group(c.graph, c.ribbon, canonical_labelling(
+                 c.graph.vertex_count, c.graph.weights, c.graph.edges,
+                 None if c.ribbon is None else c.ribbon.cycles)[-1])[0])
 print(json.dumps({"classes": len(classes), "differ": differ, "hashes": hashes}))
 """
 

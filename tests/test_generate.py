@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from gch.context import _CLASSES, canonical_entry
+from gch.context import _CERT_CACHE, _CLASSES, canonical_entry
 from gch.families import banana, cycle, dumbbell, rose, theta, triangle_with_doubled_edge
 from gch.generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs
-from gch.graph import HalfEdgeGraph
+from gch.graph import _PAIRS, HalfEdgeGraph
 from gch.oracle import (Morphism, compose, contract, contract_ribbon, forests, is_stable,
                         mass_table, pairing_classes, ribbon_structures)
 from gch.ribbon import RibbonStructure, surface_invariants
@@ -126,7 +126,7 @@ def test_outputs_satisfy_filters_and_are_unique():
                 assert is_stable(g)
             else:
                 assert not any(g.weights)
-                assert all(v >= spec.min_valence for v in g.valences)
+                assert all(len(at) >= spec.min_valence for at in g.half_edges_at)
                 if not spec.allow_tadpoles:
                     assert not g.has_tadpole
             if spec.min_valence >= 3 and not spec.weighted:
@@ -268,6 +268,20 @@ def test_ribbon_genus5_matches_pinned_list():
     assert ribbon_list_sha256(forms) == pinned["sha256"]
 
 
+@pytest.mark.parametrize("spec,count,sha256", [
+    (EnumSpec(genus=5, allow_tadpoles=True), 1076,
+     "a151323a93efa594163293cc37a6c157be17db6b01486cffeb9c2484838cf45a"),
+    (EnumSpec(genus=5, weighted=True, allow_tadpoles=True, min_edges=1), 4554,
+     "6cbbb5697da0fea5fdbf84729a94b321683b79f8466d5a31a279247699a811ce"),
+])
+def test_genus5_certificates_match_pinned_hash(spec, count, sha256):
+    """The genus-5 certificates, one per line in order, pinned from the
+    labelling that built each class from a validated labelled graph."""
+    forms = enumerate_graphs(spec)
+    assert len(forms) == count
+    assert hashlib.sha256("".join(f.certificate + "\n" for f in forms).encode()).hexdigest() == sha256
+
+
 def test_trivalent_loopless_class_counts():
     """Connected cubic multigraphs on 2, 4, 6, 8 vertices: 1, 2, 6, 20 without
     loops (OEIS A000421), 2, 5, 17, 71 with loops allowed (OEIS A005967)."""
@@ -276,7 +290,7 @@ def test_trivalent_loopless_class_counts():
             forms = enumerate_graphs(EnumSpec(genus=genus, min_valence=3, allow_tadpoles=tadpoles,
                                               min_edges=3 * genus - 3))
             assert len(forms) == expected
-            assert all(set(f.graph.valences) == {3} for f in forms)
+            assert all(len(at) == 3 for f in forms for at in f.graph.half_edges_at)
 
 
 def test_banana_counts_match_oracle():
@@ -342,15 +356,16 @@ def test_recorded_collapses_match_direct_contraction():
 WORK_COUNTER = """
 import collections, json
 import gch.canonical as canonical
+import gch.context as context
 from gch import ComplexSpec, EnumSpec, build_cell_poset, build_complex, enumerate_graphs
 from gch.graph import HalfEdgeGraph
 
-plain = canonical._canonical_plain
+plain = context.canonical_labelling
 canonicalized = []
-canonical._canonical_plain = lambda g: canonicalized.append(g) or plain(g)
+context.canonical_labelling = lambda *g: canonicalized.append(g) or plain(*g)
 labeling = canonical._canonical_labeling
 searches = []
-canonical._canonical_labeling = lambda g: searches.append(g) or labeling(g)
+canonical._canonical_labeling = lambda *g: searches.append(g) or labeling(*g)
 contraction = HalfEdgeGraph.contraction
 contracted = collections.Counter()
 
@@ -367,6 +382,51 @@ print(json.dumps({"closure": closure, "contractions": sum(contracted.values()),
                   "repeated": sum(1 for n in contracted.values() if n > 1),
                   "canonicalized": len(canonicalized), "searches": len(searches)}))
 """
+
+
+MOVE_COUNTER = """
+import json
+import gch.graph as graph
+from gch.context import _CLASSES
+from gch.generate import EnumSpec, enumerate_graphs
+
+walks, built = [], []
+reached = graph._reached
+graph._reached = lambda n, edges: walks.append(n) or reached(n, edges)
+post_init = graph.HalfEdgeGraph.__post_init__
+graph.HalfEdgeGraph.__post_init__ = lambda g: built.append(g.vertex_count) or post_init(g)
+specs = [EnumSpec(genus=4, weighted=True, allow_tadpoles=True), EnumSpec(genus=4, ribbon=True),
+         EnumSpec(genus=2, min_valence=2, allow_tadpoles=True, max_edges=6)]
+for spec in specs:
+    enumerate_graphs(spec)
+print(json.dumps({"walks": len(walks), "built": len(built), "classes": len(_CLASSES),
+                  "specs": len(specs)}))
+"""
+
+
+def test_moves_walk_no_connectivity_and_build_only_new_classes():
+    """In a fresh interpreter: enumerating a weighted, a ribbon and a
+    bivalent family, whose moves are contraction, genus raising and
+    subdivision, never walks a graph for connectivity, and builds one
+    graph per class met and the theta and dumbbell seeds of each family,
+    none for a move onto a class already known."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    result = subprocess.run([sys.executable, "-c", MOVE_COUNTER], capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout)
+    assert counts["walks"] == 0, counts
+    assert counts["built"] == counts["classes"] + 2 * counts["specs"], counts
+
+
+def test_certificate_cache_pins_no_pairs_of_its_own():
+    """Every edge pair of every key of the certificate cache is the shared
+    tuple of ``graph._PAIRS``, though the moves pass their pairs as tuples
+    that no graph has interned."""
+    enumerate_graphs(EnumSpec(genus=4, weighted=True, allow_tadpoles=True))
+    assert _CERT_CACHE
+    assert all(_PAIRS[pair] is pair for key in _CERT_CACHE for pair in key[2])
 
 
 def test_each_class_edge_is_contracted_once():
@@ -401,7 +461,7 @@ def test_enumeration_matches_mass_formula(genus):
     """Per degree type, the com_tad classes and their automorphism group
     orders give the mass formula's sum of 1/|Aut G|.  Dropping one class or
     doubling one order breaks the match."""
-    classes = [(tuple(sorted(ctx.graph.valences)), ctx.aut_order)
+    classes = [(tuple(sorted(map(len, ctx.graph.half_edges_at))), ctx.aut_order)
                for ctx in enumerate_graphs(EnumSpec(genus=genus, min_valence=3, allow_tadpoles=True))]
     table = mass_table(genus)
     assert _masses(classes) == table

@@ -37,7 +37,7 @@ def test_maximal_weight_zero_cells_are_trivalent():
     for node in poset.nodes:
         if node.dimension == top:
             assert node.weight_total == 0
-            assert all(v == 3 for v in node.graph.valences)
+            assert all(len(at) == 3 for at in node.graph.half_edges_at)
 
 
 def test_weight_zero_faces_are_forest_collapses():

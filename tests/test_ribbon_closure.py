@@ -86,13 +86,14 @@ def test_spliced_collapse_matches_labelled_path(family, genus):
 @pytest.mark.parametrize("genus", [2, 3, 4])
 def test_ribbon_seeds_are_one_per_orbit(genus, tadpoles, monkeypatch):
     inputs = []
+    entry = generate._canonical_entry
 
-    def recording(g, ribbon=None):
-        if ribbon is not None:
-            inputs.append((g, ribbon.cycles))
-        return canonical_entry(g, ribbon)
+    def recording(vertex_count, weights, edges, cycles=None):
+        if cycles is not None:
+            inputs.append((edges, cycles))
+        return entry(vertex_count, weights, edges, cycles)
 
-    monkeypatch.setattr(generate, "canonical_entry", recording)
+    monkeypatch.setattr(generate, "_canonical_entry", recording)
     seeds = list(generate._seeds(genus, True, tadpoles))
     monkeypatch.undo()
 
@@ -103,7 +104,7 @@ def test_ribbon_seeds_are_one_per_orbit(genus, tadpoles, monkeypatch):
             continue
         for cycles in itertools.product(*(((a, b, c), (a, c, b)) for a, b, c in t.half_edges_at)):
             ribbon = RibbonStructure(t, cycles)
-            first.setdefault(canonical_entry(t, ribbon)[0].certificate, (t, ribbon.cycles))
+            first.setdefault(canonical_entry(t, ribbon)[0].certificate, (t.edges, ribbon.cycles))
     assert {ctx.certificate for ctx in seeds} == set(first)
     assert len(inputs) == len(seeds) == len(first)
     assert inputs == [first[ctx.certificate] for ctx in seeds]
