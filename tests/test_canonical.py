@@ -169,7 +169,8 @@ def test_generators_generate_aut_across_families():
              EnumSpec(genus=3, weighted=True, allow_tadpoles=True)]
     rng = random.Random(5)
     for g in (relabeled(ctx.graph, rng) for spec in specs for ctx in enumerate_graphs(spec)):
-        generators, order = build_group(g, None, canonical_labelling(g.vertex_count, g.weights, g.edges)[-1])
+        symmetries = canonical_labelling(g.vertex_count, g.weights, g.edges)[-1]
+        generators, order = build_group(g, None, symmetries)
         assert len(_generated(generators, g.half_edge_count)) == order, str(g)
         assert order == len(half_edge_automorphisms(g)), str(g)
 
