@@ -187,8 +187,8 @@ def build_complex(spec: ComplexSpec) -> ChainComplex:
 
     Generators are graded by the bit count of their masks, each grade is
     sorted by key, and one (certificate, mask) index gives a generator's
-    position in its grade.  A grade's matrix is written one column at a
-    time, in index order: a small accumulator per column sums the faces
+    position in its grade, every class's orbits walked before any face is
+    read.  A grade's matrix is written one column at a time, in index order: a small accumulator per column sums the faces
     landing on one row, and :meth:`~gch.linalg.SparseMatrix.from_columns`
     drops the cancelled entries and packs the columns into the matrix's
     coordinate arrays."""
@@ -208,7 +208,7 @@ def build_complex(spec: ComplexSpec) -> ChainComplex:
             # a simplicial generator's subset is all of its edges
             subset = range(gen.graph.edge_count) if gen.subset is None else gen.subset
             column: dict[int, int] = {}
-            for _, _, row, sign in gen.ctx.faces(gen.mask, subset, family, odd, index):
+            for _, row, sign in gen.ctx.faces(gen.mask, subset, family, odd, index):
                 column[row] = column.get(row, 0) + sign
             yield column
 

@@ -48,23 +48,21 @@ simplicial and ribbon kinds, a forest or proper subset for the cube kinds.
   (``GraphContext.kruskal_sign``).  A full mask is its own representative,
   aligned by the identity, so the simplicial kinds never walk an orbit;
 * **subset orbits** (``GraphContext.subset_orbits``): the cube kinds and
-  the cubical catalogs of :mod:`gch.moduli` take the same orbit
-  representatives of forests or proper subsets, walked once per class and
-  kept as one ``array("i")`` of masks.  A subset is a mask with edge e at
-  bit E-1-e, so the representative, the lexicographically least subset of
-  its orbit, is its largest mask; the vanishing rule, the stabilizer
-  orders and the faces all take masks, and a caller builds a subset tuple
-  only for a generator or cube it keeps (``GraphContext.subset_of``).  The
-  first lookup of a subset enters its whole orbit into the class's table
-  of one 4-byte slot per mask (``GraphContext._orbit``), by a breadth-first
-  walk through the generators of Aut that move an edge, each step read
-  off half-width tables (``GraphContext._steps``); each member gets the
-  parity and H_1 sign of the walk's symmetry that carries it onto the
-  representative.  On a surviving orbit every symmetry doing so has that
-  sign, so the choice of path changes no coefficient.  A face is found by
-  clearing a bit (deletion) or mapping the mask through the collapse, and
-  aligned by those signs.  The walk's tables and the slot format are
-  read by no other module.
+  the spine of :mod:`gch.moduli` take the same orbit representatives of
+  forests or proper subsets, kept as one ``array("i")`` of masks.  A
+  subset is a mask with edge e at bit E-1-e, so the representative, the
+  lexicographically least subset of its orbit, is its largest mask, and
+  a caller builds a subset tuple only for a generator or cube it keeps
+  (``GraphContext.subset_of``).  Each orbit is entered once, from its
+  representative, into the class's table of one 4-byte slot per mask
+  (``GraphContext._orbit``), by a breadth-first walk through the
+  generators of Aut, each step read off half-width tables
+  (``GraphContext._steps``); a member's slot keeps the parity and H_1
+  sign of its walk path, which on a surviving orbit every symmetry
+  carrying it onto the representative shares.  The builders walk every
+  class before they read a face, found by clearing a bit (deletion) or
+  mapping the mask through the collapse, so each face is aligned by a
+  slot already written.  No other module reads the tables or the slots.
 
 The same automorphism group gives the symmetries of the vanishing rule
 and the subset orbits; the cube stabilizer orders of the catalogs
@@ -237,8 +235,9 @@ class GraphContext:
 
     def stabilizer_order(self, mask: int) -> int:
         """Order of the automorphisms that map the edge subset ``mask`` onto
-        itself: the group order over the size of its orbit."""
-        return self.aut_order // (self._rep_slot(mask) >> 3)
+        itself: the group order over the size of its orbit, all of Aut for
+        the full mask."""
+        return self.aut_order // (1 if mask == self.full_mask else self._rep_slot(mask) >> 3)
 
     # -- collapses --------------------------------------------------------
 
@@ -288,9 +287,9 @@ class GraphContext:
         """(target class, half-edge map onto its canonical graph) of the
         contraction of edge e on the canonical graph, with no orbit
         pruning: the rule of ``collapse`` for one edge."""
-        weights, edges, _, half_edge_map = self.graph.contraction(e)
+        weights, edges, half_edge_map = self.graph.contraction(e)
         if self.ribbon is None:
-            reached, _, iso = _canonical_entry(len(weights), weights, edges)
+            reached, iso = _canonical_entry(len(weights), weights, edges)
         else:
             labelling = ribbon_labelling(splice(self.ribbon, e, half_edge_map), edges, weights)
             reached, iso = _class_of(labelling), labelling[5]
@@ -339,10 +338,11 @@ class GraphContext:
                    for s in self.generators)
 
     def _slot(self, mask: int) -> int:
-        """The mask's slot of ``_orbit``, its orbit walked on a miss."""
+        """The slot of a proper mask in ``_orbit``.  A miss, which only a
+        direct lookup makes, walks every orbit of proper subsets."""
         slot = self._orbit[mask]
         if not slot:
-            self._fill_orbit(mask)
+            self.subset_orbits(forests_only=False)
             slot = self._orbit[mask]
         return slot
 
@@ -391,37 +391,31 @@ class GraphContext:
                           4 if self.aut_h1(s) == -1 else 0))
         return steps
 
-    def _fill_orbit(self, start: int) -> None:
-        """Enter every member of the orbit of the mask ``start`` and decide
-        the orbit's vanishing, by a breadth-first walk from ``start``
+    def _fill_orbit(self, rep: int) -> None:
+        """Enter every member of the orbit of its representative ``rep``,
+        the first member met in walk order (``_representatives``), and
+        decide the orbit's vanishing, by a breadth-first walk from ``rep``
         through ``_steps``.
 
-        Each member T is labelled with the parity and the H_1 sign of its
-        walk path, bits 1 and 2 of its slot: the product q_T of the steps
-        from ``start`` to T, its parity on ``start`` in subset order and
-        its sign on det H_1.  A step s from T onto a member T' already
-        labelled gives q_T'^-1 s q_T, which stabilizes ``start``; by
-        Schreier's lemma these elements and the automorphisms fixing every
-        edge generate the stabilizer (Seress, *Permutation Group
-        Algorithms*, 2003).  So the orbit vanishes for even parity when the
-        two labels of such a step differ in the parity, and for odd parity
-        when they differ in one bit alone, the parity times the H_1 sign
-        being -1, or when ``kernel_odd`` holds.  Conjugate stabilizers have
-        the same signs, so the verdict holds for the whole orbit.
-
-        The slots are written as the walk goes, as members of an orbit
-        whose representative is ``start``; the representative R is the
-        largest member, and when it is not ``start`` every slot is written
-        again.  q_R q_T^-1 carries T onto R, so a member's slot holds the
-        exclusive or of the labels of T and R; on a surviving orbit every
-        element carrying T onto R has that sign.  R's slot keeps the
-        verdicts, with the orbit's size for ``stabilizer_order``."""
+        Each member T is labelled, in bits 1 and 2 of its slot, with the
+        parity on ``rep`` in subset order and the sign on det H_1 of its
+        walk path q_T, which q_T^-1, carrying T onto ``rep``, shares.  A
+        step s from T onto a member T' already labelled gives q_T'^-1 s q_T,
+        which stabilizes ``rep``; by Schreier's lemma these elements and
+        the automorphisms fixing every edge generate the stabilizer (Seress,
+        *Permutation Group Algorithms*, 2003).  So the orbit vanishes for
+        even parity when the two labels of such a step differ in the
+        parity, and for odd parity when they differ in one bit alone, or
+        when ``kernel_odd`` holds.  Conjugate stabilizers have the same
+        signs, so the verdict holds for the whole orbit, and on a surviving
+        one every element carrying T onto ``rep`` has T's label.  ``rep``'s
+        slot keeps the verdicts, with the orbit's size."""
         table, steps = self._orbit, self._steps
         half = (self.graph.edge_count + 1) // 2
         low_bits = (1 << half) - 1
-        table[start] = 1  # label 0, in a slot that is not 0 even for the empty mask
-        queue = [start]
-        member = start << 3
+        table[rep] = 1  # label 0, in a slot that is not 0 even for the empty mask
+        queue = [rep]
+        member = rep << 3
         even, odd = 0, int(self.kernel_odd)
         for t in queue:
             x, y, here = t & low_bits, t >> half, table[t] & 6
@@ -437,11 +431,6 @@ class GraphContext:
                     diff = known & 6 ^ step
                     even |= diff >> 1 & 1
                     odd |= (diff >> 1 ^ diff >> 2) & 1
-        rep = max(queue)
-        if rep != start:
-            base, member = table[rep] & 6, rep << 3
-            for t in queue:
-                table[t] = member | (table[t] & 6 ^ base)
         table[rep] = len(queue) << 3 | odd << 2 | even << 1 | 1
 
     def subset_orbits(self, forests_only: bool) -> array:
@@ -500,16 +489,15 @@ class GraphContext:
                                       tuple([b if c == a else c for c in comp])))
             level = grown
 
-    def faces(self, mask: int, subset, family, odd: bool, index=None):
+    def faces(self, mask: int, subset, family, odd: bool, index):
         """The faces of the generator (graph, subset ``mask``) of the family,
         an :class:`~gch.generate.EnumSpec`, in subset order, each edge's
-        collapse before its deletion: (collapse?, target class,
-        representative mask, coefficient by the face-sign rule of the module
-        docstring).  ``subset`` is the mask's edges in increasing order.  Given
-        ``index``, a mapping of (certificate, representative mask) to a row,
-        each face gives its row in place of its representative, and a face
-        outside the index is skipped before its collapse's H_1 sign is
-        computed.
+        collapse before its deletion: (collapse?, row, coefficient by the
+        face-sign rule of the module docstring).  ``subset`` is the mask's
+        edges in increasing order, and ``index`` maps (certificate,
+        representative mask) to a row; a face outside it is skipped before
+        its collapse's H_1 sign is computed.  The caller has walked the
+        orbits of every class in ``index`` (``subset_orbits``).
 
         A deletion is a face only when the mask is proper.  A tadpole
         collapse is a face only in a weighted family and even parity, where
@@ -534,27 +522,25 @@ class GraphContext:
                             bit = bits[hmap[2 * f] >> 1]
                             inversions += (image & (bit - 1)).bit_count()
                             image |= bit
-                    row, align = target._align(image, odd)
-                    if index is not None:
-                        row = index.get((target.certificate, row))
+                    rep, align = target._align(image, odd)
+                    row = index.get((target.certificate, rep))
                     if row is not None:
                         if odd:
                             align *= self.collapse_h1(e)
-                        yield True, target, row, (-sign if inversions & 1 else sign) * align
+                        yield True, row, (-sign if inversions & 1 else sign) * align
             if mask != self.full_mask:
-                row, align = self._align(mask ^ self.bits[e], odd)
-                if index is not None:
-                    row = index.get((self.certificate, row))
+                rep, align = self._align(mask ^ self.bits[e], odd)
+                row = index.get((self.certificate, rep))
                 if row is not None:
-                    yield False, self, row, -sign * align
+                    yield False, row, -sign * align
 
     def _align(self, mask: int, odd: bool) -> tuple[int, int]:
         """(representative, sign) of an edge-subset mask T: the largest mask
         R in the orbit of T, its lexicographically least subset, and the
         sign of the walk's element carrying T onto R (``_fill_orbit``), its
         parity in subset order, times for odd parity its sign on det H_1.
-        A miss fills the whole orbit.  A full mask is its own representative,
-        carried by the identity, so it needs no table."""
+        A full mask is its own representative, carried by the identity, so
+        it needs no table."""
         if mask == self.full_mask:
             return mask, 1
         slot = self._slot(mask)
@@ -564,16 +550,16 @@ class GraphContext:
         return slot >> 3, -1 if (slot & (6 if odd else 2)).bit_count() & 1 else 1
 
 
-# labelled input -> (class, vertex map, half-edge map) onto the class's
-# canonical graph; the labelled graph itself is not kept
+# labelled input -> (class, half-edge map onto the class's canonical
+# graph); the labelled graph itself is not kept
 _CERT_CACHE: dict = {}
 # certificate -> the class's one object
 _CLASSES: dict[str, GraphContext] = {}
 
 
 def canonical_entry(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None):
-    """(class, vertex map, half-edge map onto the class's canonical graph)
-    of a labelled graph, with its ribbon structure if given: the checked
+    """(class, half-edge map onto the class's canonical graph) of a
+    labelled graph, with its ribbon structure if given: the checked
     entry, for graphs from outside the engine (the CLI, ``gch verify``,
     ``generator_vanishes``), which refuses a disconnected graph."""
     if not g.is_connected:
@@ -585,15 +571,16 @@ def _canonical_entry(vertex_count: int, weights, edges, cycles=None):
     """``canonical_entry`` of a vertex count, weights, normalized edge pairs
     and a ribbon graph's cyclic orders, unchecked: the engine's moves keep
     a connected graph connected.  Each input is canonicalized once; the
-    cache keeps the maps and the shared class (``_class_of``), no graph,
-    and a stored key holds the shared pairs of ``graph._PAIRS``.  Ribbon
-    collapses (``GraphContext._contract``) bypass the cache."""
-    key = (vertex_count, weights, edges) if cycles is None else (vertex_count, weights, edges, cycles)
+    cache keeps the half-edge map and the shared class (``_class_of``), no
+    graph, and a stored key, the weights (one per vertex) and edge pairs
+    with the cyclic orders, holds the shared pairs of ``graph._PAIRS``.
+    Ribbon collapses (``GraphContext._contract``) bypass the cache."""
+    key = (weights, edges) if cycles is None else (weights, edges, cycles)
     entry = _CERT_CACHE.get(key)
     if entry is None:
         labelling = canonical_labelling(vertex_count, weights, edges, cycles)
-        key = (vertex_count, weights, tuple(map(_PAIRS.setdefault, edges, edges)), *key[3:])
-        entry = _CERT_CACHE[key] = (_class_of(labelling), labelling[4], labelling[5])
+        key = (weights, tuple(map(_PAIRS.setdefault, edges, edges)), *key[2:])
+        entry = _CERT_CACHE[key] = (_class_of(labelling), labelling[5])
     return entry
 
 

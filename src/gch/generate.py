@@ -58,17 +58,18 @@ Everything is deterministic; outputs come back sorted by certificate.
 
 One function, ``enumerate_graphs``, runs the closures of every family,
 weighted or not, and returns the registry's own object of each class of
-:mod:`gch.context`.  Genus raising walks its orbits of edges and edge
-pairs itself, through the edge actions of the generators of Aut as the
-ribbon seeds walk their cyclic-order choices, and leaves the class no
-walk tables and no subset-orbit table: the cube kinds' table has
-a slot for each of the 2^E subsets, and a trivalent class of genus g has
-3g - 3 edges.  The collapse closure reads each class's collapses from
-``GraphContext.collapse``, which does the orbit pruning: it contracts one
-edge per orbit of the class's automorphism group, gives the other edges
-of the orbit the contracted edge's map composed with an automorphism of
-the source, and records the target class and the half-edge map onto its
-canonical graph in the class.  The complexes and the cell poset read
+:mod:`gch.context`.  Genus raising and the ribbon seeds take the first
+member of each orbit of Aut on their edges and edge pairs, or on their
+cyclic-order choices, by one walk (``_orbit_firsts``) through the moves
+of the generators of Aut, and leave the class no walk tables and no
+subset-orbit table: the cube kinds' table has a slot for each of the 2^E
+subsets, and a trivalent class of genus g has 3g - 3 edges.  The collapse
+closure reads each class's collapses from ``GraphContext.collapse``,
+which does the orbit pruning: it contracts one edge per orbit of the
+class's automorphism group, gives the other edges of the orbit the
+contracted edge's map composed with an automorphism of the source, and
+records the target class and the half-edge map onto its canonical graph
+in the class.  The complexes and the cell poset read
 their collapses from the same entries.  A contraction keeps a connected
 graph connected too, so every move hands its result's tuples to
 ``context._canonical_entry``, which walks no graph for connectivity.
@@ -161,29 +162,34 @@ def _subdivide(a: int, edges, e: int, cycles=None):
     return a + 1, (0,) * (a + 1), edges, cycles
 
 
+def _orbit_firsts(points, moves):
+    """The first point of each orbit in ``points``, in their order, of the
+    group that the ``moves``, functions from a point to its image,
+    generate: each orbit is walked from its first point."""
+    seen = set()
+    for point in points:
+        if point not in seen:
+            seen.add(point)
+            orbit = [point]
+            for x in orbit:
+                fresh = {move(x) for move in moves} - seen
+                seen |= fresh
+                orbit += fresh
+            yield point
+
+
 def _raise_genus(ctx: GraphContext):
     """(vertex count, weights, edge pairs) of the trivalent graphs one
     genus above the trivalent class, one per orbit of its Aut on its edges
     (hang a tadpole) and on its pairs of edges (join the midpoints), the
-    first of each orbit in combinations order.  Each orbit is walked here
-    through the edge actions of the generators of Aut, so the class builds
-    no walk tables and no table of all 2^E subsets."""
+    first of each orbit in combinations order (``_orbit_firsts``).  Each
+    orbit is walked through the edge actions of the generators of Aut, so
+    the class builds no walk tables and no table of all 2^E subsets."""
     g = ctx.graph
     n = g.vertex_count
-    actions = [edge_action(hmap) for hmap in ctx.generators]
-    seen = set()
-    for edges in itertools.chain.from_iterable(
-            itertools.combinations(range(g.edge_count), size) for size in (1, 2)):
-        if edges in seen:
-            continue
-        seen.add(edges)
-        orbit = [edges]
-        for x in orbit:
-            for p in actions:
-                y = tuple(sorted([p[e] for e in x]))
-                if y not in seen:
-                    seen.add(y)
-                    orbit.append(y)
+    moves = [lambda x, p=edge_action(hmap): tuple(sorted([p[e] for e in x])) for hmap in ctx.generators]
+    for edges in _orbit_firsts(itertools.chain.from_iterable(
+            itertools.combinations(range(g.edge_count), size) for size in (1, 2)), moves):
         s = g.edges
         for a, e in enumerate(edges, n):
             s = _subdivide(a, s, e)[2]
@@ -215,7 +221,7 @@ def _seeds(genus: int, ribbon: bool, tadpoles: bool):
 def _ribbon_seeds(ctx: GraphContext):
     """One ribbon class per orbit of Aut(t) on the 2^V cyclic-order choices
     of the trivalent class t: the first choice of each orbit in
-    ``itertools.product`` order is canonicalized.
+    ``itertools.product`` order (``_orbit_firsts``) is canonicalized.
 
     Choice i at vertex v orders its half-edges a < b < c as (a, b, c) for
     i = 0 and (a, c, b) for i = 1, and index k of the product holds the
@@ -227,26 +233,15 @@ def _ribbon_seeds(ctx: GraphContext):
     t = ctx.graph
     at = t.half_edges_at
     top = t.vertex_count - 1
-    moves = []  # per generator: (bit of s(v), flip) for each v
+    moves = []
     for hmap in ctx.generators:
-        moves.append([(1 << top - t.iota(hmap[a]),
-                       (hmap[a] < hmap[b]) + (hmap[b] < hmap[c]) + (hmap[c] < hmap[a]) != 2)
-                      for a, b, c in at])
-    seen = bytearray(1 << t.vertex_count)
-    for k in range(len(seen)):
-        if seen[k]:
-            continue
-        seen[k] = 1
-        orbit = [k]
-        for x in orbit:
-            for move in moves:
-                y = 0
-                for v, (bit, flip) in enumerate(move):
-                    if (x >> top - v & 1) ^ flip:
-                        y |= bit
-                if not seen[y]:
-                    seen[y] = 1
-                    orbit.append(y)
+        # (bit of s(v), flip) for each v; distinct vertices' bits sum to their union
+        move = [(1 << top - t.iota(hmap[a]),
+                 (hmap[a] < hmap[b]) + (hmap[b] < hmap[c]) + (hmap[c] < hmap[a]) != 2)
+                for a, b, c in at]
+        moves.append(lambda x, move=move: sum(
+            bit for v, (bit, flip) in enumerate(move) if (x >> top - v & 1) ^ flip))
+    for k in _orbit_firsts(range(1 << t.vertex_count), moves):
         cycles = tuple((a, c, b) if k >> top - v & 1 else (a, b, c) for v, (a, b, c) in enumerate(at))
         yield _canonical_entry(t.vertex_count, t.weights, t.edges, cycles)[0]
 

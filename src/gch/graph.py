@@ -17,10 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-class DisconnectedGraphError(ValueError):
-    """Raised when an operation requires a connected graph."""
-
-
 # one shared tuple per normalized vertex pair, so that graphs and the
 # canonical-form cache keys built from them hold no pairs of their own;
 # graphs of at most V vertices have fewer than V^2 pairs
@@ -90,7 +86,7 @@ class HalfEdgeGraph:
             mult[e] = mult.get(e, 0) + 1
         return mult
 
-    # -- connectivity and numerical invariants --------------------------
+    # -- connectivity ----------------------------------------------------
 
     @cached_property
     def is_connected(self):
@@ -98,22 +94,11 @@ class HalfEdgeGraph:
         n = self.vertex_count
         return n > 0 and _reached(n, self.edges) == n
 
-    @cached_property
-    def loop_number(self):
-        """First Betti number e - v + 1; defined for connected graphs only."""
-        if not self.is_connected:
-            raise DisconnectedGraphError("loop number needs a connected graph")
-        return len(self.edges) - self.vertex_count + 1
-
-    @cached_property
-    def genus(self):
-        return self.loop_number + sum(self.weights)
-
     # -- rebuilding ------------------------------------------------------
 
     def contraction(self, e):
-        """(weights, edges, vertex map, half-edge map) of the contraction of
-        edge ``e``, without building the graph.
+        """(weights, edges, half-edge map) of the contraction of edge ``e``,
+        without building the graph.
 
         A non-tadpole merges its endpoints (weights add); a tadpole is
         removed and its vertex weight grows by one, so the genus is
@@ -124,16 +109,11 @@ class HalfEdgeGraph:
         ``e``'s half-edges map to None.
         """
         u, v = self.edges[e]
-        n = self.vertex_count
-        if u == v:
-            vertex_map = tuple(range(n))
-            weights = tuple(w + (1 if i == u else 0) for i, w in enumerate(self.weights))
-        else:
-            vertex_map = tuple(i - (1 if i > v else 0) if i != v else u for i in range(n))
-            weights = [0] * (n - 1)
-            for i, w in enumerate(self.weights):
-                weights[vertex_map[i]] += w
-            weights = tuple(weights)
+        vertex_map = [i if u == v or i < v else u if i == v else i - 1 for i in range(self.vertex_count)]
+        weights = [0] * (self.vertex_count - (u != v))
+        for i, w in enumerate(self.weights):
+            weights[vertex_map[i]] += w
+        weights[u] += u == v
 
         new_edges = []
         half_edge_map: list[int | None] = []
@@ -149,7 +129,7 @@ class HalfEdgeGraph:
             else:
                 new_edges.append((b, a))
                 half_edge_map += (j + 1, j)
-        return weights, tuple(new_edges), vertex_map, tuple(half_edge_map)
+        return tuple(weights), tuple(new_edges), tuple(half_edge_map)
 
     def __str__(self):
         w = "" if not any(self.weights) else f" w={list(self.weights)}"

@@ -85,6 +85,27 @@ def _keep(m: "SparseMatrix", rows: int, cols: int, pp: array, jj: array,
     return m
 
 
+def _pack(m: "SparseMatrix", rows: int, cols: int, col_i, col_v: array | list,
+          sizes: list[int], integral: bool) -> "SparseMatrix":
+    """Lay out row by row the nonzeros of a matrix being made, given by
+    column (column j holds the next ``sizes[j]`` rows ``col_i`` and values
+    ``col_v``): a stable counting sort by row keeps each row in order."""
+    counts = [0] * rows
+    for i in col_i:
+        counts[i] += 1
+    # free[i]: the next free position of row i in row-major order
+    free = list(itertools.accumulate(counts, initial=0))
+    pp = array(_index_code(len(col_i) + 1), free)
+    jj, vv = [0] * len(col_i), [0] * len(col_i)
+    col_j = itertools.chain.from_iterable(map(itertools.repeat, range(cols), sizes))
+    for i, j, v in zip(col_i, col_j, col_v):
+        p = free[i]
+        free[i] = p + 1
+        jj[p] = j
+        vv[p] = v
+    return _keep(m, rows, cols, pp, array(_index_code(cols), jj), _values(vv), integral)
+
+
 class SparseMatrix:
     """An exact ``rows`` x ``cols`` matrix, its nonzeros held row by row in
     compressed sparse row arrays.
@@ -103,27 +124,36 @@ class SparseMatrix:
         if rows < 0 or cols < 0:
             raise ValueError(f"negative shape {rows}x{cols}")
         entries = {} if entries is None else entries
-        _refuse_coordinates(set(map(type, itertools.chain.from_iterable(entries))))
-        pp, jj, vv = [0] * rows, [], []
-        integral = True
-        for key in sorted(entries):
-            i, j = key
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i},{j}) out of range")
-            v = entries[key]
-            if type(v) is not int:
-                if not isinstance(v, Fraction):
-                    raise TypeError(f"entry ({i},{j}) is {type(v).__name__}, not int or Fraction")
-                if v.denominator == 1:
-                    v = v.numerator
-                else:
-                    integral = False
-            if v:
-                pp[i] += 1
-                jj.append(j)
-                vv.append(v)
-        _keep(self, rows, cols, array(_index_code(len(vv) + 1), itertools.accumulate(pp, initial=0)),
-              array(_index_code(cols), jj), _values(vv), integral)
+        if set(map(len, entries)) - {2}:
+            raise ValueError("an entry's key is not a (row, column) pair")
+        ii, jj = (list(map(operator.itemgetter(k), entries)) for k in (0, 1))
+        _refuse_coordinates(set(map(type, ii)) | set(map(type, jj)))
+        if ii and not (min(ii) >= 0 and max(ii) < rows and min(jj) >= 0 and max(jj) < cols):
+            i, j = next((i, j) for i, j in entries if not (0 <= i < rows and 0 <= j < cols))
+            raise ValueError(f"entry ({i},{j}) out of range")
+        vv = list(entries.values())
+        integral = set(map(type, vv)) <= {int}
+        if not integral:
+            for p, v in enumerate(vv):
+                if type(v) is not int and not isinstance(v, Fraction):
+                    raise TypeError(f"entry ({ii[p]},{jj[p]}) is {type(v).__name__}, not int or Fraction")
+            vv = [v.numerator if type(v) is not int and v.denominator == 1 else v for v in vv]
+            integral = all(type(v) is int for v in vv)
+        if 0 in vv:
+            ii, jj, vv = (list(itertools.compress(c, vv)) for c in (ii, jj, vv))
+        # bucket the nonzeros by column
+        sizes = [0] * cols
+        for j in jj:
+            sizes[j] += 1
+        free = list(itertools.accumulate(sizes, initial=0))
+        col_i, col_v = [0] * len(vv), [0] * len(vv)
+        for i, j, v in zip(ii, jj, vv):
+            p = free[j]
+            free[j] = p + 1
+            col_i[p] = i
+            col_v[p] = v
+        del ii, jj, vv  # before the row pass, which keeps a copy of its own
+        _pack(self, rows, cols, col_i, col_v, sizes, integral)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: a SparseMatrix is not changed once made")
@@ -138,10 +168,10 @@ class SparseMatrix:
         ``bool`` raises ``TypeError``, as in the constructor) and zeros
         left out; there must be ``cols`` columns.
 
-        The columns are read once, in order, into column-major arrays; a
-        counting sort by row then lays the entries out row by row, in
-        column order within a row, so the order of the rows within a column
-        does not matter, and no dictionary of coordinates is made."""
+        The columns are read once, in order, into column-major arrays,
+        which ``_pack`` lays out row by row, so the order of the rows
+        within a column does not matter, and no dictionary of coordinates
+        is made."""
         if rows < 0 or cols < 0:
             raise ValueError(f"negative shape {rows}x{cols}")
         col_i, col_v, sizes = array(_index_code(rows)), array("q"), []
@@ -164,23 +194,7 @@ class SparseMatrix:
             raise ValueError(f"{len(sizes)} columns given for {cols}")
         if col_i and not (min(col_i) >= 0 and max(col_i) < rows):
             raise ValueError(f"a row index is out of range 0..{rows - 1}")
-        counts = [0] * rows
-        for i in col_i:
-            counts[i] += 1
-        n = len(col_i)
-        # free[i]: the next free position of row i in row-major order
-        free = list(itertools.accumulate(counts, initial=0))
-        pp = array(_index_code(n + 1), free)
-        jj = array(_index_code(cols), bytes(n * col_i.itemsize))
-        vv = array("q", bytes(8 * n))
-        entries = zip(col_i, col_v)
-        for j, column_size in enumerate(sizes):
-            for i, v in itertools.islice(entries, column_size):
-                p = free[i]
-                free[i] = p + 1
-                jj[p] = j
-                vv[p] = v
-        return _keep(cls.__new__(cls), rows, cols, pp, jj, vv, True)
+        return _pack(cls.__new__(cls), rows, cols, col_i, col_v, sizes, True)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "SparseMatrix":

@@ -12,7 +12,6 @@ edge subsets.  Only combinatorial data is kept: no metrics, no coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .complexes import ComplexSpec, _family_spec, pair_key
 from .generate import enumerate_graphs, refuse_wide_subsets
@@ -109,20 +108,23 @@ def build_spine(genus: int) -> CubeCatalog:
     """Orbit representatives of the forest cubes of the ``gf`` family: the
     spine of the moduli space.  A genus whose graphs can have more edges
     than a subset-orbit slot encodes is refused (``refuse_request``) before
-    any enumeration.  Each cube's key is built once, and the cube and
-    every facet naming it share that string."""
+    any enumeration.  As in ``build_complex``, every class's forest orbits
+    are walked into one index of cube keys by (certificate, mask) before
+    any face is read through it."""
     refuse_request(genus, spine=True)
     family = _family_spec(ComplexSpec("gf", "even", genus))
+    contexts = enumerate_graphs(family)
+    index = {(ctx.certificate, mask): pair_key(ctx.certificate, ctx.subset_of(mask))
+             for ctx in contexts for mask in ctx.subset_orbits(forests_only=True)}
     entries = []
-    key = cache(lambda ctx, mask: pair_key(ctx.certificate, ctx.subset_of(mask)))
-    for ctx in enumerate_graphs(family):
+    for ctx in contexts:
         for mask in ctx.subset_orbits(forests_only=True):
             subset = ctx.subset_of(mask)
             facets = {True: [], False: []}
-            for collapse, target, rep, _ in ctx.faces(mask, subset, family, odd=False):
-                facets[collapse].append(key(target, rep))
+            for collapse, key, _ in ctx.faces(mask, subset, family, False, index):
+                facets[collapse].append(key)
             entries.append(CubeEntry(
-                key=key(ctx, mask),
+                key=index[ctx.certificate, mask],
                 graph_certificate=ctx.certificate,
                 subset=subset,
                 dimension=len(subset),

@@ -1,5 +1,6 @@
 """Brute-force references for automorphisms, signs, orientations,
-enumeration, connectivity, forests, ribbon structures and ranks.
+enumeration, connectivity, loop numbers, forests, ribbon structures and
+ranks.
 
 Each function recomputes by exhaustive search, or by plain elimination,
 something that the engine computes another way.  The module imports
@@ -26,7 +27,8 @@ its least half-edge.  The ribbon classes on a graph are the orbits of
 contraction joins the two orders at the ends of the edge as the
 definition reads (:func:`contract_ribbon`), not by the engine's splice of
 sigma.  Bridges and one-vertex irreducibility are deletions counted by
-union-find (:func:`bridges`, :func:`is_one_vertex_irreducible`).  The
+union-find (:func:`bridges`, :func:`is_one_vertex_irreducible`), as is
+connectivity for :func:`loop_number` and :func:`genus`.  The
 edge-action closure (:func:`edge_action_closure`) lists every edge
 permutation of a group with a sign on each, where the engine walks its
 subset orbits through the generators alone.
@@ -41,7 +43,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .graph import DisconnectedGraphError, HalfEdgeGraph
+from .graph import HalfEdgeGraph
+
+
+class DisconnectedGraphError(ValueError):
+    """Raised when an operation requires a connected graph."""
 
 
 def _parity(seq) -> int:
@@ -212,6 +218,18 @@ def components(vertices, edges) -> int:
     for u, v in edges:
         root[find(u)] = find(v)
     return len({find(v) for v in root})
+
+
+def loop_number(g: HalfEdgeGraph) -> int:
+    """First Betti number e - v + 1 of a connected graph."""
+    if components(range(g.vertex_count), g.edges) != 1:
+        raise DisconnectedGraphError("loop number needs a connected graph")
+    return g.edge_count - g.vertex_count + 1
+
+
+def genus(g: HalfEdgeGraph) -> int:
+    """The loop number plus the total vertex weight."""
+    return loop_number(g) + sum(g.weights)
 
 
 def is_forest(g: HalfEdgeGraph, edges) -> bool:
@@ -436,9 +454,12 @@ def identity_morphism(g: HalfEdgeGraph) -> Morphism:
 
 def contract(g: HalfEdgeGraph, e: int) -> tuple[HalfEdgeGraph, Morphism]:
     """The contraction of edge ``e`` (``HalfEdgeGraph.contraction``) and
-    its edge-collapse morphism."""
-    weights, edges, vertex_map, half_edge_map = g.contraction(e)
+    its edge-collapse morphism, whose vertex map keeps the smaller end of
+    a merged edge and shifts the vertices above the larger end down."""
+    weights, edges, half_edge_map = g.contraction(e)
     target = HalfEdgeGraph(len(weights), weights, edges)
+    u, v = g.edges[e]
+    vertex_map = tuple(x if u == v or x < v else u if x == v else x - 1 for x in range(g.vertex_count))
     return target, Morphism("edge-collapse", g, target, vertex_map, half_edge_map, (e,))
 
 

@@ -2,8 +2,9 @@
 that check the engine's half-edge maps by the laws of a graph map.
 
 The engine holds a class's automorphisms as half-edge maps and a labelled
-input's map onto its class as the maps of ``canonical_entry``; these
-helpers wrap them in :class:`gch.oracle.Morphism` records."""
+input's map onto its class as the half-edge map of ``canonical_entry``;
+these helpers wrap them in :class:`gch.oracle.Morphism` records, each
+with the vertex map that its half-edge map induces."""
 
 from dataclasses import dataclass
 
@@ -27,20 +28,25 @@ class CanonicalForm:
 def canonical_form(g: HalfEdgeGraph, ribbon: RibbonStructure | None = None) -> CanonicalForm:
     """Canonical representative of a labelled input plus an isomorphism of
     the input onto it; ``iso`` starts at the caller's graph on every call."""
-    ctx, vertex_map, half_edge_map = canonical_entry(g, ribbon)
-    iso = Morphism("isomorphism", g, ctx.graph, vertex_map, half_edge_map)
+    ctx, half_edge_map = canonical_entry(g, ribbon)
+    iso = Morphism("isomorphism", g, ctx.graph, _vertex_map(g, ctx.graph, half_edge_map),
+                   half_edge_map)
     return CanonicalForm(ctx.graph, ctx.certificate, iso, ctx.ribbon)
 
 
 def automorphisms(ctx) -> list[Morphism]:
     """The class's generators of Aut as isomorphisms of its canonical graph
-    onto itself.  A generator is a half-edge map; the vertex map sends the
-    vertex of each half-edge h to the vertex of its image, and fixes a
-    vertex without half-edges."""
-    g, out = ctx.graph, []
-    for hmap in ctx.generators:
-        vertex_map = list(range(g.vertex_count))
-        for h, image in enumerate(hmap):
-            vertex_map[g.iota(h)] = g.iota(image)
-        out.append(Morphism("isomorphism", g, g, tuple(vertex_map), hmap))
-    return out
+    onto itself."""
+    g = ctx.graph
+    return [Morphism("isomorphism", g, g, _vertex_map(g, g, hmap), hmap) for hmap in ctx.generators]
+
+
+def _vertex_map(source: HalfEdgeGraph, target: HalfEdgeGraph, half_edge_map) -> tuple[int, ...]:
+    """The vertex map of an isomorphism given by its half-edge map: the
+    vertex of each half-edge h goes to the vertex of its image, and a
+    vertex without half-edges, the one vertex of an edgeless connected
+    graph, to itself."""
+    vertex_map = list(range(source.vertex_count))
+    for h, image in enumerate(half_edge_map):
+        vertex_map[source.iota(h)] = target.iota(image)
+    return tuple(vertex_map)

@@ -422,16 +422,18 @@ def test_face_sign_oracle_catches_a_negated_collapse_transport():
 @pytest.mark.parametrize("parity", ["even", "odd"])
 @pytest.mark.parametrize("kind", ["gf", "gp", "ass", "cellular_MG"])
 def test_face_targets_are_the_registry_objects(kind, parity, monkeypatch):
-    """Every target the face walk yields while a genus-3 complex is built
-    is the registry's one object of its class."""
-    walk, targets = GraphContext.faces, []
+    """Every class that a face lands on while a genus-3 complex is built,
+    the target of a collapse or the class of a deletion, is the registry's
+    one object of its class: each is recorded as ``GraphContext.collapse``
+    hands it to the face walk."""
+    collapse, targets = GraphContext.collapse, []
 
-    def recording(self, *args):
-        for face in walk(self, *args):
-            targets.append(face[1])
-            yield face
+    def recording(self, e):
+        hit = collapse(self, e)
+        targets.extend((self, hit[0]))
+        return hit
 
-    monkeypatch.setattr(GraphContext, "faces", recording)
+    monkeypatch.setattr(GraphContext, "collapse", recording)
     build_complex(ComplexSpec(kind, parity, 3))
     assert targets
     assert all(target is _CLASSES[target.certificate] for target in targets)

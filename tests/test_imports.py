@@ -19,9 +19,20 @@ module or benchmark file, so a record keeps no field that only the tests
 read.  No parameter of an engine function or method is passed the same
 literal by every call in the engine and the benchmark files, so the
 engine keeps no knob that only the tests turn.
+
+The static lints match names, so a method that shares its name with an
+attribute of another object (``HalfEdgeGraph.genus`` beside
+``spec.genus``) escapes them.  A traffic lint closes that gap: in a fresh
+interpreter traced for calls only, every command of the command line
+runs, and every function, method and property of an engine module must
+have been entered.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gch
@@ -216,6 +227,142 @@ def test_engine_keeps_no_code_only_tests_reach():
     callers = sorted(PERFBENCH.glob("*.py"))
     assert callers, PERFBENCH
     assert set(unnamed_definitions(modules, callers)) - READERS == set()
+
+
+# runs the workload file argv[1] with argv[3:] as ``argv`` under a global
+# trace function that records the code object of every call and returns
+# None, so no line is traced; prints ``module.qualname`` of each code
+# entered whose file lies in the directory argv[2]
+TRACE = r"""
+import json, sys
+from pathlib import Path
+workload, package = Path(sys.argv[1]), Path(sys.argv[2]).resolve()
+entered = set()
+sys.settrace(lambda frame, event, arg: entered.add(frame.f_code))
+exec(compile(workload.read_text(), str(workload), "exec"), {"argv": sys.argv[3:]})
+sys.settrace(None)
+print(json.dumps(sorted({f"{Path(c.co_filename).stem}.{c.co_qualname}" for c in entered
+                         if Path(c.co_filename).resolve().parent == package})))
+"""
+
+
+def entered_code(workload: Path, package: Path, *argv: str) -> set[str]:
+    """``module.qualname`` of every function of the modules in ``package``
+    that the workload file entered, run in a fresh interpreter with
+    ``package``'s parent first on the path."""
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    result = subprocess.run([sys.executable, "-c", TRACE, str(workload), str(package), *argv],
+                            capture_output=True, text=True, env=env, timeout=600)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def never_entered(modules: list[Path], entered: set[str]) -> list[str]:
+    """``module.qualname`` of each function, method and property of
+    ``modules`` (dunders aside), nested ones included, that is not in
+    ``entered``."""
+    found = []
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                dunder = child.name.startswith("__") and child.name.endswith("__")
+                if not dunder and f"{module}.{qualname}" not in entered:
+                    found.append(f"{module}.{qualname}")
+                visit(child, module, qualname + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+            else:
+                visit(child, module, prefix)
+
+    for path in modules:
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return sorted(found)
+
+
+def test_never_entered_code_is_found(tmp_path):
+    package = tmp_path / "sample"
+    package.mkdir()
+    (package / "engine.py").write_text('''def used():
+    return Box().size + helper()
+def helper():
+    def inner():
+        return 1
+    return inner()
+def unused():
+    pass
+class Box:
+    def __init__(self):
+        self.flag = 1
+    @property
+    def size(self):
+        return 1
+    @property
+    def spare(self):
+        return 2
+    def method(self):
+        def nested():
+            pass
+        return 0
+''')
+    workload = tmp_path / "workload.py"
+    workload.write_text("from sample import engine\nengine.used()\nengine.Box().method()\n")
+    entered = entered_code(workload, package)
+    assert {"engine.used", "engine.helper.<locals>.inner", "engine.Box.size"} <= entered
+    assert never_entered([package / "engine.py"], entered) == [
+        "engine.Box.method.<locals>.nested", "engine.Box.spare", "engine.unused"]
+
+
+# every command of ``gch.cli.main`` at genus 3, with the file arguments
+# under the directory argv[0]
+COMMANDS = r"""
+import contextlib, io, json
+from pathlib import Path
+from gch.cli import main
+from gch.complexes import KINDS
+
+out = Path(argv[0])
+theta = {"vertices": 2, "weights": [0, 0], "edges": [[0, 1], [0, 1], [0, 1]],
+         "ribbon": [[0, 2, 4], [1, 5, 3]]}
+(out / "theta.json").write_text(json.dumps(theta))
+(out / "malformed.json").write_text(json.dumps({"vertices": 2, "edges": [[0, 2]]}))
+commands = [["enumerate", "--genus", "3"], ["enumerate", "--genus", "3", "--ribbon"],
+            ["enumerate", "--genus", "3", "--weighted"],
+            ["enumerate", "--genus", "3", "--min-valence", "2", "--max-edges", "5", "--tadpoles"]]
+for kind in KINDS:
+    bound = ["--max-edges", "7"] if kind in ("com_geq2", "com_tad_geq2") else []
+    for parity in ("even", "odd"):
+        spec = ["--kind", kind, "--parity", parity, "--genus", "3", *bound]
+        commands += [["complex", *spec, "--export", str(out / f"{kind}-{parity}")],
+                     ["homology", *spec]]
+for spine in ([], ["--spine"]):
+    commands.append(["moduli", "--genus", "3", *spine, "--export", str(out / f"moduli{len(spine)}.json")])
+commands += [["surface", "--input", str(out / "theta.json")],
+             ["surface", "--input", str(out / "malformed.json")],
+             ["verify", "--suite", "core"], ["verify", "--suite", "paper"]]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for command in commands:
+        codes.append(main(command))
+assert codes[:-3] == [0] * (len(codes) - 3) and codes[-3:] == [2, 0, 0], codes
+"""
+
+# read by no command: the documented reader of the matrices that
+# ``gch complex --export`` writes, and the dictionary that only the
+# benchmark reads
+UNTRAVELLED = {"io.text_to_matrix", "linalg.SparseMatrix.entries"}
+
+
+def test_every_engine_function_runs_under_the_commands(tmp_path):
+    """In a fresh interpreter traced for calls only, every command of the
+    command line enters every function, method and property of every
+    engine module, so the engine keeps no code that only the tests run."""
+    workload = tmp_path / "commands.py"
+    workload.write_text(COMMANDS)
+    entered = entered_code(workload, PACKAGE, str(tmp_path))
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("oracle.py", "__init__.py")]
+    assert set(never_entered(modules, entered)) - UNTRAVELLED == set()
 
 
 def _is_dataclass(decorator) -> bool:

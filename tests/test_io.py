@@ -157,6 +157,12 @@ def test_sparse_matrix_rejects_non_int_coordinates(coordinate):
         SparseMatrix(2, 2, {coordinate: 1})
 
 
+@pytest.mark.parametrize("key", [(0,), (0, 1, 1), "01"])
+def test_sparse_matrix_rejects_keys_that_are_not_coordinate_pairs(key):
+    with pytest.raises((TypeError, ValueError)):
+        SparseMatrix(2, 2, {key: 1})
+
+
 def test_sparse_matrix_keeps_exact_entries():
     m = SparseMatrix(1, 3, {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 2): Fraction(0)})
     assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 3)}

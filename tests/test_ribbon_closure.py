@@ -69,7 +69,7 @@ def test_spliced_collapse_matches_labelled_path(family, genus):
                 continue
             contraction = _labelled_tadpole_contraction if tadpole else _labelled_contraction
             target, m, ribbon = contraction(g, ctx.ribbon, e)
-            reached, _, iso = canonical_entry(target, ribbon)
+            reached, iso = canonical_entry(target, ribbon)
             spliced, hmap = ctx._contract(e)
             assert spliced is reached, (ctx.certificate, e)
             assert hmap == tuple(None if h is None else iso[h] for h in m.half_edge_map)

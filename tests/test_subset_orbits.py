@@ -22,8 +22,9 @@ edges (bivalent vertices and tadpoles allowed), the cube-pair family up
 to genus 3, and its genus-4 graphs with at most eight edges.  Each is
 checked in two fresh class objects, made outside the registry so that no
 earlier build has filled their tables: one meets the subsets in reverse
-order, so that most lookups miss on a subset that is not its orbit's
-representative; the other walks the orbits first.  The forests come from
+order, so that its first lookup misses on a subset that is not its
+orbit's representative and walks every proper-subset orbit; the other
+walks the orbits first.  The forests come from
 :func:`gch.oracle.forests`.
 """
 
@@ -266,3 +267,48 @@ def test_subset_walks_past_the_slot_table_are_refused(monkeypatch):
                     lambda: moduli.build_spine(11)):
         with pytest.raises(InfeasibleEnumeration, match="at most 28"):
             refused()
+
+
+REPRESENTATIVE_STARTS = r"""
+import json
+from gch import context, generate, moduli
+from gch.complexes import ComplexSpec, build_complex
+from gch.context import GraphContext
+
+fill, starts = GraphContext._fill_orbit, []
+
+def recording(self, start):
+    fill(self, start)
+    starts.append(self._orbit[start] & 1)
+
+GraphContext._fill_orbit = recording
+enumerate_graphs = moduli.enumerate_graphs
+moduli.enumerate_graphs = lambda spec: enumerate_graphs(spec)[::-1]
+reversed_spine = moduli.build_spine(4).entries
+moduli.enumerate_graphs = enumerate_graphs
+for cache in (context._CERT_CACHE, context._CLASSES, generate._ENUM_CACHE):
+    cache.clear()
+spine = moduli.build_spine(4).entries
+for kind in ("gf", "gp"):
+    for parity in ("even", "odd"):
+        build_complex(ComplexSpec(kind, parity, 4))
+print(json.dumps({"same": reversed_spine == spine, "cubes": len(spine),
+                  "fills": len(starts), "off_representative": starts.count(0)}))
+"""
+
+
+def test_every_orbit_is_walked_from_its_representative():
+    """In a fresh interpreter: the genus-4 spine built over its classes in
+    reverse order, so that a collapse lands on a class whose turn has not
+    come (the order of certificates from genus 6 on), equals the spine
+    built in order, entry by entry; and across both spines and the
+    genus-4 ``gf`` and ``gp`` builds in both parities, every orbit walk
+    leaves its start marked as its orbit's representative."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, "-c", REPRESENTATIVE_STARTS], capture_output=True,
+                            text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["same"] and out["cubes"] > 0, out
+    assert out["fills"] > 0 and out["off_representative"] == 0, out
