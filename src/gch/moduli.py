@@ -121,7 +121,7 @@ def build_spine(genus: int) -> CubeCatalog:
         for mask in ctx.subset_orbits(forests_only=True):
             subset = ctx.subset_of(mask)
             facets = {True: [], False: []}
-            for collapse, key, _ in ctx.faces(mask, subset, family, False, index):
+            for collapse, key, _ in ctx.faces(mask, subset, family, odd=False, index=index):
                 facets[collapse].append(key)
             entries.append(CubeEntry(
                 key=index[ctx.certificate, mask],

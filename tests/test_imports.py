@@ -231,8 +231,8 @@ def test_engine_keeps_no_code_only_tests_reach():
 
 # runs the workload file argv[1] with argv[3:] as ``argv`` under a global
 # trace function that records the code object of every call and returns
-# None, so no line is traced; prints ``module.qualname`` of each code
-# entered whose file lies in the directory argv[2]
+# None, so no line is traced; prints (module, first line, name) of each
+# code entered whose file lies in the directory argv[2]
 TRACE = r"""
 import json, sys
 from pathlib import Path
@@ -241,26 +241,27 @@ entered = set()
 sys.settrace(lambda frame, event, arg: entered.add(frame.f_code))
 exec(compile(workload.read_text(), str(workload), "exec"), {"argv": sys.argv[3:]})
 sys.settrace(None)
-print(json.dumps(sorted({f"{Path(c.co_filename).stem}.{c.co_qualname}" for c in entered
+print(json.dumps(sorted({(Path(c.co_filename).stem, c.co_firstlineno, c.co_name) for c in entered
                          if Path(c.co_filename).resolve().parent == package})))
 """
 
 
-def entered_code(workload: Path, package: Path, *argv: str) -> set[str]:
-    """``module.qualname`` of every function of the modules in ``package``
-    that the workload file entered, run in a fresh interpreter with
-    ``package``'s parent first on the path."""
+def entered_code(workload: Path, package: Path, *argv: str) -> set[tuple[str, int, str]]:
+    """(module, first line, name) of every function of the modules in
+    ``package`` that the workload file entered, run in a fresh interpreter
+    with ``package``'s parent on the path; a decorated function's first
+    line is its first decorator's."""
     env = dict(os.environ, PYTHONPATH=str(package.parent))
     result = subprocess.run([sys.executable, "-c", TRACE, str(workload), str(package), *argv],
                             capture_output=True, text=True, env=env, timeout=600)
     assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout))
+    return set(map(tuple, json.loads(result.stdout)))
 
 
-def never_entered(modules: list[Path], entered: set[str]) -> list[str]:
+def never_entered(modules: list[Path], entered: set[tuple[str, int, str]]) -> list[str]:
     """``module.qualname`` of each function, method and property of
-    ``modules`` (dunders aside), nested ones included, that is not in
-    ``entered``."""
+    ``modules`` (dunders aside), nested ones included, whose (module,
+    first line, name) is not in ``entered``."""
     found = []
 
     def visit(node, module, prefix):
@@ -268,7 +269,8 @@ def never_entered(modules: list[Path], entered: set[str]) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = prefix + child.name
                 dunder = child.name.startswith("__") and child.name.endswith("__")
-                if not dunder and f"{module}.{qualname}" not in entered:
+                first = min([d.lineno for d in child.decorator_list], default=child.lineno)
+                if not dunder and (module, first, child.name) not in entered:
                     found.append(f"{module}.{qualname}")
                 visit(child, module, qualname + ".<locals>.")
             elif isinstance(child, ast.ClassDef):
@@ -309,7 +311,7 @@ class Box:
     workload = tmp_path / "workload.py"
     workload.write_text("from sample import engine\nengine.used()\nengine.Box().method()\n")
     entered = entered_code(workload, package)
-    assert {"engine.used", "engine.helper.<locals>.inner", "engine.Box.size"} <= entered
+    assert {("engine", 1, "used"), ("engine", 4, "inner"), ("engine", 12, "size")} <= entered
     assert never_entered([package / "engine.py"], entered) == [
         "engine.Box.method.<locals>.nested", "engine.Box.spare", "engine.unused"]
 
