@@ -14,7 +14,7 @@ its canonical labels, so no class is searched twice.  Its tables
 (collapse H_1 signs, the subset-orbit table, a ribbon class's surface)
 are made on first use, so enumeration alone keeps only the certificate,
 the graph, the generators of Aut as half-edge maps with its order, and
-the collapses.
+the collapses, with the first collapse that reached the class.
 
 Every kind is built from the same three rules, all on the class object.
 A generator is a class with an edge-subset mask: the full mask for the
@@ -69,11 +69,20 @@ and the subset orbits; the cube stabilizer orders of the catalogs
 (``GraphContext.stabilizer_order``) are the group order over the orbit
 sizes.  A collapse (``GraphContext.collapse``) is one entry per edge, the
 target class and the half-edge map onto its canonical graph, which also
-gives the edge action.  It contracts one edge per orbit of Aut, on first
-use by the enumeration closure or a face, and derives the map of every
-other edge of the orbit through an automorphism of the source.  Such a
-map may differ from a direct contraction by an automorphism of the
-target, which changes no coefficient of a surviving face: that
+gives the edge action.  It is made for one edge per orbit of Aut, on
+first use by the enumeration closure or a face, and the map of every
+other edge of the orbit is derived through an automorphism of the
+source.  The one edge is contracted and canonicalized only when no
+square gives it.  Each class keeps the first collapse that reached it,
+G/d with map a (``GraphContext.origin``); its edge e = a(f) collapses
+onto the target T of G/f's recorded collapse of b(d), b the map of G/f,
+with the map c b a^-1, c that of (G/f)/b(d), since both sides are the
+contraction G/{d,f} of the same two edges.  Plain contractions merge
+vertices and add weights in either order; ribbon splices agree only on
+a forest, so a ribbon class takes the square only when d and f have at
+least three distinct endpoints, not across a loop or a digon.  A derived
+or composed map may differ from a direct contraction by an automorphism
+of the target, which changes no coefficient of a surviving face: that
 automorphism keeps the orientation of every generator that survives, and
 for a cube the symmetry aligning its image absorbs it as an element of
 the stabilizer.
@@ -114,7 +123,8 @@ class GraphContext:
     labelling search which found the class), each generator its half-edge
     map and nothing else, and the collapses recorded so far: edge -> (the
     target class, the half-edge map onto the target's canonical graph,
-    None on the collapsed edge).  A generator's edge action
+    None on the collapsed edge), with ``origin``, the (source class, edge)
+    of the first collapse that reached it.  A generator's edge action
     (:func:`~gch.canonical.edge_action`) and its sign on det H_1
     (``aut_h1``) are computed where they are read; none is kept.
 
@@ -138,6 +148,8 @@ class GraphContext:
         self.generators = generators
         self.aut_order = aut_order
         self.collapses: dict[int, tuple[GraphContext, tuple[int | None, ...]]] = {}
+        # (source class, edge) of the first collapse that reached this class
+        self.origin: tuple[GraphContext, int] | None = None
 
     # made on first use, so that a class only enumeration met keeps none
 
@@ -246,7 +258,16 @@ class GraphContext:
         collapse of edge e, the collapsed edge's half-edges mapping to None.
 
         This is the one place that contracts a class's edges.  An edge not
-        yet recorded is contracted on the canonical graph (``_contract``).
+        yet recorded is first read off a square (``_square``): if this
+        class was first reached as G/d with map a, the edge e = a(f), and
+        G/f (map b) has recorded its collapse of b(d) (target T, map c),
+        the collapse of e is (T, c b a^-1), since both sides are G/{d,f};
+        on a ribbon class only when d and f have three distinct endpoints,
+        since splicing commutes on a two-edge forest but not across a loop
+        or a digon.  The composed map differs from a direct contraction's
+        by an automorphism of T, as an orbit-derived map does (below).
+        Otherwise the edge is contracted on the canonical graph
+        (``_contract``).
         A plain class hands the contraction's tuples to the certificate
         cache (``_canonical_entry``).  A ribbon class splices sigma on
         edge e = {h, h'} (:func:`~gch.ribbon.splice`): for a non-tadpole,
@@ -266,11 +287,13 @@ class GraphContext:
         walk records: a generator s carrying a recorded edge x to f gives
         f the map of x composed with s^-1, which collapses f onto the same
         target and differs from a direct contraction by an automorphism of
-        it."""
+        it.  The first collapse to reach a class becomes its ``origin``."""
         hit = self.collapses.get(e)
         if hit is None:
-            hit = self.collapses[e] = self._contract(e)
+            hit = self.collapses[e] = self._square(e) or self._contract(e)
             reached = hit[0]
+            if reached.origin is None:
+                reached.origin = (self, e)
             queue = [e]
             for x in queue:
                 for s in self.generators:
@@ -282,6 +305,32 @@ class GraphContext:
                         self.collapses[f] = (reached, tuple(derived))
                         queue.append(f)
         return hit
+
+    def _square(self, e: int):
+        """The collapse of edge e read off the square of ``collapse``, or
+        None when the class has no ``origin``, when a side of the square
+        is not yet recorded (no collapse is made to record it), or on a
+        ribbon class when the square's two edges have fewer than three
+        distinct endpoints."""
+        if self.origin is None:
+            return None
+        source, d = self.origin
+        a = source.collapses[d][1]
+        inverse = [0] * (len(a) - 2)
+        for h, image in enumerate(a):
+            if image is not None:
+                inverse[image] = h
+        f = inverse[2 * e] >> 1
+        if self.ribbon is not None and len({*source.graph.edges[d], *source.graph.edges[f]}) < 3:
+            return None
+        if f not in source.collapses:
+            return None
+        middle, b = source.collapses[f]
+        far = middle.collapses.get(b[2 * d] >> 1)
+        if far is None:
+            return None
+        target, c = far
+        return target, tuple([None if (x := b[h]) is None else c[x] for h in inverse])
 
     def _contract(self, e: int):
         """(target class, half-edge map onto its canonical graph) of the

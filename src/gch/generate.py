@@ -65,13 +65,23 @@ of the generators of Aut, and leave the class no walk tables and no
 subset-orbit table: the cube kinds' table has a slot for each of the 2^E
 subsets, and a trivalent class of genus g has 3g - 3 edges.  The collapse
 closure reads each class's collapses from ``GraphContext.collapse``,
-which does the orbit pruning: it contracts one edge per orbit of the
+which does the orbit pruning: it collapses one edge per orbit of the
 class's automorphism group, gives the other edges of the orbit the
-contracted edge's map composed with an automorphism of the source, and
+collapsed edge's map composed with an automorphism of the source, and
 records the target class and the half-edge map onto its canonical graph
-in the class.  The complexes and the cell poset read
-their collapses from the same entries.  A contraction keeps a connected
-graph connected too, so every move hands its result's tuples to
+in the class.  The one edge is read off a commuting square where it can
+be: a class D first reached as G/d, with map a, collapses its edge a(f)
+onto the class that G/f reached by collapsing b(d), b the map of G/f,
+with the composed map, since both are G/{d,f}.  The composed map differs
+from a direct contraction's by an automorphism of the target, as an
+orbit-derived map does, which changes no coefficient.  A ribbon class
+takes the square only when d and f have three distinct endpoints, since
+splicing commutes on a two-edge forest but not across a loop or a
+digon.  Since the closure collapses G's edges before those of G/d, it
+canonicalizes about once per class, plus the squares whose side G/f
+comes later.  The complexes and the cell poset read their collapses from
+the same entries.  A contraction keeps a connected graph connected too,
+so every move hands its result's tuples to
 ``context._canonical_entry``, which walks no graph for connectivity.
 """
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from gch.context import _CERT_CACHE, _CLASSES, canonical_entry
+from gch import context, generate
+from gch.context import _CERT_CACHE, _CLASSES, GraphContext, canonical_entry
 from gch.families import banana, cycle, dumbbell, rose, theta, triangle_with_doubled_edge
 from gch.generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs
 from gch.graph import _PAIRS, HalfEdgeGraph
@@ -321,36 +323,107 @@ def _is_automorphism(graph, ribbon, sigma):
     return nxt is None or all(nxt[sigma[h]] == sigma[nxt[h]] for h in range(len(sigma)))
 
 
-def test_recorded_collapses_match_direct_contraction():
-    """Every collapse the enumeration closure records lands on the class of
-    a direct contraction, and its half-edge map is the direct composite
-    onto the canonical target, or, for an edge whose record came through an
-    automorphism of the source, differs from it by an automorphism of the
-    target."""
+def _direct_collapse(form, e: int):
+    """(certificate, half-edge map) of the oracle's contraction of edge e
+    of the class, composed with the canonical form's isomorphism onto its
+    class: a ribbon graph's two orders joined by ``contract_ribbon``, or a
+    ribbon tadpole's two half-edges dropped from its vertex's order."""
+    g, ribbon = form.graph, form.ribbon
+    if ribbon is None:
+        contracted, m = contract(g, e)
+        direct = canonical_form(contracted)
+    else:
+        if g.is_tadpole(e):
+            contracted, m = contract(g, e)
+            cycles = tuple(tuple(m.half_edge_map[h] for h in cyc if h >> 1 != e)
+                           for cyc in ribbon.cycles)
+        else:
+            contracted, cycles, m = contract_ribbon(g, ribbon.cycles, e)
+        direct = canonical_form(contracted, ribbon=RibbonStructure(contracted, cycles))
+    return direct.certificate, compose(direct.iso, m).half_edge_map
+
+
+def _differs_by_automorphism(target, composite, recorded) -> bool:
+    """Whether the recorded half-edge map onto the target class is the
+    direct composite followed by an automorphism of the target."""
+    sigma = [0] * (len(recorded) - 2)
+    for h, image in zip(composite, recorded):
+        if h is not None:
+            sigma[h] = image
+    return _is_automorphism(target.graph, target.ribbon, sigma)
+
+
+def test_recorded_collapses_match_direct_contraction(monkeypatch):
+    """In a fresh registry, so that the closures here record every
+    collapse: each lands on the class of a direct contraction, and its
+    half-edge map is the direct composite onto the canonical target, or,
+    for an edge whose record came through an automorphism of the source
+    or through a square (``GraphContext._square``), differs from it by an
+    automorphism of the target.  Both shortcuts must fire: a closure that
+    stops reading squares, or one that stops pruning orbits, falls short
+    of the bounds."""
+    monkeypatch.setattr(context, "_CERT_CACHE", {})
+    monkeypatch.setattr(context, "_CLASSES", {})
+    monkeypatch.setattr(generate, "_ENUM_CACHE", {})
+    square, squares = GraphContext._square, collections.Counter()
+
+    def counting(self, e):
+        hit = square(self, e)
+        if hit is not None:
+            squares["plain" if self.ribbon is None else "ribbon"] += 1
+        return hit
+
+    monkeypatch.setattr(GraphContext, "_square", counting)
     specs = [EnumSpec(genus=g, min_valence=3, allow_tadpoles=True) for g in (2, 3, 4)]
     specs += [EnumSpec(genus=g, weighted=True, allow_tadpoles=True, min_edges=1) for g in (2, 3, 4)]
-    specs += [EnumSpec(genus=g, min_valence=3, ribbon=True) for g in (2, 3)]
+    specs += [EnumSpec(genus=g, min_valence=3, ribbon=True) for g in (2, 3, 4)]
+    specs += [EnumSpec(genus=g, weighted=True, allow_tadpoles=True, ribbon=True) for g in (2, 3)]
     checked = derived = 0
     for form in (f for spec in specs for f in enumerate_graphs(spec)):
-        g, ribbon = form.graph, form.ribbon
         for e, (target, recorded) in form.collapses.items():
-            if ribbon is None:
-                contracted, m = contract(g, e)
-                direct = canonical_form(contracted)
-            else:
-                contracted, cycles, m = contract_ribbon(g, ribbon.cycles, e)
-                direct = canonical_form(contracted, ribbon=RibbonStructure(contracted, cycles))
-            assert target.certificate == direct.certificate, (form.certificate, e)
-            composite = compose(direct.iso, m).half_edge_map
+            certificate, composite = _direct_collapse(form, e)
+            assert target.certificate == certificate, (form.certificate, e)
             assert [h for h, x in enumerate(recorded) if x is None] == [2 * e, 2 * e + 1]
-            sigma = [0] * (len(recorded) - 2)
-            for h, image in zip(composite, recorded):
-                if h is not None:
-                    sigma[h] = image
-            assert _is_automorphism(target.graph, target.ribbon, sigma), (form.certificate, e)
+            assert _differs_by_automorphism(target, composite, recorded), (form.certificate, e)
             derived += tuple(recorded) != composite
             checked += 1
-    assert checked > 3000 and derived > 100, (checked, derived)
+    assert checked > 4000 and derived > 100, (checked, derived)
+    assert squares["plain"] > 1000 and squares["ribbon"] > 500, squares
+
+
+def test_ribbon_square_needs_three_endpoints():
+    """Why a ribbon class reads a collapse off a square only when its two
+    edges have three distinct endpoints.  On the weighted ribbon family of
+    genus 3, every square is composed by hand from recorded collapses: for
+    each class G and recorded collapses G/d (map a onto D) and G/f (map b),
+    where G/f has recorded the collapse of b(d) (target T, map c), the
+    collapse of a(f) on D would be (T, c b a^-1).  Every such square on
+    three or more endpoints is the direct contraction, and some square
+    across a loop or a digon is not."""
+    spec = EnumSpec(genus=3, weighted=True, allow_tadpoles=True, ribbon=True)
+    agree = disagree = 0
+    for source in enumerate_graphs(spec):
+        for d, (reached, a) in source.collapses.items():
+            inverse = [0] * (len(a) - 2)
+            for h, image in enumerate(a):
+                if image is not None:
+                    inverse[image] = h
+            for f, (side, b) in source.collapses.items():
+                far = side.collapses.get(b[2 * d] >> 1) if f != d else None
+                if far is None:
+                    continue
+                target, c = far
+                composed = tuple(None if b[h] is None else c[b[h]] for h in inverse)
+                e = a[2 * f] >> 1
+                certificate, composite = _direct_collapse(reached, e)
+                same = (target.certificate == certificate
+                        and _differs_by_automorphism(target, composite, composed))
+                if len({*source.graph.edges[d], *source.graph.edges[f]}) >= 3:
+                    assert same, (source.certificate, d, f)
+                    agree += 1
+                else:
+                    disagree += not same
+    assert agree > 500 and disagree > 0, (agree, disagree)
 
 
 WORK_COUNTER = """
@@ -433,10 +506,13 @@ def test_each_class_edge_is_contracted_once():
     """In a fresh interpreter, so that no earlier test has warmed a cache:
     enumerating the weighted genus-4 family, building even cellular_MG on
     it and then the cell poset contract no (class, edge) twice, and the
-    closure canonicalizes at most 1206 labelled graphs, one contraction
-    per automorphism orbit of edges.  Each plain labelled graph is
-    searched once, to canonicalize it: no class is searched again for its
-    automorphism group."""
+    closure canonicalizes at most 452 labelled graphs.  That is each
+    class once, where genus raising or a contraction first meets it, plus
+    the genus-raising repeats and the contractions that no square gives
+    (``GraphContext._square``), because closure order has not yet recorded
+    the square's other side.  Each plain
+    labelled graph is searched once, to canonicalize it: no class is
+    searched again for its automorphism group."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
     result = subprocess.run([sys.executable, "-c", WORK_COUNTER], capture_output=True,
@@ -444,7 +520,7 @@ def test_each_class_edge_is_contracted_once():
     assert result.returncode == 0, result.stderr
     counts = json.loads(result.stdout)
     assert counts["contractions"] > 0 and counts["repeated"] == 0, counts
-    assert counts["closure"] <= 1206, counts
+    assert counts["closure"] <= 452, counts
     assert counts["searches"] == counts["canonicalized"], counts
 
 

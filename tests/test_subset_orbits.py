@@ -20,11 +20,11 @@ automorphism with that edge permutation; if one does, every odd cube must
 vanish.  The graphs are every graph of genus 1 to 3 with at most six
 edges (bivalent vertices and tadpoles allowed), the cube-pair family up
 to genus 3, and its genus-4 graphs with at most eight edges.  Each is
-checked in two fresh class objects, made outside the registry so that no
-earlier build has filled their tables: one meets the subsets in reverse
-order, so that its first lookup misses on a subset that is not its
-orbit's representative and walks every proper-subset orbit; the other
-walks the orbits first.  The forests come from
+checked in a fresh class object, made outside the registry so that no
+earlier build has filled its tables, which walks the orbits first.  A
+direct lookup that misses, at a subset that is not its orbit's
+representative, walks every proper-subset orbit; it is checked on the
+theta and the wheel with four spokes.  The forests come from
 :func:`gch.oracle.forests`.
 """
 
@@ -135,7 +135,7 @@ def _check_tables(ref: Reference, ctx: GraphContext, order) -> None:
 
 def _check_graph(form) -> int:
     ref = Reference(form)
-    missing_first, walked_first = _fresh(form), _fresh(form)
+    walked_first = _fresh(form)
     _check_closure(ref, walked_first)
     g = form.graph
     for forests_only, expected_total in ((True, len(ref.forests)), (False, 2 ** g.edge_count - 1)):
@@ -145,7 +145,6 @@ def _check_graph(form) -> int:
         assert reps == sorted({ref.rep[s] for s in members}, key=lambda s: (len(s), s))
         assert sum(walked_first.aut_order // walked_first.stabilizer_order(mask_of(walked_first, r))
                    for r in reps) == expected_total
-    _check_tables(ref, missing_first, ref.subsets[::-1])
     _check_tables(ref, walked_first, ref.subsets)
     return len(ref.subsets)
 
@@ -154,6 +153,29 @@ def test_orbit_tables_match_oracle():
     forms = _forms()
     assert any(f.graph.edge_count == 8 for f in forms)
     assert sum(_check_graph(form) for form in forms) > 10000
+
+
+@pytest.mark.parametrize("graph", [theta, lambda: wheel(4)], ids=["theta", "wheel4"])
+def test_first_lookup_off_representative_walks_every_orbit(graph):
+    """A fresh class looked up first at a proper subset that is not its
+    orbit's representative misses in ``GraphContext._slot``.  The slot
+    that the lookup returns holds the oracle's representative and, for
+    each parity where the cube survives, the oracle's aligning sign; the
+    miss has walked every proper-subset orbit, whose slots are then the
+    oracle's too."""
+    form = canonical_entry(graph())[0]
+    ref = Reference(form)
+    ctx = _fresh(form)
+    s = next(s for s in ref.subsets
+             if ref.rep[s] != s and len(s) < form.graph.edge_count and not ref.vanishes[s][0])
+    slot = ctx._slot(mask_of(ctx, s))
+    assert slot >> 3 == mask_of(ctx, ref.rep[s])
+    even = -1 if slot & 2 else 1
+    for odd, sign in ((False, even), (True, -even if slot & 4 else even)):
+        if not ref.vanishes[s][odd]:
+            assert ref.aligning_signs(s, odd) == {sign}, (s, odd)
+    assert all(ctx._orbit[mask] for mask in range(ctx.full_mask))
+    _check_tables(ref, ctx, ref.subsets)
 
 
 @pytest.mark.parametrize("graph", [theta, lambda: wheel(4)], ids=["theta", "wheel4"])
