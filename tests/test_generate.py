@@ -510,9 +510,9 @@ def test_each_class_edge_is_contracted_once():
     class once, where genus raising or a contraction first meets it, plus
     the genus-raising repeats and the contractions that no square gives
     (``GraphContext._square``), because closure order has not yet recorded
-    the square's other side.  Each plain
-    labelled graph is searched once, to canonicalize it: no class is
-    searched again for its automorphism group."""
+    the square's other side.  Each plain labelled graph is searched once,
+    to canonicalize it: no class is searched again for its automorphism
+    group."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
     result = subprocess.run([sys.executable, "-c", WORK_COUNTER], capture_output=True,
