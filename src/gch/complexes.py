@@ -38,8 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import GraphContext, canonical_entry
-from .generate import EnumSpec, enumerate_graphs, refuse_wide_subsets
+from .context import SLOT_EDGES, GraphContext, canonical_entry
+from .generate import EnumSpec, InfeasibleEnumeration, enumerate_graphs
 from .graph import HalfEdgeGraph
 from .linalg import SparseMatrix, boundary_ranks, multiply
 
@@ -72,6 +72,10 @@ _FAMILIES = {
 
 @dataclass(frozen=True)
 class ComplexSpec:
+    """A complex to build, checked when it is made and never again:
+    ValueError for a malformed request, InfeasibleEnumeration for an
+    unbounded family or for ``gf``/``gp`` graphs, min(3g - 3, ``max_edges``)
+    edges, wider than a subset-orbit slot (``context.SLOT_EDGES``)."""
     kind: str
     parity: str
     genus: int
@@ -88,9 +92,16 @@ class ComplexSpec:
             raise ValueError("moduli cells need genus >= 2")
         if self.max_edges is not None and self.max_edges < 0:
             raise ValueError("max_edges must be non-negative")
-        _family_spec(self)  # an unbounded family raises InfeasibleEnumeration here
-        if self.kind in ("gf", "gp"):
-            refuse_wide_subsets(self.genus, self.max_edges)
+        self.family  # an unbounded family raises InfeasibleEnumeration here
+        edges = 3 * self.genus - 3 if self.max_edges is None else min(3 * self.genus - 3, self.max_edges)
+        if self.kind in ("gf", "gp") and edges > SLOT_EDGES:
+            raise InfeasibleEnumeration(f"genus {self.genus} graphs have up to {edges} edges; a "
+                                        f"subset-orbit slot encodes at most {SLOT_EDGES}")
+
+    @property
+    def family(self) -> EnumSpec:
+        """The graph family whose classes the complex's generators sit on."""
+        return EnumSpec(genus=self.genus, max_edges=self.max_edges, **_FAMILIES[self.kind])
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,10 +166,6 @@ class HomologyReport:
 # generator discovery
 
 
-def _family_spec(spec: ComplexSpec) -> EnumSpec:
-    return EnumSpec(genus=spec.genus, max_edges=spec.max_edges, **_FAMILIES[spec.kind])
-
-
 def pair_key(cert: str, subset) -> str:
     return f"{cert}|{','.join(map(str, subset))}"
 
@@ -171,7 +178,7 @@ def _generators(spec: ComplexSpec):
     subsets are walked: every odd generator of it vanishes.  A cube's
     subset tuple is built only when it survives."""
     odd, cubes = spec.parity == "odd", spec.kind in ("gf", "gp")
-    for ctx in enumerate_graphs(_family_spec(spec)):
+    for ctx in enumerate_graphs(spec.family):
         if odd and ctx.kernel_odd:
             continue
         if cubes:
@@ -192,7 +199,7 @@ def build_complex(spec: ComplexSpec) -> ChainComplex:
     landing on one row, and :meth:`~gch.linalg.SparseMatrix.from_columns`
     drops the cancelled entries and packs the columns into the matrix's
     coordinate arrays."""
-    family = _family_spec(spec)
+    family = spec.family
     odd = spec.parity == "odd"
     grades: dict[int, list[Generator]] = {}
     for gen in _generators(spec):

@@ -91,7 +91,7 @@ import itertools
 from dataclasses import dataclass
 
 from .canonical import edge_action
-from .context import SLOT_EDGES, GraphContext, _canonical_entry
+from .context import GraphContext, _canonical_entry
 from .families import dumbbell, rose, theta
 from .graph import HalfEdgeGraph
 
@@ -117,24 +117,14 @@ class EnumSpec:
             raise ValueError("min_valence must be 2 or 3")
         if self.weighted and self.min_valence == 2:
             raise ValueError("weighted families are stable: min_valence 2 does not apply")
+        if self.weighted and self.genus < 1:
+            raise ValueError("weighted enumeration needs genus >= 1")
         if self.min_edges < 0:
             raise ValueError("min_edges must be non-negative")
         if self.max_edges is not None and self.max_edges < 0:
             raise ValueError("max_edges must be non-negative")
         if self.min_valence == 2 and self.max_edges is None:
             raise InfeasibleEnumeration("min_valence 2 admits arbitrarily long cycles; pass max_edges")
-
-
-def refuse_wide_subsets(genus: int, max_edges: int | None = None) -> None:
-    """Refuse a subset-orbit walk over the graphs of valence >= 3 of the
-    genus, up to ``max_edges`` edges, when the widest of them, 3g - 3
-    edges or fewer, has more edges than a slot of the table encodes
-    (``context.SLOT_EDGES``): every such class could only fail after its
-    enumeration."""
-    edges = 3 * genus - 3 if max_edges is None else min(3 * genus - 3, max_edges)
-    if edges > SLOT_EDGES:
-        raise InfeasibleEnumeration(f"genus {genus} graphs have up to {edges} edges; a "
-                                    f"subset-orbit slot encodes at most {SLOT_EDGES}")
 
 
 _ENUM_CACHE: dict[EnumSpec, tuple] = {}
@@ -267,8 +257,6 @@ def enumerate_graphs(spec: EnumSpec) -> list[GraphContext]:
     if hit is not None:
         return list(hit)
     g = spec.genus
-    if spec.weighted and g < 1:
-        raise ValueError("weighted enumeration needs genus >= 1")
     cap = 3 * g - 3 if spec.min_valence == 3 else spec.max_edges
     if spec.max_edges is not None:
         cap = min(cap, spec.max_edges)

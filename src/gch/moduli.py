@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ComplexSpec, _family_spec, pair_key
-from .generate import enumerate_graphs, refuse_wide_subsets
+from .complexes import ComplexSpec, pair_key
+from .generate import enumerate_graphs
 from .graph import HalfEdgeGraph
 
 
@@ -69,22 +69,20 @@ class CubeCatalog:
         )
 
 
-def refuse_request(genus: int, spine: bool) -> None:
-    """Refuse a request that cannot be built, before any work: ValueError
-    below genus 2, where neither the moduli space of graphs nor its spine
-    is built, and for the spine InfeasibleEnumeration when the genus's
-    graphs can have more edges than a subset-orbit slot encodes
-    (:func:`~gch.generate.refuse_wide_subsets`).  Both builders call it
-    first, and ``gch moduli`` before its export target is opened."""
+def refuse_request(genus: int, spine: bool) -> ComplexSpec:
+    """The ``ComplexSpec`` whose family a moduli request is built on,
+    ``gf`` for the spine and ``cellular_MG`` for the cell poset.  Below
+    genus 2, where neither is built, ValueError; above, the spec refuses as
+    it is made, the spine's when its graphs outgrow a subset-orbit slot.
+    Each builder makes its spec here once, and ``gch moduli`` before its
+    export target is opened."""
     if genus < 2:
         raise ValueError(f"the {'spine' if spine else 'moduli space'} needs genus >= 2")
-    if spine:
-        refuse_wide_subsets(genus)
+    return ComplexSpec("gf" if spine else "cellular_MG", "even", genus)
 
 
 def build_cell_poset(genus: int) -> CellPoset:
-    refuse_request(genus, spine=False)
-    contexts = enumerate_graphs(_family_spec(ComplexSpec("cellular_MG", "even", genus)))
+    contexts = enumerate_graphs(refuse_request(genus, spine=False).family)
     nodes = []
     for ctx in contexts:
         nodes.append(PosetNode(
@@ -111,8 +109,7 @@ def build_spine(genus: int) -> CubeCatalog:
     any enumeration.  As in ``build_complex``, every class's forest orbits
     are walked into one index of cube keys by (certificate, mask) before
     any face is read through it."""
-    refuse_request(genus, spine=True)
-    family = _family_spec(ComplexSpec("gf", "even", genus))
+    family = refuse_request(genus, spine=True).family
     contexts = enumerate_graphs(family)
     index = {(ctx.certificate, mask): pair_key(ctx.certificate, ctx.subset_of(mask))
              for ctx in contexts for mask in ctx.subset_orbits(forests_only=True)}

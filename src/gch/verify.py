@@ -102,12 +102,13 @@ def _vanishing_table_rows():
 def check_vanishing_table():
     """Symmetry vanishing of cycles, bananas and wheels for both parities."""
     bad = []
-    for name, graph, parity, expected in _vanishing_table_rows():
+    rows = _vanishing_table_rows()
+    for name, graph, parity, expected in rows:
         got, _ = generator_vanishes(graph, parity)
         if got is not expected:
             bad.append(f"{name}/{parity}: expected vanish={expected}, got {got}")
     _check(not bad, "; ".join(bad))
-    return f"{len(_vanishing_table_rows())} rows match"
+    return f"{len(rows)} rows match"
 
 
 def check_small_commutative_homology():

@@ -53,6 +53,15 @@ def test_weighted_min_valence_2_exit_code(capsys):
     assert "min_valence" in captured.err
 
 
+def test_weighted_genus_0_exit_code(capsys):
+    """A weighted family needs genus >= 1: exit 2, the reason on stderr
+    and nothing on stdout."""
+    assert main(["enumerate", "--genus", "0", "--weighted"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "weighted enumeration needs genus >= 1" in captured.err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["homology", "--kind", "nonsense", "--parity", "even", "--genus", "2"])

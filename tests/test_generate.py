@@ -72,6 +72,13 @@ def test_weighted_family_rejects_min_valence_2():
         EnumSpec(genus=2, weighted=True, allow_tadpoles=True, min_valence=2)
 
 
+def test_weighted_family_rejects_genus_0():
+    """The weighted genus floor is checked when the spec is made, before
+    any enumeration."""
+    with pytest.raises(ValueError, match="weighted enumeration needs genus >= 1"):
+        EnumSpec(genus=0, weighted=True)
+
+
 def test_genus1_bivalent_graphs_are_cycles():
     forms = enumerate_graphs(EnumSpec(genus=1, min_valence=2, max_edges=7))
     assert sorted(f.graph.edge_count for f in forms) == list(range(2, 8))
@@ -436,6 +443,9 @@ from gch.graph import HalfEdgeGraph
 plain = context.canonical_labelling
 canonicalized = []
 context.canonical_labelling = lambda *g: canonicalized.append(g) or plain(*g)
+ribbon = context.ribbon_labelling
+spliced = []
+context.ribbon_labelling = lambda *g: spliced.append(g) or ribbon(*g)
 labeling = canonical._canonical_labeling
 searches = []
 canonical._canonical_labeling = lambda *g: searches.append(g) or labeling(*g)
@@ -451,9 +461,14 @@ enumerate_graphs(EnumSpec(genus=4, weighted=True, allow_tadpoles=True, min_edges
 closure = len(canonicalized)
 build_complex(ComplexSpec("cellular_MG", "even", 4))
 build_cell_poset(4)
-print(json.dumps({"closure": closure, "contractions": sum(contracted.values()),
-                  "repeated": sum(1 for n in contracted.values() if n > 1),
-                  "canonicalized": len(canonicalized), "searches": len(searches)}))
+counts = {"closure": closure, "contractions": sum(contracted.values()),
+          "repeated": sum(1 for n in contracted.values() if n > 1),
+          "canonicalized": len(canonicalized), "searches": len(searches)}
+# the ass closure last: its ribbon classes share underlying graphs, so
+# their contractions would repeat the plain (graph, edge) keys above
+counts["ribbon_classes"] = len(enumerate_graphs(EnumSpec(genus=4, ribbon=True)))
+counts["spliced"] = len(spliced)
+print(json.dumps(counts))
 """
 
 
@@ -512,7 +527,10 @@ def test_each_class_edge_is_contracted_once():
     (``GraphContext._square``), because closure order has not yet recorded
     the square's other side.  Each plain labelled graph is searched once,
     to canonicalize it: no class is searched again for its automorphism
-    group."""
+    group.  Then the ``ass`` genus-4 closure, 268 ribbon classes, labels
+    at most 366 spliced ribbon graphs (``context.ribbon_labelling``, one
+    per ribbon contraction that no square gives); with no squares it
+    labels 826."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
     result = subprocess.run([sys.executable, "-c", WORK_COUNTER], capture_output=True,
@@ -522,6 +540,7 @@ def test_each_class_edge_is_contracted_once():
     assert counts["contractions"] > 0 and counts["repeated"] == 0, counts
     assert counts["closure"] <= 452, counts
     assert counts["searches"] == counts["canonicalized"], counts
+    assert counts["ribbon_classes"] == 268 and counts["spliced"] <= 366, counts
 
 
 def _masses(classes):

@@ -48,14 +48,14 @@ LADDER = ("gf-even-5", "gp-even-5", "gp-odd-5", "ass-odd-5", "com-odd-6")
 
 CHILD = r"""
 import json, resource, sys, time
-from gch.complexes import ComplexSpec, _family_spec, build_complex, homology
+from gch.complexes import ComplexSpec, build_complex, homology
 from gch.generate import enumerate_graphs
 
 spec = sys.argv[1]
 kind, parity, genus = spec.rsplit("-", 2)
 complex_spec = ComplexSpec(kind, parity, int(genus))
 start = time.perf_counter()
-enumerate_graphs(_family_spec(complex_spec))
+enumerate_graphs(complex_spec.family)
 enumerated = time.perf_counter()
 complex_ = build_complex(complex_spec)
 built = time.perf_counter()
